@@ -102,8 +102,8 @@ fn join_thread_sweep(c: &mut Criterion) {
                 |b, (probe, build)| {
                     b.iter(|| {
                         hash_equi_join_coalesced_partitioned(
-                            black_box(probe),
-                            build,
+                            black_box(*probe),
+                            *build,
                             "DNAME",
                             "NAME_0",
                             "NAME_0",

@@ -23,6 +23,7 @@
 //!   `polygen_federation::credibility`, which builds on
 //!   [`coalesce_with`].
 
+use crate::base::RowView;
 use crate::cell::Cell;
 use crate::error::PolygenError;
 use crate::relation::PolygenRelation;
@@ -62,17 +63,30 @@ pub struct CoalesceConflict {
 
 /// Merge the matching-data or one-sided-nil cases per the paper.
 /// Returns `None` on a genuine conflict (both non-nil, unequal).
-/// Shared with the single-pass kernels (`hash_merge`, the fused
-/// equi-join) so both engines coalesce identically.
 pub(crate) fn coalesce_cells(x: &Cell, y: &Cell) -> Option<Cell> {
-    if x.datum == y.datum {
-        let mut merged = x.clone();
-        merged.absorb_tags(y);
+    coalesce_views(std::slice::from_ref(x), 0, std::slice::from_ref(y), 0)
+}
+
+/// [`coalesce_cells`] over cell `xi` of row `a` and cell `yi` of row `b`,
+/// whatever the rows are made of — the one case analysis the reference
+/// operators and the single-pass kernels (`hash_merge`, the fused
+/// equi-join) share, so every engine coalesces identically. Only the
+/// winning side's cell is ever built.
+pub(crate) fn coalesce_views<'a, 'b>(
+    a: impl RowView<'a>,
+    xi: usize,
+    b: impl RowView<'b>,
+    yi: usize,
+) -> Option<Cell> {
+    let (x, y) = (a.datum(xi), b.datum(yi));
+    if x == y {
+        let mut merged = a.cell(xi);
+        b.absorb_into(yi, &mut merged);
         Some(merged)
     } else if y.is_nil() {
-        Some(x.clone())
+        Some(a.cell(xi))
     } else if x.is_nil() {
-        Some(y.clone())
+        Some(b.cell(yi))
     } else {
         None
     }

@@ -11,7 +11,9 @@
 //! has one `AID#` column, Table 7 one `ONAME` column whose origin sets are
 //! the unions of the two join attributes' origins.
 
-use crate::algebra::coalesce::{coalesce, coalesce_cells, ConflictPolicy};
+use crate::algebra::coalesce::{coalesce, coalesce_views, ConflictPolicy};
+use crate::base::{Operand, RowView};
+use crate::cell::Cell;
 use crate::error::PolygenError;
 use crate::relation::PolygenRelation;
 use crate::stream::{scoped_map, ParallelOptions, Partitioner};
@@ -37,7 +39,7 @@ pub fn theta_join(
             .concat(p2.schema(), &format!("{}x{}", p1.name(), p2.name()))?,
     );
     let mut tuples: Vec<PolyTuple> = Vec::new();
-    let mut emit = |a: &PolyTuple, b: &PolyTuple| {
+    let mut emit = |a: &[Cell], b: &[Cell]| {
         let mut t = Vec::with_capacity(a.len() + b.len());
         t.extend(a.iter().cloned());
         t.extend(b.iter().cloned());
@@ -69,38 +71,39 @@ pub fn theta_join(
 /// The single probe loop shared by [`theta_join`]'s equality fast path
 /// and the fused [`hash_equi_join_coalesced`] kernel — so the two can
 /// never diverge on match semantics.
-fn probe_equi<E>(
-    p1: &PolygenRelation,
+fn probe_equi<'p, L: Operand, R: Operand, E>(
+    p1: &'p L,
     xi: usize,
-    p2: &PolygenRelation,
+    p2: &'p R,
     yi: usize,
     emit: &mut E,
 ) -> Result<(), PolygenError>
 where
-    E: FnMut(&PolyTuple, &PolyTuple) -> Result<(), PolygenError>,
+    E: FnMut(L::Row<'p>, R::Row<'p>) -> Result<(), PolygenError>,
 {
-    let mut index: HashMap<&Value, Vec<&PolyTuple>> = HashMap::with_capacity(p2.len());
-    for b in p2.tuples() {
-        if !b[yi].is_nil() {
-            index.entry(&b[yi].datum).or_default().push(b);
+    let mut index: HashMap<&Value, Vec<R::Row<'p>>> = HashMap::with_capacity(p2.len());
+    for b in p2.rows() {
+        if !b.datum(yi).is_nil() {
+            index.entry(b.datum(yi)).or_default().push(b);
         }
     }
     let mixed = mixed_numeric_keys(p1, xi, p2, yi);
-    for a in p1.tuples() {
-        if a[xi].is_nil() {
+    for a in p1.rows() {
+        let key = a.datum(xi);
+        if key.is_nil() {
             continue;
         }
-        if let Some(matches) = index.get(&a[xi].datum) {
-            for b in matches {
-                if a[xi].datum.satisfies(Cmp::Eq, &b[yi].datum) {
+        if let Some(matches) = index.get(key) {
+            for &b in matches {
+                if key.satisfies(Cmp::Eq, b.datum(yi)) {
                     emit(a, b)?;
                 }
             }
         }
-        if mixed && matches!(a[xi].datum, Value::Int(_) | Value::Float(_)) {
-            for b in p2.tuples() {
-                if std::mem::discriminant(&a[xi].datum) != std::mem::discriminant(&b[yi].datum)
-                    && a[xi].datum.satisfies(Cmp::Eq, &b[yi].datum)
+        if mixed && matches!(key, Value::Int(_) | Value::Float(_)) {
+            for b in p2.rows() {
+                if std::mem::discriminant(key) != std::mem::discriminant(b.datum(yi))
+                    && key.satisfies(Cmp::Eq, b.datum(yi))
                 {
                     emit(a, b)?;
                 }
@@ -142,9 +145,13 @@ pub fn equi_join_coalesced(
 /// builds each output tuple once (join, tag update and join-column
 /// coalesce in one emit) instead of materializing the full θ-join and
 /// re-cloning every cell in a separate coalesce pass.
-pub fn hash_equi_join_coalesced(
-    p1: &PolygenRelation,
-    p2: &PolygenRelation,
+///
+/// Generic over both operand types ([`Operand`]): a late-tagged base
+/// relation on either side is read in place, its cells built once as
+/// they land in an output tuple.
+pub fn hash_equi_join_coalesced<L: Operand, R: Operand>(
+    p1: &L,
+    p2: &R,
     x: &str,
     y: &str,
     out: &str,
@@ -165,32 +172,32 @@ pub fn hash_equi_join_coalesced(
 /// the Restrict-style mediator update applied. Shared by the sequential
 /// and the partition-parallel kernels so the two can never diverge on
 /// emit semantics.
-fn coalesced_join_tuple(
-    a: &PolyTuple,
-    b: &PolyTuple,
+fn coalesced_join_tuple<'a, 'b>(
+    a: impl RowView<'a>,
+    b: impl RowView<'b>,
     xi: usize,
     yi: usize,
     out: &str,
 ) -> Result<PolyTuple, PolygenError> {
-    let merged = coalesce_cells(&a[xi], &b[yi]).ok_or_else(|| {
+    let merged = coalesce_views(a, xi, b, yi).ok_or_else(|| {
         // Data equal through θ but not through `==` (Int vs Float):
         // the reference path's strict coalesce rejects this too.
         PolygenError::CoalesceConflict {
             attribute: out.to_string(),
-            left: a[xi].datum.to_string(),
-            right: b[yi].datum.to_string(),
+            left: a.datum(xi).to_string(),
+            right: b.datum(yi).to_string(),
         }
     })?;
-    let mut t = Vec::with_capacity(a.len() + b.len() - 1);
-    for (i, c) in a.iter().enumerate() {
-        t.push(if i == xi { merged.clone() } else { c.clone() });
+    let mut t = Vec::with_capacity(a.width() + b.width() - 1);
+    for i in 0..a.width() {
+        t.push(if i == xi { merged.clone() } else { a.cell(i) });
     }
-    for (i, c) in b.iter().enumerate() {
+    for i in 0..b.width() {
         if i != yi {
-            t.push(c.clone());
+            t.push(b.cell(i));
         }
     }
-    let mediators = a[xi].origin.union(&b[yi].origin);
+    let mediators = a.origin(xi).union(b.origin(yi));
     tuple::add_intermediate_all(&mut t, &mediators);
     Ok(t)
 }
@@ -205,9 +212,9 @@ fn coalesced_join_tuple(
 /// empty, or the key columns mix `Int`/`Float` data (a `1 = 1.0` match
 /// crosses hash partitions exactly like it crosses hash buckets — the
 /// sequential kernel's rescan handles it, partitioning cannot).
-pub fn hash_equi_join_coalesced_partitioned(
-    p1: &PolygenRelation,
-    p2: &PolygenRelation,
+pub fn hash_equi_join_coalesced_partitioned<L: Operand, R: Operand>(
+    p1: &L,
+    p2: &R,
     x: &str,
     y: &str,
     out: &str,
@@ -220,39 +227,39 @@ pub fn hash_equi_join_coalesced_partitioned(
     }
     let schema = equi_join_coalesced_schema(p1.schema(), p2.schema(), x, y, out)?;
     let parter = Partitioner::new(par.partitions);
-    // Reference-only split: partitioning pushes pointers, never clones a
+    // Reference-only split: partitioning pushes row views, never builds a
     // cell. nil keys never join, so they are dropped here outright.
     // Each side's key column is hashed in one contiguous pass
     // (`bucket_indices`), then the scatter loop is plain array reads.
-    let probe_buckets = parter.bucket_indices(p1.tuples().iter().map(|t| &t[xi].datum));
-    let mut probe: Vec<Vec<(usize, &PolyTuple)>> = (0..parter.partitions())
+    let probe_buckets = parter.bucket_indices(p1.rows().map(|t| t.datum(xi)));
+    let mut probe: Vec<Vec<(usize, L::Row<'_>)>> = (0..parter.partitions())
         .map(|_| Vec::with_capacity(p1.len() / parter.partitions() + 1))
         .collect();
-    for ((i, t), &bucket) in p1.tuples().iter().enumerate().zip(&probe_buckets) {
-        if !t[xi].is_nil() {
+    for ((i, t), &bucket) in p1.rows().enumerate().zip(&probe_buckets) {
+        if !t.datum(xi).is_nil() {
             probe[bucket].push((i, t));
         }
     }
-    let build_buckets = parter.bucket_indices(p2.tuples().iter().map(|t| &t[yi].datum));
-    let mut build: Vec<Vec<&PolyTuple>> = (0..parter.partitions())
+    let build_buckets = parter.bucket_indices(p2.rows().map(|t| t.datum(yi)));
+    let mut build: Vec<Vec<R::Row<'_>>> = (0..parter.partitions())
         .map(|_| Vec::with_capacity(p2.len() / parter.partitions() + 1))
         .collect();
-    for (t, &bucket) in p2.tuples().iter().zip(&build_buckets) {
-        if !t[yi].is_nil() {
+    for (t, &bucket) in p2.rows().zip(&build_buckets) {
+        if !t.datum(yi).is_nil() {
             build[bucket].push(t);
         }
     }
     let parts: Vec<_> = probe.into_iter().zip(build).collect();
     let results = scoped_map(parts, par.threads, |_, (probe, build)| {
-        let mut index: HashMap<&Value, Vec<&PolyTuple>> = HashMap::with_capacity(build.len());
+        let mut index: HashMap<&Value, Vec<R::Row<'_>>> = HashMap::with_capacity(build.len());
         for b in build {
-            index.entry(&b[yi].datum).or_default().push(b);
+            index.entry(b.datum(yi)).or_default().push(b);
         }
         let mut emitted: Vec<(usize, PolyTuple)> = Vec::new();
         for (orig, a) in probe {
-            if let Some(matches) = index.get(&a[xi].datum) {
-                for b in matches {
-                    if a[xi].datum.satisfies(Cmp::Eq, &b[yi].datum) {
+            if let Some(matches) = index.get(a.datum(xi)) {
+                for &b in matches {
+                    if a.datum(xi).satisfies(Cmp::Eq, b.datum(yi)) {
                         emitted.push((orig, coalesced_join_tuple(a, b, xi, yi, out)?));
                     }
                 }
@@ -274,15 +281,14 @@ pub fn hash_equi_join_coalesced_partitioned(
 /// equality hold across hash buckets (`1 = 1.0`), forcing the per-probe
 /// rescan of the build side; for homogeneous keys — the common case —
 /// the hash path alone is complete and the join stays single-pass.
-fn mixed_numeric_keys(p1: &PolygenRelation, xi: usize, p2: &PolygenRelation, yi: usize) -> bool {
+fn mixed_numeric_keys<L: Operand, R: Operand>(p1: &L, xi: usize, p2: &R, yi: usize) -> bool {
     let (mut saw_int, mut saw_float) = (false, false);
-    for c in p1
-        .tuples()
-        .iter()
-        .map(|t| &t[xi])
-        .chain(p2.tuples().iter().map(|t| &t[yi]))
+    for d in p1
+        .rows()
+        .map(|t| t.datum(xi))
+        .chain(p2.rows().map(|t| t.datum(yi)))
     {
-        match c.datum {
+        match d {
             Value::Int(_) => saw_int = true,
             Value::Float(_) => saw_float = true,
             _ => {}

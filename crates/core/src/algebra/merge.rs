@@ -11,8 +11,9 @@
 //! scheme's primary key; order-insensitivity (up to column order) is
 //! property-tested in the crate's proptest suite.
 
-use crate::algebra::coalesce::{coalesce_cells, conflict_winner, CoalesceConflict, ConflictPolicy};
+use crate::algebra::coalesce::{coalesce_views, conflict_winner, CoalesceConflict, ConflictPolicy};
 use crate::algebra::natural::outer_natural_total_join;
+use crate::base::{Operand, RowView};
 use crate::cell::Cell;
 use crate::error::PolygenError;
 use crate::relation::PolygenRelation;
@@ -75,62 +76,89 @@ pub fn merge(
 /// are not — the closed form reports `tuple_index` against the final
 /// output rows, while the fold reports indices into its intermediate
 /// join products. Treat the index as diagnostic, not as a stable key.
-pub fn hash_merge(
-    relations: &[PolygenRelation],
+///
+/// Generic over the operand type ([`Operand`]): tagged relations are read
+/// as they always were; late-tagged base relations are read in place and
+/// each of their cells is built once, when it lands in an output row.
+pub fn hash_merge<O: Operand>(
+    relations: &[O],
     key: &str,
     policy: ConflictPolicy,
 ) -> Result<(PolygenRelation, Vec<CoalesceConflict>), PolygenError> {
     let (first, _) = relations.split_first().ok_or(PolygenError::EmptyMerge)?;
-    for rel in relations {
-        if !rel.schema().contains(key) {
-            return Err(PolygenError::MissingMergeKey {
-                relation: rel.name().to_string(),
-                key: key.to_string(),
-            });
-        }
-    }
+    check_merge_key(relations, key)?;
     if relations.len() == 1 {
-        return Ok((first.clone(), Vec::new()));
+        return Ok((first.materialize(), Vec::new()));
     }
     if !hash_mergeable(relations, key) {
-        return merge(relations, key, policy);
+        return merge(&O::tagged(relations), key, policy);
     }
-    let schemas: Vec<&Schema> = relations.iter().map(|r| r.schema().as_ref()).collect();
-    let schema = merged_schema(&schemas)?;
-    let width = schema.degree();
-    // Column mapping per operand: operand column i → output column.
-    let col_maps: Vec<Vec<usize>> = relations
-        .iter()
-        .map(|rel| {
-            rel.schema()
-                .attrs()
-                .iter()
-                .map(|a| schema.index_of(a).expect("attr in union schema").0)
-                .collect()
-        })
-        .collect();
-    let key_out = schema.index_of(key)?.0;
+    let plan = MergePlan::new(relations, key)?;
     let mut acc = MergeAcc::default();
-    for (rel, col_map) in relations.iter().zip(&col_maps) {
-        let key_in = rel.schema().index_of(key)?.0;
+    for (ri, rel) in relations.iter().enumerate() {
         // Scan indices are only consumed by the partitioned splice; the
         // sequential path's creation order is already correct.
-        merge_into(
-            &mut acc,
-            &schema,
-            width,
-            col_map,
-            rel.tuples().iter().enumerate(),
-            key_in,
-            policy,
-        )?;
+        merge_into(&mut acc, &plan, ri, rel.rows().enumerate(), policy)?;
     }
     let tuples: Vec<PolyTuple> = acc
         .rows
         .into_iter()
-        .map(|(cells, mediators)| finalize_row(cells, &mediators, key_out))
+        .map(|(cells, mediators)| finalize_row(cells, &mediators, plan.key_out))
         .collect();
-    Ok((PolygenRelation::from_tuples(schema, tuples)?, acc.conflicts))
+    Ok((
+        PolygenRelation::from_tuples(plan.schema, tuples)?,
+        acc.conflicts,
+    ))
+}
+
+/// Every operand must carry the merge key.
+fn check_merge_key<O: Operand>(relations: &[O], key: &str) -> Result<(), PolygenError> {
+    for rel in relations {
+        if !rel.schema().contains(key) {
+            return Err(PolygenError::MissingMergeKey {
+                relation: rel.schema().name().to_string(),
+                key: key.to_string(),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// What the closed form resolves once per Merge: the output schema and,
+/// per operand, the operand-column → output-column mapping and the key
+/// column's position.
+struct MergePlan {
+    schema: Arc<Schema>,
+    key_out: usize,
+    col_maps: Vec<Vec<usize>>,
+    key_ins: Vec<usize>,
+}
+
+impl MergePlan {
+    fn new<O: Operand>(relations: &[O], key: &str) -> Result<Self, PolygenError> {
+        let schemas: Vec<&Schema> = relations.iter().map(|r| r.schema().as_ref()).collect();
+        let schema = merged_schema(&schemas)?;
+        let col_maps = schemas
+            .iter()
+            .map(|s| {
+                s.attrs()
+                    .iter()
+                    .map(|a| schema.index_of(a).expect("attr in union schema").0)
+                    .collect()
+            })
+            .collect();
+        let key_ins = schemas
+            .iter()
+            .map(|s| s.index_of(key).map(|r| r.0))
+            .collect::<Result<_, _>>()?;
+        let key_out = schema.index_of(key)?.0;
+        Ok(MergePlan {
+            schema,
+            key_out,
+            col_maps,
+            key_ins,
+        })
+    }
 }
 
 /// A partially-filled Merge output row plus its accumulating `K(v)`.
@@ -150,69 +178,72 @@ struct MergeAcc<'a> {
     conflicts: Vec<CoalesceConflict>,
 }
 
-/// Fold one operand's tuples (each tagged with its global scan index)
+/// Fold operand `ri`'s rows (each tagged with its global scan index)
 /// into the accumulator — the inner loop of the closed-form
 /// [`hash_merge`], shared with [`hash_merge_partitioned`] (which runs it
 /// per hash partition) so the two can never diverge.
-fn merge_into<'a>(
+fn merge_into<'a, R: RowView<'a>>(
     acc: &mut MergeAcc<'a>,
-    schema: &Schema,
-    width: usize,
-    col_map: &[usize],
-    tuples: impl IntoIterator<Item = (usize, &'a PolyTuple)>,
-    key_in: usize,
+    plan: &MergePlan,
+    ri: usize,
+    rows: impl IntoIterator<Item = (usize, R)>,
     policy: ConflictPolicy,
 ) -> Result<(), PolygenError> {
-    for (scan_idx, t) in tuples {
-        let kc = &t[key_in];
-        let row_idx = if kc.is_nil() {
+    let (col_map, key_in) = (&plan.col_maps[ri], plan.key_ins[ri]);
+    for (scan_idx, t) in rows {
+        let key = t.datum(key_in);
+        let row_idx = if key.is_nil() {
             // nil keys never match (§II: nil satisfies no θ): each
             // stays its own row, mediated only by its own origins.
             None
         } else {
-            acc.by_key.get(&kc.datum).copied()
+            acc.by_key.get(key).copied()
         };
         match row_idx {
             Some(i) => {
                 let (cells, mediators) = &mut acc.rows[i];
-                mediators.union_with(&kc.origin);
-                for (ci, c) in t.iter().enumerate() {
+                mediators.union_with(t.origin(key_in));
+                for ci in 0..t.width() {
                     let out = &mut cells[col_map[ci]];
                     match out {
-                        None => *out = Some(c.clone()),
+                        None => *out = Some(t.cell(ci)),
                         Some(existing) => {
-                            let merged = match coalesce_cells(existing, c) {
-                                Some(m) => m,
-                                None => {
-                                    acc.conflicts.push(CoalesceConflict {
-                                        tuple_index: i,
-                                        attribute: schema.attr_at(col_map[ci]).to_string(),
-                                        left: existing.clone(),
-                                        right: c.clone(),
-                                    });
-                                    conflict_winner(policy, existing, c).ok_or_else(|| {
-                                        PolygenError::CoalesceConflict {
-                                            attribute: schema.attr_at(col_map[ci]).to_string(),
-                                            left: existing.datum.to_string(),
-                                            right: c.datum.to_string(),
-                                        }
-                                    })?
-                                }
-                            };
+                            let merged =
+                                match coalesce_views(std::slice::from_ref(&*existing), 0, t, ci) {
+                                    Some(m) => m,
+                                    None => {
+                                        let c = t.cell(ci);
+                                        let attribute =
+                                            plan.schema.attr_at(col_map[ci]).to_string();
+                                        acc.conflicts.push(CoalesceConflict {
+                                            tuple_index: i,
+                                            attribute: attribute.clone(),
+                                            left: existing.clone(),
+                                            right: c.clone(),
+                                        });
+                                        conflict_winner(policy, existing, &c).ok_or_else(|| {
+                                            PolygenError::CoalesceConflict {
+                                                attribute,
+                                                left: existing.datum.to_string(),
+                                                right: c.datum.to_string(),
+                                            }
+                                        })?
+                                    }
+                                };
                             *out = Some(merged);
                         }
                     }
                 }
             }
             None => {
-                let mut cells: Vec<Option<Cell>> = vec![None; width];
-                for (ci, c) in t.iter().enumerate() {
-                    cells[col_map[ci]] = Some(c.clone());
+                let mut cells: Vec<Option<Cell>> = vec![None; plan.schema.degree()];
+                for ci in 0..t.width() {
+                    cells[col_map[ci]] = Some(t.cell(ci));
                 }
-                if !kc.is_nil() {
-                    acc.by_key.insert(&kc.datum, acc.rows.len());
+                if !key.is_nil() {
+                    acc.by_key.insert(key, acc.rows.len());
                 }
-                acc.rows.push((cells, kc.origin.clone()));
+                acc.rows.push((cells, t.origin(key_in).clone()));
                 acc.ranks.push(scan_idx);
             }
         }
@@ -249,76 +280,39 @@ fn finalize_row(cells: Vec<Option<Cell>>, mediators: &SourceSet, key_out: usize)
 /// in which a `Strict` policy trips) follows partition order rather than
 /// global scan order — as documented on [`hash_merge`], treat them as
 /// diagnostic.
-pub fn hash_merge_partitioned(
-    relations: &[PolygenRelation],
+pub fn hash_merge_partitioned<O: Operand>(
+    relations: &[O],
     key: &str,
     policy: ConflictPolicy,
     par: ParallelOptions,
 ) -> Result<(PolygenRelation, Vec<CoalesceConflict>), PolygenError> {
-    let (first, _) = relations.split_first().ok_or(PolygenError::EmptyMerge)?;
-    for rel in relations {
-        if !rel.schema().contains(key) {
-            return Err(PolygenError::MissingMergeKey {
-                relation: rel.name().to_string(),
-                key: key.to_string(),
-            });
-        }
-    }
-    if relations.len() == 1 {
-        return Ok((first.clone(), Vec::new()));
-    }
-    if !par.is_parallel() || !hash_mergeable(relations, key) {
+    if relations.len() <= 1 || !par.is_parallel() || !hash_mergeable(relations, key) {
         return hash_merge(relations, key, policy);
     }
-    let schemas: Vec<&Schema> = relations.iter().map(|r| r.schema().as_ref()).collect();
-    let schema = merged_schema(&schemas)?;
-    let width = schema.degree();
-    let col_maps: Vec<Vec<usize>> = relations
-        .iter()
-        .map(|rel| {
-            rel.schema()
-                .attrs()
-                .iter()
-                .map(|a| schema.index_of(a).expect("attr in union schema").0)
-                .collect()
-        })
-        .collect();
-    let key_out = schema.index_of(key)?.0;
-    let key_ins: Vec<usize> = relations
-        .iter()
-        .map(|rel| rel.schema().index_of(key).map(|r| r.0))
-        .collect::<Result<_, _>>()?;
-    // Reference-only split (partition → operand → (scan index, tuple)):
-    // pointer pushes, no cell clones. The scan index is the tuple's
+    let plan = MergePlan::new(relations, key)?;
+    // Reference-only split (partition → operand → (scan index, row)):
+    // row views are pushed, no cell is built. The scan index is the row's
     // position in the sequential engine's global scan; the accumulator
     // stamps each output row with its creator's index, which IS the row's
     // position in the sequential first-appearance order.
     let parter = Partitioner::new(par.partitions);
-    let mut parts: Vec<Vec<Vec<(usize, &PolyTuple)>>> = (0..parter.partitions())
+    let mut parts: Vec<_> = (0..parter.partitions())
         .map(|_| vec![Vec::new(); relations.len()])
         .collect();
     let mut scan_pos = 0usize;
     for (ri, rel) in relations.iter().enumerate() {
-        let ki = key_ins[ri];
+        let ki = plan.key_ins[ri];
         // One contiguous hashing pass over the key column, then scatter.
-        let buckets = parter.bucket_indices(rel.tuples().iter().map(|t| &t[ki].datum));
-        for (t, &bucket) in rel.tuples().iter().zip(&buckets) {
+        let buckets = parter.bucket_indices(rel.rows().map(|t| t.datum(ki)));
+        for (t, &bucket) in rel.rows().zip(&buckets) {
             parts[bucket][ri].push((scan_pos, t));
             scan_pos += 1;
         }
     }
     let results = scoped_map(parts, par.threads, |_, operands| {
         let mut acc = MergeAcc::default();
-        for (ri, tuples) in operands.into_iter().enumerate() {
-            merge_into(
-                &mut acc,
-                &schema,
-                width,
-                &col_maps[ri],
-                tuples,
-                key_ins[ri],
-                policy,
-            )?;
+        for (ri, rows) in operands.into_iter().enumerate() {
+            merge_into(&mut acc, &plan, ri, rows, policy)?;
         }
         Ok::<_, PolygenError>((acc.rows, acc.ranks, acc.conflicts))
     });
@@ -356,22 +350,25 @@ pub fn hash_merge_partitioned(
     };
     let tuples: Vec<PolyTuple> = ranked
         .into_iter()
-        .map(|(_, (cells, mediators))| finalize_row(cells, &mediators, key_out))
+        .map(|(_, (cells, mediators))| finalize_row(cells, &mediators, plan.key_out))
         .collect();
-    Ok((PolygenRelation::from_tuples(schema, tuples)?, conflicts))
+    Ok((
+        PolygenRelation::from_tuples(Arc::clone(&plan.schema), tuples)?,
+        conflicts,
+    ))
 }
 
 /// Can the closed form apply? Requires per-operand unique non-nil key
 /// data and no Int/Float mixing in any key column.
-fn hash_mergeable(relations: &[PolygenRelation], key: &str) -> bool {
+fn hash_mergeable<O: Operand>(relations: &[O], key: &str) -> bool {
     let (mut saw_int, mut saw_float) = (false, false);
     for rel in relations {
         let Ok(ki) = rel.schema().index_of(key).map(|r| r.0) else {
             return false;
         };
         let mut seen: HashSet<&Value> = HashSet::with_capacity(rel.len());
-        for t in rel.tuples() {
-            let d = &t[ki].datum;
+        for t in rel.rows() {
+            let d = t.datum(ki);
             match d {
                 Value::Null => continue,
                 Value::Int(_) => saw_int = true,
@@ -624,7 +621,7 @@ mod tests {
         let (m, _) = hash_merge(&rels[..1], "ONAME", ConflictPolicy::Strict).unwrap();
         assert!(m.tagged_set_eq(&rels[0]));
         assert!(matches!(
-            hash_merge(&[], "K", ConflictPolicy::Strict),
+            hash_merge::<PolygenRelation>(&[], "K", ConflictPolicy::Strict),
             Err(PolygenError::EmptyMerge)
         ));
         assert!(matches!(
@@ -758,7 +755,7 @@ mod tests {
             hash_merge_partitioned(&rels[..1], "ONAME", ConflictPolicy::Strict, par).unwrap();
         assert!(m.tagged_set_eq(&rels[0]));
         assert!(matches!(
-            hash_merge_partitioned(&[], "K", ConflictPolicy::Strict, par),
+            hash_merge_partitioned::<PolygenRelation>(&[], "K", ConflictPolicy::Strict, par),
             Err(PolygenError::EmptyMerge)
         ));
         assert!(matches!(

@@ -23,10 +23,12 @@
 //!   in a pending mediator set and *applied* once per surviving row at
 //!   emission ([`ColumnBatch::into_relation`]), not carried through
 //!   every stage. Leaf scans retrieve whole columns from one source, so
-//!   origin columns are detected as uniform at build time and a filter
-//!   stage records its mediators with a single set union; per-row
-//!   pending sets are allocated only when a filtered column's origins
-//!   genuinely vary.
+//!   a batch built from a late-tagged base relation
+//!   ([`ColumnBatch::from_base`]) has uniform origin columns by
+//!   construction (a batch built from tagged tuples detects them) and a
+//!   filter stage records its mediators with a single set union;
+//!   per-row pending sets are allocated only when a filtered column's
+//!   origins genuinely vary.
 //!
 //! Late tagging is byte-identical to the per-stage row semantics because
 //! the predicates only read the data portion (tags never influence
@@ -42,6 +44,7 @@
 //! Every kernel here is differential-tested against the streaming and
 //! eager counterparts; the row engine stays the reference semantics.
 
+use crate::base::BaseRelation;
 use crate::cell::Cell;
 use crate::error::PolygenError;
 use crate::relation::PolygenRelation;
@@ -323,18 +326,53 @@ impl ColumnBatch {
         ColumnBatch::from_parts(schema, rel.into_tuples())
     }
 
+    /// Lift a late-tagged base relation into a batch. Every column's
+    /// origin is the relation's one source and every intermediate set is
+    /// empty, so the tag columns are [`TagColumn::Uniform`] by
+    /// construction — no per-row tag vector is ever collected or
+    /// compared. Byte-identical to
+    /// `ColumnBatch::from_relation(base.materialize())`.
+    pub fn from_base(base: &BaseRelation) -> Self {
+        let rows = u32::try_from(base.len()).expect("batch rows fit the u32 selection vector");
+        ColumnBatch::gather(base, (0..rows).collect())
+    }
+
     /// Gather the rows at `ordinals` out of a base relation — how an
     /// index probe emits straight into the columnar world. The batch
     /// remembers the probed ordinals; emitting it unchanged reproduces
     /// the probe relation byte for byte.
-    pub fn gather(base: &PolygenRelation, ordinals: &[u32]) -> Self {
-        let tuples: Vec<PolyTuple> = ordinals
-            .iter()
-            .map(|&o| base.tuples()[o as usize].clone())
+    pub fn gather(base: &BaseRelation, ordinals: Vec<u32>) -> Self {
+        let rows = ordinals.len();
+        u32::try_from(rows).expect("batch rows fit the u32 selection vector");
+        let schema = Arc::clone(base.schema());
+        let source = base.flat().rows();
+        let mut data: Vec<Vec<Value>> = (0..schema.degree())
+            .map(|_| Vec::with_capacity(rows))
             .collect();
-        let mut batch = ColumnBatch::from_parts(Arc::clone(base.schema()), tuples);
-        batch.ordinals = ordinals.to_vec();
-        batch
+        for &o in &ordinals {
+            for (column, v) in data.iter_mut().zip(&source[o as usize]) {
+                column.push(v.clone());
+            }
+        }
+        let columns = data
+            .into_iter()
+            .map(|d| {
+                Arc::new(Column {
+                    data: ColumnData::specialize(d),
+                    origin: TagColumn::Uniform(base.origin().clone()),
+                    intermediate: TagColumn::Uniform(SourceSet::empty()),
+                })
+            })
+            .collect();
+        ColumnBatch {
+            schema,
+            columns,
+            rows,
+            selection: (0..rows as u32).collect(),
+            pending_all: SourceSet::empty(),
+            pending_rows: None,
+            ordinals,
+        }
     }
 
     /// The batch's schema.
@@ -676,8 +714,9 @@ mod tests {
     #[test]
     fn gather_roundtrips_and_keeps_ordinals() {
         let rel = base();
+        let late = BaseRelation::new(rel.strip(), SourceId(0));
         let ordinals = [3u32, 1, 1];
-        let batch = ColumnBatch::gather(&rel, &ordinals);
+        let batch = ColumnBatch::gather(&late, ordinals.to_vec());
         assert_eq!(batch.ordinals(), &ordinals);
         assert_eq!(batch.rows(), 3);
         let expect: Vec<PolyTuple> = ordinals
@@ -685,6 +724,30 @@ mod tests {
             .map(|&o| rel.tuples()[o as usize].clone())
             .collect();
         assert_eq!(batch.into_relation().tuples(), expect.as_slice());
+    }
+
+    /// A batch built from a base relation is the batch built from its
+    /// materialization: same emission, same filter-stage mediators.
+    #[test]
+    fn from_base_matches_from_relation_of_the_materialization() {
+        let late = BaseRelation::new(base().strip(), SourceId(4));
+        let stages = |b: &mut ColumnBatch| {
+            b.select("DEG", Cmp::Eq, &Value::str("MBA")).unwrap();
+            b.restrict("ANAME", Cmp::Ne, "ORG").unwrap();
+        };
+        let mut early = ColumnBatch::from_relation(late.materialize());
+        let mut lazy = ColumnBatch::from_base(&late);
+        assert_eq!(lazy.ordinals(), early.ordinals());
+        assert_eq!(
+            lazy.clone().into_relation().tuples(),
+            late.materialize().tuples()
+        );
+        stages(&mut early);
+        stages(&mut lazy);
+        assert_eq!(lazy.selection(), early.selection());
+        assert_eq!(lazy.into_relation(), early.into_relation());
+        let empty = BaseRelation::new(Relation::build("E", &["A"]).finish().unwrap(), SourceId(0));
+        assert!(ColumnBatch::from_base(&empty).into_relation().is_empty());
     }
 
     #[test]

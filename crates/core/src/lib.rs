@@ -10,6 +10,9 @@
 //!   [`source::SourceSet`] both tag portions use.
 //! * [`cell`] / `tuple` / [`relation`] — the tagged data model; schemas
 //!   are shared with [`polygen_flat`].
+//! * [`base`] — late-tagged base relations (flat rows shared with the
+//!   LQP plus one source id) and the row view through which the hash
+//!   join and Merge kernels read tagged and base operands alike.
 //! * [`algebra`] — the six orthogonal primitives (Project, Cartesian
 //!   Product, Restrict, Union, Difference, Coalesce) and the derived
 //!   operators (Select, θ-Join, Intersect, Outer Join, Outer Natural
@@ -49,6 +52,7 @@
 //! ```
 
 pub mod algebra;
+pub mod base;
 pub mod batch;
 pub mod cell;
 pub mod error;
@@ -63,6 +67,7 @@ pub mod tuple;
 pub mod prelude {
     pub use crate::algebra;
     pub use crate::algebra::{coalesce::ConflictPolicy, merge::merge};
+    pub use crate::base::{BaseRelation, Operand, RowView};
     pub use crate::batch::ColumnBatch;
     pub use crate::cell::Cell;
     pub use crate::error::PolygenError;
@@ -74,6 +79,7 @@ pub mod prelude {
     pub use crate::tuple::PolyTuple;
 }
 
+pub use base::BaseRelation;
 pub use cell::Cell;
 pub use error::PolygenError;
 pub use relation::PolygenRelation;

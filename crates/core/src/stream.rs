@@ -49,18 +49,6 @@ impl TupleStream {
         TupleStream { schema, tuples }
     }
 
-    /// Assemble a stream from already-shared tuples — how the executor's
-    /// lazy scan handoff re-enters the streaming world after filtering
-    /// owned tuples (see [`select_tuples`]/[`restrict_tuples`]): only
-    /// the *survivors* are ever `Arc`-wrapped.
-    pub fn from_parts(schema: Arc<Schema>, tuples: Vec<SharedTuple>) -> Self {
-        debug_assert!(
-            tuples.iter().all(|t| t.len() == schema.degree()),
-            "stream tuples match stream schema"
-        );
-        TupleStream { schema, tuples }
-    }
-
     /// The stream's schema.
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
@@ -472,51 +460,6 @@ where
         .collect()
 }
 
-/// The Select stage over *owned* tuples — the lazy scan→pipeline
-/// handoff. Same semantics as [`TupleStream::select`], but tuples are
-/// mutated in place and dropped tuples are never `Arc`-wrapped: a scan
-/// leaf hands its relation's tuple vector straight to its consuming
-/// pipeline, which filters before lifting survivors into shared tuples.
-pub fn select_tuples(
-    schema: &Schema,
-    tuples: &mut Vec<crate::tuple::PolyTuple>,
-    x: &str,
-    cmp: Cmp,
-    constant: &Value,
-) -> Result<(), PolygenError> {
-    let xi = schema.index_of(x)?.0;
-    tuples.retain_mut(|t| {
-        if !t[xi].datum.satisfies(cmp, constant) {
-            return false;
-        }
-        let mediators = t[xi].origin.clone();
-        tuple::add_intermediate_all(t, &mediators);
-        true
-    });
-    Ok(())
-}
-
-/// The Restrict stage over owned tuples (see [`select_tuples`]).
-pub fn restrict_tuples(
-    schema: &Schema,
-    tuples: &mut Vec<crate::tuple::PolyTuple>,
-    x: &str,
-    cmp: Cmp,
-    y: &str,
-) -> Result<(), PolygenError> {
-    let xi = schema.index_of(x)?.0;
-    let yi = schema.index_of(y)?.0;
-    tuples.retain_mut(|t| {
-        if !t[xi].datum.satisfies(cmp, &t[yi].datum) {
-            return false;
-        }
-        let mediators = t[xi].origin.union(&t[yi].origin);
-        tuple::add_intermediate_all(t, &mediators);
-        true
-    });
-    Ok(())
-}
-
 /// Add `mediators` to every cell's intermediate set, copy-on-write: a
 /// no-op when the tags are already present (chained stages over the same
 /// sources), an in-place mutation when the tuple is uniquely owned, and a
@@ -621,28 +564,6 @@ mod tests {
         s.restrict("ANAME", Cmp::Ne, "ORG").unwrap();
         s.restrict("ANAME", Cmp::Ne, "ORG").unwrap();
         assert!(s.into_relation().tagged_set_eq(&eager));
-    }
-
-    #[test]
-    fn owned_kernels_match_stream_kernels() {
-        // The lazy-handoff kernels must be byte-identical to the
-        // streaming ones: same predicate, same tag update, same order.
-        let rel = base();
-        let mut owned = rel.clone().into_tuples();
-        select_tuples(rel.schema(), &mut owned, "DEG", Cmp::Eq, &Value::str("MBA")).unwrap();
-        restrict_tuples(rel.schema(), &mut owned, "ANAME", Cmp::Ne, "ORG").unwrap();
-        let mut s = TupleStream::from_relation(rel.clone());
-        s.select("DEG", Cmp::Eq, &Value::str("MBA")).unwrap();
-        s.restrict("ANAME", Cmp::Ne, "ORG").unwrap();
-        assert_eq!(s.into_relation().tuples(), owned.as_slice());
-        // Rebuilding a stream from the survivors round-trips.
-        let lifted = TupleStream::from_parts(
-            Arc::clone(rel.schema()),
-            owned.iter().cloned().map(Arc::new).collect(),
-        );
-        assert_eq!(lifted.to_relation().tuples(), owned.as_slice());
-        assert!(select_tuples(rel.schema(), &mut owned, "NOPE", Cmp::Eq, &Value::int(1)).is_err());
-        assert!(restrict_tuples(rel.schema(), &mut owned, "DEG", Cmp::Eq, "NOPE").is_err());
     }
 
     #[test]

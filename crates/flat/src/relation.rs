@@ -24,10 +24,16 @@ macro_rules! vals {
 /// definitions); insertion order is preserved for readable output, and
 /// [`Relation::canonicalized`] provides a sorted form for order-insensitive
 /// comparison in tests.
+///
+/// The rows sit behind an `Arc`: cloning, renaming or relabeling a
+/// relation shares them (two pointer copies), and [`Relation::insert`]
+/// copies on write. An LQP can therefore hand out its stored relation —
+/// and the mediator pass it through every layer that does not rewrite
+/// values — without copying a row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Relation {
     schema: Arc<Schema>,
-    rows: Vec<Row>,
+    rows: Arc<Vec<Row>>,
 }
 
 impl Relation {
@@ -35,29 +41,56 @@ impl Relation {
     pub fn empty(schema: Arc<Schema>) -> Self {
         Relation {
             schema,
-            rows: Vec::new(),
+            rows: Arc::new(Vec::new()),
         }
     }
 
     /// Construct from rows, enforcing arity and set semantics (duplicate
     /// rows are collapsed, first occurrence kept).
     pub fn from_rows(schema: Arc<Schema>, rows: Vec<Row>) -> Result<Self, FlatError> {
-        let mut rel = Relation::empty(schema);
-        rel.rows.reserve(rows.len());
+        let mut kept: Vec<Row> = Vec::with_capacity(rows.len());
         let mut seen: HashSet<Row> = HashSet::with_capacity(rows.len());
         for row in rows {
-            if row.len() != rel.schema.degree() {
+            if row.len() != schema.degree() {
                 return Err(FlatError::ArityMismatch {
-                    relation: rel.schema.name().to_string(),
-                    expected: rel.schema.degree(),
+                    relation: schema.name().to_string(),
+                    expected: schema.degree(),
                     found: row.len(),
                 });
             }
             if seen.insert(row.clone()) {
-                rel.rows.push(row);
+                kept.push(row);
             }
         }
-        Ok(rel)
+        Ok(Relation {
+            schema,
+            rows: Arc::new(kept),
+        })
+    }
+
+    /// The rows satisfying `keep`, in order, under the same schema. A
+    /// subset of a set is a set and arity is inherited, so survivors are
+    /// copied once with none of [`Relation::from_rows`]' re-checking.
+    pub fn subset(&self, mut keep: impl FnMut(&[Value]) -> bool) -> Relation {
+        Relation {
+            schema: Arc::clone(&self.schema),
+            rows: Arc::new(self.rows.iter().filter(|r| keep(r)).cloned().collect()),
+        }
+    }
+
+    /// The rows at `ordinals`, in that order, under the same schema —
+    /// [`Relation::subset`] for a caller that already knows which rows
+    /// survive. The ordinals must be distinct and in range.
+    pub fn gather(&self, ordinals: &[u32]) -> Relation {
+        Relation {
+            schema: Arc::clone(&self.schema),
+            rows: Arc::new(
+                ordinals
+                    .iter()
+                    .map(|&o| self.rows[o as usize].clone())
+                    .collect(),
+            ),
+        }
     }
 
     /// Fluent builder entry point.
@@ -98,14 +131,21 @@ impl Relation {
         &self.rows
     }
 
+    /// The shared row storage itself (`Arc::ptr_eq` on two of these
+    /// proves two relations hold the same rows, not copies).
+    pub fn shared_rows(&self) -> &Arc<Vec<Row>> {
+        &self.rows
+    }
+
     /// Iterate over tuples.
     pub fn iter(&self) -> std::slice::Iter<'_, Row> {
         self.rows.iter()
     }
 
-    /// Consume into the raw row vector.
+    /// Consume into the raw row vector (moved when this relation is the
+    /// rows' only holder, copied otherwise).
     pub fn into_rows(self) -> Vec<Row> {
-        self.rows
+        Arc::try_unwrap(self.rows).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// Membership test.
@@ -114,7 +154,8 @@ impl Relation {
     }
 
     /// Append a row, enforcing arity; duplicates are ignored (set
-    /// semantics). Returns whether the row was new.
+    /// semantics). Returns whether the row was new. Copies the rows
+    /// first when they are shared with another relation.
     pub fn insert(&mut self, row: Row) -> Result<bool, FlatError> {
         if row.len() != self.schema.degree() {
             return Err(FlatError::ArityMismatch {
@@ -126,18 +167,18 @@ impl Relation {
         if self.contains(&row) {
             return Ok(false);
         }
-        self.rows.push(row);
+        Arc::make_mut(&mut self.rows).push(row);
         Ok(true)
     }
 
     /// A copy with rows sorted into canonical order, for comparisons that
     /// must ignore insertion order.
     pub fn canonicalized(&self) -> Relation {
-        let mut rows = self.rows.clone();
+        let mut rows = self.rows.to_vec();
         rows.sort();
         Relation {
             schema: Arc::clone(&self.schema),
-            rows,
+            rows: Arc::new(rows),
         }
     }
 
@@ -147,15 +188,16 @@ impl Relation {
             && self.canonicalized().rows == other.canonicalized().rows
     }
 
-    /// A renamed copy sharing the row storage layout.
+    /// A renamed copy sharing the row storage.
     pub fn renamed(&self, name: &str) -> Relation {
         Relation {
             schema: Arc::new(self.schema.renamed(name)),
-            rows: self.rows.clone(),
+            rows: Arc::clone(&self.rows),
         }
     }
 
-    /// Replace the schema (attribute relabeling); degrees must match.
+    /// Replace the schema (attribute relabeling), sharing the rows;
+    /// degrees must match.
     pub fn with_schema(&self, schema: Arc<Schema>) -> Result<Relation, FlatError> {
         if schema.degree() != self.schema.degree() {
             return Err(FlatError::ArityMismatch {
@@ -166,7 +208,7 @@ impl Relation {
         }
         Ok(Relation {
             schema,
-            rows: self.rows.clone(),
+            rows: Arc::clone(&self.rows),
         })
     }
 }
@@ -283,6 +325,40 @@ mod tests {
         assert!(!dup);
         assert_eq!(r.len(), 3);
         assert!(r.insert(vec![Value::str("one")]).is_err());
+    }
+
+    #[test]
+    fn clones_share_rows_and_copy_on_write() {
+        let a = biz();
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(a.shared_rows(), b.shared_rows()));
+        assert!(Arc::ptr_eq(a.renamed("B2").shared_rows(), a.shared_rows()));
+        // A duplicate insert changes nothing, so nothing is copied.
+        assert!(!b.insert(a.rows()[0].clone()).unwrap());
+        assert!(Arc::ptr_eq(a.shared_rows(), b.shared_rows()));
+        // A real insert copies the rows first: the original is untouched.
+        assert!(b
+            .insert(vec![Value::str("DEC"), Value::str("High Tech")])
+            .unwrap());
+        assert!(!Arc::ptr_eq(a.shared_rows(), b.shared_rows()));
+        assert_eq!((a.len(), b.len()), (2, 3));
+        // The sole holder's rows move out; a shared holder's are copied.
+        let rows = a.rows().to_vec();
+        assert_eq!(a.clone().into_rows(), rows);
+        assert_eq!(a.into_rows(), rows);
+    }
+
+    #[test]
+    fn subset_and_gather_keep_order_and_schema() {
+        let mut r = biz();
+        r.insert(vec![Value::str("DEC"), Value::str("High Tech")])
+            .unwrap();
+        let tech = r.subset(|row| row[1] == Value::str("High Tech"));
+        assert_eq!(tech.schema(), r.schema());
+        assert_eq!(tech.rows(), [r.rows()[0].clone(), r.rows()[2].clone()]);
+        assert!(r.subset(|_| false).is_empty());
+        let picked = r.gather(&[2, 0]);
+        assert_eq!(picked.rows(), [r.rows()[2].clone(), r.rows()[0].clone()]);
     }
 
     #[test]

@@ -9,18 +9,21 @@
 //! A [`SourceIndex`] is built over one source relation, keyed on one
 //! column:
 //!
-//! * the **tagged base** — the relation exactly as the PQP boundary
-//!   would produce it (retrieve, domain rules, source tagging) — is
-//!   materialized once at build time;
+//! * the **late-tagged base** — the relation exactly as the PQP
+//!   boundary produces it (retrieve, domain rules, one source id; see
+//!   `polygen_core::base`) — is fetched once at build time. It shares
+//!   the LQP's rows unless a domain rule rewrote them: an index keeps no
+//!   tagged copy of its source;
 //! * **postings** map each key value to the *tuple ordinals* (positions
 //!   in scan order) holding it — a [`IndexKind::Hash`] map for equality
 //!   probes, a [`IndexKind::Sorted`] run-length vector for range probes.
 //!
 //! A probe therefore returns *references into the scan a full sweep
 //! would have produced*: emitting the probed ordinals in ascending
-//! order reproduces the scan's tuple order, and the tuples themselves
-//! are the scan's tuples (tags included) — which is what lets the
-//! planner swap a probe in for a sweep with **byte-identical** results.
+//! order reproduces the scan's tuple order, and the rows themselves
+//! are the scan's rows under the scan's uniform tags — which is what
+//! lets the planner swap a probe in for a sweep with **byte-identical**
+//! results.
 //!
 //! ## Eligibility (why probes can honor θ-semantics)
 //!
@@ -53,6 +56,7 @@
 //! it.
 
 use polygen_catalog::dictionary::DataDictionary;
+use polygen_core::base::BaseRelation;
 use polygen_core::batch::ColumnBatch;
 use polygen_core::relation::PolygenRelation;
 use polygen_flat::error::FlatError;
@@ -340,13 +344,13 @@ enum Postings {
 
 /// A secondary index over one source relation.
 ///
-/// Holds the tagged base relation (exactly what a full scan of the
-/// source would ship through the tagging boundary) plus ordinal postings
-/// on one column. See the crate docs for the eligibility flags.
+/// Holds the late-tagged base relation (exactly what a full scan of the
+/// source ships through the tagging boundary) plus ordinal postings on
+/// one column. See the crate docs for the eligibility flags.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourceIndex {
     spec: IndexSpec,
-    base: PolygenRelation,
+    base: BaseRelation,
     postings: Postings,
     /// `Some(type_name)` when every key is that (non-nil) type.
     key_type: Option<&'static str>,
@@ -356,9 +360,9 @@ pub struct SourceIndex {
 
 impl SourceIndex {
     /// Build an index from a *single* retrieve of the source relation:
-    /// the raw rows (what an LQP predicate would see) and the tagged
-    /// base derived from them (domain rules + source tagging, exactly
-    /// the `execute_tagged` boundary) stay aligned by construction —
+    /// the raw rows (what an LQP predicate would see) and the base
+    /// relation derived from them (domain rules + source id, exactly
+    /// the `LqpRegistry::scan` boundary) stay aligned by construction —
     /// one fetch feeds both, so a concurrently mutated LQP can never
     /// misalign the raw-faithfulness comparison, and a rebuild pays one
     /// source sweep, not two.
@@ -380,15 +384,14 @@ impl SourceIndex {
             .registry()
             .lookup(&spec.source)
             .ok_or_else(|| IndexError::UnknownSource(spec.source.clone()))?;
-        let base = PolygenRelation::from_flat(&mapped, source);
-        let ci = base.schema().index_of(&spec.column)?.0;
-        debug_assert_eq!(raw.len(), base.len(), "raw and tagged scans align");
+        let ci = mapped.schema().index_of(&spec.column)?.0;
+        debug_assert_eq!(raw.len(), mapped.len(), "raw and mapped scans align");
         let mut key_type: Option<&'static str> = None;
         let mut homogeneous = true;
         let mut raw_faithful = true;
-        let mut keyed: Vec<(Value, u32)> = Vec::with_capacity(base.len());
-        for (ord, t) in base.tuples().iter().enumerate() {
-            let key = &t[ci].datum;
+        let mut keyed: Vec<(Value, u32)> = Vec::with_capacity(mapped.len());
+        for (ord, row) in mapped.rows().iter().enumerate() {
+            let key = &row[ci];
             match key_type {
                 None => key_type = Some(key.type_name()),
                 Some(ty) if ty == key.type_name() => {}
@@ -425,7 +428,7 @@ impl SourceIndex {
         };
         Ok(SourceIndex {
             spec,
-            base,
+            base: BaseRelation::new(mapped, source),
             postings,
             key_type,
             raw_faithful,
@@ -524,31 +527,31 @@ impl SourceIndex {
         }
     }
 
-    /// Execute a probe: the base tuples at the matching ordinals, in
-    /// scan order — byte-identical (data, origin tags, intermediate
-    /// tags, order) to what the equivalent full scan would retain.
+    /// Execute a probe: the base rows at the matching ordinals, in scan
+    /// order, still late-tagged — what the executor's `IndexScan` leaf
+    /// hands its consumers.
+    pub fn probe_base(&self, probe: &Probe) -> BaseRelation {
+        self.base.gather(&self.probe_ordinals(probe))
+    }
+
+    /// [`SourceIndex::probe_base`] with every cell tagged —
+    /// byte-identical (data, origin tags, intermediate tags, order) to
+    /// what the equivalent full scan would retain.
     pub fn probe_relation(&self, probe: &Probe) -> PolygenRelation {
-        let ords = self.probe_ordinals(probe);
-        let tuples = ords
-            .iter()
-            .map(|&o| self.base.tuples()[o as usize].clone())
-            .collect();
-        PolygenRelation::from_tuples(Arc::clone(self.base.schema()), tuples)
-            .expect("probed tuples share the base schema")
+        self.probe_base(probe).materialize()
     }
 
     /// Execute a probe straight into a columnar batch: the matching
-    /// base tuples gathered at their scan ordinals, which the batch
-    /// records in its ordinal column. Emitting the batch unchanged is
-    /// byte-identical to [`SourceIndex::probe_relation`]; the executor
-    /// uses this to hand probe results to the batch filter kernels
-    /// without a row-stream detour.
+    /// base rows gathered at their scan ordinals, which the batch
+    /// records in its ordinal column, under uniform tag columns.
+    /// Emitting the batch unchanged is byte-identical to
+    /// [`SourceIndex::probe_relation`].
     pub fn probe_batch(&self, probe: &Probe) -> ColumnBatch {
-        ColumnBatch::gather(&self.base, &self.probe_ordinals(probe))
+        ColumnBatch::gather(&self.base, self.probe_ordinals(probe))
     }
 
-    /// The materialized tagged base (a full-scan equivalent).
-    pub fn base(&self) -> &PolygenRelation {
+    /// The late-tagged base (a full-scan equivalent).
+    pub fn base(&self) -> &BaseRelation {
         &self.base
     }
 }

@@ -143,6 +143,9 @@ pub enum LqpError {
     UnknownRelation { lqp: String, relation: String },
     /// The wrapped interface cannot execute this operation shape.
     Unsupported { lqp: String, op: String },
+    /// The LQP is registered but the data dictionary never interned its
+    /// name as a source, so its cells cannot be tagged.
+    UninternedSource { lqp: String },
     /// A substrate error (bad attribute, arity, …).
     Flat(FlatError),
 }
@@ -155,6 +158,9 @@ impl fmt::Display for LqpError {
             }
             LqpError::Unsupported { lqp, op } => {
                 write!(f, "LQP `{lqp}` cannot execute `{op}` natively")
+            }
+            LqpError::UninternedSource { lqp } => {
+                write!(f, "LQP `{lqp}` is not interned in the data dictionary")
             }
             LqpError::Flat(e) => write!(f, "{e}"),
         }

@@ -115,13 +115,17 @@ impl Lqp for InMemoryLqp {
                 op: op.to_string(),
             });
         }
-        let base = self.relation(&op.relation)?;
-        let mut out = match &op.filter {
-            Some((attr, cmp, value)) => algebra::select(base, attr, *cmp, value.clone())?,
-            None => base.clone(),
-        };
+        // A retrieve hands out the stored rows themselves (the clone is
+        // two pointer copies); a predicate copies its survivors once.
+        let mut out = self.relation(&op.relation)?.clone();
+        if let Some((attr, cmp, value)) = &op.filter {
+            let x = out.schema().index_of(attr)?.0;
+            out = out.subset(|row| row[x].satisfies(*cmp, value));
+        }
         if let Some((x, cmp, y)) = &op.restrict {
-            out = algebra::restrict(&out, x, *cmp, y)?;
+            let xi = out.schema().index_of(x)?.0;
+            let yi = out.schema().index_of(y)?.0;
+            out = out.subset(|row| row[xi].satisfies(*cmp, &row[yi]));
         }
         if let Some(attrs) = &op.projection {
             let refs: Vec<&str> = attrs.iter().map(String::as_str).collect();

@@ -2,13 +2,17 @@
 //!
 //! Maps local-database names to live LQPs and performs the *tagging
 //! boundary crossing*: a retrieved flat relation has its domain rules
-//! applied and is lifted into a polygen base relation whose cells all
+//! applied and becomes a polygen base relation whose cells all
 //! originate from that LQP's source ("when the execution location is an
 //! LQP … it is also used as the originating source tag for each of the
-//! cells of the polygen base relation", §III).
+//! cells of the polygen base relation", §III). Since every cell carries
+//! the same tag, [`LqpRegistry::scan`] returns the base relation
+//! *late-tagged* — the LQP's rows plus one source id —
+//! and [`LqpRegistry::execute_tagged`] is its materialization.
 
 use crate::engine::{LocalOp, Lqp, LqpError};
 use polygen_catalog::dictionary::DataDictionary;
+use polygen_core::base::BaseRelation;
 use polygen_core::relation::PolygenRelation;
 use polygen_flat::schema::Schema;
 use std::collections::HashMap;
@@ -88,26 +92,41 @@ impl LqpRegistry {
         }
     }
 
-    /// Execute a local operation at the named LQP, apply the dictionary's
-    /// domain rules, and tag the result — the full "retrieve then tag"
-    /// path producing the paper's Tables 4 and A1–A3.
+    /// Execute a local operation at the named LQP and apply the
+    /// dictionary's domain rules, returning the late-tagged base
+    /// relation. A plain retrieve with no applicable rule copies
+    /// nothing: the rows are the ones the LQP holds.
+    pub fn scan(
+        &self,
+        db: &str,
+        op: &LocalOp,
+        dictionary: &DataDictionary,
+    ) -> Result<BaseRelation, LqpError> {
+        let lqp = self.get(db).ok_or_else(|| LqpError::UnknownRelation {
+            lqp: db.to_string(),
+            relation: op.relation.clone(),
+        })?;
+        let source =
+            dictionary
+                .registry()
+                .lookup(db)
+                .ok_or_else(|| LqpError::UninternedSource {
+                    lqp: db.to_string(),
+                })?;
+        let flat = lqp.execute(op)?;
+        let mapped = dictionary.domains().apply(db, &flat)?;
+        Ok(BaseRelation::new(mapped, source))
+    }
+
+    /// [`LqpRegistry::scan`] with every cell tagged — the full "retrieve
+    /// then tag" path producing the paper's Tables 4 and A1–A3.
     pub fn execute_tagged(
         &self,
         db: &str,
         op: &LocalOp,
         dictionary: &DataDictionary,
     ) -> Result<PolygenRelation, LqpError> {
-        let lqp = self.get(db).ok_or_else(|| LqpError::UnknownRelation {
-            lqp: db.to_string(),
-            relation: op.relation.clone(),
-        })?;
-        let flat = lqp.execute(op)?;
-        let mapped = dictionary.domains().apply(db, &flat)?;
-        let source = dictionary
-            .registry()
-            .lookup(db)
-            .unwrap_or_else(|| panic!("LQP `{db}` not interned in the data dictionary"));
-        Ok(PolygenRelation::from_flat(&mapped, source))
+        Ok(self.scan(db, op, dictionary)?.materialize())
     }
 }
 
@@ -144,6 +163,37 @@ mod tests {
         assert_eq!(hq.datum, Value::str("NY"), "domain rule applied");
         assert!(hq.origin.contains(cd));
         assert!(hq.intermediate.is_empty());
+    }
+
+    #[test]
+    fn scan_shares_the_lqps_rows_and_execute_tagged_materializes_it() {
+        let rel = Relation::build("T", &["A"]).row(&["x"]).finish().unwrap();
+        let lqp = Arc::new(InMemoryLqp::new("S", vec![rel.clone()]));
+        let registry = LqpRegistry::new();
+        registry.register(Arc::clone(&lqp) as Arc<dyn Lqp>);
+        let mut dict = DataDictionary::new();
+        let s = dict.intern_source("S");
+        let op = LocalOp::retrieve("T");
+        let base = registry.scan("S", &op, &dict).unwrap();
+        assert!(Arc::ptr_eq(base.flat().shared_rows(), rel.shared_rows()));
+        assert_eq!(base.source(), s);
+        assert_eq!(
+            registry.execute_tagged("S", &op, &dict).unwrap(),
+            PolygenRelation::from_flat(&rel, s)
+        );
+        assert_eq!(lqp.counters().ops(), 2);
+        assert_eq!(lqp.counters().tuples_shipped(), 2);
+    }
+
+    #[test]
+    fn uninterned_lqp_is_a_structured_error() {
+        let (reg, _) = setup();
+        let empty = DataDictionary::new();
+        let err = reg
+            .execute_tagged("CD", &LocalOp::retrieve("FIRM"), &empty)
+            .unwrap_err();
+        assert_eq!(err, LqpError::UninternedSource { lqp: "CD".into() });
+        assert!(err.to_string().contains("not interned"));
     }
 
     #[test]

@@ -2,14 +2,18 @@
 //!
 //! [`execute`] lowers the IOM through the physical-plan layer
 //! ([`crate::plan`]) and walks the resulting operator DAG: scans run at
-//! the LQPs (tagged at the boundary), fused Select/Restrict/Project
-//! stages stream `Arc`-shared tuples in place, equi-joins run as
-//! single-pass hash joins with the join-column coalesce fused into the
-//! emit, and Merge runs as the k-way single-pass hash merge. Only
-//! pipeline breakers (joins, merges, set operations) materialize
-//! relations; nothing else is retained unless
-//! [`ExecOptions::retain_intermediates`] asks for the full `R(n)` trace
-//! (the golden-table reproduction of §IV's Tables 4–9 does).
+//! the LQPs and come back *late-tagged* (the LQP's rows plus one source
+//! id — see [`polygen_core::base`]), fused Select/Restrict/Project
+//! stages run columnar over a leaf or stream `Arc`-shared tuples in
+//! place, equi-joins run as single-pass hash joins with the join-column
+//! coalesce fused into the emit, and Merge runs as the k-way single-pass
+//! hash merge — both reading leaves in place, so a base cell is first
+//! built when a kernel writes it into its output. Only pipeline breakers
+//! (joins, merges, set operations) materialize relations; nothing else
+//! is retained unless [`ExecOptions::retain_intermediates`] asks for the
+//! full `R(n)` trace (the golden-table reproduction of §IV's Tables 4–9
+//! does — on leaves tagged eagerly at the boundary, exactly as the
+//! paper prints them).
 //!
 //! The paper-faithful row-by-row interpreter survives as
 //! [`execute_eager`]: it materializes every `R(n)` eagerly with the
@@ -30,12 +34,11 @@ use crate::plan::{self, LowerOptions, PhysOp, PhysicalPlan, StageKind};
 use crate::pom::{Op, RelRef, Rha};
 use polygen_catalog::dictionary::DataDictionary;
 use polygen_core::algebra::{self, coalesce::ConflictPolicy};
+use polygen_core::base::{BaseRelation, Operand};
 use polygen_core::batch::{default_batch_enabled, ColumnBatch};
+use polygen_core::error::PolygenError;
 use polygen_core::relation::PolygenRelation;
-use polygen_core::stream::{
-    concat_streams, restrict_tuples, scoped_map, select_tuples, ParallelOptions, Partitioner,
-    TupleStream,
-};
+use polygen_core::stream::{concat_streams, scoped_map, ParallelOptions, Partitioner, TupleStream};
 use polygen_core::tuple::PolyTuple;
 use polygen_flat::schema::Schema;
 use polygen_flat::value::{Cmp, Value};
@@ -77,7 +80,7 @@ pub struct ExecOptions {
     /// key-skewed loads across the workers.
     pub partitions: usize,
     /// Columnar batch execution for eligible pipelines (fused
-    /// Select/Restrict/Project chains over single-consumer leaves).
+    /// Select/Restrict/Project chains over scan leaves).
     /// `None` = auto: the `POLYGEN_BATCH` environment variable, on
     /// unless set to `0`/`false`/`off`/`no`. `Some(_)` forces the batch
     /// or row engine. Results are byte-identical on every setting.
@@ -174,69 +177,60 @@ fn apply_stage(s: &mut TupleStream, kind: &StageKind) -> Result<(), PqpError> {
     Ok(())
 }
 
-/// A tuple-local (Select/Restrict) stage over *owned* tuples — the lazy
-/// scan→first-stage handoff: survivors are the only tuples that will
-/// ever be `Arc`-wrapped. Callers cut the stage chain at the first
-/// Project, so only tuple-local stages reach here.
-fn apply_stage_owned(
-    schema: &Schema,
-    tuples: &mut Vec<PolyTuple>,
-    kind: &StageKind,
-) -> Result<(), PqpError> {
-    match kind {
-        StageKind::Select { attr, cmp, value } => select_tuples(schema, tuples, attr, *cmp, value)?,
-        StageKind::Restrict { x, cmp, y } => restrict_tuples(schema, tuples, x, *cmp, y)?,
-        StageKind::Project { .. } => unreachable!("stage prefixes are cut at the first Project"),
-    }
-    Ok(())
-}
-
-/// What a node hands its consumers. Leaves (Scan/IndexScan) with a
-/// single consumer stay un-lifted [`Slot::Rel`]ations: a consuming
-/// pipeline filters the owned tuples *before* `Arc`-wrapping survivors
-/// (dropped tuples are never wrapped), and joins/merges take the
-/// relation without a stream round trip. Everything shared between
-/// consumers — and every interior node — flows as a [`Slot::Stream`] of
-/// `Arc`-shared tuples, exactly as before. Single-consumer index probes
-/// under the columnar engine hand over a [`Slot::Batch`] so a consuming
-/// pipeline runs the batch kernels with no relation round trip.
+/// What a node hands its consumers. Leaves (Scan/IndexScan) stay
+/// late-tagged [`Slot::Leaf`]s — cloning one is a few pointer copies, so
+/// any number of consumers may take it: a pipeline lifts it into a
+/// `ColumnBatch` with uniform tag columns, hash joins and merges read it
+/// in place, and everything else materializes it. Every interior node
+/// (and, in retention mode, every leaf) flows as a [`Slot::Stream`] of
+/// `Arc`-shared tuples.
+#[derive(Clone)]
 enum Slot {
+    Leaf(BaseRelation),
     Stream(TupleStream),
-    Rel(PolygenRelation),
-    Batch(ColumnBatch),
 }
 
 impl Slot {
     fn schema(&self) -> &Arc<Schema> {
         match self {
+            Slot::Leaf(b) => b.schema(),
             Slot::Stream(s) => s.schema(),
-            Slot::Rel(r) => r.schema(),
-            Slot::Batch(b) => b.schema(),
         }
     }
 
     /// Surviving tuples in the slot (what the node emitted).
     fn len(&self) -> usize {
         match self {
+            Slot::Leaf(b) => b.len(),
             Slot::Stream(s) => s.len(),
-            Slot::Rel(r) => r.len(),
-            Slot::Batch(b) => b.len(),
+        }
+    }
+
+    fn as_leaf(&self) -> Option<&BaseRelation> {
+        match self {
+            Slot::Leaf(b) => Some(b),
+            Slot::Stream(_) => None,
         }
     }
 
     fn into_relation(self) -> PolygenRelation {
         match self {
+            Slot::Leaf(b) => b.materialize(),
             Slot::Stream(s) => s.into_relation(),
-            Slot::Rel(r) => r,
-            Slot::Batch(b) => b.into_relation(),
         }
     }
 
     fn to_relation(&self) -> PolygenRelation {
         match self {
+            Slot::Leaf(b) => b.materialize(),
             Slot::Stream(s) => s.to_relation(),
-            Slot::Rel(r) => r.clone(),
-            Slot::Batch(b) => b.clone().into_relation(),
+        }
+    }
+
+    fn into_stream(self) -> TupleStream {
+        match self {
+            Slot::Leaf(b) => TupleStream::from_relation(b.materialize()),
+            Slot::Stream(s) => s,
         }
     }
 }
@@ -276,25 +270,25 @@ fn emit_batch(batch: ColumnBatch, projected: bool) -> TupleStream {
     TupleStream::from_relation(rel)
 }
 
-/// The columnar pipeline over an un-lifted leaf relation. Parallel runs
-/// chunk the tuples contiguously, run the batch kernels per chunk on
+/// The columnar pipeline over a leaf. Parallel runs chunk the row
+/// ordinals contiguously, gather and run the batch kernels per chunk on
 /// scoped workers, and splice the emissions back in chunk order before
 /// a single global duplicate collapse — byte-identical to the
 /// sequential batch (and row) walk.
 fn batch_pipeline(
-    rel: PolygenRelation,
+    base: &BaseRelation,
     stages: &[plan::Stage],
     par: &ParallelOptions,
 ) -> Result<TupleStream, PqpError> {
-    if !par.is_parallel() || rel.len() < PARALLEL_MIN_TUPLES {
-        let mut batch = ColumnBatch::from_relation(rel);
+    if !par.is_parallel() || base.len() < PARALLEL_MIN_TUPLES {
+        let mut batch = ColumnBatch::from_base(base);
         let projected = run_batch_stages(&mut batch, stages)?;
         return Ok(emit_batch(batch, projected));
     }
-    let schema = Arc::clone(rel.schema());
-    let chunks = Partitioner::new(par.partitions).chunk_vec(rel.into_tuples());
+    let rows = u32::try_from(base.len()).expect("batch rows fit the u32 selection vector");
+    let chunks = Partitioner::new(par.partitions).chunk_vec((0..rows).collect());
     let processed = scoped_map(chunks, par.threads, |_, chunk| {
-        let mut batch = ColumnBatch::from_parts(Arc::clone(&schema), chunk);
+        let mut batch = ColumnBatch::gather(base, chunk);
         let projected = run_batch_stages(&mut batch, stages)?;
         Ok::<_, PqpError>((batch.into_relation(), projected))
     });
@@ -319,47 +313,38 @@ fn batch_pipeline(
     Ok(TupleStream::from_relation(out))
 }
 
-/// Lift a leaf relation into a stream, applying the tuple-local stage
-/// `prefix` over owned tuples first (chunk-parallel above the small
-///-input threshold). Byte-identical to lifting then streaming the same
-/// stages: the kernels share predicate and tag-update code.
-fn lift_filtered(
-    rel: PolygenRelation,
-    prefix: &[plan::Stage],
-    par: &ParallelOptions,
-) -> Result<TupleStream, PqpError> {
-    let schema = Arc::clone(rel.schema());
-    let mut tuples = rel.into_tuples();
-    if prefix.is_empty() {
-        return Ok(TupleStream::from_parts(
-            schema,
-            tuples.into_iter().map(Arc::new).collect(),
-        ));
+/// The hash-join kernel for these operands under `par`: partitioned
+/// above the small-input threshold, sequential below (byte-identical).
+fn hash_join<L: Operand, R: Operand>(
+    l: &L,
+    r: &R,
+    x: &str,
+    y: &str,
+    out: &str,
+    par: ParallelOptions,
+) -> Result<PolygenRelation, PolygenError> {
+    if par.is_parallel() && l.len() + r.len() >= PARALLEL_MIN_TUPLES {
+        algebra::hash_equi_join_coalesced_partitioned(l, r, x, y, out, par)
+    } else {
+        algebra::hash_equi_join_coalesced(l, r, x, y, out)
     }
-    if par.is_parallel() && tuples.len() >= PARALLEL_MIN_TUPLES {
-        let chunks = Partitioner::new(par.partitions).chunk_vec(tuples);
-        let processed = scoped_map(chunks, par.threads, |_, mut chunk| {
-            for stage in prefix {
-                apply_stage_owned(&schema, &mut chunk, &stage.kind)?;
-            }
-            Ok::<_, PqpError>(chunk)
-        });
-        let mut survivors: Vec<PolyTuple> = Vec::new();
-        for p in processed {
-            survivors.extend(p?);
-        }
-        return Ok(TupleStream::from_parts(
-            schema,
-            survivors.into_iter().map(Arc::new).collect(),
-        ));
-    }
-    for stage in prefix {
-        apply_stage_owned(&schema, &mut tuples, &stage.kind)?;
-    }
-    Ok(TupleStream::from_parts(
-        schema,
-        tuples.into_iter().map(Arc::new).collect(),
-    ))
+}
+
+/// The hash-merge kernel for these operands under `par` (see
+/// [`hash_join`]).
+fn hash_merge<O: Operand>(
+    operands: &[O],
+    key: &str,
+    policy: ConflictPolicy,
+    par: ParallelOptions,
+) -> Result<PolygenRelation, PolygenError> {
+    let total: usize = operands.iter().map(Operand::len).sum();
+    let (merged, _conflicts) = if par.is_parallel() && total >= PARALLEL_MIN_TUPLES {
+        algebra::hash_merge_partitioned(operands, key, policy, par)?
+    } else {
+        algebra::hash_merge(operands, key, policy)?
+    };
+    Ok(merged)
 }
 
 /// The span-site name of one physical operator (static: a disabled
@@ -406,8 +391,8 @@ pub fn execute_plan_indexed(
     let n = plan.nodes.len();
     let par = options.parallelism();
     // Remaining consumers per node; the last consumer takes the slot,
-    // earlier ones clone the stream (Arc bumps — the tuples stay shared
-    // and the stage kernels copy-on-write).
+    // earlier ones clone it (Arc bumps — a leaf's rows and a stream's
+    // tuples stay shared, and the stage kernels copy-on-write).
     let mut remaining = vec![0usize; n];
     for node in &plan.nodes {
         for i in node.op.inputs() {
@@ -415,16 +400,6 @@ pub fn execute_plan_indexed(
         }
     }
     remaining[plan.root] += 1;
-    // Leaves stay un-lifted relations only for a lone consumer (shared
-    // leaves must clone as streams) and outside retention mode (the
-    // golden-table path records leaves stream-wise).
-    let lazy_leaf = |rel: PolygenRelation, consumers: usize| {
-        if consumers == 1 && !options.retain_intermediates {
-            Slot::Rel(rel)
-        } else {
-            Slot::Stream(TupleStream::from_relation(rel))
-        }
-    };
     let mut slots: Vec<Option<Slot>> = (0..n).map(|_| None).collect();
     let mut results: BTreeMap<usize, PolygenRelation> = BTreeMap::new();
     let take = |slots: &mut Vec<Option<Slot>>, remaining: &mut Vec<usize>, i: usize| {
@@ -432,19 +407,23 @@ pub fn execute_plan_indexed(
         if remaining[i] == 0 {
             slots[i].take().expect("plan is topologically ordered")
         } else {
-            match slots[i].as_ref().expect("plan is topologically ordered") {
-                Slot::Stream(s) => Slot::Stream(s.clone()),
-                Slot::Rel(_) => unreachable!("un-lifted leaves have exactly one consumer"),
-                Slot::Batch(_) => unreachable!("batch probes have exactly one consumer"),
-            }
+            slots[i].clone().expect("plan is topologically ordered")
+        }
+    };
+    // Retention mode tags leaves eagerly at the boundary (the golden
+    // tables print them so) and records everything stream-wise;
+    // production leaves stay late-tagged.
+    let leaf = |base: BaseRelation| {
+        if options.retain_intermediates {
+            Slot::Stream(TupleStream::from_relation(base.materialize()))
+        } else {
+            Slot::Leaf(base)
         }
     };
     for (i, node) in plan.nodes.iter().enumerate() {
         let span = options.trace.begin(op_span_name(&node.op));
         let slot = match &node.op {
-            PhysOp::Scan { db, op } => {
-                lazy_leaf(registry.execute_tagged(db, op, dictionary)?, remaining[i])
-            }
+            PhysOp::Scan { db, op } => leaf(registry.scan(db, op, dictionary)?),
             PhysOp::IndexScan {
                 db,
                 relation,
@@ -470,41 +449,21 @@ pub fn execute_plan_indexed(
                              {db}.{relation}.{column}; recompile against the current catalog"
                             ),
                         })?;
-                // A single-consumer probe under the columnar engine
-                // hands its ordinals over in batch form; a consuming
-                // pipeline runs the batch kernels directly, and any
-                // other consumer materializes the probe relation
-                // byte-identically. Shared or retained probes stay row
-                // streams.
-                if options.batch_enabled() && !options.retain_intermediates && remaining[i] == 1 {
-                    Slot::Batch(index.probe_batch(probe))
-                } else {
-                    lazy_leaf(index.probe_relation(probe), remaining[i])
-                }
+                leaf(index.probe_base(probe))
             }
             PhysOp::Pipeline { input, stages } => {
                 // Columnar fast path: a batch-eligible stage chain over
-                // an un-lifted leaf (or an index probe already in batch
-                // form) runs on the ColumnBatch kernels with late tag
-                // materialization. Shared/interior inputs and retention
-                // mode (which records per-stage tables) keep the row
-                // walk below.
-                let batch_ok = options.batch_enabled()
-                    && !options.retain_intermediates
-                    && plan::batch_eligible_stages(stages);
+                // a leaf runs on the ColumnBatch kernels with late tag
+                // materialization. Interior inputs (and retention mode,
+                // which has no late-tagged leaves and records per-stage
+                // tables) keep the row walk below.
+                let batch_ok = options.batch_enabled() && plan::batch_eligible_stages(stages);
                 match take(&mut slots, &mut remaining, *input) {
-                    Slot::Rel(rel) if batch_ok => {
+                    Slot::Leaf(base) if batch_ok => {
                         if !span.is_none() {
                             options.trace.annotate(span, "kernel", Note::str("batch"));
                         }
-                        Slot::Stream(batch_pipeline(rel, stages, &par)?)
-                    }
-                    Slot::Batch(mut batch) if batch_ok => {
-                        if !span.is_none() {
-                            options.trace.annotate(span, "kernel", Note::str("batch"));
-                        }
-                        let projected = run_batch_stages(&mut batch, stages)?;
-                        Slot::Stream(emit_batch(batch, projected))
+                        Slot::Stream(batch_pipeline(&base, stages, &par)?)
                     }
                     input_slot => {
                         if !span.is_none() {
@@ -523,45 +482,30 @@ pub fn execute_plan_indexed(
                                 .unwrap_or(stages.len())
                         };
                         let (prefix, rest) = stages.split_at(cut);
-                        let mut s = match input_slot {
-                            // Lazy handoff: the leaf's owned tuples filter
-                            // before any Arc-wrapping (IndexScan and Scan share
-                            // this entry path).
-                            Slot::Rel(rel) => lift_filtered(rel, prefix, &par)?,
-                            // A batch probe whose stage chain turned out row-only
-                            // re-materializes first (byte-identical to probing
-                            // the relation directly).
-                            Slot::Batch(b) => lift_filtered(b.into_relation(), prefix, &par)?,
-                            Slot::Stream(mut s) => {
-                                if par.is_parallel()
-                                    && !prefix.is_empty()
-                                    && s.len() >= PARALLEL_MIN_TUPLES
-                                {
-                                    // Chunk-parallel prefix over shared tuples:
-                                    // contiguous chunks run on scoped workers and
-                                    // concatenate back in input order —
-                                    // byte-identical to the sequential walk.
-                                    let chunks = Partitioner::new(par.partitions).chunk_stream(s);
-                                    let processed =
-                                        scoped_map(chunks, par.threads, |_, mut chunk| {
-                                            for stage in prefix {
-                                                apply_stage(&mut chunk, &stage.kind)?;
-                                            }
-                                            Ok::<_, PqpError>(chunk)
-                                        });
-                                    let mut parts = Vec::with_capacity(processed.len());
-                                    for p in processed {
-                                        parts.push(p?);
-                                    }
-                                    s = concat_streams(parts).expect("at least one chunk");
-                                } else {
-                                    for stage in prefix {
-                                        apply_stage(&mut s, &stage.kind)?;
-                                    }
+                        let mut s = input_slot.into_stream();
+                        if par.is_parallel() && !prefix.is_empty() && s.len() >= PARALLEL_MIN_TUPLES
+                        {
+                            // Chunk-parallel prefix over shared tuples:
+                            // contiguous chunks run on scoped workers and
+                            // concatenate back in input order —
+                            // byte-identical to the sequential walk.
+                            let chunks = Partitioner::new(par.partitions).chunk_stream(s);
+                            let processed = scoped_map(chunks, par.threads, |_, mut chunk| {
+                                for stage in prefix {
+                                    apply_stage(&mut chunk, &stage.kind)?;
                                 }
-                                s
+                                Ok::<_, PqpError>(chunk)
+                            });
+                            let mut parts = Vec::with_capacity(processed.len());
+                            for p in processed {
+                                parts.push(p?);
                             }
-                        };
+                            s = concat_streams(parts).expect("at least one chunk");
+                        } else {
+                            for stage in prefix {
+                                apply_stage(&mut s, &stage.kind)?;
+                            }
+                        }
                         for stage in rest {
                             apply_stage(&mut s, &stage.kind)?;
                             // Per-stage retention keeps the trace complete even
@@ -581,12 +525,15 @@ pub fn execute_plan_indexed(
                 y,
                 out,
             } => {
-                let l = take(&mut slots, &mut remaining, *left).into_relation();
-                let r = take(&mut slots, &mut remaining, *right).into_relation();
-                let joined = if par.is_parallel() && l.len() + r.len() >= PARALLEL_MIN_TUPLES {
-                    algebra::hash_equi_join_coalesced_partitioned(&l, &r, x, y, out, par)?
-                } else {
-                    algebra::hash_equi_join_coalesced(&l, &r, x, y, out)?
+                // Leaves are read in place; anything else is already a
+                // tagged stream.
+                let l = take(&mut slots, &mut remaining, *left);
+                let r = take(&mut slots, &mut remaining, *right);
+                let joined = match (l, r) {
+                    (Slot::Leaf(l), Slot::Leaf(r)) => hash_join(&l, &r, x, y, out, par)?,
+                    (Slot::Leaf(l), r) => hash_join(&l, &r.into_relation(), x, y, out, par)?,
+                    (l, Slot::Leaf(r)) => hash_join(&l.into_relation(), &r, x, y, out, par)?,
+                    (l, r) => hash_join(&l.into_relation(), &r.into_relation(), x, y, out, par)?,
                 };
                 Slot::Stream(TupleStream::from_relation(joined))
             }
@@ -609,26 +556,32 @@ pub fn execute_plan_indexed(
                 relabels,
                 ..
             } => {
-                let mut rels = Vec::with_capacity(inputs.len());
-                for (idx, names) in inputs.iter().zip(relabels) {
-                    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-                    // Relabeling is a schema swap on either carrier — no
-                    // cell copies.
-                    let relabeled = match take(&mut slots, &mut remaining, *idx) {
-                        Slot::Rel(rel) => rel.into_renamed_attrs(&refs)?,
-                        Slot::Batch(b) => b.into_relation().into_renamed_attrs(&refs)?,
-                        Slot::Stream(mut s) => {
-                            s.rename(&refs)?;
-                            s.into_relation()
-                        }
-                    };
-                    rels.push(relabeled);
-                }
-                let total: usize = rels.iter().map(PolygenRelation::len).sum();
-                let (merged, _conflicts) = if par.is_parallel() && total >= PARALLEL_MIN_TUPLES {
-                    algebra::hash_merge_partitioned(&rels, key, options.conflict_policy, par)?
-                } else {
-                    algebra::hash_merge(&rels, key, options.conflict_policy)?
+                let taken: Vec<Slot> = inputs
+                    .iter()
+                    .map(|&idx| take(&mut slots, &mut remaining, idx))
+                    .collect();
+                let names = |k: usize| relabels[k].iter().map(String::as_str).collect::<Vec<_>>();
+                // Relabeling is a schema swap on either carrier — no
+                // cell copies. Merge operands are always leaves, so in
+                // production they are read in place.
+                let leaves: Option<Vec<&BaseRelation>> = taken.iter().map(Slot::as_leaf).collect();
+                let merged = match leaves {
+                    Some(leaves) => {
+                        let operands = leaves
+                            .iter()
+                            .enumerate()
+                            .map(|(k, b)| b.rename_attrs(&names(k)))
+                            .collect::<Result<Vec<_>, _>>()?;
+                        hash_merge(&operands, key, options.conflict_policy, par)?
+                    }
+                    None => {
+                        let operands = taken
+                            .into_iter()
+                            .enumerate()
+                            .map(|(k, slot)| slot.into_relation().into_renamed_attrs(&names(k)))
+                            .collect::<Result<Vec<_>, _>>()?;
+                        hash_merge(&operands, key, options.conflict_policy, par)?
+                    }
                 };
                 Slot::Stream(TupleStream::from_relation(merged))
             }

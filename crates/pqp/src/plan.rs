@@ -311,31 +311,20 @@ impl PhysicalPlan {
 
     /// Would the executor run node `i` on the columnar batch kernels
     /// (when batching is enabled and no trace is retained)? True for a
-    /// pipeline with batch-eligible stages over a single-consumer
-    /// Scan/IndexScan leaf — exactly the shape the executor lifts into
-    /// a `ColumnBatch` instead of a row stream. EXPLAIN renders these
-    /// nodes with a `[batch]` marker; everything else stays on the row
-    /// engine.
+    /// pipeline with batch-eligible stages over a Scan/IndexScan leaf —
+    /// exactly the shape the executor lifts into a `ColumnBatch`
+    /// instead of a row stream (leaves are late-tagged and shared by
+    /// pointer, so any number of consumers may do so). EXPLAIN renders
+    /// these nodes with a `[batch]` marker; everything else stays on
+    /// the row engine.
     pub fn is_batch_pipeline(&self, i: usize) -> bool {
         let PhysOp::Pipeline { input, stages } = &self.nodes[i].op else {
             return false;
         };
-        if !matches!(
+        matches!(
             self.nodes[*input].op,
             PhysOp::Scan { .. } | PhysOp::IndexScan { .. }
-        ) || !batch_eligible_stages(stages)
-        {
-            return false;
-        }
-        // Shared leaves stay row streams (their tuples fan out to other
-        // consumers), so only a single-consumer leaf feeds the batch path.
-        let consumers = self
-            .nodes
-            .iter()
-            .flat_map(|n| n.op.inputs())
-            .filter(|&j| j == *input)
-            .count();
-        consumers == 1
+        ) && batch_eligible_stages(stages)
     }
 
     /// A deterministic structural fingerprint: FNV-1a over the rendered

@@ -749,14 +749,17 @@ fn soak_backpressure_closes_a_peer_that_stops_reading() {
     let server = polygen::net::NetServer::spawn_with(Arc::clone(&service), "127.0.0.1:0", server)
         .expect("bind");
     // Size one response, then pipeline enough of them to overflow both
-    // the kernel's socket buffering and the 64 KiB cap.
+    // the kernel's socket buffering and the 64 KiB cap. Loopback send
+    // buffers autotune up to `tcp_wmem`'s 4 MiB ceiling on top of the
+    // receive window, so the volume must clear that with room to spare
+    // or the outcome races the autotuner.
     let request = Request::algebra("PENTITY [CATEGORY = \"C0\"]");
     let one: usize = response_frames(&service.execute(request.clone()))
         .iter()
         .map(|f| f.encode().len())
         .sum();
     assert!(one > 0);
-    let needed = (4 * 1024 * 1024 / one).clamp(16, 4_000);
+    let needed = (16 * 1024 * 1024 / one).clamp(16, 4_000);
     let (mut stream, _reader) = raw_session(server.addr());
     let frame = request_frame(&request).encode();
     for _ in 0..needed {

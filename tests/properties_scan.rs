@@ -1,0 +1,503 @@
+//! Differential property tests for zero-copy, late-tagged scans.
+//!
+//! The guarantee under test: **late tagging is invisible**. A Scan leaf
+//! is the LQP's own rows plus one source id, and source tags come into
+//! existence in the first kernel that builds an output cell — yet every
+//! answer must be byte-identical (data, origin tags, intermediate tags,
+//! tuple order, error kinds) to the eager reference interpreter and to
+//! the same plan run over `execute_tagged`-materialized leaves (retention
+//! mode), on every thread count and with the batch engine on or off.
+//!
+//! The federations here are deliberately hostile where the synthetic
+//! workload generator is clean: domain rules that collapse rows, nil and
+//! duplicate merge/join keys, Int/Float-mixed keys that force the
+//! kernels' reference fallbacks, leaves shared by several consumers, and
+//! every `LocalOp` shape (retrieve / select / restrict / projection).
+
+mod common;
+
+use common::fixtures::{compile, same_error_kind};
+use polygen::catalog::dictionary::DataDictionary;
+use polygen::catalog::domain::{DomainMap, DomainRule};
+use polygen::catalog::mapping::AttributeMapping;
+use polygen::catalog::scenario::{self, LocalDatabase, Scenario};
+use polygen::catalog::schema::PolygenSchema;
+use polygen::catalog::scheme::PolygenScheme;
+use polygen::core::algebra::coalesce::ConflictPolicy;
+use polygen::core::algebra::join::{
+    hash_equi_join_coalesced, hash_equi_join_coalesced_partitioned,
+};
+use polygen::core::algebra::merge::{hash_merge, hash_merge_partitioned};
+use polygen::core::base::BaseRelation;
+use polygen::core::stream::ParallelOptions;
+use polygen::core::{PolygenRelation, SourceId};
+use polygen::flat::value::Cmp;
+use polygen::flat::{Relation, Value};
+use polygen::lqp::engine::{LocalOp, Lqp};
+use polygen::lqp::memory::InMemoryLqp;
+use polygen::lqp::registry::LqpRegistry;
+use polygen::pqp::prelude::*;
+use polygen::serve::prelude::*;
+use proptest::prelude::*;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+const THREAD_COUNTS: [usize; 2] = [1, 4];
+const POLICIES: [ConflictPolicy; 3] = [
+    ConflictPolicy::Strict,
+    ConflictPolicy::PreferLeft,
+    ConflictPolicy::PreferRight,
+];
+
+/// `(key, value, float_key)`: the key is nil, an Int or (rarely) the
+/// same number as a Float, drawn from a tiny space so duplicates and
+/// cross-source matches are the norm.
+type Rows = Vec<(Option<i64>, i64, bool)>;
+
+fn rows(max: usize) -> impl Strategy<Value = Rows> {
+    proptest::collection::vec(
+        (
+            prop_oneof![
+                (0i64..6).prop_map(Some),
+                (0i64..6).prop_map(Some),
+                (0i64..6).prop_map(Some),
+                Just(None),
+            ],
+            0i64..6,
+            prop_oneof![
+                Just(false),
+                Just(false),
+                Just(false),
+                Just(false),
+                Just(true)
+            ],
+        ),
+        0..max,
+    )
+}
+
+/// Keep the first row per non-nil key, and make every key an Int: what
+/// the closed-form Merge needs to run at all (duplicate or Int/Float
+/// mixed keys send it to the reference fold instead).
+fn closed_form_keys(rows: &Rows) -> Rows {
+    let mut seen = std::collections::HashSet::new();
+    rows.iter()
+        .filter(|(key, _, _)| key.is_none_or(|k| seen.insert(k)))
+        .map(|&(key, v, _)| (key, v, false))
+        .collect()
+}
+
+fn key_of(key: Option<i64>, float_key: bool) -> Value {
+    match key {
+        None => Value::Null,
+        Some(k) if float_key => Value::float(k as f64),
+        Some(k) => Value::int(k),
+    }
+}
+
+/// A flat `(key, V, W)` relation under the given attribute names.
+fn flat(name: &str, attrs: [&str; 3], rows: &Rows) -> Relation {
+    let mut b = Relation::build(name, &attrs);
+    for (key, v, float_key) in rows {
+        b = b.vrow(vec![
+            key_of(*key, *float_key),
+            Value::int(*v),
+            Value::str(format!("x, w{}", v % 3)),
+        ]);
+    }
+    b.finish().unwrap()
+}
+
+/// The hostile federation: three sources feeding the merged scheme
+/// `PT(K, V, W)` (every source contributes a different attribute subset)
+/// and a single-source scheme `PD(DK, DV, DW)` to join against it.
+/// `rule` picks the domain rules: none, a collapse (A's non-key columns
+/// map to constants, so rows equal on `K` fold into one), an Int→Float
+/// rewrite of B's keys and D's join keys (forcing the mixed-numeric
+/// fallbacks), or a string rewrite on C. With `clean`, the merged
+/// operands get closed-form keys (the detail relation stays hostile).
+fn federation(a: &Rows, b: &Rows, c: &Rows, d: &Rows, rule: usize, clean: bool) -> Scenario {
+    let tidy = |rows: &Rows| {
+        if clean {
+            closed_form_keys(rows)
+        } else {
+            rows.clone()
+        }
+    };
+    let (a, b, c) = (&tidy(a), &tidy(b), &tidy(c));
+    let ta = flat("TA", ["K", "V", "W"], a);
+    let tb = {
+        let idx = polygen::flat::algebra::project(&flat("TB", ["K", "V", "W"], b), &["K", "V"]);
+        idx.unwrap()
+    };
+    let tc = {
+        let idx = polygen::flat::algebra::project(&flat("TC", ["K", "V", "W"], c), &["K", "W"]);
+        idx.unwrap()
+    };
+    let td = flat("D", ["DK", "DV", "DW"], d);
+    let schema = PolygenSchema::new(vec![
+        PolygenScheme::new(
+            "PT",
+            vec![
+                (
+                    "K",
+                    AttributeMapping::of(&[("A", "TA", "K"), ("B", "TB", "K"), ("C", "TC", "K")]),
+                ),
+                (
+                    "V",
+                    AttributeMapping::of(&[("A", "TA", "V"), ("B", "TB", "V")]),
+                ),
+                (
+                    "W",
+                    AttributeMapping::of(&[("A", "TA", "W"), ("C", "TC", "W")]),
+                ),
+            ],
+        ),
+        PolygenScheme::new(
+            "PD",
+            vec![
+                ("DK", AttributeMapping::of(&[("A", "D", "DK")])),
+                ("DV", AttributeMapping::of(&[("A", "D", "DV")])),
+                ("DW", AttributeMapping::of(&[("A", "D", "DW")])),
+            ],
+        ),
+    ]);
+    let mut domains = DomainMap::new();
+    match rule {
+        1 => {
+            let to_zero: HashMap<Value, Value> =
+                (0..6).map(|v| (Value::int(v), Value::int(0))).collect();
+            domains.set("A", "TA", "V", DomainRule::Lookup(to_zero));
+            let to_w: HashMap<Value, Value> = (0..3)
+                .map(|w| (Value::str(format!("x, w{w}")), Value::str("w")))
+                .collect();
+            domains.set("A", "TA", "W", DomainRule::Lookup(to_w));
+        }
+        2 => {
+            domains.set("B", "TB", "K", DomainRule::Scale(1.0));
+            domains.set("A", "D", "DK", DomainRule::Scale(1.0));
+        }
+        3 => domains.set("C", "TC", "W", DomainRule::LastCommaToken),
+        _ => {}
+    }
+    let mut dictionary = DataDictionary::with_parts(Default::default(), schema, domains);
+    for name in ["A", "B", "C"] {
+        dictionary.intern_source(name);
+    }
+    Scenario {
+        dictionary,
+        databases: vec![
+            LocalDatabase {
+                name: "A".into(),
+                relations: vec![ta, td],
+            },
+            LocalDatabase {
+                name: "B".into(),
+                relations: vec![tb],
+            },
+            LocalDatabase {
+                name: "C".into(),
+                relations: vec![tc],
+            },
+        ],
+    }
+}
+
+/// Queries covering every leaf consumer and every `LocalOp` shape: Merge
+/// over plain retrieves, a pushed-down select / restrict / projection on
+/// the single-source scheme, hash joins with a leaf on the left, the
+/// right or both sides (a self-join's deduplicated scan is shared), a
+/// θ-join and the set operators (which materialize their leaves), and
+/// pipelines directly over leaves — one of them over a leaf it shares
+/// with a Union once the optimizer deduplicates the scan.
+const QUERIES: [&str; 12] = [
+    "PT [V = 2]",
+    "PT [K, W]",
+    "PD [DV >= 2]",
+    "PD [DK = DV]",
+    "PD [DK, DW]",
+    "PD [DV >= 1] [DK <= 4] [DK, DV]",
+    "((PD [DV >= 1]) [DK = K] PT) [K, V]",
+    "(PT [K = DK] PD) [DV <= 4]",
+    "PD [DK = DK] PD",
+    "PD [DK < DV] PD",
+    "(PD [DV >= 1]) UNION (PD [DV >= 1] [DK <= 4])",
+    "PD MINUS (PD [DK = DV])",
+];
+
+/// Every physical configuration of one compiled plan — threads × batch ×
+/// retention — must produce the same bytes, equal to the eager
+/// reference; rejections must agree in kind everywhere.
+fn assert_late_tagging_invisible(
+    sc: &Scenario,
+    expr: &str,
+    policy: ConflictPolicy,
+    optimized: bool,
+) {
+    let registry = polygen::lqp::scenario_registry(sc);
+    let iom = compile(expr, sc.dictionary.schema());
+    let iom = if optimized {
+        optimize(&iom, &registry, &sc.dictionary).unwrap().0
+    } else {
+        iom
+    };
+    let eager = execute_eager(
+        &iom,
+        &registry,
+        &sc.dictionary,
+        ExecOptions {
+            conflict_policy: policy,
+            ..ExecOptions::default()
+        },
+    );
+    let plan = lower_plan(&iom, &registry, &sc.dictionary, LowerOptions::default());
+    let plan = match (plan, &eager) {
+        (Ok(plan), _) => plan,
+        (Err(pe), Err(ee)) => {
+            assert!(same_error_kind(ee, &pe), "`{expr}`: {ee} vs {pe}");
+            return;
+        }
+        (Err(pe), Ok(_)) => panic!("`{expr}` lowers with {pe} but the reference answers"),
+    };
+    for threads in THREAD_COUNTS {
+        for batch in [true, false] {
+            for retain in [false, true] {
+                let got = execute_plan(
+                    &plan,
+                    &registry,
+                    &sc.dictionary,
+                    ExecOptions {
+                        conflict_policy: policy,
+                        retain_intermediates: retain,
+                        threads,
+                        partitions: threads,
+                        batch: Some(batch),
+                        ..ExecOptions::default()
+                    },
+                );
+                let leg = format!("`{expr}` threads={threads} batch={batch} retain={retain}");
+                match (&eager, got) {
+                    (Ok((want, _)), Ok((got, _))) => {
+                        assert_eq!(want.schema().attrs(), got.schema().attrs(), "{leg}");
+                        assert_eq!(want.tuples(), got.tuples(), "{leg}");
+                    }
+                    (Err(want), Err(got)) => {
+                        assert!(same_error_kind(want, &got), "{leg}: {want} vs {got}")
+                    }
+                    (want, got) => panic!(
+                        "{leg}: reference {} but engine {}",
+                        want.as_ref().map(|_| "answers").unwrap_or("rejects"),
+                        got.map(|_| "answers").unwrap_or("rejects"),
+                    ),
+                }
+            }
+        }
+    }
+}
+
+fn tagged(
+    name: &str,
+    attrs: [&str; 3],
+    rows: &Rows,
+    source: u16,
+) -> (BaseRelation, PolygenRelation) {
+    let base = BaseRelation::new(flat(name, attrs, rows), SourceId(source));
+    let materialized = base.materialize();
+    (base, materialized)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Engine level: over hostile federations every query shape answers
+    /// identically on the late-tagged engine, on materialized leaves and
+    /// on the eager reference.
+    #[test]
+    fn late_tagged_engine_matches_reference_and_materialized_leaves(
+        a in rows(10),
+        b in rows(10),
+        c in rows(10),
+        d in rows(40),
+        (rule, policy_idx) in (0usize..4, 0usize..POLICIES.len()),
+        (optimized, clean) in (any::<bool>(), any::<bool>()),
+    ) {
+        let sc = federation(&a, &b, &c, &d, rule, clean);
+        for expr in QUERIES {
+            assert_late_tagging_invisible(&sc, expr, POLICIES[policy_idx], optimized);
+        }
+    }
+
+    /// Kernel level: Merge over base relations equals Merge over their
+    /// materializations — sequential and partitioned, every policy,
+    /// through the closed form and through both reference fallbacks.
+    #[test]
+    fn merge_over_base_rows_equals_merge_over_tagged_tuples(
+        a in rows(12),
+        b in rows(12),
+        c in rows(12),
+        policy_idx in 0usize..POLICIES.len(),
+        clean in any::<bool>(),
+    ) {
+        let (a, b, c) = if clean {
+            (closed_form_keys(&a), closed_form_keys(&b), closed_form_keys(&c))
+        } else {
+            (a, b, c)
+        };
+        let (ba, ta) = tagged("A", ["K", "V", "W"], &a, 0);
+        let (bb, tb) = tagged("B", ["K", "V", "X"], &b, 1);
+        let (bc, tc) = tagged("C", ["K", "Y", "W"], &c, 2);
+        let policy = POLICIES[policy_idx];
+        let want = hash_merge(&[ta.clone(), tb.clone(), tc.clone()], "K", policy);
+        let bases = [ba, bb, bc];
+        let mut got = vec![hash_merge(&bases, "K", policy)];
+        for threads in THREAD_COUNTS {
+            let par = ParallelOptions { threads, partitions: threads.max(2) };
+            got.push(hash_merge_partitioned(&bases, "K", policy, par));
+            got.push(hash_merge_partitioned(&[ta.clone(), tb.clone(), tc.clone()], "K", policy, par));
+        }
+        for got in got {
+            match (&want, got) {
+                (Ok((want, _)), Ok((got, _))) => prop_assert_eq!(want, &got),
+                (Err(want), Err(got)) => prop_assert_eq!(
+                    std::mem::discriminant(want),
+                    std::mem::discriminant(&got)
+                ),
+                (want, got) => prop_assert!(false, "merge diverges: {:?} vs {:?}", want.is_ok(), got.is_ok()),
+            }
+        }
+    }
+
+    /// Kernel level: the coalesced equi-join with a base relation on the
+    /// left, the right or both sides equals the join of the
+    /// materializations, sequential and partitioned.
+    #[test]
+    fn join_over_base_rows_equals_join_over_tagged_tuples(
+        l in rows(24),
+        r in rows(24),
+    ) {
+        let (bl, tl) = tagged("L", ["K", "V", "W"], &l, 0);
+        let (br, tr) = tagged("R", ["J", "X", "Y"], &r, 1);
+        let want = hash_equi_join_coalesced(&tl, &tr, "K", "J", "J");
+        let mut got = vec![
+            hash_equi_join_coalesced(&bl, &br, "K", "J", "J"),
+            hash_equi_join_coalesced(&bl, &tr, "K", "J", "J"),
+            hash_equi_join_coalesced(&tl, &br, "K", "J", "J"),
+        ];
+        for threads in THREAD_COUNTS {
+            let par = ParallelOptions { threads, partitions: threads.max(2) };
+            got.push(hash_equi_join_coalesced_partitioned(&bl, &br, "K", "J", "J", par));
+            got.push(hash_equi_join_coalesced_partitioned(&bl, &tr, "K", "J", "J", par));
+            got.push(hash_equi_join_coalesced_partitioned(&tl, &br, "K", "J", "J", par));
+            got.push(hash_equi_join_coalesced_partitioned(&tl, &tr, "K", "J", "J", par));
+        }
+        for got in got {
+            match (&want, got) {
+                (Ok(want), Ok(got)) => prop_assert_eq!(want, &got),
+                (Err(want), Err(got)) => prop_assert_eq!(
+                    std::mem::discriminant(want),
+                    std::mem::discriminant(&got)
+                ),
+                (want, got) => prop_assert!(false, "join diverges: {:?} vs {:?}", want.is_ok(), got.is_ok()),
+            }
+        }
+    }
+}
+
+/// A plain-retrieve Scan hands its consumers the rows the LQP holds —
+/// the same allocation, not a copy — and Merge and Join consuming them
+/// leave them where they are. Shipment counters advance exactly as they
+/// did when every scan copied.
+#[test]
+fn plain_retrieve_leaves_share_the_lqps_rows() {
+    let rows: Rows = (0..40).map(|i| (Some(i), i % 5, false)).collect();
+    let held = flat("T", ["K", "V", "W"], &rows);
+    let other = flat("U", ["K", "X", "Y"], &rows);
+    let lqp = Arc::new(InMemoryLqp::new("A", vec![held.clone(), other]));
+    let registry = LqpRegistry::new();
+    registry.register(Arc::clone(&lqp) as Arc<dyn Lqp>);
+    let mut dictionary = DataDictionary::new();
+    dictionary.intern_source("A");
+
+    let leaf = registry
+        .scan("A", &LocalOp::retrieve("T"), &dictionary)
+        .unwrap();
+    assert!(Arc::ptr_eq(leaf.flat().shared_rows(), held.shared_rows()));
+    assert_eq!(
+        (lqp.counters().ops(), lqp.counters().tuples_shipped()),
+        (1, 40)
+    );
+    let second = registry
+        .scan("A", &LocalOp::retrieve("U"), &dictionary)
+        .unwrap();
+    assert_eq!(
+        (lqp.counters().ops(), lqp.counters().tuples_shipped()),
+        (2, 80)
+    );
+
+    // Consumers clone the leaf (pointer copies) and read it in place.
+    let shared = leaf.clone();
+    let relabeled = second.rename_attrs(&["K", "X", "Y"]).unwrap();
+    let (merged, _) = hash_merge(&[shared, relabeled], "K", ConflictPolicy::Strict).unwrap();
+    assert_eq!(merged.len(), 40);
+    let joined = hash_equi_join_coalesced(&leaf, &second, "K", "K", "K").unwrap();
+    assert_eq!(joined.len(), 40);
+    assert!(Arc::ptr_eq(leaf.flat().shared_rows(), held.shared_rows()));
+    assert_eq!(leaf.flat().rows(), held.rows());
+    assert_eq!(
+        leaf.materialize(),
+        PolygenRelation::from_flat(&held, SourceId(0))
+    );
+
+    // A pushed-down select ships (and counts) only its survivors, and
+    // `execute_tagged` is the scan, materialized.
+    let op = LocalOp::select("T", "V", Cmp::Eq, Value::int(3));
+    let survivors = registry.scan("A", &op, &dictionary).unwrap();
+    assert_eq!(survivors.len(), 8);
+    assert_eq!(
+        (lqp.counters().ops(), lqp.counters().tuples_shipped()),
+        (3, 88)
+    );
+    assert_eq!(
+        registry.execute_tagged("A", &op, &dictionary).unwrap(),
+        survivors.materialize()
+    );
+    assert_eq!(
+        (lqp.counters().ops(), lqp.counters().tuples_shipped()),
+        (4, 96)
+    );
+}
+
+/// ROADMAP aim 3 — degrade per query, never per process: an LQP the
+/// data dictionary never interned used to panic the executing thread at
+/// the tagging boundary. It is a structured error in the LQP band now,
+/// and the service answers the next query normally.
+#[test]
+fn uninterned_lqp_is_an_error_response_not_a_panic() {
+    let mut sc = scenario::build();
+    let mut dictionary = DataDictionary::with_parts(
+        Default::default(),
+        scenario::polygen_schema(),
+        scenario::domain_map(),
+    );
+    // PD is registered as an LQP below, but never interned as a source.
+    dictionary.intern_source("AD");
+    dictionary.intern_source("CD");
+    sc.dictionary = dictionary;
+    let service = QueryService::for_scenario(&sc, ServeOptions::default());
+
+    let refused = service.execute(Request::algebra("PSTUDENT [GPA >= 3]"));
+    let Response::Error { code, message } = &refused else {
+        panic!("expected an error response, got {refused:?}");
+    };
+    assert_eq!(*code, ErrorCode::Lqp);
+    assert!(
+        message.contains("PD") && message.contains("not interned"),
+        "{message}"
+    );
+
+    let served = service.execute(Request::algebra("PALUMNUS [DEGREE = \"MBA\"]"));
+    let answer = served
+        .rows()
+        .unwrap_or_else(|| panic!("the next query must answer normally, got {served:?}"));
+    assert_eq!(answer.len(), 5);
+}
