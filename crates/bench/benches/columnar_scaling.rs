@@ -1,16 +1,13 @@
-//! Columnar batch execution vs the row engine.
+//! Columnar batch kernels vs the row kernels.
 //!
-//! Two levels. `columnar/kernel` is the acceptance sweep: one fused
+//! `columnar/kernel` is the acceptance sweep: one fused
 //! scan→filter→project chain over the seeded DETAIL relation, run as a
 //! `TupleStream` walk (per-tuple predicates, per-stage tagging,
 //! per-tuple Project rebuild) and as a `ColumnBatch` run (typed-vector
 //! predicate loops over a selection vector, projection as a
 //! column-pointer swap, tags materialized once at emission) — the
-//! batch/row ratio at 10k+ rows is the ≥ 5× acceptance criterion.
-//! `columnar/e2e` runs the same shape through `execute_plan` with the
-//! engine forced each way, across thread counts and key skew (Zipf
-//! concentrates DNAME values, making the projection's duplicate
-//! collapse do real work).
+//! batch/row ratio at 10k+ rows is the ≥ 5× acceptance criterion, and
+//! the reason leaf pipelines are routed to the batch kernels.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use polygen_core::batch::ColumnBatch;
@@ -19,10 +16,6 @@ use polygen_core::stream::TupleStream;
 use polygen_flat::value::{Cmp, Value};
 use polygen_lqp::engine::LocalOp;
 use polygen_lqp::scenario_registry;
-use polygen_pqp::executor::{execute_plan, ExecOptions};
-use polygen_pqp::plan::{lower, LowerOptions};
-use polygen_pqp::prelude::{analyze, interpret};
-use polygen_sql::algebra_expr::parse_algebra;
 use polygen_workload::{generate, WorkloadConfig};
 use std::hint::black_box;
 
@@ -45,8 +38,8 @@ fn detail_relation(config: &WorkloadConfig) -> PolygenRelation {
         .unwrap()
 }
 
-/// Row engine: select → restrict → project → materialize, the exact
-/// kernels `execute_plan` runs a non-batch pipeline on.
+/// Row kernels: select → restrict → project → materialize, exactly
+/// what `execute_plan` runs a non-batch pipeline on.
 fn run_row(rel: &TupleStream, threshold: i64) -> PolygenRelation {
     let mut s = rel.clone();
     s.select("DSCORE", Cmp::Ge, &Value::int(threshold)).unwrap();
@@ -55,7 +48,7 @@ fn run_row(rel: &TupleStream, threshold: i64) -> PolygenRelation {
     s.into_relation()
 }
 
-/// Batch engine: the same chain on columnar kernels, tags applied once
+/// Batch kernels: the same chain, columnar, tags applied once
 /// at emission, duplicates collapsed once after the projection.
 fn run_batch(template: &ColumnBatch, threshold: i64) -> PolygenRelation {
     let mut b = template.clone();
@@ -101,54 +94,5 @@ fn kernel_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-/// End-to-end: the engine toggle inside `execute_plan`, across thread
-/// counts and key skew at 20k detail rows.
-fn e2e_sweep(c: &mut Criterion) {
-    let mut g = c.benchmark_group("columnar/e2e");
-    g.sample_size(10);
-    let expr = "PDETAIL [SCORE >= 90] [ENAME, SCORE]";
-    for (key_skew, label) in [(0.0f64, "uniform"), (1.0, "zipf")] {
-        let config = detail_config(20_000, key_skew);
-        let scenario = generate(&config);
-        let registry = scenario_registry(&scenario);
-        let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
-        let (_, iom) = interpret(&pom, scenario.dictionary.schema()).unwrap();
-        for threads in [1usize, 4] {
-            let plan = lower(
-                &iom,
-                &registry,
-                &scenario.dictionary,
-                LowerOptions {
-                    fuse: true,
-                    partitions: threads,
-                },
-            )
-            .unwrap();
-            for (batch, engine) in [(false, "row"), (true, "batch")] {
-                let opts = ExecOptions {
-                    batch: Some(batch),
-                    ..ExecOptions::with_threads(threads)
-                };
-                g.bench_with_input(
-                    BenchmarkId::new(format!("{engine}_t{threads}"), label),
-                    &plan,
-                    |b, plan| {
-                        b.iter(|| {
-                            execute_plan(
-                                black_box(plan),
-                                &registry,
-                                &scenario.dictionary,
-                                opts.clone(),
-                            )
-                            .unwrap()
-                        })
-                    },
-                );
-            }
-        }
-    }
-    g.finish();
-}
-
-criterion_group!(benches, kernel_sweep, e2e_sweep);
+criterion_group!(benches, kernel_sweep);
 criterion_main!(benches);

@@ -2,10 +2,9 @@
 //!
 //! The paper pipeline end-to-end under three observation levels —
 //! tracing disabled, tracing enabled, and full EXPLAIN ANALYZE
-//! (execute + render) — across both execution engines. The obs
-//! contract is pay-for-what-you-use: the disabled path is one branch
-//! per span site, so `off` and `on` should be nearly indistinguishable
-//! and `analyze` only adds the rendering.
+//! (execute + render). The obs contract is pay-for-what-you-use: the
+//! disabled path is one branch per span site, so `off` and `on` should
+//! be nearly indistinguishable and `analyze` only adds the rendering.
 //!
 //! The harness also *gates* that contract before timing anything.
 //! End-to-end differencing cannot resolve the disabled path (its cost
@@ -23,15 +22,9 @@ use polygen_sql::prelude::PAPER_EXPRESSION;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-fn paper_pqp(batch: bool) -> (Pqp, CompiledQuery) {
+fn paper_pqp() -> (Pqp, CompiledQuery) {
     let s = scenario::build();
-    let pqp = Pqp::for_scenario(&s).with_options(
-        PqpOptions {
-            threads: 1,
-            ..PqpOptions::default()
-        }
-        .with_batch(batch),
-    );
+    let pqp = Pqp::for_scenario(&s).with_options(PqpOptions::default().with_threads(1));
     let compiled = pqp
         .compile(polygen_sql::prelude::parse_algebra(PAPER_EXPRESSION).unwrap())
         .unwrap();
@@ -59,7 +52,7 @@ fn round<F: FnMut()>(mut routine: F, per: usize) -> Duration {
 /// physical node; we charge double that (begin/end plus every
 /// annotation the richest node records) to keep the bound honest.
 fn disabled_overhead_gate() {
-    let (pqp, compiled) = paper_pqp(true);
+    let (pqp, compiled) = paper_pqp();
     // Per-site cost of the disabled path.
     let disabled = Trace::disabled();
     let site_cycle = || {
@@ -102,30 +95,28 @@ fn disabled_overhead_gate() {
     );
 }
 
-/// Off / on / analyze across both engines, end to end.
+/// Off / on / analyze, end to end.
 fn observation_levels(c: &mut Criterion) {
     disabled_overhead_gate();
     let mut g = c.benchmark_group("obs/e2e");
     g.sample_size(30);
-    for (engine, batch) in [("row", false), ("batch", true)] {
-        let (pqp, compiled) = paper_pqp(batch);
-        g.bench_with_input(BenchmarkId::new("off", engine), &(), |b, ()| {
-            b.iter(|| black_box(pqp.run_compiled(black_box(&compiled)).unwrap()))
-        });
-        g.bench_with_input(BenchmarkId::new("on", engine), &(), |b, ()| {
-            b.iter(|| {
-                let trace = Trace::enabled();
-                black_box(
-                    pqp.run_compiled_traced(black_box(&compiled), &trace)
-                        .unwrap(),
-                );
-                trace.report()
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("analyze", engine), &(), |b, ()| {
-            b.iter(|| black_box(pqp.explain_analyze_compiled(black_box(&compiled)).unwrap()))
-        });
-    }
+    let (pqp, compiled) = paper_pqp();
+    g.bench_with_input(BenchmarkId::new("off", "paper"), &(), |b, ()| {
+        b.iter(|| black_box(pqp.run_compiled(black_box(&compiled)).unwrap()))
+    });
+    g.bench_with_input(BenchmarkId::new("on", "paper"), &(), |b, ()| {
+        b.iter(|| {
+            let trace = Trace::enabled();
+            black_box(
+                pqp.run_compiled_traced(black_box(&compiled), &trace)
+                    .unwrap(),
+            );
+            trace.report()
+        })
+    });
+    g.bench_with_input(BenchmarkId::new("analyze", "paper"), &(), |b, ()| {
+        b.iter(|| black_box(pqp.explain_analyze_compiled(black_box(&compiled)).unwrap()))
+    });
     g.finish();
 }
 

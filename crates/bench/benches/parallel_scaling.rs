@@ -150,6 +150,7 @@ fn end_to_end_thread_sweep(c: &mut Criterion) {
                         black_box(plan),
                         &registry,
                         &scenario.dictionary,
+                        None,
                         ExecOptions::with_threads(threads),
                     )
                     .unwrap()

@@ -54,22 +54,6 @@ use polygen_flat::schema::Schema;
 use polygen_flat::value::{Cmp, Value, F64};
 use std::sync::Arc;
 
-/// Is columnar batch execution enabled by default? Reads the
-/// `POLYGEN_BATCH` environment variable once per process (mirroring
-/// [`crate::stream::default_thread_count`]): `0`/`false`/`off`/`no`
-/// force the row engine, anything else — including unset — enables the
-/// batch kernels. CI pins both legs.
-pub fn default_batch_enabled() -> bool {
-    static RESOLVED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *RESOLVED.get_or_init(|| match std::env::var("POLYGEN_BATCH") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        ),
-        Err(_) => true,
-    })
-}
-
 /// A column's data portion. Monomorphic columns are stored as flat typed
 /// vectors so the filter kernels compare machine values without touching
 /// the [`Value`] enum; mixed or nil-bearing columns fall back to
@@ -776,11 +760,5 @@ mod tests {
         b.select("ID", Cmp::Gt, &Value::int(99)).unwrap();
         assert!(b.is_empty());
         assert!(b.into_relation().tuples().is_empty());
-    }
-
-    #[test]
-    fn batch_toggle_resolves() {
-        // Whatever the environment says, the resolution is stable.
-        assert_eq!(default_batch_enabled(), default_batch_enabled());
     }
 }

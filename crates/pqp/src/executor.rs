@@ -35,13 +35,13 @@ use crate::pom::{Op, RelRef, Rha};
 use polygen_catalog::dictionary::DataDictionary;
 use polygen_core::algebra::{self, coalesce::ConflictPolicy};
 use polygen_core::base::{BaseRelation, Operand};
-use polygen_core::batch::{default_batch_enabled, ColumnBatch};
+use polygen_core::batch::ColumnBatch;
 use polygen_core::error::PolygenError;
 use polygen_core::relation::PolygenRelation;
 use polygen_core::stream::{concat_streams, scoped_map, ParallelOptions, Partitioner, TupleStream};
 use polygen_core::tuple::PolyTuple;
 use polygen_flat::schema::Schema;
-use polygen_flat::value::{Cmp, Value};
+use polygen_flat::value::Cmp;
 use polygen_index::IndexCatalog;
 use polygen_lqp::engine::LocalOp;
 use polygen_lqp::registry::LqpRegistry;
@@ -79,12 +79,6 @@ pub struct ExecOptions {
     /// the thread count; larger values over-partition, which rebalances
     /// key-skewed loads across the workers.
     pub partitions: usize,
-    /// Columnar batch execution for eligible pipelines (fused
-    /// Select/Restrict/Project chains over scan leaves).
-    /// `None` = auto: the `POLYGEN_BATCH` environment variable, on
-    /// unless set to `0`/`false`/`off`/`no`. `Some(_)` forces the batch
-    /// or row engine. Results are byte-identical on every setting.
-    pub batch: Option<bool>,
     /// Span recorder. Disabled (the default) every span site is one
     /// branch; enabled, the executor records one span per physical
     /// node — operator kind, output rows, partition count, and which
@@ -105,11 +99,6 @@ impl ExecOptions {
     /// The resolved parallelism (0-valued knobs filled in).
     pub fn parallelism(&self) -> ParallelOptions {
         ParallelOptions::resolved(self.threads, self.partitions)
-    }
-
-    /// Is the columnar batch path enabled under these options?
-    pub fn batch_enabled(&self) -> bool {
-        self.batch.unwrap_or_else(default_batch_enabled)
     }
 }
 
@@ -157,7 +146,7 @@ pub fn execute(
             partitions: options.parallelism().partitions,
         },
     )?;
-    execute_plan(&plan, registry, dictionary, options)
+    execute_plan(&plan, registry, dictionary, None, options)
 }
 
 /// Run one fused pipeline stage in place.
@@ -365,23 +354,12 @@ fn op_span_name(op: &PhysOp) -> &'static str {
     }
 }
 
-/// Walk a lowered physical plan with no index catalog (plans containing
-/// `IndexScan` nodes need [`execute_plan_indexed`]).
-pub fn execute_plan(
-    plan: &PhysicalPlan,
-    registry: &LqpRegistry,
-    dictionary: &DataDictionary,
-    options: ExecOptions,
-) -> Result<(PolygenRelation, ExecutionTrace), PqpError> {
-    execute_plan_indexed(plan, registry, dictionary, None, options)
-}
-
 /// Walk a lowered physical plan, probing `indexes` for the plan's
-/// [`PhysOp::IndexScan`] leaves. The catalog must be the one the plan
-/// was routed against (in the serving layer, the owning snapshot's):
-/// executing a routed plan without it fails loudly rather than
-/// silently re-scanning.
-pub fn execute_plan_indexed(
+/// [`PhysOp::IndexScan`] leaves (`None` serves plans that have none).
+/// The catalog must be the one the plan was routed against (in the
+/// serving layer, the owning snapshot's): executing a routed plan
+/// without it fails loudly rather than silently re-scanning.
+pub fn execute_plan(
     plan: &PhysicalPlan,
     registry: &LqpRegistry,
     dictionary: &DataDictionary,
@@ -452,14 +430,14 @@ pub fn execute_plan_indexed(
                 leaf(index.probe_base(probe))
             }
             PhysOp::Pipeline { input, stages } => {
-                // Columnar fast path: a batch-eligible stage chain over
-                // a leaf runs on the ColumnBatch kernels with late tag
-                // materialization. Interior inputs (and retention mode,
-                // which has no late-tagged leaves and records per-stage
-                // tables) keep the row walk below.
-                let batch_ok = options.batch_enabled() && plan::batch_eligible_stages(stages);
+                // The plan says which kernel runs: a batch pipeline
+                // (eligible stages over a leaf) takes the ColumnBatch
+                // kernels with late tag materialization, everything
+                // else the row walk below. Retention mode has no
+                // late-tagged leaves and records per-stage tables, so
+                // its slots are never `Leaf` and it always walks rows.
                 match take(&mut slots, &mut remaining, *input) {
-                    Slot::Leaf(base) if batch_ok => {
+                    Slot::Leaf(base) if plan.is_batch_pipeline(i) => {
                         if !span.is_none() {
                             options.trace.annotate(span, "kernel", Note::str("batch"));
                         }
@@ -1003,18 +981,13 @@ pub fn execute_eager(
     Ok((final_rel, ExecutionTrace { results: ex.env }))
 }
 
-/// Convenience: keep `Value` reachable for doc examples in this module.
-#[doc(hidden)]
-pub fn _doc_value(v: Value) -> Value {
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyzer::analyze;
     use crate::interpreter::interpret;
     use polygen_catalog::scenario;
+    use polygen_flat::value::Value;
     use polygen_lqp::scenario_registry;
     use polygen_sql::algebra_expr::parse_algebra;
 
@@ -1087,7 +1060,7 @@ mod tests {
         )
         .unwrap();
         assert!(fused.fused_rows() > 0);
-        let (_, trace) = execute_plan(&fused, &registry, &s.dictionary, retained()).unwrap();
+        let (_, trace) = execute_plan(&fused, &registry, &s.dictionary, None, retained()).unwrap();
         assert_eq!(
             trace.results.len(),
             10,

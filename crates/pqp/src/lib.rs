@@ -46,8 +46,7 @@ pub mod prelude {
     pub use crate::costing::{estimate, estimate_physical, PlanCost};
     pub use crate::error::PqpError;
     pub use crate::executor::{
-        execute, execute_eager, execute_plan, execute_plan_indexed, resolve_attr, ExecOptions,
-        ExecutionTrace,
+        execute, execute_eager, execute_plan, resolve_attr, ExecOptions, ExecutionTrace,
     };
     pub use crate::explain::{explain, render_analyzed_plan};
     pub use crate::interpreter::{interpret, pass_one, pass_two};

@@ -309,14 +309,16 @@ impl PhysicalPlan {
             .count()
     }
 
-    /// Would the executor run node `i` on the columnar batch kernels
-    /// (when batching is enabled and no trace is retained)? True for a
+    /// Does node `i` run on the columnar batch kernels? True for a
     /// pipeline with batch-eligible stages over a Scan/IndexScan leaf —
-    /// exactly the shape the executor lifts into a `ColumnBatch`
-    /// instead of a row stream (leaves are late-tagged and shared by
-    /// pointer, so any number of consumers may do so). EXPLAIN renders
-    /// these nodes with a `[batch]` marker; everything else stays on
-    /// the row engine.
+    /// the shape the executor lifts into a `ColumnBatch` instead of a
+    /// row stream (leaves are late-tagged and shared by pointer, so any
+    /// number of consumers may do so). This predicate is the only
+    /// engine choice there is: the executor, the cost model and
+    /// EXPLAIN's `[batch]` marker all ask it, and everything it rejects
+    /// — interior inputs, a mid-chain Project — walks the row stream.
+    /// (Retention mode tags leaves eagerly, so its pipelines never see
+    /// a leaf and walk rows whatever the plan says.)
     pub fn is_batch_pipeline(&self, i: usize) -> bool {
         let PhysOp::Pipeline { input, stages } = &self.nodes[i].op else {
             return false;
@@ -363,7 +365,7 @@ impl PhysicalPlan {
 /// projects by column-pointer swap and collapses duplicates once at
 /// emission, which is only equivalent to the row engine when nothing
 /// filters after the projection.
-pub fn batch_eligible_stages(stages: &[Stage]) -> bool {
+fn batch_eligible_stages(stages: &[Stage]) -> bool {
     !stages.is_empty()
         && stages.iter().enumerate().all(|(i, s)| match s.kind {
             StageKind::Select { .. } | StageKind::Restrict { .. } => true,

@@ -6,7 +6,7 @@
 
 use crate::analyzer::analyze;
 use crate::error::PqpError;
-use crate::executor::{execute_plan_indexed, ExecOptions, ExecutionTrace};
+use crate::executor::{execute_plan, ExecOptions, ExecutionTrace};
 use crate::interpreter::interpret;
 use crate::iom::Iom;
 use crate::optimizer::{optimize, OptimizerReport};
@@ -50,11 +50,6 @@ pub struct PqpOptions {
     /// Partition count for parallel operators (`0` = thread count; larger
     /// values over-partition to rebalance key-skewed loads).
     pub partitions: usize,
-    /// Columnar batch execution for eligible pipelines. `None` = auto
-    /// (the `POLYGEN_BATCH` environment variable, on unless set to
-    /// `0`/`false`/`off`/`no`); `Some(_)` forces the batch or row
-    /// engine. Answers are byte-identical on every setting.
-    pub batch: Option<bool>,
 }
 
 impl Default for PqpOptions {
@@ -66,7 +61,6 @@ impl Default for PqpOptions {
             retain_intermediates: false,
             threads: 0,
             partitions: 0,
-            batch: None,
         }
     }
 }
@@ -75,13 +69,6 @@ impl PqpOptions {
     /// Builder-style thread-count override.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Builder-style batch-engine override (`true` forces the columnar
-    /// path, `false` forces the row engine).
-    pub fn with_batch(mut self, batch: bool) -> Self {
-        self.batch = Some(batch);
         self
     }
 }
@@ -258,7 +245,7 @@ impl Pqp {
         compiled: &CompiledQuery,
         trace: &Trace,
     ) -> Result<(PolygenRelation, ExecutionTrace), PqpError> {
-        execute_plan_indexed(
+        execute_plan(
             &compiled.physical,
             &self.registry,
             &self.dictionary,
@@ -268,7 +255,6 @@ impl Pqp {
                 retain_intermediates: self.options.retain_intermediates,
                 threads: self.options.threads,
                 partitions: self.options.partitions,
-                batch: self.options.batch,
                 trace: trace.clone(),
             },
         )

@@ -88,17 +88,18 @@ impl ServiceMetrics {
         self.execute_latency.record(elapsed);
     }
 
-    pub(crate) fn record_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_error_code(&self, code: ErrorCode) {
+    /// One failed request: a shed query counts as `rejected`, anything
+    /// else as an `error`, and both land in their code's bucket — so
+    /// `Σ errors_by_code == errors + rejected` by construction.
+    pub(crate) fn record_failure(&self, code: ErrorCode) {
+        let counter = if code == ErrorCode::Overloaded {
+            &self.rejected
+        } else {
+            &self.errors
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         let mut by_code = self.errors_by_code.lock().expect("metrics map poisoned");
         *by_code.entry(code).or_insert(0) += 1;
-    }
-
-    pub(crate) fn record_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_plan_lookup(&self, hit: bool) {
@@ -606,8 +607,7 @@ mod tests {
     fn every_prometheus_series_declares_help_and_type() {
         let m = ServiceMetrics::default();
         m.record_query(Duration::from_micros(10), false);
-        m.record_error();
-        m.record_error_code(ErrorCode::SqlSyntax);
+        m.record_failure(ErrorCode::SqlSyntax);
         let shown = m.snapshot().render_prometheus();
         // Every sample line's metric name must have HELP and TYPE
         // metadata somewhere in the scrape.

@@ -625,48 +625,33 @@ impl QueryService {
             trace
         };
         let mut detail = QueryDetail::default();
-        let response = match request.options.explain {
-            ExplainOptions::Plan => match self.explain_request(&request) {
-                Ok(response) => response,
-                Err(e) => {
-                    self.metrics.record_error_code(e.code());
-                    detail.error = Some((e.code().code(), e.code().mnemonic()));
-                    e.into()
-                }
-            },
-            ExplainOptions::Analyze => match self.analyze_request(&request, trace) {
-                Ok(response) => response,
-                Err(e) => {
-                    if !matches!(e, ServeError::Overloaded { .. }) {
-                        self.metrics.record_error();
-                    }
-                    self.metrics.record_error_code(e.code());
-                    detail.error = Some((e.code().code(), e.code().mnemonic()));
-                    e.into()
-                }
-            },
-            ExplainOptions::Off => match self.serve_traced(&request.text, request.lang, trace) {
-                Ok(outcome) => {
-                    detail = QueryDetail {
-                        queue_micros: outcome.queue_micros,
-                        exec_micros: outcome.exec_micros,
-                        cache: if outcome.result_hit {
-                            "result"
-                        } else if outcome.plan_hit {
-                            "plan"
-                        } else {
-                            "miss"
-                        },
-                        error: None,
-                    };
-                    outcome.into()
-                }
-                Err(e) => {
-                    detail.error = Some((e.code().code(), e.code().mnemonic()));
-                    e.into()
-                }
-            },
+        let served = match request.options.explain {
+            ExplainOptions::Plan => self.explain_request(&request),
+            ExplainOptions::Analyze => self.analyze_request(&request, trace),
+            ExplainOptions::Off => {
+                self.serve_traced(&request.text, request.lang, trace)
+                    .map(|outcome| {
+                        detail = QueryDetail {
+                            queue_micros: outcome.queue_micros,
+                            exec_micros: outcome.exec_micros,
+                            cache: if outcome.result_hit {
+                                "result"
+                            } else if outcome.plan_hit {
+                                "plan"
+                            } else {
+                                "miss"
+                            },
+                            error: None,
+                        };
+                        outcome.into()
+                    })
+            }
         };
+        // Every mode's failures are counted here and nowhere else.
+        let response = served.unwrap_or_else(|e| {
+            detail = self.failed(&e);
+            e.into()
+        });
         if !caller_traced {
             self.slow_log
                 .observe_detailed(&request.text, start.elapsed(), trace, detail);
@@ -691,13 +676,7 @@ impl QueryService {
     fn analyze_request(&self, request: &Request, trace: &Trace) -> Result<Response, ServeError> {
         let start = Instant::now();
         let queue_span = trace.begin("serve/queue");
-        let permit = match self.admission.admit(&self.metrics) {
-            Ok(p) => p,
-            Err(e) => {
-                self.metrics.record_rejected();
-                return Err(e);
-            }
-        };
+        let permit = self.admission.admit(&self.metrics)?;
         trace.end(queue_span);
         self.metrics.record_queue_wait(start.elapsed());
         let snapshot = self.federation.snapshot();
@@ -863,14 +842,22 @@ impl QueryService {
                 },
                 error: None,
             },
-            Err(e) => QueryDetail {
-                error: Some((e.code().code(), e.code().mnemonic())),
-                ..QueryDetail::default()
-            },
+            Err(e) => self.failed(e),
         };
         self.slow_log
             .observe_detailed(text, start.elapsed(), &trace, detail);
         out
+    }
+
+    /// Count one failed request (shed or error, bucketed by code) and
+    /// describe it for the slow-query log. Each entry point calls this
+    /// once per failure; nothing below them touches the error counters.
+    fn failed(&self, e: &ServeError) -> QueryDetail {
+        self.metrics.record_failure(e.code());
+        QueryDetail {
+            error: Some((e.code().code(), e.code().mnemonic())),
+            ..QueryDetail::default()
+        }
     }
 
     /// [`serve`](QueryService::serve) with a span recorder: queue wait,
@@ -884,24 +871,12 @@ impl QueryService {
     ) -> Result<ServeOutcome, ServeError> {
         let start = Instant::now();
         let queue_span = trace.begin("serve/queue");
-        let permit = match self.admission.admit(&self.metrics) {
-            Ok(p) => p,
-            Err(e) => {
-                self.metrics.record_rejected();
-                self.metrics.record_error_code(e.code());
-                return Err(e);
-            }
-        };
+        let permit = self.admission.admit(&self.metrics)?;
         trace.end(queue_span);
         let queue = start.elapsed();
         self.metrics.record_queue_wait(queue);
         let snapshot = self.federation.snapshot();
-        let served = self.serve_pinned(&snapshot, text, lang, permit.threads, start, queue, trace);
-        if let Err(e) = &served {
-            self.metrics.record_error();
-            self.metrics.record_error_code(e.code());
-        }
-        served
+        self.serve_pinned(&snapshot, text, lang, permit.threads, start, queue, trace)
     }
 
     /// The cache-through path, pinned to one snapshot.
@@ -1766,6 +1741,35 @@ mod tests {
             svc.execute(Request::sql(PAPER_SQL)),
             Response::Rows { .. }
         ));
+    }
+
+    #[test]
+    fn every_failure_is_counted_once_whatever_the_mode() {
+        use crate::request::{ErrorCode, Request};
+        let svc = QueryService::for_scenario(
+            &scenario::build(),
+            ServeOptions::default().with_admission(1, 0),
+        );
+        // One unparsable request per mode: Off, Plan, Analyze.
+        for text in ["SELECT", "EXPLAIN SELECT", "EXPLAIN ANALYZE SELECT"] {
+            let code = svc.execute(Request::sql(text)).error_code();
+            assert_eq!(code, Some(ErrorCode::SqlSyntax), "`{text}`");
+        }
+        // And one shed on each admitted path (plan-only EXPLAIN is not).
+        let permit = svc.admission.admit(&svc.metrics).unwrap();
+        for text in [
+            PAPER_SQL.to_string(),
+            format!("EXPLAIN ANALYZE {PAPER_SQL}"),
+        ] {
+            assert!(svc.execute(Request::sql(text)).is_overloaded());
+        }
+        drop(permit);
+        let m = svc.metrics();
+        assert_eq!((m.errors, m.rejected), (3, 2));
+        assert_eq!(m.errors_with_code(ErrorCode::SqlSyntax), 3);
+        assert_eq!(m.shed(), m.rejected);
+        let by_code: u64 = m.errors_by_code.iter().map(|(_, n)| n).sum();
+        assert_eq!(by_code, m.errors + m.rejected);
     }
 
     #[test]

@@ -82,7 +82,6 @@ pub fn assert_parallel_matches(
         retain_intermediates: retain,
         threads,
         partitions: threads,
-        batch: None,
         ..ExecOptions::default()
     };
     let eager = execute_eager(&iom, &registry, &scenario.dictionary, opts(1, false));
@@ -155,11 +154,13 @@ pub fn assert_engines_agree(scenario: &Scenario, expr: &str, policy: ConflictPol
     assert_parallel_matches(scenario, expr, policy, 1);
 }
 
-/// Run one expression with the columnar batch engine forced on, the row
-/// engine forced off, and the eager reference, at `threads` workers, and
-/// assert the batch run is byte-identical to the row run (data, tags
-/// *and* tuple order) and tag-set-equal to the eager reference.
-/// Rejections must agree in error kind across all three.
+/// Run one expression's production plan — whose eligible leaf pipelines
+/// take the columnar batch kernels — against two references at `threads`
+/// workers: the same plan walked in retention mode (leaves tagged
+/// eagerly, every stage on the `TupleStream` row kernels) and the eager
+/// interpreter. The production run must be byte-identical to the row
+/// walk (data, tags *and* tuple order) and tag-set-equal to the eager
+/// reference. Rejections must agree in error kind across all three.
 pub fn assert_batch_matches(
     scenario: &Scenario,
     expr: &str,
@@ -168,17 +169,28 @@ pub fn assert_batch_matches(
 ) {
     let registry = polygen::lqp::scenario_registry(scenario);
     let iom = compile(expr, scenario.dictionary.schema());
-    let opts = |batch: Option<bool>| ExecOptions {
+    let opts = |retain: bool| ExecOptions {
         conflict_policy: policy,
-        retain_intermediates: false,
+        retain_intermediates: retain,
         threads,
         partitions: threads,
-        batch,
         ..ExecOptions::default()
     };
-    let eager = execute_eager(&iom, &registry, &scenario.dictionary, opts(None));
-    let row = execute(&iom, &registry, &scenario.dictionary, opts(Some(false)));
-    let batch = execute(&iom, &registry, &scenario.dictionary, opts(Some(true)));
+    let eager = execute_eager(&iom, &registry, &scenario.dictionary, opts(false));
+    let plan = lower_plan(
+        &iom,
+        &registry,
+        &scenario.dictionary,
+        LowerOptions::default(),
+    );
+    let (row, batch) = match plan {
+        Ok(plan) => {
+            let run =
+                |retain| execute_plan(&plan, &registry, &scenario.dictionary, None, opts(retain));
+            (run(true), run(false))
+        }
+        Err(e) => (Err(e.clone()), Err(e)),
+    };
     match (eager, row, batch) {
         (Ok((eager, _)), Ok((row, _)), Ok((batch, _))) => {
             assert!(
@@ -190,13 +202,13 @@ pub fn assert_batch_matches(
             assert_eq!(
                 row.tuples(),
                 batch.tuples(),
-                "batch({threads}) is not byte-identical to the row engine on `{expr}`"
+                "batch({threads}) is not byte-identical to the row walk on `{expr}`"
             );
         }
         (Err(ee), Err(re), Err(be)) => {
             assert!(
                 same_error_kind(&ee, &re),
-                "eager and row engine reject `{expr}` differently:\n eager: {ee}\n row: {re}"
+                "eager and row walk reject `{expr}` differently:\n eager: {ee}\n row: {re}"
             );
             assert!(
                 same_error_kind(&ee, &be),

@@ -281,8 +281,10 @@ fn between_folds_into_a_range_probe_with_residual() {
 /// Columnar annotation, chosen: a stage chain directly over a
 /// lone-consumer Scan leaf is batch-eligible (the restrict itself folds
 /// into the scan descriptor, the trailing Project runs columnar), and
-/// EXPLAIN says so with `[batch]`. The marker is plan-shape only —
-/// `POLYGEN_BATCH=0` still runs such a plan on the row engine.
+/// EXPLAIN says so with `[batch]`. The marker is the routing itself:
+/// the executor asks the same `is_batch_pipeline` predicate, so a
+/// marked node runs on `ColumnBatch` (only retention mode, which has no
+/// late-tagged leaves, walks it as rows).
 #[test]
 fn eligible_leaf_pipeline_announces_batch() {
     assert_snapshot(

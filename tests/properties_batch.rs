@@ -1,18 +1,17 @@
 //! Differential property tests for columnar batch execution with late
 //! tag materialization.
 //!
-//! The guarantee under test: **the batch engine is invisible**. For
-//! random federations, policies and thread counts, a plan whose eligible
-//! pipelines run on `ColumnBatch` kernels must produce output
-//! *byte-identical* — data, origin tags, intermediate tags, and tuple
-//! order — to the row engine forced on the same plan, and tag-set-equal
-//! to the eager reference interpreter; rejections must agree in error
-//! kind. The same holds through index-routed probes (batch ordinals)
-//! and across a mid-run source update in the serving layer.
-//!
-//! CI runs the whole test suite under `POLYGEN_BATCH=0` and `=1` (and
-//! `POLYGEN_THREADS=1`/`=4`); this suite additionally forces both
-//! engines explicitly so every leg diffs them against each other.
+//! The guarantee under test: **the batch kernels are invisible**. The
+//! plan alone decides which pipelines run on `ColumnBatch`
+//! (`PhysicalPlan::is_batch_pipeline`: eligible stages over a leaf), so
+//! the reference is not a switch but the same plan walked in retention
+//! mode — leaves tagged eagerly, every stage on the `TupleStream` row
+//! kernels. For random federations, policies and thread counts the
+//! production run must be *byte-identical* to that walk — data, origin
+//! tags, intermediate tags, and tuple order — and tag-set-equal to the
+//! eager reference interpreter; rejections must agree in error kind.
+//! The same holds through index-routed probes (batch ordinals) and
+//! across a mid-run source update in the serving layer.
 
 mod common;
 
@@ -166,9 +165,9 @@ fn paper_query_is_identical_under_batch_execution() {
     }
 }
 
-/// Shapes around the batch path's edges: shared leaves (both engines
-/// must fall back identically), set operations, θ fallback, lone
-/// projects, and empty results.
+/// Shapes around the batch path's edges: shared leaves, set operations,
+/// θ fallback, lone projects, empty results — and two leaf pipelines
+/// with several survivors, so emission order is under test.
 #[test]
 fn edge_shapes_agree_under_batch_execution() {
     let s = scenario::build();
@@ -180,6 +179,8 @@ fn edge_shapes_agree_under_batch_execution() {
         "PCAREER [AID# = ONAME] [AID#, POSITION]",
         "PALUMNUS [DEGREE = \"NOPE\"] [ANAME]",
         "PALUMNUS [ANAME]",
+        "PALUMNUS [DEGREE = \"MBA\"] [ANAME]",
+        "PALUMNUS [DEGREE = \"MBA\"] [MAJOR = \"IS\"]",
     ] {
         for threads in THREAD_COUNTS {
             assert_batch_matches(&s, expr, ConflictPolicy::Strict, threads);
@@ -187,9 +188,9 @@ fn edge_shapes_agree_under_batch_execution() {
     }
 }
 
-/// Index-routed plans under the batch engine: the probe hands the
-/// pipeline a gathered batch (ordinals, not a relation), and the answer
-/// stays byte-identical to the row engine over the same routed plan.
+/// Index-routed plans: the probe hands the pipeline a gathered batch
+/// (ordinals, not a relation), and the answer stays byte-identical to
+/// the row walk over the same routed plan.
 #[test]
 fn indexed_probes_feed_batches_byte_identically() {
     let config = small_config(0xbead, 3, 120);
@@ -199,17 +200,11 @@ fn indexed_probes_feed_batches_byte_identically() {
         IndexSpec::sorted("S0", "DETAIL", "DSCORE"),
     ];
     for threads in THREAD_COUNTS {
-        let mk = |batch: bool| {
-            let pqp = Pqp::for_scenario(&scenario).with_options(
-                PqpOptions::default()
-                    .with_threads(threads)
-                    .with_batch(batch),
-            );
-            let catalog =
-                Arc::new(IndexCatalog::build(&specs, pqp.registry(), pqp.dictionary()).unwrap());
-            pqp.with_indexes(catalog)
-        };
-        let (row, batch) = (mk(false), mk(true));
+        let pqp =
+            Pqp::for_scenario(&scenario).with_options(PqpOptions::default().with_threads(threads));
+        let catalog =
+            Arc::new(IndexCatalog::build(&specs, pqp.registry(), pqp.dictionary()).unwrap());
+        let pqp = pqp.with_indexes(Arc::clone(&catalog));
         for expr in [
             point_lookup(17),
             point_lookup(9_999_999),
@@ -217,14 +212,26 @@ fn indexed_probes_feed_batches_byte_identically() {
             range_scan(60, 20),
             "PDETAIL [SCORE >= 30] [ENAME, SCORE]".to_string(),
         ] {
-            let a = row.query_algebra(&expr).unwrap();
-            let b = batch.query_algebra(&expr).unwrap();
+            let b = pqp.query_algebra(&expr).unwrap();
             assert!(
                 b.compiled.physical.index_scans() > 0 || expr.contains(">= 30"),
                 "probe shapes must route: `{expr}`"
             );
+            let (row, _) = execute_plan(
+                &b.compiled.physical,
+                pqp.registry(),
+                pqp.dictionary(),
+                Some(&catalog),
+                ExecOptions {
+                    retain_intermediates: true,
+                    threads,
+                    partitions: threads,
+                    ..ExecOptions::default()
+                },
+            )
+            .unwrap();
             assert_eq!(
-                a.answer.tuples(),
+                row.tuples(),
                 b.answer.tuples(),
                 "batch diverged on routed `{expr}` (threads = {threads})"
             );
@@ -232,9 +239,11 @@ fn indexed_probes_feed_batches_byte_identically() {
     }
 }
 
-/// Service-level: a batch-engine service returns byte-identical answers
-/// to a row-engine baseline across a mid-run source update (which swaps
-/// snapshots and rebuilds the updated source's indexes under it).
+/// Service-level: an indexed, cached service — whose point and range
+/// pipelines run on the batch kernels — returns byte-identical answers
+/// to a row-walk baseline (a retention-mode engine: full scans, eager
+/// tags, `TupleStream` kernels) across a mid-run source update, which
+/// swaps snapshots and rebuilds the updated source's indexes under it.
 #[test]
 fn batch_service_is_invisible_across_source_update() {
     let config = small_config(0xcafe, 3, 96);
@@ -243,20 +252,9 @@ fn batch_service_is_invisible_across_source_update() {
         IndexSpec::hash("S0", "DETAIL", "DNAME"),
         IndexSpec::sorted("S0", "DETAIL", "DSCORE"),
     ];
-    let batch = QueryService::for_scenario(
-        &scenario,
-        ServeOptions::default().with_pqp(PqpOptions::default().with_batch(true)),
-    )
-    .with_index_specs(&specs)
-    .unwrap();
-    let row = QueryService::for_scenario(
-        &scenario,
-        ServeOptions::default()
-            .without_caches()
-            .with_pqp(PqpOptions::default().with_batch(false)),
-    )
-    .with_index_specs(&specs)
-    .unwrap();
+    let service = QueryService::for_scenario(&scenario, ServeOptions::default())
+        .with_index_specs(&specs)
+        .unwrap();
     let mix = ClientMix::default()
         .with_seed(0xfeed)
         .with_clients(3)
@@ -264,57 +262,49 @@ fn batch_service_is_invisible_across_source_update() {
         .with_entities(96)
         .with_weights(MixWeights::with_index_lookups(6, 4));
     // A deterministic upstream refresh: shift every DETAIL score.
-    let refreshed: Vec<_> = scenario
-        .database("S0")
-        .expect("S0 exists")
-        .relations
-        .iter()
-        .map(|rel| {
-            if rel.name() != "DETAIL" {
-                return rel.clone();
-            }
-            let attrs: Vec<&str> = rel.schema().attrs().iter().map(|a| a.as_ref()).collect();
-            let mut b = polygen::flat::relation::Relation::build(rel.name(), &attrs).key(&["DID"]);
-            for row in rel.rows() {
-                let mut row = row.clone();
-                if let Value::Int(v) = row[2] {
-                    row[2] = Value::int((v + 37).rem_euclid(100));
-                }
-                b = b.vrow(row);
-            }
-            b.finish().expect("refreshed DETAIL rebuilds")
-        })
-        .collect();
-    let serve = |service: &QueryService, q: &polygen::workload::ClientQuery| {
-        match q.lang {
-            QueryLang::Sql => service.query(&q.text),
-            QueryLang::Algebra => service.query_algebra(&q.text),
+    let mut refreshed = scenario.clone();
+    let s0 = refreshed
+        .databases
+        .iter_mut()
+        .find(|d| d.name == "S0")
+        .expect("S0 exists");
+    for rel in &mut s0.relations {
+        if rel.name() != "DETAIL" {
+            continue;
         }
-        .unwrap_or_else(|e| panic!("query `{}` failed: {e}", q.text))
-        .answer
-    };
-    let batch_before = replay(&mix, |_, q| serve(&batch, q));
-    batch.update_source_relations("S0", refreshed.clone());
-    let batch_after = replay(&mix, |_, q| serve(&batch, q));
-
-    let row_before = replay(&mix, |_, q| serve(&row, q));
-    row.update_source_relations("S0", refreshed);
-    let row_after = replay(&mix, |_, q| serve(&row, q));
-
-    for (phase, (got, want)) in [
-        (batch_before.per_client, row_before.per_client),
-        (batch_after.per_client, row_after.per_client),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        for (c, (cc, ss)) in got.iter().zip(&want).enumerate() {
-            for (i, (a, b)) in cc.iter().zip(ss).enumerate() {
-                assert_eq!(
-                    &**a, &**b,
-                    "phase {phase} client {c} query {i}: batch service diverged"
-                );
+        let attrs: Vec<&str> = rel.schema().attrs().iter().map(|a| a.as_ref()).collect();
+        let mut b = polygen::flat::relation::Relation::build(rel.name(), &attrs).key(&["DID"]);
+        for row in rel.rows() {
+            let mut row = row.clone();
+            if let Value::Int(v) = row[2] {
+                row[2] = Value::int((v + 37).rem_euclid(100));
             }
+            b = b.vrow(row);
         }
+        *rel = b.finish().expect("refreshed DETAIL rebuilds");
+    }
+    for (phase, sc) in [&scenario, &refreshed].into_iter().enumerate() {
+        if phase == 1 {
+            let s0 = sc.database("S0").expect("S0 exists");
+            service.update_source_relations("S0", s0.relations.clone());
+        }
+        let row = Pqp::for_scenario(sc).with_options(PqpOptions {
+            retain_intermediates: true,
+            ..PqpOptions::default()
+        });
+        replay(&mix, |c, q| {
+            let (got, want) = match q.lang {
+                QueryLang::Sql => (service.query(&q.text), row.query(&q.text)),
+                QueryLang::Algebra => (service.query_algebra(&q.text), row.query_algebra(&q.text)),
+            };
+            let got = got.unwrap_or_else(|e| panic!("query `{}` failed: {e}", q.text));
+            let want = want.unwrap_or_else(|e| panic!("row walk of `{}` failed: {e}", q.text));
+            assert_eq!(
+                got.answer.tuples(),
+                want.answer.tuples(),
+                "phase {phase} client {c} query `{}`: service diverged from the row walk",
+                q.text
+            );
+        });
     }
 }

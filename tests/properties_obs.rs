@@ -4,7 +4,8 @@
 //!
 //! * Executing with an enabled trace recorder must be byte-identical to
 //!   executing with a disabled one — same tuples, same order, same tags,
-//!   same rejections — across thread counts and both execution engines.
+//!   same rejections — across thread counts — and its pipeline spans
+//!   must name the kernel the plan chose.
 //! * An enabled run's span tree must be well formed (every span closed,
 //!   parents enclosing children), with exactly one executor span per
 //!   physical node.
@@ -43,11 +44,15 @@ const COVERAGE_EXPRESSIONS: &[&str] = &[
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random expressions over random federations, executed with the
-    /// recorder off and on, across thread counts and both engines: the
-    /// answers must be byte-identical (tuple order included) and agree
-    /// with the eager reference; rejections must agree in error kind.
-    /// The enabled run's span tree must be well formed every time.
+    /// Random expressions over random federations (plus one fixed leaf
+    /// pipeline, so a batch node is always present), executed with the
+    /// recorder off and on across thread counts: the answers must be
+    /// byte-identical (tuple order included) and agree with the eager
+    /// reference; rejections must agree in error kind. The enabled
+    /// run's span tree must be well formed every time, and its
+    /// `exec/Pipeline` spans must show the executor obeying the plan:
+    /// `kernel = "batch"` exactly on the plan's batch pipelines, and
+    /// `"row"` everywhere under retention.
     #[test]
     fn tracing_is_invisible_to_results(
         fed_seed in any::<u64>(),
@@ -57,41 +62,68 @@ proptest! {
     ) {
         let config = small_config(fed_seed, sources, 50);
         let sc = workload::generate(&config);
-        let expr = workload::queries::random_expression(&config, query_seed, depth);
+        let random = workload::queries::random_expression(&config, query_seed, depth);
         let registry = scenario_registry(&sc);
-        let iom = compile(&expr.to_string(), sc.dictionary.schema());
-        for threads in [1usize, 4] {
-            for batch in [false, true] {
-                let opts = |trace: Trace| ExecOptions {
+        for expr in [random.to_string(), "PDETAIL [SCORE >= 30] [ENAME, SCORE]".to_string()] {
+            let iom = compile(&expr, sc.dictionary.schema());
+            let plan = lower_plan(&iom, &registry, &sc.dictionary, LowerOptions::default());
+            for threads in [1usize, 4] {
+                let opts = |trace: Trace, retain: bool| ExecOptions {
+                    retain_intermediates: retain,
                     threads,
                     partitions: threads,
-                    batch: Some(batch),
                     trace,
                     ..ExecOptions::default()
                 };
-                let eager =
-                    execute_eager(&iom, &registry, &sc.dictionary, opts(Trace::disabled()));
-                let off = execute(&iom, &registry, &sc.dictionary, opts(Trace::disabled()));
+                let run = |trace: Trace, retain: bool| {
+                    let plan = plan.as_ref().map_err(Clone::clone)?;
+                    execute_plan(plan, &registry, &sc.dictionary, None, opts(trace, retain))
+                };
+                let eager = execute_eager(
+                    &iom,
+                    &registry,
+                    &sc.dictionary,
+                    opts(Trace::disabled(), false),
+                );
+                let off = run(Trace::disabled(), false);
                 let recorder = Trace::enabled();
-                let on = execute(&iom, &registry, &sc.dictionary, opts(recorder.clone()));
+                let on = run(recorder.clone(), false);
                 match (eager, off, on) {
                     (Ok((eager, _)), Ok((off, _)), Ok((on, _))) => {
                         prop_assert_eq!(
                             off.tuples(),
                             on.tuples(),
-                            "tracing changed the answer for `{}` (threads={}, batch={})",
-                            expr, threads, batch
+                            "tracing changed the answer for `{}` (threads={})",
+                            expr, threads
                         );
                         prop_assert!(
                             eager.tagged_set_eq(&on),
-                            "traced run diverges from eager on `{}` (threads={}, batch={})",
-                            expr, threads, batch
+                            "traced run diverges from eager on `{}` (threads={})",
+                            expr, threads
                         );
                         let report = recorder.report().expect("enabled recorder reports");
                         if let Err(e) = report.well_formed() {
-                            panic!(
-                                "malformed span tree for `{expr}` \
-                                 (threads={threads}, batch={batch}): {e}"
+                            panic!("malformed span tree for `{expr}` (threads={threads}): {e}");
+                        }
+                        let plan = plan.as_ref().expect("the plan ran");
+                        for sp in report.spans_named("exec/Pipeline") {
+                            let node = sp.note_uint("node").expect("node index") as usize;
+                            prop_assert_eq!(
+                                sp.note_str("kernel") == Some("batch"),
+                                plan.is_batch_pipeline(node),
+                                "node #{} of `{}` ran `{:?}` against the plan (threads={})",
+                                node, expr, sp.note_str("kernel"), threads
+                            );
+                        }
+                        let retained = Trace::enabled();
+                        run(retained.clone(), true).expect("retention answers what production does");
+                        let report = retained.report().expect("enabled recorder reports");
+                        for sp in report.spans_named("exec/Pipeline") {
+                            prop_assert_eq!(
+                                sp.note_str("kernel"),
+                                Some("row"),
+                                "retention must walk rows on `{}` (threads={})",
+                                expr, threads
                             );
                         }
                     }
@@ -110,7 +142,7 @@ proptest! {
                     (eager, off, on) => {
                         panic!(
                             "engines disagree on success for `{expr}` \
-                             (threads={threads}, batch={batch}): eager {} / off {} / on {}",
+                             (threads={threads}): eager {} / off {} / on {}",
                             eager.is_ok(),
                             off.is_ok(),
                             on.is_ok()

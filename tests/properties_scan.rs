@@ -6,7 +6,8 @@
 //! answer must be byte-identical (data, origin tags, intermediate tags,
 //! tuple order, error kinds) to the eager reference interpreter and to
 //! the same plan run over `execute_tagged`-materialized leaves (retention
-//! mode), on every thread count and with the batch engine on or off.
+//! mode, which also walks every pipeline on the row kernels), on every
+//! thread count.
 //!
 //! The federations here are deliberately hostile where the synthetic
 //! workload generator is clean: domain rules that collapse rows, nil and
@@ -225,9 +226,11 @@ const QUERIES: [&str; 12] = [
     "PD MINUS (PD [DK = DV])",
 ];
 
-/// Every physical configuration of one compiled plan — threads × batch ×
-/// retention — must produce the same bytes, equal to the eager
-/// reference; rejections must agree in kind everywhere.
+/// Every physical configuration of one compiled plan — threads ×
+/// retention (the production kernels, batch pipelines included, vs the
+/// row walk over eagerly tagged leaves) — must produce the same bytes,
+/// equal to the eager reference; rejections must agree in kind
+/// everywhere.
 fn assert_late_tagging_invisible(
     sc: &Scenario,
     expr: &str,
@@ -260,36 +263,34 @@ fn assert_late_tagging_invisible(
         (Err(pe), Ok(_)) => panic!("`{expr}` lowers with {pe} but the reference answers"),
     };
     for threads in THREAD_COUNTS {
-        for batch in [true, false] {
-            for retain in [false, true] {
-                let got = execute_plan(
-                    &plan,
-                    &registry,
-                    &sc.dictionary,
-                    ExecOptions {
-                        conflict_policy: policy,
-                        retain_intermediates: retain,
-                        threads,
-                        partitions: threads,
-                        batch: Some(batch),
-                        ..ExecOptions::default()
-                    },
-                );
-                let leg = format!("`{expr}` threads={threads} batch={batch} retain={retain}");
-                match (&eager, got) {
-                    (Ok((want, _)), Ok((got, _))) => {
-                        assert_eq!(want.schema().attrs(), got.schema().attrs(), "{leg}");
-                        assert_eq!(want.tuples(), got.tuples(), "{leg}");
-                    }
-                    (Err(want), Err(got)) => {
-                        assert!(same_error_kind(want, &got), "{leg}: {want} vs {got}")
-                    }
-                    (want, got) => panic!(
-                        "{leg}: reference {} but engine {}",
-                        want.as_ref().map(|_| "answers").unwrap_or("rejects"),
-                        got.map(|_| "answers").unwrap_or("rejects"),
-                    ),
+        for retain in [false, true] {
+            let got = execute_plan(
+                &plan,
+                &registry,
+                &sc.dictionary,
+                None,
+                ExecOptions {
+                    conflict_policy: policy,
+                    retain_intermediates: retain,
+                    threads,
+                    partitions: threads,
+                    ..ExecOptions::default()
+                },
+            );
+            let leg = format!("`{expr}` threads={threads} retain={retain}");
+            match (&eager, got) {
+                (Ok((want, _)), Ok((got, _))) => {
+                    assert_eq!(want.schema().attrs(), got.schema().attrs(), "{leg}");
+                    assert_eq!(want.tuples(), got.tuples(), "{leg}");
                 }
+                (Err(want), Err(got)) => {
+                    assert!(same_error_kind(want, &got), "{leg}: {want} vs {got}")
+                }
+                (want, got) => panic!(
+                    "{leg}: reference {} but engine {}",
+                    want.as_ref().map(|_| "answers").unwrap_or("rejects"),
+                    got.map(|_| "answers").unwrap_or("rejects"),
+                ),
             }
         }
     }
