@@ -26,12 +26,12 @@
 //! `BENCH_sys.json` (see `.github/workflows/ci.yml`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use polygen_core::relation::PolygenRelation;
+use polygen_net::request_for;
 use polygen_serve::prelude::*;
 use polygen_serve::sys;
 use polygen_workload::queries::{paper_shaped_sql, sys_sessions_query, sys_stats_query};
-use polygen_workload::{
-    self as workload, drive, ClientMix, ClientQuery, QueryLang, WorkloadConfig,
-};
+use polygen_workload::{self as workload, drive, ClientMix, ClientQuery, WorkloadConfig};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,6 +43,14 @@ const SYS_QUERIES_SQL: &str =
 /// cache probes, small enough for CI sampling mode.
 fn bench_config() -> WorkloadConfig {
     WorkloadConfig::default().with_sources(3).with_entities(512)
+}
+
+/// Serve a request that must answer rows: the answer and its info.
+fn rows(service: &QueryService, request: Request) -> (Arc<PolygenRelation>, ResponseInfo) {
+    match service.execute(request) {
+        Response::Rows { answer, info } => (answer, info),
+        other => panic!("expected rows, got {other:?}"),
+    }
 }
 
 /// A service left warm by closed-loop traffic, with declared indexes
@@ -59,13 +67,7 @@ fn warmed_service() -> QueryService {
         .with_clients(3)
         .with_queries_per_client(8);
     drive(&mix, |_, q: &ClientQuery| {
-        match q.lang {
-            QueryLang::Sql => service.query(&q.text),
-            QueryLang::Algebra => service.query_algebra(&q.text),
-        }
-        .unwrap()
-        .answer
-        .len()
+        rows(&service, request_for(q)).0.len()
     });
     // Seal a few rollup windows so `sys.stats` has more than the
     // half-open head.
@@ -99,9 +101,12 @@ fn cached_path_gate() {
 
     let service = warmed_service();
     let sql = paper_shaped_sql(0);
-    let out = service.query(&sql).unwrap();
-    assert!(service.query(&sql).unwrap().result_hit, "path must be warm");
-    black_box(out.answer.len());
+    let (out, _) = rows(&service, Request::sql(&sql));
+    assert!(
+        rows(&service, Request::sql(&sql)).1.result_hit,
+        "path must be warm"
+    );
+    black_box(out.len());
 
     // Per-probe cost on the plan's actual read set.
     let pqp = Pqp::for_scenario(&workload::generate(&bench_config()));
@@ -121,9 +126,9 @@ fn cached_path_gate() {
     for _ in 0..ROUNDS {
         best_hit = best_hit.min(round(
             || {
-                let out = service.query(black_box(&sql)).unwrap();
-                assert!(out.result_hit);
-                black_box(out.answer.len());
+                let (out, info) = rows(&service, Request::sql(black_box(&sql)));
+                assert!(info.result_hit);
+                black_box(out.len());
             },
             PER,
         ));
@@ -216,7 +221,7 @@ fn catalog_vs_user(c: &mut Criterion) {
     let service = warmed_service();
     let parked: Vec<Session<'_>> = (0..64).map(|_| service.open_session()).collect();
     let user_sql = paper_shaped_sql(0);
-    service.query(&user_sql).unwrap(); // warm plan + result
+    rows(&service, Request::sql(&user_sql)); // warm plan + result
 
     let mut g = c.benchmark_group("sys/vs_user");
     g.sample_size(20);
@@ -227,20 +232,20 @@ fn catalog_vs_user(c: &mut Criterion) {
     ] {
         // Warm the *plan* (catalog plans cache like any other; only
         // the result is never cached).
-        service.query(&sql).unwrap();
+        rows(&service, Request::sql(&sql));
         g.bench_function(name, |b| {
             b.iter(|| {
-                let out = service.query(black_box(&sql)).unwrap();
-                assert!(!out.result_hit, "catalog answers bypass the result cache");
-                out.answer.len()
+                let (out, info) = rows(&service, Request::sql(black_box(&sql)));
+                assert!(!info.result_hit, "catalog answers bypass the result cache");
+                out.len()
             })
         });
     }
     g.bench_function("user_result_hit", |b| {
         b.iter(|| {
-            let out = service.query(black_box(&user_sql)).unwrap();
-            assert!(out.result_hit);
-            out.answer.len()
+            let (out, info) = rows(&service, Request::sql(black_box(&user_sql)));
+            assert!(info.result_hit);
+            out.len()
         })
     });
     // A user query that executes every time (plan cached, results off):
@@ -249,12 +254,12 @@ fn catalog_vs_user(c: &mut Criterion) {
         &workload::generate(&bench_config()),
         ServeOptions::default().with_caches(64, 0),
     );
-    executing.query(&user_sql).unwrap(); // warm the plan
+    rows(&executing, Request::sql(&user_sql)); // warm the plan
     g.bench_function("user_executed", |b| {
         b.iter(|| {
-            let out = executing.query(black_box(&user_sql)).unwrap();
-            assert!(out.plan_hit && !out.result_hit);
-            out.answer.len()
+            let (out, info) = rows(&executing, Request::sql(black_box(&user_sql)));
+            assert!(info.plan_hit && !info.result_hit);
+            out.len()
         })
     });
     g.finish();

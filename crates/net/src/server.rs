@@ -39,6 +39,7 @@ use crate::protocol::{
 };
 use crate::sys::{self, AsSockId, Event, Interest, Poller, WakeReceiver, Waker};
 use polygen_obs::session::SessionStats;
+use polygen_obs::slowlog::QueryDetail;
 use polygen_obs::trace::Trace;
 use polygen_serve::request::Request;
 use polygen_serve::service::QueryService;
@@ -288,40 +289,45 @@ impl Drop for NetServer {
 struct Job {
     token: u64,
     request: Request,
-    /// The connection's live-session entry: the worker brackets
-    /// execution with `begin_query`/`finish_query` so `sys.sessions`
-    /// shows what each wire connection is running *right now*.
+    /// The connection's live-session entry: the service accounts the
+    /// request to it, so `sys.sessions` shows what each wire connection
+    /// is running *right now*.
     stats: Arc<SessionStats>,
     decode_start: Instant,
     decode_done: Instant,
 }
 
-/// A traced request's recorder, riding the completion back to the
-/// poller so the response-flush span and the slow-log observation can
-/// happen where flushing actually happens.
-struct InFlightTrace {
+/// A served request on its way to the slow-query log: the facts the
+/// service computed and the recorder it ran under, riding the completion
+/// back to the poller so the response-flush span and the observation
+/// happen where flushing actually happens. (The recorder is disabled —
+/// every span a no-op — unless the request asked for a trace.)
+struct Served {
     trace: Trace,
     query: String,
     started: Instant,
+    detail: QueryDetail,
 }
 
-/// One encoded response on its way back to the poller.
+/// One encoded response on its way back to the poller; `served` is
+/// `None` for frames that answer no query (a stats scrape).
 struct Completion {
     token: u64,
     bytes: Vec<u8>,
-    trace: Option<InFlightTrace>,
+    served: Option<Served>,
 }
 
 /// Worker: pull a job, execute it (admission control happens inside
-/// `execute`), hand the encoded frames back, nudge the poller. The lock
-/// is held only around `recv` — never across query execution.
+/// the service), hand the encoded frames back, nudge the poller. The
+/// lock is held only around `recv` — never across query execution.
 ///
 /// A request with `options.trace` set runs under an enabled recorder:
 /// the worker stamps the wire-side `net/decode` and `net/queue` spans
 /// (root-level, from the job's instants), the service nests its
-/// parse/plan/execute waterfall under `execute_traced`, and the
-/// recorder rides the completion so the poller can close the loop with
-/// `net/flush` once the response drains.
+/// parse/plan/execute waterfall under `execute_traced` — which also
+/// accounts the request to the connection's `sys.sessions` row — and
+/// the recorder rides the completion so the poller can close the loop
+/// with `net/flush` once the response drains.
 fn worker_loop(
     service: Arc<QueryService>,
     stop: Arc<AtomicBool>,
@@ -345,22 +351,9 @@ fn worker_loop(
         } else {
             Trace::disabled()
         };
-        let in_flight = trace.is_enabled().then(|| {
-            let picked = Instant::now();
-            trace.record_closed("net/decode", job.decode_start, job.decode_done);
-            trace.record_closed("net/queue", job.decode_done, picked);
-            InFlightTrace {
-                trace: trace.clone(),
-                query: job.request.text.clone(),
-                started: job.decode_start,
-            }
-        });
-        job.stats
-            .begin_query(&job.request.text, job.request.lang.label());
-        let response = service.execute_traced(job.request, &trace);
-        let rows = response.rows().map_or(0, |r| r.len() as u64);
-        job.stats
-            .finish_query(rows, response.error_code().is_some());
+        trace.record_closed("net/decode", job.decode_start, job.decode_done);
+        trace.record_closed("net/queue", job.decode_done, Instant::now());
+        let (response, detail) = service.execute_traced(&job.request, &trace, Some(&job.stats));
         let mut bytes = Vec::new();
         for frame in response_frames(&response) {
             bytes.extend_from_slice(&frame.encode());
@@ -371,7 +364,12 @@ fn worker_loop(
             .push(Completion {
                 token: job.token,
                 bytes,
-                trace: in_flight,
+                served: Some(Served {
+                    trace,
+                    query: job.request.text,
+                    started: job.decode_start,
+                    detail,
+                }),
             });
         waker.wake();
     }
@@ -394,8 +392,8 @@ struct Conn {
     /// Interest currently registered with the poller, to skip no-op
     /// re-registrations.
     registered: Interest,
-    /// A traced request whose response is draining: `flush_start` opens
-    /// the `net/flush` span, closed (and the waterfall fed to the
+    /// A served request whose response is draining: `flush_start` opens
+    /// the `net/flush` span, closed (and the request fed to the
     /// slow-query log) when the outbound buffer empties.
     in_flight: Option<FlushState>,
     /// This connection's entry in the service's live-session registry
@@ -404,10 +402,10 @@ struct Conn {
     stats: Arc<SessionStats>,
 }
 
-/// The tail of a traced request's waterfall, owned by the poller while
+/// The tail of a served request's waterfall, owned by the poller while
 /// the response flushes.
 struct FlushState {
-    trace: InFlightTrace,
+    served: Served,
     flush_start: Instant,
 }
 
@@ -659,11 +657,14 @@ impl<A: Acceptor> PollerLoop<A> {
         for done in ready {
             // A completion for a connection that hung up mid-query
             // finds nobody — tokens are never reused, so it can't be
-            // misdelivered either.
+            // misdelivered either. The query was still served: log it.
             if !self.conns.contains_key(&done.token) {
+                if let Some(served) = done.served {
+                    self.observe(served, Instant::now());
+                }
                 continue;
             }
-            self.enqueue_response(done.token, done.bytes, done.trace);
+            self.enqueue_response(done.token, done.bytes, done.served);
         }
     }
 
@@ -672,7 +673,7 @@ impl<A: Acceptor> PollerLoop<A> {
     /// the peer is not draining, and it is cut off rather than buffered
     /// without bound. (Checking before the append is what allows any
     /// single response to exceed the cap.)
-    fn enqueue_response(&mut self, token: u64, bytes: Vec<u8>, trace: Option<InFlightTrace>) {
+    fn enqueue_response(&mut self, token: u64, bytes: Vec<u8>, served: Option<Served>) {
         let stalled = {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
@@ -690,8 +691,8 @@ impl<A: Acceptor> PollerLoop<A> {
             conn.out.drain(..conn.sent);
             conn.sent = 0;
             conn.out.extend_from_slice(&bytes);
-            conn.in_flight = trace.map(|trace| FlushState {
-                trace,
+            conn.in_flight = served.map(|served| FlushState {
+                served,
                 flush_start: Instant::now(),
             });
         }
@@ -734,21 +735,24 @@ impl<A: Acceptor> PollerLoop<A> {
             }
         }
         if let Some(state) = drained {
-            // The response fully left the socket: close the waterfall
-            // with the flush span and feed it to the slow-query log
-            // (the worker skipped the in-service observation because
-            // it passed its own enabled recorder).
-            let t = state.trace;
-            t.trace
-                .record_closed("net/flush", state.flush_start, Instant::now());
-            self.service
-                .observe_slow(&t.query, t.started.elapsed(), &t.trace);
+            self.observe(state.served, state.flush_start);
         }
         if closed {
             self.close(token, CloseCause::Ordinary);
         } else {
             self.update_interest(token);
         }
+    }
+
+    /// A served request is done with the wire — its response fully left
+    /// the socket, or the peer is gone: close the waterfall with the
+    /// flush span and feed the request, with the facts the service
+    /// computed for it, to the slow-query log.
+    fn observe(&self, s: Served, flush_start: Instant) {
+        s.trace
+            .record_closed("net/flush", flush_start, Instant::now());
+        self.service
+            .observe_slow(&s.query, s.started.elapsed(), &s.trace, s.detail);
     }
 
     /// Drive the frame reader while the connection is idle; dispatch at
@@ -842,9 +846,12 @@ impl<A: Acceptor> PollerLoop<A> {
 
     /// Tear a connection down and record why.
     fn close(&mut self, token: u64, cause: CloseCause) {
-        let Some(conn) = self.conns.remove(&token) else {
+        let Some(mut conn) = self.conns.remove(&token) else {
             return;
         };
+        if let Some(state) = conn.in_flight.take() {
+            self.observe(state.served, state.flush_start);
+        }
         let metrics = self.service.live_metrics();
         if let CloseCause::Backpressure = cause {
             // Best-effort parting shot: whatever fits in the socket

@@ -23,8 +23,10 @@ pub struct QueryDetail {
     /// cache hits).
     pub exec_micros: u64,
     /// Cache outcome label: `"result"` (result-cache hit), `"plan"`
-    /// (plan-cache hit, executed), `"miss"` (compiled and executed),
-    /// or `""` when unknown.
+    /// (plan-cache hit, no result hit), `"miss"` (compiled), or `""`
+    /// when the request never reached a cache. Whether a plan executed
+    /// is `exec_micros`' story — EXPLAIN modes report their plan-cache
+    /// outcome here too.
     pub cache: &'static str,
     /// `(code, mnemonic)` when the query failed.
     pub error: Option<(u16, &'static str)>,

@@ -259,21 +259,29 @@ fn emit_batch(batch: ColumnBatch, projected: bool) -> TupleStream {
     TupleStream::from_relation(rel)
 }
 
-/// The columnar pipeline over a leaf. Parallel runs chunk the row
-/// ordinals contiguously, gather and run the batch kernels per chunk on
-/// scoped workers, and splice the emissions back in chunk order before
-/// a single global duplicate collapse — byte-identical to the
-/// sequential batch (and row) walk.
+/// `par` when a kernel over `tuples` input rows takes its partitioned
+/// twin, `None` when it stays sequential: the options must ask for
+/// parallelism *and* the input must clear [`PARALLEL_MIN_TUPLES`]. The
+/// one dispatch decision — kernels branch on it, spans report it.
+fn fan_out(par: ParallelOptions, tuples: usize) -> Option<ParallelOptions> {
+    (par.is_parallel() && tuples >= PARALLEL_MIN_TUPLES).then_some(par)
+}
+
+/// The columnar pipeline over a leaf. Parallel runs (`par` is `Some`)
+/// chunk the row ordinals contiguously, gather and run the batch kernels
+/// per chunk on scoped workers, and splice the emissions back in chunk
+/// order before a single global duplicate collapse — byte-identical to
+/// the sequential batch (and row) walk.
 fn batch_pipeline(
     base: &BaseRelation,
     stages: &[plan::Stage],
-    par: &ParallelOptions,
+    par: Option<ParallelOptions>,
 ) -> Result<TupleStream, PqpError> {
-    if !par.is_parallel() || base.len() < PARALLEL_MIN_TUPLES {
+    let Some(par) = par else {
         let mut batch = ColumnBatch::from_base(base);
         let projected = run_batch_stages(&mut batch, stages)?;
         return Ok(emit_batch(batch, projected));
-    }
+    };
     let rows = u32::try_from(base.len()).expect("batch rows fit the u32 selection vector");
     let chunks = Partitioner::new(par.partitions).chunk_vec((0..rows).collect());
     let processed = scoped_map(chunks, par.threads, |_, chunk| {
@@ -302,36 +310,32 @@ fn batch_pipeline(
     Ok(TupleStream::from_relation(out))
 }
 
-/// The hash-join kernel for these operands under `par`: partitioned
-/// above the small-input threshold, sequential below (byte-identical).
+/// The hash-join kernel for these operands: partitioned under `par`,
+/// sequential without (byte-identical).
 fn hash_join<L: Operand, R: Operand>(
     l: &L,
     r: &R,
     x: &str,
     y: &str,
     out: &str,
-    par: ParallelOptions,
+    par: Option<ParallelOptions>,
 ) -> Result<PolygenRelation, PolygenError> {
-    if par.is_parallel() && l.len() + r.len() >= PARALLEL_MIN_TUPLES {
-        algebra::hash_equi_join_coalesced_partitioned(l, r, x, y, out, par)
-    } else {
-        algebra::hash_equi_join_coalesced(l, r, x, y, out)
+    match par {
+        Some(par) => algebra::hash_equi_join_coalesced_partitioned(l, r, x, y, out, par),
+        None => algebra::hash_equi_join_coalesced(l, r, x, y, out),
     }
 }
 
-/// The hash-merge kernel for these operands under `par` (see
-/// [`hash_join`]).
+/// The hash-merge kernel for these operands (see [`hash_join`]).
 fn hash_merge<O: Operand>(
     operands: &[O],
     key: &str,
     policy: ConflictPolicy,
-    par: ParallelOptions,
+    par: Option<ParallelOptions>,
 ) -> Result<PolygenRelation, PolygenError> {
-    let total: usize = operands.iter().map(Operand::len).sum();
-    let (merged, _conflicts) = if par.is_parallel() && total >= PARALLEL_MIN_TUPLES {
-        algebra::hash_merge_partitioned(operands, key, policy, par)?
-    } else {
-        algebra::hash_merge(operands, key, policy)?
+    let (merged, _conflicts) = match par {
+        Some(par) => algebra::hash_merge_partitioned(operands, key, policy, par)?,
+        None => algebra::hash_merge(operands, key, policy)?,
     };
     Ok(merged)
 }
@@ -400,6 +404,8 @@ pub fn execute_plan(
     };
     for (i, node) in plan.nodes.iter().enumerate() {
         let span = options.trace.begin(op_span_name(&node.op));
+        // The partitioned dispatch this node actually took, if any.
+        let mut fanned = None;
         let slot = match &node.op {
             PhysOp::Scan { db, op } => leaf(registry.scan(db, op, dictionary)?),
             PhysOp::IndexScan {
@@ -441,7 +447,8 @@ pub fn execute_plan(
                         if !span.is_none() {
                             options.trace.annotate(span, "kernel", Note::str("batch"));
                         }
-                        Slot::Stream(batch_pipeline(&base, stages, &par)?)
+                        fanned = fan_out(par, base.len());
+                        Slot::Stream(batch_pipeline(&base, stages, fanned)?)
                     }
                     input_slot => {
                         if !span.is_none() {
@@ -461,8 +468,10 @@ pub fn execute_plan(
                         };
                         let (prefix, rest) = stages.split_at(cut);
                         let mut s = input_slot.into_stream();
-                        if par.is_parallel() && !prefix.is_empty() && s.len() >= PARALLEL_MIN_TUPLES
-                        {
+                        if !prefix.is_empty() {
+                            fanned = fan_out(par, s.len());
+                        }
+                        if let Some(par) = fanned {
                             // Chunk-parallel prefix over shared tuples:
                             // contiguous chunks run on scoped workers and
                             // concatenate back in input order —
@@ -507,11 +516,12 @@ pub fn execute_plan(
                 // tagged stream.
                 let l = take(&mut slots, &mut remaining, *left);
                 let r = take(&mut slots, &mut remaining, *right);
+                fanned = fan_out(par, l.len() + r.len());
                 let joined = match (l, r) {
-                    (Slot::Leaf(l), Slot::Leaf(r)) => hash_join(&l, &r, x, y, out, par)?,
-                    (Slot::Leaf(l), r) => hash_join(&l, &r.into_relation(), x, y, out, par)?,
-                    (l, Slot::Leaf(r)) => hash_join(&l.into_relation(), &r, x, y, out, par)?,
-                    (l, r) => hash_join(&l.into_relation(), &r.into_relation(), x, y, out, par)?,
+                    (Slot::Leaf(l), Slot::Leaf(r)) => hash_join(&l, &r, x, y, out, fanned)?,
+                    (Slot::Leaf(l), r) => hash_join(&l, &r.into_relation(), x, y, out, fanned)?,
+                    (l, Slot::Leaf(r)) => hash_join(&l.into_relation(), &r, x, y, out, fanned)?,
+                    (l, r) => hash_join(&l.into_relation(), &r.into_relation(), x, y, out, fanned)?,
                 };
                 Slot::Stream(TupleStream::from_relation(joined))
             }
@@ -538,6 +548,7 @@ pub fn execute_plan(
                     .iter()
                     .map(|&idx| take(&mut slots, &mut remaining, idx))
                     .collect();
+                fanned = fan_out(par, taken.iter().map(Slot::len).sum());
                 let names = |k: usize| relabels[k].iter().map(String::as_str).collect::<Vec<_>>();
                 // Relabeling is a schema swap on either carrier — no
                 // cell copies. Merge operands are always leaves, so in
@@ -550,7 +561,7 @@ pub fn execute_plan(
                             .enumerate()
                             .map(|(k, b)| b.rename_attrs(&names(k)))
                             .collect::<Result<Vec<_>, _>>()?;
-                        hash_merge(&operands, key, options.conflict_policy, par)?
+                        hash_merge(&operands, key, options.conflict_policy, fanned)?
                     }
                     None => {
                         let operands = taken
@@ -558,7 +569,7 @@ pub fn execute_plan(
                             .enumerate()
                             .map(|(k, slot)| slot.into_relation().into_renamed_attrs(&names(k)))
                             .collect::<Result<Vec<_>, _>>()?;
-                        hash_merge(&operands, key, options.conflict_policy, par)?
+                        hash_merge(&operands, key, options.conflict_policy, fanned)?
                     }
                 };
                 Slot::Stream(TupleStream::from_relation(merged))
@@ -599,14 +610,13 @@ pub fn execute_plan(
             options
                 .trace
                 .annotate(span, "rows", Note::Uint(slot.len() as u64));
-            match node.partitioning {
-                plan::Partitioning::Serial => {}
-                plan::Partitioning::Chunked { partitions }
-                | plan::Partitioning::Hash { partitions, .. } => {
-                    options
-                        .trace
-                        .annotate(span, "partitions", Note::Uint(partitions as u64));
-                }
+            // From the run, not from `node.partitioning`: that is the
+            // compile-time estimate, and one cached plan runs at every
+            // thread allotment.
+            if let Some(par) = fanned {
+                options
+                    .trace
+                    .annotate(span, "partitions", Note::Uint(par.partitions as u64));
             }
             options.trace.end(span);
         }

@@ -55,7 +55,7 @@ pub mod prelude {
     pub use crate::request::{
         ErrorCode, ExplainOptions, Lang, Request, RequestOptions, Response, ResponseInfo,
     };
-    pub use crate::service::{QueryService, ServeError, ServeOptions, ServeOutcome, Session};
+    pub use crate::service::{QueryService, ServeError, ServeOptions, Session};
     pub use crate::snapshot::{Federation, FederationSnapshot, VersionVector};
     pub use crate::sys::{SysCatalog, SYS_DB};
     pub use polygen_index::{IndexCatalog, IndexKind, IndexSpec};

@@ -1,10 +1,7 @@
 //! The transport-agnostic request/response envelope.
 //!
-//! PR 4's service grew three parallel entry points (`query`,
-//! `query_algebra`, `query_app`), each returning an ad-hoc
-//! [`ServeOutcome`] or a [`ServeError`] whose variants are Rust-only
-//! types — none of which can cross a process boundary. This module
-//! collapses them into one shape:
+//! One shape in, one shape out, and nothing in either that cannot cross
+//! a process boundary:
 //!
 //! * [`Request`] — query text + [`Lang`] + per-request [`RequestOptions`].
 //! * [`Response`] — a serializable enum: [`Response::Rows`] (the tagged
@@ -24,7 +21,7 @@
 //! [`ResponseInfo`], which the wire protocol carries in a *summary* frame
 //! that byte-level comparisons exclude.
 
-use crate::service::{ServeError, ServeOutcome};
+use crate::service::ServeError;
 use polygen_core::relation::PolygenRelation;
 use polygen_federation::aqp::AqpError;
 use polygen_index::IndexError;
@@ -443,24 +440,6 @@ impl Response {
             (Response::Empty, Response::Empty) => true,
             (Response::Error { code: a, .. }, Response::Error { code: b, .. }) => a == b,
             _ => false,
-        }
-    }
-}
-
-impl From<ServeOutcome> for Response {
-    fn from(outcome: ServeOutcome) -> Self {
-        let info = ResponseInfo {
-            canonical: outcome.canonical,
-            fingerprint: outcome.fingerprint,
-            plan_hit: outcome.plan_hit,
-            result_hit: outcome.result_hit,
-            index_routed: outcome.index_routed,
-            threads: outcome.threads,
-            latency_micros: u64::try_from(outcome.latency.as_micros()).unwrap_or(u64::MAX),
-        };
-        Response::Rows {
-            answer: outcome.answer,
-            info,
         }
     }
 }

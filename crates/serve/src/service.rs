@@ -26,6 +26,11 @@
 //!    combined reservation never exceeds the budget beyond the
 //!    one-thread-per-query minimum.
 //!
+//! The EXPLAIN modes walk the same path and skip stages: plan-only
+//! EXPLAIN stops after 4 (and is never admitted — it runs nothing);
+//! EXPLAIN ANALYZE skips 5 and renders the measured plan instead of
+//! returning rows.
+//!
 //! [`PhysicalPlan`]: polygen_pqp::plan::PhysicalPlan
 
 use crate::cache::{PlanCache, PlanEntry, ResultCache, ResultKey};
@@ -34,7 +39,6 @@ use crate::request::{ExplainOptions, Lang, Request, Response, ResponseInfo};
 use crate::snapshot::{Federation, FederationSnapshot};
 use crate::sys::{self, SysCatalog, SYS_DB};
 use polygen_catalog::scenario::Scenario;
-use polygen_core::relation::PolygenRelation;
 use polygen_core::stream::default_thread_count;
 use polygen_federation::app_schema::AppSchema;
 use polygen_federation::aqp::{translate_app_query, AqpError};
@@ -45,8 +49,9 @@ use polygen_lqp::engine::Lqp;
 use polygen_obs::ring::CumulativeMark;
 use polygen_obs::session::{SessionRegistry, SessionStats};
 use polygen_obs::slowlog::{QueryDetail, SlowQueryLog, SlowQueryReport};
-use polygen_obs::trace::{Note, Trace};
+use polygen_obs::trace::{Note, SpanId, Trace};
 use polygen_pqp::error::PqpError;
+use polygen_pqp::executor::{execute_plan, ExecOptions};
 use polygen_pqp::plan::PhysOp;
 use polygen_pqp::pqp::{Pqp, PqpOptions};
 use polygen_sql::normalize::{canonicalize_algebra, canonicalize_sql, NormalizeError};
@@ -117,12 +122,6 @@ impl From<IndexError> for ServeError {
 /// Service configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// The engine options every query runs under (conflict policy,
-    /// optimizer, SQL lowering mode). The service owns the thread knob —
-    /// `pqp.threads` is ignored in favor of the shared budget — and
-    /// forces `retain_intermediates` off (serving keeps answers, not
-    /// paper-table traces).
-    pub pqp: PqpOptions,
     /// Plan-cache capacity in entries; `0` disables plan caching.
     pub plan_cache: usize,
     /// Result-cache capacity in entries; `0` disables result caching.
@@ -150,7 +149,6 @@ pub struct ServeOptions {
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
-            pqp: PqpOptions::default(),
             plan_cache: 256,
             result_cache: 1024,
             max_concurrent: 16,
@@ -193,43 +191,9 @@ impl ServeOptions {
     /// Override the slow-query log knobs (capacity, admission threshold).
     pub fn with_slow_log(mut self, capacity: usize, threshold: Duration) -> Self {
         self.slow_log_capacity = capacity;
-        self.slow_log_threshold_micros = u64::try_from(threshold.as_micros()).unwrap_or(u64::MAX);
+        self.slow_log_threshold_micros = micros(threshold);
         self
     }
-
-    /// Override the engine options.
-    pub fn with_pqp(mut self, pqp: PqpOptions) -> Self {
-        self.pqp = pqp;
-        self
-    }
-}
-
-/// One served answer plus where it came from.
-#[derive(Debug, Clone)]
-pub struct ServeOutcome {
-    /// The tagged composite answer (shared — cache hits alias the cached
-    /// relation rather than cloning cells).
-    pub answer: Arc<PolygenRelation>,
-    /// The canonical query text the caches keyed on.
-    pub canonical: String,
-    /// The physical plan's structural fingerprint.
-    pub fingerprint: u64,
-    /// Was the compiled plan reused from the plan cache?
-    pub plan_hit: bool,
-    /// Was the answer served from the result cache (no execution)?
-    pub result_hit: bool,
-    /// Did the plan route at least one Scan leaf onto a secondary
-    /// index?
-    pub index_routed: bool,
-    /// Worker threads this query was allotted from the shared budget.
-    pub threads: usize,
-    /// Wall-clock service time, admission wait included.
-    pub latency: Duration,
-    /// Time spent waiting for admission, microseconds.
-    pub queue_micros: u64,
-    /// Time spent executing the physical plan, microseconds (0 for
-    /// result-cache hits — nothing executed).
-    pub exec_micros: u64,
 }
 
 /// Admission state: executing and waiting query counts, plus how many
@@ -386,8 +350,7 @@ impl QueryService {
         Self::new(Federation::from_scenario(scenario), options)
     }
 
-    /// Attach an application schema, enabling [`Session::query_app`] /
-    /// [`QueryService::query_app`].
+    /// Attach an application schema, enabling [`Request::app`] requests.
     pub fn with_app_schema(mut self, app_schema: AppSchema) -> Self {
         self.app_schema = Some(app_schema);
         self
@@ -539,7 +502,6 @@ impl QueryService {
         Session {
             service: self,
             stats: self.sys.sessions().register("local"),
-            queries: 0,
         }
     }
 
@@ -584,126 +546,190 @@ impl QueryService {
         )))
     }
 
-    /// Serve one [`Request`] — the transport-agnostic entry point. The
-    /// returned [`Response`] is the same envelope whether the caller is
-    /// in-process, a `polygen-net` wire session, or an example: errors
-    /// come back as [`Response::Error`] with a stable numeric
+    /// Serve one [`Request`] — the one way in, whatever the transport.
+    /// The returned [`Response`] is the same envelope whether the caller
+    /// is in-process, a `polygen-net` wire session, or an example:
+    /// errors come back as [`Response::Error`] with a stable numeric
     /// [`ErrorCode`](crate::request::ErrorCode) (overload included —
     /// shedding is a structured response, never a refusal to answer),
     /// blank text comes back as [`Response::Empty`], and the EXPLAIN
     /// modes return the rendered plan ([`ExplainOptions::Plan`] runs
     /// nothing; [`ExplainOptions::Analyze`] executes under a trace and
     /// renders `est=… act=…` per node). SQL text may also spell the mode
-    /// as a leading `EXPLAIN [ANALYZE]` keyword.
+    /// as a leading `EXPLAIN [ANALYZE]` keyword. The request lands on
+    /// the slow-query log, with a waterfall when it asked for a trace.
     pub fn execute(&self, request: Request) -> Response {
-        self.execute_traced(request, &Trace::disabled())
+        self.execute_observed(&request, None)
     }
 
-    /// [`QueryService::execute`] with a caller-supplied span recorder —
-    /// what the wire front door uses so its decode/queue/flush spans and
-    /// the service's parse/plan/execute spans land on one waterfall. A
-    /// request with `options.trace` set but a disabled handle gets a
-    /// service-owned recorder so the slow-query log still captures a
-    /// waterfall. A caller that passes an *enabled* recorder owns
-    /// slow-log observation (it keeps recording spans — e.g. the wire
-    /// flush — after this returns; see
-    /// [`QueryService::observe_slow`]). Tracing never changes results.
-    pub fn execute_traced(&self, mut request: Request, trace: &Trace) -> Response {
+    /// What an in-process caller gets: a service-owned recorder (enabled
+    /// when the request asks for a trace) and slow-log observation the
+    /// moment the response exists.
+    fn execute_observed(&self, request: &Request, session: Option<&SessionStats>) -> Response {
         let start = Instant::now();
-        let caller_traced = trace.is_enabled();
-        if request.lang == Lang::Sql {
-            peel_explain_prefix(&mut request);
-        }
-        if request.text.trim().is_empty() {
-            return Response::Empty;
-        }
-        let owned;
-        let trace = if request.options.trace && !trace.is_enabled() {
-            owned = Trace::enabled();
-            &owned
+        let trace = if request.options.trace {
+            Trace::enabled()
         } else {
-            trace
+            Trace::disabled()
         };
-        let mut detail = QueryDetail::default();
-        let served = match request.options.explain {
-            ExplainOptions::Plan => self.explain_request(&request),
-            ExplainOptions::Analyze => self.analyze_request(&request, trace),
-            ExplainOptions::Off => {
-                self.serve_traced(&request.text, request.lang, trace)
-                    .map(|outcome| {
-                        detail = QueryDetail {
-                            queue_micros: outcome.queue_micros,
-                            exec_micros: outcome.exec_micros,
-                            cache: if outcome.result_hit {
-                                "result"
-                            } else if outcome.plan_hit {
-                                "plan"
-                            } else {
-                                "miss"
-                            },
-                            error: None,
-                        };
-                        outcome.into()
-                    })
-            }
-        };
-        // Every mode's failures are counted here and nowhere else.
-        let response = served.unwrap_or_else(|e| {
-            detail = self.failed(&e);
-            e.into()
-        });
-        if !caller_traced {
-            self.slow_log
-                .observe_detailed(&request.text, start.elapsed(), trace, detail);
-        }
+        let (response, detail) = self.execute_traced(request, &trace, session);
+        self.observe_slow(&request.text, start.elapsed(), &trace, detail);
         response
     }
 
-    /// Feed a completed request into the slow-query log. Transports
-    /// that call [`QueryService::execute_traced`] with their own
-    /// recorder use this *after* their post-execution spans (response
-    /// flush) close, so the logged waterfall is complete.
-    pub fn observe_slow(&self, query: &str, elapsed: Duration, trace: &Trace) {
-        self.slow_log.observe(query, elapsed, trace);
+    /// [`QueryService::execute`] under the caller's span recorder, for a
+    /// transport whose own spans (wire decode, queue, flush) share the
+    /// waterfall with the service's parse/plan/execute spans. The caller
+    /// owns slow-log observation: it hands the returned [`QueryDetail`]
+    /// to [`QueryService::observe_slow`] once its last span has closed.
+    /// With a `session`, the request is accounted to it — published as
+    /// its in-flight query while it runs, counted when it finishes — so
+    /// an in-process [`Session`] and a wire connection bracket a request
+    /// in one place. Tracing never changes results.
+    pub fn execute_traced(
+        &self,
+        request: &Request,
+        trace: &Trace,
+        session: Option<&SessionStats>,
+    ) -> (Response, QueryDetail) {
+        if let Some(session) = session {
+            session.begin_query(&request.text, request.lang.label());
+        }
+        let mut detail = QueryDetail::default();
+        // Every mode's failures are counted here and nowhere else.
+        let response = self.serve(request, trace, &mut detail).unwrap_or_else(|e| {
+            let code = e.code();
+            self.metrics.record_failure(code);
+            detail.error = Some((code.code(), code.mnemonic()));
+            e.into()
+        });
+        if let Some(session) = session {
+            let rows = response.rows().map_or(0, |r| r.len() as u64);
+            session.finish_query(rows, response.error_code().is_some());
+        }
+        (response, detail)
     }
 
-    /// The EXPLAIN ANALYZE path: admitted like a real query (it executes
-    /// one), compiled through the plan cache, run under an enabled span
-    /// recorder, and rendered as the physical tree with the cost model's
-    /// estimates beside the measured actuals. The result cache is
-    /// bypassed in both directions — the point is fresh measurements,
-    /// and an analyze answer is never materialized for reuse.
-    fn analyze_request(&self, request: &Request, trace: &Trace) -> Result<Response, ServeError> {
+    /// Feed a completed request into the slow-query log, with the detail
+    /// [`QueryService::execute_traced`] returned for it. A blank request
+    /// asked nothing and is not logged.
+    pub fn observe_slow(&self, query: &str, elapsed: Duration, trace: &Trace, detail: QueryDetail) {
+        if !query.trim().is_empty() {
+            self.slow_log
+                .observe_detailed(query, elapsed, trace, detail);
+        }
+    }
+
+    /// The one serving path. The [`ExplainOptions`] mode only decides
+    /// which stages run:
+    ///
+    /// | stage                       | `Plan` | `Analyze`     | `Off`      |
+    /// |-----------------------------|--------|---------------|------------|
+    /// | admission (queue, threads)  | –      | ✓             | ✓          |
+    /// | canonicalize, plan cache    | ✓      | ✓             | ✓          |
+    /// | result-cache probe / insert | –      | –             | ✓          |
+    /// | sys splice, execution       | –      | ✓             | ✓ on a miss |
+    /// | payload                     | plan   | plan, est/act | rows       |
+    ///
+    /// `detail` fills in as stages complete, so a request that fails
+    /// midway still logs the queue wait it paid.
+    fn serve(
+        &self,
+        request: &Request,
+        trace: &Trace,
+        detail: &mut QueryDetail,
+    ) -> Result<Response, ServeError> {
         let start = Instant::now();
-        let queue_span = trace.begin("serve/queue");
-        let permit = self.admission.admit(&self.metrics)?;
-        trace.end(queue_span);
-        self.metrics.record_queue_wait(start.elapsed());
+        let (mode, text) = match request.lang {
+            Lang::Sql => peel_explain_prefix(request.options.explain, &request.text),
+            _ => (request.options.explain, request.text.as_str()),
+        };
+        if text.trim().is_empty() {
+            return Ok(Response::Empty);
+        }
+        // Plan-only EXPLAIN executes nothing, so there is nothing for
+        // admission to bound: no slot, no threads, not a served query.
+        let permit = if mode == ExplainOptions::Plan {
+            None
+        } else {
+            let queue_span = trace.begin("serve/queue");
+            let permit = self.admission.admit(&self.metrics)?;
+            trace.end(queue_span);
+            let queue = start.elapsed();
+            self.metrics.record_queue_wait(queue);
+            detail.queue_micros = micros(queue);
+            Some(permit)
+        };
+        let threads = permit.as_ref().map_or(0, |p| p.threads);
         let snapshot = self.federation.snapshot();
         let parse_span = trace.begin("serve/parse");
-        let canonical = self.canonicalize(&snapshot, &request.text, request.lang)?;
+        let canonical = self.canonicalize(&snapshot, text, request.lang)?;
         trace.end(parse_span);
         let plan_span = trace.begin("serve/plan");
         let (entry, plan_hit) = self.plan_for(&snapshot, canonical)?;
-        if !plan_span.is_none() {
-            trace.annotate(
-                plan_span,
-                "cache",
-                Note::str(if plan_hit { "hit" } else { "miss" }),
-            );
-        }
+        annotate_cache(trace, plan_span, plan_hit);
         trace.end(plan_span);
-        // The act= column needs executor spans even when the caller did
-        // not ask for a full trace — run under our own recorder then.
-        let exec_trace = if trace.is_enabled() {
-            trace.clone()
-        } else {
-            Trace::enabled()
+        detail.cache = if plan_hit { "plan" } else { "miss" };
+        // Close the request — an admitted one counts as a served query —
+        // and describe it.
+        let finish = |result_hit: bool| {
+            let latency = start.elapsed();
+            if permit.is_some() {
+                self.metrics.record_query(latency, result_hit);
+            }
+            ResponseInfo {
+                canonical: entry.canonical.to_string(),
+                fingerprint: entry.fingerprint,
+                plan_hit,
+                result_hit,
+                index_routed: entry.compiled.physical.index_scans() > 0,
+                threads,
+                latency_micros: micros(latency),
+            }
         };
-        // EXPLAIN ANALYZE executes, so a sys-reading plan measures a
-        // real materialization + scan, exactly like a served query.
+        if mode == ExplainOptions::Plan {
+            return Ok(Response::Explain {
+                plan: polygen_pqp::plan::render_plan(&entry.compiled.physical),
+                info: finish(false),
+            });
+        }
+        // Only a plain query touches the result cache: ANALYZE wants
+        // fresh measurements and never materializes an answer for reuse,
+        // and plans that read the sys catalog bypass it in *both*
+        // directions — no probe, no insert, no hit/miss counter movement
+        // — because telemetry must never be served stale, and user-facing
+        // hit rates must not move with catalog traffic.
+        let sys_read = entry.reads.contains(SYS_DB);
+        let fill = match &self.result_cache {
+            Some(cache) if mode == ExplainOptions::Off && !sys_read => {
+                // `plan_for` guarantees the entry's compile-time versions
+                // match this snapshot, so they *are* the key's vector.
+                let key = ResultKey {
+                    fingerprint: entry.fingerprint,
+                    canonical: Arc::clone(&entry.canonical),
+                    versions: entry.compiled_versions.clone(),
+                };
+                let probe_span = trace.begin("serve/result-cache");
+                let hit = cache.get(&key);
+                annotate_cache(trace, probe_span, hit.is_some());
+                trace.end(probe_span);
+                self.metrics.record_result_lookup(hit.is_some());
+                if let Some(answer) = hit {
+                    detail.cache = "result";
+                    return Ok(Response::Rows {
+                        answer,
+                        info: finish(true),
+                    });
+                }
+                Some((cache, key))
+            }
+            _ => None,
+        };
+        // A sys-reading plan executes against an ephemeral successor
+        // snapshot carrying the live catalog rows; everything else runs
+        // on the pinned snapshot unchanged.
         let spliced;
-        let snapshot = if entry.reads.contains(SYS_DB) {
+        let snapshot = if sys_read {
             let sys_span = trace.begin("serve/sys-materialize");
             spliced = self.spliced_sys_snapshot(&snapshot);
             trace.end(sys_span);
@@ -711,41 +737,52 @@ impl QueryService {
         } else {
             snapshot.as_ref()
         };
-        let engine = Pqp::new(
-            Arc::clone(snapshot.dictionary()),
-            Arc::clone(snapshot.registry()),
-        )
-        .with_options(PqpOptions {
-            threads: permit.threads,
-            retain_intermediates: false,
-            ..self.options.pqp
-        })
-        .with_indexes(Arc::clone(snapshot.indexes()));
+        // The act= column needs executor spans even when nobody asked
+        // for a trace — ANALYZE then runs under a recorder of its own.
+        let exec_trace = if mode == ExplainOptions::Analyze && !trace.is_enabled() {
+            Trace::enabled()
+        } else {
+            trace.clone()
+        };
         let exec_span = trace.begin("serve/execute");
         let exec_start = Instant::now();
-        let run = engine.run_compiled_traced(&entry.compiled, &exec_trace);
-        self.metrics.record_execute(exec_start.elapsed());
-        trace.end(exec_span);
-        run?;
-        let report = exec_trace.report().unwrap_or_default();
-        let plan_text = polygen_pqp::explain::render_analyzed_plan(
+        // The snapshot's own catalog: in sync with the plan, because a
+        // plan-cache hit is only served when the entry's compile-time
+        // source versions and index epoch match this snapshot's.
+        let run = execute_plan(
             &entry.compiled.physical,
             snapshot.registry(),
-            &report,
-        );
-        let latency = start.elapsed();
-        self.metrics.record_query(latency, false);
-        Ok(Response::Explain {
-            plan: plan_text,
-            info: ResponseInfo {
-                canonical: entry.canonical.to_string(),
-                fingerprint: entry.fingerprint,
-                plan_hit,
-                result_hit: false,
-                index_routed: entry.compiled.physical.index_scans() > 0,
-                threads: permit.threads,
-                latency_micros: u64::try_from(latency.as_micros()).unwrap_or(u64::MAX),
+            snapshot.dictionary(),
+            Some(snapshot.indexes()),
+            ExecOptions {
+                conflict_policy: engine_options().conflict_policy,
+                threads,
+                trace: exec_trace.clone(),
+                ..ExecOptions::default()
             },
+        );
+        let exec_elapsed = exec_start.elapsed();
+        self.metrics.record_execute(exec_elapsed);
+        trace.end(exec_span);
+        detail.exec_micros = micros(exec_elapsed);
+        let (answer, _) = run?;
+        if mode == ExplainOptions::Analyze {
+            return Ok(Response::Explain {
+                plan: polygen_pqp::explain::render_analyzed_plan(
+                    &entry.compiled.physical,
+                    snapshot.registry(),
+                    &exec_trace.report().unwrap_or_default(),
+                ),
+                info: finish(false),
+            });
+        }
+        let answer = Arc::new(answer);
+        if let Some((cache, key)) = fill {
+            cache.insert(key, Arc::clone(&answer));
+        }
+        Ok(Response::Rows {
+            answer,
+            info: finish(false),
         })
     }
 
@@ -768,240 +805,6 @@ impl QueryService {
         self.slow_log.snapshot()
     }
 
-    /// The EXPLAIN path: canonicalize and compile (or fetch the cached
-    /// plan) against the head snapshot, render the physical plan, run
-    /// nothing. Cheap enough to skip admission — there is no execution
-    /// to bound.
-    fn explain_request(&self, request: &Request) -> Result<Response, ServeError> {
-        let start = Instant::now();
-        let snapshot = self.federation.snapshot();
-        let canonical = self.canonicalize(&snapshot, &request.text, request.lang)?;
-        let (entry, plan_hit) = self.plan_for(&snapshot, canonical)?;
-        Ok(Response::Explain {
-            plan: polygen_pqp::plan::render_plan(&entry.compiled.physical),
-            info: ResponseInfo {
-                canonical: entry.canonical.to_string(),
-                fingerprint: entry.fingerprint,
-                plan_hit,
-                result_hit: false,
-                index_routed: entry.compiled.physical.index_scans() > 0,
-                threads: 0,
-                latency_micros: u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
-            },
-        })
-    }
-
-    /// Serve a polygen-level SQL query.
-    ///
-    /// Deprecated shim kept for in-process convenience: prefer
-    /// [`QueryService::execute`] with [`Request::sql`], which returns
-    /// the wire-stable [`Response`] envelope instead of Rust-only types.
-    pub fn query(&self, sql: &str) -> Result<ServeOutcome, ServeError> {
-        self.serve(sql, Lang::Sql)
-    }
-
-    /// Serve an algebra-notation query.
-    ///
-    /// Deprecated shim: prefer [`QueryService::execute`] with
-    /// [`Request::algebra`].
-    pub fn query_algebra(&self, text: &str) -> Result<ServeOutcome, ServeError> {
-        self.serve(text, Lang::Algebra)
-    }
-
-    /// Serve an *application-level* SQL query through the attached
-    /// application schema (see [`QueryService::with_app_schema`]).
-    ///
-    /// Deprecated shim: prefer [`QueryService::execute`] with
-    /// [`Request::app`].
-    pub fn query_app(&self, sql: &str) -> Result<ServeOutcome, ServeError> {
-        self.serve(sql, Lang::App)
-    }
-
-    /// The one serving path all entry points share — [`execute`] wraps
-    /// its result into the [`Response`] envelope, the legacy shims
-    /// return it raw. Shim queries land on the slow-query log here so
-    /// `sys.queries` sees every entry point ([`execute_traced`] observes
-    /// its own requests with the same detail).
-    ///
-    /// [`execute`]: QueryService::execute
-    /// [`execute_traced`]: QueryService::execute_traced
-    fn serve(&self, text: &str, lang: Lang) -> Result<ServeOutcome, ServeError> {
-        let start = Instant::now();
-        let trace = Trace::disabled();
-        let out = self.serve_traced(text, lang, &trace);
-        let detail = match &out {
-            Ok(o) => QueryDetail {
-                queue_micros: o.queue_micros,
-                exec_micros: o.exec_micros,
-                cache: if o.result_hit {
-                    "result"
-                } else if o.plan_hit {
-                    "plan"
-                } else {
-                    "miss"
-                },
-                error: None,
-            },
-            Err(e) => self.failed(e),
-        };
-        self.slow_log
-            .observe_detailed(text, start.elapsed(), &trace, detail);
-        out
-    }
-
-    /// Count one failed request (shed or error, bucketed by code) and
-    /// describe it for the slow-query log. Each entry point calls this
-    /// once per failure; nothing below them touches the error counters.
-    fn failed(&self, e: &ServeError) -> QueryDetail {
-        self.metrics.record_failure(e.code());
-        QueryDetail {
-            error: Some((e.code().code(), e.code().mnemonic())),
-            ..QueryDetail::default()
-        }
-    }
-
-    /// [`serve`](QueryService::serve) with a span recorder: queue wait,
-    /// parse, plan lookup, result-cache probe, and execution each get a
-    /// span (one branch apiece when the trace is disabled).
-    fn serve_traced(
-        &self,
-        text: &str,
-        lang: Lang,
-        trace: &Trace,
-    ) -> Result<ServeOutcome, ServeError> {
-        let start = Instant::now();
-        let queue_span = trace.begin("serve/queue");
-        let permit = self.admission.admit(&self.metrics)?;
-        trace.end(queue_span);
-        let queue = start.elapsed();
-        self.metrics.record_queue_wait(queue);
-        let snapshot = self.federation.snapshot();
-        self.serve_pinned(&snapshot, text, lang, permit.threads, start, queue, trace)
-    }
-
-    /// The cache-through path, pinned to one snapshot.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_pinned(
-        &self,
-        snapshot: &FederationSnapshot,
-        text: &str,
-        lang: Lang,
-        threads: usize,
-        start: Instant,
-        queue: Duration,
-        trace: &Trace,
-    ) -> Result<ServeOutcome, ServeError> {
-        let parse_span = trace.begin("serve/parse");
-        let canonical = self.canonicalize(snapshot, text, lang)?;
-        trace.end(parse_span);
-        let plan_span = trace.begin("serve/plan");
-        let (entry, plan_hit) = self.plan_for(snapshot, canonical)?;
-        if !plan_span.is_none() {
-            trace.annotate(
-                plan_span,
-                "cache",
-                Note::str(if plan_hit { "hit" } else { "miss" }),
-            );
-        }
-        trace.end(plan_span);
-        let queue_micros = u64::try_from(queue.as_micros()).unwrap_or(u64::MAX);
-        // Plans that read the sys catalog bypass the result cache in
-        // *both* directions — no probe, no insert, no hit/miss counter
-        // movement. Telemetry must never be served stale, and the
-        // bypass keeps user-facing cache-hit rates untouched by
-        // catalog traffic.
-        let sys_read = entry.reads.contains(SYS_DB);
-        // `plan_for` guarantees the entry's compile-time versions match
-        // this snapshot, so they *are* the result key's version vector.
-        let key = ResultKey {
-            fingerprint: entry.fingerprint,
-            canonical: Arc::clone(&entry.canonical),
-            versions: entry.compiled_versions.clone(),
-        };
-        if let (Some(cache), false) = (&self.result_cache, sys_read) {
-            let probe_span = trace.begin("serve/result-cache");
-            let cached = cache.get(&key);
-            if !probe_span.is_none() {
-                trace.annotate(
-                    probe_span,
-                    "cache",
-                    Note::str(if cached.is_some() { "hit" } else { "miss" }),
-                );
-            }
-            trace.end(probe_span);
-            if let Some(answer) = cached {
-                self.metrics.record_result_lookup(true);
-                let latency = start.elapsed();
-                self.metrics.record_query(latency, true);
-                return Ok(ServeOutcome {
-                    answer,
-                    canonical: entry.canonical.to_string(),
-                    fingerprint: entry.fingerprint,
-                    plan_hit,
-                    result_hit: true,
-                    index_routed: entry.compiled.physical.index_scans() > 0,
-                    threads,
-                    latency,
-                    queue_micros,
-                    exec_micros: 0,
-                });
-            }
-            self.metrics.record_result_lookup(false);
-        }
-        // A sys-reading plan executes against an ephemeral successor
-        // snapshot carrying the live catalog rows; everything else runs
-        // on the pinned snapshot unchanged.
-        let spliced;
-        let snapshot = if sys_read {
-            let sys_span = trace.begin("serve/sys-materialize");
-            spliced = self.spliced_sys_snapshot(snapshot);
-            trace.end(sys_span);
-            &spliced
-        } else {
-            snapshot
-        };
-        let engine = Pqp::new(
-            Arc::clone(snapshot.dictionary()),
-            Arc::clone(snapshot.registry()),
-        )
-        .with_options(PqpOptions {
-            threads,
-            retain_intermediates: false,
-            ..self.options.pqp
-        })
-        // The snapshot's catalog: guaranteed in sync with the plan,
-        // because a plan-cache hit is only served when the entry's
-        // compile-time source versions match this snapshot's.
-        .with_indexes(Arc::clone(snapshot.indexes()));
-        let exec_span = trace.begin("serve/execute");
-        let exec_start = Instant::now();
-        let run = engine.run_compiled_traced(&entry.compiled, trace);
-        let exec_elapsed = exec_start.elapsed();
-        self.metrics.record_execute(exec_elapsed);
-        trace.end(exec_span);
-        let (answer, _trace) = run?;
-        let answer = Arc::new(answer);
-        if !sys_read {
-            if let Some(cache) = &self.result_cache {
-                cache.insert(key, Arc::clone(&answer));
-            }
-        }
-        let latency = start.elapsed();
-        self.metrics.record_query(latency, false);
-        Ok(ServeOutcome {
-            answer,
-            canonical: entry.canonical.to_string(),
-            fingerprint: entry.fingerprint,
-            plan_hit,
-            result_hit: false,
-            index_routed: entry.compiled.physical.index_scans() > 0,
-            threads,
-            latency,
-            queue_micros,
-            exec_micros: u64::try_from(exec_elapsed.as_micros()).unwrap_or(u64::MAX),
-        })
-    }
-
     fn canonicalize(
         &self,
         snapshot: &FederationSnapshot,
@@ -1014,25 +817,17 @@ impl QueryService {
                 .scheme(rel)
                 .map(|s| s.attr_names().map(str::to_string).collect())
         };
+        let sql = |text: &str| canonicalize_sql(text, &resolver, engine_options().lowering);
         match lang {
             Lang::Algebra => Ok(canonicalize_algebra(text)?),
-            Lang::Sql => Ok(canonicalize_sql(
-                text,
-                &resolver,
-                self.options.pqp.lowering,
-            )?),
+            Lang::Sql => Ok(sql(text)?),
             Lang::App => {
                 let app_schema = self.app_schema.as_ref().ok_or_else(|| {
                     ServeError::App(AqpError::UnknownAppRelation(
                         "no application schema attached to this service".to_string(),
                     ))
                 })?;
-                let polygen_query = translate_app_query(text, app_schema)?;
-                Ok(canonicalize_sql(
-                    &polygen_query.to_string(),
-                    &resolver,
-                    self.options.pqp.lowering,
-                )?)
+                Ok(sql(&translate_app_query(text, app_schema)?.to_string())?)
             }
         }
     }
@@ -1084,8 +879,7 @@ impl QueryService {
         .with_options(PqpOptions {
             threads: 1,
             partitions: 1,
-            retain_intermediates: false,
-            ..self.options.pqp
+            ..engine_options()
         })
         .with_indexes(Arc::clone(snapshot.indexes()));
         let compiled = compiler.compile(expr)?;
@@ -1151,22 +945,41 @@ impl QueryService {
     }
 }
 
-/// Peel a leading `EXPLAIN` / `EXPLAIN ANALYZE` keyword off SQL text
-/// into the request's [`ExplainOptions`], leaving the inner query as the
-/// text — so the canonical cache key is the same whether the mode came
-/// from the keyword or the options. Case-insensitive, whitespace-robust;
-/// text that merely *contains* the word (e.g. a string literal) is left
-/// alone because the keyword must lead.
-fn peel_explain_prefix(request: &mut Request) {
-    let Some(rest) = strip_leading_keyword(&request.text, "EXPLAIN") else {
-        return;
-    };
-    if let Some(inner) = strip_leading_keyword(rest, "ANALYZE") {
-        request.options.explain = ExplainOptions::Analyze;
-        request.text = inner.to_string();
-    } else {
-        request.options.explain = ExplainOptions::Plan;
-        request.text = rest.to_string();
+/// The engine settings every served query compiles and runs under: the
+/// defaults' conflict policy, optimizer switch and SQL lowering mode,
+/// with `retain_intermediates` off (serving keeps answers, not
+/// paper-table traces). Threads are not an engine setting here — each
+/// run takes its allotment from the shared budget at admission.
+fn engine_options() -> PqpOptions {
+    PqpOptions::default()
+}
+
+/// A duration as whole microseconds, saturating.
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Note a cache lookup's outcome on its span (free when untraced).
+fn annotate_cache(trace: &Trace, span: SpanId, hit: bool) {
+    if !span.is_none() {
+        trace.annotate(span, "cache", Note::str(if hit { "hit" } else { "miss" }));
+    }
+}
+
+/// Peel a leading `EXPLAIN` / `EXPLAIN ANALYZE` keyword off SQL text:
+/// the keyword overrides the mode the options asked for and the inner
+/// query is what gets served — so the canonical cache key is the same
+/// whether the mode came from the keyword or the options.
+/// Case-insensitive, whitespace-robust; text that merely *contains* the
+/// word (e.g. a string literal) is left alone because the keyword must
+/// lead.
+fn peel_explain_prefix(mode: ExplainOptions, text: &str) -> (ExplainOptions, &str) {
+    match strip_leading_keyword(text, "EXPLAIN") {
+        None => (mode, text),
+        Some(rest) => match strip_leading_keyword(rest, "ANALYZE") {
+            Some(inner) => (ExplainOptions::Analyze, inner),
+            None => (ExplainOptions::Plan, rest),
+        },
     }
 }
 
@@ -1193,7 +1006,6 @@ fn strip_leading_keyword<'a>(text: &'a str, keyword: &str) -> Option<&'a str> {
 pub struct Session<'s> {
     service: &'s QueryService,
     stats: Arc<SessionStats>,
-    queries: u64,
 }
 
 impl Session<'_> {
@@ -1204,54 +1016,13 @@ impl Session<'_> {
 
     /// Queries served on this session.
     pub fn queries(&self) -> u64 {
-        self.queries
+        self.stats.queries()
     }
 
     /// Serve one [`Request`] through the shared service — the envelope
     /// a wire session speaks, counted against this session.
     pub fn execute(&mut self, request: Request) -> Response {
-        self.queries += 1;
-        self.stats.begin_query(&request.text, request.lang.label());
-        let response = self.service.execute(request);
-        let rows = response.rows().map_or(0, |r| r.len() as u64);
-        self.stats
-            .finish_query(rows, response.error_code().is_some());
-        response
-    }
-
-    fn finish(&self, outcome: &Result<ServeOutcome, ServeError>) {
-        match outcome {
-            Ok(o) => self.stats.finish_query(o.answer.len() as u64, false),
-            Err(_) => self.stats.finish_query(0, true),
-        }
-    }
-
-    /// Serve a polygen-level SQL query (deprecated shim: prefer
-    /// [`Session::execute`]).
-    pub fn query(&mut self, sql: &str) -> Result<ServeOutcome, ServeError> {
-        self.queries += 1;
-        self.stats.begin_query(sql, Lang::Sql.label());
-        let out = self.service.query(sql);
-        self.finish(&out);
-        out
-    }
-
-    /// Serve an algebra-notation query.
-    pub fn query_algebra(&mut self, text: &str) -> Result<ServeOutcome, ServeError> {
-        self.queries += 1;
-        self.stats.begin_query(text, Lang::Algebra.label());
-        let out = self.service.query_algebra(text);
-        self.finish(&out);
-        out
-    }
-
-    /// Serve an application-level query.
-    pub fn query_app(&mut self, sql: &str) -> Result<ServeOutcome, ServeError> {
-        self.queries += 1;
-        self.stats.begin_query(sql, Lang::App.label());
-        let out = self.service.query_app(sql);
-        self.finish(&out);
-        out
+        self.service.execute_observed(&request, Some(&self.stats))
     }
 }
 
@@ -1264,7 +1035,9 @@ impl Drop for Session<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::ErrorCode;
     use polygen_catalog::scenario;
+    use polygen_core::relation::PolygenRelation;
     use polygen_flat::value::Value;
 
     const PAPER_SQL: &str = "SELECT ONAME, CEO \
@@ -1277,16 +1050,28 @@ mod tests {
         QueryService::for_scenario(&scenario::build(), ServeOptions::default())
     }
 
+    /// The answer and info of a request that must serve rows.
+    fn rows(svc: &QueryService, request: Request) -> (Arc<PolygenRelation>, ResponseInfo) {
+        match svc.execute(request) {
+            Response::Rows { answer, info } => (answer, info),
+            other => panic!("expected rows, got {other:?}"),
+        }
+    }
+
+    fn sql(svc: &QueryService, text: &str) -> (Arc<PolygenRelation>, ResponseInfo) {
+        rows(svc, Request::sql(text))
+    }
+
     #[test]
     fn cold_then_hot_path() {
         let svc = service();
-        let cold = svc.query(PAPER_SQL).unwrap();
-        assert!(!cold.plan_hit && !cold.result_hit);
-        assert_eq!(cold.answer.len(), 3);
-        let warm = svc.query(PAPER_SQL).unwrap();
-        assert!(warm.plan_hit && warm.result_hit);
+        let (cold, cold_info) = sql(&svc, PAPER_SQL);
+        assert!(!cold_info.plan_hit && !cold_info.result_hit);
+        assert_eq!(cold.len(), 3);
+        let (warm, warm_info) = sql(&svc, PAPER_SQL);
+        assert!(warm_info.plan_hit && warm_info.result_hit);
         // The hit aliases the cached relation — no cell clones.
-        assert!(Arc::ptr_eq(&cold.answer, &warm.answer) || *cold.answer == *warm.answer);
+        assert!(Arc::ptr_eq(&cold, &warm));
         assert_eq!(svc.metrics().result_hits, 1);
         assert_eq!(svc.cache_sizes(), (1, 1));
     }
@@ -1294,32 +1079,35 @@ mod tests {
     #[test]
     fn whitespace_variants_share_one_plan() {
         let svc = service();
-        svc.query("SELECT ONAME FROM PORGANIZATION WHERE CEO = \"John Reed\"")
-            .unwrap();
-        let out = svc
-            .query("SELECT   ONAME\nFROM PORGANIZATION\nWHERE CEO   = \"John Reed\"")
-            .unwrap();
-        assert!(out.plan_hit && out.result_hit);
+        sql(
+            &svc,
+            "SELECT ONAME FROM PORGANIZATION WHERE CEO = \"John Reed\"",
+        );
+        let (_, info) = sql(
+            &svc,
+            "SELECT   ONAME\nFROM PORGANIZATION\nWHERE CEO   = \"John Reed\"",
+        );
+        assert!(info.plan_hit && info.result_hit);
         assert_eq!(svc.cache_sizes(), (1, 1));
     }
 
     #[test]
     fn sql_and_algebra_agree_under_caching() {
         let svc = service();
-        let a = svc.query(PAPER_SQL).unwrap();
-        let b = svc
-            .query_algebra(polygen_sql::algebra_expr::PAPER_EXPRESSION)
-            .unwrap();
-        assert!(a.answer.tagged_set_eq(&b.answer));
+        let (a, _) = sql(&svc, PAPER_SQL);
+        let (b, _) = rows(
+            &svc,
+            Request::algebra(polygen_sql::algebra_expr::PAPER_EXPRESSION),
+        );
+        assert!(a.tagged_set_eq(&b));
     }
 
     #[test]
     fn source_update_invalidates_and_refreshes() {
         let svc = service();
-        let sql = "SELECT ONAME, CEO FROM PORGANIZATION WHERE CEO = \"John Reed\"";
-        let before = svc.query(sql).unwrap();
-        assert_eq!(before.answer.len(), 1);
-        assert!(svc.query(sql).unwrap().result_hit);
+        let reed = "SELECT ONAME, CEO FROM PORGANIZATION WHERE CEO = \"John Reed\"";
+        assert_eq!(sql(&svc, reed).0.len(), 1);
+        assert!(sql(&svc, reed).1.result_hit);
         // CD's FIRM relation changes its Citicorp CEO.
         let mut cd = scenario::company_database();
         for rel in &mut cd.relations {
@@ -1335,20 +1123,15 @@ mod tests {
         assert_eq!(v, 1);
         let m = svc.metrics();
         assert!(m.invalidated_results >= 1, "{m}");
-        let after = svc.query(sql).unwrap();
-        assert!(!after.result_hit, "update must force re-execution");
-        assert!(
-            after.answer.is_empty(),
-            "John Reed is no longer a CEO anywhere"
+        let (after, info) = sql(&svc, reed);
+        assert!(!info.result_hit, "update must force re-execution");
+        assert!(after.is_empty(), "John Reed is no longer a CEO anywhere");
+        let (doe, _) = sql(
+            &svc,
+            "SELECT ONAME, CEO FROM PORGANIZATION WHERE CEO = \"Jane Doe\"",
         );
-        let doe = svc
-            .query("SELECT ONAME, CEO FROM PORGANIZATION WHERE CEO = \"Jane Doe\"")
-            .unwrap();
-        assert_eq!(doe.answer.len(), 1);
-        assert!(doe
-            .answer
-            .cell("ONAME", &Value::str("Citicorp"), "CEO")
-            .is_some());
+        assert_eq!(doe.len(), 1);
+        assert!(doe.cell("ONAME", &Value::str("Citicorp"), "CEO").is_some());
     }
 
     #[test]
@@ -1357,10 +1140,10 @@ mod tests {
         let on = QueryService::for_scenario(&s, ServeOptions::default());
         let off = QueryService::for_scenario(&s, ServeOptions::default().without_caches());
         for _ in 0..2 {
-            let a = on.query(PAPER_SQL).unwrap();
-            let b = off.query(PAPER_SQL).unwrap();
-            assert_eq!(*a.answer, *b.answer, "byte-identical, tags included");
-            assert!(!b.plan_hit && !b.result_hit);
+            let (a, _) = sql(&on, PAPER_SQL);
+            let (b, info) = sql(&off, PAPER_SQL);
+            assert_eq!(*a, *b, "byte-identical, tags included");
+            assert!(!info.plan_hit && !info.result_hit);
         }
         assert_eq!(off.cache_sizes(), (0, 0));
     }
@@ -1371,9 +1154,12 @@ mod tests {
         let mut s1 = svc.open_session();
         let mut s2 = svc.open_session();
         assert_ne!(s1.id(), s2.id());
-        s1.query(PAPER_SQL).unwrap();
-        let out = s2.query(PAPER_SQL).unwrap();
-        assert!(out.result_hit, "sessions share the service caches");
+        s1.execute(Request::sql(PAPER_SQL));
+        let out = s2.execute(Request::sql(PAPER_SQL));
+        assert!(
+            out.info().unwrap().result_hit,
+            "sessions share the service caches"
+        );
         assert_eq!(s1.queries(), 1);
         assert_eq!(s2.queries(), 1);
     }
@@ -1393,7 +1179,7 @@ mod tests {
             Err(ServeError::Overloaded { .. })
         ));
         // The service itself still serves sequentially.
-        assert!(svc.query(PAPER_SQL).is_ok());
+        assert_eq!(sql(&svc, PAPER_SQL).0.len(), 3);
     }
 
     #[test]
@@ -1448,15 +1234,16 @@ mod tests {
             &[("COMPANY", "ONAME"), ("CHIEF", "CEO")],
         ));
         let svc = service().with_app_schema(app);
-        let sql = "SELECT COMPANY FROM COMPANIES WHERE CHIEF = \"John Reed\"";
-        let cold = svc.query_app(sql).unwrap();
-        assert_eq!(cold.answer.len(), 1);
-        let warm = svc.query_app(sql).unwrap();
+        let app_sql = "SELECT COMPANY FROM COMPANIES WHERE CHIEF = \"John Reed\"";
+        let (cold, _) = rows(&svc, Request::app(app_sql));
+        assert_eq!(cold.len(), 1);
+        let (_, warm) = rows(&svc, Request::app(app_sql));
         assert!(warm.result_hit);
         // The same polygen-level query shares the entry.
-        let direct = svc
-            .query("SELECT ONAME FROM PORGANIZATION WHERE CEO = \"John Reed\"")
-            .unwrap();
+        let (_, direct) = sql(
+            &svc,
+            "SELECT ONAME FROM PORGANIZATION WHERE CEO = \"John Reed\"",
+        );
         assert!(direct.result_hit, "app and polygen paths share one key");
     }
 
@@ -1467,16 +1254,16 @@ mod tests {
             .with_index_specs(&[IndexSpec::hash("AD", "ALUMNUS", "DEG")])
             .unwrap();
         let plain = QueryService::for_scenario(&s, ServeOptions::default().without_caches());
-        let sql = "SELECT AID#, ANAME FROM PALUMNUS WHERE DEGREE = \"MBA\"";
-        let cold = indexed.query(sql).unwrap();
-        assert!(cold.index_routed, "the selective scan must route");
-        assert_eq!(*cold.answer, *plain.query(sql).unwrap().answer);
-        let warm = indexed.query(sql).unwrap();
+        let mba = "SELECT AID#, ANAME FROM PALUMNUS WHERE DEGREE = \"MBA\"";
+        let (cold, info) = sql(&indexed, mba);
+        assert!(info.index_routed, "the selective scan must route");
+        assert_eq!(*cold, *sql(&plain, mba).0);
+        let (_, warm) = sql(&indexed, mba);
         assert!(warm.result_hit && warm.index_routed);
         // The paper query routes its MBA select too — same answers.
-        let paper = indexed.query(PAPER_SQL).unwrap();
-        assert!(paper.index_routed);
-        assert_eq!(*paper.answer, *plain.query(PAPER_SQL).unwrap().answer);
+        let (paper, info) = sql(&indexed, PAPER_SQL);
+        assert!(info.index_routed);
+        assert_eq!(*paper, *sql(&plain, PAPER_SQL).0);
     }
 
     #[test]
@@ -1485,10 +1272,10 @@ mod tests {
         let indexed = QueryService::for_scenario(&s, ServeOptions::default())
             .with_index_specs(&[IndexSpec::hash("AD", "ALUMNUS", "DEG")])
             .unwrap();
-        let sql = "SELECT ANAME FROM PALUMNUS WHERE DEGREE = \"MBA\"";
-        let before = indexed.query(sql).unwrap();
-        assert!(before.index_routed);
-        assert_eq!(before.answer.len(), 5);
+        let mba = "SELECT ANAME FROM PALUMNUS WHERE DEGREE = \"MBA\"";
+        let (before, info) = sql(&indexed, mba);
+        assert!(info.index_routed);
+        assert_eq!(before.len(), 5);
         // AD refresh: one alumna switches to an MBA.
         let mut ad = scenario::alumni_database();
         for rel in &mut ad.relations {
@@ -1506,22 +1293,21 @@ mod tests {
             }
         }
         indexed.update_source_relations("AD", ad.relations);
-        let after = indexed.query(sql).unwrap();
-        assert!(!after.result_hit, "version bump invalidates");
-        assert!(after.index_routed, "rebuilt index keeps routing");
-        assert_eq!(after.answer.len(), 6, "the refreshed base is probed");
+        let (after, info) = sql(&indexed, mba);
+        assert!(!info.result_hit, "version bump invalidates");
+        assert!(info.index_routed, "rebuilt index keeps routing");
+        assert_eq!(after.len(), 6, "the refreshed base is probed");
     }
 
     #[test]
     fn auto_index_mines_cached_plans_for_hot_columns() {
         let svc = service();
         for deg in ["MBA", "MS", "PhD"] {
-            let out = svc
-                .query(&format!(
-                    "SELECT ANAME FROM PALUMNUS WHERE DEGREE = \"{deg}\"",
-                ))
-                .unwrap();
-            assert!(!out.index_routed, "nothing declared yet");
+            let (_, info) = sql(
+                &svc,
+                &format!("SELECT ANAME FROM PALUMNUS WHERE DEGREE = \"{deg}\""),
+            );
+            assert!(!info.index_routed, "nothing declared yet");
         }
         // Below threshold: nothing indexed.
         assert!(svc.auto_index(5).unwrap().is_empty());
@@ -1529,11 +1315,9 @@ mod tests {
         assert_eq!(specs, vec![IndexSpec::hash("AD", "ALUMNUS", "DEG")]);
         // The plan cache was cleared, so the next query recompiles and
         // routes; answers are unchanged.
-        let routed = svc
-            .query("SELECT ANAME FROM PALUMNUS WHERE DEGREE = \"MBA\"")
-            .unwrap();
-        assert!(routed.index_routed);
-        assert_eq!(routed.answer.len(), 5);
+        let (routed, info) = sql(&svc, "SELECT ANAME FROM PALUMNUS WHERE DEGREE = \"MBA\"");
+        assert!(info.index_routed);
+        assert_eq!(routed.len(), 5);
         // Idempotent: the derived spec is already declared.
         assert!(svc.auto_index(2).unwrap().is_empty());
     }
@@ -1541,14 +1325,15 @@ mod tests {
     #[test]
     fn errors_surface_and_count() {
         let svc = service();
-        assert!(matches!(svc.query("SELECT"), Err(ServeError::Normalize(_))));
-        assert!(svc.query_app("SELECT X FROM Y").is_err());
-        assert!(svc.metrics().errors >= 2);
+        let syntax = svc.execute(Request::sql("SELECT"));
+        assert_eq!(syntax.error_code(), Some(ErrorCode::SqlSyntax));
+        let no_app = svc.execute(Request::app("SELECT X FROM Y"));
+        assert_eq!(no_app.error_code(), Some(ErrorCode::AppUnknownRelation));
+        assert_eq!(svc.metrics().errors, 2);
     }
 
     #[test]
     fn execute_envelope_covers_every_variant() {
-        use crate::request::{ErrorCode, Request, Response};
         let svc = service();
         let rows = svc.execute(Request::sql(PAPER_SQL));
         let Response::Rows { answer, info } = &rows else {
@@ -1556,10 +1341,6 @@ mod tests {
         };
         assert_eq!(answer.len(), 3);
         assert!(!info.result_hit && !info.plan_hit);
-        // The shim and the envelope share one serving path — identical
-        // payloads, outcome convertible.
-        let shim = svc.query(PAPER_SQL).unwrap();
-        assert!(rows.payload_eq(&Response::from(shim)));
 
         assert!(matches!(svc.execute(Request::sql("   ")), Response::Empty));
 
@@ -1585,7 +1366,6 @@ mod tests {
 
     #[test]
     fn session_speaks_the_envelope() {
-        use crate::request::{Request, Response};
         let svc = service();
         let mut session = svc.open_session();
         let first = session.execute(Request::sql(PAPER_SQL));
@@ -1601,7 +1381,6 @@ mod tests {
 
     #[test]
     fn explain_keyword_peels_into_plan_mode() {
-        use crate::request::{Request, Response};
         let svc = service();
         let explained = svc.execute(Request::sql(format!("explain {PAPER_SQL}")));
         let Response::Explain { plan, info } = &explained else {
@@ -1624,7 +1403,6 @@ mod tests {
 
     #[test]
     fn explain_analyze_executes_and_renders_actuals() {
-        use crate::request::{ExplainOptions, Request, Response};
         let svc = service();
         let resp = svc.execute(Request::sql(format!("EXPLAIN ANALYZE {PAPER_SQL}")));
         let Response::Explain { plan, info } = &resp else {
@@ -1654,7 +1432,6 @@ mod tests {
 
     #[test]
     fn traced_requests_feed_the_slow_query_log() {
-        use crate::request::{Request, Response};
         let svc = service();
         let traced = svc.execute(Request::sql(PAPER_SQL).with_trace(true));
         assert!(matches!(traced, Response::Rows { .. }));
@@ -1677,7 +1454,6 @@ mod tests {
 
     #[test]
     fn tracing_does_not_change_results() {
-        use crate::request::{Request, Response};
         let svc = service();
         let plain = svc.execute(Request::sql(PAPER_SQL));
         let svc2 = service();
@@ -1695,10 +1471,9 @@ mod tests {
     #[test]
     fn execute_traced_records_a_well_formed_waterfall() {
         use crate::request::Request;
-        use polygen_obs::trace::Trace;
         let svc = service();
         let trace = Trace::enabled();
-        svc.execute_traced(Request::sql(PAPER_SQL), &trace);
+        svc.execute_traced(&Request::sql(PAPER_SQL), &trace, None);
         let report = trace.report().unwrap();
         report.well_formed().unwrap();
         assert!(report.span("serve/queue").is_some());
@@ -1718,7 +1493,6 @@ mod tests {
 
     #[test]
     fn overload_is_a_structured_response() {
-        use crate::request::{ErrorCode, Request, Response};
         let svc = QueryService::for_scenario(
             &scenario::build(),
             ServeOptions::default().with_admission(1, 0),
@@ -1745,7 +1519,6 @@ mod tests {
 
     #[test]
     fn every_failure_is_counted_once_whatever_the_mode() {
-        use crate::request::{ErrorCode, Request};
         let svc = QueryService::for_scenario(
             &scenario::build(),
             ServeOptions::default().with_admission(1, 0),
@@ -1770,28 +1543,90 @@ mod tests {
         assert_eq!(m.shed(), m.rejected);
         let by_code: u64 = m.errors_by_code.iter().map(|(_, n)| n).sum();
         assert_eq!(by_code, m.errors + m.rejected);
+        // ...and logged once, under its code, whatever the mode (the
+        // cross-transport half of this table is
+        // `sys_queries_rows_carry_the_same_facts_on_every_route`).
+        let slow = svc.slow_queries();
+        assert_eq!(slow.len(), 5);
+        for (code, n) in [(ErrorCode::SqlSyntax, 3), (ErrorCode::Overloaded, 2)] {
+            let logged = slow
+                .iter()
+                .filter(|r| r.detail.error == Some((code.code(), code.mnemonic())))
+                .count();
+            assert_eq!(logged, n, "{code}");
+        }
+    }
+
+    /// The mode only decides which stages of the one serving path run.
+    #[test]
+    fn each_mode_takes_exactly_its_stages() {
+        // (admitted, result-cache lookups, executed, result entries added)
+        fn stages(svc: &QueryService) -> (u64, u64, u64, usize) {
+            let m = svc.metrics();
+            (
+                m.queue_wait.count(),
+                m.result_hits + m.result_misses,
+                m.executed,
+                svc.cache_sizes().1,
+            )
+        }
+        let off = ExplainOptions::Off;
+        for (text, steps) in [
+            (
+                PAPER_SQL,
+                vec![
+                    (ExplainOptions::Plan, (0, 0, 0, 0)),
+                    (ExplainOptions::Analyze, (1, 0, 1, 0)),
+                    (off, (1, 1, 1, 1)), // cold
+                    (off, (1, 1, 0, 0)), // hot
+                ],
+            ),
+            // A sys-reading plan bypasses the result cache, both ways,
+            // in both modes that execute.
+            (
+                "SELECT SOURCE, VERSION FROM sys.sources",
+                vec![
+                    (ExplainOptions::Plan, (0, 0, 0, 0)),
+                    (ExplainOptions::Analyze, (1, 0, 1, 0)),
+                    (off, (1, 0, 1, 0)),
+                    (off, (1, 0, 1, 0)),
+                ],
+            ),
+        ] {
+            let svc = service();
+            for (mode, want) in steps {
+                let before = stages(&svc);
+                let response = svc.execute(Request::sql(text).with_explain_mode(mode));
+                assert_eq!(response.error_code(), None, "{mode:?} `{text}`");
+                assert_eq!(matches!(response, Response::Rows { .. }), mode == off);
+                let after = stages(&svc);
+                let took = (
+                    after.0 - before.0,
+                    after.1 - before.1,
+                    after.2 - before.2,
+                    after.3 - before.3,
+                );
+                assert_eq!(took, want, "{mode:?} `{text}`");
+            }
+        }
     }
 
     #[test]
     fn sys_sources_answer_sql_with_sys_provenance() {
         use polygen_core::tuple::origins_of;
         let svc = service();
-        svc.query(PAPER_SQL).unwrap();
-        let out = svc
-            .query("SELECT SOURCE, VERSION FROM sys.sources")
-            .unwrap();
-        assert!(!out.result_hit && !out.index_routed);
+        sql(&svc, PAPER_SQL);
+        let (out, info) = sql(&svc, "SELECT SOURCE, VERSION FROM sys.sources");
+        assert!(!info.result_hit && !info.index_routed);
         for src in ["AD", "CD", "PD", SYS_DB] {
             assert!(
-                out.answer
-                    .cell("SOURCE", &Value::str(src), "VERSION")
-                    .is_some(),
+                out.cell("SOURCE", &Value::str(src), "VERSION").is_some(),
                 "missing {src} row in sys.sources"
             );
         }
         let head = svc.federation().snapshot();
         let sys_id = head.dictionary().registry().lookup(SYS_DB).unwrap();
-        for tuple in out.answer.tuples() {
+        for tuple in out.tuples() {
             assert!(
                 origins_of(tuple).contains(sys_id),
                 "every catalog cell is origin-tagged {SYS_DB}"
@@ -1802,9 +1637,9 @@ mod tests {
     #[test]
     fn all_six_sys_relations_serve_over_sql() {
         let svc = service();
-        svc.query(PAPER_SQL).unwrap();
+        sql(&svc, PAPER_SQL);
         let mut session = svc.open_session();
-        for (sql, nonempty) in [
+        for (text, nonempty) in [
             (
                 "SELECT ORDINAL, QUERY, TOTAL_US, CACHE FROM sys.queries",
                 true,
@@ -1827,23 +1662,28 @@ mod tests {
                 false,
             ),
         ] {
-            let out = session.query(sql).unwrap();
-            assert!(!out.result_hit, "{sql}: sys answers never come from cache");
+            let out = session.execute(Request::sql(text));
+            let (answer, info) = (out.rows().unwrap(), out.info().unwrap());
+            assert!(
+                !info.result_hit,
+                "{text}: sys answers never come from cache"
+            );
             assert_eq!(
-                !out.answer.is_empty(),
+                !answer.is_empty(),
                 nonempty,
-                "{sql}: got {} rows",
-                out.answer.len()
+                "{text}: got {} rows",
+                answer.len()
             );
         }
         // With an index declared, sys.indexes gains its row too.
         svc.declare_indexes(&[IndexSpec::hash("AD", "ALUMNUS", "DEG")])
             .unwrap();
-        let ix = session
-            .query("SELECT SOURCE, RELATION, COLUMN, ENTRIES FROM sys.indexes")
-            .unwrap();
+        let ix = session.execute(Request::sql(
+            "SELECT SOURCE, RELATION, COLUMN, ENTRIES FROM sys.indexes",
+        ));
         assert!(ix
-            .answer
+            .rows()
+            .unwrap()
             .cell("RELATION", &Value::str("ALUMNUS"), "COLUMN")
             .is_some());
     }
@@ -1851,30 +1691,28 @@ mod tests {
     #[test]
     fn sys_answers_bypass_the_result_cache_and_stay_fresh() {
         let svc = service();
-        let sql = "SELECT ORDINAL, QUERY FROM sys.queries";
-        let a = svc.query(sql).unwrap();
-        assert!(!a.plan_hit && !a.result_hit);
-        assert!(a.answer.is_empty(), "the slow log was empty at admission");
-        let b = svc.query(sql).unwrap();
-        assert!(b.plan_hit, "sys plans cache like any other");
-        assert!(!b.result_hit, "sys results are never cached");
+        let probe = "SELECT ORDINAL, QUERY FROM sys.queries";
+        let (a, info) = sql(&svc, probe);
+        assert!(!info.plan_hit && !info.result_hit);
+        assert!(a.is_empty(), "the slow log was empty at admission");
+        let (b, info) = sql(&svc, probe);
+        assert!(info.plan_hit, "sys plans cache like any other");
+        assert!(!info.result_hit, "sys results are never cached");
         assert!(
-            !b.answer.is_empty(),
+            !b.is_empty(),
             "the first catalog query itself is now on the slow log"
         );
         let (_plans, results) = svc.cache_sizes();
         assert_eq!(results, 0, "no sys answer was inserted");
         // A state change between reads is always visible.
-        svc.query(PAPER_SQL).unwrap();
-        let c = svc.query(sql).unwrap();
+        sql(&svc, PAPER_SQL);
+        let (c, _) = sql(&svc, probe);
         assert!(
-            c.answer
-                .cell("QUERY", &Value::str(PAPER_SQL), "ORDINAL")
-                .is_some(),
+            c.cell("QUERY", &Value::str(PAPER_SQL), "ORDINAL").is_some(),
             "the user query appears on the next catalog read"
         );
         // User-facing caching is untouched by interleaved sys reads.
-        assert!(svc.query(PAPER_SQL).unwrap().result_hit);
+        assert!(sql(&svc, PAPER_SQL).1.result_hit);
         assert_eq!(svc.metrics().result_hits, 1);
     }
 
@@ -1885,21 +1723,22 @@ mod tests {
         let mut session = svc.open_session();
         // Materialization happens while this very query is in flight, so
         // the session's own row must carry it as current work.
-        let out = session.query(probe).unwrap();
-        assert_eq!(out.answer.len(), 1);
+        let out = session.execute(Request::sql(probe));
+        let answer = out.rows().unwrap();
+        assert_eq!(answer.len(), 1);
         let id = Value::int(i64::try_from(session.id()).unwrap());
-        let q = out.answer.cell("SESSION_ID", &id, "QUERY").unwrap();
+        let q = answer.cell("SESSION_ID", &id, "QUERY").unwrap();
         assert_eq!(q.datum, Value::str(probe));
-        let lang = out.answer.cell("SESSION_ID", &id, "LANG").unwrap();
+        let lang = answer.cell("SESSION_ID", &id, "LANG").unwrap();
         assert_eq!(lang.datum, Value::str("sql"));
         drop(session);
         assert!(
             svc.sessions().is_empty(),
             "dropped sessions leave the registry"
         );
-        let after = svc.query(probe).unwrap();
+        let (after, _) = sql(&svc, probe);
         assert!(
-            after.answer.cell("SESSION_ID", &id, "QUERY").is_none(),
+            after.cell("SESSION_ID", &id, "QUERY").is_none(),
             "a drained session no longer appears"
         );
     }
@@ -1911,15 +1750,16 @@ mod tests {
         assert!(matches!(err, Err(ServeError::Index(_))), "{err:?}");
         // Hot selective sys scans never mine an index either.
         for _ in 0..3 {
-            svc.query("SELECT SOURCE, VERSION FROM sys.sources WHERE SOURCE = \"AD\"")
-                .unwrap();
+            sql(
+                &svc,
+                "SELECT SOURCE, VERSION FROM sys.sources WHERE SOURCE = \"AD\"",
+            );
         }
         assert!(svc.auto_index(1).unwrap().is_empty());
     }
 
     #[test]
     fn explain_renders_sys_scan_leaves() {
-        use crate::request::{Request, Response};
         let svc = service();
         let resp = svc.execute(Request::sql(
             "EXPLAIN SELECT BUCKET, QUERIES FROM sys.stats",

@@ -13,9 +13,13 @@
 use polygen::catalog::scenario::Scenario;
 use polygen::catalog::schema::PolygenSchema;
 use polygen::core::algebra::coalesce::ConflictPolicy;
+use polygen::core::PolygenRelation;
 use polygen::pqp::prelude::*;
+use polygen::serve::request::{Request, Response, ResponseInfo};
+use polygen::serve::QueryService;
 use polygen::sql::prelude::parse_algebra;
 use polygen::workload::{self, WorkloadConfig};
+use std::sync::Arc;
 
 /// A small, fast-to-generate federation config for property tests. The
 /// entity pool stays ≥ 64 tuples so parallel runs actually cross the
@@ -33,6 +37,18 @@ pub fn conflicted_config(seed: u64, sources: usize, entities: usize) -> Workload
     WorkloadConfig {
         conflict_rate: 0.3,
         ..small_config(seed, sources, entities)
+    }
+}
+
+/// Serve a request that must answer rows: the answer and its info.
+pub fn serve_rows(
+    service: &QueryService,
+    request: Request,
+) -> (Arc<PolygenRelation>, ResponseInfo) {
+    let text = request.text.clone();
+    match service.execute(request) {
+        Response::Rows { answer, info } => (answer, info),
+        other => panic!("query `{text}` did not answer rows: {other:?}"),
     }
 }
 

@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::fixtures::{assert_batch_matches, conflicted_config, small_config};
+use common::fixtures::{assert_batch_matches, conflicted_config, serve_rows, small_config};
 use polygen::catalog::prelude::scenario;
 use polygen::core::algebra::coalesce::ConflictPolicy;
 use polygen::core::batch::ColumnBatch;
@@ -24,6 +24,7 @@ use polygen::core::{Cell, PolygenRelation, SourceId};
 use polygen::flat::value::Cmp;
 use polygen::flat::{Schema, Value};
 use polygen::index::IndexSpec;
+use polygen::net::request_for;
 use polygen::pqp::prelude::*;
 use polygen::serve::prelude::*;
 use polygen::sql::prelude::PAPER_EXPRESSION;
@@ -293,14 +294,14 @@ fn batch_service_is_invisible_across_source_update() {
             ..PqpOptions::default()
         });
         replay(&mix, |c, q| {
-            let (got, want) = match q.lang {
-                QueryLang::Sql => (service.query(&q.text), row.query(&q.text)),
-                QueryLang::Algebra => (service.query_algebra(&q.text), row.query_algebra(&q.text)),
-            };
-            let got = got.unwrap_or_else(|e| panic!("query `{}` failed: {e}", q.text));
-            let want = want.unwrap_or_else(|e| panic!("row walk of `{}` failed: {e}", q.text));
+            let (got, _) = serve_rows(&service, request_for(q));
+            let want = match q.lang {
+                QueryLang::Sql => row.query(&q.text),
+                QueryLang::Algebra => row.query_algebra(&q.text),
+            }
+            .unwrap_or_else(|e| panic!("row walk of `{}` failed: {e}", q.text));
             assert_eq!(
-                got.answer.tuples(),
+                got.tuples(),
                 want.answer.tuples(),
                 "phase {phase} client {c} query `{}`: service diverged from the row walk",
                 q.text

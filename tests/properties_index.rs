@@ -14,16 +14,17 @@
 
 mod common;
 
-use common::fixtures::small_config;
+use common::fixtures::{serve_rows, small_config};
 use polygen::core::PolygenRelation;
 use polygen::flat::relation::Relation;
 use polygen::flat::value::Value;
 use polygen::index::{IndexCatalog, IndexSpec};
+use polygen::net::request_for;
 use polygen::pqp::prelude::*;
 use polygen::serve::prelude::*;
 use polygen::sql::prelude::parse_algebra;
 use polygen::workload::queries::{point_lookup, range_scan};
-use polygen::workload::{self, drive, replay, ClientMix, ClientQuery, MixWeights, QueryLang};
+use polygen::workload::{self, drive, replay, ClientMix, ClientQuery, MixWeights};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -39,12 +40,8 @@ fn detail_specs() -> Vec<IndexSpec> {
 
 /// Serve one script query, reporting whether the plan routed.
 fn serve(service: &QueryService, q: &ClientQuery) -> (Arc<PolygenRelation>, bool) {
-    let out = match q.lang {
-        QueryLang::Sql => service.query(&q.text),
-        QueryLang::Algebra => service.query_algebra(&q.text),
-    }
-    .unwrap_or_else(|e| panic!("query `{}` failed: {e}", q.text));
-    (out.answer, out.index_routed)
+    let (answer, info) = serve_rows(service, request_for(q));
+    (answer, info.index_routed)
 }
 
 /// A deterministic "upstream refresh" of S0: every DETAIL score shifts
@@ -212,6 +209,6 @@ fn pinned_snapshots_keep_their_catalogs() {
         "refresh shifts scores, not cardinality"
     );
     // Every query keeps routing after the update.
-    let out = service.query_algebra(&range_scan(20, 40)).unwrap();
-    assert!(out.index_routed);
+    let (_, info) = serve_rows(&service, Request::algebra(range_scan(20, 40)));
+    assert!(info.index_routed);
 }

@@ -509,6 +509,83 @@ fn stats_scrape_and_traced_waterfall_cross_the_wire() {
     server.shutdown();
 }
 
+/// `sys.queries` tells the same story whichever route a request took.
+/// Each case runs traced, in-process and over loopback TCP, against a
+/// fresh service; its slow-log row must carry the cache outcome and
+/// error code the service computed, and a non-zero `EXEC_US` exactly
+/// where a plan executed. (The traced wire route used to log the zero
+/// detail, and EXPLAIN ANALYZE logged it on every route.)
+#[test]
+fn sys_queries_rows_carry_the_same_facts_on_every_route() {
+    let scenario = polygen::catalog::scenario::build();
+    let options = || ServeOptions::default().with_slow_log(16, Duration::ZERO);
+    let mba = "SELECT ONAME, CEO FROM PORGANIZATION, PALUMNUS \
+               WHERE CEO = ANAME AND ONAME IN \
+               (SELECT ONAME FROM PCAREER WHERE AID# IN \
+               (SELECT AID# FROM PALUMNUS WHERE DEGREE = \"MBA\"))";
+    // The hot case is a respelling of the cold one: same canonical key,
+    // so a result hit, but a `QUERY` text of its own to find its row by.
+    let hot = mba.replacen(' ', "  ", 1);
+    let analyzed = "SELECT ONAME, CEO FROM PORGANIZATION, PALUMNUS WHERE CEO = ANAME";
+    // (request, CACHE, ERROR_CODE, a plan executed)
+    let cases = [
+        (Request::sql(mba), "miss", 0, true),
+        (Request::sql(&hot), "result", 0, false),
+        (
+            Request::sql(analyzed).with_explain_mode(ExplainOptions::Analyze),
+            "miss",
+            0,
+            true,
+        ),
+        (Request::sql("SELECT"), "", 100, false),
+    ];
+    for over_tcp in [false, true] {
+        let (service, server) = spawn_server(&scenario, options());
+        let mut session = NetClient::connect(server.addr()).expect("connect");
+        for (request, ..) in &cases {
+            let request = request.clone().with_trace(true);
+            if over_tcp {
+                session.execute(&request).expect("wire response");
+            } else {
+                service.execute(request);
+            }
+        }
+        // The poller answers a scrape strictly after the last response
+        // flushed — which is when the transport observes its requests.
+        session.scrape_stats().expect("stats frame");
+        let log = service.execute(Request::sql(
+            "SELECT ORDINAL, QUERY, EXEC_US, CACHE, ERROR_CODE FROM sys.queries",
+        ));
+        let log = log.rows().expect("catalog read serves");
+        assert_eq!(log.len(), cases.len(), "one row per request");
+        for (request, cache, code, executed) in &cases {
+            let route = if over_tcp { "tcp" } else { "in-process" };
+            let row = log
+                .tuples()
+                .iter()
+                .find(|t| t[1].datum == Value::str(&request.text))
+                .unwrap_or_else(|| panic!("{route}: no row for `{}`", request.text));
+            assert_eq!(
+                row[3].datum,
+                Value::str(*cache),
+                "{route}: `{}`",
+                request.text
+            );
+            assert_eq!(
+                row[4].datum,
+                Value::int(*code),
+                "{route}: `{}`",
+                request.text
+            );
+            let Value::Int(exec_us) = row[2].datum else {
+                panic!("EXEC_US is an integer");
+            };
+            assert_eq!(exec_us > 0, *executed, "{route}: `{}`", request.text);
+        }
+        server.shutdown();
+    }
+}
+
 /// Concurrent TCP sessions with think time exercise the summary frame's
 /// metrics fields sanely: positive latency, QPS, and a served count that
 /// matches the metrics the service reports.

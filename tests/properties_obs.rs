@@ -9,6 +9,8 @@
 //! * An enabled run's span tree must be well formed (every span closed,
 //!   parents enclosing children), with exactly one executor span per
 //!   physical node.
+//! * A span's `partitions` note reports the dispatch the run took, not
+//!   the plan's compile-time annotation.
 //! * EXPLAIN ANALYZE's `act=` row counts are not estimates: they must
 //!   equal the materialized `R(n)` sizes the retention-mode executor
 //!   produces for the same plan.
@@ -40,6 +42,56 @@ const COVERAGE_EXPRESSIONS: &[&str] = &[
      MINUS (PALUMNUS [DEGREE = \"MBA\"])",
     "(PALUMNUS INTERSECT PALUMNUS) TIMES PFINANCE",
 ];
+
+/// A span's `partitions` note is the run's, not the plan's: one cached
+/// plan runs at every thread allotment (the service compiles at one
+/// partition and runs at whatever admission grants), and a plan
+/// annotated for four partitions still runs sequentially over an input
+/// below the executor's small-input threshold.
+#[test]
+fn partition_notes_report_the_run_not_the_plan() {
+    let join_notes = |sc: &scenario::Scenario, expr: &str, planned: usize, threads: usize| {
+        let registry = scenario_registry(sc);
+        let plan = lower_plan(
+            &compile(expr, sc.dictionary.schema()),
+            &registry,
+            &sc.dictionary,
+            LowerOptions {
+                partitions: planned,
+                ..LowerOptions::default()
+            },
+        )
+        .expect("lowers");
+        assert_eq!(
+            render_plan(&plan).contains(&format!(" x{planned}]")),
+            planned > 1,
+            "the plan text shows the compile-time annotation"
+        );
+        let trace = Trace::enabled();
+        let options = ExecOptions {
+            threads,
+            trace: trace.clone(),
+            ..ExecOptions::default()
+        };
+        execute_plan(&plan, &registry, &sc.dictionary, None, options).expect("runs");
+        let report = trace.report().expect("enabled recorder reports");
+        let notes: Vec<Option<u64>> = report
+            .spans_named("exec/HashJoin")
+            .map(|sp| sp.note_uint("partitions"))
+            .collect();
+        notes
+    };
+    // Planned serial, run at 4 threads over 64 + 64 rows: partitioned.
+    let big = workload::generate(&small_config(5, 3, 64));
+    let join = workload::queries::join_query(0);
+    assert_eq!(join_notes(&big, &join, 1, 4), vec![Some(4)]);
+    assert_eq!(join_notes(&big, &join, 4, 1), vec![None]);
+    // Planned at 4, run at 4 over the paper's handful of rows: the
+    // kernel stayed sequential, and the span says so.
+    let paper = scenario::build();
+    let tiny = "(PALUMNUS [ANAME = CEO] PORGANIZATION) [CEO, DEGREE]";
+    assert_eq!(join_notes(&paper, tiny, 4, 4), vec![None]);
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]

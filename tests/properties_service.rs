@@ -15,25 +15,21 @@
 
 mod common;
 
-use common::fixtures::small_config;
+use common::fixtures::{serve_rows, small_config};
 use polygen::core::PolygenRelation;
 use polygen::flat::relation::Relation;
 use polygen::flat::value::Value;
+use polygen::net::request_for;
 use polygen::serve::prelude::*;
 use polygen::sql::prelude::{canonical_text, canonicalize_algebra, parse_algebra};
 use polygen::workload::queries::random_expression;
-use polygen::workload::{self, drive, replay, ClientMix, ClientQuery, QueryLang, WorkloadConfig};
+use polygen::workload::{self, drive, replay, ClientMix, ClientQuery, WorkloadConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Serve one script query against a service.
 fn serve(service: &QueryService, q: &ClientQuery) -> Arc<PolygenRelation> {
-    match q.lang {
-        QueryLang::Sql => service.query(&q.text),
-        QueryLang::Algebra => service.query_algebra(&q.text),
-    }
-    .unwrap_or_else(|e| panic!("query `{}` failed: {e}", q.text))
-    .answer
+    serve_rows(service, request_for(q)).0
 }
 
 /// A deterministic "upstream refresh" of one source: every value in its
@@ -179,7 +175,7 @@ proptest! {
             prop_assert_eq!(&parse_algebra(&canonical).unwrap(), &expr);
             // Idempotence: canonicalizing canonical text is identity.
             prop_assert_eq!(&canonicalize_algebra(&canonical).unwrap(), &canonical);
-            let served = service.query_algebra(&expr.to_string()).unwrap();
+            let (_, served) = serve_rows(&service, Request::algebra(expr.to_string()));
             prop_assert_eq!(&served.canonical, &canonical);
             distinct.insert(canonical);
             prop_assert_eq!(
@@ -206,12 +202,11 @@ fn interleaved_sessions_match_fresh_service() {
     let concurrent = drive(&m, |client, q| {
         // Every query on its own session: the service must not care.
         let mut session = shared.open_session();
-        let out = match q.lang {
-            QueryLang::Sql => session.query(&q.text),
-            QueryLang::Algebra => session.query_algebra(&q.text),
-        }
-        .unwrap_or_else(|e| panic!("client {client}: {e}"));
-        out.answer
+        let out = session.execute(request_for(q));
+        Arc::clone(
+            out.rows()
+                .unwrap_or_else(|| panic!("client {client}: {out:?}")),
+        )
     });
     let baseline = replay(&m, |_, q| serve(&fresh, q));
     assert_eq!(concurrent.per_client, baseline.per_client);
@@ -230,21 +225,15 @@ fn paper_federation_cache_round_trip() {
                WHERE CEO = ANAME AND ONAME IN \
                (SELECT ONAME FROM PCAREER WHERE AID# IN \
                (SELECT AID# FROM PALUMNUS WHERE DEGREE = \"MBA\"))";
-    let cold = service.query(sql).unwrap();
-    let warm = service.query(sql).unwrap();
-    assert!(warm.result_hit);
-    assert!(
-        Arc::ptr_eq(&cold.answer, &warm.answer),
-        "hit aliases, not clones"
-    );
+    let (cold, _) = serve_rows(&service, Request::sql(sql));
+    let (warm, info) = serve_rows(&service, Request::sql(sql));
+    assert!(info.result_hit);
+    assert!(Arc::ptr_eq(&cold, &warm), "hit aliases, not clones");
     // Update AD (read by this plan): the next query recomputes the same
     // answer (the refresh is a no-op content-wise) under a new key.
     let ad = scenario.database("AD").unwrap();
     service.update_source_relations("AD", ad.relations.clone());
-    let recomputed = service.query(sql).unwrap();
-    assert!(!recomputed.result_hit, "version bump forces re-execution");
-    assert_eq!(
-        *recomputed.answer, *cold.answer,
-        "identical data → identical answer"
-    );
+    let (recomputed, info) = serve_rows(&service, Request::sql(sql));
+    assert!(!info.result_hit, "version bump forces re-execution");
+    assert_eq!(*recomputed, *cold, "identical data → identical answer");
 }

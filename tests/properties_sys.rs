@@ -20,23 +20,19 @@
 
 mod common;
 
-use common::fixtures::small_config;
+use common::fixtures::{serve_rows, small_config};
 use polygen::core::tuple::origins_of;
 use polygen::core::PolygenRelation;
+use polygen::net::request_for;
 use polygen::serve::prelude::*;
 use polygen::workload::queries::{sys_sessions_query, sys_stats_query};
-use polygen::workload::{self, drive, replay, ClientMix, ClientQuery, MixWeights, QueryLang};
+use polygen::workload::{self, drive, replay, ClientMix, ClientQuery, MixWeights};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Serve one script query against a service.
 fn serve(service: &QueryService, q: &ClientQuery) -> Arc<PolygenRelation> {
-    match q.lang {
-        QueryLang::Sql => service.query(&q.text),
-        QueryLang::Algebra => service.query_algebra(&q.text),
-    }
-    .unwrap_or_else(|e| panic!("query `{}` failed: {e}", q.text))
-    .answer
+    serve_rows(service, request_for(q)).0
 }
 
 /// Column lists for a full read of each catalog relation.
@@ -78,9 +74,9 @@ proptest! {
             .lookup(SYS_DB)
             .expect("the catalog source is interned at construction");
         for sql in SYS_SELECTS {
-            let out = service.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
-            prop_assert!(!out.result_hit, "{}: catalog answers bypass the cache", sql);
-            for tuple in out.answer.tuples() {
+            let (answer, info) = serve_rows(&service, Request::sql(*sql));
+            prop_assert!(!info.result_hit, "{}: catalog answers bypass the cache", sql);
+            for tuple in answer.tuples() {
                 let origins = origins_of(tuple);
                 prop_assert!(origins.contains(sys_id), "{}: missing sys tag", sql);
                 prop_assert_eq!(
@@ -92,7 +88,7 @@ proptest! {
         // The service state actually surfaced: traffic left slow-log
         // rows, live stats windows, sources, and cache entries behind.
         for sql in &SYS_SELECTS[..1] {
-            prop_assert!(!service.query(sql).unwrap().answer.is_empty(), "{}", sql);
+            prop_assert!(!serve_rows(&service, Request::sql(*sql)).0.is_empty(), "{}", sql);
         }
     }
 
@@ -118,7 +114,7 @@ proptest! {
             // A catalog read rides between every pair of user queries.
             let probe = if flip { sys_stats_query() } else { sys_sessions_query() };
             flip = !flip;
-            spied.query(&probe).expect("catalog read serves");
+            serve_rows(&spied, Request::sql(probe));
             serve(&spied, q)
         });
         for (c, (a, b)) in baseline.per_client.iter().zip(&watched.per_client).enumerate() {
@@ -141,11 +137,11 @@ fn sessions_relation_shows_in_flight_work_and_drains() {
     let service = QueryService::for_scenario(&scenario, ServeOptions::default());
     let probe = "SELECT SESSION_ID, QUERY, LANG FROM sys.sessions".to_string();
     let mut session = service.open_session();
-    let out = session.query(&probe).unwrap();
-    assert_eq!(out.answer.len(), 1, "one open session, one row");
+    let out = session.execute(Request::sql(&probe));
+    let answer = out.rows().expect("catalog read serves");
+    assert_eq!(answer.len(), 1, "one open session, one row");
     let id = polygen::flat::value::Value::int(i64::try_from(session.id()).unwrap());
-    let in_flight = out
-        .answer
+    let in_flight = answer
         .cell("SESSION_ID", &id, "QUERY")
         .expect("own row present");
     assert_eq!(
@@ -155,9 +151,9 @@ fn sessions_relation_shows_in_flight_work_and_drains() {
     );
     drop(session);
     assert!(service.sessions().is_empty(), "drop deregisters");
-    let after = service.query(&probe).unwrap();
+    let (after, _) = serve_rows(&service, Request::sql(&probe));
     assert!(
-        after.answer.cell("SESSION_ID", &id, "QUERY").is_none(),
+        after.cell("SESSION_ID", &id, "QUERY").is_none(),
         "a closed session's row drains from the catalog"
     );
 }
@@ -170,27 +166,28 @@ fn scrapes_advance_the_stats_ring_and_reads_stay_fresh() {
     let scenario = workload::generate(&small_config(3, 3, 64));
     let service = QueryService::for_scenario(&scenario, ServeOptions::default());
     let stats = sys_stats_query();
-    let first = service.query(&stats).unwrap();
-    let windows_before = first.answer.len();
+    let (first, _) = serve_rows(&service, Request::sql(&stats));
+    let windows_before = first.len();
     assert!(windows_before >= 1, "materialization opens a window");
     let _ = service.scrape();
-    let second = service.query(&stats).unwrap();
-    assert!(!second.result_hit);
+    let (second, info) = serve_rows(&service, Request::sql(&stats));
+    assert!(!info.result_hit);
     assert_eq!(
-        second.answer.len(),
+        second.len(),
         windows_before + 1,
         "the scrape sealed a window and the next read saw it"
     );
     // New queries land on the slow log and are visible immediately.
     let queries = "SELECT ORDINAL, QUERY FROM sys.queries";
-    let before = service.query(queries).unwrap().answer.len();
-    service
-        .query_algebra(&workload::queries::select_query(0))
-        .unwrap();
-    let after = service.query(queries).unwrap();
-    assert!(!after.result_hit);
+    let before = serve_rows(&service, Request::sql(queries)).0.len();
+    serve_rows(
+        &service,
+        Request::algebra(workload::queries::select_query(0)),
+    );
+    let (after, info) = serve_rows(&service, Request::sql(queries));
+    assert!(!info.result_hit);
     assert!(
-        after.answer.len() > before,
+        after.len() > before,
         "catalog reads reflect every intervening query"
     );
     // And the mix's catalog weight drives the same path end to end:
