@@ -7,7 +7,7 @@ use polygen_bench::{merge_operands, mit_setup};
 use polygen_core::algebra::coalesce::ConflictPolicy;
 use polygen_core::algebra::{coalesce, merge::merge, outer_join};
 use polygen_pqp::analyzer::analyze;
-use polygen_pqp::executor::{execute, execute_eager, ExecOptions};
+use polygen_pqp::executor::{execute, execute_eager};
 use polygen_pqp::interpreter::interpret;
 use polygen_pqp::pqp::{Pqp, PqpOptions};
 use polygen_sql::algebra_expr::{parse_algebra, PAPER_EXPRESSION};
@@ -64,7 +64,7 @@ fn engine_comparison(c: &mut Criterion) {
                 black_box(&iom),
                 &registry,
                 &s.dictionary,
-                ExecOptions::default(),
+                &PqpOptions::default(),
             )
             .unwrap()
         })
@@ -75,7 +75,7 @@ fn engine_comparison(c: &mut Criterion) {
                 black_box(&iom),
                 &registry,
                 &s.dictionary,
-                ExecOptions::default(),
+                &PqpOptions::default(),
             )
             .unwrap()
         })

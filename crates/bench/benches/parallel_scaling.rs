@@ -18,9 +18,11 @@ use polygen_core::algebra::{hash_equi_join_coalesced_partitioned, merge};
 use polygen_core::stream::ParallelOptions;
 use polygen_lqp::engine::LocalOp;
 use polygen_lqp::scenario_registry;
-use polygen_pqp::executor::{execute_plan, ExecOptions};
-use polygen_pqp::plan::{lower, LowerOptions};
+use polygen_obs::trace::Trace;
+use polygen_pqp::executor::execute_plan;
+use polygen_pqp::plan::lower;
 use polygen_pqp::prelude::{analyze, interpret};
+use polygen_pqp::PqpOptions;
 use polygen_sql::algebra_expr::parse_algebra;
 use polygen_workload::{generate, WorkloadConfig};
 use std::hint::black_box;
@@ -131,16 +133,8 @@ fn end_to_end_thread_sweep(c: &mut Criterion) {
     let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
     let (_, iom) = interpret(&pom, scenario.dictionary.schema()).unwrap();
     for threads in THREADS {
-        let plan = lower(
-            &iom,
-            &registry,
-            &scenario.dictionary,
-            LowerOptions {
-                fuse: true,
-                partitions: threads,
-            },
-        )
-        .unwrap();
+        let options = PqpOptions::default().with_threads(threads);
+        let plan = lower(&iom, &registry, &scenario.dictionary, &options).unwrap();
         g.bench_with_input(
             BenchmarkId::new(format!("t{threads}"), "4x10k"),
             &plan,
@@ -151,7 +145,8 @@ fn end_to_end_thread_sweep(c: &mut Criterion) {
                         &registry,
                         &scenario.dictionary,
                         None,
-                        ExecOptions::with_threads(threads),
+                        &options,
+                        &Trace::disabled(),
                     )
                     .unwrap()
                 })

@@ -211,7 +211,8 @@ fn coalesced_join_tuple<'a, 'b>(
 /// Falls back to the sequential kernel when `par` is serial, an input is
 /// empty, or the key columns mix `Int`/`Float` data (a `1 = 1.0` match
 /// crosses hash partitions exactly like it crosses hash buckets — the
-/// sequential kernel's rescan handles it, partitioning cannot).
+/// sequential kernel's rescan handles it, partitioning cannot). Returns
+/// the join with the partition count it ran at: `1` on the fallback.
 pub fn hash_equi_join_coalesced_partitioned<L: Operand, R: Operand>(
     p1: &L,
     p2: &R,
@@ -219,11 +220,11 @@ pub fn hash_equi_join_coalesced_partitioned<L: Operand, R: Operand>(
     y: &str,
     out: &str,
     par: ParallelOptions,
-) -> Result<PolygenRelation, PolygenError> {
+) -> Result<(PolygenRelation, usize), PolygenError> {
     let xi = p1.schema().index_of(x)?.0;
     let yi = p2.schema().index_of(y)?.0;
     if !par.is_parallel() || p1.is_empty() || p2.is_empty() || mixed_numeric_keys(p1, xi, p2, yi) {
-        return hash_equi_join_coalesced(p1, p2, x, y, out);
+        return Ok((hash_equi_join_coalesced(p1, p2, x, y, out)?, 1));
     }
     let schema = equi_join_coalesced_schema(p1.schema(), p2.schema(), x, y, out)?;
     let parter = Partitioner::new(par.partitions);
@@ -274,7 +275,8 @@ pub fn hash_equi_join_coalesced_partitioned<L: Operand, R: Operand>(
     // Each partition's emits are already in probe order; a stable sort on
     // the probe index interleaves them back into the sequential order.
     all.sort_by_key(|(orig, _)| *orig);
-    PolygenRelation::from_tuples(schema, all.into_iter().map(|(_, t)| t).collect())
+    let joined = PolygenRelation::from_tuples(schema, all.into_iter().map(|(_, t)| t).collect())?;
+    Ok((joined, par.partitions))
 }
 
 /// Do the two join columns mix `Int` and `Float` data? Only then can an
@@ -464,7 +466,7 @@ mod tests {
                 threads,
                 partitions,
             };
-            let parallel = hash_equi_join_coalesced_partitioned(
+            let (parallel, used) = hash_equi_join_coalesced_partitioned(
                 &alumnus(),
                 &career(),
                 "AID#",
@@ -473,6 +475,7 @@ mod tests {
                 par,
             )
             .unwrap();
+            assert_eq!(used, partitions, "no fallback on homogeneous keys");
             assert_eq!(
                 sequential.tuples(),
                 parallel.tuples(),
@@ -511,9 +514,17 @@ mod tests {
             }
         }
         let seq = hash_equi_join_coalesced(&left, &right, "AID#", "AID#", "AID#").unwrap();
-        let parl = hash_equi_join_coalesced_partitioned(&left, &right, "AID#", "AID#", "AID#", par)
-            .unwrap();
+        let (parl, used) =
+            hash_equi_join_coalesced_partitioned(&left, &right, "AID#", "AID#", "AID#", par)
+                .unwrap();
         assert_eq!(seq.tuples(), parl.tuples());
+        assert_eq!(used, 4);
+        // A mixed pair that does not collide still falls back, and says so.
+        left.tuples_mut()[0][0].datum = Value::int(-1);
+        let (_, used) =
+            hash_equi_join_coalesced_partitioned(&left, &right, "AID#", "AID#", "AID#", par)
+                .unwrap();
+        assert_eq!(used, 1, "mixed Int/Float keys run the sequential kernel");
     }
 
     #[test]
@@ -522,15 +533,16 @@ mod tests {
         left.tuples_mut()[0][0].datum = Value::Null;
         let par = ParallelOptions::with_threads(3);
         let seq = hash_equi_join_coalesced(&left, &career(), "AID#", "AID#", "AID#").unwrap();
-        let parl =
+        let (parl, _) =
             hash_equi_join_coalesced_partitioned(&left, &career(), "AID#", "AID#", "AID#", par)
                 .unwrap();
         assert_eq!(seq.tuples(), parl.tuples());
         let empty = PolygenRelation::empty(Arc::clone(alumnus().schema()));
-        let j =
+        let (j, used) =
             hash_equi_join_coalesced_partitioned(&empty, &career(), "AID#", "AID#", "AID#", par)
                 .unwrap();
         assert!(j.is_empty());
+        assert_eq!(used, 1, "an empty side runs the sequential kernel");
     }
 
     #[test]

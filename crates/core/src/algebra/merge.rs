@@ -279,15 +279,17 @@ fn finalize_row(cells: Vec<Option<Cell>>, mediators: &SourceSet, key_out: usize)
 /// report final-output `tuple_index`es, but their *order* (and the order
 /// in which a `Strict` policy trips) follows partition order rather than
 /// global scan order — as documented on [`hash_merge`], treat them as
-/// diagnostic.
+/// diagnostic. The last element is the partition count the merge ran at:
+/// `1` on any fallback.
 pub fn hash_merge_partitioned<O: Operand>(
     relations: &[O],
     key: &str,
     policy: ConflictPolicy,
     par: ParallelOptions,
-) -> Result<(PolygenRelation, Vec<CoalesceConflict>), PolygenError> {
+) -> Result<(PolygenRelation, Vec<CoalesceConflict>, usize), PolygenError> {
     if relations.len() <= 1 || !par.is_parallel() || !hash_mergeable(relations, key) {
-        return hash_merge(relations, key, policy);
+        let (merged, conflicts) = hash_merge(relations, key, policy)?;
+        return Ok((merged, conflicts, 1));
     }
     let plan = MergePlan::new(relations, key)?;
     // Reference-only split (partition → operand → (scan index, row)):
@@ -355,6 +357,7 @@ pub fn hash_merge_partitioned<O: Operand>(
     Ok((
         PolygenRelation::from_tuples(Arc::clone(&plan.schema), tuples)?,
         conflicts,
+        par.partitions,
     ))
 }
 
@@ -644,7 +647,7 @@ mod tests {
                 threads,
                 partitions,
             };
-            let (parl, _) = hash_merge_partitioned(rels, key, policy, par).unwrap();
+            let (parl, _, _) = hash_merge_partitioned(rels, key, policy, par).unwrap();
             assert_eq!(
                 seq.schema().attrs(),
                 parl.schema().attrs(),
@@ -684,7 +687,7 @@ mod tests {
             ParallelOptions::with_threads(4)
         )
         .is_err());
-        let (_, conflicts) = hash_merge_partitioned(
+        let (_, conflicts, used) = hash_merge_partitioned(
             &conflicted,
             "ONAME",
             ConflictPolicy::PreferLeft,
@@ -692,8 +695,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(conflicts.len(), 1);
+        assert_eq!(used, 4);
         // The remapped tuple_index points at the final output row.
-        let (m, _) = hash_merge_partitioned(
+        let (m, _, _) = hash_merge_partitioned(
             &conflicted,
             "ONAME",
             ConflictPolicy::PreferLeft,
@@ -713,7 +717,7 @@ mod tests {
         let extra = dup[0].tuples()[0].clone();
         dup[0].tuples_mut().push(extra);
         let fold = merge(&dup, "ONAME", ConflictPolicy::Strict).unwrap().0;
-        let (parl, _) = hash_merge_partitioned(
+        let (parl, _, used) = hash_merge_partitioned(
             &dup,
             "ONAME",
             ConflictPolicy::Strict,
@@ -721,12 +725,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(fold.tuples(), parl.tuples());
+        assert_eq!(used, 1, "a duplicate key runs the sequential fold");
         // Int/Float mixing in the key columns → reference fold.
         let mut mixed = three_sources();
         mixed[0].tuples_mut()[0][0].datum = Value::int(1);
         mixed[1].tuples_mut()[0][0].datum = Value::float(2.5);
         let fold = merge(&mixed, "ONAME", ConflictPolicy::Strict).unwrap().0;
-        let (parl, _) = hash_merge_partitioned(
+        let (parl, _, used) = hash_merge_partitioned(
             &mixed,
             "ONAME",
             ConflictPolicy::Strict,
@@ -734,6 +739,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(fold.tuples(), parl.tuples());
+        assert_eq!(used, 1, "mixed Int/Float keys run the sequential fold");
         // A θ-matching Int/Float key pair (1 = 1.0) conflicts on the key
         // coalesce in the fold; the fallback must reject it identically.
         mixed[1].tuples_mut()[0][0].datum = Value::float(1.0);
@@ -751,8 +757,9 @@ mod tests {
     fn partitioned_merge_single_operand_and_errors_match() {
         let rels = three_sources();
         let par = ParallelOptions::with_threads(4);
-        let (m, _) =
+        let (m, _, used) =
             hash_merge_partitioned(&rels[..1], "ONAME", ConflictPolicy::Strict, par).unwrap();
+        assert_eq!(used, 1);
         assert!(m.tagged_set_eq(&rels[0]));
         assert!(matches!(
             hash_merge_partitioned::<PolygenRelation>(&[], "K", ConflictPolicy::Strict, par),

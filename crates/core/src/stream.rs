@@ -225,7 +225,7 @@ impl ParallelOptions {
 /// test matrix), otherwise [`std::thread::available_parallelism`].
 ///
 /// Resolved once per process and cached — "auto" sits on the per-query
-/// hot path (every `ExecOptions::parallelism()` call lands here), and
+/// hot path (every `PqpOptions::parallelism()` call lands here), and
 /// both inputs are process-constant, so there is no reason to re-read
 /// the environment on every query.
 pub fn default_thread_count() -> usize {
@@ -346,8 +346,12 @@ impl Partitioner {
     /// Split any item vector into `partitions` contiguous,
     /// order-preserving chunks (trailing chunks may be empty). Items
     /// move — nothing is cloned; concatenating the chunks restores the
-    /// input.
+    /// input. One partition hands `items` back as the only chunk, so the
+    /// sequential path pays no copy.
     pub fn chunk_vec<T>(&self, items: Vec<T>) -> Vec<Vec<T>> {
+        if self.partitions == 1 {
+            return vec![items];
+        }
         let per = items.len().div_ceil(self.partitions).max(1);
         let mut chunks = Vec::with_capacity(self.partitions);
         let mut iter = items.into_iter();
@@ -609,6 +613,16 @@ mod tests {
             let back: Vec<usize> = chunks.into_iter().flatten().collect();
             assert_eq!(back, items, "partitions = {p}");
         }
+    }
+
+    #[test]
+    fn chunk_vec_at_one_partition_returns_its_input() {
+        let items: Vec<usize> = (0..23).collect();
+        let (ptr, cap) = (items.as_ptr(), items.capacity());
+        let chunks = Partitioner::new(1).chunk_vec(items);
+        assert_eq!(chunks.len(), 1);
+        assert_eq!(chunks[0].as_ptr(), ptr, "the same allocation, not a copy");
+        assert_eq!(chunks[0].capacity(), cap);
     }
 
     #[test]

@@ -96,15 +96,6 @@ impl CisWorkstation {
         self
     }
 
-    /// Set the worker-thread count for partition-parallel execution
-    /// (`0` = auto via `POLYGEN_THREADS`/available parallelism, `1` =
-    /// sequential). Answers are identical on every setting; EXPLAIN and
-    /// the cost estimate reflect the chosen parallelism.
-    pub fn with_threads(self, threads: usize) -> Self {
-        let options = self.pqp.options().with_threads(threads);
-        self.with_pqp_options(options)
-    }
-
     /// Declare secondary indexes over the workstation's sources: builds
     /// a catalog against current LQP data and attaches it to the PQP,
     /// which routes eligible selective scans onto probes. Answers are
@@ -244,8 +235,11 @@ mod tests {
                      WHERE CHIEF = GRAD AND COMPANY IN \
                      (SELECT COMPANY FROM POSITIONS WHERE ID IN \
                      (SELECT ID FROM SLOAN_GRADS WHERE DEGREE = \"MBA\"))";
-        let sequential = CisWorkstation::for_scenario(&s, computerworld_schema()).with_threads(1);
-        let parallel = CisWorkstation::for_scenario(&s, computerworld_schema()).with_threads(4);
+        let at = |threads| {
+            CisWorkstation::for_scenario(&s, computerworld_schema())
+                .with_pqp_options(PqpOptions::default().with_threads(threads))
+        };
+        let (sequential, parallel) = (at(1), at(4));
         let a = sequential.query_app(query).unwrap();
         let b = parallel.query_app(query).unwrap();
         assert!(a.answer.tagged_set_eq(&b.answer));

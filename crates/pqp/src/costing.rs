@@ -312,6 +312,7 @@ mod tests {
     use super::*;
     use crate::analyzer::analyze;
     use crate::interpreter::interpret;
+    use crate::pqp::PqpOptions;
     use polygen_catalog::scenario;
     use polygen_lqp::adapter::MenuDrivenLqp;
     use polygen_lqp::cost::CostModel;
@@ -351,16 +352,16 @@ mod tests {
             &iom,
             &registry,
             &s.dictionary,
-            crate::plan::LowerOptions::default(),
+            &PqpOptions::default().with_threads(1),
         )
         .unwrap();
         let unfused = crate::plan::lower(
             &iom,
             &registry,
             &s.dictionary,
-            crate::plan::LowerOptions {
-                fuse: false,
-                ..crate::plan::LowerOptions::default()
+            &PqpOptions {
+                retain_intermediates: true,
+                ..PqpOptions::default().with_threads(1)
             },
         )
         .unwrap();
@@ -385,17 +386,14 @@ mod tests {
             &iom,
             &registry,
             &s.dictionary,
-            crate::plan::LowerOptions::default(),
+            &PqpOptions::default().with_threads(1),
         )
         .unwrap();
         let partitioned = crate::plan::lower(
             &iom,
             &registry,
             &s.dictionary,
-            crate::plan::LowerOptions {
-                fuse: true,
-                partitions: 4,
-            },
+            &PqpOptions::default().with_threads(4),
         )
         .unwrap();
         let cs = estimate_physical(&serial, &registry);

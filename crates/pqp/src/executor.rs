@@ -10,7 +10,7 @@
 //! hash merge — both reading leaves in place, so a base cell is first
 //! built when a kernel writes it into its output. Only pipeline breakers
 //! (joins, merges, set operations) materialize relations; nothing else
-//! is retained unless [`ExecOptions::retain_intermediates`] asks for the
+//! is retained unless [`PqpOptions::retain_intermediates`] asks for the
 //! full `R(n)` trace (the golden-table reproduction of §IV's Tables 4–9
 //! does — on leaves tagged eagerly at the boundary, exactly as the
 //! paper prints them).
@@ -30,16 +30,15 @@
 
 use crate::error::PqpError;
 use crate::iom::{ExecLoc, Iom, IomRow};
-use crate::plan::{self, LowerOptions, PhysOp, PhysicalPlan, StageKind};
+use crate::plan::{self, PhysOp, PhysicalPlan, StageKind};
 use crate::pom::{Op, RelRef, Rha};
+use crate::pqp::PqpOptions;
 use polygen_catalog::dictionary::DataDictionary;
 use polygen_core::algebra::{self, coalesce::ConflictPolicy};
-use polygen_core::base::{BaseRelation, Operand};
+use polygen_core::base::BaseRelation;
 use polygen_core::batch::ColumnBatch;
-use polygen_core::error::PolygenError;
 use polygen_core::relation::PolygenRelation;
 use polygen_core::stream::{concat_streams, scoped_map, ParallelOptions, Partitioner, TupleStream};
-use polygen_core::tuple::PolyTuple;
 use polygen_flat::schema::Schema;
 use polygen_flat::value::Cmp;
 use polygen_index::IndexCatalog;
@@ -56,54 +55,8 @@ use std::sync::Arc;
 /// the sequential ones.
 const PARALLEL_MIN_TUPLES: usize = 32;
 
-/// Execution knobs.
-#[derive(Debug, Clone, Default)]
-pub struct ExecOptions {
-    /// What Merge does when two sources disagree on a non-key attribute.
-    pub conflict_policy: ConflictPolicy,
-    /// Retain every `R(n)` in the [`ExecutionTrace`]. Off (the default),
-    /// production pipelines keep only the final relation and the lowerer
-    /// fuses stages freely; on, every IOM row materializes into the trace
-    /// (fused pipeline stages are captured stage by stage, and the
-    /// [`execute`] entry point additionally lowers without fusion so the
-    /// plan maps 1:1 onto IOM rows) — the golden-table tests read Tables
-    /// 4–9 this way.
-    pub retain_intermediates: bool,
-    /// Worker threads for partition-parallel operators (fused stage
-    /// chains, hash joins, hash merges). `0` = auto: the
-    /// `POLYGEN_THREADS` environment variable when set, otherwise
-    /// [`std::thread::available_parallelism`]. `1` = exactly the
-    /// sequential code path. Results are identical on every setting.
-    pub threads: usize,
-    /// Hash/chunk partition count for parallel operators. `0` = same as
-    /// the thread count; larger values over-partition, which rebalances
-    /// key-skewed loads across the workers.
-    pub partitions: usize,
-    /// Span recorder. Disabled (the default) every span site is one
-    /// branch; enabled, the executor records one span per physical
-    /// node — operator kind, output rows, partition count, and which
-    /// kernel (batch vs row) a pipeline took. Spans observe, never
-    /// steer: results are byte-identical with tracing on or off.
-    pub trace: Trace,
-}
-
-impl ExecOptions {
-    /// Options running `threads` workers, everything else default.
-    pub fn with_threads(threads: usize) -> Self {
-        ExecOptions {
-            threads,
-            ..ExecOptions::default()
-        }
-    }
-
-    /// The resolved parallelism (0-valued knobs filled in).
-    pub fn parallelism(&self) -> ParallelOptions {
-        ParallelOptions::resolved(self.threads, self.partitions)
-    }
-}
-
 /// The per-row results of one execution — the golden tests read Tables
-/// 4–9 out of this (with [`ExecOptions::retain_intermediates`] set).
+/// 4–9 out of this (with [`PqpOptions::retain_intermediates`] set).
 #[derive(Debug, Clone)]
 pub struct ExecutionTrace {
     /// `R(n)` → materialized relation: every row when retention is on,
@@ -130,23 +83,16 @@ pub fn resolve_attr(
 }
 
 /// Execute an IOM on the physical-plan engine; returns the final
-/// relation and the trace (see [`ExecOptions::retain_intermediates`]).
+/// relation and the trace (see [`PqpOptions::retain_intermediates`]).
 pub fn execute(
     iom: &Iom,
     registry: &LqpRegistry,
     dictionary: &DataDictionary,
-    options: ExecOptions,
+    options: &PqpOptions,
 ) -> Result<(PolygenRelation, ExecutionTrace), PqpError> {
-    let plan = plan::lower(
-        iom,
-        registry,
-        dictionary,
-        LowerOptions {
-            fuse: !options.retain_intermediates,
-            partitions: options.parallelism().partitions,
-        },
-    )?;
-    execute_plan(&plan, registry, dictionary, None, options)
+    let plan = plan::lower(iom, registry, dictionary, options)?;
+    let trace = Trace::disabled();
+    execute_plan(&plan, registry, dictionary, None, options, &trace)
 }
 
 /// Run one fused pipeline stage in place.
@@ -226,8 +172,8 @@ impl Slot {
 
 /// Run a batch-eligible stage chain on the columnar kernels. Returns
 /// whether a Project ran, in which case emission must collapse
-/// duplicates (the batch defers that to [`emit_batch`] so chunked runs
-/// collapse once, globally).
+/// duplicates ([`batch_pipeline`] defers that to its emission so chunked
+/// runs collapse once, globally).
 fn run_batch_stages(batch: &mut ColumnBatch, stages: &[plan::Stage]) -> Result<bool, PqpError> {
     let mut projected = false;
     for stage in stages {
@@ -248,40 +194,28 @@ fn run_batch_stages(batch: &mut ColumnBatch, stages: &[plan::Stage]) -> Result<b
     Ok(projected)
 }
 
-/// Emit a filtered batch as a stream: the late tags materialize once
-/// per surviving row, then the projection's duplicate collapse (if one
-/// ran) applies — exactly the row engine's Project semantics.
-fn emit_batch(batch: ColumnBatch, projected: bool) -> TupleStream {
-    let mut rel = batch.into_relation();
-    if projected {
-        rel.merge_duplicates();
+/// What a kernel over `tuples` input rows runs under: `par` when the
+/// options ask for parallelism *and* the input clears
+/// [`PARALLEL_MIN_TUPLES`], serial otherwise. The partitioned kernels
+/// may still decline (and report it), so spans annotate from the kernel.
+fn fan_out(par: ParallelOptions, tuples: usize) -> ParallelOptions {
+    if par.is_parallel() && tuples >= PARALLEL_MIN_TUPLES {
+        par
+    } else {
+        ParallelOptions::serial()
     }
-    TupleStream::from_relation(rel)
 }
 
-/// `par` when a kernel over `tuples` input rows takes its partitioned
-/// twin, `None` when it stays sequential: the options must ask for
-/// parallelism *and* the input must clear [`PARALLEL_MIN_TUPLES`]. The
-/// one dispatch decision — kernels branch on it, spans report it.
-fn fan_out(par: ParallelOptions, tuples: usize) -> Option<ParallelOptions> {
-    (par.is_parallel() && tuples >= PARALLEL_MIN_TUPLES).then_some(par)
-}
-
-/// The columnar pipeline over a leaf. Parallel runs (`par` is `Some`)
-/// chunk the row ordinals contiguously, gather and run the batch kernels
-/// per chunk on scoped workers, and splice the emissions back in chunk
-/// order before a single global duplicate collapse — byte-identical to
-/// the sequential batch (and row) walk.
+/// The columnar pipeline over a leaf: chunk the row ordinals
+/// contiguously, gather and run the batch kernels per chunk on scoped
+/// workers, and splice the emissions back in chunk order before a single
+/// global duplicate collapse — byte-identical to the row walk. Serial,
+/// the one chunk is every ordinal and runs inline.
 fn batch_pipeline(
     base: &BaseRelation,
     stages: &[plan::Stage],
-    par: Option<ParallelOptions>,
+    par: ParallelOptions,
 ) -> Result<TupleStream, PqpError> {
-    let Some(par) = par else {
-        let mut batch = ColumnBatch::from_base(base);
-        let projected = run_batch_stages(&mut batch, stages)?;
-        return Ok(emit_batch(batch, projected));
-    };
     let rows = u32::try_from(base.len()).expect("batch rows fit the u32 selection vector");
     let chunks = Partitioner::new(par.partitions).chunk_vec((0..rows).collect());
     let processed = scoped_map(chunks, par.threads, |_, chunk| {
@@ -289,55 +223,15 @@ fn batch_pipeline(
         let projected = run_batch_stages(&mut batch, stages)?;
         Ok::<_, PqpError>((batch.into_relation(), projected))
     });
-    let mut out_schema = None;
-    let mut tuples: Vec<PolyTuple> = Vec::new();
-    let mut projected = false;
+    let mut processed = processed.into_iter();
+    let (mut out, projected) = processed.next().expect("chunk_vec yields a chunk")?;
     for p in processed {
-        let (chunk_rel, chunk_projected) = p?;
-        projected = chunk_projected;
-        if out_schema.is_none() {
-            out_schema = Some(Arc::clone(chunk_rel.schema()));
-        }
-        tuples.extend(chunk_rel.into_tuples());
+        out.tuples_mut().extend(p?.0.into_tuples());
     }
-    let mut out = PolygenRelation::from_tuples(
-        out_schema.expect("chunk_vec yields at least one chunk"),
-        tuples,
-    )?;
     if projected {
         out.merge_duplicates();
     }
     Ok(TupleStream::from_relation(out))
-}
-
-/// The hash-join kernel for these operands: partitioned under `par`,
-/// sequential without (byte-identical).
-fn hash_join<L: Operand, R: Operand>(
-    l: &L,
-    r: &R,
-    x: &str,
-    y: &str,
-    out: &str,
-    par: Option<ParallelOptions>,
-) -> Result<PolygenRelation, PolygenError> {
-    match par {
-        Some(par) => algebra::hash_equi_join_coalesced_partitioned(l, r, x, y, out, par),
-        None => algebra::hash_equi_join_coalesced(l, r, x, y, out),
-    }
-}
-
-/// The hash-merge kernel for these operands (see [`hash_join`]).
-fn hash_merge<O: Operand>(
-    operands: &[O],
-    key: &str,
-    policy: ConflictPolicy,
-    par: Option<ParallelOptions>,
-) -> Result<PolygenRelation, PolygenError> {
-    let (merged, _conflicts) = match par {
-        Some(par) => algebra::hash_merge_partitioned(operands, key, policy, par)?,
-        None => algebra::hash_merge(operands, key, policy)?,
-    };
-    Ok(merged)
 }
 
 /// The span-site name of one physical operator (static: a disabled
@@ -362,13 +256,17 @@ fn op_span_name(op: &PhysOp) -> &'static str {
 /// [`PhysOp::IndexScan`] leaves (`None` serves plans that have none).
 /// The catalog must be the one the plan was routed against (in the
 /// serving layer, the owning snapshot's): executing a routed plan
-/// without it fails loudly rather than silently re-scanning.
+/// without it fails loudly rather than silently re-scanning. An enabled
+/// `trace` records one span per physical node — operator kind, output
+/// rows, which kernel (batch vs row) a pipeline took, and the partition
+/// count when a kernel ran partitioned. Spans observe, never steer.
 pub fn execute_plan(
     plan: &PhysicalPlan,
     registry: &LqpRegistry,
     dictionary: &DataDictionary,
     indexes: Option<&IndexCatalog>,
-    options: ExecOptions,
+    options: &PqpOptions,
+    trace: &Trace,
 ) -> Result<(PolygenRelation, ExecutionTrace), PqpError> {
     let n = plan.nodes.len();
     let par = options.parallelism();
@@ -403,9 +301,9 @@ pub fn execute_plan(
         }
     };
     for (i, node) in plan.nodes.iter().enumerate() {
-        let span = options.trace.begin(op_span_name(&node.op));
-        // The partitioned dispatch this node actually took, if any.
-        let mut fanned = None;
+        let span = trace.begin(op_span_name(&node.op));
+        // The partition count this node's kernel actually ran at.
+        let mut fanned = 1;
         let slot = match &node.op {
             PhysOp::Scan { db, op } => leaf(registry.scan(db, op, dictionary)?),
             PhysOp::IndexScan {
@@ -445,14 +343,15 @@ pub fn execute_plan(
                 match take(&mut slots, &mut remaining, *input) {
                     Slot::Leaf(base) if plan.is_batch_pipeline(i) => {
                         if !span.is_none() {
-                            options.trace.annotate(span, "kernel", Note::str("batch"));
+                            trace.annotate(span, "kernel", Note::str("batch"));
                         }
-                        fanned = fan_out(par, base.len());
-                        Slot::Stream(batch_pipeline(&base, stages, fanned)?)
+                        let run = fan_out(par, base.len());
+                        fanned = run.partitions;
+                        Slot::Stream(batch_pipeline(&base, stages, run)?)
                     }
                     input_slot => {
                         if !span.is_none() {
-                            options.trace.annotate(span, "kernel", Note::str("row"));
+                            trace.annotate(span, "kernel", Note::str("row"));
                         }
                         // Tuple-local prefix (cut at the first Project, whose
                         // duplicate collapse is a whole-stream operation), then
@@ -469,29 +368,22 @@ pub fn execute_plan(
                         let (prefix, rest) = stages.split_at(cut);
                         let mut s = input_slot.into_stream();
                         if !prefix.is_empty() {
-                            fanned = fan_out(par, s.len());
-                        }
-                        if let Some(par) = fanned {
                             // Chunk-parallel prefix over shared tuples:
                             // contiguous chunks run on scoped workers and
                             // concatenate back in input order —
-                            // byte-identical to the sequential walk.
-                            let chunks = Partitioner::new(par.partitions).chunk_stream(s);
-                            let processed = scoped_map(chunks, par.threads, |_, mut chunk| {
+                            // byte-identical to the sequential walk, which
+                            // is the one-chunk case run inline.
+                            let run = fan_out(par, s.len());
+                            fanned = run.partitions;
+                            let chunks = Partitioner::new(run.partitions).chunk_stream(s);
+                            let processed = scoped_map(chunks, run.threads, |_, mut chunk| {
                                 for stage in prefix {
                                     apply_stage(&mut chunk, &stage.kind)?;
                                 }
                                 Ok::<_, PqpError>(chunk)
                             });
-                            let mut parts = Vec::with_capacity(processed.len());
-                            for p in processed {
-                                parts.push(p?);
-                            }
+                            let parts = processed.into_iter().collect::<Result<Vec<_>, _>>()?;
                             s = concat_streams(parts).expect("at least one chunk");
-                        } else {
-                            for stage in prefix {
-                                apply_stage(&mut s, &stage.kind)?;
-                            }
                         }
                         for stage in rest {
                             apply_stage(&mut s, &stage.kind)?;
@@ -516,13 +408,15 @@ pub fn execute_plan(
                 // tagged stream.
                 let l = take(&mut slots, &mut remaining, *left);
                 let r = take(&mut slots, &mut remaining, *right);
-                fanned = fan_out(par, l.len() + r.len());
-                let joined = match (l, r) {
-                    (Slot::Leaf(l), Slot::Leaf(r)) => hash_join(&l, &r, x, y, out, fanned)?,
-                    (Slot::Leaf(l), r) => hash_join(&l, &r.into_relation(), x, y, out, fanned)?,
-                    (l, Slot::Leaf(r)) => hash_join(&l.into_relation(), &r, x, y, out, fanned)?,
-                    (l, r) => hash_join(&l.into_relation(), &r.into_relation(), x, y, out, fanned)?,
+                let run = fan_out(par, l.len() + r.len());
+                use algebra::hash_equi_join_coalesced_partitioned as join;
+                let (joined, used) = match (l, r) {
+                    (Slot::Leaf(l), Slot::Leaf(r)) => join(&l, &r, x, y, out, run)?,
+                    (Slot::Leaf(l), r) => join(&l, &r.into_relation(), x, y, out, run)?,
+                    (l, Slot::Leaf(r)) => join(&l.into_relation(), &r, x, y, out, run)?,
+                    (l, r) => join(&l.into_relation(), &r.into_relation(), x, y, out, run)?,
                 };
+                fanned = used;
                 Slot::Stream(TupleStream::from_relation(joined))
             }
             PhysOp::ThetaJoin {
@@ -548,20 +442,21 @@ pub fn execute_plan(
                     .iter()
                     .map(|&idx| take(&mut slots, &mut remaining, idx))
                     .collect();
-                fanned = fan_out(par, taken.iter().map(Slot::len).sum());
+                let run = fan_out(par, taken.iter().map(Slot::len).sum());
+                let policy = options.conflict_policy;
                 let names = |k: usize| relabels[k].iter().map(String::as_str).collect::<Vec<_>>();
                 // Relabeling is a schema swap on either carrier — no
                 // cell copies. Merge operands are always leaves, so in
                 // production they are read in place.
                 let leaves: Option<Vec<&BaseRelation>> = taken.iter().map(Slot::as_leaf).collect();
-                let merged = match leaves {
+                let (merged, _conflicts, used) = match leaves {
                     Some(leaves) => {
                         let operands = leaves
                             .iter()
                             .enumerate()
                             .map(|(k, b)| b.rename_attrs(&names(k)))
                             .collect::<Result<Vec<_>, _>>()?;
-                        hash_merge(&operands, key, options.conflict_policy, fanned)?
+                        algebra::hash_merge_partitioned(&operands, key, policy, run)?
                     }
                     None => {
                         let operands = taken
@@ -569,9 +464,10 @@ pub fn execute_plan(
                             .enumerate()
                             .map(|(k, slot)| slot.into_relation().into_renamed_attrs(&names(k)))
                             .collect::<Result<Vec<_>, _>>()?;
-                        hash_merge(&operands, key, options.conflict_policy, fanned)?
+                        algebra::hash_merge_partitioned(&operands, key, policy, run)?
                     }
                 };
+                fanned = used;
                 Slot::Stream(TupleStream::from_relation(merged))
             }
             PhysOp::AntiJoin { left, right, x, y } => {
@@ -603,22 +499,16 @@ pub fn execute_plan(
             }
         };
         if !span.is_none() {
-            options.trace.annotate(span, "node", Note::Uint(i as u64));
-            options
-                .trace
-                .annotate(span, "row", Note::Uint(node.row as u64));
-            options
-                .trace
-                .annotate(span, "rows", Note::Uint(slot.len() as u64));
+            trace.annotate(span, "node", Note::Uint(i as u64));
+            trace.annotate(span, "row", Note::Uint(node.row as u64));
+            trace.annotate(span, "rows", Note::Uint(slot.len() as u64));
             // From the run, not from `node.partitioning`: that is the
             // compile-time estimate, and one cached plan runs at every
             // thread allotment.
-            if let Some(par) = fanned {
-                options
-                    .trace
-                    .annotate(span, "partitions", Note::Uint(par.partitions as u64));
+            if fanned > 1 {
+                trace.annotate(span, "partitions", Note::Uint(fanned as u64));
             }
-            options.trace.end(span);
+            trace.end(span);
         }
         // Planned and runtime schemas are identical by construction, but
         // the LQP registry has interior mutability: re-registering an LQP
@@ -660,7 +550,7 @@ pub fn execute_plan(
 struct Executor<'a> {
     registry: &'a LqpRegistry,
     dictionary: &'a DataDictionary,
-    options: ExecOptions,
+    conflict_policy: ConflictPolicy,
     /// R(n) → relation.
     env: BTreeMap<usize, PolygenRelation>,
     /// R(n) → (db, local relation) for base retrieves (Merge relabeling).
@@ -810,8 +700,7 @@ impl Executor<'_> {
             let refs: Vec<&str> = new_names.iter().map(String::as_str).collect();
             relabeled.push(rel.rename_attrs(&refs)?);
         }
-        let (merged, _conflicts) =
-            algebra::merge(&relabeled, scheme.key(), self.options.conflict_policy)?;
+        let (merged, _conflicts) = algebra::merge(&relabeled, scheme.key(), self.conflict_policy)?;
         Ok(merged)
     }
 
@@ -953,12 +842,12 @@ pub fn execute_eager(
     iom: &Iom,
     registry: &LqpRegistry,
     dictionary: &DataDictionary,
-    options: ExecOptions,
+    options: &PqpOptions,
 ) -> Result<(PolygenRelation, ExecutionTrace), PqpError> {
     let mut ex = Executor {
         registry,
         dictionary,
-        options,
+        conflict_policy: options.conflict_policy,
         env: BTreeMap::new(),
         base_meta: BTreeMap::new(),
         aliases: BTreeMap::new(),
@@ -1001,10 +890,10 @@ mod tests {
     use polygen_lqp::scenario_registry;
     use polygen_sql::algebra_expr::parse_algebra;
 
-    fn retained() -> ExecOptions {
-        ExecOptions {
+    fn retained() -> PqpOptions {
+        PqpOptions {
             retain_intermediates: true,
-            ..ExecOptions::default()
+            ..PqpOptions::default()
         }
     }
 
@@ -1013,7 +902,7 @@ mod tests {
         let registry = scenario_registry(&s);
         let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
         let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-        execute(&iom, &registry, &s.dictionary, retained()).unwrap()
+        execute(&iom, &registry, &s.dictionary, &retained()).unwrap()
     }
 
     #[test]
@@ -1062,15 +951,18 @@ mod tests {
         let pom =
             analyze(&parse_algebra(polygen_sql::algebra_expr::PAPER_EXPRESSION).unwrap()).unwrap();
         let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-        let fused = crate::plan::lower(
-            &iom,
+        let fused =
+            crate::plan::lower(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
+        assert!(fused.fused_rows() > 0);
+        let (_, trace) = execute_plan(
+            &fused,
             &registry,
             &s.dictionary,
-            crate::plan::LowerOptions::default(),
+            None,
+            &retained(),
+            &Trace::disabled(),
         )
         .unwrap();
-        assert!(fused.fused_rows() > 0);
-        let (_, trace) = execute_plan(&fused, &registry, &s.dictionary, None, retained()).unwrap();
         assert_eq!(
             trace.results.len(),
             10,
@@ -1086,7 +978,7 @@ mod tests {
         let pom =
             analyze(&parse_algebra(polygen_sql::algebra_expr::PAPER_EXPRESSION).unwrap()).unwrap();
         let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-        let (rel, trace) = execute(&iom, &registry, &s.dictionary, ExecOptions::default()).unwrap();
+        let (rel, trace) = execute(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
         assert_eq!(trace.results.len(), 1);
         assert!(trace.result(10).unwrap().tagged_set_eq(&rel));
     }
@@ -1106,8 +998,8 @@ mod tests {
             let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
             let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
             let (eager, eager_trace) =
-                execute_eager(&iom, &registry, &s.dictionary, ExecOptions::default()).unwrap();
-            let (fast, fast_trace) = execute(&iom, &registry, &s.dictionary, retained()).unwrap();
+                execute_eager(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
+            let (fast, fast_trace) = execute(&iom, &registry, &s.dictionary, &retained()).unwrap();
             assert!(eager.tagged_set_eq(&fast), "answers diverge for {expr}");
             assert_eq!(
                 eager_trace.results.len(),
@@ -1130,22 +1022,15 @@ mod tests {
         let pom =
             analyze(&parse_algebra(polygen_sql::algebra_expr::PAPER_EXPRESSION).unwrap()).unwrap();
         let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-        let (seq, _) =
-            execute(&iom, &registry, &s.dictionary, ExecOptions::with_threads(1)).unwrap();
+        let at = |threads| PqpOptions::default().with_threads(threads);
+        let (seq, _) = execute(&iom, &registry, &s.dictionary, &at(1)).unwrap();
         for threads in [2usize, 4, 8] {
-            let (parl, _) = execute(
-                &iom,
-                &registry,
-                &s.dictionary,
-                ExecOptions::with_threads(threads),
-            )
-            .unwrap();
+            let (parl, _) = execute(&iom, &registry, &s.dictionary, &at(threads)).unwrap();
             assert!(seq.tagged_set_eq(&parl), "threads = {threads}");
         }
         // Knob resolution: explicit values pass through, 0 resolves.
-        let o = ExecOptions::with_threads(4);
-        assert_eq!(o.parallelism().partitions, 4);
-        let auto = ExecOptions::default().parallelism();
+        assert_eq!(at(4).parallelism().partitions, 4);
+        let auto = PqpOptions::default().parallelism();
         assert!(auto.threads >= 1);
     }
 

@@ -45,16 +45,14 @@ pub mod prelude {
     pub use crate::analyzer::analyze;
     pub use crate::costing::{estimate, estimate_physical, PlanCost};
     pub use crate::error::PqpError;
-    pub use crate::executor::{
-        execute, execute_eager, execute_plan, resolve_attr, ExecOptions, ExecutionTrace,
-    };
+    pub use crate::executor::{execute, execute_eager, execute_plan, resolve_attr, ExecutionTrace};
     pub use crate::explain::{explain, render_analyzed_plan};
     pub use crate::interpreter::{interpret, pass_one, pass_two};
     pub use crate::iom::{render_iom, ExecLoc, Iom, IomRow};
     pub use crate::optimizer::{optimize, OptimizerReport};
     pub use crate::plan::{
-        lower as lower_plan, render_plan, route_index_scans, LowerOptions, Partitioning, PhysNode,
-        PhysOp, PhysicalPlan, Stage, StageKind,
+        lower as lower_plan, render_plan, route_index_scans, Partitioning, PhysNode, PhysOp,
+        PhysicalPlan, Stage, StageKind,
     };
     pub use crate::pom::{render_pom, Op, Pom, PomRow, RelRef, Rha};
     pub use crate::pqp::{CompiledQuery, Pqp, PqpOptions, QueryOutcome};

@@ -252,8 +252,9 @@ fn eliminate_dead_rows(iom: &Iom, report: &mut OptimizerReport) -> Result<Iom, P
 mod tests {
     use super::*;
     use crate::analyzer::analyze;
-    use crate::executor::{execute, ExecOptions};
+    use crate::executor::execute;
     use crate::interpreter::interpret;
+    use crate::pqp::PqpOptions;
     use polygen_catalog::scenario::{self, Scenario};
     use polygen_lqp::adapter::MenuDrivenLqp;
     use polygen_lqp::cost::CostModel;
@@ -281,8 +282,8 @@ mod tests {
         let retrieves_after = opt.rows.iter().filter(|r| r.op == Op::Retrieve).count();
         assert_eq!(retrieves_after, 1);
         // Results agree.
-        let (naive, _) = execute(&iom, &registry, &s.dictionary, ExecOptions::default()).unwrap();
-        let (fast, _) = execute(&opt, &registry, &s.dictionary, ExecOptions::default()).unwrap();
+        let (naive, _) = execute(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
+        let (fast, _) = execute(&opt, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
         assert!(naive.tagged_set_eq(&fast));
     }
 
@@ -334,8 +335,8 @@ mod tests {
         assert_eq!(opt.rows[0].el, ExecLoc::Lqp("CD".into()));
         // Equivalent results — except tags: a pushed select runs before
         // tagging, so the intermediate {CD} tag disappears. Data agrees.
-        let (naive, _) = execute(&hand, &registry, &s.dictionary, ExecOptions::default()).unwrap();
-        let (fast, _) = execute(&opt, &registry, &s.dictionary, ExecOptions::default()).unwrap();
+        let (naive, _) = execute(&hand, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
+        let (fast, _) = execute(&opt, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
         assert!(naive.strip().set_eq(&fast.strip()));
     }
 
@@ -392,8 +393,8 @@ mod tests {
         let registry = scenario_registry(&s);
         let iom = compile(polygen_sql::algebra_expr::PAPER_EXPRESSION, &s);
         let (opt, _) = optimize(&iom, &registry, &s.dictionary).unwrap();
-        let (naive, _) = execute(&iom, &registry, &s.dictionary, ExecOptions::default()).unwrap();
-        let (fast, _) = execute(&opt, &registry, &s.dictionary, ExecOptions::default()).unwrap();
+        let (naive, _) = execute(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
+        let (fast, _) = execute(&opt, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
         assert!(naive.tagged_set_eq(&fast));
     }
 
@@ -411,8 +412,8 @@ mod tests {
         assert_eq!(report.merges_deduped, 1);
         let merges_after = opt.rows.iter().filter(|r| r.op == Op::Merge).count();
         assert_eq!(merges_after, 1);
-        let (naive, _) = execute(&iom, &registry, &s.dictionary, ExecOptions::default()).unwrap();
-        let (fast, _) = execute(&opt, &registry, &s.dictionary, ExecOptions::default()).unwrap();
+        let (naive, _) = execute(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
+        let (fast, _) = execute(&opt, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
         assert!(naive.tagged_set_eq(&fast));
     }
 

@@ -30,6 +30,7 @@
 use crate::error::PqpError;
 use crate::iom::{ExecLoc, Iom, IomRow};
 use crate::pom::{Op, RelRef, Rha};
+use crate::pqp::PqpOptions;
 use polygen_catalog::dictionary::DataDictionary;
 use polygen_core::algebra::join::equi_join_coalesced_schema;
 use polygen_core::algebra::merge::merged_schema;
@@ -371,28 +372,6 @@ fn batch_eligible_stages(stages: &[Stage]) -> bool {
             StageKind::Select { .. } | StageKind::Restrict { .. } => true,
             StageKind::Project { .. } => i + 1 == stages.len(),
         })
-}
-
-/// Lowering knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct LowerOptions {
-    /// Fuse consecutive single-consumer Select/Restrict/Project rows into
-    /// one pipeline. Disabled when the caller needs every `R(n)` in the
-    /// execution trace (golden-table reproduction).
-    pub fuse: bool,
-    /// Partition count to annotate parallelizable operators with
-    /// (pipelines, hash joins, hash merges). `1` leaves every node
-    /// [`Partitioning::Serial`] — exactly the pre-parallel plans.
-    pub partitions: usize,
-}
-
-impl Default for LowerOptions {
-    fn default() -> Self {
-        LowerOptions {
-            fuse: true,
-            partitions: 1,
-        }
-    }
 }
 
 /// Resolve an IOM attribute against a schema: exact column first, then
@@ -966,12 +945,15 @@ impl Lowerer<'_> {
     }
 }
 
-/// Lower an IOM into a physical plan.
+/// Lower an IOM into a physical plan: stages fuse unless `options`
+/// retains intermediates, and parallelizable operators are annotated with
+/// the resolved partition count (`1` leaves every node
+/// [`Partitioning::Serial`]).
 pub fn lower(
     iom: &Iom,
     registry: &LqpRegistry,
     dictionary: &DataDictionary,
-    options: LowerOptions,
+    options: &PqpOptions,
 ) -> Result<PhysicalPlan, PqpError> {
     let mut uses: HashMap<usize, usize> = HashMap::new();
     for row in &iom.rows {
@@ -990,8 +972,8 @@ pub fn lower(
     let mut lowerer = Lowerer {
         registry,
         dictionary,
-        fuse: options.fuse,
-        partitions: options.partitions.max(1),
+        fuse: !options.retain_intermediates,
+        partitions: options.parallelism().partitions,
         uses,
         nodes: Vec::with_capacity(iom.rows.len()),
         env: HashMap::new(),
@@ -1291,6 +1273,11 @@ mod tests {
     use polygen_lqp::scenario_registry;
     use polygen_sql::algebra_expr::{parse_algebra, PAPER_EXPRESSION};
 
+    /// One thread, one partition: every node annotated `Serial`.
+    fn serial() -> PqpOptions {
+        PqpOptions::default().with_threads(1)
+    }
+
     fn paper_plan(fuse: bool) -> PhysicalPlan {
         let s = scenario::build();
         let registry = scenario_registry(&s);
@@ -1300,9 +1287,9 @@ mod tests {
             &iom,
             &registry,
             &s.dictionary,
-            LowerOptions {
-                fuse,
-                ..LowerOptions::default()
+            &PqpOptions {
+                retain_intermediates: !fuse,
+                ..serial()
             },
         )
         .unwrap()
@@ -1368,10 +1355,7 @@ mod tests {
             &iom,
             &registry,
             &s.dictionary,
-            LowerOptions {
-                fuse: true,
-                partitions: 4,
-            },
+            &PqpOptions::default().with_threads(4),
         )
         .unwrap();
         for node in &plan.nodes {
@@ -1453,7 +1437,7 @@ mod tests {
         let lower_expr = |expr: &str| {
             let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
             let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-            lower(&iom, &registry, &s.dictionary, LowerOptions::default()).unwrap()
+            lower(&iom, &registry, &s.dictionary, &serial()).unwrap()
         };
         // `<>` is not sargable.
         let ne = lower_expr("PALUMNUS [DEGREE <> \"MBA\"]");
@@ -1487,7 +1471,7 @@ mod tests {
         let pom = analyze(&parse_algebra("PALUMNUS [AID# >= \"200\"] [AID# <= \"600\"]").unwrap())
             .unwrap();
         let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-        let plan = lower(&iom, &registry, &s.dictionary, LowerOptions::default()).unwrap();
+        let plan = lower(&iom, &registry, &s.dictionary, &serial()).unwrap();
         let routed = route_index_scans(&plan, &catalog);
         assert_eq!(routed.index_scans(), 1);
         let PhysOp::IndexScan { probe, .. } = &routed.nodes[0].op else {
@@ -1515,7 +1499,7 @@ mod tests {
         let pom = analyze(&parse_algebra("PCAREER [AID# = AID#] PCAREER").unwrap()).unwrap();
         let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
         let (opt, _) = crate::optimizer::optimize(&iom, &registry, &s.dictionary).unwrap();
-        let plan = lower(&opt, &registry, &s.dictionary, LowerOptions::default()).unwrap();
+        let plan = lower(&opt, &registry, &s.dictionary, &serial()).unwrap();
         // Deduped plan: one scan + one hash join over it twice.
         let scans = plan
             .nodes

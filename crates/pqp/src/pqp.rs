@@ -6,16 +6,17 @@
 
 use crate::analyzer::analyze;
 use crate::error::PqpError;
-use crate::executor::{execute_plan, ExecOptions, ExecutionTrace};
+use crate::executor::{execute_plan, ExecutionTrace};
 use crate::interpreter::interpret;
 use crate::iom::Iom;
 use crate::optimizer::{optimize, OptimizerReport};
-use crate::plan::{lower as lower_plan, LowerOptions, PhysicalPlan};
+use crate::plan::{lower as lower_plan, PhysicalPlan};
 use crate::pom::Pom;
 use polygen_catalog::dictionary::DataDictionary;
 use polygen_catalog::scenario::Scenario;
 use polygen_core::algebra::coalesce::ConflictPolicy;
 use polygen_core::relation::PolygenRelation;
+use polygen_core::stream::ParallelOptions;
 use polygen_index::IndexCatalog;
 use polygen_lqp::registry::LqpRegistry;
 use polygen_lqp::scenario_registry;
@@ -25,30 +26,37 @@ use polygen_sql::lower::{lower, LoweringOptions};
 use polygen_sql::parser::parse_query;
 use std::sync::Arc;
 
-/// PQP-wide configuration.
+/// The engine configuration: the one statement of every execution
+/// decision. The lowerer, the executor and the serving layer all read
+/// it; the service overrides only `threads` per query, with the
+/// allotment admission hands it.
 #[derive(Debug, Clone, Copy)]
 pub struct PqpOptions {
     /// SQL lowering mode (paper vs strict range variables).
     pub lowering: LoweringOptions,
-    /// Merge conflict policy.
+    /// What Merge does when two sources disagree on a non-key attribute.
     pub conflict_policy: ConflictPolicy,
     /// Run the Query Optimizer (off reproduces the paper's "Table 3 used
     /// as a query execution plan … without further optimization").
     pub optimize: bool,
-    /// Retain every `R(n)` in the [`QueryOutcome`]'s trace. Off by
-    /// default: production pipelines fuse stages and keep only the final
-    /// relation; the golden-table reproduction switches this on to read
-    /// Tables 4–9 out of the trace.
+    /// Retain every `R(n)` in the [`ExecutionTrace`]. Off (the default),
+    /// the lowerer fuses Select/Restrict/Project chains into pipelines
+    /// and execution keeps only the final relation; on, lowering maps
+    /// the plan 1:1 onto IOM rows and every `R(n)` materializes into the
+    /// trace (a fused plan handed to the executor is still captured
+    /// stage by stage) — the golden-table tests read Tables 4–9 this way.
     pub retain_intermediates: bool,
-    /// Worker threads for partition-parallel operators. `0` (the
-    /// default) = auto: the `POLYGEN_THREADS` environment variable when
-    /// set, otherwise [`std::thread::available_parallelism`]. `1` =
-    /// exactly the sequential engine. Answers are identical on every
-    /// setting — the plan annotations, EXPLAIN output and cost estimates
-    /// reflect the chosen parallelism.
+    /// Worker threads for partition-parallel operators (fused stage
+    /// chains, hash joins, hash merges). `0` (the default) = auto: the
+    /// `POLYGEN_THREADS` environment variable when set, otherwise
+    /// [`std::thread::available_parallelism`]. `1` = exactly the
+    /// sequential engine. Answers are identical on every setting — the
+    /// plan annotations, EXPLAIN output and cost estimates reflect the
+    /// chosen parallelism.
     pub threads: usize,
-    /// Partition count for parallel operators (`0` = thread count; larger
-    /// values over-partition to rebalance key-skewed loads).
+    /// Hash/chunk partition count for parallel operators. `0` = the
+    /// thread count; larger values over-partition, which rebalances
+    /// key-skewed loads across the workers.
     pub partitions: usize,
 }
 
@@ -70,6 +78,12 @@ impl PqpOptions {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
+    }
+
+    /// `threads` and `partitions` with their `0` ("auto") values
+    /// resolved — what the lowerer annotates and the executor runs.
+    pub fn parallelism(&self) -> ParallelOptions {
+        ParallelOptions::resolved(self.threads, self.partitions)
     }
 }
 
@@ -190,19 +204,7 @@ impl Pqp {
         } else {
             (iom.clone(), OptimizerReport::default())
         };
-        let mut physical = lower_plan(
-            &plan,
-            &self.registry,
-            &self.dictionary,
-            LowerOptions {
-                fuse: !self.options.retain_intermediates,
-                partitions: polygen_core::stream::ParallelOptions::resolved(
-                    self.options.threads,
-                    self.options.partitions,
-                )
-                .partitions,
-            },
-        )?;
+        let mut physical = lower_plan(&plan, &self.registry, &self.dictionary, &self.options)?;
         // Index pushdown: swap eligible Scan leaves for probes. Skipped
         // in retention mode — the golden-table trace expects every
         // `R(n)` to materialize from full scans.
@@ -250,13 +252,8 @@ impl Pqp {
             &self.registry,
             &self.dictionary,
             self.indexes.as_deref(),
-            ExecOptions {
-                conflict_policy: self.options.conflict_policy,
-                retain_intermediates: self.options.retain_intermediates,
-                threads: self.options.threads,
-                partitions: self.options.partitions,
-                trace: trace.clone(),
-            },
+            &self.options,
+            trace,
         )
     }
 

@@ -51,7 +51,7 @@ use polygen_obs::session::{SessionRegistry, SessionStats};
 use polygen_obs::slowlog::{QueryDetail, SlowQueryLog, SlowQueryReport};
 use polygen_obs::trace::{Note, SpanId, Trace};
 use polygen_pqp::error::PqpError;
-use polygen_pqp::executor::{execute_plan, ExecOptions};
+use polygen_pqp::executor::execute_plan;
 use polygen_pqp::plan::PhysOp;
 use polygen_pqp::pqp::{Pqp, PqpOptions};
 use polygen_sql::normalize::{canonicalize_algebra, canonicalize_sql, NormalizeError};
@@ -754,12 +754,11 @@ impl QueryService {
             snapshot.registry(),
             snapshot.dictionary(),
             Some(snapshot.indexes()),
-            ExecOptions {
-                conflict_policy: engine_options().conflict_policy,
+            &PqpOptions {
                 threads,
-                trace: exec_trace.clone(),
-                ..ExecOptions::default()
+                ..engine_options()
             },
+            &exec_trace,
         );
         let exec_elapsed = exec_start.elapsed();
         self.metrics.record_execute(exec_elapsed);
@@ -948,8 +947,8 @@ impl QueryService {
 /// The engine settings every served query compiles and runs under: the
 /// defaults' conflict policy, optimizer switch and SQL lowering mode,
 /// with `retain_intermediates` off (serving keeps answers, not
-/// paper-table traces). Threads are not an engine setting here — each
-/// run takes its allotment from the shared budget at admission.
+/// paper-table traces). Each run overrides only `threads`, with the
+/// allotment admission takes from the shared budget.
 fn engine_options() -> PqpOptions {
     PqpOptions::default()
 }

@@ -14,6 +14,7 @@ use polygen::catalog::scenario::Scenario;
 use polygen::catalog::schema::PolygenSchema;
 use polygen::core::algebra::coalesce::ConflictPolicy;
 use polygen::core::PolygenRelation;
+use polygen::obs::trace::Trace;
 use polygen::pqp::prelude::*;
 use polygen::serve::request::{Request, Response, ResponseInfo};
 use polygen::serve::QueryService;
@@ -93,16 +94,16 @@ pub fn assert_parallel_matches(
 ) {
     let registry = polygen::lqp::scenario_registry(scenario);
     let iom = compile(expr, scenario.dictionary.schema());
-    let opts = |threads: usize, retain: bool| ExecOptions {
+    let opts = |threads: usize, retain: bool| PqpOptions {
         conflict_policy: policy,
         retain_intermediates: retain,
         threads,
         partitions: threads,
-        ..ExecOptions::default()
+        ..PqpOptions::default()
     };
-    let eager = execute_eager(&iom, &registry, &scenario.dictionary, opts(1, false));
-    let sequential = execute(&iom, &registry, &scenario.dictionary, opts(1, false));
-    let parallel = execute(&iom, &registry, &scenario.dictionary, opts(threads, false));
+    let eager = execute_eager(&iom, &registry, &scenario.dictionary, &opts(1, false));
+    let sequential = execute(&iom, &registry, &scenario.dictionary, &opts(1, false));
+    let parallel = execute(&iom, &registry, &scenario.dictionary, &opts(threads, false));
     match (eager, sequential, parallel) {
         (Ok((eager, _)), Ok((seq, _)), Ok((parl, _))) => {
             assert!(
@@ -124,11 +125,11 @@ pub fn assert_parallel_matches(
             );
             // Retained runs: every traced R(n) must match across engines.
             let (_, eager_trace) =
-                execute_eager(&iom, &registry, &scenario.dictionary, opts(1, true)).unwrap();
+                execute_eager(&iom, &registry, &scenario.dictionary, &opts(1, true)).unwrap();
             let (_, seq_trace) =
-                execute(&iom, &registry, &scenario.dictionary, opts(1, true)).unwrap();
+                execute(&iom, &registry, &scenario.dictionary, &opts(1, true)).unwrap();
             let (_, parl_trace) =
-                execute(&iom, &registry, &scenario.dictionary, opts(threads, true)).unwrap();
+                execute(&iom, &registry, &scenario.dictionary, &opts(threads, true)).unwrap();
             assert_eq!(eager_trace.results.len(), seq_trace.results.len());
             assert_eq!(eager_trace.results.len(), parl_trace.results.len());
             for (pr, rel) in &eager_trace.results {
@@ -185,24 +186,27 @@ pub fn assert_batch_matches(
 ) {
     let registry = polygen::lqp::scenario_registry(scenario);
     let iom = compile(expr, scenario.dictionary.schema());
-    let opts = |retain: bool| ExecOptions {
+    let opts = |retain: bool| PqpOptions {
         conflict_policy: policy,
         retain_intermediates: retain,
         threads,
         partitions: threads,
-        ..ExecOptions::default()
+        ..PqpOptions::default()
     };
-    let eager = execute_eager(&iom, &registry, &scenario.dictionary, opts(false));
-    let plan = lower_plan(
-        &iom,
-        &registry,
-        &scenario.dictionary,
-        LowerOptions::default(),
-    );
+    let eager = execute_eager(&iom, &registry, &scenario.dictionary, &opts(false));
+    let plan = lower_plan(&iom, &registry, &scenario.dictionary, &opts(false));
     let (row, batch) = match plan {
         Ok(plan) => {
-            let run =
-                |retain| execute_plan(&plan, &registry, &scenario.dictionary, None, opts(retain));
+            let run = |retain| {
+                execute_plan(
+                    &plan,
+                    &registry,
+                    &scenario.dictionary,
+                    None,
+                    &opts(retain),
+                    &Trace::disabled(),
+                )
+            };
             (run(true), run(false))
         }
         Err(e) => (Err(e.clone()), Err(e)),

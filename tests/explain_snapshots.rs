@@ -28,7 +28,12 @@ fn plan_text(expr: &str, fuse: bool, partitions: usize) -> String {
         &iom,
         &registry,
         &s.dictionary,
-        LowerOptions { fuse, partitions },
+        &PqpOptions {
+            retain_intermediates: !fuse,
+            threads: partitions,
+            partitions,
+            ..PqpOptions::default()
+        },
     )
     .unwrap();
     render_plan(&plan)
@@ -43,7 +48,13 @@ fn indexed_plan_and_cost(expr: &str, specs: &[IndexSpec]) -> (String, String) {
     let catalog = IndexCatalog::build(specs, &registry, &s.dictionary).unwrap();
     let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
     let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-    let plan = lower_plan(&iom, &registry, &s.dictionary, LowerOptions::default()).unwrap();
+    let plan = lower_plan(
+        &iom,
+        &registry,
+        &s.dictionary,
+        &PqpOptions::default().with_threads(1),
+    )
+    .unwrap();
     let routed = route_index_scans(&plan, &catalog);
     let cost = estimate_physical(&routed, &registry).to_string();
     (render_plan(&routed), cost)

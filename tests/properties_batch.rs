@@ -25,6 +25,7 @@ use polygen::flat::value::Cmp;
 use polygen::flat::{Schema, Value};
 use polygen::index::IndexSpec;
 use polygen::net::request_for;
+use polygen::obs::trace::Trace;
 use polygen::pqp::prelude::*;
 use polygen::serve::prelude::*;
 use polygen::sql::prelude::PAPER_EXPRESSION;
@@ -223,12 +224,13 @@ fn indexed_probes_feed_batches_byte_identically() {
                 pqp.registry(),
                 pqp.dictionary(),
                 Some(&catalog),
-                ExecOptions {
+                &PqpOptions {
                     retain_intermediates: true,
                     threads,
                     partitions: threads,
-                    ..ExecOptions::default()
+                    ..PqpOptions::default()
                 },
+                &Trace::disabled(),
             )
             .unwrap();
             assert_eq!(

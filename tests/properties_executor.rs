@@ -67,9 +67,9 @@ proptest! {
         let expr = workload::queries::random_expression(&config, query_seed, depth);
         let iom = compile(&expr.to_string(), sc.dictionary.schema());
         let (opt, _) = optimize(&iom, &registry, &sc.dictionary).unwrap();
-        let options = ExecOptions::default();
-        let (eager, _) = execute_eager(&opt, &registry, &sc.dictionary, options.clone()).unwrap();
-        let (fast, _) = execute(&opt, &registry, &sc.dictionary, options).unwrap();
+        let options = PqpOptions::default();
+        let (eager, _) = execute_eager(&opt, &registry, &sc.dictionary, &options).unwrap();
+        let (fast, _) = execute(&opt, &registry, &sc.dictionary, &options).unwrap();
         prop_assert!(fast.tagged_set_eq(&eager), "optimized plan diverges for {expr}");
     }
 }

@@ -22,6 +22,7 @@ mod common;
 
 use common::fixtures::{compile, same_error_kind, small_config};
 use polygen::catalog::prelude::scenario;
+use polygen::flat::value::Value;
 use polygen::lqp::scenario_registry;
 use polygen::obs::hist::Histogram;
 use polygen::obs::summary::LatencySummary;
@@ -45,21 +46,19 @@ const COVERAGE_EXPRESSIONS: &[&str] = &[
 
 /// A span's `partitions` note is the run's, not the plan's: one cached
 /// plan runs at every thread allotment (the service compiles at one
-/// partition and runs at whatever admission grants), and a plan
-/// annotated for four partitions still runs sequentially over an input
-/// below the executor's small-input threshold.
+/// partition and runs at whatever admission grants), a plan annotated
+/// for four partitions still runs sequentially over an input below the
+/// executor's small-input threshold, and a partitioned kernel that falls
+/// back to its sequential twin on the data it was handed reports that.
 #[test]
 fn partition_notes_report_the_run_not_the_plan() {
-    let join_notes = |sc: &scenario::Scenario, expr: &str, planned: usize, threads: usize| {
+    let notes = |sc: &scenario::Scenario, expr: &str, span: &str, planned: usize, threads| {
         let registry = scenario_registry(sc);
         let plan = lower_plan(
             &compile(expr, sc.dictionary.schema()),
             &registry,
             &sc.dictionary,
-            LowerOptions {
-                partitions: planned,
-                ..LowerOptions::default()
-            },
+            &PqpOptions::default().with_threads(planned),
         )
         .expect("lowers");
         assert_eq!(
@@ -68,21 +67,20 @@ fn partition_notes_report_the_run_not_the_plan() {
             "the plan text shows the compile-time annotation"
         );
         let trace = Trace::enabled();
-        let options = ExecOptions {
-            threads,
-            trace: trace.clone(),
-            ..ExecOptions::default()
-        };
-        execute_plan(&plan, &registry, &sc.dictionary, None, options).expect("runs");
+        let options = PqpOptions::default().with_threads(threads);
+        execute_plan(&plan, &registry, &sc.dictionary, None, &options, &trace).expect("runs");
         let report = trace.report().expect("enabled recorder reports");
         let notes: Vec<Option<u64>> = report
-            .spans_named("exec/HashJoin")
+            .spans_named(span)
             .map(|sp| sp.note_uint("partitions"))
             .collect();
         notes
     };
+    let join_notes = |sc: &scenario::Scenario, expr: &str, planned: usize, threads: usize| {
+        notes(sc, expr, "exec/HashJoin", planned, threads)
+    };
     // Planned serial, run at 4 threads over 64 + 64 rows: partitioned.
-    let big = workload::generate(&small_config(5, 3, 64));
+    let mut big = workload::generate(&small_config(5, 3, 64));
     let join = workload::queries::join_query(0);
     assert_eq!(join_notes(&big, &join, 1, 4), vec![Some(4)]);
     assert_eq!(join_notes(&big, &join, 4, 1), vec![None]);
@@ -91,6 +89,26 @@ fn partition_notes_report_the_run_not_the_plan() {
     let paper = scenario::build();
     let tiny = "(PALUMNUS [ANAME = CEO] PORGANIZATION) [CEO, DEGREE]";
     assert_eq!(join_notes(&paper, tiny, 4, 4), vec![None]);
+    // Inputs well over the threshold that the kernels decline: an empty
+    // probe side (no score reaches 1000) against the 64 merged entities,
+    // then — after the data changes below — `Int`/`Float`-mixed join keys
+    // and a duplicate merge key inside one operand.
+    let empty_side = workload::queries::join_query(1000);
+    assert_eq!(join_notes(&big, &empty_side, 4, 4), vec![None]);
+    let s0 = &mut big.databases[0].relations;
+    let first = s0[0].rows()[0].clone();
+    s0[0]
+        .insert(vec![first[0].clone(), first[1].clone(), Value::Int(-1)])
+        .expect("a second ENTITY_0 row under the same NAME_0");
+    s0[1]
+        .insert(vec![Value::Int(-1), first[0].clone(), Value::float(0.5)])
+        .expect("a DETAIL row with a Float score");
+    let mixed = "PDETAIL [SCORE = VALUE_0] PENTITY";
+    assert_eq!(join_notes(&big, mixed, 4, 4), vec![None]);
+    assert_eq!(
+        notes(&big, "PENTITY [ENAME, CATEGORY]", "exec/HashMerge", 4, 4),
+        vec![None]
+    );
 }
 
 proptest! {
@@ -118,25 +136,20 @@ proptest! {
         let registry = scenario_registry(&sc);
         for expr in [random.to_string(), "PDETAIL [SCORE >= 30] [ENAME, SCORE]".to_string()] {
             let iom = compile(&expr, sc.dictionary.schema());
-            let plan = lower_plan(&iom, &registry, &sc.dictionary, LowerOptions::default());
+            let serial = PqpOptions::default().with_threads(1);
+            let plan = lower_plan(&iom, &registry, &sc.dictionary, &serial);
             for threads in [1usize, 4] {
-                let opts = |trace: Trace, retain: bool| ExecOptions {
+                let opts = |retain: bool| PqpOptions {
                     retain_intermediates: retain,
                     threads,
                     partitions: threads,
-                    trace,
-                    ..ExecOptions::default()
+                    ..PqpOptions::default()
                 };
                 let run = |trace: Trace, retain: bool| {
                     let plan = plan.as_ref().map_err(Clone::clone)?;
-                    execute_plan(plan, &registry, &sc.dictionary, None, opts(trace, retain))
+                    execute_plan(plan, &registry, &sc.dictionary, None, &opts(retain), &trace)
                 };
-                let eager = execute_eager(
-                    &iom,
-                    &registry,
-                    &sc.dictionary,
-                    opts(Trace::disabled(), false),
-                );
+                let eager = execute_eager(&iom, &registry, &sc.dictionary, &opts(false));
                 let off = run(Trace::disabled(), false);
                 let recorder = Trace::enabled();
                 let on = run(recorder.clone(), false);

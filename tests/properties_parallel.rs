@@ -148,7 +148,7 @@ proptest! {
             merge(&rels, "K", ConflictPolicy::Strict),
             hash_merge_partitioned(&rels, "K", ConflictPolicy::Strict, par),
         ) {
-            (Ok((fold, _)), Ok((parl, _))) => {
+            (Ok((fold, _)), Ok((parl, _, _))) => {
                 prop_assert_eq!(fold.schema().attrs(), parl.schema().attrs());
                 prop_assert_eq!(fold.tuples(), parl.tuples(), "order included");
             }
@@ -177,7 +177,7 @@ proptest! {
             equi_join_coalesced(&left, &right, "K", "K", "K"),
             hash_equi_join_coalesced_partitioned(&left, &right, "K", "K", "K", par),
         ) {
-            (Ok(reference), Ok(parl)) => {
+            (Ok(reference), Ok((parl, _))) => {
                 prop_assert_eq!(reference.schema().attrs(), parl.schema().attrs());
                 prop_assert_eq!(reference.tuples(), parl.tuples(), "order included");
             }

@@ -37,6 +37,7 @@ use polygen::flat::{Relation, Value};
 use polygen::lqp::engine::{LocalOp, Lqp};
 use polygen::lqp::memory::InMemoryLqp;
 use polygen::lqp::registry::LqpRegistry;
+use polygen::obs::trace::Trace;
 use polygen::pqp::prelude::*;
 use polygen::serve::prelude::*;
 use proptest::prelude::*;
@@ -248,12 +249,13 @@ fn assert_late_tagging_invisible(
         &iom,
         &registry,
         &sc.dictionary,
-        ExecOptions {
+        &PqpOptions {
             conflict_policy: policy,
-            ..ExecOptions::default()
+            ..PqpOptions::default()
         },
     );
-    let plan = lower_plan(&iom, &registry, &sc.dictionary, LowerOptions::default());
+    let serial = PqpOptions::default().with_threads(1);
+    let plan = lower_plan(&iom, &registry, &sc.dictionary, &serial);
     let plan = match (plan, &eager) {
         (Ok(plan), _) => plan,
         (Err(pe), Err(ee)) => {
@@ -269,13 +271,14 @@ fn assert_late_tagging_invisible(
                 &registry,
                 &sc.dictionary,
                 None,
-                ExecOptions {
+                &PqpOptions {
                     conflict_policy: policy,
                     retain_intermediates: retain,
                     threads,
                     partitions: threads,
-                    ..ExecOptions::default()
+                    ..PqpOptions::default()
                 },
+                &Trace::disabled(),
             );
             let leg = format!("`{expr}` threads={threads} retain={retain}");
             match (&eager, got) {
@@ -353,8 +356,12 @@ proptest! {
         let mut got = vec![hash_merge(&bases, "K", policy)];
         for threads in THREAD_COUNTS {
             let par = ParallelOptions { threads, partitions: threads.max(2) };
-            got.push(hash_merge_partitioned(&bases, "K", policy, par));
-            got.push(hash_merge_partitioned(&[ta.clone(), tb.clone(), tc.clone()], "K", policy, par));
+            let drop_used = |(m, c, _)| (m, c);
+            got.push(hash_merge_partitioned(&bases, "K", policy, par).map(drop_used));
+            got.push(
+                hash_merge_partitioned(&[ta.clone(), tb.clone(), tc.clone()], "K", policy, par)
+                    .map(drop_used),
+            );
         }
         for got in got {
             match (&want, got) {
@@ -386,10 +393,11 @@ proptest! {
         ];
         for threads in THREAD_COUNTS {
             let par = ParallelOptions { threads, partitions: threads.max(2) };
-            got.push(hash_equi_join_coalesced_partitioned(&bl, &br, "K", "J", "J", par));
-            got.push(hash_equi_join_coalesced_partitioned(&bl, &tr, "K", "J", "J", par));
-            got.push(hash_equi_join_coalesced_partitioned(&tl, &br, "K", "J", "J", par));
-            got.push(hash_equi_join_coalesced_partitioned(&tl, &tr, "K", "J", "J", par));
+            let drop_used = |(j, _)| j;
+            got.push(hash_equi_join_coalesced_partitioned(&bl, &br, "K", "J", "J", par).map(drop_used));
+            got.push(hash_equi_join_coalesced_partitioned(&bl, &tr, "K", "J", "J", par).map(drop_used));
+            got.push(hash_equi_join_coalesced_partitioned(&tl, &br, "K", "J", "J", par).map(drop_used));
+            got.push(hash_equi_join_coalesced_partitioned(&tl, &tr, "K", "J", "J", par).map(drop_used));
         }
         for got in got {
             match (&want, got) {
