@@ -7,8 +7,9 @@
 //!
 //! * `sys/materialize` — each relation builder in isolation, on a
 //!   service left warm by closed-loop traffic: snapshot the feeding
-//!   subsystem (slow log, session registry, metrics ring, federation
-//!   snapshot, cache key dumps) and build the tagged relation.
+//!   subsystem (slow log, session registry, stats window marks,
+//!   federation snapshot, cache key dumps) and build the tagged
+//!   relation.
 //! * `sys/vs_user` — end-to-end catalog-query latency (`sys.stats`,
 //!   `sys.sessions`, and the slow-log-backed `sys.queries`) against the
 //!   user-query reference points: the warmed result-hit path and a
@@ -201,7 +202,7 @@ fn materialize_sweep(c: &mut Criterion) {
         b.iter(|| black_box(sys::sessions_relation(&service.sessions().snapshot())).len())
     });
     g.bench_function("stats", |b| {
-        b.iter(|| black_box(sys::stats_relation(&service.sys_catalog().ring().windows())).len())
+        b.iter(|| black_box(service.sys_catalog().stats(service.live_metrics())).len())
     });
     g.bench_function("sources", |b| {
         b.iter(|| black_box(sys::sources_relation(black_box(snapshot.as_ref()))).len())

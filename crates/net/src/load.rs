@@ -11,8 +11,9 @@
 
 use crate::client::{NetClient, NetError};
 use crate::protocol::Frame;
+use polygen_obs::LatencySummary;
 use polygen_serve::request::Request;
-use polygen_workload::clients::{ClientMix, ClientQuery, LatencySummary, QueryLang};
+use polygen_workload::clients::{ClientMix, ClientQuery, QueryLang};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 

@@ -46,9 +46,9 @@ use polygen_serve::service::QueryService;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -169,7 +169,12 @@ impl Default for NetServerOptions {
 pub struct NetServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    open: Arc<AtomicUsize>,
+    /// The served service, held weakly: the poller and workers own
+    /// it, so the last of them to exit frees it. A strong handle here
+    /// would move that free to the thread dropping the server, which
+    /// raised peak RSS by one to two services' worth when servers are
+    /// set up back to back (ledger `hot_mix`, glibc malloc).
+    service: Weak<QueryService>,
     waker: Waker,
     poller: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
@@ -194,7 +199,6 @@ impl NetServer {
         listener.set_nonblocking(true)?;
 
         let stop = Arc::new(AtomicBool::new(false));
-        let open = Arc::new(AtomicUsize::new(0));
         let (waker, wake_rx) = sys::wake_pair()?;
         let (job_tx, job_rx) = mpsc::channel::<Job>();
         let job_rx = Arc::new(Mutex::new(job_rx));
@@ -213,16 +217,15 @@ impl NetServer {
             })
             .collect::<std::io::Result<Vec<_>>>()?;
 
+        let served = Arc::downgrade(&service);
         let poller = {
             let stop = Arc::clone(&stop);
-            let open = Arc::clone(&open);
             std::thread::spawn(move || {
                 let mut loop_state = PollerLoop::new(
                     listener,
                     service,
                     options,
                     stop,
-                    open,
                     wake_rx,
                     job_tx,
                     completions,
@@ -234,7 +237,7 @@ impl NetServer {
         Ok(NetServer {
             addr,
             stop,
-            open,
+            service: served,
             waker,
             poller: Some(poller),
             workers,
@@ -246,13 +249,17 @@ impl NetServer {
         self.addr
     }
 
-    /// Connections the poller currently tracks. Finished sessions are
-    /// dropped the moment their hangup/EOF surfaces, so under
-    /// connect/disconnect load this stays bounded by the number of
-    /// *live* sessions — the regression guard for the old
+    /// Wire connections open on the served service — a read of its
+    /// `conns_open` gauge, which the poller moves as it admits and
+    /// closes connections (0 once the service is gone). Finished
+    /// sessions are dropped the moment their hangup/EOF surfaces, so
+    /// under connect/disconnect load this stays bounded by the number
+    /// of *live* sessions — the regression guard for the old
     /// grow-without-bound handle list.
     pub fn open_connections(&self) -> usize {
-        self.open.load(Ordering::Relaxed)
+        self.service.upgrade().map_or(0, |service| {
+            usize::try_from(service.metrics().conns_open).unwrap_or(usize::MAX)
+        })
     }
 
     /// Stop accepting, flush in-flight responses (bounded by
@@ -437,7 +444,6 @@ struct PollerLoop<A: Acceptor> {
     service: Arc<QueryService>,
     options: NetServerOptions,
     stop: Arc<AtomicBool>,
-    open: Arc<AtomicUsize>,
     wake_rx: WakeReceiver,
     job_tx: mpsc::Sender<Job>,
     completions: Arc<Mutex<Vec<Completion>>>,
@@ -450,13 +456,11 @@ struct PollerLoop<A: Acceptor> {
 }
 
 impl<A: Acceptor> PollerLoop<A> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         listener: A,
         service: Arc<QueryService>,
         options: NetServerOptions,
         stop: Arc<AtomicBool>,
-        open: Arc<AtomicUsize>,
         wake_rx: WakeReceiver,
         job_tx: mpsc::Sender<Job>,
         completions: Arc<Mutex<Vec<Completion>>>,
@@ -476,7 +480,6 @@ impl<A: Acceptor> PollerLoop<A> {
             service,
             options,
             stop,
-            open,
             wake_rx,
             job_tx,
             completions,
@@ -522,7 +525,6 @@ impl<A: Acceptor> PollerLoop<A> {
                     self.advance_reads(event.token);
                 }
             }
-            self.publish_open();
             if self.accept_dead && self.conns.is_empty() {
                 break;
             }
@@ -532,7 +534,6 @@ impl<A: Acceptor> PollerLoop<A> {
         for token in tokens {
             self.close(token, CloseCause::Ordinary);
         }
-        self.publish_open();
         // Dropping self.job_tx (with the loop) closes the worker
         // channel; NetServer joins the workers after this thread.
     }
@@ -562,10 +563,6 @@ impl<A: Acceptor> PollerLoop<A> {
                 self.flush(token);
             }
         }
-    }
-
-    fn publish_open(&self) {
-        self.open.store(self.conns.len(), Ordering::Relaxed);
     }
 
     /// Accept until the listener runs dry (or errors out).
@@ -631,7 +628,6 @@ impl<A: Acceptor> PollerLoop<A> {
         self.service.live_metrics().record_conn_opened();
         self.conns.insert(token, conn);
         self.flush(token);
-        self.publish_open();
     }
 
     /// Re-register a connection's interest if it changed.
@@ -871,7 +867,6 @@ impl<A: Acceptor> PollerLoop<A> {
         self.service.sessions().deregister(conn.stats.id());
         let _ = self.poller.remove(conn.stream.sock_id());
         // conn (and its socket) drops here.
-        self.publish_open();
     }
 }
 
@@ -928,10 +923,7 @@ mod tests {
 
     /// Run a poller loop over an injected acceptor, with a real worker
     /// pool, and return the thread handle plus stop flag and waker.
-    fn spawn_test_loop(
-        acceptor: FakeAcceptor,
-        open: Arc<AtomicUsize>,
-    ) -> (JoinHandle<()>, Arc<AtomicBool>, Waker) {
+    fn spawn_test_loop(acceptor: FakeAcceptor) -> (JoinHandle<()>, Arc<AtomicBool>, Waker) {
         let service = tiny_service();
         let stop = Arc::new(AtomicBool::new(false));
         let (waker, wake_rx) = sys::wake_pair().unwrap();
@@ -954,7 +946,6 @@ mod tests {
                     service,
                     NetServerOptions::default(),
                     stop,
-                    open,
                     wake_rx,
                     job_tx,
                     completions,
@@ -1002,8 +993,7 @@ mod tests {
             Err(io::Error::from_raw_os_error(24)), // EMFILE
             Ok(served),
         ]);
-        let open = Arc::new(AtomicUsize::new(0));
-        let (loop_handle, stop, waker) = spawn_test_loop(acceptor, Arc::clone(&open));
+        let (loop_handle, stop, waker) = spawn_test_loop(acceptor);
 
         // The connection accepted *after* the transient errors greets —
         // proof the listener survived them.
@@ -1036,8 +1026,7 @@ mod tests {
     #[test]
     fn fatal_accept_errors_stop_the_loop() {
         let acceptor = FakeAcceptor::new(vec![Err(io::Error::from(ErrorKind::InvalidInput))]);
-        let open = Arc::new(AtomicUsize::new(0));
-        let (handle, _stop, _waker) = spawn_test_loop(acceptor, open);
+        let (handle, _stop, _waker) = spawn_test_loop(acceptor);
         let started = Instant::now();
         handle.join().unwrap();
         assert!(

@@ -27,20 +27,19 @@
 //! * [`session`] — [`session::SessionRegistry`], the live-session map:
 //!   who is connected, what each session is running *right now*, and
 //!   relaxed-atomic per-session cumulative counters.
-//! * [`ring`] — [`ring::MetricsRing`], a fixed ring of windowed metric
-//!   rollups (counter deltas + a windowed latency histogram per
-//!   window), so rate-over-the-last-minute questions are answerable
-//!   from flat relational windows rather than caller-side deltas.
+//!
+//! Windowed rollups are not stored here: the serving layer keeps its
+//! counters in one place and computes each `sys.stats` window as the
+//! difference of two snapshots of them ([`HistogramSnapshot::delta_since`]
+//! for the latency columns).
 
 pub mod hist;
-pub mod ring;
 pub mod session;
 pub mod slowlog;
 pub mod summary;
 pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot};
-pub use ring::{CumulativeMark, MetricsRing, MetricsWindow};
 pub use session::{SessionRegistry, SessionSnapshot, SessionStats};
 pub use slowlog::{QueryDetail, SlowQueryLog, SlowQueryReport};
 pub use summary::LatencySummary;
@@ -49,7 +48,6 @@ pub use trace::{Note, SpanId, SpanReport, Trace, TraceReport};
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::hist::{Histogram, HistogramSnapshot};
-    pub use crate::ring::{CumulativeMark, MetricsRing, MetricsWindow};
     pub use crate::session::{SessionRegistry, SessionSnapshot, SessionStats};
     pub use crate::slowlog::{QueryDetail, SlowQueryLog, SlowQueryReport};
     pub use crate::summary::LatencySummary;

@@ -11,10 +11,8 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 /// Structured facts about one finished query, beyond its total
-/// latency: where the time went and how the caches treated it. All
-/// fields are optional extras — [`SlowQueryLog::observe`] records an
-/// entry with the zero detail; callers that know more use
-/// [`SlowQueryLog::observe_detailed`].
+/// latency: where the time went and how the caches treated it. The
+/// default is the zero detail of a request that never reached a cache.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryDetail {
     /// Time spent waiting for admission, microseconds.
@@ -60,25 +58,10 @@ impl SlowQueryLog {
         }
     }
 
-    /// The admission threshold, microseconds.
-    pub fn threshold_micros(&self) -> u64 {
-        self.threshold_micros
-    }
-
-    /// Offer one finished query. Kept if it clears the threshold and
-    /// (once full) beats the current best-of-the-worst.
-    pub fn observe(&self, query: &str, elapsed: Duration, trace: &Trace) {
-        self.observe_detailed(query, elapsed, trace, QueryDetail::default());
-    }
-
-    /// [`SlowQueryLog::observe`], with structured facts attached.
-    pub fn observe_detailed(
-        &self,
-        query: &str,
-        elapsed: Duration,
-        trace: &Trace,
-        detail: QueryDetail,
-    ) {
+    /// Offer one finished query with the facts known about it. Kept if
+    /// it clears the threshold and (once full) beats the current
+    /// best-of-the-worst.
+    pub fn observe(&self, query: &str, elapsed: Duration, trace: &Trace, detail: QueryDetail) {
         if self.capacity == 0 {
             return;
         }
@@ -154,11 +137,6 @@ impl SlowQueryLog {
             }
         }
     }
-
-    /// Drop every entry (tests, or a scrape-and-reset collector).
-    pub fn clear(&self) {
-        self.entries.lock().expect("slowlog lock").clear();
-    }
 }
 
 /// One slow-log entry as reported at scrape time.
@@ -168,8 +146,7 @@ pub struct SlowQueryReport {
     pub query: String,
     /// End-to-end service latency, microseconds.
     pub micros: u64,
-    /// Structured facts recorded with the entry (zero when the
-    /// observer only knew the total).
+    /// Structured facts recorded with the entry.
     pub detail: QueryDetail,
     /// The rendered waterfall, when the query carried an enabled trace.
     pub waterfall: Option<String>,
@@ -179,15 +156,21 @@ pub struct SlowQueryReport {
 mod tests {
     use super::*;
 
+    /// Offer `query` taking `micros`, with the zero detail.
+    fn offer(log: &SlowQueryLog, query: &str, micros: u64, trace: &Trace) {
+        let elapsed = Duration::from_micros(micros);
+        log.observe(query, elapsed, trace, QueryDetail::default());
+    }
+
     #[test]
     fn keeps_the_worst_n_over_threshold() {
         let log = SlowQueryLog::new(2, Duration::from_micros(10));
         let t = Trace::disabled();
-        log.observe("fast", Duration::from_micros(5), &t); // under threshold
-        log.observe("a", Duration::from_micros(20), &t);
-        log.observe("b", Duration::from_micros(50), &t);
-        log.observe("c", Duration::from_micros(30), &t); // evicts a
-        log.observe("d", Duration::from_micros(15), &t); // not worse than floor
+        offer(&log, "fast", 5, &t); // under threshold
+        offer(&log, "a", 20, &t);
+        offer(&log, "b", 50, &t);
+        offer(&log, "c", 30, &t); // evicts a
+        offer(&log, "d", 15, &t); // not worse than floor
         let snap = log.snapshot();
         let names: Vec<&str> = snap.iter().map(|r| r.query.as_str()).collect();
         assert_eq!(names, vec!["b", "c"]);
@@ -201,7 +184,7 @@ mod tests {
         let t = Trace::enabled();
         let s = t.begin("serve/execute");
         t.end(s);
-        log.observe("q", Duration::from_micros(100), &t);
+        offer(&log, "q", 100, &t);
         // The flush span lands after the entry was recorded — a lazy
         // render must still show it.
         let f = t.begin("net/flush");
@@ -214,15 +197,13 @@ mod tests {
         log.render(&mut scrape);
         assert!(scrape.contains("# slowlog 100 µs  q"));
         assert!(scrape.lines().all(|l| l.starts_with('#')));
-        log.clear();
-        assert!(log.snapshot().is_empty());
     }
 
     #[test]
     fn detailed_entries_carry_their_facts() {
         let log = SlowQueryLog::new(2, Duration::ZERO);
         let t = Trace::disabled();
-        log.observe_detailed(
+        log.observe(
             "q",
             Duration::from_micros(40),
             &t,
@@ -233,7 +214,7 @@ mod tests {
                 error: Some((30, "SQL_SYNTAX")),
             },
         );
-        log.observe("plain", Duration::from_micros(10), &t);
+        offer(&log, "plain", 10, &t);
         let snap = log.snapshot();
         assert_eq!(snap[0].query, "q");
         assert_eq!(snap[0].detail.queue_micros, 5);
@@ -247,7 +228,7 @@ mod tests {
     #[test]
     fn zero_capacity_is_inert() {
         let log = SlowQueryLog::new(0, Duration::ZERO);
-        log.observe("q", Duration::from_micros(1), &Trace::disabled());
+        offer(&log, "q", 1, &Trace::disabled());
         assert!(log.snapshot().is_empty());
         let mut out = String::new();
         log.render(&mut out);

@@ -1,15 +1,18 @@
-//! Service-wide counters, cheap enough for the per-query hot path.
+//! Service-wide counters, cheap enough for the per-query hot path —
+//! and the one place every service counter is stored.
 //!
 //! Counters are relaxed atomics and latencies are lock-free log-bucketed
 //! [`Histogram`]s (hit path, executed path, admission queue wait,
 //! execution proper) — percentiles within bucket resolution, not just
-//! sums. [`ServiceMetrics::snapshot`] freezes one coherent
-//! [`MetricsSnapshot`]: the query-path recorders bump a write epoch
-//! around their multi-counter updates and the snapshot re-reads (bounded
-//! retries) until it lands between updates, so a snapshot's `queries`,
-//! `executed`, and histogram counts tell one consistent story instead of
-//! a mid-update tear. [`MetricsSnapshot::render_prometheus`] is the
-//! wire-scrapable text form.
+//! sums. Nothing is counted twice: answered queries, executed plans and
+//! result-cache hits are the latency histograms' sample counts, so
+//! [`ServiceMetrics::snapshot`] derives them instead of keeping copies
+//! that would need fencing to stay in step. Everything that reports on
+//! the service — the [`MetricsSnapshot`] itself, the `sys.stats`
+//! windows, the Prometheus scrape, the TCP server's open-connection
+//! count — is a view computed from this store when read.
+//! [`MetricsSnapshot::render_prometheus`] is the wire-scrapable text
+//! form.
 
 use crate::request::ErrorCode;
 use polygen_obs::hist::{Histogram, HistogramSnapshot};
@@ -27,32 +30,24 @@ pub struct ServiceMetrics {
     /// Mutex-guarded (not atomic) because errors are off the hot path;
     /// shed queries land here under [`ErrorCode::Overloaded`].
     errors_by_code: Mutex<BTreeMap<ErrorCode, u64>>,
-    queries: AtomicU64,
     errors: AtomicU64,
     rejected: AtomicU64,
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
-    result_hits: AtomicU64,
     result_misses: AtomicU64,
-    /// Queries that actually ran a plan (everything a result-cache hit
-    /// did not short-circuit — including all queries on a cache-less
-    /// service, which never probes and so never counts a result miss).
-    executed: AtomicU64,
     invalidated_plans: AtomicU64,
     invalidated_results: AtomicU64,
     /// Latency distributions split by path: a result-cache hit skips
     /// execution entirely, so the two histograms make the hit-path
-    /// speedup visible — p50/p95/p99, not just means.
+    /// speedup visible — p50/p95/p99, not just means. Their sample
+    /// counts *are* the result-hit and executed-query counters, and
+    /// together the answered-query counter.
     hit_latency: Histogram,
     miss_latency: Histogram,
     /// Time spent waiting for admission (queue wait), per admitted query.
     queue_wait: Histogram,
     /// Plan execution proper (excludes admission, parsing, caching).
     execute_latency: Histogram,
-    /// Write epoch for snapshot coherence: incremented before and after
-    /// every multi-counter query-path update (seqlock-style — odd means
-    /// an update is in flight).
-    epoch: AtomicU64,
     peak_queue_depth: AtomicU64,
     peak_concurrency: AtomicU64,
     /// Connection-level telemetry, recorded by whatever transport front
@@ -65,17 +60,15 @@ pub struct ServiceMetrics {
 }
 
 impl ServiceMetrics {
+    /// One answered query: a result-cache hit, or a query that ran its
+    /// plan (every query on a cache-less service, which never probes).
     pub(crate) fn record_query(&self, latency: Duration, result_hit: bool) {
-        self.epoch.fetch_add(1, Ordering::Acquire);
-        self.queries.fetch_add(1, Ordering::Relaxed);
         let hist = if result_hit {
             &self.hit_latency
         } else {
-            self.executed.fetch_add(1, Ordering::Relaxed);
             &self.miss_latency
         };
         hist.record(latency);
-        self.epoch.fetch_add(1, Ordering::Release);
     }
 
     /// Time an admitted query spent waiting for its slot.
@@ -111,13 +104,11 @@ impl ServiceMetrics {
         c.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_result_lookup(&self, hit: bool) {
-        let c = if hit {
-            &self.result_hits
-        } else {
-            &self.result_misses
-        };
-        c.fetch_add(1, Ordering::Relaxed);
+    /// A result-cache probe that missed. A hit needs no call of its
+    /// own: its query finishes on the hit path, and that sample is the
+    /// count.
+    pub(crate) fn record_result_miss(&self) {
+        self.result_misses.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_invalidation(&self, plans: usize, results: usize) {
@@ -162,29 +153,12 @@ impl ServiceMetrics {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Freeze the counters into one coherent [`MetricsSnapshot`]. The
-    /// query-path recorders bump the write epoch around their
-    /// multi-counter updates; this read re-runs (a few bounded retries)
-    /// until a stable even epoch brackets it, so the returned snapshot's
-    /// `queries`, `executed`, and latency-histogram counts never expose
-    /// a half-applied `record_query`. Under pathological write pressure
-    /// the last attempt is returned as-is — availability over exactness.
+    /// Freeze the counters into a [`MetricsSnapshot`], deriving the
+    /// answered, executed and result-hit counts from the two latency
+    /// histograms they are the sample counts of.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        for _ in 0..8 {
-            let before = self.epoch.load(Ordering::Acquire);
-            if before % 2 != 0 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let snap = self.read_snapshot();
-            if self.epoch.load(Ordering::Acquire) == before {
-                return snap;
-            }
-        }
-        self.read_snapshot()
-    }
-
-    fn read_snapshot(&self) -> MetricsSnapshot {
+        let hit_latency = self.hit_latency.snapshot();
+        let miss_latency = self.miss_latency.snapshot();
         MetricsSnapshot {
             errors_by_code: self
                 .errors_by_code
@@ -193,18 +167,18 @@ impl ServiceMetrics {
                 .iter()
                 .map(|(&code, &count)| (code, count))
                 .collect(),
-            queries: self.queries.load(Ordering::Relaxed),
+            queries: hit_latency.count() + miss_latency.count(),
             errors: self.errors.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             plan_hits: self.plan_hits.load(Ordering::Relaxed),
             plan_misses: self.plan_misses.load(Ordering::Relaxed),
-            result_hits: self.result_hits.load(Ordering::Relaxed),
+            result_hits: hit_latency.count(),
             result_misses: self.result_misses.load(Ordering::Relaxed),
-            executed: self.executed.load(Ordering::Relaxed),
+            executed: miss_latency.count(),
             invalidated_plans: self.invalidated_plans.load(Ordering::Relaxed),
             invalidated_results: self.invalidated_results.load(Ordering::Relaxed),
-            hit_latency: self.hit_latency.snapshot(),
-            miss_latency: self.miss_latency.snapshot(),
+            hit_latency,
+            miss_latency,
             queue_wait: self.queue_wait.snapshot(),
             execute_latency: self.execute_latency.snapshot(),
             peak_queue_depth: self.peak_queue_depth.load(Ordering::Relaxed),
@@ -232,14 +206,19 @@ fn escape_label(value: &str) -> String {
     out
 }
 
-/// A frozen view of [`ServiceMetrics`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A frozen view of [`ServiceMetrics`]. `queries`, `result_hits` and
+/// `executed` are derived, not stored: `result_hits` and `executed` are
+/// the sample counts of `hit_latency` and `miss_latency`, and `queries`
+/// is their sum, so they can never disagree with the histograms. The
+/// default is the all-zero view of a service that has served nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Failures bucketed by stable [`ErrorCode`], ascending by code.
     /// Shed queries appear under [`ErrorCode::Overloaded`]; everything
     /// else mirrors the `errors` counter split by cause.
     pub errors_by_code: Vec<(ErrorCode, u64)>,
-    /// Queries answered (hits and misses; excludes rejections/errors).
+    /// Queries answered (hits and misses; excludes rejections/errors):
+    /// `result_hits + executed`.
     pub queries: u64,
     /// Queries that failed (parse, lowering, execution).
     pub errors: u64,
@@ -249,14 +228,14 @@ pub struct MetricsSnapshot {
     pub plan_hits: u64,
     /// Plan-cache misses (compilations).
     pub plan_misses: u64,
-    /// Result-cache hits (no execution).
+    /// Result-cache hits (no execution): `hit_latency.count()`.
     pub result_hits: u64,
     /// Result-cache misses (plan executed).
     pub result_misses: u64,
     /// Queries that executed a plan — every query a result-cache hit
     /// did not short-circuit, including all queries on a service whose
     /// result cache is disabled (those never probe, so they count here
-    /// but not under `result_misses`).
+    /// but not under `result_misses`): `miss_latency.count()`.
     pub executed: u64,
     /// Plans evicted by source-update invalidation.
     pub invalidated_plans: u64,
@@ -321,20 +300,12 @@ impl MetricsSnapshot {
 
     /// Mean latency of the result-cache-hit path, µs.
     pub fn mean_hit_latency_micros(&self) -> f64 {
-        if self.result_hits == 0 {
-            0.0
-        } else {
-            self.hit_latency.sum_micros() as f64 / self.result_hits as f64
-        }
+        self.hit_latency.mean_micros()
     }
 
     /// Mean latency of the executed path, µs.
     pub fn mean_miss_latency_micros(&self) -> f64 {
-        if self.executed == 0 {
-            0.0
-        } else {
-            self.miss_latency.sum_micros() as f64 / self.executed as f64
-        }
+        self.miss_latency.mean_micros()
     }
 
     /// The whole snapshot in Prometheus text exposition format:
@@ -554,9 +525,7 @@ mod tests {
         let m = ServiceMetrics::default();
         m.record_plan_lookup(true);
         m.record_plan_lookup(false);
-        m.record_result_lookup(true);
-        m.record_result_lookup(true);
-        m.record_result_lookup(false);
+        m.record_result_miss();
         m.record_query(Duration::from_micros(10), true);
         m.record_query(Duration::from_micros(30), true);
         m.record_query(Duration::from_micros(400), false);

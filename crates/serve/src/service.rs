@@ -46,7 +46,6 @@ use polygen_flat::relation::Relation;
 use polygen_flat::value::Cmp;
 use polygen_index::{IndexError, IndexKind, IndexSpec};
 use polygen_lqp::engine::Lqp;
-use polygen_obs::ring::CumulativeMark;
 use polygen_obs::session::{SessionRegistry, SessionStats};
 use polygen_obs::slowlog::{QueryDetail, SlowQueryLog, SlowQueryReport};
 use polygen_obs::trace::{Note, SpanId, Trace};
@@ -514,7 +513,8 @@ impl QueryService {
         self.sys.sessions()
     }
 
-    /// The system catalog's own state (ring, materialization counter).
+    /// The system catalog's own state (sessions, stats windows,
+    /// materialization counter).
     pub fn sys_catalog(&self) -> &SysCatalog {
         &self.sys
     }
@@ -615,8 +615,7 @@ impl QueryService {
     /// asked nothing and is not logged.
     pub fn observe_slow(&self, query: &str, elapsed: Duration, trace: &Trace, detail: QueryDetail) {
         if !query.trim().is_empty() {
-            self.slow_log
-                .observe_detailed(query, elapsed, trace, detail);
+            self.slow_log.observe(query, elapsed, trace, detail);
         }
     }
 
@@ -713,7 +712,6 @@ impl QueryService {
                 let hit = cache.get(&key);
                 annotate_cache(trace, probe_span, hit.is_some());
                 trace.end(probe_span);
-                self.metrics.record_result_lookup(hit.is_some());
                 if let Some(answer) = hit {
                     detail.cache = "result";
                     return Ok(Response::Rows {
@@ -721,6 +719,7 @@ impl QueryService {
                         info: finish(true),
                     });
                 }
+                self.metrics.record_result_miss();
                 Some((cache, key))
             }
             _ => None,
@@ -793,7 +792,7 @@ impl QueryService {
         // A scrape boundary is a window boundary: close the current
         // stats window so `sys.stats` and external collectors advance
         // on the same cadence.
-        self.sys.advance(self.cumulative_mark());
+        self.sys.advance(&self.metrics);
         let mut out = self.metrics().render_prometheus();
         self.slow_log.render(&mut out);
         out
@@ -893,25 +892,6 @@ impl QueryService {
         })
     }
 
-    /// The service counters as one cumulative mark — what the stats
-    /// ring differences consecutive observations of. "Latency" is the
-    /// end-to-end distribution over every answered query, hit and miss
-    /// paths merged.
-    fn cumulative_mark(&self) -> CumulativeMark {
-        let m = self.metrics.snapshot();
-        let mut latency = m.hit_latency;
-        latency.merge(&m.miss_latency);
-        CumulativeMark {
-            queries: m.queries,
-            errors: m.errors,
-            rejected: m.rejected,
-            plan_hits: m.plan_hits,
-            result_hits: m.result_hits,
-            executed: m.executed,
-            latency,
-        }
-    }
-
     /// Materialize the six `sys.*` relations from live service state —
     /// one consistent snapshot read across every subsystem — and splice
     /// them into `base` as an ephemeral successor snapshot under a
@@ -921,11 +901,10 @@ impl QueryService {
     /// materialization and the result cache (bypassed anyway for sys
     /// plans) could never alias one.
     fn spliced_sys_snapshot(&self, base: &FederationSnapshot) -> FederationSnapshot {
-        self.sys.maybe_advance(self.cumulative_mark());
         let relations = vec![
             sys::queries_relation(&self.slow_log.snapshot()),
             sys::sessions_relation(&self.sys.sessions().snapshot()),
-            sys::stats_relation(&self.sys.ring().windows()),
+            self.sys.stats(&self.metrics),
             sys::sources_relation(base),
             sys::cache_relation(
                 &self
@@ -1540,8 +1519,7 @@ mod tests {
         assert_eq!((m.errors, m.rejected), (3, 2));
         assert_eq!(m.errors_with_code(ErrorCode::SqlSyntax), 3);
         assert_eq!(m.shed(), m.rejected);
-        let by_code: u64 = m.errors_by_code.iter().map(|(_, n)| n).sum();
-        assert_eq!(by_code, m.errors + m.rejected);
+        assert_counter_identities(&m);
         // ...and logged once, under its code, whatever the mode (the
         // cross-transport half of this table is
         // `sys_queries_rows_carry_the_same_facts_on_every_route`).
@@ -1556,12 +1534,23 @@ mod tests {
         }
     }
 
+    /// Every counter is stored once: the derived ones agree with the
+    /// histograms they count, and each failure lands in one code bucket.
+    fn assert_counter_identities(m: &MetricsSnapshot) {
+        assert_eq!(m.queries, m.hit_latency.count() + m.miss_latency.count());
+        assert_eq!(m.executed, m.miss_latency.count());
+        assert_eq!(m.result_hits, m.hit_latency.count());
+        let by_code: u64 = m.errors_by_code.iter().map(|(_, n)| n).sum();
+        assert_eq!(by_code, m.errors + m.rejected);
+    }
+
     /// The mode only decides which stages of the one serving path run.
     #[test]
     fn each_mode_takes_exactly_its_stages() {
         // (admitted, result-cache lookups, executed, result entries added)
         fn stages(svc: &QueryService) -> (u64, u64, u64, usize) {
             let m = svc.metrics();
+            assert_counter_identities(&m);
             (
                 m.queue_wait.count(),
                 m.result_hits + m.result_misses,

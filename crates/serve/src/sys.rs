@@ -17,7 +17,7 @@
 //! |----------------|-------------------------------------------------|
 //! | `sys.queries`  | the slow-query log: worst queries + time split  |
 //! | `sys.sessions` | live sessions, incl. what each runs *right now* |
-//! | `sys.stats`    | windowed counter/percentile rollups (the ring)  |
+//! | `sys.stats`    | windowed counter/percentile rollups             |
 //! | `sys.sources`  | per-source version, relation/tuple/index counts |
 //! | `sys.cache`    | plan- and result-cache entries with hit counts  |
 //! | `sys.indexes`  | declared secondary indexes + posting shape      |
@@ -33,6 +33,7 @@
 //! cache for any plan reading `sys` — telemetry must never be stale).
 
 use crate::cache::{PlanEntry, ResultKey};
+use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::snapshot::FederationSnapshot;
 use polygen_catalog::mapping::AttributeMapping;
 use polygen_catalog::scheme::PolygenScheme;
@@ -40,9 +41,9 @@ use polygen_flat::relation::Relation;
 use polygen_flat::value::Value;
 use polygen_lqp::engine::Lqp;
 use polygen_lqp::memory::InMemoryLqp;
-use polygen_obs::ring::{CumulativeMark, MetricsRing, MetricsWindow};
 use polygen_obs::session::{SessionRegistry, SessionSnapshot};
 use polygen_obs::slowlog::SlowQueryReport;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -50,14 +51,14 @@ use std::time::{Duration, Instant};
 /// The virtual local database name the catalog is registered under.
 pub const SYS_DB: &str = "sys";
 
-/// Windows the `sys.stats` ring retains.
+/// Windows `sys.stats` retains.
 pub const SYS_STATS_WINDOWS: usize = 32;
 
-/// Minimum spacing between materialization-driven ring advances. A
+/// Minimum spacing between materialization-driven window closes. A
 /// scrape always closes a window; a `sys.stats` query only closes one
-/// when the newest window is at least this old (or the ring is empty),
-/// so a tight query loop reads stable windows instead of thousands of
-/// near-empty ones.
+/// when the newest window is at least this old (or none is closed
+/// yet), so a tight query loop reads stable windows instead of
+/// thousands of near-empty ones.
 pub const SYS_STATS_TICK: Duration = Duration::from_secs(1);
 
 /// `(local relation, attributes)` for each sys relation. Local
@@ -249,22 +250,31 @@ pub fn sessions_relation(sessions: &[SessionSnapshot]) -> Relation {
     b.finish().expect("sys.sessions rows")
 }
 
-/// `sys.stats` — windowed rollups, oldest window first; `BUCKET` is the
-/// monotone time-bucket column.
-pub fn stats_relation(windows: &[MetricsWindow]) -> Relation {
+/// `sys.stats` — windowed rollups, oldest window first. `marks` are
+/// cumulative snapshots taken at consecutive window boundaries, and
+/// each window is the difference between a mark and the one before it;
+/// `BUCKET`, the monotone time-bucket column, numbers the window that
+/// ends at `marks[1]` as `first_bucket`. Latency percentiles come from
+/// the window's hit and miss samples merged.
+fn stats_relation(first_bucket: u64, marks: &[MetricsSnapshot]) -> Relation {
     let mut b = Relation::build("stats", SYS_RELATIONS[2].1).key(SYS_KEYS[2]);
-    for w in windows {
+    for (bucket, pair) in (first_bucket..).zip(marks.windows(2)) {
+        let (then, now) = (&pair[0], &pair[1]);
+        let delta =
+            |field: fn(&MetricsSnapshot) -> u64| uint(field(now).saturating_sub(field(then)));
+        let mut latency = now.hit_latency.delta_since(&then.hit_latency);
+        latency.merge(&now.miss_latency.delta_since(&then.miss_latency));
         b = b.vrow(vec![
-            uint(w.bucket),
-            uint(w.queries),
-            uint(w.errors),
-            uint(w.rejected),
-            uint(w.plan_hits),
-            uint(w.result_hits),
-            uint(w.executed),
-            uint(w.latency.p50_micros()),
-            uint(w.latency.p95_micros()),
-            uint(w.latency.p99_micros()),
+            uint(bucket),
+            delta(|m| m.queries),
+            delta(|m| m.errors),
+            delta(|m| m.rejected),
+            delta(|m| m.plan_hits),
+            delta(|m| m.result_hits),
+            delta(|m| m.executed),
+            uint(latency.p50_micros()),
+            uint(latency.p95_micros()),
+            uint(latency.p99_micros()),
             Value::str("ring"),
         ]);
     }
@@ -364,13 +374,37 @@ pub fn indexes_relation(snapshot: &FederationSnapshot) -> Relation {
 }
 
 /// The serving layer's handle on the catalog's own state: who is
-/// connected ([`SessionRegistry`]), the windowed rollup ring, and the
-/// monotone materialization counter that versions each splice.
+/// connected ([`SessionRegistry`]), the `sys.stats` window boundaries,
+/// and the monotone materialization counter that versions each splice.
 pub struct SysCatalog {
     sessions: Arc<SessionRegistry>,
-    ring: MetricsRing,
+    stats: Mutex<StatsMarks>,
     materializations: AtomicU64,
-    last_tick: Mutex<Option<Instant>>,
+}
+
+/// The `sys.stats` window boundaries: [`ServiceMetrics`] snapshots,
+/// oldest first, each taken while this state's lock is held — so they
+/// are ordered as their counters are, and every window is a true delta.
+/// `marks[0]` is the all-zero baseline at construction until eviction
+/// moves it; at most [`SYS_STATS_WINDOWS`] windows (one more mark) are
+/// kept.
+struct StatsMarks {
+    /// `BUCKET` of the window that ends at `marks[1]`.
+    first_bucket: u64,
+    marks: VecDeque<MetricsSnapshot>,
+    /// When the newest window closed; `None` before the first.
+    last_close: Option<Instant>,
+}
+
+impl StatsMarks {
+    fn close(&mut self, metrics: &ServiceMetrics) {
+        self.marks.push_back(metrics.snapshot());
+        if self.marks.len() > SYS_STATS_WINDOWS + 1 {
+            self.marks.pop_front();
+            self.first_bucket += 1;
+        }
+        self.last_close = Some(Instant::now());
+    }
 }
 
 impl Default for SysCatalog {
@@ -380,24 +414,22 @@ impl Default for SysCatalog {
 }
 
 impl SysCatalog {
-    /// A fresh catalog: no sessions, an empty ring, version counter 0.
+    /// A fresh catalog: no sessions, no stats windows, version counter 0.
     pub fn new() -> Self {
         SysCatalog {
             sessions: Arc::new(SessionRegistry::new()),
-            ring: MetricsRing::new(SYS_STATS_WINDOWS),
+            stats: Mutex::new(StatsMarks {
+                first_bucket: 0,
+                marks: VecDeque::from([MetricsSnapshot::default()]),
+                last_close: None,
+            }),
             materializations: AtomicU64::new(0),
-            last_tick: Mutex::new(None),
         }
     }
 
     /// The live-session registry (shared with the transport layer).
     pub fn sessions(&self) -> &Arc<SessionRegistry> {
         &self.sessions
-    }
-
-    /// The windowed-rollup ring backing `sys.stats`.
-    pub fn ring(&self) -> &MetricsRing {
-        &self.ring
     }
 
     /// The next splice version — each materialization gets a fresh one,
@@ -412,35 +444,55 @@ impl SysCatalog {
         self.materializations.load(Ordering::Relaxed)
     }
 
-    /// Unconditionally close the current window (a scrape boundary is
-    /// always a window boundary).
-    pub fn advance(&self, mark: CumulativeMark) {
-        self.ring.advance(mark);
-        *self.last_tick.lock().expect("sys tick lock") = Some(Instant::now());
+    /// Unconditionally close the current `sys.stats` window at the
+    /// counters' present values (a scrape boundary is always a window
+    /// boundary).
+    pub fn advance(&self, metrics: &ServiceMetrics) {
+        self.stats.lock().expect("sys stats lock").close(metrics);
     }
 
-    /// Close the current window only if the ring is empty or the newest
-    /// window is at least [`SYS_STATS_TICK`] old — the materialization
-    /// path's coarse clock, so `SELECT` against `sys.stats` returns
-    /// rows even on a service nobody ever scrapes.
-    pub fn maybe_advance(&self, mark: CumulativeMark) {
-        let mut last = self.last_tick.lock().expect("sys tick lock");
-        let due = match *last {
-            None => true,
-            Some(at) => at.elapsed() >= SYS_STATS_TICK,
-        };
-        if due || self.ring.is_empty() {
-            self.ring.advance(mark);
-            *last = Some(Instant::now());
+    /// `sys.stats` as of now. The current window closes first only if
+    /// none has closed yet or the newest is at least [`SYS_STATS_TICK`]
+    /// old — the materialization path's coarse clock, so `SELECT`
+    /// against `sys.stats` returns rows even on a service nobody ever
+    /// scrapes.
+    pub fn stats(&self, metrics: &ServiceMetrics) -> Relation {
+        let mut stats = self.stats.lock().expect("sys stats lock");
+        if stats
+            .last_close
+            .is_none_or(|at| at.elapsed() >= SYS_STATS_TICK)
+        {
+            stats.close(metrics);
         }
+        let first_bucket = stats.first_bucket;
+        stats_relation(first_bucket, stats.marks.make_contiguous())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polygen_obs::hist::HistogramSnapshot;
     use polygen_obs::slowlog::QueryDetail;
+
+    /// One integer column of a `sys.stats` answer, oldest window first.
+    fn column(stats: &Relation, attr: &str) -> Vec<i64> {
+        let i = SYS_RELATIONS[2].1.iter().position(|a| *a == attr).unwrap();
+        stats
+            .rows()
+            .iter()
+            .map(|row| match row[i] {
+                Value::Int(n) => n,
+                ref other => panic!("{attr} holds {other:?}"),
+            })
+            .collect()
+    }
+
+    /// `n` answered queries of `micros` each, on the executed path.
+    fn answer(metrics: &ServiceMetrics, n: usize, micros: u64) {
+        for _ in 0..n {
+            metrics.record_query(Duration::from_micros(micros), false);
+        }
+    }
 
     #[test]
     fn schemes_and_placeholder_agree_attribute_for_attribute() {
@@ -484,29 +536,14 @@ mod tests {
         let rel = queries_relation(&reports);
         assert_eq!(rel.len(), 2);
 
-        let windows = vec![
-            MetricsWindow {
-                bucket: 0,
-                queries: 0,
-                errors: 0,
-                rejected: 0,
-                plan_hits: 0,
-                result_hits: 0,
-                executed: 0,
-                latency: HistogramSnapshot::default(),
-            },
-            MetricsWindow {
-                bucket: 1,
-                queries: 0,
-                errors: 0,
-                rejected: 0,
-                plan_hits: 0,
-                result_hits: 0,
-                executed: 0,
-                latency: HistogramSnapshot::default(),
-            },
-        ];
-        assert_eq!(stats_relation(&windows).len(), 2, "buckets keep rows apart");
+        // Three identical (all-zero) marks: two windows with identical
+        // counters that only the bucket keeps apart.
+        let marks = vec![MetricsSnapshot::default(); 3];
+        assert_eq!(
+            stats_relation(0, &marks).len(),
+            2,
+            "buckets keep rows apart"
+        );
     }
 
     #[test]
@@ -516,14 +553,60 @@ mod tests {
         assert_eq!(sys.next_version(), 1);
         assert_eq!(sys.next_version(), 2);
         assert_eq!(sys.materializations(), 2);
-        // First maybe_advance fills the empty ring; an immediate second
-        // one is within the tick and does nothing.
-        sys.maybe_advance(CumulativeMark::default());
-        assert_eq!(sys.ring().len(), 1);
-        sys.maybe_advance(CumulativeMark::default());
-        assert_eq!(sys.ring().len(), 1);
+        // The first read closes window 0; an immediate second one is
+        // within the tick and closes nothing.
+        let metrics = ServiceMetrics::default();
+        assert_eq!(sys.stats(&metrics).len(), 1);
+        assert_eq!(sys.stats(&metrics).len(), 1);
         // A scrape always closes a window.
-        sys.advance(CumulativeMark::default());
-        assert_eq!(sys.ring().len(), 2);
+        sys.advance(&metrics);
+        assert_eq!(sys.stats(&metrics).len(), 2);
+    }
+
+    #[test]
+    fn windows_hold_deltas_not_cumulatives() {
+        let (sys, metrics) = (SysCatalog::new(), ServiceMetrics::default());
+        answer(&metrics, 1, 10);
+        metrics.record_query(Duration::from_micros(10), true);
+        sys.advance(&metrics);
+        answer(&metrics, 2, 25);
+        sys.advance(&metrics);
+        let stats = sys.stats(&metrics);
+        assert_eq!(column(&stats, "BUCKET"), vec![0, 1]);
+        assert_eq!(column(&stats, "QUERIES"), vec![2, 2]);
+        assert_eq!(column(&stats, "RESULT_HITS"), vec![1, 0]);
+        assert_eq!(column(&stats, "EXECUTED"), vec![1, 2]);
+        // Window 1's percentiles see only its own two 25 µs samples.
+        assert_eq!(column(&stats, "P50_US"), vec![10, 25]);
+    }
+
+    #[test]
+    fn windows_evict_oldest_but_buckets_stay_monotone() {
+        let (sys, metrics) = (SysCatalog::new(), ServiceMetrics::default());
+        let closes = SYS_STATS_WINDOWS + 2;
+        for _ in 0..closes {
+            answer(&metrics, 10, 1);
+            sys.advance(&metrics);
+        }
+        let stats = sys.stats(&metrics);
+        let first = (closes - SYS_STATS_WINDOWS) as i64;
+        let buckets: Vec<i64> = (first..closes as i64).collect();
+        assert_eq!(column(&stats, "BUCKET"), buckets);
+        // Every retained window is the 10-query delta, not a cumulative.
+        assert!(column(&stats, "QUERIES").iter().all(|&q| q == 10));
+    }
+
+    #[test]
+    fn window_percentiles_reflect_only_the_window() {
+        let (sys, metrics) = (SysCatalog::new(), ServiceMetrics::default());
+        answer(&metrics, 100, 10);
+        sys.advance(&metrics);
+        answer(&metrics, 100, 1000);
+        sys.advance(&metrics);
+        let stats = sys.stats(&metrics);
+        let p50 = column(&stats, "P50_US");
+        // The second window saw only the slow queries.
+        assert!(p50[0] <= 15, "{p50:?}");
+        assert!(p50[1] >= 1000, "{p50:?}");
     }
 }

@@ -21,6 +21,7 @@ use crate::queries::{
     sys_stats_query,
 };
 use crate::zipf::Zipf;
+use polygen_obs::LatencySummary;
 use rand::RngExt;
 use std::time::{Duration, Instant};
 
@@ -264,13 +265,6 @@ impl ClientMix {
             .collect()
     }
 }
-
-/// Order statistics over a population's per-query latencies — the
-/// closed-loop driver's measured-client view. The one nearest-rank
-/// implementation now lives in `polygen-obs` (shared with the TCP load
-/// generator, the benches, and the serving histograms' property tests);
-/// this re-export keeps the historical `workload::LatencySummary` path.
-pub use polygen_obs::summary::LatencySummary;
 
 /// What one driver run produced: every client's per-query results in
 /// script order, plus wall-clock figures.

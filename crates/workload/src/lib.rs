@@ -24,8 +24,6 @@ pub mod generator;
 pub mod queries;
 pub mod zipf;
 
-pub use clients::{
-    drive, replay, ClientMix, ClientQuery, DriveReport, LatencySummary, MixWeights, QueryLang,
-};
+pub use clients::{drive, replay, ClientMix, ClientQuery, DriveReport, MixWeights, QueryLang};
 pub use config::{derive_rng, RngStream, WorkloadConfig};
 pub use generator::{generate, random_flat_relation, random_polygen_relation};

@@ -219,7 +219,7 @@ fn main() {
                 "sys.stats over the wire: {} windowed rollup rows",
                 answer.len()
             );
-            assert!(!answer.is_empty(), "the ring has at least one window");
+            assert!(!answer.is_empty(), "sys.stats has at least one window");
         }
         other => panic!("sys.stats must answer rows, got {other:?}"),
     }

@@ -8,6 +8,9 @@
 #   * non-test lines per crate and in total under crates/*/src — every
 #     line of a file above its first `#[cfg(test)]` (the whole file when
 #     it has none);
+#   * public items under crates/*/src — lines in that same non-test
+#     region declaring a plain `pub` fn, struct, enum, trait, type,
+#     const, static or mod (`pub(crate)` and re-exports do not count);
 #   * `pub struct *Options` structs and their total field count;
 #   * distinct `env::var("…")` names read under crates/*/src and src/;
 #   * `[[bench]]` harnesses declared in crates/*/Cargo.toml;
@@ -28,6 +31,12 @@ for dir in crates/*/; do
     total=$((total + n))
 done
 printf '  %-12s %6d\n' "total" "$total"
+
+find crates -path '*/src/*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { live = 1 }
+    /#\[cfg\(test\)\]/ { live = 0 }
+    live && /^[[:space:]]*pub (fn|struct|enum|trait|type|const|static|mod) / { n++ }
+    END { printf "public items under crates/*/src: %d\n", n }'
 
 find crates -path '*/src/*.rs' -print0 | sort -z | xargs -0 awk '
     /^pub struct [A-Za-z0-9_]*Options[ {]/ { structs++; inside = 1; next }

@@ -158,9 +158,10 @@ fn sessions_relation_shows_in_flight_work_and_drains() {
     );
 }
 
-/// Catalog freshness across scrapes: the metrics ring advances on every
-/// scrape, and the next `sys.stats` read sees the new window — a cached
-/// (stale) catalog answer would fail both assertions.
+/// Catalog freshness across scrapes: every scrape closes a `sys.stats`
+/// window, and the next read sees it — a cached (stale) catalog answer
+/// would fail both assertions. Windows closed by racing scrapes and
+/// reads add up to exactly the queries answered.
 #[test]
 fn scrapes_advance_the_stats_ring_and_reads_stay_fresh() {
     let scenario = workload::generate(&small_config(3, 3, 64));
@@ -201,5 +202,47 @@ fn scrapes_advance_the_stats_ring_and_reads_stay_fresh() {
     assert!(
         service.metrics().result_misses > 0,
         "user traffic actually executed"
+    );
+    // Scrapes racing user queries and `sys.stats` reads still close
+    // windows in counter order: the windows partition every query
+    // answered up to the last close, none counted twice or lost.
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for _ in 0..8 {
+                let _ = service.scrape();
+                std::thread::yield_now();
+            }
+        });
+        for client in 0..3 {
+            let (service, stats) = (&service, &stats);
+            scope.spawn(move || {
+                for i in 0..8 {
+                    let user = workload::queries::select_query(client * 8 + i);
+                    serve_rows(service, Request::algebra(user));
+                    serve_rows(service, Request::sql(stats));
+                }
+            });
+        }
+    });
+    let _ = service.scrape();
+    let answered = service.metrics().queries;
+    let (windows, _) = serve_rows(&service, Request::sql(&stats));
+    // Fewer closes than the retention bound, so every window is still
+    // there, from bucket 0 on.
+    let retained = polygen::serve::sys::SYS_STATS_WINDOWS;
+    assert!(windows.len() < retained, "{} windows", windows.len());
+    let counted: i64 = (0..windows.len() as i64)
+        .map(|bucket| {
+            let bucket = polygen::flat::value::Value::int(bucket);
+            match windows.cell("BUCKET", &bucket, "QUERIES").map(|c| &c.datum) {
+                Some(polygen::flat::value::Value::Int(n)) => *n,
+                other => panic!("window {bucket:?}: QUERIES {other:?}"),
+            }
+        })
+        .sum();
+    assert_eq!(
+        counted,
+        i64::try_from(answered).unwrap(),
+        "Σ QUERIES over the windows"
     );
 }
