@@ -11,14 +11,14 @@
 //! always survive — consistent with Restrict's treatment of `nil`.
 
 use crate::algebra::difference::origin_closure;
+use crate::algebra::join::equi_table;
 use crate::error::PolygenError;
 use crate::relation::PolygenRelation;
 use crate::tuple;
-use polygen_flat::value::Value;
-use std::collections::HashSet;
 use std::sync::Arc;
 
-/// `p1 ⊲ [x = y] p2` — anti-join on equality.
+/// `p1 ⊲ [x = y] p2` — anti-join on equality: θ-equality, as in
+/// [`theta_join`](crate::algebra::theta_join), so `1` matches `1.0`.
 pub fn anti_join(
     p1: &PolygenRelation,
     p2: &PolygenRelation,
@@ -28,16 +28,10 @@ pub fn anti_join(
     let xi = p1.schema().index_of(x)?.0;
     let yi = p2.schema().index_of(y)?.0;
     let p2_origins = origin_closure(p2);
-    let matchable: HashSet<&Value> = p2
-        .tuples()
-        .iter()
-        .map(|t| &t[yi].datum)
-        .filter(|v| !v.is_nil())
-        .collect();
+    let table = equi_table(p1, xi, p2, yi);
     let mut tuples = Vec::new();
     for t in p1.tuples() {
-        let matched = !t[xi].is_nil() && matchable.contains(&t[xi].datum);
-        if !matched {
+        if table.matches(&t[xi].datum).next().is_none() {
             let mut kept = t.clone();
             tuple::add_intermediate_all(&mut kept, &p2_origins);
             tuples.push(kept);

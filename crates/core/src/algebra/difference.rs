@@ -13,8 +13,7 @@
 use crate::error::PolygenError;
 use crate::relation::PolygenRelation;
 use crate::source::SourceSet;
-use crate::tuple;
-use polygen_flat::value::Value;
+use crate::tuple::{self, DataKey};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -36,10 +35,11 @@ pub fn difference(
 ) -> Result<PolygenRelation, PolygenError> {
     p1.schema().union_compatible(p2.schema())?;
     let p2_origins = origin_closure(p2);
-    let exclude: HashSet<Vec<Value>> = p2.tuples().iter().map(|t| tuple::data_of(t)).collect();
+    let all: Vec<usize> = (0..p1.degree()).collect();
+    let exclude: HashSet<DataKey<'_>> = p2.tuples().iter().map(|t| DataKey::new(t, &all)).collect();
     let mut tuples = Vec::new();
     for t in p1.tuples() {
-        if !exclude.contains(&tuple::data_of(t)) {
+        if !exclude.contains(&DataKey::new(t, &all)) {
             let mut kept = t.clone();
             tuple::add_intermediate_all(&mut kept, &p2_origins);
             tuples.push(kept);
@@ -53,6 +53,7 @@ mod tests {
     use super::*;
     use crate::source::SourceId;
     use polygen_flat::relation::Relation;
+    use polygen_flat::value::Value;
 
     fn tagged(name: &str, rows: &[&str], src: u16) -> PolygenRelation {
         let mut b = Relation::build(name, &["X"]);

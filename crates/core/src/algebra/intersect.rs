@@ -13,8 +13,7 @@
 
 use crate::error::PolygenError;
 use crate::relation::PolygenRelation;
-use crate::tuple::{self, PolyTuple};
-use polygen_flat::value::Value;
+use crate::tuple::{self, DataKey, PolyTuple};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -24,9 +23,11 @@ pub fn intersect(
     p2: &PolygenRelation,
 ) -> Result<PolygenRelation, PolygenError> {
     p1.schema().union_compatible(p2.schema())?;
-    let mut index: HashMap<Vec<Value>, &PolyTuple> = HashMap::with_capacity(p2.len());
+    let all: Vec<usize> = (0..p1.degree()).collect();
+    // A later p2 duplicate of the same data replaces an earlier one.
+    let mut index: HashMap<DataKey<'_>, &PolyTuple> = HashMap::with_capacity(p2.len());
     for t in p2.tuples() {
-        index.insert(tuple::data_of(t), t);
+        index.insert(DataKey::new(t, &all), t);
     }
     let mut tuples = Vec::new();
     for t in p1.tuples() {
@@ -35,7 +36,7 @@ pub fn intersect(
         if t.iter().any(|c| c.is_nil()) {
             continue;
         }
-        if let Some(other) = index.get(&tuple::data_of(t)) {
+        if let Some(other) = index.get(&DataKey::new(t, &all)) {
             let mut kept = t.clone();
             tuple::absorb_tuple_tags(&mut kept, other);
             let mut mediators = tuple::origins_of(t);
@@ -53,6 +54,7 @@ mod tests {
     use crate::cell::Cell;
     use crate::source::{SourceId, SourceSet};
     use polygen_flat::relation::Relation;
+    use polygen_flat::value::Value;
 
     fn sid(i: u16) -> SourceId {
         SourceId(i)

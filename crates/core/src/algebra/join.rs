@@ -64,13 +64,88 @@ pub fn theta_join(
     PolygenRelation::from_tuples(schema, tuples)
 }
 
+/// End of a build-row chain in `EquiTable::next`.
+const CHAIN_END: u32 = u32::MAX;
+
+/// The build side of an equality join: the non-`nil` build rows once, in
+/// build order, chained by key — `head` maps each distinct key to its
+/// first row and `next[r]` links row `r` to the next row with an equal
+/// key. One hash table plus one `u32` per row, instead of a `Vec` per
+/// distinct key.
+///
+/// Every equality kernel probes through it — [`theta_join`]'s equality
+/// path, [`hash_equi_join_coalesced`], each partition of
+/// [`hash_equi_join_coalesced_partitioned`], semi-join and anti-join — so
+/// none of them can diverge on match semantics or match order.
+pub(crate) struct EquiTable<'p, B> {
+    rows: Vec<B>,
+    head: HashMap<&'p Value, u32>,
+    next: Vec<u32>,
+    yi: usize,
+    /// Do the key columns mix `Int` and `Float` data? Arms the
+    /// cross-type rescan in [`EquiTable::matches`].
+    mixed: bool,
+}
+
+impl<'p, B: RowView<'p>> EquiTable<'p, B> {
+    /// Chain `rows` on column `yi`. `nil` keys never match, so their rows
+    /// are dropped here.
+    fn build(rows: impl Iterator<Item = B>, yi: usize, mixed: bool) -> Self {
+        let rows: Vec<B> = rows.filter(|b| !b.datum(yi).is_nil()).collect();
+        assert!(
+            u32::try_from(rows.len()).is_ok(),
+            "build side fits u32 row ids"
+        );
+        let mut head: HashMap<&'p Value, u32> = HashMap::with_capacity(rows.len());
+        let mut next = vec![CHAIN_END; rows.len()];
+        // Back to front: each row links to the head it displaces, so every
+        // chain walks in build order.
+        for (r, b) in rows.iter().enumerate().rev() {
+            if let Some(later) = head.insert(b.datum(yi), r as u32) {
+                next[r] = later;
+            }
+        }
+        EquiTable {
+            rows,
+            head,
+            next,
+            yi,
+            mixed,
+        }
+    }
+
+    /// The build rows θ-equal to `key`, in build order: `key`'s chain,
+    /// then — only when the key columns mix `Int` and `Float` — the rows
+    /// of the other numeric type that equal it (`1 = 1.0` holds through
+    /// θ but lands in another hash bucket). `nil` matches nothing: no
+    /// `nil`-keyed row is in the table.
+    pub(crate) fn matches<'t>(&'t self, key: &'t Value) -> impl Iterator<Item = B> + 't {
+        let chain = std::iter::successors(self.head.get(key).copied(), |&r| {
+            Some(self.next[r as usize]).filter(|&n| n != CHAIN_END)
+        })
+        .map(|r| self.rows[r as usize]);
+        let rescan = self.mixed && matches!(key, Value::Int(_) | Value::Float(_));
+        let others: &[B] = if rescan { &self.rows } else { &[] };
+        let cross = others.iter().copied().filter(move |b| {
+            let d = b.datum(self.yi);
+            std::mem::discriminant(key) != std::mem::discriminant(d) && key.satisfies(Cmp::Eq, d)
+        });
+        chain.chain(cross)
+    }
+}
+
+/// The [`EquiTable`] over `p2[yi]` for probing with `p1[xi]`.
+pub(crate) fn equi_table<'p, L: Operand, R: Operand>(
+    p1: &L,
+    xi: usize,
+    p2: &'p R,
+    yi: usize,
+) -> EquiTable<'p, R::Row<'p>> {
+    EquiTable::build(p2.rows(), yi, mixed_numeric_keys(p1, xi, p2, yi))
+}
+
 /// Hash build + probe over `p1[xi] = p2[yi]`, calling `emit` for every
-/// matching pair. `nil` keys never match; Int/Float cross-bucket
-/// equalities (`1 = 1.0`) are found by a rescan of the build side that
-/// only runs when both discriminants actually occur in the key columns.
-/// The single probe loop shared by [`theta_join`]'s equality fast path
-/// and the fused [`hash_equi_join_coalesced`] kernel — so the two can
-/// never diverge on match semantics.
+/// matching pair in probe order (see [`EquiTable::matches`]).
 fn probe_equi<'p, L: Operand, R: Operand, E>(
     p1: &'p L,
     xi: usize,
@@ -81,33 +156,10 @@ fn probe_equi<'p, L: Operand, R: Operand, E>(
 where
     E: FnMut(L::Row<'p>, R::Row<'p>) -> Result<(), PolygenError>,
 {
-    let mut index: HashMap<&Value, Vec<R::Row<'p>>> = HashMap::with_capacity(p2.len());
-    for b in p2.rows() {
-        if !b.datum(yi).is_nil() {
-            index.entry(b.datum(yi)).or_default().push(b);
-        }
-    }
-    let mixed = mixed_numeric_keys(p1, xi, p2, yi);
+    let table = equi_table(p1, xi, p2, yi);
     for a in p1.rows() {
-        let key = a.datum(xi);
-        if key.is_nil() {
-            continue;
-        }
-        if let Some(matches) = index.get(key) {
-            for &b in matches {
-                if key.satisfies(Cmp::Eq, b.datum(yi)) {
-                    emit(a, b)?;
-                }
-            }
-        }
-        if mixed && matches!(key, Value::Int(_) | Value::Float(_)) {
-            for b in p2.rows() {
-                if std::mem::discriminant(key) != std::mem::discriminant(b.datum(yi))
-                    && key.satisfies(Cmp::Eq, b.datum(yi))
-                {
-                    emit(a, b)?;
-                }
-            }
+        for b in table.matches(a.datum(xi)) {
+            emit(a, b)?;
         }
     }
     Ok(())
@@ -252,18 +304,12 @@ pub fn hash_equi_join_coalesced_partitioned<L: Operand, R: Operand>(
     }
     let parts: Vec<_> = probe.into_iter().zip(build).collect();
     let results = scoped_map(parts, par.threads, |_, (probe, build)| {
-        let mut index: HashMap<&Value, Vec<R::Row<'_>>> = HashMap::with_capacity(build.len());
-        for b in build {
-            index.entry(b.datum(yi)).or_default().push(b);
-        }
+        // Homogeneous keys (the mixed case fell back above): no rescan.
+        let table = EquiTable::build(build.into_iter(), yi, false);
         let mut emitted: Vec<(usize, PolyTuple)> = Vec::new();
         for (orig, a) in probe {
-            if let Some(matches) = index.get(a.datum(xi)) {
-                for &b in matches {
-                    if a.datum(xi).satisfies(Cmp::Eq, b.datum(yi)) {
-                        emitted.push((orig, coalesced_join_tuple(a, b, xi, yi, out)?));
-                    }
-                }
+            for b in table.matches(a.datum(xi)) {
+                emitted.push((orig, coalesced_join_tuple(a, b, xi, yi, out)?));
             }
         }
         Ok::<_, PolygenError>(emitted)

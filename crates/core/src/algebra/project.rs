@@ -13,21 +13,15 @@
 
 use crate::error::PolygenError;
 use crate::relation::PolygenRelation;
-use crate::tuple::PolyTuple;
+use crate::tuple;
 use std::sync::Arc;
 
 /// `p[X]` — project onto the attribute sublist `attrs`.
 pub fn project(p: &PolygenRelation, attrs: &[&str]) -> Result<PolygenRelation, PolygenError> {
     let idx = p.schema().indices_of(attrs)?;
     let schema = Arc::new(p.schema().project(&idx, p.name())?);
-    let tuples: Vec<PolyTuple> = p
-        .tuples()
-        .iter()
-        .map(|t| idx.iter().map(|&i| t[i].clone()).collect())
-        .collect();
-    let mut rel = PolygenRelation::from_tuples(schema, tuples)?;
-    rel.merge_duplicates();
-    Ok(rel)
+    let tuples = tuple::project_rows(p.tuples().iter().map(Vec::as_slice), &idx);
+    PolygenRelation::from_tuples(schema, tuples)
 }
 
 #[cfg(test)]

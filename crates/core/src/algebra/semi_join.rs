@@ -9,15 +9,15 @@
 //! `project(join)` back onto `p1`'s attributes; that derivation adds
 //! exactly these mediators, which the unit tests verify.)
 
+use crate::algebra::join::equi_table;
 use crate::error::PolygenError;
 use crate::relation::PolygenRelation;
 use crate::source::SourceSet;
 use crate::tuple;
-use polygen_flat::value::Value;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-/// `p1 ⋉ [x = y] p2` — semi-join on equality.
+/// `p1 ⋉ [x = y] p2` — semi-join on equality: θ-equality, as in
+/// [`theta_join`](crate::algebra::theta_join), so `1` matches `1.0`.
 pub fn semi_join(
     p1: &PolygenRelation,
     p2: &PolygenRelation,
@@ -26,26 +26,18 @@ pub fn semi_join(
 ) -> Result<PolygenRelation, PolygenError> {
     let xi = p1.schema().index_of(x)?.0;
     let yi = p2.schema().index_of(y)?.0;
-    // For each right key datum, the union of the matching cells' origins
-    // (several p2 tuples may share the datum — all of them mediated).
-    let mut key_origins: HashMap<&Value, SourceSet> = HashMap::with_capacity(p2.len());
-    for t in p2.tuples() {
-        if !t[yi].is_nil() {
-            key_origins
-                .entry(&t[yi].datum)
-                .or_default()
-                .union_with(&t[yi].origin);
-        }
-    }
+    let table = equi_table(p1, xi, p2, yi);
     let mut tuples = Vec::new();
     for t in p1.tuples() {
-        if t[xi].is_nil() {
-            continue;
+        // Several p2 tuples may match — all of them mediated.
+        let mut mediators: Option<SourceSet> = None;
+        for b in table.matches(&t[xi].datum) {
+            mediators
+                .get_or_insert_with(|| t[xi].origin.clone())
+                .union_with(&b[yi].origin);
         }
-        if let Some(right_origins) = key_origins.get(&t[xi].datum) {
+        if let Some(mediators) = mediators {
             let mut kept = t.clone();
-            let mut mediators = t[xi].origin.clone();
-            mediators.union_with(right_origins);
             tuple::add_intermediate_all(&mut kept, &mediators);
             tuples.push(kept);
         }
@@ -59,7 +51,7 @@ mod tests {
     use crate::algebra;
     use crate::source::SourceId;
     use polygen_flat::relation::Relation;
-    use polygen_flat::value::Cmp;
+    use polygen_flat::value::{Cmp, Value};
 
     fn sid(i: u16) -> SourceId {
         SourceId(i)
@@ -145,6 +137,31 @@ mod tests {
         assert_eq!(semi.len() + anti.len(), orgs().len());
         let rebuilt = algebra::union(&semi, &anti).unwrap();
         assert!(rebuilt.strip().set_eq(&orgs().strip()));
+    }
+
+    #[test]
+    fn int_and_float_keys_match_like_theta_join() {
+        // A{K: 1, 2} against B{K2: 1.0}: `1 = 1.0` holds through θ, so
+        // the semi-join keeps K = 1 and the anti-join (NOT IN) drops it.
+        let keyed = |name: &str, attr: &str, keys: &[Value], src: u16| {
+            let schema = Arc::new(polygen_flat::schema::Schema::new(name, &[attr]).unwrap());
+            let tuples = keys
+                .iter()
+                .map(|k| vec![crate::cell::Cell::retrieved(k.clone(), sid(src))])
+                .collect();
+            PolygenRelation::from_tuples(schema, tuples).unwrap()
+        };
+        let a = keyed("A", "K", &[Value::int(1), Value::int(2)], 0);
+        let b = keyed("B", "K2", &[Value::float(1.0)], 1);
+        let joined = algebra::theta_join(&a, &b, "K", Cmp::Eq, "K2").unwrap();
+        assert_eq!(joined.len(), 1);
+        let semi = semi_join(&a, &b, "K", "K2").unwrap();
+        assert_eq!(semi.len(), 1);
+        assert_eq!(semi.tuples()[0][0].datum, Value::int(1));
+        assert!(semi.tuples()[0][0].intermediate.contains(sid(1)));
+        let anti = algebra::anti_join(&a, &b, "K", "K2").unwrap();
+        assert_eq!(anti.len(), 1);
+        assert_eq!(anti.tuples()[0][0].datum, Value::int(2));
     }
 
     #[test]

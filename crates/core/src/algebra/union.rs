@@ -12,27 +12,15 @@
 
 use crate::error::PolygenError;
 use crate::relation::PolygenRelation;
-use crate::tuple::{self, PolyTuple};
-use polygen_flat::value::Value;
-use std::collections::HashMap;
+use crate::tuple;
 use std::sync::Arc;
 
 /// `p1 ∪ p2` over union-compatible relations.
 pub fn union(p1: &PolygenRelation, p2: &PolygenRelation) -> Result<PolygenRelation, PolygenError> {
     p1.schema().union_compatible(p2.schema())?;
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::with_capacity(p1.len() + p2.len());
-    let mut tuples: Vec<PolyTuple> = Vec::with_capacity(p1.len() + p2.len());
-    for t in p1.tuples().iter().chain(p2.tuples()) {
-        let key = tuple::data_of(t);
-        match index.get(&key) {
-            Some(&i) => tuple::absorb_tuple_tags(&mut tuples[i], t),
-            None => {
-                index.insert(key, tuples.len());
-                tuples.push(t.clone());
-            }
-        }
-    }
-    PolygenRelation::from_tuples(Arc::clone(p1.schema()), tuples)
+    let all: Vec<usize> = (0..p1.degree()).collect();
+    let rows = p1.tuples().iter().chain(p2.tuples()).map(Vec::as_slice);
+    PolygenRelation::from_tuples(Arc::clone(p1.schema()), tuple::project_rows(rows, &all))
 }
 
 #[cfg(test)]
@@ -40,6 +28,7 @@ mod tests {
     use super::*;
     use crate::source::SourceId;
     use polygen_flat::relation::Relation;
+    use polygen_flat::value::Value;
 
     fn tagged(name: &str, rows: &[&str], src: u16) -> PolygenRelation {
         let mut b = Relation::build(name, &["X"]);

@@ -9,7 +9,7 @@
 use crate::cell::Cell;
 use crate::error::PolygenError;
 use crate::source::SourceId;
-use crate::tuple::{self, PolyTuple};
+use crate::tuple::{self, DataKey, PolyTuple};
 use polygen_flat::relation::Relation as FlatRelation;
 use polygen_flat::schema::Schema;
 use polygen_flat::value::Value;
@@ -145,16 +145,32 @@ impl PolygenRelation {
         if self.tuples.len() < 2 {
             return;
         }
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::with_capacity(self.tuples.len());
-        let mut merged: Vec<PolyTuple> = Vec::with_capacity(self.tuples.len());
-        for t in self.tuples.drain(..) {
-            let key = tuple::data_of(&t);
-            match index.get(&key) {
-                Some(&i) => tuple::absorb_tuple_tags(&mut merged[i], &t),
-                None => {
-                    index.insert(key, merged.len());
-                    merged.push(t);
-                }
+        // Pass 1, borrowing: each tuple's group is the output position of
+        // its data's first occurrence (groups number in first-occurrence
+        // order, so a tuple opens its group iff `group == groups so far`).
+        let all: Vec<usize> = (0..self.degree()).collect();
+        let (groups, distinct) = {
+            let mut first: HashMap<DataKey<'_>, usize> = HashMap::with_capacity(self.tuples.len());
+            let groups: Vec<usize> = self
+                .tuples
+                .iter()
+                .map(|t| {
+                    let next = first.len();
+                    *first.entry(DataKey::new(t, &all)).or_insert(next)
+                })
+                .collect();
+            (groups, first.len())
+        };
+        if distinct == self.tuples.len() {
+            return;
+        }
+        // Pass 2, moving: survivors move out, duplicates fold their tags in.
+        let mut merged: Vec<PolyTuple> = Vec::with_capacity(distinct);
+        for (t, group) in self.tuples.drain(..).zip(groups) {
+            if group == merged.len() {
+                merged.push(t);
+            } else {
+                tuple::absorb_tuple_tags(&mut merged[group], &t);
             }
         }
         self.tuples = merged;

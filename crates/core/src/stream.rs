@@ -23,9 +23,10 @@
 use crate::error::PolygenError;
 use crate::relation::PolygenRelation;
 use crate::source::SourceSet;
-use crate::tuple::{self, PolyTuple};
+use crate::tuple::{self, DataKey, PolyTuple};
 use polygen_flat::schema::Schema;
 use polygen_flat::value::{Cmp, Value};
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -115,8 +116,9 @@ impl TupleStream {
     }
 
     /// Project stage: `p[X]` with the duplicate collapse (same semantics
-    /// as [`crate::algebra::project`]). Projection builds new tuples, so
-    /// this is the one stage that always copies the kept cells.
+    /// as [`crate::algebra::project`]). Rows are keyed by their borrowed
+    /// projected data; only a first occurrence builds an output tuple,
+    /// and a later duplicate unions its tags into it.
     pub fn project(&mut self, attrs: &[&str]) -> Result<(), PolygenError> {
         let idx = self.schema.indices_of(attrs)?;
         let schema = Arc::new(self.schema.project(&idx, self.schema.name())?);
@@ -125,24 +127,19 @@ impl TupleStream {
         // already duplicate-free, the rebuild and the duplicate collapse
         // are both no-ops, so the `Arc`-shared tuples are reused as-is.
         if idx.len() == self.schema.degree() && idx.iter().enumerate().all(|(k, &i)| k == i) {
-            let mut seen = std::collections::HashSet::with_capacity(self.tuples.len());
+            let mut seen = HashSet::with_capacity(self.tuples.len());
             if self
                 .tuples
                 .iter()
-                .all(|t| seen.insert(t.iter().map(|c| &c.datum).collect::<Vec<_>>()))
+                .all(|t| seen.insert(DataKey::new(t, &idx)))
             {
                 self.schema = schema;
                 return Ok(());
             }
         }
-        let tuples: Vec<PolyTuple> = self
-            .tuples
-            .iter()
-            .map(|t| idx.iter().map(|&i| t[i].clone()).collect())
-            .collect();
-        let mut rel = PolygenRelation::from_tuples(schema, tuples)?;
-        rel.merge_duplicates();
-        *self = TupleStream::from_relation(rel);
+        let tuples = tuple::project_rows(self.tuples.iter().map(|t| t.as_slice()), &idx);
+        self.schema = schema;
+        self.tuples = tuples.into_iter().map(Arc::new).collect();
         Ok(())
     }
 
@@ -163,9 +160,10 @@ impl TupleStream {
 // needed, concatenation restores the original order), hash join and hash
 // Merge split into *hash partitions* on the join/merge key so matching
 // tuples co-locate. Everything here is deterministic: the partition hash
-// is a fixed-key SipHash (no per-process randomness), chunking is
-// contiguous, and the consumers reassemble outputs in the original
-// order, so a parallel run is byte-identical to the sequential one.
+// is the unsalted multiply-rotate `PartitionHasher` (no per-process
+// randomness), chunking is contiguous, and the consumers reassemble
+// outputs in the original order, so a parallel run is byte-identical to
+// the sequential one.
 // ---------------------------------------------------------------------
 
 /// The parallelism knobs a partitioned kernel runs under: how many

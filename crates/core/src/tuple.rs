@@ -8,6 +8,9 @@
 use crate::cell::Cell;
 use crate::source::SourceSet;
 use polygen_flat::value::Value;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// One polygen tuple.
 pub type PolyTuple = Vec<Cell>;
@@ -17,9 +20,71 @@ pub fn data_of(tuple: &[Cell]) -> Vec<Value> {
     tuple.iter().map(|c| c.datum.clone()).collect()
 }
 
-/// `t[X](d)` — the data portion of a sublist of attribute positions.
-pub fn data_at(tuple: &[Cell], indices: &[usize]) -> Vec<Value> {
-    indices.iter().map(|&i| tuple[i].datum.clone()).collect()
+/// `t[X](d)` borrowed: a tuple plus the attribute positions `X`. Hashes
+/// and compares exactly as the `Vec<Value>` of those datums would
+/// (set-semantics `Value` identity, so `nil = nil` and `1 ≠ 1.0`), but
+/// costs no allocation — the key the duplicate-collapsing operators hash
+/// rows by.
+#[derive(Clone, Copy)]
+pub(crate) struct DataKey<'a> {
+    cells: &'a [Cell],
+    idx: &'a [usize],
+}
+
+impl<'a> DataKey<'a> {
+    pub(crate) fn new(cells: &'a [Cell], idx: &'a [usize]) -> Self {
+        DataKey { cells, idx }
+    }
+
+    fn datums(self) -> impl Iterator<Item = &'a Value> {
+        self.idx.iter().map(move |&i| &self.cells[i].datum)
+    }
+}
+
+impl Hash for DataKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.idx.len().hash(state);
+        for d in self.datums() {
+            d.hash(state);
+        }
+    }
+}
+
+impl PartialEq for DataKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.idx.len() == other.idx.len() && self.datums().eq(other.datums())
+    }
+}
+
+impl Eq for DataKey<'_> {}
+
+/// Project every row onto `idx` and collapse rows equal on the projected
+/// data, unioning tags attribute-wise into the first occurrence, whose
+/// position the output keeps (Project's and Union's canonical form).
+/// Cells are cloned only for first occurrences; a later duplicate only
+/// lends its tags.
+pub(crate) fn project_rows<'a>(
+    rows: impl Iterator<Item = &'a [Cell]>,
+    idx: &'a [usize],
+) -> Vec<PolyTuple> {
+    let (len, _) = rows.size_hint();
+    let mut first: HashMap<DataKey<'a>, usize> = HashMap::with_capacity(len);
+    let mut out: Vec<PolyTuple> = Vec::with_capacity(len);
+    for t in rows {
+        match first.entry(DataKey::new(t, idx)) {
+            Entry::Occupied(e) => {
+                let kept = &mut out[*e.get()];
+                for (cell, &i) in kept.iter_mut().zip(idx) {
+                    cell.absorb_tags(&t[i]);
+                }
+            }
+            Entry::Vacant(e) => {
+                e.insert(out.len());
+                out.push(idx.iter().map(|&i| t[i].clone()).collect());
+            }
+        }
+    }
+    out
 }
 
 /// `t(o)` — the union of every cell's originating sources.
@@ -77,7 +142,6 @@ mod tests {
     fn projections() {
         let t = vec![cell("a", &[0], &[1]), cell("b", &[2], &[])];
         assert_eq!(data_of(&t), vec![Value::str("a"), Value::str("b")]);
-        assert_eq!(data_at(&t, &[1]), vec![Value::str("b")]);
         let o = origins_of(&t);
         assert!(o.contains(SourceId(0)) && o.contains(SourceId(2)));
         assert_eq!(o.len(), 2);

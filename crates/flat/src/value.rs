@@ -49,8 +49,9 @@ impl Ord for F64 {
 
 impl std::hash::Hash for F64 {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Normalise -0.0 to 0.0 so values equal under total_cmp... are NOT
-        // (total_cmp distinguishes -0.0 < 0.0), so bit-hash is consistent.
+        // `total_cmp` separates -0.0 from 0.0 and one NaN payload from
+        // another, so two values are `Eq` exactly when their bits are
+        // equal: hashing the bits agrees with `Eq`.
         self.0.to_bits().hash(state);
     }
 }

@@ -1,0 +1,154 @@
+#!/usr/bin/env bash
+# Alternating pairs of ledger runs: a parent revision against the working
+# tree, summarised per end-to-end metric. Reads `benchmark/run.sh` output
+# only; edits nothing under benchmark/.
+#
+#   bash scripts/pairs.sh <parent-rev> [--workload W] [--pairs N] [--seconds S]
+#
+# Defaults: --workload tag_tax, --pairs 10, --seconds = BENCHMARK.json's
+# run_seconds. The parent is exported with `git archive` into a work
+# directory (a plain tree: nothing is registered in this repository's
+# .git), and each side's ledger builds into a CARGO_TARGET_DIR of its own
+# before any run starts. Pair i runs seed 100 + i with `--trace 0`; odd
+# pairs run the parent first, even pairs the change.
+#
+# For every end-to-end metric of BENCHMARK.json it prints the parent and
+# change medians, the change in % of the parent median, how many pairs
+# the change won (ties count for neither) and the parent's interquartile
+# range. A median difference no larger than that IQR reads `unresolved`.
+# Exits non-zero if any run reports `failed` > 0.
+#
+# The work directory (the exported parent, both target directories and
+# every run's output) is $PAIRS_DIR, default a fresh `mktemp -d`, and is
+# kept.
+# Needs git, jq and awk.
+set -euo pipefail
+
+usage() {
+    echo "usage: bash scripts/pairs.sh <parent-rev> [--workload W] [--pairs N] [--seconds S]" >&2
+    exit 2
+}
+
+[ $# -ge 1 ] || usage
+parent_rev="$1"
+shift
+workload=tag_tax
+pairs=10
+seconds=""
+while [ $# -gt 0 ]; do
+    [ $# -ge 2 ] || usage
+    case "$1" in
+        --workload) workload="$2" ;;
+        --pairs) pairs="$2" ;;
+        --seconds) seconds="$2" ;;
+        *) usage ;;
+    esac
+    shift 2
+done
+
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+cd "$root"
+[ -n "$seconds" ] || seconds="$(jq -r '.run_seconds' BENCHMARK.json)"
+parent_sha="$(git rev-parse --verify --quiet "$parent_rev^{commit}")" || {
+    echo "pairs: $parent_rev is not a commit" >&2
+    exit 2
+}
+dir="${PAIRS_DIR:-$(mktemp -d)}"
+mkdir -p "$dir/runs"
+echo "pairs: work directory $dir" >&2
+
+rm -rf "$dir/parent"
+mkdir -p "$dir/parent"
+git archive "$parent_sha" | tar -x -C "$dir/parent"
+
+tree_of() {
+    if [ "$1" = parent ]; then echo "$dir/parent"; else echo "$root"; fi
+}
+
+# Build both sides up front (`--list` builds, then runs nothing).
+for side in parent change; do
+    echo "pairs: building the $side ledger" >&2
+    CARGO_TARGET_DIR="$dir/target-$side" bash "$(tree_of "$side")/benchmark/run.sh" --list >/dev/null
+done
+
+failures=0
+run() {
+    local side="$1" seed="$2"
+    local out="$dir/runs/$side-$seed"
+    echo "pairs: $side, seed $seed" >&2
+    CARGO_TARGET_DIR="$dir/target-$side" bash "$(tree_of "$side")/benchmark/run.sh" \
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 >"$out.out" || true
+    tail -n 1 "$out.out" >"$out.json"
+    if ! jq -e '.failed == 0' "$out.json" >/dev/null 2>&1; then
+        echo "pairs: $side seed $seed failed (see $out.out)" >&2
+        failures=$((failures + 1))
+    fi
+}
+
+for i in $(seq 1 "$pairs"); do
+    seed=$((100 + i))
+    if [ $((i % 2)) -eq 1 ]; then
+        run parent "$seed"
+        run change "$seed"
+    else
+        run change "$seed"
+        run parent "$seed"
+    fi
+done
+
+# One line per (metric, pair): name, direction, parent value, change value.
+table="$dir/table.tsv"
+: >"$table"
+jq -r '.end_to_end[] | "\(.name) \(.better)"' BENCHMARK.json | while read -r metric better; do
+    for i in $(seq 1 "$pairs"); do
+        seed=$((100 + i))
+        p="$(jq -r --arg m "$metric" '.metrics[$m].value // "nan"' "$dir/runs/parent-$seed.json" 2>/dev/null || echo nan)"
+        c="$(jq -r --arg m "$metric" '.metrics[$m].value // "nan"' "$dir/runs/change-$seed.json" 2>/dev/null || echo nan)"
+        printf '%s\t%s\t%s\t%s\n' "$metric" "$better" "$p" "$c" >>"$table"
+    done
+done
+
+echo "$workload: $pairs pairs x ${seconds}s, seeds 101-$((100 + pairs)), parent ${parent_sha:0:10} -> working tree"
+awk -F '\t' '
+    function sort(a, n,    i, j, t) {
+        for (i = 2; i <= n; i++) {
+            t = a[i]
+            for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]
+            a[j + 1] = t
+        }
+    }
+    # Linear-interpolation quantile of the sorted a[1..n].
+    function quantile(a, n, q,    h, lo) {
+        h = (n - 1) * q + 1
+        lo = int(h)
+        return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
+    }
+    function report(    pm, cm, iqr, delta, pct, verdict) {
+        sort(p, n); sort(c, n)
+        pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
+        iqr = quantile(p, n, 0.75) - quantile(p, n, 0.25)
+        delta = cm - pm
+        pct = pm != 0 ? 100 * delta / pm : 0
+        if ((delta < 0 ? -delta : delta) <= iqr) verdict = "unresolved"
+        else if ((delta > 0) == (dir == "higher")) verdict = "better"
+        else verdict = "worse"
+        printf "%-12s %12.5g -> %-12.5g %+8.1f%% %6d/%-3d %12.4g  %s\n", name, pm, cm, pct, wins, n, iqr, verdict
+    }
+    BEGIN {
+        printf "%-12s %12s    %-12s %9s %10s %12s  %s\n", "metric", "parent", "change", "delta", "won", "parent IQR", "verdict"
+    }
+    $1 != name {
+        if (n) report()
+        name = $1; dir = $2; n = 0; wins = 0
+    }
+    {
+        n++; p[n] = $3 + 0; c[n] = $4 + 0
+        if (dir == "higher" ? $4 + 0 > $3 + 0 : $4 + 0 < $3 + 0) wins++
+    }
+    END { if (n) report() }
+' "$table"
+
+if [ "$failures" -gt 0 ]; then
+    echo "pairs: $failures run(s) reported failed > 0" >&2
+    exit 1
+fi

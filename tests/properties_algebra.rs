@@ -42,6 +42,23 @@ fn tagged_relation(max_rows: usize) -> impl Strategy<Value = PolygenRelation> {
     })
 }
 
+/// [`tagged_relation`] with some `K` data turned into the equal `Float`,
+/// so key columns mix `1` and `1.0`: θ-equal, yet distinct data.
+fn mixed_key_relation(max_rows: usize) -> impl Strategy<Value = PolygenRelation> {
+    (
+        tagged_relation(max_rows),
+        proptest::collection::vec(any::<bool>(), max_rows),
+    )
+        .prop_map(|(mut rel, floats)| {
+            for (t, float) in rel.tuples_mut().iter_mut().zip(floats) {
+                if let (true, Value::Int(k)) = (float, &t[0].datum) {
+                    t[0].datum = Value::float(*k as f64);
+                }
+            }
+            rel
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -363,16 +380,21 @@ mod derived_definitions {
         }
 
         /// AntiJoin semantics: survivors are exactly the left tuples whose
-        /// key matches nothing on the right, and all survivors carry the
-        /// right relation's origin closure — the Difference discipline.
+        /// key θ-matches nothing on the right (`1` matches `1.0`), and the
+        /// semi-join keeps exactly the others.
         #[test]
         fn anti_join_complements_semi_join(
-            a in tagged_relation(8),
-            b in tagged_relation(8),
+            a in mixed_key_relation(8),
+            b in mixed_key_relation(8),
         ) {
             let b = b.renamed("B").rename_attrs(&["K2", "X2", "Y2"]).unwrap();
             let anti = algebra::anti_join(&a, &b, "K", "K2").unwrap();
+            let semi = algebra::semi_join(&a, &b, "K", "K2").unwrap();
+            prop_assert_eq!(anti.len() + semi.len(), a.len());
             let joined = algebra::theta_join(&a, &b, "K", Cmp::Eq, "K2").unwrap();
+            for t in semi.tuples() {
+                prop_assert!(joined.tuples().iter().any(|j| j[0].datum == t[0].datum));
+            }
             // Data-level: anti(a) ∪ semijoin(a) == a (by keys).
             let matched_keys: std::collections::HashSet<Value> = joined
                 .tuples()
