@@ -9,9 +9,9 @@
 //! differential suite compares *encoded frames* across transports, so
 //! any two equal answers must serialize identically.
 //!
-//! [`FrameReader`] accumulates partial reads across read-timeout polls
-//! without ever losing frame sync — a timeout mid-frame just leaves the
-//! prefix buffered for the next poll.
+//! [`FrameReader`] reassembles frames from bytes pushed in pieces of any
+//! size without ever losing frame sync — a push that ends mid-frame just
+//! leaves the prefix buffered for the next one.
 
 use polygen_core::cell::Cell;
 use polygen_core::source::{SourceId, SourceSet};
@@ -269,7 +269,7 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// What one poll of a [`FrameReader`] produced.
+/// What one [`FrameReader::poll`] of a blocking stream produced.
 #[derive(Debug, PartialEq, Eq)]
 pub enum FramePoll {
     /// A complete frame payload (`tag + body`, length prefix stripped).
@@ -281,15 +281,14 @@ pub enum FramePoll {
     Closed,
 }
 
-/// Incremental frame extractor over a [`Read`] stream.
-///
-/// The server polls connections under a read timeout so it can notice
-/// shutdown; `poll` must therefore tolerate a timeout at *any* byte
-/// boundary. It buffers whatever arrived and reports [`FramePoll::Idle`]
-/// until the length prefix and full payload are present.
+/// Incremental frame extractor: bytes go in with [`FrameReader::push`]
+/// split anywhere, whole frames come out of [`FrameReader::next_frame`].
+/// [`FrameReader::poll`] wraps the two for a blocking [`Read`].
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
+    /// How much of `buf` earlier frames have consumed.
+    start: usize,
 }
 
 impl FrameReader {
@@ -298,52 +297,59 @@ impl FrameReader {
         FrameReader::default()
     }
 
-    /// Pull bytes from `stream` until a full frame, a timeout, or EOF.
+    /// Append bytes off the wire, first dropping what earlier frames
+    /// consumed.
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.start);
+        self.start = 0;
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Pop one complete frame payload (`tag + body`), if one is buffered.
+    /// A zero or oversized length prefix is [`CodecError::Corrupt`] —
+    /// checked before anything waits on it, so it never sizes a buffer.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, CodecError> {
+        let buffered = &self.buf[self.start..];
+        let Some(prefix) = buffered.get(..4) else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(prefix.try_into().expect("four prefix bytes"));
+        if len == 0 || len > MAX_FRAME_LEN {
+            return Err(CodecError::Corrupt(format!("frame length {len}")));
+        }
+        let total = 4 + len as usize;
+        if buffered.len() < total {
+            return Ok(None);
+        }
+        let payload = self.start + 4;
+        self.start += total;
+        Ok(Some(&self.buf[payload..self.start]))
+    }
+
+    /// Pull bytes from a blocking `stream` until a full frame, a
+    /// timeout, or EOF.
     ///
-    /// Errors: [`CodecError::Corrupt`] for an oversized length prefix,
+    /// Errors: those of [`FrameReader::next_frame`], plus
     /// [`CodecError::Truncated`] for EOF mid-frame. I/O errors other
     /// than timeout/would-block surface as `Corrupt` with the message —
     /// the connection is unusable either way.
     pub fn poll<R: Read>(&mut self, stream: &mut R) -> Result<FramePoll, CodecError> {
         let mut scratch = [0u8; 16 * 1024];
         loop {
-            if let Some(payload) = self.extract()? {
-                return Ok(FramePoll::Payload(payload));
+            if let Some(payload) = self.next_frame()? {
+                return Ok(FramePoll::Payload(payload.to_vec()));
             }
             match stream.read(&mut scratch) {
-                Ok(0) => {
-                    return if self.buf.is_empty() {
-                        Ok(FramePoll::Closed)
-                    } else {
-                        Err(CodecError::Truncated)
-                    };
-                }
-                Ok(n) => self.buf.extend_from_slice(&scratch[..n]),
+                Ok(0) if self.start == self.buf.len() => return Ok(FramePoll::Closed),
+                Ok(0) => return Err(CodecError::Truncated),
+                Ok(n) => self.push(&scratch[..n]),
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     return Ok(FramePoll::Idle);
                 }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(CodecError::Corrupt(format!("read failed: {e}"))),
             }
         }
-    }
-
-    /// Pop one complete frame payload off the buffer, if present.
-    fn extract(&mut self) -> Result<Option<Vec<u8>>, CodecError> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().unwrap());
-        if len == 0 || len > MAX_FRAME_LEN {
-            return Err(CodecError::Corrupt(format!("frame length {len}")));
-        }
-        let total = 4 + len as usize;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let payload = self.buf[4..total].to_vec();
-        self.buf.drain(..total);
-        Ok(Some(payload))
     }
 }
 
@@ -360,6 +366,14 @@ pub fn prefix_frame(payload: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FrameReader {
+        /// Bytes held, counting frames returned since the last push: the
+        /// reader's footprint.
+        pub(crate) fn held(&self) -> usize {
+            self.buf.len()
+        }
+    }
 
     #[test]
     fn primitives_round_trip() {
@@ -431,30 +445,24 @@ mod tests {
         let payload = b"\x07hello frame".to_vec();
         let wire = prefix_frame(&payload);
         let mut reader = FrameReader::new();
-        // Feed one byte at a time through a cursor that times out after
-        // each byte — sync must never be lost.
+        // Push one byte at a time — sync must never be lost.
         for (i, b) in wire.iter().enumerate() {
-            let mut one = OneByte(Some(*b));
-            let poll = reader.poll(&mut one).unwrap();
+            reader.push(&[*b]);
+            let frame = reader.next_frame().unwrap().map(<[u8]>::to_vec);
             if i + 1 < wire.len() {
-                assert_eq!(poll, FramePoll::Idle, "byte {i}");
+                assert_eq!(frame, None, "byte {i}");
             } else {
-                assert_eq!(poll, FramePoll::Payload(payload.clone()));
+                assert_eq!(frame, Some(payload.clone()));
             }
         }
-        // Clean EOF with an empty buffer.
-        let mut empty = std::io::Cursor::new(Vec::<u8>::new());
-        assert_eq!(reader.poll(&mut empty).unwrap(), FramePoll::Closed);
-        // EOF mid-frame is truncation.
-        let mut partial = std::io::Cursor::new(wire[..6].to_vec());
-        let mut reader = FrameReader::new();
-        assert_eq!(reader.poll(&mut partial), Err(CodecError::Truncated));
+        assert_eq!(reader.next_frame().unwrap(), None, "the frame was consumed");
     }
 
-    /// `EINTR` is retryable, not a dropped connection: a stream that
-    /// interleaves `Interrupted` errors between every byte must still
-    /// deliver the frame (and a mid-frame interruption must not lose
-    /// the buffered prefix).
+    /// The `poll` wrapper over a blocking stream. `EINTR` is retryable,
+    /// not a dropped connection: a stream that interleaves `Interrupted`
+    /// errors between every byte must still deliver the frame (and a
+    /// mid-frame interruption must not lose the buffered prefix). EOF
+    /// is `Closed` on a frame boundary and truncation inside one.
     #[test]
     fn interrupted_reads_are_retried_not_fatal() {
         let payload = b"\x03interrupt me".to_vec();
@@ -481,6 +489,12 @@ mod tests {
             interrupt_next: true,
         };
         assert_eq!(reader.poll(&mut rest).unwrap(), FramePoll::Payload(payload));
+        // Clean EOF with an empty buffer; EOF mid-frame is truncation.
+        let mut empty = std::io::Cursor::new(Vec::<u8>::new());
+        assert_eq!(reader.poll(&mut empty).unwrap(), FramePoll::Closed);
+        let mut partial = std::io::Cursor::new(wire[..6].to_vec());
+        let mut reader = FrameReader::new();
+        assert_eq!(reader.poll(&mut partial), Err(CodecError::Truncated));
     }
 
     /// Yields `ErrorKind::Interrupted` before every byte, then times
@@ -511,43 +525,22 @@ mod tests {
     fn two_frames_in_one_read_both_extract() {
         let a = prefix_frame(b"\x01aa");
         let b = prefix_frame(b"\x02bbb");
-        let mut both = std::io::Cursor::new([a, b].concat());
         let mut reader = FrameReader::new();
-        assert_eq!(
-            reader.poll(&mut both).unwrap(),
-            FramePoll::Payload(b"\x01aa".to_vec())
-        );
-        assert_eq!(
-            reader.poll(&mut both).unwrap(),
-            FramePoll::Payload(b"\x02bbb".to_vec())
-        );
-        assert_eq!(reader.poll(&mut both).unwrap(), FramePoll::Closed);
+        reader.push(&[a, b].concat());
+        assert_eq!(reader.next_frame().unwrap(), Some(&b"\x01aa"[..]));
+        assert_eq!(reader.next_frame().unwrap(), Some(&b"\x02bbb"[..]));
+        assert_eq!(reader.next_frame().unwrap(), None);
     }
 
     #[test]
     fn oversized_length_prefix_is_rejected() {
-        let mut wire = ((MAX_FRAME_LEN + 1).to_le_bytes()).to_vec();
-        wire.push(0);
-        let mut cursor = std::io::Cursor::new(wire);
-        let mut reader = FrameReader::new();
-        assert!(matches!(
-            reader.poll(&mut cursor),
-            Err(CodecError::Corrupt(_))
-        ));
-    }
-
-    /// Yields its byte, then times out forever.
-    struct OneByte(Option<u8>);
-
-    impl Read for OneByte {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            match self.0.take() {
-                Some(b) => {
-                    buf[0] = b;
-                    Ok(1)
-                }
-                None => Err(std::io::Error::from(ErrorKind::WouldBlock)),
-            }
+        for len in [0, MAX_FRAME_LEN + 1] {
+            let mut reader = FrameReader::new();
+            reader.push(&len.to_le_bytes());
+            assert!(
+                matches!(reader.next_frame(), Err(CodecError::Corrupt(_))),
+                "length {len}"
+            );
         }
     }
 }

@@ -8,22 +8,22 @@
 //! the same answer in process.
 //!
 //! * [`codec`] — deterministic little-endian encoding (length-prefixed
-//!   frames, canonical ascending source-set bytes) and a
-//!   [`codec::FrameReader`] that survives partial reads.
+//!   frames, canonical ascending source-set bytes) and a push-based
+//!   [`codec::FrameReader`] that reassembles frames split anywhere.
 //! * [`protocol`] — the frame vocabulary: `Hello`, `Query`, then a
 //!   streamed response (`Schema`, `Rows` batches, `Explain`, `Empty`,
 //!   `Error`, `Summary`) with one terminal frame per response.
 //!   Everything deterministic precedes the timing-dependent `Summary`.
-//! * [`server`] — [`server::NetServer`]: an evented front door. One
-//!   poller thread owns every connection socket (readiness via the
-//!   [`sys`] shim — epoll on Linux, a portable fallback elsewhere) and
-//!   a bounded worker pool runs queries, so a thousand idle sessions
-//!   cost registrations, not threads. Responses drain through
-//!   per-connection outbound buffers on write-readiness; a peer that
-//!   stops reading is closed with a backpressure error, never allowed
-//!   to block a server thread. Overload is still answered with a
-//!   structured `Error { code: 503 }` frame on a live connection —
-//!   graceful shedding, never a dropped socket.
+//! * `door` (crate-private) — every protocol decision of the front door
+//!   as a pure state machine: events in, actions out, no socket, thread
+//!   or clock, so a seeded simulator checks it in simulated time.
+//! * [`server`] — [`server::NetServer`]: the thin driver around it. One
+//!   poller thread owns every socket (readiness via the [`sys`] shim —
+//!   epoll on Linux, a portable fallback elsewhere) and a bounded worker
+//!   pool runs queries, so idle sessions cost registrations, not
+//!   threads. A peer that stops reading is closed with a backpressure
+//!   error; overload is a structured `Error { code: 503 }` frame on a
+//!   live connection, never a dropped socket.
 //! * [`client`] — [`client::NetClient`]: blocking connect/execute, the
 //!   network spelling of `QueryService::execute`.
 //! * [`load`] — [`load::NetClientMix`]: the closed-loop TCP load
@@ -38,6 +38,7 @@
 
 pub mod client;
 pub mod codec;
+mod door;
 pub mod load;
 pub mod protocol;
 pub mod server;

@@ -16,7 +16,7 @@ use std::io;
 /// What a registration wants to hear about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest {
-    /// Wake on read-readiness (or peer hangup).
+    /// Wake on read-readiness, including the peer's half-close.
     pub read: bool,
     /// Wake on write-readiness.
     pub write: bool,
@@ -27,18 +27,6 @@ impl Interest {
     pub const READ: Interest = Interest {
         read: true,
         write: false,
-    };
-
-    /// Write-readiness only.
-    pub const WRITE: Interest = Interest {
-        read: false,
-        write: true,
-    };
-
-    /// Both directions.
-    pub const BOTH: Interest = Interest {
-        read: true,
-        write: true,
     };
 }
 
@@ -104,16 +92,10 @@ pub struct Waker {
 impl Waker {
     /// A second handle to the same waker (workers each hold their own).
     pub fn try_clone(&self) -> io::Result<Waker> {
-        #[cfg(unix)]
-        {
-            Ok(Waker {
-                tx: self.tx.try_clone()?,
-            })
-        }
-        #[cfg(not(unix))]
-        {
-            Ok(Waker {})
-        }
+        Ok(Waker {
+            #[cfg(unix)]
+            tx: self.tx.try_clone()?,
+        })
     }
 
     /// Nudge the poller. Best-effort: a full pipe means a wake is
@@ -134,21 +116,14 @@ pub struct WakeReceiver {
     rx: std::os::unix::net::UnixStream,
 }
 
-impl WakeReceiver {
-    /// The identity to register with the poller (unix only; the scan
-    /// backend ignores it).
-    pub fn sock_id(&self) -> SockId {
-        #[cfg(unix)]
-        {
-            use std::os::fd::AsRawFd;
-            self.rx.as_raw_fd()
-        }
-        #[cfg(not(unix))]
-        {
-            0
-        }
+#[cfg(unix)]
+impl std::os::fd::AsRawFd for WakeReceiver {
+    fn as_raw_fd(&self) -> std::os::fd::RawFd {
+        self.rx.as_raw_fd()
     }
+}
 
+impl WakeReceiver {
     /// Swallow pending wake bytes so level-triggered readiness clears.
     pub fn drain(&self) {
         #[cfg(unix)]
@@ -248,10 +223,14 @@ mod epoll {
             })
         }
 
+        /// `EPOLLERR`/`EPOLLHUP` are always reported. The peer's
+        /// half-close (`EPOLLRDHUP`) is a read event: registered after
+        /// reads have ended, it would wake every wait while a response
+        /// drains.
         fn mask(interest: Interest) -> u32 {
-            let mut events = EPOLLRDHUP;
+            let mut events = 0;
             if interest.read {
-                events |= EPOLLIN;
+                events |= EPOLLIN | EPOLLRDHUP;
             }
             if interest.write {
                 events |= EPOLLOUT;
@@ -280,7 +259,7 @@ mod epoll {
 
         /// Stop watching `id`. Harmless if the socket is about to be
         /// closed anyway (closing removes it implicitly).
-        pub fn remove(&mut self, id: SockId) -> io::Result<()> {
+        pub fn remove(&mut self, id: SockId, _token: u64) -> io::Result<()> {
             self.ctl(EPOLL_CTL_DEL, id, 0, 0)
         }
 
@@ -337,10 +316,10 @@ mod scan {
     use std::io;
     use std::time::Duration;
 
-    /// Registered tokens and their interests.
+    /// Registered interests by token (non-unix socket ids are all 0).
     #[derive(Debug)]
     pub struct Poller {
-        registered: HashMap<SockId, (u64, Interest)>,
+        registered: HashMap<u64, Interest>,
         tick: Duration,
     }
 
@@ -353,28 +332,28 @@ mod scan {
             })
         }
 
-        /// Start watching `id` under `token`.
-        pub fn add(&mut self, id: SockId, token: u64, interest: Interest) -> io::Result<()> {
-            self.registered.insert(id, (token, interest));
+        /// Start watching `token`'s socket.
+        pub fn add(&mut self, _id: SockId, token: u64, interest: Interest) -> io::Result<()> {
+            self.registered.insert(token, interest);
             Ok(())
         }
 
-        /// Change what `id` is watched for.
-        pub fn modify(&mut self, id: SockId, token: u64, interest: Interest) -> io::Result<()> {
-            self.registered.insert(id, (token, interest));
+        /// Change what `token`'s socket is watched for.
+        pub fn modify(&mut self, _id: SockId, token: u64, interest: Interest) -> io::Result<()> {
+            self.registered.insert(token, interest);
             Ok(())
         }
 
-        /// Stop watching `id`.
-        pub fn remove(&mut self, id: SockId) -> io::Result<()> {
-            self.registered.remove(&id);
+        /// Stop watching `token`'s socket.
+        pub fn remove(&mut self, _id: SockId, token: u64) -> io::Result<()> {
+            self.registered.remove(&token);
             Ok(())
         }
 
         /// Sleep one tick, then report everything ready (spuriously).
         pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
             std::thread::sleep(self.tick.min(timeout));
-            for (&_id, &(token, interest)) in &self.registered {
+            for (&token, &interest) in &self.registered {
                 out.push(Event {
                     token,
                     readable: interest.read,
@@ -406,7 +385,11 @@ mod tests {
         server.set_nonblocking(true).unwrap();
 
         let mut poller = Poller::new().unwrap();
-        poller.add(server.sock_id(), 7, Interest::BOTH).unwrap();
+        let both = Interest {
+            read: true,
+            write: true,
+        };
+        poller.add(server.sock_id(), 7, both).unwrap();
 
         // A fresh socket is writable.
         let mut events = Vec::new();
@@ -457,7 +440,7 @@ mod tests {
             }
         };
         assert!(saw_eof, "hangup never surfaced");
-        poller.remove(server.sock_id()).unwrap();
+        poller.remove(server.sock_id(), 7).unwrap();
     }
 
     /// A waker unblocks a poller mid-wait (the fallback backend's wait

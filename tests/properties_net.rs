@@ -27,10 +27,10 @@ use polygen::net::codec::CodecError;
 use polygen::net::prelude::*;
 use polygen::net::protocol::request_frame;
 use polygen::serve::prelude::*;
-use polygen::workload::{self, ClientMix, MixWeights};
+use polygen::workload::{self, ClientMix, MixWeights, WorkloadConfig};
 use proptest::prelude::*;
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -616,8 +616,8 @@ fn summaries_and_metrics_agree_with_the_run() {
 }
 
 /// Read one full response stream (frames up to and including the
-/// terminal frame) from a raw socket — the hand-rolled client used by
-/// the soak tests to control exactly when bytes are read.
+/// terminal frame) from a raw socket — the hand-rolled client the
+/// regression tests use to control exactly when bytes are read.
 fn read_response(stream: &mut TcpStream, reader: &mut FrameReader) -> Vec<Frame> {
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut frames = Vec::new();
@@ -715,148 +715,88 @@ fn soak_thousand_idle_connections_stay_serviceable() {
     server.shutdown();
 }
 
-/// Soak: a deliberately slow reader (sleeps before draining each
-/// response) interleaved with a fast client on the same server — both
-/// streams stay byte-identical to the in-process baseline. The poller's
-/// per-connection buffers must not let one session's pacing corrupt or
-/// reorder another's.
+/// Regression: a client that pipelines thousands of `StatsRequest`
+/// frames while draining the replies used to abort the whole server
+/// process — the poller answered each buffered scrape by recursing into
+/// its read path, one stack frame per frame, until the stack
+/// overflowed. Every scrape must be answered, and the server must still
+/// serve a fresh connection afterwards.
 #[test]
-fn soak_slow_and_fast_interleaved_clients_get_identical_streams() {
-    let scenario = workload::generate(&small_config(5, 3, 72));
+fn a_scrape_flood_is_answered_and_the_server_survives() {
+    const SCRAPES: usize = 10_000;
+    let scenario = workload::generate(&small_config(3, 3, 72));
     let (_service, server) = spawn_server(&scenario, ServeOptions::default());
-    let uncached = QueryService::for_scenario(&scenario, ServeOptions::default().without_caches());
-    let queries: Vec<polygen::workload::ClientQuery> = (0..6)
-        .map(|c| polygen::workload::ClientQuery {
-            lang: polygen::workload::QueryLang::Algebra,
-            text: format!("PENTITY [CATEGORY = \"C{c}\"]"),
-        })
-        .collect();
-    let baselines: Vec<Vec<u8>> = queries
-        .iter()
-        .map(|q| baseline_bytes(&uncached, q))
-        .collect();
-    let addr = server.addr();
-    std::thread::scope(|scope| {
-        let fast = scope.spawn(|| {
-            let mut session = NetClient::connect(addr).expect("fast connects");
-            for _round in 0..3 {
-                for (q, want) in queries.iter().zip(&baselines) {
-                    let frames = session.execute_frames(&request_for(q)).expect("fast run");
-                    assert_eq!(
-                        &deterministic_bytes(&frames),
-                        want,
-                        "fast client diverged on `{}`",
-                        q.text
-                    );
-                }
-            }
-        });
-        let slow = scope.spawn(|| {
-            let (mut stream, mut reader) = raw_session(addr);
-            for _round in 0..2 {
-                for (q, want) in queries.iter().zip(&baselines) {
-                    stream
-                        .write_all(&request_frame(&request_for(q)).encode())
-                        .expect("slow sends");
-                    // The slow part: the response sits in the server's
-                    // outbound buffer (or kernel) while we look away.
-                    std::thread::sleep(Duration::from_millis(15));
-                    let frames = read_response(&mut stream, &mut reader);
-                    assert_eq!(
-                        &deterministic_bytes(&frames),
-                        want,
-                        "slow client diverged on `{}`",
-                        q.text
-                    );
-                }
-            }
-        });
-        fast.join().expect("fast client");
-        slow.join().expect("slow client");
+    let (mut stream, mut reader) = raw_session(server.addr());
+    let mut replies = stream.try_clone().expect("clone");
+    let drainer = std::thread::spawn(move || {
+        for i in 0..SCRAPES {
+            let frames = read_response(&mut replies, &mut reader);
+            assert!(
+                matches!(frames.as_slice(), [Frame::Stats { .. }]),
+                "scrape {i} answered with {frames:?}"
+            );
+        }
     });
-    server.shutdown();
-}
-
-/// Soak (regression for the write-timeout bug): a peer that queries and
-/// then stops reading entirely used to pin a connection thread in a
-/// blocking `write_all`, hanging `NetServer::shutdown` forever. With
-/// nonblocking buffered writes, shutdown must complete within its
-/// bounded grace period.
-#[test]
-fn soak_stalled_reader_cannot_hang_shutdown() {
-    let scenario = workload::generate(&small_config(7, 3, 2_000));
-    let (_service, server) = spawn_server(&scenario, ServeOptions::default());
-    let (mut stream, _reader) = raw_session(server.addr());
-    // Pipeline a batch of row-heavy queries and never read a byte of
-    // the responses.
-    let frame = request_frame(&Request::algebra("PENTITY [CATEGORY = \"C0\"]")).encode();
-    for _ in 0..8 {
-        stream.write_all(&frame).expect("queries sent");
-    }
-    // Give the workers a moment to start producing responses into the
-    // stalled connection's outbound path.
-    std::thread::sleep(Duration::from_millis(200));
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        server.shutdown();
-        let _ = done_tx.send(());
-    });
-    assert!(
-        done_rx.recv_timeout(Duration::from_secs(15)).is_ok(),
-        "shutdown hung on a stalled reader"
-    );
-    drop(stream);
-}
-
-/// Soak: a peer that keeps issuing queries but never drains responses
-/// trips the outbound backpressure cap and is closed — with the
-/// backpressure close recorded in the service metrics — instead of
-/// buffering server memory without bound or blocking anything.
-#[test]
-fn soak_backpressure_closes_a_peer_that_stops_reading() {
-    let scenario = workload::generate(&small_config(7, 3, 2_000));
-    let service = Arc::new(QueryService::for_scenario(
-        &scenario,
-        ServeOptions::default(),
-    ));
-    let server = polygen::net::NetServerOptions {
-        outbound_cap: 64 * 1024,
-        ..Default::default()
-    };
-    let server = polygen::net::NetServer::spawn_with(Arc::clone(&service), "127.0.0.1:0", server)
-        .expect("bind");
-    // Size one response, then pipeline enough of them to overflow both
-    // the kernel's socket buffering and the 64 KiB cap. Loopback send
-    // buffers autotune up to `tcp_wmem`'s 4 MiB ceiling on top of the
-    // receive window, so the volume must clear that with room to spare
-    // or the outcome races the autotuner.
-    let request = Request::algebra("PENTITY [CATEGORY = \"C0\"]");
-    let one: usize = response_frames(&service.execute(request.clone()))
-        .iter()
-        .map(|f| f.encode().len())
-        .sum();
-    assert!(one > 0);
-    let needed = (16 * 1024 * 1024 / one).clamp(16, 4_000);
-    let (mut stream, _reader) = raw_session(server.addr());
-    let frame = request_frame(&request).encode();
-    for _ in 0..needed {
-        stream.write_all(&frame).expect("queries sent");
-    }
-    // Never read. The server must cut this connection off.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while service.metrics().conns_backpressure_closed == 0 {
-        assert!(
-            Instant::now() < deadline,
-            "stalled peer was never backpressure-closed \
-             (one response = {one} bytes, {needed} pipelined)"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    // And the rest of the server is unaffected: a fresh connection
-    // still gets served.
-    let mut fresh = NetClient::connect(server.addr()).expect("fresh connects");
-    let served = fresh.execute(&request).expect("healthy transport");
+    stream
+        .write_all(&Frame::StatsRequest.encode().repeat(SCRAPES))
+        .expect("flood sent");
+    drainer.join().expect("every scrape answered");
+    let mut fresh = NetClient::connect(server.addr()).expect("the server survived");
+    let served = fresh
+        .execute(&Request::algebra("PENTITY [CATEGORY = \"C0\"]"))
+        .expect("fresh query");
     assert!(matches!(served, Response::Rows { .. }));
     server.shutdown();
-    drop(stream);
+}
+
+/// Regression: read-EOF used to close the connection with the answer
+/// still queued, so a client that half-closes after sending its request
+/// lost everything past what the loopback buffers had absorbed —
+/// terminal frame included. The answer here (~13 MB) is well above what
+/// those buffers hold while the client sleeps, and the client must read
+/// all of it, then a clean end of stream.
+#[test]
+fn a_half_closed_peer_receives_its_whole_answer() {
+    let scenario = workload::generate(&WorkloadConfig {
+        detail_rows: 600,
+        ..small_config(9, 3, 160)
+    });
+    let (service, server) = spawn_server(&scenario, ServeOptions::default());
+    let request = Request::algebra("PENTITY TIMES PDETAIL");
+    let want = deterministic_bytes(&response_frames(&service.execute(request.clone())));
+    assert!(
+        want.len() > 12 << 20,
+        "answer of {} bytes is too small",
+        want.len()
+    );
+    let (mut stream, _reader) = raw_session(server.addr());
+    stream
+        .write_all(&request_frame(&request).encode())
+        .expect("query sent");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    std::thread::sleep(Duration::from_millis(200));
+    let mut got = Vec::new();
+    let mut chunk = vec![0u8; 64 * 1024];
+    let end = Instant::now() + Duration::from_secs(60);
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => got.extend_from_slice(&chunk[..n]),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                assert!(Instant::now() < end, "the server never closed");
+            }
+            Err(e) => panic!("read failed after {} bytes: {e}", got.len()),
+        }
+    }
+    assert!(
+        got.len() > want.len(),
+        "received {} of {} answer bytes",
+        got.len(),
+        want.len()
+    );
+    assert!(got[..want.len()] == want[..], "the answer arrived intact");
+    // All that follows is the terminal Summary frame.
+    let summary = Frame::decode(&got[want.len() + 4..]).expect("one whole frame");
+    assert!(matches!(summary, Frame::Summary { .. }), "{summary:?}");
+    server.shutdown();
 }
