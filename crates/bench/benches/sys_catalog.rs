@@ -28,11 +28,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use polygen_core::relation::PolygenRelation;
-use polygen_net::request_for;
 use polygen_serve::prelude::*;
 use polygen_serve::sys;
 use polygen_workload::queries::{paper_shaped_sql, sys_sessions_query, sys_stats_query};
-use polygen_workload::{self as workload, drive, ClientMix, ClientQuery, WorkloadConfig};
+use polygen_workload::{self as workload, drive, ClientMix, WorkloadConfig};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,9 +66,7 @@ fn warmed_service() -> QueryService {
     let mix = ClientMix::default()
         .with_clients(3)
         .with_queries_per_client(8);
-    drive(&mix, |_, q: &ClientQuery| {
-        rows(&service, request_for(q)).0.len()
-    });
+    drive(&mix, |_, request| rows(&service, request.clone()).0.len());
     // Seal a few rollup windows so `sys.stats` has more than the
     // half-open head.
     for _ in 0..3 {

@@ -79,6 +79,14 @@ impl From<CodecError> for NetError {
     }
 }
 
+/// A copy of `request`. The ledger (`benchmark/src/tcp.rs`) maps each
+/// scripted entry through this function, and its `&&Request` argument
+/// reaches `&Request` only through deref coercion onto a concrete
+/// parameter type, so the name stays while scripts are `Request`s.
+pub fn request_for(request: &Request) -> Request {
+    request.clone()
+}
+
 /// One blocking protocol session over TCP.
 #[derive(Debug)]
 pub struct NetClient {

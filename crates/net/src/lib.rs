@@ -25,10 +25,9 @@
 //!   error; overload is a structured `Error { code: 503 }` frame on a
 //!   live connection, never a dropped socket.
 //! * [`client`] — [`client::NetClient`]: blocking connect/execute, the
-//!   network spelling of `QueryService::execute`.
-//! * [`load`] — [`load::NetClientMix`]: the closed-loop TCP load
-//!   generator, replaying the exact deterministic per-client scripts of
-//!   [`polygen_workload::clients::ClientMix`] over real sockets.
+//!   network spelling of `QueryService::execute`. A load generator is a
+//!   driver's business, not the product's: `polygen-workload`'s `drive`
+//!   runs a client mix over one `NetClient` per client.
 //!
 //! The differential guarantee (`tests/properties_net.rs`): for the same
 //! scripts, TCP responses — data, tags, order, error codes — are
@@ -39,7 +38,6 @@
 pub mod client;
 pub mod codec;
 mod door;
-pub mod load;
 pub mod protocol;
 pub mod server;
 pub mod sys;
@@ -48,14 +46,12 @@ pub mod sys;
 pub mod prelude {
     pub use crate::client::{NetClient, NetError};
     pub use crate::codec::{CodecError, FramePoll, FrameReader};
-    pub use crate::load::{request_for, NetClientMix, NetRun};
     pub use crate::protocol::{
         deterministic_bytes, response_frames, response_from_frames, Frame, PROTOCOL_VERSION,
     };
     pub use crate::server::{NetServer, NetServerOptions};
 }
 
-pub use client::{NetClient, NetError};
-pub use load::{request_for, NetClientMix, NetRun};
+pub use client::{request_for, NetClient, NetError};
 pub use protocol::{Frame, PROTOCOL_VERSION};
 pub use server::{NetServer, NetServerOptions};

@@ -23,9 +23,9 @@
 
 use crate::service::ServeError;
 use polygen_core::relation::PolygenRelation;
-use polygen_federation::aqp::AqpError;
 use polygen_index::IndexError;
 use polygen_pqp::error::PqpError;
+use polygen_sql::app::AqpError;
 use polygen_sql::normalize::NormalizeError;
 use std::fmt;
 use std::sync::Arc;
@@ -197,7 +197,7 @@ impl Request {
 /// * `2xx` — application-schema rewriting.
 /// * `3xx` — compilation / execution (PQP).
 /// * `4xx` — secondary-index declaration.
-/// * `5xx` — service-level (admission control).
+/// * `5xx` — service-level (a contained panic, admission control).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u16)]
 pub enum ErrorCode {
@@ -211,6 +211,8 @@ pub enum ErrorCode {
     AppUnknownRelation = 201,
     /// An attribute is not defined by any FROM view.
     AppUnknownAttribute = 202,
+    /// FROM views map an attribute onto different polygen attributes.
+    AppAmbiguousAttribute = 203,
     /// Compile-time syntax error (canonical text failed to re-parse).
     PqpSyntax = 300,
     /// Compile-time lowering failure.
@@ -230,14 +232,16 @@ pub enum ErrorCode {
     /// A polygen algebra operation failed (e.g. a Strict-policy
     /// conflict).
     Algebra = 308,
-    /// An interpreter invariant was violated.
-    Internal = 309,
+    /// An interpreter invariant was violated (a malformed row).
+    MalformedRow = 309,
     /// Index declaration named an unregistered source.
     IndexUnknownSource = 400,
     /// The local system rejected an index build-time retrieve.
     IndexLqp = 401,
     /// The indexed column does not exist on the relation.
     IndexColumn = 402,
+    /// Serving the request panicked; the panic was contained to it.
+    Internal = 500,
     /// Admission control shed the query: the service is at capacity
     /// with a full wait queue. Retry later — the overload response is
     /// structured, never a dropped connection.
@@ -259,6 +263,7 @@ impl ErrorCode {
             200 => AppSyntax,
             201 => AppUnknownRelation,
             202 => AppUnknownAttribute,
+            203 => AppAmbiguousAttribute,
             300 => PqpSyntax,
             301 => PqpLower,
             302 => BareRelation,
@@ -268,10 +273,11 @@ impl ErrorCode {
             306 => DanglingReference,
             307 => Lqp,
             308 => Algebra,
-            309 => Internal,
+            309 => MalformedRow,
             400 => IndexUnknownSource,
             401 => IndexLqp,
             402 => IndexColumn,
+            500 => Internal,
             503 => Overloaded,
             _ => return None,
         })
@@ -286,6 +292,7 @@ impl ErrorCode {
             AppSyntax => "app-syntax",
             AppUnknownRelation => "app-unknown-relation",
             AppUnknownAttribute => "app-unknown-attribute",
+            AppAmbiguousAttribute => "app-ambiguous-attribute",
             PqpSyntax => "pqp-syntax",
             PqpLower => "pqp-lower",
             BareRelation => "bare-relation",
@@ -295,10 +302,11 @@ impl ErrorCode {
             DanglingReference => "dangling-reference",
             Lqp => "lqp",
             Algebra => "algebra",
-            Internal => "internal",
+            MalformedRow => "malformed-row",
             IndexUnknownSource => "index-unknown-source",
             IndexLqp => "index-lqp",
             IndexColumn => "index-column",
+            Internal => "internal",
             Overloaded => "overloaded",
         }
     }
@@ -318,6 +326,7 @@ impl From<&ServeError> for ErrorCode {
             ServeError::App(AqpError::Syntax(_)) => ErrorCode::AppSyntax,
             ServeError::App(AqpError::UnknownAppRelation(_)) => ErrorCode::AppUnknownRelation,
             ServeError::App(AqpError::UnknownAppAttribute(_)) => ErrorCode::AppUnknownAttribute,
+            ServeError::App(AqpError::AmbiguousAppAttribute(_)) => ErrorCode::AppAmbiguousAttribute,
             ServeError::Pqp(PqpError::Syntax(_)) => ErrorCode::PqpSyntax,
             ServeError::Pqp(PqpError::Lower(_)) => ErrorCode::PqpLower,
             ServeError::Pqp(PqpError::BareRelation(_)) => ErrorCode::BareRelation,
@@ -327,10 +336,11 @@ impl From<&ServeError> for ErrorCode {
             ServeError::Pqp(PqpError::DanglingReference(_)) => ErrorCode::DanglingReference,
             ServeError::Pqp(PqpError::Lqp(_)) => ErrorCode::Lqp,
             ServeError::Pqp(PqpError::Polygen(_)) => ErrorCode::Algebra,
-            ServeError::Pqp(PqpError::MalformedRow { .. }) => ErrorCode::Internal,
+            ServeError::Pqp(PqpError::MalformedRow { .. }) => ErrorCode::MalformedRow,
             ServeError::Index(IndexError::UnknownSource(_)) => ErrorCode::IndexUnknownSource,
             ServeError::Index(IndexError::Lqp(_)) => ErrorCode::IndexLqp,
             ServeError::Index(IndexError::Flat(_)) => ErrorCode::IndexColumn,
+            ServeError::Panicked(_) => ErrorCode::Internal,
             ServeError::Overloaded { .. } => ErrorCode::Overloaded,
         }
     }
@@ -466,6 +476,7 @@ mod tests {
             AppSyntax,
             AppUnknownRelation,
             AppUnknownAttribute,
+            AppAmbiguousAttribute,
             PqpSyntax,
             PqpLower,
             BareRelation,
@@ -475,10 +486,11 @@ mod tests {
             DanglingReference,
             Lqp,
             Algebra,
-            Internal,
+            MalformedRow,
             IndexUnknownSource,
             IndexLqp,
             IndexColumn,
+            Internal,
             Overloaded,
         ];
         let mut seen = std::collections::BTreeSet::new();
@@ -492,6 +504,7 @@ mod tests {
         assert_eq!(AppSyntax.code(), 200);
         assert_eq!(PqpSyntax.code(), 300);
         assert_eq!(IndexUnknownSource.code(), 400);
+        assert_eq!(Internal.code(), 500);
         assert_eq!(Overloaded.code(), 503);
         assert_eq!(ErrorCode::from_code(999), None);
     }

@@ -40,8 +40,6 @@ use crate::snapshot::{Federation, FederationSnapshot};
 use crate::sys::{self, SysCatalog, SYS_DB};
 use polygen_catalog::scenario::Scenario;
 use polygen_core::stream::default_thread_count;
-use polygen_federation::app_schema::AppSchema;
-use polygen_federation::aqp::{translate_app_query, AqpError};
 use polygen_flat::relation::Relation;
 use polygen_flat::value::Cmp;
 use polygen_index::{IndexError, IndexKind, IndexSpec};
@@ -53,9 +51,12 @@ use polygen_pqp::error::PqpError;
 use polygen_pqp::executor::execute_plan;
 use polygen_pqp::plan::PhysOp;
 use polygen_pqp::pqp::{Pqp, PqpOptions};
+use polygen_sql::app::{translate_app_query, AppSchema, AqpError};
 use polygen_sql::normalize::{canonicalize_algebra, canonicalize_sql, NormalizeError};
 use polygen_sql::parse_algebra;
+use std::any::Any;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -78,6 +79,9 @@ pub enum ServeError {
         /// Queries already waiting.
         queued: usize,
     },
+    /// Serving the request panicked. The panic is contained to this
+    /// request: the unwind released its admission slot and threads.
+    Panicked(String),
 }
 
 impl fmt::Display for ServeError {
@@ -91,6 +95,7 @@ impl fmt::Display for ServeError {
                 f,
                 "service overloaded: {active} queries executing, {queued} queued"
             ),
+            ServeError::Panicked(m) => write!(f, "internal error: the query panicked: {m}"),
         }
     }
 }
@@ -596,8 +601,16 @@ impl QueryService {
             session.begin_query(&request.text, request.lang.label());
         }
         let mut detail = QueryDetail::default();
+        // A panic anywhere below fails this request alone: the unwind has
+        // already dropped the admission permit (slot and threads), and the
+        // session row still closes below.
+        let served =
+            panic::catch_unwind(AssertUnwindSafe(|| self.serve(request, trace, &mut detail)))
+                .unwrap_or_else(|payload| {
+                    Err(ServeError::Panicked(panic_message(payload.as_ref())))
+                });
         // Every mode's failures are counted here and nowhere else.
-        let response = self.serve(request, trace, &mut detail).unwrap_or_else(|e| {
+        let response = served.unwrap_or_else(|e| {
             let code = e.code();
             self.metrics.record_failure(code);
             detail.error = Some((code.code(), code.mnemonic()));
@@ -932,6 +945,17 @@ fn engine_options() -> PqpOptions {
     PqpOptions::default()
 }
 
+/// The text a panic carried: `panic!` payloads are a `&str` or a `String`.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => (*s).to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "a non-text panic payload".to_string()),
+    }
+}
+
 /// A duration as whole microseconds, saturating.
 fn micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
@@ -1203,8 +1227,30 @@ mod tests {
     }
 
     #[test]
+    fn an_ambiguous_app_attribute_is_error_203() {
+        use polygen_sql::app::AppRelation;
+        let mut app = AppSchema::new();
+        app.push(AppRelation::new(
+            "COMPANIES",
+            "PORGANIZATION",
+            &[("NAME", "ONAME")],
+        ));
+        app.push(AppRelation::new("GRADS", "PALUMNUS", &[("NAME", "ANAME")]));
+        let svc = service().with_app_schema(app);
+        // Either reading of NAME is a different question: no answer.
+        let out = svc.execute(Request::app("SELECT NAME FROM COMPANIES, GRADS"));
+        assert_eq!(
+            out.error_code(),
+            Some(ErrorCode::AppAmbiguousAttribute),
+            "{out:?}"
+        );
+        assert_eq!(ErrorCode::AppAmbiguousAttribute.code(), 203);
+        assert_eq!(svc.metrics().errors, 1);
+    }
+
+    #[test]
     fn app_queries_flow_through_the_caches() {
-        use polygen_federation::app_schema::AppRelation;
+        use polygen_sql::app::AppRelation;
         let mut app = AppSchema::new();
         app.push(AppRelation::new(
             "COMPANIES",

@@ -1,14 +1,94 @@
-//! The Application Query Processor (Figure 1).
+//! Application schemas and the Application Query Processor (Figure 1's
+//! outermost layer).
 //!
-//! Rewrites an application-schema SQL query into a polygen query by
-//! substituting view relation and attribute names, then hands it to the
-//! PQP. The application user never sees polygen scheme names — only their
-//! own vocabulary — yet the answer still arrives fully source-tagged.
+//! "The Application Query Processor translates an end-user query into a
+//! polygen query for the Polygen Query Processor based on the user's
+//! application schema." An application schema is a user-facing view over
+//! the polygen schema: renamed relations and attributes scoped to what
+//! one application needs (Sullivan-Trainor's ComputerWorld survey sees
+//! `SCHOOLS_CEOS`, not `PORGANIZATION`). [`translate_app_query`]
+//! rewrites an application-schema SQL query into polygen vocabulary by
+//! substituting view relation and attribute names. The application user
+//! never sees polygen scheme names — only their own vocabulary — yet the
+//! answer still arrives fully source-tagged.
 
-use crate::app_schema::AppSchema;
-use polygen_sql::ast::{Condition, Operand, Query, SelectItem};
-use polygen_sql::parser::parse_query;
+use crate::ast::{Condition, Operand, Query, SelectItem};
+use crate::parser::parse_query;
 use std::fmt;
+
+/// One application-level relation: a renaming of (a subset of) a polygen
+/// scheme's attributes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AppRelation {
+    /// Application-facing relation name.
+    pub name: String,
+    /// The polygen scheme it views.
+    pub polygen_scheme: String,
+    /// `application attribute → polygen attribute`.
+    pub attrs: Vec<(String, String)>,
+}
+
+impl AppRelation {
+    /// Build a view with positional `(app, polygen)` attribute pairs.
+    pub fn new(name: &str, polygen_scheme: &str, attrs: &[(&str, &str)]) -> Self {
+        AppRelation {
+            name: name.to_string(),
+            polygen_scheme: polygen_scheme.to_string(),
+            attrs: attrs
+                .iter()
+                .map(|(a, p)| ((*a).to_string(), (*p).to_string()))
+                .collect(),
+        }
+    }
+
+    /// The polygen attribute behind an application attribute.
+    pub fn polygen_attr(&self, app_attr: &str) -> Option<&str> {
+        self.attrs
+            .iter()
+            .find(|(a, _)| a == app_attr)
+            .map(|(_, p)| p.as_str())
+    }
+}
+
+impl fmt::Display for AppRelation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}(", self.name)?;
+        for (i, (a, p)) in self.attrs.iter().enumerate() {
+            if i > 0 {
+                write!(f, ", ")?;
+            }
+            if a == p {
+                write!(f, "{a}")?;
+            } else {
+                write!(f, "{a}→{p}")?;
+            }
+        }
+        write!(f, ") over {}", self.polygen_scheme)
+    }
+}
+
+/// A user's full application schema.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AppSchema {
+    relations: Vec<AppRelation>,
+}
+
+impl AppSchema {
+    /// An empty schema.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Add a view relation.
+    pub fn push(&mut self, rel: AppRelation) {
+        self.relations.push(rel);
+    }
+
+    /// Look up a view by application name.
+    pub fn relation(&self, name: &str) -> Option<&AppRelation> {
+        self.relations.iter().find(|r| r.name == name)
+    }
+}
 
 /// Rewriting failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,6 +99,9 @@ pub enum AqpError {
     UnknownAppRelation(String),
     /// An attribute is not defined by any FROM view.
     UnknownAppAttribute(String),
+    /// FROM views map the attribute onto different polygen attributes,
+    /// so the query does not say which one it means.
+    AmbiguousAppAttribute(String),
 }
 
 impl fmt::Display for AqpError {
@@ -31,6 +114,10 @@ impl fmt::Display for AqpError {
             AqpError::UnknownAppAttribute(a) => {
                 write!(f, "application schema defines no attribute `{a}`")
             }
+            AqpError::AmbiguousAppAttribute(a) => write!(
+                f,
+                "application attribute `{a}` names different polygen attributes in the FROM views"
+            ),
         }
     }
 }
@@ -57,16 +144,18 @@ fn rewrite_query(query: &Query, schema: &AppSchema) -> Result<Query, AqpError> {
             scope.push((a.as_str(), p.as_str()));
         }
     }
+    // Views that map the attribute onto one polygen attribute agree, and
+    // the lowerer judges that name; views that disagree leave the query
+    // without a meaning.
     let rename = |attr: &str| -> Result<String, AqpError> {
-        let hits: Vec<&str> = scope
-            .iter()
-            .filter(|(a, _)| *a == attr)
-            .map(|(_, p)| *p)
-            .collect();
-        match hits.as_slice() {
-            [] => Err(AqpError::UnknownAppAttribute(attr.to_string())),
-            _ => Ok(hits[0].to_string()),
+        let mut hits = scope.iter().filter(|(a, _)| *a == attr).map(|(_, p)| *p);
+        let first = hits
+            .next()
+            .ok_or_else(|| AqpError::UnknownAppAttribute(attr.to_string()))?;
+        if hits.any(|p| p != first) {
+            return Err(AqpError::AmbiguousAppAttribute(attr.to_string()));
         }
+        Ok(first.to_string())
     };
     let select = query
         .select
@@ -132,7 +221,6 @@ fn rewrite_operand(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app_schema::AppRelation;
 
     fn schema() -> AppSchema {
         let mut s = AppSchema::new();
@@ -156,6 +244,28 @@ mod tests {
             &[("ID", "AID#"), ("COMPANY", "ONAME")],
         ));
         s
+    }
+
+    #[test]
+    fn lookup_and_mapping() {
+        let s = schema();
+        let c = s.relation("COMPANIES").unwrap();
+        assert_eq!(c.polygen_scheme, "PORGANIZATION");
+        assert_eq!(c.polygen_attr("BOSS"), Some("CEO"));
+        assert_eq!(c.polygen_attr("NOPE"), None);
+        assert!(s.relation("NOPE").is_none());
+        let grads = s.relation("GRADS").unwrap();
+        assert_eq!(grads.polygen_attr("NAME"), Some("ANAME"));
+    }
+
+    #[test]
+    fn display_shows_renames() {
+        let s = schema();
+        let shown = s.relation("COMPANIES").unwrap().to_string();
+        assert!(shown.contains("COMPANY→ONAME"));
+        assert!(shown.contains("over PORGANIZATION"));
+        let grads = s.relation("GRADS").unwrap().to_string();
+        assert!(grads.contains("DEGREE")); // identical names print bare
     }
 
     #[test]
@@ -207,5 +317,31 @@ mod tests {
     fn star_passes_through() {
         let q = translate_app_query("SELECT * FROM COMPANIES", &schema()).unwrap();
         assert_eq!(q.to_string(), "SELECT * FROM PORGANIZATION");
+    }
+
+    #[test]
+    fn an_attribute_two_views_map_differently_is_ambiguous() {
+        let mut s = schema();
+        s.push(AppRelation::new(
+            "FIRMS",
+            "PORGANIZATION",
+            &[("NAME", "ONAME")],
+        ));
+        // FIRMS.NAME is ONAME and GRADS.NAME is ANAME: either pick
+        // answers a question the user did not ask.
+        for sql in [
+            "SELECT NAME FROM FIRMS, GRADS",
+            "SELECT DEGREE FROM FIRMS, GRADS WHERE NAME = \"John Reed\"",
+        ] {
+            assert_eq!(
+                translate_app_query(sql, &s),
+                Err(AqpError::AmbiguousAppAttribute("NAME".to_string())),
+                "{sql}"
+            );
+        }
+        // Views that agree on the target pass it through for the lowerer
+        // to judge: JOBS.ID and GRADS.ID both name AID#.
+        let q = translate_app_query("SELECT ID FROM JOBS, GRADS", &s).unwrap();
+        assert_eq!(q.to_string(), "SELECT AID# FROM PCAREER, PALUMNUS");
     }
 }

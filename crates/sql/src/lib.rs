@@ -15,8 +15,12 @@
 //! * [`normalize`] — canonical query text (parse → lower → canonical
 //!   printing), the collision-free cache key the serving layer uses.
 //! * [`token`] — the shared lexer.
+//! * [`app`] — Figure 1's outermost layer: application schemas (views
+//!   over the polygen schema) and the Application Query Processor that
+//!   rewrites application SQL into polygen SQL over this crate's AST.
 
 pub mod algebra_expr;
+pub mod app;
 pub mod ast;
 pub mod lower;
 pub mod normalize;
@@ -26,6 +30,7 @@ pub mod token;
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::algebra_expr::{parse_algebra, AlgebraExpr, PAPER_EXPRESSION};
+    pub use crate::app::{translate_app_query, AppRelation, AppSchema, AqpError};
     pub use crate::ast::{Condition, Operand, Query, SelectItem};
     pub use crate::lower::{lower, LowerError, LoweringOptions, MapSchemaInfo, SchemaInfo};
     pub use crate::normalize::{

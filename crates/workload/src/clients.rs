@@ -22,26 +22,9 @@ use crate::queries::{
 };
 use crate::zipf::Zipf;
 use polygen_obs::LatencySummary;
+use polygen_serve::request::Request;
 use rand::RngExt;
 use std::time::{Duration, Instant};
-
-/// Which front end a generated query targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryLang {
-    /// Polygen-level SQL.
-    Sql,
-    /// Algebra bracket notation.
-    Algebra,
-}
-
-/// One query of a client's script.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClientQuery {
-    /// The query text.
-    pub text: String,
-    /// Which parser it is for.
-    pub lang: QueryLang,
-}
 
 /// Relative weights of the query shapes in the mix. Weights are
 /// relative, not percentages — `(3, 1, 1)` means 3 selects per join and
@@ -204,8 +187,9 @@ impl ClientMix {
     /// `(seed, i, weights, queries_per_client, categories, entities,
     /// key_skew)` — and the draw sequence for the original three shapes
     /// is unchanged when the point/range/sys weights are 0, so existing
-    /// mixes replay bit-identical scripts.
-    pub fn script(&self, client: usize) -> Vec<ClientQuery> {
+    /// mixes replay bit-identical scripts. Each entry is the [`Request`]
+    /// a transport sends as is.
+    pub fn script(&self, client: usize) -> Vec<Request> {
         assert!(self.weights.total() > 0, "mix weights must not all be 0");
         assert!(self.categories >= 1, "need at least one category");
         assert!(self.entities >= 1, "need at least one entity");
@@ -217,20 +201,11 @@ impl ClientMix {
             .map(|_| {
                 let draw = rng.random_range(0..w.total());
                 if draw < w.select {
-                    ClientQuery {
-                        text: select_query(rng.random_range(0..self.categories)),
-                        lang: QueryLang::Algebra,
-                    }
+                    Request::algebra(select_query(rng.random_range(0..self.categories)))
                 } else if draw < w.select + w.join {
-                    ClientQuery {
-                        text: join_query(rng.random_range(0..100)),
-                        lang: QueryLang::Algebra,
-                    }
+                    Request::algebra(join_query(rng.random_range(0..100)))
                 } else if draw < w.select + w.join + w.paper {
-                    ClientQuery {
-                        text: paper_shaped_sql(rng.random_range(0..self.categories)),
-                        lang: QueryLang::Sql,
-                    }
+                    Request::sql(paper_shaped_sql(rng.random_range(0..self.categories)))
                 } else if draw < w.select + w.join + w.paper + w.point {
                     // Zipf-skewed key choice: hot entities dominate, the
                     // realistic shape for point traffic.
@@ -238,16 +213,10 @@ impl ClientMix {
                         .as_ref()
                         .expect("point weight > 0 builds the sampler")
                         .sample(&mut rng);
-                    ClientQuery {
-                        text: point_lookup(entity),
-                        lang: QueryLang::Algebra,
-                    }
+                    Request::algebra(point_lookup(entity))
                 } else if draw < w.select + w.join + w.paper + w.point + w.range {
                     let lo = rng.random_range(0..90);
-                    ClientQuery {
-                        text: range_scan(lo, lo + 9),
-                        lang: QueryLang::Algebra,
-                    }
+                    Request::algebra(range_scan(lo, lo + 9))
                 } else {
                     // Catalog reads alternate between the windowed
                     // rollups and the live-session registry.
@@ -256,10 +225,7 @@ impl ClientMix {
                     } else {
                         sys_sessions_query()
                     };
-                    ClientQuery {
-                        text,
-                        lang: QueryLang::Sql,
-                    }
+                    Request::sql(text)
                 }
             })
             .collect()
@@ -300,7 +266,7 @@ impl<R> DriveReport<R> {
 /// back in deterministic script order even though execution interleaves.
 pub fn drive<R, F>(mix: &ClientMix, serve: F) -> DriveReport<R>
 where
-    F: Fn(usize, &ClientQuery) -> R + Sync,
+    F: Fn(usize, &Request) -> R + Sync,
     R: Send,
 {
     let start = Instant::now();
@@ -363,7 +329,7 @@ fn report_from<R>(outcomes: Vec<Vec<(R, Duration)>>, elapsed: Duration) -> Drive
 /// against. No threads, no think time.
 pub fn replay<R, F>(mix: &ClientMix, mut serve: F) -> DriveReport<R>
 where
-    F: FnMut(usize, &ClientQuery) -> R,
+    F: FnMut(usize, &Request) -> R,
 {
     let start = Instant::now();
     let outcomes: Vec<Vec<(R, Duration)>> = (0..mix.clients)
@@ -384,6 +350,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polygen_serve::request::Lang;
     use polygen_sql::parse_algebra;
 
     #[test]
@@ -408,14 +375,15 @@ mod tests {
         let mut saw = (false, false);
         for q in &script {
             match q.lang {
-                QueryLang::Algebra => {
+                Lang::Algebra => {
                     saw.0 = true;
                     assert!(parse_algebra(&q.text).is_ok(), "{}", q.text);
                 }
-                QueryLang::Sql => {
+                Lang::Sql => {
                     saw.1 = true;
                     assert!(q.text.starts_with("SELECT"), "{}", q.text);
                 }
+                Lang::App => panic!("scripts carry no application SQL: {}", q.text),
             }
         }
         assert!(saw.0 && saw.1, "default weights exercise both languages");
@@ -464,18 +432,18 @@ mod tests {
             .with_entities(500)
             .with_weights(MixWeights::with_index_lookups(4, 2));
         let script = mix.script(0);
-        let points: Vec<&ClientQuery> = script
+        let points: Vec<&Request> = script
             .iter()
             .filter(|q| q.text.starts_with("PDETAIL [ENAME"))
             .collect();
-        let ranges: Vec<&ClientQuery> = script
+        let ranges: Vec<&Request> = script
             .iter()
             .filter(|q| q.text.starts_with("PDETAIL [SCORE"))
             .collect();
         assert!(!points.is_empty() && !ranges.is_empty());
         assert!(points.len() > ranges.len(), "weights skew toward points");
         for q in script.iter() {
-            if q.lang == QueryLang::Algebra {
+            if q.lang == Lang::Algebra {
                 assert!(parse_algebra(&q.text).is_ok(), "{}", q.text);
             }
         }
@@ -505,7 +473,7 @@ mod tests {
             .with_queries_per_client(200)
             .with_weights(MixWeights::with_catalog_reads(3));
         let script = mix.script(0);
-        let sys: Vec<&ClientQuery> = script
+        let sys: Vec<&Request> = script
             .iter()
             .filter(|q| q.text.contains("FROM sys."))
             .collect();
@@ -513,7 +481,7 @@ mod tests {
         assert!(sys.len() < script.len(), "user shapes still dominate");
         let mut saw = (false, false);
         for q in &sys {
-            assert_eq!(q.lang, QueryLang::Sql);
+            assert_eq!(q.lang, Lang::Sql);
             saw.0 |= q.text.contains("sys.stats");
             saw.1 |= q.text.contains("sys.sessions");
         }

@@ -15,7 +15,9 @@
 //! * [`clients`] — the closed-loop multi-client driver: N deterministic
 //!   clients issuing a weighted query mix with think time, concurrently
 //!   ([`clients::drive`]) or as a sequential baseline
-//!   ([`clients::replay`]).
+//!   ([`clients::replay`]). A script is a list of
+//!   `polygen_serve::request::Request`s, so one driver runs the mix in
+//!   process or over any transport that speaks the envelope.
 //! * [`zipf`] — the category-skew sampler.
 
 pub mod clients;
@@ -24,6 +26,6 @@ pub mod generator;
 pub mod queries;
 pub mod zipf;
 
-pub use clients::{drive, replay, ClientMix, ClientQuery, DriveReport, MixWeights, QueryLang};
+pub use clients::{drive, replay, ClientMix, DriveReport, MixWeights};
 pub use config::{derive_rng, RngStream, WorkloadConfig};
 pub use generator::{generate, random_flat_relation, random_polygen_relation};

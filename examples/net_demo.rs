@@ -8,11 +8,11 @@
 //! cargo run --release --example net_demo
 //! ```
 
-use polygen::net::{NetClient, NetClientMix, NetServer};
+use polygen::net::{NetClient, NetServer};
 use polygen::serve::prelude::*;
 use polygen::serve::request::{ErrorCode, ExplainOptions, Request, Response};
-use polygen::workload::{self, ClientMix, WorkloadConfig};
-use std::sync::Arc;
+use polygen::workload::{self, drive, ClientMix, WorkloadConfig};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn main() {
@@ -34,26 +34,38 @@ fn main() {
     let addr = server.addr();
     println!("serving on {addr}\n");
 
-    // 2. A closed-loop TCP population — same deterministic per-client
-    //    scripts as the in-process driver, but over real sockets — plus
-    //    a thousand *idle* connections parked for the whole run. Each
-    //    idle session is one registration in the readiness poller, not
-    //    a thread: the server stays an O(workers)-thread process.
+    // 2. A closed-loop TCP population — the in-process driver's
+    //    deterministic per-client scripts, each client a real socket
+    //    connected before the run — plus a thousand *idle* connections
+    //    parked for the whole run. Each idle session is one registration
+    //    in the readiness poller, not a thread: the server stays an
+    //    O(workers)-thread process.
     let mix = ClientMix::default()
         .with_clients(4)
         .with_queries_per_client(16)
         .with_think(Duration::from_millis(1));
-    let run = NetClientMix::new(mix)
-        .with_idle_connections(1_000)
-        .drive(addr)
-        .expect("population runs");
+    let idle: Vec<NetClient> = (0..1_000)
+        .map(|_| NetClient::connect(addr).expect("park idle session"))
+        .collect();
+    let sessions: Vec<Mutex<NetClient>> = (0..mix.clients)
+        .map(|_| Mutex::new(NetClient::connect(addr).expect("connect client")))
+        .collect();
+    let run = drive(&mix, |client, request| {
+        sessions[client]
+            .lock()
+            .expect("each session has one client thread")
+            .execute_frames(request)
+            .expect("population runs")
+    });
     println!(
-        "population: {} queries from 4 clients (+{} idle sessions parked) in {:?} ({:.0} q/s over TCP)",
+        "population: {} queries from {} clients (+{} idle sessions parked) in {:?} ({:.0} q/s over TCP)",
         run.queries,
-        run.idle,
+        mix.clients,
+        idle.len(),
         run.elapsed,
         run.qps()
     );
+    drop(idle);
     println!(
         "latency: p50 {} µs, p95 {} µs, p99 {} µs, max {} µs\n",
         run.latency.p50_micros(),

@@ -7,10 +7,9 @@
 //! cargo run --release --example service_demo
 //! ```
 
-use polygen::net::request_for;
 use polygen::serve::prelude::*;
 use polygen::serve::request::{ErrorCode, Request, Response};
-use polygen::workload::{self, drive, ClientMix, ClientQuery, WorkloadConfig};
+use polygen::workload::{self, drive, ClientMix, WorkloadConfig};
 use std::time::Duration;
 
 fn main() {
@@ -31,10 +30,10 @@ fn main() {
         .with_queries_per_client(30)
         .with_think(Duration::from_millis(1));
     let run = |label: &str| {
-        let report = drive(&mix, |_client, q: &ClientQuery| {
-            // One entry point for every language: build a Request, get a
-            // Response back — no per-language method dispatch.
-            match service.execute(request_for(q)) {
+        let report = drive(&mix, |_client, request| {
+            // One entry point for every language: the script is Requests,
+            // each gets a Response back — no per-language dispatch.
+            match service.execute(request.clone()) {
                 Response::Rows { answer, info } => (info.result_hit, answer.len()),
                 other => panic!("generated queries serve, got {other:?}"),
             }

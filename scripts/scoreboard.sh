@@ -13,6 +13,8 @@
 #     const, static or mod (`pub(crate)` and re-exports do not count);
 #   * `pub struct *Options` structs and their total field count;
 #   * distinct `env::var("…")` names read under crates/*/src and src/;
+#   * `polygen-*` dependency edges declared in crates/*/Cargo.toml,
+#     split into `[dependencies]` and `[dev-dependencies]`;
 #   * `[[bench]]` harnesses declared in crates/*/Cargo.toml;
 #   * jobs in .github/workflows/ci.yml.
 set -euo pipefail
@@ -49,6 +51,14 @@ env_vars=$(grep -rhoE 'env::var(_os)?\("[^"]+"\)' crates/*/src src 2>/dev/null |
 printf 'env::var names: %d' "$(printf '%s' "$env_vars" | grep -c . || true)"
 [ -n "$env_vars" ] && printf ' (%s)' "$(echo "$env_vars" | paste -sd ' ' -)"
 echo
+
+awk '
+    /^\[/ { section = $0; next }
+    /^polygen-[a-z]+ *=/ {
+        if (section == "[dependencies]") normal++
+        else if (section == "[dev-dependencies]") dev++
+    }
+    END { printf "polygen-* dependency edges: %d normal, %d dev\n", normal, dev }' crates/*/Cargo.toml
 
 printf '[[bench]] harnesses: %d\n' "$(cat crates/*/Cargo.toml | grep -c '^\[\[bench\]\]' || true)"
 

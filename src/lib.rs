@@ -19,24 +19,27 @@
 //! * [`index`] — secondary indexes over source relations: hash and
 //!   sorted ordinal indexes the planner pushes selective predicates
 //!   onto, rebuilt per source on snapshot version bumps.
-//! * [`sql`] — SQL polygen-query and algebra-expression front ends.
+//! * [`sql`] — SQL polygen-query and algebra-expression front ends, and
+//!   Figure 1's application schemas with the Application Query
+//!   Processor that rewrites application SQL into polygen SQL.
 //! * [`pqp`] — the Polygen Query Processor (Figure 2): Syntax Analyzer,
 //!   two-pass Polygen Operation Interpreter (Figures 3–4), optimizer,
 //!   executor.
-//! * [`federation`] — the CIS workstation: application schemas, the
-//!   Application Query Processor, credibility-based conflict resolution.
+//! * [`federation`] — §V's source-credibility tools: credibility-based
+//!   conflict resolution and answer ranking, and the cardinality audit.
 //! * [`serve`] — the concurrent query service: federation snapshots
 //!   with per-source versioning, plan & tagged-result caching, sessions,
 //!   admission control and a shared thread budget.
 //! * [`net`] — the TCP front door: a length-prefixed binary protocol
 //!   over the serve layer's request/response envelope, with a blocking
-//!   client and a closed-loop TCP load generator.
+//!   client.
 //! * [`obs`] — zero-dependency observability primitives: the
 //!   `Trace`/`Span` recorder behind query tracing and EXPLAIN ANALYZE,
 //!   lock-free latency histograms with Prometheus exposition, exact
 //!   percentile summaries, and the ranked slow-query log.
 //! * [`workload`] — seeded synthetic-federation generator and
-//!   closed-loop multi-client driver for benchmarks.
+//!   closed-loop multi-client driver, whose scripts are serve-layer
+//!   `Request`s, for benchmarks.
 
 pub use polygen_catalog as catalog;
 pub use polygen_core as core;

@@ -14,6 +14,8 @@ use polygen::catalog::scenario::Scenario;
 use polygen::catalog::schema::PolygenSchema;
 use polygen::core::algebra::coalesce::ConflictPolicy;
 use polygen::core::PolygenRelation;
+use polygen::flat::{Relation, Schema};
+use polygen::lqp::prelude::{Capabilities, InMemoryLqp, LocalOp, Lqp, LqpError, RelStats};
 use polygen::obs::trace::Trace;
 use polygen::pqp::prelude::*;
 use polygen::serve::request::{Request, Response, ResponseInfo};
@@ -51,6 +53,45 @@ pub fn serve_rows(
         Response::Rows { answer, info } => (answer, info),
         other => panic!("query `{text}` did not answer rows: {other:?}"),
     }
+}
+
+/// An LQP with a real source's relations whose every retrieve panics —
+/// the fault a containment test swaps in through
+/// `QueryService::update_source`.
+pub struct PanickingLqp(InMemoryLqp);
+
+impl Lqp for PanickingLqp {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn capabilities(&self) -> Capabilities {
+        self.0.capabilities()
+    }
+
+    fn relation_names(&self) -> Vec<String> {
+        self.0.relation_names()
+    }
+
+    fn schema_of(&self, relation: &str) -> Option<Arc<Schema>> {
+        self.0.schema_of(relation)
+    }
+
+    fn stats(&self, relation: &str) -> Option<RelStats> {
+        self.0.stats(relation)
+    }
+
+    fn execute(&self, op: &LocalOp) -> Result<Relation, LqpError> {
+        panic!("injected fault: {} cannot retrieve {op}", self.0.name())
+    }
+}
+
+/// `scenario`'s source `name` behind a [`PanickingLqp`].
+pub fn panicking_source(scenario: &Scenario, name: &str) -> Arc<PanickingLqp> {
+    let db = scenario
+        .database(name)
+        .expect("the scenario has the source");
+    Arc::new(PanickingLqp(InMemoryLqp::new(name, db.relations.clone())))
 }
 
 /// Generate the federation and stand up a PQP over it.

@@ -1,6 +1,7 @@
 //! Integration tests spanning the full Figure 1 stack — application
-//! schema → AQP → PQP → LQPs → local databases — plus failure injection
-//! (capability-restricted feeds, missing relations, conflict policies).
+//! schema → AQP → PQP → LQPs → local databases, served by the query
+//! service — plus failure injection (capability-restricted feeds,
+//! missing relations, conflict policies).
 
 use polygen::catalog::prelude::*;
 use polygen::core::prelude::ConflictPolicy;
@@ -8,6 +9,8 @@ use polygen::federation::prelude::*;
 use polygen::flat::{Relation, Value};
 use polygen::lqp::prelude::*;
 use polygen::pqp::prelude::*;
+use polygen::serve::prelude::*;
+use polygen::sql::prelude::{translate_app_query, AppRelation, AppSchema};
 use std::sync::Arc;
 
 fn app_schema() -> AppSchema {
@@ -35,32 +38,72 @@ fn app_schema() -> AppSchema {
     s
 }
 
+/// The ComputerWorld question in the application vocabulary.
+const COMPUTERWORLD: &str = "SELECT COMPANY, CHIEF FROM COMPANIES, GRADS \
+     WHERE CHIEF = GRAD AND COMPANY IN \
+     (SELECT COMPANY FROM POSITIONS WHERE ID IN \
+     (SELECT ID FROM GRADS WHERE DEGREE = \"MBA\"))";
+
+/// The service over the paper's scenario with the application schema.
+fn app_service(s: &Scenario) -> QueryService {
+    QueryService::for_scenario(s, ServeOptions::default()).with_app_schema(app_schema())
+}
+
 /// The complete Figure 1 dataflow with the paper's answer at the end.
 #[test]
 fn figure1_full_stack() {
     let s = scenario::build();
-    let ws = CisWorkstation::for_scenario(&s, app_schema());
-    let out = ws
-        .query_app(
-            "SELECT COMPANY, CHIEF FROM COMPANIES, GRADS \
-             WHERE CHIEF = GRAD AND COMPANY IN \
-             (SELECT COMPANY FROM POSITIONS WHERE ID IN \
-             (SELECT ID FROM GRADS WHERE DEGREE = \"MBA\"))",
-        )
-        .unwrap();
-    assert_eq!(out.answer.len(), 3);
-    let reg = ws.pqp().dictionary().registry();
-    let cd = reg.lookup("CD").unwrap();
-    let reed = out
-        .answer
+    let service = app_service(&s);
+    let out = service.execute(Request::app(COMPUTERWORLD));
+    let answer = out.rows().unwrap_or_else(|| panic!("{out:?}"));
+    assert_eq!(answer.len(), 3);
+    let cd = s.dictionary.registry().lookup("CD").unwrap();
+    let reed = answer
         .cell("ONAME", &Value::str("Citicorp"), "CEO")
         .unwrap();
     assert_eq!(reed.datum, Value::str("John Reed"));
     assert!(reed.origin.contains(cd));
-    // The explain report renders end to end.
-    let report = explain(&out, ws.pqp().dictionary());
-    assert!(report.contains("Merge"));
-    assert!(report.contains("Citicorp"));
+    // The application query and its polygen spelling are one query.
+    let polygen = translate_app_query(COMPUTERWORLD, &app_schema()).unwrap();
+    let direct = service.execute(Request::sql(polygen.to_string()));
+    assert!(direct.info().unwrap().result_hit, "{direct:?}");
+    // The application query's EXPLAIN renders the physical plan.
+    let explained = service.execute(Request::app(COMPUTERWORLD).with_explain(true));
+    let Response::Explain { plan, .. } = &explained else {
+        panic!("expected a plan, got {explained:?}");
+    };
+    assert!(plan.contains("HashMerge"), "{plan}");
+}
+
+/// Declared indexes route application queries without changing a byte
+/// of the answer, and the application query's EXPLAIN shows the route.
+#[test]
+fn application_queries_route_through_declared_indexes() {
+    let s = scenario::build();
+    let indexed = QueryService::for_scenario(&s, ServeOptions::default())
+        .with_index_specs(&[IndexSpec::hash("AD", "ALUMNUS", "DEG")])
+        .unwrap()
+        .with_app_schema(app_schema());
+    let query = "SELECT ID, GRAD FROM GRADS WHERE DEGREE = \"MBA\"";
+    let plain = app_service(&s).execute(Request::app(query));
+    let routed = indexed.execute(Request::app(query));
+    assert_eq!(
+        plain.rows().unwrap().tuples(),
+        routed.rows().unwrap().tuples(),
+        "byte-identical"
+    );
+    assert!(routed.info().unwrap().index_routed);
+    let explained = indexed.execute(Request::app(query).with_explain(true));
+    let Response::Explain { plan, .. } = &explained else {
+        panic!("expected a plan, got {explained:?}");
+    };
+    assert!(plan.contains("[ixscan AD.DEG = MBA] (hash)"), "{plan}");
+    // Unknown columns fail at declaration, not at query time.
+    assert!(matches!(
+        QueryService::for_scenario(&s, ServeOptions::default())
+            .with_index_specs(&[IndexSpec::hash("AD", "ALUMNUS", "NOPE")]),
+        Err(ServeError::Index(_))
+    ));
 }
 
 /// A menu-driven (retrieve-only) commercial feed behind the compensating

@@ -24,13 +24,12 @@ use polygen::core::{Cell, PolygenRelation, SourceId};
 use polygen::flat::value::Cmp;
 use polygen::flat::{Schema, Value};
 use polygen::index::IndexSpec;
-use polygen::net::request_for;
 use polygen::obs::trace::Trace;
 use polygen::pqp::prelude::*;
 use polygen::serve::prelude::*;
 use polygen::sql::prelude::PAPER_EXPRESSION;
 use polygen::workload::queries::{point_lookup, range_scan};
-use polygen::workload::{self, replay, ClientMix, MixWeights, QueryLang};
+use polygen::workload::{self, replay, ClientMix, MixWeights};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -296,10 +295,11 @@ fn batch_service_is_invisible_across_source_update() {
             ..PqpOptions::default()
         });
         replay(&mix, |c, q| {
-            let (got, _) = serve_rows(&service, request_for(q));
+            let (got, _) = serve_rows(&service, q.clone());
             let want = match q.lang {
-                QueryLang::Sql => row.query(&q.text),
-                QueryLang::Algebra => row.query_algebra(&q.text),
+                Lang::Sql => row.query(&q.text),
+                Lang::Algebra => row.query_algebra(&q.text),
+                Lang::App => panic!("scripts carry no application SQL"),
             }
             .unwrap_or_else(|e| panic!("row walk of `{}` failed: {e}", q.text));
             assert_eq!(

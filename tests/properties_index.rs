@@ -19,12 +19,11 @@ use polygen::core::PolygenRelation;
 use polygen::flat::relation::Relation;
 use polygen::flat::value::Value;
 use polygen::index::{IndexCatalog, IndexSpec};
-use polygen::net::request_for;
 use polygen::pqp::prelude::*;
 use polygen::serve::prelude::*;
 use polygen::sql::prelude::parse_algebra;
 use polygen::workload::queries::{point_lookup, range_scan};
-use polygen::workload::{self, drive, replay, ClientMix, ClientQuery, MixWeights};
+use polygen::workload::{self, drive, replay, ClientMix, MixWeights};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -39,8 +38,8 @@ fn detail_specs() -> Vec<IndexSpec> {
 }
 
 /// Serve one script query, reporting whether the plan routed.
-fn serve(service: &QueryService, q: &ClientQuery) -> (Arc<PolygenRelation>, bool) {
-    let (answer, info) = serve_rows(service, request_for(q));
+fn serve(service: &QueryService, q: &Request) -> (Arc<PolygenRelation>, bool) {
+    let (answer, info) = serve_rows(service, q.clone());
     (answer, info.index_routed)
 }
 

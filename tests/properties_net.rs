@@ -18,7 +18,7 @@
 
 mod common;
 
-use common::fixtures::small_config;
+use common::fixtures::{panicking_source, small_config};
 use polygen::core::cell::Cell;
 use polygen::core::source::{SourceId, SourceSet};
 use polygen::flat::relation::Relation;
@@ -27,12 +27,12 @@ use polygen::net::codec::CodecError;
 use polygen::net::prelude::*;
 use polygen::net::protocol::request_frame;
 use polygen::serve::prelude::*;
-use polygen::workload::{self, ClientMix, MixWeights, WorkloadConfig};
+use polygen::workload::{self, ClientMix, DriveReport, MixWeights, WorkloadConfig};
 use proptest::prelude::*;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A deterministic, seed-driven frame of any kind — the generator
@@ -124,8 +124,25 @@ fn spawn_server(
 
 /// The in-process baseline for one script query: frames of an uncached
 /// `execute`, in the deterministic (summary-less) byte view.
-fn baseline_bytes(service: &QueryService, q: &polygen::workload::ClientQuery) -> Vec<u8> {
-    deterministic_bytes(&response_frames(&service.execute(request_for(q))))
+fn baseline_bytes(service: &QueryService, q: &Request) -> Vec<u8> {
+    deterministic_bytes(&response_frames(&service.execute(q.clone())))
+}
+
+/// Run `mix` over TCP with the workload driver: one `NetClient` per
+/// client, connected before the run, each issuing its script
+/// closed-loop. Every query's full response frame stream comes back in
+/// script order.
+fn drive_tcp(mix: &ClientMix, addr: SocketAddr) -> DriveReport<Vec<Frame>> {
+    let sessions: Vec<Mutex<NetClient>> = (0..mix.clients)
+        .map(|_| Mutex::new(NetClient::connect(addr).expect("connect")))
+        .collect();
+    workload::drive(mix, |client, request| {
+        sessions[client]
+            .lock()
+            .expect("each session has one client thread")
+            .execute_frames(request)
+            .expect("TCP exchange")
+    })
 }
 
 proptest! {
@@ -181,7 +198,7 @@ proptest! {
             .with_clients(clients)
             .with_queries_per_client(6)
             .with_weights(MixWeights::with_index_lookups(2, 1));
-        let run = NetClientMix::new(mix).drive(server.addr()).expect("TCP run");
+        let run = drive_tcp(&mix, server.addr());
         prop_assert_eq!(run.queries, mix.total_queries());
         prop_assert_eq!(run.latency.count(), mix.total_queries());
         for (client, frames_per_query) in run.per_client.iter().enumerate() {
@@ -217,11 +234,10 @@ proptest! {
             .with_seed(mix_seed)
             .with_clients(3)
             .with_queries_per_client(5);
-        let net = NetClientMix::new(mix);
         let refreshed = refreshed_relations(&scenario, "S1", delta);
 
         let check_phase = |label: &str| {
-            let run = net.drive(server.addr()).expect("TCP run");
+            let run = drive_tcp(&mix, server.addr());
             for (client, frames_per_query) in run.per_client.iter().enumerate() {
                 for (i, (frames, q)) in
                     frames_per_query.iter().zip(&mix.script(client)).enumerate()
@@ -597,7 +613,7 @@ fn summaries_and_metrics_agree_with_the_run() {
         .with_clients(3)
         .with_queries_per_client(4)
         .with_think(Duration::from_millis(1));
-    let run = NetClientMix::new(mix).drive(server.addr()).expect("run");
+    let run = drive_tcp(&mix, server.addr());
     assert_eq!(run.queries, 12);
     assert!(run.qps() > 0.0);
     assert!(run.latency.p99_micros() >= run.latency.p50_micros());
@@ -676,12 +692,12 @@ fn soak_thousand_idle_connections_stay_serviceable() {
         .with_clients(2)
         .with_queries_per_client(4);
     let idle = 1_000;
-    let run = NetClientMix::new(mix)
-        .with_idle_connections(idle)
-        .drive(server.addr())
-        .expect("run with parked population");
+    let parked: Vec<NetClient> = (0..idle)
+        .map(|_| NetClient::connect(server.addr()).expect("park an idle session"))
+        .collect();
+    let run = drive_tcp(&mix, server.addr());
+    drop(parked);
     assert_eq!(run.queries, mix.total_queries());
-    assert_eq!(run.idle, idle);
     // Every scripted answer, served while 1k sessions sat parked, is
     // still byte-identical to the in-process baseline.
     for (client, frames_per_query) in run.per_client.iter().enumerate() {
@@ -798,5 +814,35 @@ fn a_half_closed_peer_receives_its_whole_answer() {
     // All that follows is the terminal Summary frame.
     let summary = Frame::decode(&got[want.len() + 4..]).expect("one whole frame");
     assert!(matches!(summary, Frame::Summary { .. }), "{summary:?}");
+    server.shutdown();
+}
+
+/// Containment over the wire: a query whose source panics mid-retrieve
+/// answers its own connection with a structured `Internal` (500) error
+/// frame, and the *same* connection then answers its next request. (The
+/// panic used to kill the worker thread, and the client waited forever.)
+#[test]
+fn a_panicking_query_answers_500_and_its_connection_serves_on() {
+    let scenario = polygen::catalog::scenario::build();
+    let (service, server) = spawn_server(&scenario, ServeOptions::default());
+    service.update_source(panicking_source(&scenario, "CD"));
+    let (mut stream, mut reader) = raw_session(server.addr());
+    let doomed = Request::sql("SELECT ONAME, CEO FROM PORGANIZATION");
+    stream
+        .write_all(&request_frame(&doomed).encode())
+        .expect("query sent");
+    let frames = read_response(&mut stream, &mut reader);
+    assert!(
+        matches!(frames.as_slice(), [Frame::Error { code: 500, .. }]),
+        "{frames:?}"
+    );
+    let healthy = Request::sql("SELECT ANAME FROM PALUMNUS WHERE DEGREE = \"MBA\"");
+    stream
+        .write_all(&request_frame(&healthy).encode())
+        .expect("next query sent");
+    let frames = read_response(&mut stream, &mut reader);
+    let answer = response_from_frames(&frames).expect("well-formed stream");
+    assert_eq!(answer.rows().map(|r| r.len()), Some(5), "{answer:?}");
+    assert_eq!(service.metrics().errors_with_code(ErrorCode::Internal), 1);
     server.shutdown();
 }

@@ -15,21 +15,20 @@
 
 mod common;
 
-use common::fixtures::{serve_rows, small_config};
+use common::fixtures::{panicking_source, serve_rows, small_config};
 use polygen::core::PolygenRelation;
 use polygen::flat::relation::Relation;
 use polygen::flat::value::Value;
-use polygen::net::request_for;
 use polygen::serve::prelude::*;
 use polygen::sql::prelude::{canonical_text, canonicalize_algebra, parse_algebra};
 use polygen::workload::queries::random_expression;
-use polygen::workload::{self, drive, replay, ClientMix, ClientQuery, WorkloadConfig};
+use polygen::workload::{self, drive, replay, ClientMix, WorkloadConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Serve one script query against a service.
-fn serve(service: &QueryService, q: &ClientQuery) -> Arc<PolygenRelation> {
-    serve_rows(service, request_for(q)).0
+fn serve(service: &QueryService, q: &Request) -> Arc<PolygenRelation> {
+    serve_rows(service, q.clone()).0
 }
 
 /// A deterministic "upstream refresh" of one source: every value in its
@@ -202,7 +201,7 @@ fn interleaved_sessions_match_fresh_service() {
     let concurrent = drive(&m, |client, q| {
         // Every query on its own session: the service must not care.
         let mut session = shared.open_session();
-        let out = session.execute(request_for(q));
+        let out = session.execute(q.clone());
         Arc::clone(
             out.rows()
                 .unwrap_or_else(|| panic!("client {client}: {out:?}")),
@@ -236,4 +235,55 @@ fn paper_federation_cache_round_trip() {
     let (recomputed, info) = serve_rows(&service, Request::sql(sql));
     assert!(!info.result_hit, "version bump forces re-execution");
     assert_eq!(*recomputed, *cold, "identical data → identical answer");
+}
+
+/// Containment: a panic under `execute` — here a source whose retrieve
+/// panics — is a structured `Internal` (500) response for that request
+/// alone. It is counted once and logged in `sys.queries` under its code,
+/// the session's in-flight row closes, the unwind returns the only
+/// admission slot and the whole thread budget, and the next query is
+/// answered normally.
+#[test]
+fn a_panicking_source_fails_one_request_not_the_service() {
+    let scenario = polygen::catalog::scenario::build();
+    let service = QueryService::for_scenario(
+        &scenario,
+        ServeOptions::default()
+            .with_admission(1, 0)
+            .with_thread_budget(2),
+    );
+    service.update_source(panicking_source(&scenario, "CD"));
+    let doomed = "SELECT ONAME, CEO FROM PORGANIZATION";
+    let mut session = service.open_session();
+    let failed = session.execute(Request::sql(doomed));
+    assert_eq!(failed.error_code(), Some(ErrorCode::Internal), "{failed:?}");
+    let row = service
+        .sessions()
+        .snapshot()
+        .into_iter()
+        .find(|s| s.id == session.id())
+        .expect("the session is registered");
+    assert!(row.in_flight.is_none(), "the in-flight row closed");
+    assert_eq!((row.queries, row.errors), (1, 1));
+    let m = service.metrics();
+    assert_eq!((m.errors, m.rejected, m.queries), (1, 0, 0));
+    assert_eq!(m.errors_with_code(ErrorCode::Internal), 1);
+    assert_eq!(m.queries, m.hit_latency.count() + m.miss_latency.count());
+    assert_eq!(m.executed, m.miss_latency.count());
+    let by_code: u64 = m.errors_by_code.iter().map(|(_, n)| n).sum();
+    assert_eq!(by_code, m.errors + m.rejected);
+    let log = service.execute(Request::sql("SELECT QUERY, ERROR_CODE FROM sys.queries"));
+    let log = log.rows().expect("catalog read serves");
+    let logged = log
+        .cell("QUERY", &Value::str(doomed), "ERROR_CODE")
+        .expect("the failure is logged");
+    assert_eq!(logged.datum, Value::int(500));
+    // A leaked permit would shed this with 503; a leaked reservation
+    // would leave it less than the whole budget.
+    let (mba, info) = serve_rows(
+        &service,
+        Request::sql("SELECT ANAME FROM PALUMNUS WHERE DEGREE = \"MBA\""),
+    );
+    assert_eq!(mba.len(), 5);
+    assert_eq!(info.threads, 2);
 }

@@ -23,16 +23,15 @@ mod common;
 use common::fixtures::{serve_rows, small_config};
 use polygen::core::tuple::origins_of;
 use polygen::core::PolygenRelation;
-use polygen::net::request_for;
 use polygen::serve::prelude::*;
 use polygen::workload::queries::{sys_sessions_query, sys_stats_query};
-use polygen::workload::{self, drive, replay, ClientMix, ClientQuery, MixWeights};
+use polygen::workload::{self, drive, replay, ClientMix, MixWeights};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Serve one script query against a service.
-fn serve(service: &QueryService, q: &ClientQuery) -> Arc<PolygenRelation> {
-    serve_rows(service, request_for(q)).0
+fn serve(service: &QueryService, q: &Request) -> Arc<PolygenRelation> {
+    serve_rows(service, q.clone()).0
 }
 
 /// Column lists for a full read of each catalog relation.
