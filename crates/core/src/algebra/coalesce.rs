@@ -92,15 +92,9 @@ pub(crate) fn coalesce_views<'a, 'b>(
     }
 }
 
-impl ConflictPolicy {
-    /// Resolve a conflict between two non-nil, unequal cells per this
-    /// policy; `None` under `Strict`. Exposed so higher layers (e.g.
-    /// credibility-based resolution) can compose with the policy forms.
-    pub fn resolve_cells(self, x: &Cell, y: &Cell) -> Option<Cell> {
-        conflict_winner(self, x, y)
-    }
-}
-
+/// Resolve a conflict between two non-nil, unequal cells per `policy`:
+/// the winner's cell with the loser's tags demoted to intermediates;
+/// `None` under `Strict`.
 pub(crate) fn conflict_winner(policy: ConflictPolicy, x: &Cell, y: &Cell) -> Option<Cell> {
     let (winner, loser) = match policy {
         ConflictPolicy::Strict => return None,

@@ -192,15 +192,8 @@ pub fn equi_join_coalesced(
     )
 }
 
-/// Single-pass fused form of [`equi_join_coalesced`] — the physical-plan
-/// engine's join kernel. Produces the same relation cell-for-cell, but
-/// builds each output tuple once (join, tag update and join-column
-/// coalesce in one emit) instead of materializing the full θ-join and
-/// re-cloning every cell in a separate coalesce pass.
-///
-/// Generic over both operand types ([`Operand`]): a late-tagged base
-/// relation on either side is read in place, its cells built once as
-/// they land in an output tuple.
+/// [`hash_equi_join_coalesced_partitioned`] at one partition: the
+/// single-pass fused join without the partition count.
 pub fn hash_equi_join_coalesced<L: Operand, R: Operand>(
     p1: &L,
     p2: &R,
@@ -208,22 +201,14 @@ pub fn hash_equi_join_coalesced<L: Operand, R: Operand>(
     y: &str,
     out: &str,
 ) -> Result<PolygenRelation, PolygenError> {
-    let xi = p1.schema().index_of(x)?.0;
-    let yi = p2.schema().index_of(y)?.0;
-    let schema = equi_join_coalesced_schema(p1.schema(), p2.schema(), x, y, out)?;
-    let mut tuples: Vec<PolyTuple> = Vec::new();
-    probe_equi(p1, xi, p2, yi, &mut |a, b| {
-        tuples.push(coalesced_join_tuple(a, b, xi, yi, out)?);
-        Ok(())
-    })?;
-    PolygenRelation::from_tuples(schema, tuples)
+    hash_equi_join_coalesced_partitioned(p1, p2, x, y, out, ParallelOptions::serial())
+        .map(|(joined, _)| joined)
 }
 
 /// Build one output tuple of the coalesced equi-join: the matched pair
 /// concatenated with the join columns merged into `a[xi]`'s position and
-/// the Restrict-style mediator update applied. Shared by the sequential
-/// and the partition-parallel kernels so the two can never diverge on
-/// emit semantics.
+/// the Restrict-style mediator update applied. Shared by the one-partition
+/// and the split paths so the two can never diverge on emit semantics.
 fn coalesced_join_tuple<'a, 'b>(
     a: impl RowView<'a>,
     b: impl RowView<'b>,
@@ -254,17 +239,26 @@ fn coalesced_join_tuple<'a, 'b>(
     Ok(t)
 }
 
-/// Partition-parallel [`hash_equi_join_coalesced`]: hash-split both sides
-/// on the join key so matching tuples co-locate, build + probe each
-/// partition on a scoped worker, and reassemble the emits in probe order
-/// — the output is byte-identical (tuples, tags *and* order) to the
-/// sequential kernel on every thread count.
+/// Single-pass fused form of [`equi_join_coalesced`] — the physical-plan
+/// engine's join kernel. Produces the same relation cell-for-cell, but
+/// builds each output tuple once (join, tag update and join-column
+/// coalesce in one emit) instead of materializing the full θ-join and
+/// re-cloning every cell in a separate coalesce pass.
 ///
-/// Falls back to the sequential kernel when `par` is serial, an input is
-/// empty, or the key columns mix `Int`/`Float` data (a `1 = 1.0` match
-/// crosses hash partitions exactly like it crosses hash buckets — the
-/// sequential kernel's rescan handles it, partitioning cannot). Returns
-/// the join with the partition count it ran at: `1` on the fallback.
+/// At one partition (`par` serial) it is one build + probe over the
+/// whole input. Above one, both sides hash-split on the join key so
+/// matching tuples co-locate, each partition builds + probes on a scoped
+/// worker, and the emits reassemble in probe order — the output is
+/// byte-identical (tuples, tags *and* order) on every partition count.
+/// It declines to split when an input is empty or the key columns mix
+/// `Int`/`Float` data (a `1 = 1.0` match crosses hash partitions exactly
+/// like it crosses hash buckets — the one-partition rescan handles it,
+/// partitioning cannot).
+///
+/// Generic over both operand types ([`Operand`]): a late-tagged base
+/// relation on either side is read in place, its cells built once as
+/// they land in an output tuple. Returns the join with the partition
+/// count it ran at: `1` when it did not split.
 pub fn hash_equi_join_coalesced_partitioned<L: Operand, R: Operand>(
     p1: &L,
     p2: &R,
@@ -275,10 +269,15 @@ pub fn hash_equi_join_coalesced_partitioned<L: Operand, R: Operand>(
 ) -> Result<(PolygenRelation, usize), PolygenError> {
     let xi = p1.schema().index_of(x)?.0;
     let yi = p2.schema().index_of(y)?.0;
-    if !par.is_parallel() || p1.is_empty() || p2.is_empty() || mixed_numeric_keys(p1, xi, p2, yi) {
-        return Ok((hash_equi_join_coalesced(p1, p2, x, y, out)?, 1));
-    }
     let schema = equi_join_coalesced_schema(p1.schema(), p2.schema(), x, y, out)?;
+    if !par.is_parallel() || p1.is_empty() || p2.is_empty() || mixed_numeric_keys(p1, xi, p2, yi) {
+        let mut tuples: Vec<PolyTuple> = Vec::new();
+        probe_equi(p1, xi, p2, yi, &mut |a, b| {
+            tuples.push(coalesced_join_tuple(a, b, xi, yi, out)?);
+            Ok(())
+        })?;
+        return Ok((PolygenRelation::from_tuples(schema, tuples)?, 1));
+    }
     let parter = Partitioner::new(par.partitions);
     // Reference-only split: partitioning pushes row views, never builds a
     // cell. nil keys never join, so they are dropped here outright.
@@ -534,7 +533,7 @@ mod tests {
     #[test]
     fn partitioned_join_falls_back_on_mixed_numeric_keys() {
         // 123.0 vs Int 123: the coalesce must reject it exactly like the
-        // sequential kernel does, via the fallback path.
+        // one-partition path does, by declining to split.
         let mut left = alumnus();
         left.tuples_mut()[0][0].datum = Value::float(123.0);
         let par = ParallelOptions::with_threads(4);
@@ -570,7 +569,7 @@ mod tests {
         let (_, used) =
             hash_equi_join_coalesced_partitioned(&left, &right, "AID#", "AID#", "AID#", par)
                 .unwrap();
-        assert_eq!(used, 1, "mixed Int/Float keys run the sequential kernel");
+        assert_eq!(used, 1, "mixed Int/Float keys run at one partition");
     }
 
     #[test]
@@ -588,7 +587,7 @@ mod tests {
             hash_equi_join_coalesced_partitioned(&empty, &career(), "AID#", "AID#", "AID#", par)
                 .unwrap();
         assert!(j.is_empty());
-        assert_eq!(used, 1, "an empty side runs the sequential kernel");
+        assert_eq!(used, 1, "an empty side runs at one partition");
     }
 
     #[test]

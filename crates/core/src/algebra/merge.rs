@@ -53,62 +53,15 @@ pub fn merge(
     Ok((acc, conflicts))
 }
 
-/// Single-pass, hash-based Merge — the physical-plan engine's kernel.
-///
-/// Computes the same relation as [`merge`] (cell-exact, tags included)
-/// without the quadratic ONTJ fold: one hash table keyed on the primary
-/// key's datum, one pass over every operand tuple. The ONTJ fold's tag
-/// discipline collapses to a closed form (derivable from §II's
-/// definitions): for the output tuple of key `v`, let `K(v)` be the union
-/// of the key cells' origins across the operands containing `v`; then
-/// every cell coalesces its operands' raw contributions in operand order
-/// (equal data → tag union, one-sided nil → the non-nil cell verbatim,
-/// genuine conflict → `policy`), absent attributes pad with nil, and
-/// finally every cell's intermediate set gains `K(v)` — exactly the
-/// mediator tags the fold accretes step by step.
-///
-/// Two inputs the closed form does not cover fall back to the reference
-/// fold: an operand with duplicate non-nil key data (the fold cross-joins
-/// those tuples) and key columns mixing `Int`/`Float` (the fold matches
-/// them through numeric comparison, a hash table cannot).
-///
-/// The *relation* is identical across both paths; the conflict records
-/// are not — the closed form reports `tuple_index` against the final
-/// output rows, while the fold reports indices into its intermediate
-/// join products. Treat the index as diagnostic, not as a stable key.
-///
-/// Generic over the operand type ([`Operand`]): tagged relations are read
-/// as they always were; late-tagged base relations are read in place and
-/// each of their cells is built once, when it lands in an output row.
+/// [`hash_merge_partitioned`] at one partition: the single-pass hash
+/// Merge without the partition count.
 pub fn hash_merge<O: Operand>(
     relations: &[O],
     key: &str,
     policy: ConflictPolicy,
 ) -> Result<(PolygenRelation, Vec<CoalesceConflict>), PolygenError> {
-    let (first, _) = relations.split_first().ok_or(PolygenError::EmptyMerge)?;
-    check_merge_key(relations, key)?;
-    if relations.len() == 1 {
-        return Ok((first.materialize(), Vec::new()));
-    }
-    if !hash_mergeable(relations, key) {
-        return merge(&O::tagged(relations), key, policy);
-    }
-    let plan = MergePlan::new(relations, key)?;
-    let mut acc = MergeAcc::default();
-    for (ri, rel) in relations.iter().enumerate() {
-        // Scan indices are only consumed by the partitioned splice; the
-        // sequential path's creation order is already correct.
-        merge_into(&mut acc, &plan, ri, rel.rows().enumerate(), policy)?;
-    }
-    let tuples: Vec<PolyTuple> = acc
-        .rows
-        .into_iter()
-        .map(|(cells, mediators)| finalize_row(cells, &mediators, plan.key_out))
-        .collect();
-    Ok((
-        PolygenRelation::from_tuples(plan.schema, tuples)?,
-        acc.conflicts,
-    ))
+    hash_merge_partitioned(relations, key, policy, ParallelOptions::serial())
+        .map(|(merged, conflicts, _)| (merged, conflicts))
 }
 
 /// Every operand must carry the merge key.
@@ -171,8 +124,8 @@ struct MergeAcc<'a> {
     /// Per output row: partially filled cells plus the accumulating K(v).
     rows: Vec<PendingRow>,
     /// Per output row: the global scan index of the tuple that created it
-    /// — its position in the sequential first-appearance order, which is
-    /// how [`hash_merge_partitioned`] splices partitions back together.
+    /// — its position in the one-partition first-appearance order, which
+    /// is how a split [`hash_merge_partitioned`] splices partitions back.
     ranks: Vec<usize>,
     by_key: HashMap<&'a Value, usize>,
     conflicts: Vec<CoalesceConflict>,
@@ -180,8 +133,8 @@ struct MergeAcc<'a> {
 
 /// Fold operand `ri`'s rows (each tagged with its global scan index)
 /// into the accumulator — the inner loop of the closed-form
-/// [`hash_merge`], shared with [`hash_merge_partitioned`] (which runs it
-/// per hash partition) so the two can never diverge.
+/// [`hash_merge_partitioned`], run once at one partition and once per
+/// hash partition above it, so the two can never diverge.
 fn merge_into<'a, R: RowView<'a>>(
     acc: &mut MergeAcc<'a>,
     plan: &MergePlan,
@@ -266,37 +219,84 @@ fn finalize_row(cells: Vec<Option<Cell>>, mediators: &SourceSet, key_out: usize)
         .collect()
 }
 
-/// Partition-parallel [`hash_merge`]: hash-split every operand on the
-/// merge key so all contributions to one output row co-locate, run the
-/// closed-form accumulator per partition on a scoped worker, and splice
-/// the partitions' rows back into the sequential first-appearance order —
-/// the relation is byte-identical (cells, tags *and* row order) to
-/// [`hash_merge`] on every thread count.
+/// Single-pass, hash-based Merge — the physical-plan engine's kernel.
 ///
-/// Inputs the closed form cannot cover (duplicate non-nil keys inside one
-/// operand, `Int`/`Float` mixing in key columns) take the same fallback
-/// [`hash_merge`] takes: the sequential reference fold. Conflict records
-/// report final-output `tuple_index`es, but their *order* (and the order
-/// in which a `Strict` policy trips) follows partition order rather than
-/// global scan order — as documented on [`hash_merge`], treat them as
-/// diagnostic. The last element is the partition count the merge ran at:
-/// `1` on any fallback.
+/// Computes the same relation as [`merge`] (cell-exact, tags included)
+/// without the quadratic ONTJ fold: one hash table keyed on the primary
+/// key's datum, one pass over every operand tuple. The ONTJ fold's tag
+/// discipline collapses to a closed form (derivable from §II's
+/// definitions): for the output tuple of key `v`, let `K(v)` be the union
+/// of the key cells' origins across the operands containing `v`; then
+/// every cell coalesces its operands' raw contributions in operand order
+/// (equal data → tag union, one-sided nil → the non-nil cell verbatim,
+/// genuine conflict → `policy`), absent attributes pad with nil, and
+/// finally every cell's intermediate set gains `K(v)` — exactly the
+/// mediator tags the fold accretes step by step.
+///
+/// At one partition (`par` serial) the accumulator runs inline over the
+/// operands. Above one, every operand is hash-split on the merge key so
+/// all contributions to one output row co-locate, the accumulator runs
+/// per partition on a scoped worker, and the partitions' rows splice
+/// back into the first-appearance order — the relation is byte-identical
+/// (cells, tags *and* row order) on every partition count.
+///
+/// Two inputs the closed form does not cover fall back to the reference
+/// fold at any `par`: an operand with duplicate non-nil key data (the
+/// fold cross-joins those tuples) and key columns mixing `Int`/`Float`
+/// (the fold matches them through numeric comparison, a hash table
+/// cannot).
+///
+/// The *relation* is identical across every path; the conflict records
+/// are not — the closed form reports `tuple_index` against the final
+/// output rows, while the fold reports indices into its intermediate
+/// join products, and split runs record (and a `Strict` policy trips on)
+/// conflicts in partition order rather than scan order. Treat them as
+/// diagnostic, not as a stable key.
+///
+/// Generic over the operand type ([`Operand`]): tagged relations are read
+/// as they always were; late-tagged base relations are read in place and
+/// each of their cells is built once, when it lands in an output row.
+/// The last element is the partition count the merge ran at: `1` on a
+/// single operand or a fallback.
 pub fn hash_merge_partitioned<O: Operand>(
     relations: &[O],
     key: &str,
     policy: ConflictPolicy,
     par: ParallelOptions,
 ) -> Result<(PolygenRelation, Vec<CoalesceConflict>, usize), PolygenError> {
-    if relations.len() <= 1 || !par.is_parallel() || !hash_mergeable(relations, key) {
-        let (merged, conflicts) = hash_merge(relations, key, policy)?;
+    let (first, _) = relations.split_first().ok_or(PolygenError::EmptyMerge)?;
+    check_merge_key(relations, key)?;
+    if relations.len() == 1 {
+        return Ok((first.materialize(), Vec::new(), 1));
+    }
+    if !hash_mergeable(relations, key) {
+        let (merged, conflicts) = merge(&O::tagged(relations), key, policy)?;
         return Ok((merged, conflicts, 1));
     }
     let plan = MergePlan::new(relations, key)?;
+    if !par.is_parallel() {
+        let mut acc = MergeAcc::default();
+        for (ri, rel) in relations.iter().enumerate() {
+            // Scan indices are only consumed by the split path's splice;
+            // one partition's creation order is already the answer's.
+            merge_into(&mut acc, &plan, ri, rel.rows().enumerate(), policy)?;
+        }
+        let tuples: Vec<PolyTuple> = acc
+            .rows
+            .into_iter()
+            .map(|(cells, mediators)| finalize_row(cells, &mediators, plan.key_out))
+            .collect();
+        return Ok((
+            PolygenRelation::from_tuples(plan.schema, tuples)?,
+            acc.conflicts,
+            1,
+        ));
+    }
     // Reference-only split (partition → operand → (scan index, row)):
     // row views are pushed, no cell is built. The scan index is the row's
-    // position in the sequential engine's global scan; the accumulator
-    // stamps each output row with its creator's index, which IS the row's
-    // position in the sequential first-appearance order.
+    // position in the global scan across operands; the accumulator stamps
+    // each output row with its creator's index, which IS the row's
+    // position in the one-partition first-appearance order.
     let parter = Partitioner::new(par.partitions);
     let mut parts: Vec<_> = (0..parter.partitions())
         .map(|_| vec![Vec::new(); relations.len()])
@@ -318,7 +318,7 @@ pub fn hash_merge_partitioned<O: Operand>(
         }
         Ok::<_, PolygenError>((acc.rows, acc.ranks, acc.conflicts))
     });
-    // Splice the partitions back into the sequential creation order.
+    // Splice the partitions back into the one-partition creation order.
     // Within a partition rows are already rank-sorted (creation follows
     // the scan), so the stable sort merges pre-sorted runs.
     let mut ranked: Vec<(usize, PendingRow)> = Vec::new();

@@ -11,8 +11,8 @@
 //! [`BaseRelation::materialize`] produces it, but nothing is tagged until
 //! a caller asks.
 //!
-//! The kernels that consume scan leaves — `hash_merge`,
-//! `hash_equi_join_coalesced` and their partitioned twins — read their
+//! The kernels that consume scan leaves — `hash_merge_partitioned` and
+//! `hash_equi_join_coalesced_partitioned`, at any partition count — read their
 //! operands through [`Operand`] / [`RowView`], implemented by tagged
 //! relations and base relations alike, and monomorphized per operand
 //! type: the `PolygenRelation` instantiation is the loop it always was,

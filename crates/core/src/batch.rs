@@ -7,7 +7,7 @@
 //! out:
 //!
 //! * **one vector per attribute** — each column's data portion is
-//!   specialized to a typed vector ([`ColumnData`]) when the column is
+//!   specialized to a typed vector (`ColumnData`) when the column is
 //!   monomorphic, so a Select over an `INT` column is a tight `i64`
 //!   comparison loop with no enum dispatch;
 //! * **dedicated tag columns** — the origin and intermediate source sets
@@ -241,7 +241,7 @@ struct Column {
     intermediate: TagColumn,
 }
 
-/// A column-oriented slice of a polygen relation: one [`Column`] per
+/// A column-oriented slice of a polygen relation: one `Column` per
 /// attribute, a selection vector of surviving row indices, a pending
 /// mediator set per row (the late-tag accumulator), and the scan
 /// ordinals the rows were gathered from.
@@ -312,7 +312,7 @@ impl ColumnBatch {
 
     /// Lift a late-tagged base relation into a batch. Every column's
     /// origin is the relation's one source and every intermediate set is
-    /// empty, so the tag columns are [`TagColumn::Uniform`] by
+    /// empty, so the tag columns are `TagColumn::Uniform` by
     /// construction — no per-row tag vector is ever collected or
     /// compared. Byte-identical to
     /// `ColumnBatch::from_relation(base.materialize())`.

@@ -100,7 +100,7 @@ impl TupleStream {
     }
 
     /// Restrict stage: `p[x θ y]`, in place (same semantics as
-    /// [`crate::algebra::restrict`]).
+    /// [`crate::algebra::restrict()`]).
     pub fn restrict(&mut self, x: &str, cmp: Cmp, y: &str) -> Result<(), PolygenError> {
         let xi = self.schema.index_of(x)?.0;
         let yi = self.schema.index_of(y)?.0;
@@ -116,7 +116,7 @@ impl TupleStream {
     }
 
     /// Project stage: `p[X]` with the duplicate collapse (same semantics
-    /// as [`crate::algebra::project`]). Rows are keyed by their borrowed
+    /// as [`crate::algebra::project()`]). Rows are keyed by their borrowed
     /// projected data; only a first occurrence builds an output tuple,
     /// and a later duplicate unions its tags into it.
     pub fn project(&mut self, attrs: &[&str]) -> Result<(), PolygenError> {
@@ -241,7 +241,7 @@ pub fn default_thread_count() -> usize {
     })
 }
 
-/// Deterministic multiply-rotate hasher (FxHash-style). Partitioning
+/// Deterministic multiply-rotate hasher (FxHash-style). The partitioner
 /// hashes every input tuple's key on the sequential side of a kernel, so
 /// it needs speed and run-to-run stability — not the DoS resistance the
 /// in-kernel `HashMap`s get from SipHash. The assignment is stable
@@ -323,7 +323,7 @@ impl Partitioner {
     /// The partition a key datum belongs to. All `nil`s co-locate (they
     /// hash identically), which keeps the Merge kernel's nil-row ordering
     /// reconstructible.
-    pub fn index_of(&self, key: &Value) -> usize {
+    fn index_of(&self, key: &Value) -> usize {
         let mut h = PartitionHasher::new();
         key.hash(&mut h);
         (h.finish() % self.partitions as u64) as usize
@@ -371,29 +371,6 @@ impl Partitioner {
                 tuples: chunk,
             })
             .collect()
-    }
-
-    /// Split a stream into hash partitions on `key`'s datum. Tuples with
-    /// equal keys co-locate; relative order within a partition is the
-    /// input order. `Arc`s move — no tuple is cloned.
-    pub fn split_by_key(
-        &self,
-        stream: TupleStream,
-        key: &str,
-    ) -> Result<Vec<TupleStream>, PolygenError> {
-        let TupleStream { schema, tuples } = stream;
-        let ki = schema.index_of(key)?.0;
-        let mut parts: Vec<Vec<SharedTuple>> = (0..self.partitions).map(|_| Vec::new()).collect();
-        for t in tuples {
-            parts[self.index_of(&t[ki].datum)].push(t);
-        }
-        Ok(parts
-            .into_iter()
-            .map(|tuples| TupleStream {
-                schema: Arc::clone(&schema),
-                tuples,
-            })
-            .collect())
     }
 }
 
@@ -638,23 +615,18 @@ mod tests {
     #[test]
     fn key_split_colocates_equal_keys_deterministically() {
         let rel = base();
-        let s = TupleStream::from_relation(rel);
         let parter = Partitioner::new(4);
-        let parts = parter.split_by_key(s.clone(), "DEG").unwrap();
-        assert_eq!(parts.len(), 4);
+        let buckets = parter.bucket_indices(rel.tuples().iter().map(|t| &t[1].datum));
         // Every MBA row landed in the same partition.
         let mba = parter.index_of(&Value::str("MBA"));
-        for (i, p) in parts.iter().enumerate() {
-            let rel = p.to_relation();
-            for t in rel.tuples() {
-                if t[1].datum == Value::str("MBA") {
-                    assert_eq!(i, mba);
-                }
+        for (t, bucket) in rel.tuples().iter().zip(&buckets) {
+            assert!(*bucket < 4);
+            if t[1].datum == Value::str("MBA") {
+                assert_eq!(*bucket, mba);
             }
         }
         // Same assignment on a fresh partitioner (no per-process salt).
         assert_eq!(Partitioner::new(4).index_of(&Value::str("MBA")), mba);
-        assert!(parter.split_by_key(s, "NOPE").is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use polygen_core::algebra::merge::merge_with;
 use polygen_core::cell::Cell;
 use polygen_core::error::PolygenError;
 use polygen_core::relation::PolygenRelation;
-use polygen_core::source::{SourceId, SourceSet};
+use polygen_core::source::SourceId;
 
 /// One conflict the credibility rule settled.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,14 +105,10 @@ pub fn rank_tuples(rel: &PolygenRelation, dictionary: &DataDictionary) -> Vec<(u
     scored
 }
 
-/// Union of all origins in a tuple — convenience for reports.
-pub fn tuple_origins(tuple: &[Cell]) -> SourceSet {
-    polygen_core::tuple::origins_of(tuple)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polygen_core::source::SourceSet;
     use polygen_flat::relation::Relation;
     use polygen_flat::value::Value;
 

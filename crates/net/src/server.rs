@@ -5,7 +5,7 @@
 //! and a **bounded worker pool** runs queries, so a thousand idle
 //! connections cost a thousand registrations, not a thousand parked
 //! threads. The poller thread is a thin driver around the pure state
-//! machine [`crate::door::FrontDoor`], which takes every protocol
+//! machine `door::FrontDoor`, which takes every protocol
 //! decision: the driver performs I/O and applies the machine's actions,
 //! nothing else. Query work happens inside
 //! [`QueryService::execute_traced`], where admission control answers
@@ -156,7 +156,7 @@ impl NetServer {
     }
 
     /// Stop accepting, flush in-flight responses (bounded by
-    /// [`SHUTDOWN_GRACE`] — a stalled peer cannot hang this), join the
+    /// `SHUTDOWN_GRACE` — a stalled peer cannot hang this), join the
     /// poller and every worker.
     pub fn shutdown(mut self) {
         self.stop_and_join();

@@ -10,7 +10,7 @@
 //! and to surface "this plan ships the whole Finsbury feed twice".
 
 use crate::iom::{ExecLoc, Iom, IomRow};
-use crate::plan::{Partitioning, PhysOp, PhysicalPlan, StageKind};
+use crate::plan::{PhysOp, PhysicalPlan, StageKind};
 use crate::pom::{Op, RelRef};
 use polygen_index::Probe;
 use polygen_lqp::registry::LqpRegistry;
@@ -30,10 +30,6 @@ const PQP_TUPLE_US: f64 = 1.0;
 /// shrink a selection vector — no per-row dispatch, no cell clones, no
 /// per-stage retagging — so they are charged well under the row rate.
 const BATCH_TUPLE_US: f64 = 0.2;
-/// Per-tuple overhead of partition-parallel execution, µs: the
-/// repartition pass over the input plus the order-restoring merge over
-/// the output (both pointer traffic, far cheaper than the kernel work).
-const PARTITION_US: f64 = 0.1;
 /// Flat cost of one index probe, µs (a hash lookup or binary search
 /// into snapshot-materialized postings — no LQP round trip).
 const INDEX_PROBE_US: f64 = 2.0;
@@ -41,25 +37,6 @@ const INDEX_PROBE_US: f64 = 2.0;
 /// tighter than a generic selection: point probes target key-like
 /// columns.
 const INDEX_POINT_SELECTIVITY: f64 = 0.01;
-
-/// CPU cost of a PQP-side operator under its partitioning annotation: a
-/// serial operator inspects every tuple on one worker; a partitioned one
-/// splits the inspection across its partitions but pays the repartition
-/// and order-restoring merge overhead on top.
-fn partitioned_cpu_cost(
-    inspected: f64,
-    out_rows: f64,
-    partitioning: &Partitioning,
-    tuple_us: f64,
-) -> f64 {
-    match partitioning {
-        Partitioning::Serial => inspected * tuple_us,
-        Partitioning::Chunked { partitions } | Partitioning::Hash { partitions, .. } => {
-            inspected * tuple_us / (*partitions).max(1) as f64
-                + (inspected + out_rows) * PARTITION_US
-        }
-    }
-}
 
 /// Cost estimate for one plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -222,7 +199,7 @@ pub fn estimate_physical(plan: &PhysicalPlan, registry: &LqpRegistry) -> PlanCos
         } else {
             PQP_TUPLE_US
         };
-        let cost = partitioned_cpu_cost(inspected, out_rows, &node.partitioning, tuple_us);
+        let cost = inspected * tuple_us;
         est.push(out_rows);
         rows.push((node.row, cost, out_rows));
         total += cost;
@@ -378,50 +355,28 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_plan_estimates_cheaper_cpu_but_charges_overhead() {
+    fn estimate_is_equal_across_thread_counts() {
         let s = scenario::build();
         let registry = scenario_registry(&s);
         let iom = paper_iom();
-        let serial = crate::plan::lower(
-            &iom,
-            &registry,
-            &s.dictionary,
-            &PqpOptions::default().with_threads(1),
-        )
-        .unwrap();
-        let partitioned = crate::plan::lower(
-            &iom,
-            &registry,
-            &s.dictionary,
-            &PqpOptions::default().with_threads(4),
-        )
-        .unwrap();
-        let cs = estimate_physical(&serial, &registry);
-        let cp = estimate_physical(&partitioned, &registry);
-        assert!(
-            cp.total_us < cs.total_us,
-            "4-way split must win at PQP_TUPLE_US/partitions + overhead: {} vs {}",
-            cp.total_us,
-            cs.total_us
-        );
-        assert_eq!(cs.tuples_shipped, cp.tuples_shipped, "shipping unchanged");
-        // The overhead term is real: a partitioned node never costs a
-        // full 1/partitions of its serial estimate.
-        let serial_pqp: f64 = cs
-            .rows
-            .iter()
-            .zip(&cp.rows)
-            .filter(|((_, a, _), (_, b, _))| a != b)
-            .map(|((_, a, _), _)| a)
-            .sum();
-        let parallel_pqp: f64 = cs
-            .rows
-            .iter()
-            .zip(&cp.rows)
-            .filter(|((_, a, _), (_, b, _))| a != b)
-            .map(|(_, (_, b, _))| b)
-            .sum();
-        assert!(parallel_pqp > serial_pqp / 4.0);
+        let at = |threads| {
+            let plan = crate::plan::lower(
+                &iom,
+                &registry,
+                &s.dictionary,
+                &PqpOptions::default().with_threads(threads),
+            )
+            .unwrap();
+            estimate_physical(&plan, &registry)
+        };
+        let serial = at(1);
+        for threads in [2, 4, 8] {
+            assert_eq!(
+                at(threads),
+                serial,
+                "threads = {threads} moved the estimate"
+            );
+        }
     }
 
     #[test]

@@ -502,9 +502,9 @@ pub fn execute_plan(
             trace.annotate(span, "node", Note::Uint(i as u64));
             trace.annotate(span, "row", Note::Uint(node.row as u64));
             trace.annotate(span, "rows", Note::Uint(slot.len() as u64));
-            // From the run, not from `node.partitioning`: that is the
-            // compile-time estimate, and one cached plan runs at every
-            // thread allotment.
+            // The plan carries no fan-out, so this note is the only
+            // record of it: `fan_out` chose it from the input size and
+            // the kernel may have declined (EXPLAIN ANALYZE shows `xP`).
             if fanned > 1 {
                 trace.annotate(span, "partitions", Note::Uint(fanned as u64));
             }

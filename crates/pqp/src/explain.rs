@@ -86,11 +86,12 @@ pub fn explain_with_cost(
 /// EXPLAIN ANALYZE rendering: the physical plan in `render_plan` form,
 /// each node line extended with the cost model's estimate
 /// (`est=(µs, ~rows)`) and the measured actuals from a traced run
-/// (`act=(µs, rows)`). `report` must come from a traced execution of
-/// this same `plan` — the executor records one span per node, annotated
-/// with its node index and output row count, and those spans are what
-/// the `act=` side reads. Nodes with no matching span (a plan that
-/// failed mid-walk) render `act=(not executed)`.
+/// (`act=(µs, rows)`, plus `, xP` when the node's kernel ran split into
+/// `P` partitions). `report` must come from a traced execution of this
+/// same `plan` — the executor records one span per node, annotated with
+/// its node index, output row count and any run-time fan-out, and those
+/// spans are what the `act=` side reads. Nodes with no matching span (a
+/// plan that failed mid-walk) render `act=(not executed)`.
 pub fn render_analyzed_plan(
     plan: &PhysicalPlan,
     registry: &LqpRegistry,
@@ -98,11 +99,11 @@ pub fn render_analyzed_plan(
 ) -> String {
     let cost = costing::estimate_physical(plan, registry);
     // One executor span per node, keyed by its `node` annotation.
-    let mut act: Vec<Option<(u64, u64)>> = vec![None; plan.nodes.len()];
+    let mut act: Vec<Option<(u64, u64, Option<u64>)>> = vec![None; plan.nodes.len()];
     for s in &report.spans {
         if let (Some(node), Some(rows)) = (s.note_uint("node"), s.note_uint("rows")) {
             if let Some(slot) = act.get_mut(usize::try_from(node).unwrap_or(usize::MAX)) {
-                *slot = Some((s.duration_micros(), rows));
+                *slot = Some((s.duration_micros(), rows, s.note_uint("partitions")));
             }
         }
     }
@@ -116,9 +117,10 @@ pub fn render_analyzed_plan(
         });
         let shown_act = act.get(i).copied().flatten().map_or_else(
             || "  act=(not executed)".to_string(),
-            |(us, rows)| {
+            |(us, rows, partitions)| {
                 total_act += us;
-                format!("  act=({us} µs, {rows} rows)")
+                let fanned = partitions.map_or_else(String::new, |p| format!(", x{p}"));
+                format!("  act=({us} µs, {rows} rows{fanned})")
             },
         );
         let _ = writeln!(out, "{line}{est}{shown_act}");

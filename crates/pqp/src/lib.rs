@@ -51,8 +51,8 @@ pub mod prelude {
     pub use crate::iom::{render_iom, ExecLoc, Iom, IomRow};
     pub use crate::optimizer::{optimize, OptimizerReport};
     pub use crate::plan::{
-        lower as lower_plan, render_plan, route_index_scans, Partitioning, PhysNode, PhysOp,
-        PhysicalPlan, Stage, StageKind,
+        lower as lower_plan, render_plan, route_index_scans, PhysNode, PhysOp, PhysicalPlan, Stage,
+        StageKind,
     };
     pub use crate::pom::{render_pom, Op, Pom, PomRow, RelRef, Rha};
     pub use crate::pqp::{CompiledQuery, Pqp, PqpOptions, QueryOutcome};

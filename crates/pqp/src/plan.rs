@@ -221,33 +221,6 @@ impl PhysOp {
     }
 }
 
-/// How a physical operator splits across worker threads — annotated at
-/// lowering time so `EXPLAIN` shows the parallel shape before anything
-/// runs and [`crate::costing::estimate_physical`] can charge
-/// per-partition cost plus merge overhead. Execution reassembles every
-/// partitioned operator's output in the sequential order, so the
-/// annotation changes *where* work happens, never the answer.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Partitioning {
-    /// Single-threaded (pipeline breakers with no partitionable key, or a
-    /// plan lowered with one partition).
-    Serial,
-    /// Order-preserving contiguous chunks — fused stage chains, which
-    /// need no key co-location.
-    Chunked {
-        /// Number of chunks.
-        partitions: usize,
-    },
-    /// Hash-partitioned on a key column so matching tuples co-locate —
-    /// hash joins (join key) and hash merges (scheme primary key).
-    Hash {
-        /// The partitioning column.
-        key: String,
-        /// Number of partitions.
-        partitions: usize,
-    },
-}
-
 /// One node of the physical plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysNode {
@@ -259,8 +232,6 @@ pub struct PhysNode {
     /// The planned output schema — provably identical to what execution
     /// produces (both sides build schemas with the same constructors).
     pub schema: Arc<Schema>,
-    /// How the operator shards across workers.
-    pub partitioning: Partitioning,
 }
 
 /// A lowered physical plan: nodes in topological (execution) order.
@@ -465,7 +436,6 @@ struct Lowerer<'a> {
     registry: &'a LqpRegistry,
     dictionary: &'a DataDictionary,
     fuse: bool,
-    partitions: usize,
     /// pr → number of later references.
     uses: HashMap<usize, usize>,
     nodes: Vec<PhysNode>,
@@ -522,28 +492,6 @@ impl Lowerer<'_> {
         row.theta.unwrap_or(Cmp::Eq)
     }
 
-    /// The partitioning annotation for an operator under this lowering's
-    /// partition count.
-    fn partitioning_of(&self, op: &PhysOp) -> Partitioning {
-        if self.partitions <= 1 {
-            return Partitioning::Serial;
-        }
-        match op {
-            PhysOp::Pipeline { .. } => Partitioning::Chunked {
-                partitions: self.partitions,
-            },
-            PhysOp::HashJoin { out, .. } => Partitioning::Hash {
-                key: out.clone(),
-                partitions: self.partitions,
-            },
-            PhysOp::HashMerge { key, .. } => Partitioning::Hash {
-                key: key.clone(),
-                partitions: self.partitions,
-            },
-            _ => Partitioning::Serial,
-        }
-    }
-
     fn push_node(
         &mut self,
         pr: usize,
@@ -553,12 +501,10 @@ impl Lowerer<'_> {
         base: Option<(String, String)>,
     ) {
         let node = self.nodes.len();
-        let partitioning = self.partitioning_of(&op);
         self.nodes.push(PhysNode {
             row: pr,
             op,
             schema: Arc::clone(&schema),
-            partitioning,
         });
         self.env.insert(
             pr,
@@ -946,9 +892,10 @@ impl Lowerer<'_> {
 }
 
 /// Lower an IOM into a physical plan: stages fuse unless `options`
-/// retains intermediates, and parallelizable operators are annotated with
-/// the resolved partition count (`1` leaves every node
-/// [`Partitioning::Serial`]).
+/// retains intermediates. Lowering reads no parallelism — the executor
+/// picks each operator's fan-out at run time from its input size — so a
+/// plan's text, fingerprint and cost estimate are the same at every
+/// thread count.
 pub fn lower(
     iom: &Iom,
     registry: &LqpRegistry,
@@ -973,7 +920,6 @@ pub fn lower(
         registry,
         dictionary,
         fuse: !options.retain_intermediates,
-        partitions: options.parallelism().partitions,
         uses,
         nodes: Vec::with_capacity(iom.rows.len()),
         env: HashMap::new(),
@@ -1108,7 +1054,7 @@ fn route_scan(catalog: &IndexCatalog, db: &str, op: &LocalOp, stages: Option<&[S
 
 /// The pushdown pass: route eligible Scan leaves onto available
 /// secondary indexes, leaving everything else — pipelines, residual
-/// predicates, join strategies, partitioning — untouched. The routed
+/// predicates, join strategies — untouched. The routed
 /// plan is byte-identical in results to the input plan: a probe emits
 /// exactly the tuples the scan's predicate would have retained, in scan
 /// order, and folded conjuncts re-check themselves as pipeline stages.
@@ -1248,18 +1194,13 @@ pub fn render_plan(plan: &PhysicalPlan) -> String {
                 format!("Product[{}, {}]", rref(*left), rref(*right))
             }
         };
-        let par = match &node.partitioning {
-            Partitioning::Serial => String::new(),
-            Partitioning::Chunked { partitions } => format!(" [chunked x{partitions}]"),
-            Partitioning::Hash { key, partitions } => format!(" [hash({key}) x{partitions}]"),
-        };
         let batch = if plan.is_batch_pipeline(i) {
             " [batch]"
         } else {
             ""
         };
         let marker = if i == plan.root { " ◀ answer" } else { "" };
-        let _ = writeln!(out, "#{i:<2} {desc}{batch}{par}  → R({}){marker}", node.row);
+        let _ = writeln!(out, "#{i:<2} {desc}{batch}  → R({}){marker}", node.row);
     }
     out
 }
@@ -1273,7 +1214,7 @@ mod tests {
     use polygen_lqp::scenario_registry;
     use polygen_sql::algebra_expr::{parse_algebra, PAPER_EXPRESSION};
 
-    /// One thread, one partition: every node annotated `Serial`.
+    /// One thread, one partition.
     fn serial() -> PqpOptions {
         PqpOptions::default().with_threads(1)
     }
@@ -1343,50 +1284,6 @@ mod tests {
         assert!(shown.contains("HashMerge[PORGANIZATION on ONAME, 3-way single pass]"));
         assert!(shown.contains("(fused ×2)"));
         assert!(shown.contains("◀ answer"));
-    }
-
-    #[test]
-    fn partition_annotations_cover_parallel_operators() {
-        let s = scenario::build();
-        let registry = scenario_registry(&s);
-        let pom = analyze(&parse_algebra(PAPER_EXPRESSION).unwrap()).unwrap();
-        let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-        let plan = lower(
-            &iom,
-            &registry,
-            &s.dictionary,
-            &PqpOptions::default().with_threads(4),
-        )
-        .unwrap();
-        for node in &plan.nodes {
-            match &node.op {
-                PhysOp::Pipeline { .. } => {
-                    assert_eq!(node.partitioning, Partitioning::Chunked { partitions: 4 })
-                }
-                PhysOp::HashJoin { out, .. } => assert_eq!(
-                    node.partitioning,
-                    Partitioning::Hash {
-                        key: out.clone(),
-                        partitions: 4
-                    }
-                ),
-                PhysOp::HashMerge { key, .. } => assert_eq!(
-                    node.partitioning,
-                    Partitioning::Hash {
-                        key: key.clone(),
-                        partitions: 4
-                    }
-                ),
-                _ => assert_eq!(node.partitioning, Partitioning::Serial),
-            }
-        }
-        let shown = render_plan(&plan);
-        assert!(shown.contains("[hash(ONAME) x4]"), "{shown}");
-        assert!(shown.contains("[chunked x4]"), "{shown}");
-        // Serial lowering keeps the pre-parallel rendering exactly.
-        let serial = render_plan(&paper_plan(true));
-        assert!(!serial.contains("[hash("), "{serial}");
-        assert!(!serial.contains("[chunked"), "{serial}");
     }
 
     #[test]

@@ -315,7 +315,7 @@ impl QueryService {
     /// dictionary and a schema-bearing empty placeholder joins the
     /// registry at version 0, so plain SQL/algebra over `sys.*` plans
     /// like any other scheme. Live rows are spliced in per query (see
-    /// [`QueryService::spliced_sys_snapshot`]); the head's `sys`
+    /// `QueryService::spliced_sys_snapshot`); the head's `sys`
     /// version never moves, which is what lets cached `sys` *plans*
     /// stay valid while `sys` *answers* are never cached at all.
     pub fn new(federation: Federation, options: ServeOptions) -> Self {
@@ -873,10 +873,10 @@ impl QueryService {
         }
     }
 
-    /// Compile canonical text into a cacheable plan entry. Compilation
-    /// always lowers with `threads = 1` so the plan's partition
-    /// annotations (presentation/costing metadata) are stable — the
-    /// executor takes its real parallelism from per-run options.
+    /// Compile canonical text into a cacheable plan entry. The plan
+    /// carries no parallelism, so one entry serves every thread
+    /// allotment: each run takes its fan-out from the threads admission
+    /// granted it.
     fn compile(
         &self,
         snapshot: &FederationSnapshot,
@@ -887,11 +887,7 @@ impl QueryService {
             Arc::clone(snapshot.dictionary()),
             Arc::clone(snapshot.registry()),
         )
-        .with_options(PqpOptions {
-            threads: 1,
-            partitions: 1,
-            ..engine_options()
-        })
+        .with_options(engine_options())
         .with_indexes(Arc::clone(snapshot.indexes()));
         let compiled = compiler.compile(expr)?;
         let reads = compiled.physical.source_dbs();

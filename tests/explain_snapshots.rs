@@ -1,7 +1,7 @@
 //! Golden EXPLAIN snapshots: `render_plan` output for every physical
 //! operator kind (Scan, fused pipeline stages, HashJoin, ThetaJoin,
-//! HashMerge, AntiJoin, Union, Difference, Intersect, Product), with and
-//! without partition annotations.
+//! HashMerge, AntiJoin, Union, Difference, Intersect, Product), plus the
+//! invariant that the plan text never depends on the thread count.
 //!
 //! These are exact-string comparisons on purpose: the plan printer is the
 //! engine's public diagnostic surface, and a silent format drift should
@@ -19,7 +19,7 @@ use polygen::sql::prelude::{parse_algebra, PAPER_EXPRESSION};
 use std::sync::Arc;
 
 /// Lower `expr` over the MIT scenario and render the physical plan.
-fn plan_text(expr: &str, fuse: bool, partitions: usize) -> String {
+fn plan_text(expr: &str, fuse: bool) -> String {
     let s = scenario::build();
     let registry = scenario_registry(&s);
     let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
@@ -30,8 +30,6 @@ fn plan_text(expr: &str, fuse: bool, partitions: usize) -> String {
         &s.dictionary,
         &PqpOptions {
             retain_intermediates: !fuse,
-            threads: partitions,
-            partitions,
             ..PqpOptions::default()
         },
     )
@@ -65,13 +63,19 @@ fn indexed_plan_and_cost(expr: &str, specs: &[IndexSpec]) -> (String, String) {
 /// cost model's `est=` column are deterministic and stay verbatim; only
 /// the wall-clock side of `act=` varies run to run.
 fn analyzed_text(expr: &str, specs: &[IndexSpec]) -> String {
-    let s = scenario::build();
-    let mut pqp = Pqp::for_scenario(&s).with_options(PqpOptions {
-        threads: 1,
-        ..PqpOptions::default()
-    });
+    analyzed_text_at(&scenario::build(), expr, specs, 1)
+}
+
+/// [`analyzed_text`] over any scenario at any thread count.
+fn analyzed_text_at(
+    s: &scenario::Scenario,
+    expr: &str,
+    specs: &[IndexSpec],
+    threads: usize,
+) -> String {
+    let mut pqp = Pqp::for_scenario(s).with_options(PqpOptions::default().with_threads(threads));
     if !specs.is_empty() {
-        let registry = scenario_registry(&s);
+        let registry = scenario_registry(s);
         let catalog = IndexCatalog::build(specs, &registry, &s.dictionary).unwrap();
         pqp = pqp.with_indexes(Arc::new(catalog));
     }
@@ -120,7 +124,7 @@ fn assert_snapshot(actual: &str, expected: &str) {
 #[test]
 fn paper_plan_fused_serial() {
     assert_snapshot(
-        &plan_text(PAPER_EXPRESSION, true, 1),
+        &plan_text(PAPER_EXPRESSION, true),
         "\
 #0  Scan[AD] ALUMNUS[DEG = MBA]  → R(1)
 #1  Scan[AD] CAREER  → R(2)
@@ -134,23 +138,56 @@ fn paper_plan_fused_serial() {
     );
 }
 
-/// The same plan lowered for 4 partitions: hash operators annotate their
-/// key, pipelines annotate chunking, scans stay serial.
+/// Lower `expr` through a [`Pqp`] configured for `threads` and render it.
+fn lowered_at(expr: &str, threads: usize) -> String {
+    let s = scenario::build();
+    let pqp = Pqp::for_scenario(&s).with_options(PqpOptions::default().with_threads(threads));
+    render_plan(&pqp.compile(parse_algebra(expr).unwrap()).unwrap().physical)
+}
+
+/// Lowering reads no parallelism: the paper plan compiled at 4 threads
+/// is the serial golden above byte for byte. How many partitions a node
+/// ran at is a fact of the run, shown by EXPLAIN ANALYZE
+/// (`analyzed_join_reports_the_fan_out_it_ran_at`).
 #[test]
 fn paper_plan_fused_partitioned_x4() {
     assert_snapshot(
-        &plan_text(PAPER_EXPRESSION, true, 4),
-        "\
-#0  Scan[AD] ALUMNUS[DEG = MBA]  → R(1)
-#1  Scan[AD] CAREER  → R(2)
-#2  HashJoin[R(1).AID# = R(2).AID#, coalesce → AID#] (build R(2), probe R(1)) [hash(AID#) x4]  → R(3)
-#3  Scan[AD] BUSINESS  → R(4)
-#4  Scan[PD] CORPORATION  → R(5)
-#5  Scan[CD] FIRM  → R(6)
-#6  HashMerge[PORGANIZATION on ONAME, 3-way single pass] over R(4), R(5), R(6) [hash(ONAME) x4]  → R(7)
-#7  HashJoin[R(3).BNAME = R(7).ONAME, coalesce → ONAME] (build R(7), probe R(3)) [hash(ONAME) x4]  → R(8)
-#8  Pipeline over R(8) → Restrict[CEO = ANAME]@R(9) → Project[ONAME, CEO]@R(10) (fused ×2) [chunked x4]  → R(10) ◀ answer",
+        &lowered_at(PAPER_EXPRESSION, 4),
+        &plan_text(PAPER_EXPRESSION, true),
     );
+}
+
+/// A non-equality θ lowers to the nested-loop join, and a 4-thread
+/// lowering prints it exactly as the serial one does: no annotation.
+#[test]
+fn theta_join_stays_serial_under_partitioning() {
+    let expr = "PCAREER [AID# < AID#] PCAREER";
+    let golden = "\
+#0  Scan[AD] CAREER  → R(1)
+#1  Scan[AD] CAREER  → R(2)
+#2  NestedLoopJoin[R(2).AID# < R(1).AID#]  → R(3) ◀ answer";
+    assert_snapshot(&plan_text(expr, true), golden);
+    assert_snapshot(&lowered_at(expr, 4), golden);
+}
+
+/// The plan text, its fingerprint and its cost estimate are the same at
+/// every thread count: none of them may claim a fan-out the run decides.
+#[test]
+fn compiled_plan_is_identical_at_every_thread_count() {
+    let s = scenario::build();
+    let at = |threads: usize| {
+        let pqp = Pqp::for_scenario(&s).with_options(PqpOptions::default().with_threads(threads));
+        let physical = pqp
+            .compile(parse_algebra(PAPER_EXPRESSION).unwrap())
+            .unwrap()
+            .physical;
+        let cost = estimate_physical(&physical, pqp.registry()).to_string();
+        (render_plan(&physical), physical.fingerprint(), cost)
+    };
+    let serial = at(1);
+    for threads in [2, 4, 8] {
+        assert_eq!(at(threads), serial, "threads = {threads}");
+    }
 }
 
 /// Retention-mode lowering (no fusion): every Select/Restrict/Project row
@@ -158,7 +195,7 @@ fn paper_plan_fused_partitioned_x4() {
 #[test]
 fn paper_plan_unfused_serial() {
     assert_snapshot(
-        &plan_text(PAPER_EXPRESSION, false, 1),
+        &plan_text(PAPER_EXPRESSION, false),
         "\
 #0  Scan[AD] ALUMNUS[DEG = MBA]  → R(1)
 #1  Scan[AD] CAREER  → R(2)
@@ -173,20 +210,6 @@ fn paper_plan_unfused_serial() {
     );
 }
 
-/// A non-equality θ lowers to the nested-loop join — which has no
-/// partitionable key, so even a 4-partition lowering leaves it serial
-/// (no annotation).
-#[test]
-fn theta_join_stays_serial_under_partitioning() {
-    assert_snapshot(
-        &plan_text("PCAREER [AID# < AID#] PCAREER", true, 4),
-        "\
-#0  Scan[AD] CAREER  → R(1)
-#1  Scan[AD] CAREER  → R(2)
-#2  NestedLoopJoin[R(2).AID# < R(1).AID#]  → R(3) ◀ answer",
-    );
-}
-
 /// AntiJoin feeding a lone-Project pipeline, over a merge.
 #[test]
 fn antijoin_plan_serial() {
@@ -194,7 +217,6 @@ fn antijoin_plan_serial() {
         &plan_text(
             "(PORGANIZATION ANTIJOIN [ONAME = ONAME] PFINANCE) [ONAME]",
             true,
-            1,
         ),
         "\
 #0  Scan[AD] BUSINESS  → R(1)
@@ -215,7 +237,6 @@ fn set_ops_plan_serial() {
             "((PALUMNUS [DEGREE = \"MBA\"]) UNION (PALUMNUS [DEGREE = \"MS\"])) \
              MINUS (PALUMNUS [DEGREE = \"MBA\"])",
             true,
-            1,
         ),
         "\
 #0  Scan[AD] ALUMNUS[DEG = MBA]  → R(1)
@@ -299,7 +320,7 @@ fn between_folds_into_a_range_probe_with_residual() {
 #[test]
 fn eligible_leaf_pipeline_announces_batch() {
     assert_snapshot(
-        &plan_text("PCAREER [AID# = ONAME] [AID#, POSITION]", true, 1),
+        &plan_text("PCAREER [AID# = ONAME] [AID#, POSITION]", true),
         "\
 #0  Scan[AD] CAREER[AID# = BNAME]  → R(1)
 #1  Pipeline over R(1) → Project[AID#, POSITION]@R(2) [batch]  → R(2) ◀ answer",
@@ -313,7 +334,7 @@ fn eligible_leaf_pipeline_announces_batch() {
 /// unfused (retention-mode) stage chain.
 #[test]
 fn interior_pipeline_stays_on_the_row_engine() {
-    let shown = plan_text(PAPER_EXPRESSION, true, 1);
+    let shown = plan_text(PAPER_EXPRESSION, true);
     assert!(
         !shown.contains("[batch]"),
         "interior pipelines must not claim the columnar path:\n{shown}"
@@ -454,11 +475,37 @@ fn analyzed_index_scan() {
     );
 }
 
+/// EXPLAIN ANALYZE reports the fan-out a node ran at, where it is true:
+/// at 4 threads the join of 64 merged entities with their detail rows
+/// runs split four ways and its `act=` says `x4`, while the paper query's handful of rows stays under
+/// the executor's small-input threshold, so no line claims a partition
+/// count.
+#[test]
+fn analyzed_join_reports_the_fan_out_it_ran_at() {
+    let big = polygen::workload::generate(&common::fixtures::small_config(5, 3, 64));
+    let join = polygen::workload::queries::join_query(0);
+    let text = analyzed_text_at(&big, &join, &[], 4);
+    let join_line = text
+        .lines()
+        .find(|l| l.contains("HashJoin["))
+        .unwrap_or_else(|| panic!("no HashJoin line:\n{text}"));
+    assert!(
+        join_line.ends_with(" rows, x4)"),
+        "the join ran x4:\n{text}"
+    );
+    let paper = analyzed_text_at(&scenario::build(), PAPER_EXPRESSION, &[], 4);
+    assert!(
+        !paper.contains(" x4"),
+        "nothing in the paper query fans out:\n{paper}"
+    );
+    assert_snapshot(&paper, &analyzed_text(PAPER_EXPRESSION, &[]));
+}
+
 /// Intersect and Product.
 #[test]
 fn intersect_and_product_plan_serial() {
     assert_snapshot(
-        &plan_text("(PALUMNUS INTERSECT PALUMNUS) TIMES PFINANCE", true, 1),
+        &plan_text("(PALUMNUS INTERSECT PALUMNUS) TIMES PFINANCE", true),
         "\
 #0  Scan[AD] ALUMNUS  → R(1)
 #1  Scan[AD] ALUMNUS  → R(2)

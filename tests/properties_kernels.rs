@@ -13,8 +13,13 @@
 //! Float keys (`-0.0` beside `0.0`) and a mix of both (`1` beside `1.0`),
 //! each with `nil`. `nil` never joins but collapses with `nil`; `1`
 //! joins `1.0` but never collapses with it; `-0.0` and `0.0` do neither.
+//!
+//! The hash Merge is one function at every partition count, so its
+//! one-partition path is checked on its own here: against the ONTJ fold
+//! (`algebra::merge`) and, byte for byte, against its own split runs.
 
 use polygen::core::algebra;
+use polygen::core::algebra::coalesce::ConflictPolicy;
 use polygen::core::batch::ColumnBatch;
 use polygen::core::stream::{ParallelOptions, TupleStream};
 use polygen::core::tuple::PolyTuple;
@@ -169,6 +174,16 @@ fn vec_keyed_collapse(tuples: Vec<PolyTuple>) -> Vec<PolyTuple> {
     merged
 }
 
+/// Keep only the first row of each non-nil key, so an operand can take
+/// the merge's closed form (nil keys never match, so every one stays).
+fn unique_keys(rows: &Rows) -> Rows {
+    let mut seen = std::collections::HashSet::new();
+    rows.iter()
+        .filter(|(k, ..)| *k == 0 || seen.insert(*k))
+        .cloned()
+        .collect()
+}
+
 /// Oracle: `p[idx]` with the duplicate collapse.
 fn oracle_project(p: &PolygenRelation, idx: &[usize]) -> Vec<PolyTuple> {
     vec_keyed_collapse(
@@ -213,6 +228,55 @@ proptest! {
         prop_assert_eq!(semi.tuples(), nested_loop_filter(&a, &b, true).as_slice());
         let anti = algebra::anti_join(&a, &b, "K", "K2").unwrap();
         prop_assert_eq!(anti.tuples(), nested_loop_filter(&a, &b, false).as_slice());
+    }
+
+    /// `hash_merge` at P ∈ {1, 2, 4} against the ONTJ fold (tagged-set
+    /// equality) and against itself across P, byte for byte with order.
+    /// Three operands with disjoint value columns over nil keys, duplicate
+    /// keys (the fold fallback) or per-operand unique keys (the closed
+    /// form), in every domain — `1` beside `1.0` included.
+    #[test]
+    fn hash_merge_matches_fold_and_is_identical_across_partitions(
+        a_rows in rows(),
+        b_rows in rows(),
+        c_rows in rows(),
+        domain in 0usize..3,
+        unique in any::<bool>(),
+    ) {
+        let operand = |name: &str, value: &str, rows: &Rows| {
+            let rows = if unique { unique_keys(rows) } else { rows.clone() };
+            relation(name, ["K", value], domain, &rows)
+        };
+        let rels = [
+            operand("A", "VA", &a_rows),
+            operand("B", "VB", &b_rows),
+            operand("C", "VC", &c_rows),
+        ];
+        let policy = ConflictPolicy::Strict;
+        let fold = algebra::merge(&rels, "K", policy).map(|(m, _)| m);
+        let at = |partitions: usize| {
+            let par = ParallelOptions { threads: partitions, partitions };
+            algebra::hash_merge_partitioned(&rels, "K", policy, par).map(|(m, ..)| m)
+        };
+        let one = algebra::hash_merge(&rels, "K", policy).map(|(m, _)| m);
+        prop_assert_eq!(fold.is_ok(), one.is_ok(), "fold and P = 1 disagree on rejecting");
+        if let (Ok(fold), Ok(one)) = (&fold, &one) {
+            prop_assert!(one.tagged_set_eq(fold), "P = 1 diverges from the fold");
+        }
+        for partitions in [1, 2, 4] {
+            match (&one, at(partitions)) {
+                (Ok(one), Ok(split)) => {
+                    prop_assert_eq!(one.schema().attrs(), split.schema().attrs());
+                    prop_assert_eq!(one.tuples(), split.tuples(), "P = {}, order included", partitions);
+                }
+                (Err(_), Err(_)) => {}
+                (one, split) => panic!(
+                    "P = 1 {:?} vs P = {partitions} {:?}",
+                    one.as_ref().map(|_| ()),
+                    split.map(|_| ())
+                ),
+            }
+        }
     }
 
     /// Every duplicate-collapsing kernel against the `Vec<Value>`-keyed

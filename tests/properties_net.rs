@@ -846,3 +846,103 @@ fn a_panicking_query_answers_500_and_its_connection_serves_on() {
     assert_eq!(service.metrics().errors_with_code(ErrorCode::Internal), 1);
     server.shutdown();
 }
+
+/// A census, not a check: how often does intra-query fan-out happen under
+/// the ledger's TCP shape? Two closed-loop clients over two server
+/// workers and a thread budget of two, `cold_mix`'s federation (seed 1,
+/// 3 sources, 4 000 entities, 16 000 detail rows) and default mix with
+/// caches off, for 15 s. Admission hands a query admitted while the other
+/// client is idle `min(2/1, 2 - 0) = 2` threads, and `partitions: 0`
+/// resolves to that. Every request is traced and the slow log keeps
+/// them all, so the census reads (a) the share of responses whose
+/// `ResponseInfo.threads` is 2 and (b) the share of `exec/HashJoin` and
+/// `exec/HashMerge` spans that carry a `partitions` note. Run with
+/// `cargo test --release --test properties_net -- --ignored --nocapture`.
+#[test]
+#[ignore = "a 15 s measurement that prints a census; it asserts nothing about timing"]
+fn fan_out_census_over_the_ledger_shape() {
+    const CLIENTS: usize = 2;
+    let scenario = workload::generate(&WorkloadConfig {
+        seed: 1,
+        sources: 3,
+        entities: 4_000,
+        detail_rows: 16_000,
+        ..WorkloadConfig::default()
+    });
+    let options = ServeOptions::default()
+        .without_caches()
+        .with_thread_budget(CLIENTS)
+        .with_slow_log(usize::MAX, Duration::ZERO);
+    let service = Arc::new(QueryService::for_scenario(&scenario, options));
+    let server = NetServer::spawn_with(
+        Arc::clone(&service),
+        "127.0.0.1:0",
+        NetServerOptions { workers: CLIENTS },
+    )
+    .expect("bind");
+    let mix = ClientMix {
+        clients: CLIENTS,
+        queries_per_client: 60_000,
+        weights: MixWeights::default(),
+        think: Duration::ZERO,
+        seed: 1,
+        categories: WorkloadConfig::default().categories,
+        entities: 4_000,
+        key_skew: 1.0,
+    };
+    let deadline = Instant::now() + Duration::from_secs(15);
+    let threads: Vec<usize> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let (mix, addr) = (&mix, server.addr());
+                scope.spawn(move || {
+                    let mut session = NetClient::connect(addr).expect("connect");
+                    let mut seen = Vec::new();
+                    for mut request in mix.script(client) {
+                        if Instant::now() >= deadline {
+                            break;
+                        }
+                        request.options.trace = true;
+                        let frames = session.execute_frames(&request).expect("TCP exchange");
+                        for frame in frames {
+                            if let Frame::Summary { info } = frame {
+                                seen.push(info.threads);
+                            }
+                        }
+                    }
+                    seen
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    // Shutting down flushes every connection, so every request has been
+    // observed by the slow log.
+    server.shutdown();
+    let share = |part: usize, whole: usize| part as f64 / whole.max(1) as f64;
+    let two = threads.iter().filter(|&&t| t == 2).count();
+    println!(
+        "responses: {}; threads == 2: {two} ({:.3})",
+        threads.len(),
+        share(two, threads.len())
+    );
+    let reports = service.slow_queries();
+    for op in ["exec/HashJoin", "exec/HashMerge"] {
+        let spans: Vec<&str> = reports
+            .iter()
+            .filter_map(|r| r.waterfall.as_deref())
+            .flat_map(str::lines)
+            .filter(|line| line.trim_start().starts_with(op))
+            .collect();
+        let fanned = spans.iter().filter(|l| l.contains("partitions=")).count();
+        println!(
+            "{op}: {} spans; with a partitions note: {fanned} ({:.3})",
+            spans.len(),
+            share(fanned, spans.len())
+        );
+    }
+    assert!(!threads.is_empty(), "the population answered");
+}

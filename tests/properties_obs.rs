@@ -9,8 +9,8 @@
 //! * An enabled run's span tree must be well formed (every span closed,
 //!   parents enclosing children), with exactly one executor span per
 //!   physical node.
-//! * A span's `partitions` note reports the dispatch the run took, not
-//!   the plan's compile-time annotation.
+//! * A span's `partitions` note reports the dispatch the run took — the
+//!   plan carries none.
 //! * EXPLAIN ANALYZE's `act=` row counts are not estimates: they must
 //!   equal the materialized `R(n)` sizes the retention-mode executor
 //!   produces for the same plan.
@@ -44,28 +44,23 @@ const COVERAGE_EXPRESSIONS: &[&str] = &[
     "(PALUMNUS INTERSECT PALUMNUS) TIMES PFINANCE",
 ];
 
-/// A span's `partitions` note is the run's, not the plan's: one cached
-/// plan runs at every thread allotment (the service compiles at one
-/// partition and runs at whatever admission grants), a plan annotated
-/// for four partitions still runs sequentially over an input below the
-/// executor's small-input threshold, and a partitioned kernel that falls
-/// back to its sequential twin on the data it was handed reports that.
+/// A span's `partitions` note is the run's: the plan carries no fan-out
+/// (one cached plan runs at every thread allotment — the service
+/// compiles once and runs at whatever admission grants), an operator
+/// runs sequentially over an input below the executor's small-input
+/// threshold, and a partitioned kernel that declines to split the data
+/// it was handed reports that.
 #[test]
 fn partition_notes_report_the_run_not_the_plan() {
-    let notes = |sc: &scenario::Scenario, expr: &str, span: &str, planned: usize, threads| {
+    let notes = |sc: &scenario::Scenario, expr: &str, span: &str, threads| {
         let registry = scenario_registry(sc);
         let plan = lower_plan(
             &compile(expr, sc.dictionary.schema()),
             &registry,
             &sc.dictionary,
-            &PqpOptions::default().with_threads(planned),
+            &PqpOptions::default(),
         )
         .expect("lowers");
-        assert_eq!(
-            render_plan(&plan).contains(&format!(" x{planned}]")),
-            planned > 1,
-            "the plan text shows the compile-time annotation"
-        );
         let trace = Trace::enabled();
         let options = PqpOptions::default().with_threads(threads);
         execute_plan(&plan, &registry, &sc.dictionary, None, &options, &trace).expect("runs");
@@ -76,25 +71,25 @@ fn partition_notes_report_the_run_not_the_plan() {
             .collect();
         notes
     };
-    let join_notes = |sc: &scenario::Scenario, expr: &str, planned: usize, threads: usize| {
-        notes(sc, expr, "exec/HashJoin", planned, threads)
+    let join_notes = |sc: &scenario::Scenario, expr: &str, threads: usize| {
+        notes(sc, expr, "exec/HashJoin", threads)
     };
-    // Planned serial, run at 4 threads over 64 + 64 rows: partitioned.
+    // One plan, run at 4 threads and at 1 over 64 + 64 rows.
     let mut big = workload::generate(&small_config(5, 3, 64));
     let join = workload::queries::join_query(0);
-    assert_eq!(join_notes(&big, &join, 1, 4), vec![Some(4)]);
-    assert_eq!(join_notes(&big, &join, 4, 1), vec![None]);
-    // Planned at 4, run at 4 over the paper's handful of rows: the
-    // kernel stayed sequential, and the span says so.
+    assert_eq!(join_notes(&big, &join, 4), vec![Some(4)]);
+    assert_eq!(join_notes(&big, &join, 1), vec![None]);
+    // At 4 threads over the paper's handful of rows: the kernel stayed
+    // sequential, and the span says so.
     let paper = scenario::build();
     let tiny = "(PALUMNUS [ANAME = CEO] PORGANIZATION) [CEO, DEGREE]";
-    assert_eq!(join_notes(&paper, tiny, 4, 4), vec![None]);
+    assert_eq!(join_notes(&paper, tiny, 4), vec![None]);
     // Inputs well over the threshold that the kernels decline: an empty
     // probe side (no score reaches 1000) against the 64 merged entities,
     // then — after the data changes below — `Int`/`Float`-mixed join keys
     // and a duplicate merge key inside one operand.
     let empty_side = workload::queries::join_query(1000);
-    assert_eq!(join_notes(&big, &empty_side, 4, 4), vec![None]);
+    assert_eq!(join_notes(&big, &empty_side, 4), vec![None]);
     let s0 = &mut big.databases[0].relations;
     let first = s0[0].rows()[0].clone();
     s0[0]
@@ -104,9 +99,9 @@ fn partition_notes_report_the_run_not_the_plan() {
         .insert(vec![Value::Int(-1), first[0].clone(), Value::float(0.5)])
         .expect("a DETAIL row with a Float score");
     let mixed = "PDETAIL [SCORE = VALUE_0] PENTITY";
-    assert_eq!(join_notes(&big, mixed, 4, 4), vec![None]);
+    assert_eq!(join_notes(&big, mixed, 4), vec![None]);
     assert_eq!(
-        notes(&big, "PENTITY [ENAME, CATEGORY]", "exec/HashMerge", 4, 4),
+        notes(&big, "PENTITY [ENAME, CATEGORY]", "exec/HashMerge", 4),
         vec![None]
     );
 }
