@@ -244,17 +244,13 @@ impl SourceSet {
             .all(|(i, &w)| w & !b.get(i).copied().unwrap_or(0) == 0)
     }
 
-    /// Iterate ids in ascending order.
+    /// Iterate ids in ascending order, visiting only the set bits.
     pub fn iter(&self) -> impl Iterator<Item = SourceId> + '_ {
-        self.words().iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64).filter_map(move |bit| {
-                if w & (1u64 << bit) != 0 {
-                    Some(SourceId((wi * 64 + bit) as u16))
-                } else {
-                    None
-                }
-            })
-        })
+        Members {
+            words: self.words().iter().enumerate(),
+            word: 0,
+            base: 0,
+        }
     }
 
     /// Restore the canonical-form invariant after mutation.
@@ -269,6 +265,31 @@ impl SourceSet {
                 self.0 = Repr::Inline(w);
             }
         }
+    }
+}
+
+/// [`SourceSet::iter`]: each step takes the lowest set bit of the
+/// current word and clears it, so a set costs its members, not its width.
+struct Members<'a> {
+    words: std::iter::Enumerate<std::slice::Iter<'a, u64>>,
+    /// The current word's bits not yet yielded.
+    word: u64,
+    /// The id of the current word's bit 0.
+    base: usize,
+}
+
+impl Iterator for Members<'_> {
+    type Item = SourceId;
+
+    fn next(&mut self) -> Option<SourceId> {
+        while self.word == 0 {
+            let (index, &word) = self.words.next()?;
+            self.word = word;
+            self.base = index * 64;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(SourceId((self.base + bit) as u16))
     }
 }
 
@@ -524,6 +545,65 @@ mod tests {
         let s = ids(&[130, 2, 64, 7]);
         let got: Vec<u16> = s.iter().map(|i| i.0).collect();
         assert_eq!(got, vec![2, 7, 64, 130]);
+    }
+
+    /// The set-bit walk against a naive membership scan over every id
+    /// the set could hold, on seeded sets: empty, inline, and spilled
+    /// through the word boundaries 127/128 up to id 65535. `Ord` and
+    /// `render_set` ride on the walk, so they are held to the naive
+    /// member lists too.
+    #[test]
+    fn iter_matches_a_naive_membership_scan() {
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut sets = vec![
+            SourceSet::empty(),
+            ids(&[0, 63, 64, 127]),
+            ids(&[127, 128]),
+            ids(&[1000]),
+            ids(&[65535]),
+            ids(&[0, 127, 128, 1000, 65535]),
+        ];
+        for _ in 0..200 {
+            let width = [64, 128, 129, 1001, 65536][(next() % 5) as usize];
+            let members = next() % 12;
+            sets.push(
+                (0..members)
+                    .map(|_| SourceId((next() % width) as u16))
+                    .collect(),
+            );
+        }
+        let naive = |s: &SourceSet| -> Vec<u16> {
+            (0..=u16::MAX)
+                .filter(|&i| s.contains(SourceId(i)))
+                .collect()
+        };
+        let mut registry = SourceRegistry::new();
+        for i in 0..=u16::MAX {
+            registry.intern(&format!("S{i}"));
+        }
+        let lists: Vec<Vec<u16>> = sets.iter().map(naive).collect();
+        for (set, list) in sets.iter().zip(&lists) {
+            let walked: Vec<u16> = set.iter().map(|id| id.0).collect();
+            assert_eq!(&walked, list, "{set:?}");
+            assert_eq!(set.len(), list.len());
+            let names: Vec<String> = list.iter().map(|i| format!("S{i}")).collect();
+            assert_eq!(
+                registry.render_set(set),
+                format!("{{{}}}", names.join(", "))
+            );
+        }
+        for (a, la) in sets.iter().zip(&lists) {
+            for (b, lb) in sets.iter().zip(&lists) {
+                assert_eq!(a.cmp(b), la.cmp(lb), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

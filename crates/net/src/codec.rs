@@ -9,6 +9,13 @@
 //! differential suite compares *encoded frames* across transports, so
 //! any two equal answers must serialize identically.
 //!
+//! The writer works in proportion to the bytes it writes: a frame is
+//! written straight into the caller's buffer behind a reserved length
+//! prefix that is patched once the payload is known, and a source set
+//! costs its members, not its width (the set walks only its set bits).
+//! The reader does likewise: a string cell is one allocation built from
+//! the validated input slice, and a source set is assembled in place.
+//!
 //! [`FrameReader`] reassembles frames from bytes pushed in pieces of any
 //! size without ever losing frame sync — a push that ends mid-frame just
 //! leaves the prefix buffered for the next one.
@@ -55,6 +62,40 @@ impl ByteWriter {
     /// A fresh, empty writer.
     pub fn new() -> Self {
         ByteWriter::default()
+    }
+
+    /// An empty writer with room for `bytes` before it reallocates.
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        ByteWriter {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
+    /// Open a frame: reserve its 4-byte length prefix and return where
+    /// it starts, for [`ByteWriter::end_frame`].
+    pub(crate) fn begin_frame(&mut self) -> usize {
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&[0; 4]);
+        start
+    }
+
+    /// Close the frame opened at `start` by patching its length prefix.
+    /// A payload over [`MAX_FRAME_LEN`] is [`CodecError::Corrupt`]: the
+    /// frame is taken back out, so the writer holds only whole frames.
+    pub(crate) fn end_frame(&mut self, start: usize) -> Result<(), CodecError> {
+        let len = self.buf.len() - start - 4;
+        match u32::try_from(len) {
+            Ok(len) if len <= MAX_FRAME_LEN => {
+                self.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+                Ok(())
+            }
+            _ => {
+                self.buf.truncate(start);
+                Err(CodecError::Corrupt(format!(
+                    "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap"
+                )))
+            }
+        }
     }
 
     /// Consume into the encoded bytes.
@@ -140,6 +181,15 @@ impl ByteWriter {
             self.put_cell(cell);
         }
     }
+
+    /// `u32 count + tuples` — the body of a `Rows` frame, whether the
+    /// tuples are a frame's own or borrowed from a shared answer.
+    pub fn put_rows(&mut self, tuples: &[PolyTuple]) {
+        self.put_u32(u32::try_from(tuples.len()).expect("batch exceeds u32::MAX"));
+        for tuple in tuples {
+            self.put_tuple(tuple);
+        }
+    }
 }
 
 /// Cursor-style decoder over a byte slice. Every read checks bounds and
@@ -215,11 +265,16 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
-    pub fn get_str(&mut self) -> Result<String, CodecError> {
+    /// A length-prefixed string, validated in place: the caller copies
+    /// it once, into whatever owner it needs.
+    fn get_utf8(&mut self) -> Result<&'a str, CodecError> {
         let len = self.get_u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| CodecError::Corrupt("string is not UTF-8".into()))
+        std::str::from_utf8(bytes).map_err(|_| CodecError::Corrupt("string is not UTF-8".into()))
+    }
+
+    pub fn get_str(&mut self) -> Result<String, CodecError> {
+        self.get_utf8().map(String::from)
     }
 
     pub fn get_value(&mut self) -> Result<Value, CodecError> {
@@ -228,7 +283,7 @@ impl<'a> ByteReader<'a> {
             1 => Ok(Value::Bool(self.get_bool()?)),
             2 => Ok(Value::Int(self.get_i64()?)),
             3 => Ok(Value::Float(F64(self.get_f64()?))),
-            4 => Ok(Value::Str(Arc::from(self.get_str()?.as_str()))),
+            4 => Ok(Value::Str(Arc::from(self.get_utf8()?))),
             tag => Err(CodecError::Corrupt(format!("value tag {tag}"))),
         }
     }
@@ -236,7 +291,7 @@ impl<'a> ByteReader<'a> {
     pub fn get_source_set(&mut self) -> Result<SourceSet, CodecError> {
         let count = self.get_u16()?;
         let mut prev: Option<u16> = None;
-        let mut ids = Vec::with_capacity(count as usize);
+        let mut set = SourceSet::empty();
         for _ in 0..count {
             let id = self.get_u16()?;
             // Enforce the canonical (ascending, duplicate-free) form so
@@ -245,9 +300,9 @@ impl<'a> ByteReader<'a> {
                 return Err(CodecError::Corrupt("source ids not ascending".into()));
             }
             prev = Some(id);
-            ids.push(SourceId(id));
+            set.insert(SourceId(id));
         }
-        Ok(SourceSet::from_ids(ids))
+        Ok(set)
     }
 
     pub fn get_cell(&mut self) -> Result<Cell, CodecError> {
@@ -266,6 +321,15 @@ impl<'a> ByteReader<'a> {
             return Err(CodecError::Truncated);
         }
         (0..degree).map(|_| self.get_cell()).collect()
+    }
+
+    /// The body of a `Rows` frame: the inverse of [`ByteWriter::put_rows`].
+    pub fn get_rows(&mut self) -> Result<Vec<PolyTuple>, CodecError> {
+        let count = self.get_u32()? as usize;
+        if count > self.remaining() {
+            return Err(CodecError::Truncated);
+        }
+        (0..count).map(|_| self.get_tuple()).collect()
     }
 }
 
@@ -353,19 +417,10 @@ impl FrameReader {
     }
 }
 
-/// Wrap a frame payload (`tag + body`) in its length prefix.
-pub fn prefix_frame(payload: &[u8]) -> Vec<u8> {
-    let len = u32::try_from(payload.len()).expect("frame exceeds u32::MAX");
-    assert!(len > 0 && len <= MAX_FRAME_LEN, "frame length {len}");
-    let mut wire = Vec::with_capacity(4 + payload.len());
-    wire.extend_from_slice(&len.to_le_bytes());
-    wire.extend_from_slice(payload);
-    wire
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Frame;
 
     impl FrameReader {
         /// Bytes held, counting frames returned since the last push: the
@@ -419,6 +474,23 @@ mod tests {
         assert_eq!(w2.into_bytes(), bytes);
     }
 
+    /// The canonical set bytes, pinned: `u16` count, then the ids
+    /// ascending, across both inline words and into the heap spill.
+    #[test]
+    fn source_set_bytes_are_pinned() {
+        let set = SourceSet::from_ids([128, 0, 127, 64, 63].map(SourceId));
+        let mut w = ByteWriter::new();
+        w.put_source_set(&set);
+        let golden = [
+            0x05, 0x00, // count
+            0x00, 0x00, 0x3f, 0x00, 0x40, 0x00, 0x7f, 0x00, 0x80, 0x00,
+        ];
+        assert_eq!(w.into_bytes(), golden);
+        let mut r = ByteReader::new(&golden);
+        assert_eq!(r.get_source_set().unwrap(), set);
+        r.expect_end().unwrap();
+    }
+
     #[test]
     fn truncation_and_corruption_are_errors_not_panics() {
         let mut w = ByteWriter::new();
@@ -442,8 +514,11 @@ mod tests {
 
     #[test]
     fn frame_reader_survives_byte_dribble() {
-        let payload = b"\x07hello frame".to_vec();
-        let wire = prefix_frame(&payload);
+        let wire = Frame::Explain {
+            plan: "hello frame".into(),
+        }
+        .encode();
+        let payload = wire[4..].to_vec();
         let mut reader = FrameReader::new();
         // Push one byte at a time — sync must never be lost.
         for (i, b) in wire.iter().enumerate() {
@@ -465,8 +540,11 @@ mod tests {
     /// is `Closed` on a frame boundary and truncation inside one.
     #[test]
     fn interrupted_reads_are_retried_not_fatal() {
-        let payload = b"\x03interrupt me".to_vec();
-        let wire = prefix_frame(&payload);
+        let wire = Frame::Explain {
+            plan: "interrupt me".into(),
+        }
+        .encode();
+        let payload = wire[4..].to_vec();
         let mut stuttering = Interruptible {
             bytes: wire.clone().into(),
             interrupt_next: true,
@@ -523,12 +601,12 @@ mod tests {
 
     #[test]
     fn two_frames_in_one_read_both_extract() {
-        let a = prefix_frame(b"\x01aa");
-        let b = prefix_frame(b"\x02bbb");
+        let a = Frame::Explain { plan: "aa".into() }.encode();
+        let b = Frame::Stats { text: "bbb".into() }.encode();
         let mut reader = FrameReader::new();
-        reader.push(&[a, b].concat());
-        assert_eq!(reader.next_frame().unwrap(), Some(&b"\x01aa"[..]));
-        assert_eq!(reader.next_frame().unwrap(), Some(&b"\x02bbb"[..]));
+        reader.push(&[a.clone(), b.clone()].concat());
+        assert_eq!(reader.next_frame().unwrap(), Some(&a[4..]));
+        assert_eq!(reader.next_frame().unwrap(), Some(&b[4..]));
         assert_eq!(reader.next_frame().unwrap(), None);
     }
 

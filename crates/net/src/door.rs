@@ -482,7 +482,7 @@ fn observe(service: &QueryService, s: Served, flush_start: Instant, now: Instant
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     //! A seeded simulator: it plays the driver, the worker pool and the
     //! peers against one [`FrontDoor`], in simulated time, and checks
     //! after every schedule that
@@ -513,10 +513,10 @@ mod tests {
     use polygen_workload::{self as workload, WorkloadConfig};
 
     /// splitmix64: a tiny seeded stream, no RNG crate.
-    struct Rng(u64);
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -525,7 +525,7 @@ mod tests {
         }
 
         /// Uniform in `0..n`.
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             (self.next() % n.max(1) as u64) as usize
         }
 

@@ -27,7 +27,7 @@
 //! transport-coded `Error` frame is followed by the server closing the
 //! connection — the stream can no longer be trusted to be in sync.
 
-use crate::codec::{prefix_frame, ByteReader, ByteWriter, CodecError};
+use crate::codec::{ByteReader, ByteWriter, CodecError};
 use polygen_core::relation::PolygenRelation;
 use polygen_core::tuple::PolyTuple;
 use polygen_flat::schema::Schema;
@@ -63,6 +63,20 @@ pub const WIRE_UNEXPECTED_FRAME: u16 = 3;
 /// its cap. The server closes the connection after (best-effort)
 /// sending it — a slow reader costs one socket, never a server thread.
 pub const WIRE_BACKPRESSURE: u16 = 4;
+
+/// The frame tags: part of the wire format, never reused.
+mod tag {
+    pub(super) const HELLO: u8 = 0;
+    pub(super) const QUERY: u8 = 1;
+    pub(super) const SCHEMA: u8 = 2;
+    pub(super) const ROWS: u8 = 3;
+    pub(super) const EXPLAIN: u8 = 4;
+    pub(super) const EMPTY: u8 = 5;
+    pub(super) const ERROR: u8 = 6;
+    pub(super) const SUMMARY: u8 = 7;
+    pub(super) const STATS_REQUEST: u8 = 8;
+    pub(super) const STATS: u8 = 9;
+}
 
 /// One protocol frame. Tags are part of the wire format and never
 /// change meaning.
@@ -134,16 +148,16 @@ impl Frame {
     /// The frame's wire tag.
     pub fn tag(&self) -> u8 {
         match self {
-            Frame::Hello { .. } => 0,
-            Frame::Query { .. } => 1,
-            Frame::Schema { .. } => 2,
-            Frame::Rows { .. } => 3,
-            Frame::Explain { .. } => 4,
-            Frame::Empty => 5,
-            Frame::Error { .. } => 6,
-            Frame::Summary { .. } => 7,
-            Frame::StatsRequest => 8,
-            Frame::Stats { .. } => 9,
+            Frame::Hello { .. } => tag::HELLO,
+            Frame::Query { .. } => tag::QUERY,
+            Frame::Schema { .. } => tag::SCHEMA,
+            Frame::Rows { .. } => tag::ROWS,
+            Frame::Explain { .. } => tag::EXPLAIN,
+            Frame::Empty => tag::EMPTY,
+            Frame::Error { .. } => tag::ERROR,
+            Frame::Summary { .. } => tag::SUMMARY,
+            Frame::StatsRequest => tag::STATS_REQUEST,
+            Frame::Stats { .. } => tag::STATS,
         }
     }
 
@@ -156,10 +170,27 @@ impl Frame {
     }
 
     /// Encode to full wire form: length prefix + tag + body.
+    ///
+    /// Panics on a payload over
+    /// [`MAX_FRAME_LEN`](crate::codec::MAX_FRAME_LEN); the server's
+    /// answer path goes through [`encode_response`], which reports it
+    /// instead.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.put_u8(self.tag());
-        match self {
+        self.encode_into(&mut w)
+            .expect("frame payload within MAX_FRAME_LEN");
+        w.into_bytes()
+    }
+
+    /// Append the full wire form to `w`: the length prefix is reserved,
+    /// the tag and body are written in place, and the prefix is patched
+    /// at the end.
+    ///
+    /// Errors: a payload over
+    /// [`MAX_FRAME_LEN`](crate::codec::MAX_FRAME_LEN) (nothing is
+    /// appended).
+    pub fn encode_into(&self, w: &mut ByteWriter) -> Result<(), CodecError> {
+        put_frame(w, self.tag(), |w| match self {
             Frame::Hello { version } => w.put_u8(*version),
             Frame::Query {
                 lang,
@@ -172,42 +203,17 @@ impl Frame {
                 w.put_bool(*trace);
                 w.put_str(text);
             }
-            Frame::Schema { name, attrs, key } => {
-                w.put_str(name);
-                w.put_u16(u16::try_from(attrs.len()).expect("schema degree exceeds u16"));
-                for a in attrs {
-                    w.put_str(a);
-                }
-                w.put_u16(u16::try_from(key.len()).expect("key width exceeds u16"));
-                for k in key {
-                    w.put_u16(*k);
-                }
-            }
-            Frame::Rows { tuples } => {
-                w.put_u32(u32::try_from(tuples.len()).expect("batch exceeds u32"));
-                for t in tuples {
-                    w.put_tuple(t);
-                }
-            }
+            Frame::Schema { name, attrs, key } => put_schema(w, name, attrs, key.iter().copied()),
+            Frame::Rows { tuples } => w.put_rows(tuples),
             Frame::Explain { plan } => w.put_str(plan),
-            Frame::Empty => {}
+            Frame::Empty | Frame::StatsRequest => {}
             Frame::Error { code, message } => {
                 w.put_u16(*code);
                 w.put_str(message);
             }
-            Frame::Summary { info } => {
-                w.put_str(&info.canonical);
-                w.put_u64(info.fingerprint);
-                w.put_bool(info.plan_hit);
-                w.put_bool(info.result_hit);
-                w.put_bool(info.index_routed);
-                w.put_u64(info.threads as u64);
-                w.put_u64(info.latency_micros);
-            }
-            Frame::StatsRequest => {}
+            Frame::Summary { info } => put_summary(w, info),
             Frame::Stats { text } => w.put_str(text),
-        }
-        prefix_frame(&w.into_bytes())
+        })
     }
 
     /// Decode a frame payload (tag + body, length prefix already
@@ -215,10 +221,10 @@ impl Frame {
     pub fn decode(payload: &[u8]) -> Result<Frame, CodecError> {
         let mut r = ByteReader::new(payload);
         let frame = match r.get_u8()? {
-            0 => Frame::Hello {
+            tag::HELLO => Frame::Hello {
                 version: r.get_u8()?,
             },
-            1 => {
+            tag::QUERY => {
                 let lang_tag = r.get_u8()?;
                 let lang = Lang::from_wire_tag(lang_tag)
                     .ok_or_else(|| CodecError::Corrupt(format!("lang tag {lang_tag}")))?;
@@ -232,7 +238,7 @@ impl Frame {
                     text: r.get_str()?,
                 }
             }
-            2 => {
+            tag::SCHEMA => {
                 let name = r.get_str()?;
                 let n_attrs = r.get_u16()?;
                 let attrs = (0..n_attrs)
@@ -244,23 +250,16 @@ impl Frame {
                     .collect::<Result<Vec<_>, _>>()?;
                 Frame::Schema { name, attrs, key }
             }
-            3 => {
-                let count = r.get_u32()? as usize;
-                if count > r.remaining() {
-                    return Err(CodecError::Truncated);
-                }
-                let tuples = (0..count)
-                    .map(|_| r.get_tuple())
-                    .collect::<Result<Vec<_>, _>>()?;
-                Frame::Rows { tuples }
-            }
-            4 => Frame::Explain { plan: r.get_str()? },
-            5 => Frame::Empty,
-            6 => Frame::Error {
+            tag::ROWS => Frame::Rows {
+                tuples: r.get_rows()?,
+            },
+            tag::EXPLAIN => Frame::Explain { plan: r.get_str()? },
+            tag::EMPTY => Frame::Empty,
+            tag::ERROR => Frame::Error {
                 code: r.get_u16()?,
                 message: r.get_str()?,
             },
-            7 => Frame::Summary {
+            tag::SUMMARY => Frame::Summary {
                 info: ResponseInfo {
                     canonical: r.get_str()?,
                     fingerprint: r.get_u64()?,
@@ -271,13 +270,59 @@ impl Frame {
                     latency_micros: r.get_u64()?,
                 },
             },
-            8 => Frame::StatsRequest,
-            9 => Frame::Stats { text: r.get_str()? },
+            tag::STATS_REQUEST => Frame::StatsRequest,
+            tag::STATS => Frame::Stats { text: r.get_str()? },
             tag => return Err(CodecError::Corrupt(format!("frame tag {tag}"))),
         };
         r.expect_end()?;
         Ok(frame)
     }
+}
+
+/// Write one frame — reserved prefix, `tag`, `body`, patched prefix.
+fn put_frame(
+    w: &mut ByteWriter,
+    tag: u8,
+    body: impl FnOnce(&mut ByteWriter),
+) -> Result<(), CodecError> {
+    let start = w.begin_frame();
+    w.put_u8(tag);
+    body(w);
+    w.end_frame(start)
+}
+
+/// The body of a `Schema` frame, from owned or borrowed names.
+fn put_schema<A: AsRef<str>>(
+    w: &mut ByteWriter,
+    name: &str,
+    attrs: &[A],
+    key: impl ExactSizeIterator<Item = u16>,
+) {
+    w.put_str(name);
+    w.put_u16(u16::try_from(attrs.len()).expect("schema degree exceeds u16"));
+    for a in attrs {
+        w.put_str(a.as_ref());
+    }
+    w.put_u16(u16::try_from(key.len()).expect("key width exceeds u16"));
+    for k in key {
+        w.put_u16(k);
+    }
+}
+
+/// The body of a `Summary` frame.
+fn put_summary(w: &mut ByteWriter, info: &ResponseInfo) {
+    w.put_str(&info.canonical);
+    w.put_u64(info.fingerprint);
+    w.put_bool(info.plan_hit);
+    w.put_bool(info.result_hit);
+    w.put_bool(info.index_routed);
+    w.put_u64(info.threads as u64);
+    w.put_u64(info.latency_micros);
+}
+
+/// A schema key position as the wire's `u16`.
+fn key_index(k: usize) -> u16 {
+    u16::try_from(k).expect("key index exceeds u16")
 }
 
 /// The `Query` frame for a [`Request`].
@@ -320,11 +365,7 @@ pub fn response_frames(response: &Response) -> Vec<Frame> {
             let mut frames = vec![Frame::Schema {
                 name: schema.name().to_string(),
                 attrs: schema.attrs().iter().map(|a| a.to_string()).collect(),
-                key: schema
-                    .key()
-                    .iter()
-                    .map(|&k| u16::try_from(k).expect("key index exceeds u16"))
-                    .collect(),
+                key: schema.key().iter().map(|&k| key_index(k)).collect(),
             }];
             for batch in answer.tuples().chunks(ROW_BATCH) {
                 frames.push(Frame::Rows {
@@ -344,6 +385,38 @@ pub fn response_frames(response: &Response) -> Vec<Frame> {
             message: message.clone(),
         }],
     }
+}
+
+/// Encode a [`Response`]'s whole frame stream into one buffer: exactly
+/// the bytes of [`response_frames`] encoded frame by frame, without
+/// building the frames. `Rows` batches are written from borrowed chunks
+/// of the answer, so a cached relation the workers share is read, never
+/// cloned.
+///
+/// Errors: a frame over [`MAX_FRAME_LEN`](crate::codec::MAX_FRAME_LEN)
+/// — a batch of very wide rows, or one string cell over the cap. The
+/// server answers that request with error 500 instead; the connection
+/// serves on.
+pub fn encode_response(response: &Response) -> Result<Vec<u8>, CodecError> {
+    let Response::Rows { answer, info } = response else {
+        let mut w = ByteWriter::new();
+        for frame in response_frames(response) {
+            frame.encode_into(&mut w)?;
+        }
+        return Ok(w.into_bytes());
+    };
+    // A guess, not a bound: a cell is a datum and two small tag sets.
+    let mut w = ByteWriter::with_capacity(256 + answer.len() * (4 + 20 * answer.degree()));
+    let schema = answer.schema();
+    let key = schema.key().iter().map(|&k| key_index(k));
+    put_frame(&mut w, tag::SCHEMA, |w| {
+        put_schema(w, schema.name(), schema.attrs(), key)
+    })?;
+    for batch in answer.tuples().chunks(ROW_BATCH) {
+        put_frame(&mut w, tag::ROWS, |w| w.put_rows(batch))?;
+    }
+    put_frame(&mut w, tag::SUMMARY, |w| put_summary(w, info))?;
+    Ok(w.into_bytes())
 }
 
 /// Reassemble a [`Response`] from a full frame stream — the inverse of
@@ -409,6 +482,8 @@ pub fn deterministic_bytes(frames: &[Frame]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::MAX_FRAME_LEN;
+    use crate::door::tests::Rng;
     use polygen_core::cell::Cell;
     use polygen_core::source::{SourceId, SourceSet};
     use polygen_flat::value::Value;
@@ -589,6 +664,230 @@ mod tests {
             Frame::decode(&[5, 0]),
             Err(CodecError::Corrupt(_))
         ));
+    }
+
+    /// A multibyte string the corpus carries and the fuzz corrupts.
+    const MULTIBYTE: &str = "héllo ✓ 𝄞";
+
+    /// The tag sets the corpus cycles through: empty, inline (across the
+    /// word boundary) and spilled to the heap. The widest set, up to the
+    /// last id, rides only on each answer's first tuple: a walk over its
+    /// 1 024 words is slow in a debug build.
+    fn corpus_sets() -> [SourceSet; 5] {
+        [
+            SourceSet::empty(),
+            SourceSet::from_ids([0, 63, 64, 127].map(SourceId)),
+            SourceSet::from_ids([5, 128, 1000, 4095].map(SourceId)),
+            SourceSet::singleton(SourceId(2)),
+            SourceSet::from_ids([1, 127, 128, 65535].map(SourceId)),
+        ]
+    }
+
+    /// Every response shape the encoder writes: `Rows` around the batch
+    /// boundary with every value kind (`-0.0`, a NaN payload, empty and
+    /// multibyte strings, `Null`) and every tag-set shape, plus
+    /// `Explain`, `Empty` and `Error`.
+    fn identity_corpus() -> Vec<Response> {
+        let schema = Arc::new(
+            Schema::new("W", &["N", "V"])
+                .unwrap()
+                .with_key(&["N"])
+                .unwrap(),
+        );
+        let sets = corpus_sets();
+        let value = |i: usize| match i % 9 {
+            0 => Value::Null,
+            1 => Value::Bool(i % 2 == 0),
+            2 => Value::int(-7 * i as i64),
+            3 => Value::float(-0.0),
+            4 => Value::float(f64::from_bits(0x7ff8_0000_dead_beef)),
+            5 => Value::str(""),
+            6 => Value::str(MULTIBYTE),
+            7 => Value::float(1.5),
+            _ => Value::str(format!("s{i}")),
+        };
+        let tuple = |i: usize| {
+            vec![
+                Cell::new(
+                    Value::int(i as i64),
+                    sets[i % 4].clone(),
+                    sets[if i == 0 { 4 } else { (i + 1) % 4 }].clone(),
+                ),
+                Cell::new(value(i), sets[(i / 4) % 4].clone(), sets[i % 3].clone()),
+            ]
+        };
+        let mut corpus: Vec<Response> = [0, 1, 255, 256, 257, 513]
+            .into_iter()
+            .map(|n| Response::Rows {
+                answer: Arc::new(
+                    PolygenRelation::from_tuples(Arc::clone(&schema), (0..n).map(tuple).collect())
+                        .unwrap(),
+                ),
+                info: info(),
+            })
+            .collect();
+        corpus.extend([
+            Response::Explain {
+                plan: format!("Project [{MULTIBYTE}]\n  Scan W\n"),
+                info: info(),
+            },
+            Response::Empty,
+            Response::Error {
+                code: ErrorCode::Overloaded,
+                message: format!("busy {MULTIBYTE}"),
+            },
+        ]);
+        corpus
+    }
+
+    /// The one-buffer encoder writes exactly what the frame vocabulary
+    /// says, frame by frame.
+    #[test]
+    fn encode_response_is_the_frames_bytes_concatenated() {
+        for response in identity_corpus() {
+            let frames = response_frames(&response);
+            let want: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+            assert_eq!(
+                encode_response(&response).unwrap(),
+                want,
+                "{} frames",
+                frames.len()
+            );
+        }
+    }
+
+    /// Seeded mutations of the corpus's frames — bit flips, truncations,
+    /// length-prefix edits, swapped source ids, invalid UTF-8 — pushed in
+    /// random pieces through the [`FrameReader`] and into
+    /// [`Frame::decode`]: nothing panics, and whatever still decodes
+    /// re-encodes to exactly the payload it came from.
+    #[test]
+    fn mutated_frames_never_panic_and_decode_canonically() {
+        use crate::codec::FrameReader;
+        let mut frames: Vec<Vec<u8>> = identity_corpus()
+            .iter()
+            .flat_map(response_frames)
+            .map(|f| f.encode())
+            .collect();
+        frames.extend(
+            [
+                Frame::Hello { version: 2 },
+                request_frame(&Request::sql(format!("SELECT '{MULTIBYTE}'"))),
+                Frame::StatsRequest,
+                Frame::Stats {
+                    text: MULTIBYTE.into(),
+                },
+            ]
+            .iter()
+            .map(Frame::encode),
+        );
+        // Byte patterns the targeted mutations look for.
+        let encoded_sets: Vec<Vec<u8>> = corpus_sets()
+            .iter()
+            .filter(|set| set.len() == 4)
+            .map(|set| {
+                let mut w = ByteWriter::new();
+                w.put_source_set(set);
+                w.into_bytes()
+            })
+            .collect();
+        let find = |hay: &[u8], needle: &[u8]| -> Vec<usize> {
+            hay.windows(needle.len())
+                .enumerate()
+                .filter(|(_, w)| *w == needle)
+                .map(|(i, _)| i)
+                .collect()
+        };
+        let check_payload = |payload: &[u8], case: u64| {
+            if let Ok(frame) = Frame::decode(payload) {
+                assert!(
+                    frame.encode()[4..] == *payload,
+                    "case {case}: a tag-{} frame decoded from a payload it does not re-encode to",
+                    frame.tag()
+                );
+            }
+        };
+        let mut decoded = 0;
+        for case in 0..2_000u64 {
+            let mut rng = Rng(case);
+            let mut bytes = frames[rng.below(frames.len())].clone();
+            let flip = |bytes: &mut Vec<u8>, rng: &mut Rng| {
+                let at = rng.below(bytes.len());
+                bytes[at] ^= 1 << rng.below(8);
+            };
+            match case % 5 {
+                0 => {
+                    for _ in 0..1 + rng.below(3) {
+                        flip(&mut bytes, &mut rng);
+                    }
+                }
+                1 => bytes.truncate(rng.below(bytes.len())),
+                2 => {
+                    let len = (bytes.len() - 4) as u32;
+                    let prefix = [
+                        0,
+                        len - 1,
+                        len + 1,
+                        len.wrapping_mul(3),
+                        MAX_FRAME_LEN + 1,
+                        u32::MAX,
+                        rng.next() as u32,
+                    ][rng.below(7)];
+                    bytes[..4].copy_from_slice(&prefix.to_le_bytes());
+                    bytes.extend((0..rng.below(16)).map(|_| rng.next() as u8));
+                }
+                3 => {
+                    let hits: Vec<usize> = encoded_sets
+                        .iter()
+                        .flat_map(|set| find(&bytes, set))
+                        .collect();
+                    if hits.is_empty() {
+                        flip(&mut bytes, &mut rng);
+                    } else {
+                        // Swap two of the four ids (each after the u16 count).
+                        let at = hits[rng.below(hits.len())] + 2;
+                        let (i, j) = (rng.below(4), rng.below(4));
+                        for b in 0..2 {
+                            bytes.swap(at + 2 * i + b, at + 2 * j + b);
+                        }
+                    }
+                }
+                _ => {
+                    let hits = find(&bytes, MULTIBYTE.as_bytes());
+                    if hits.is_empty() {
+                        flip(&mut bytes, &mut rng);
+                    } else {
+                        let at = hits[rng.below(hits.len())] + rng.below(MULTIBYTE.len());
+                        bytes[at] = [0xff, 0xc3, 0x80, 0xed][rng.below(4)];
+                    }
+                }
+            }
+            // The payload on its own, whatever its prefix says; then with
+            // a clean frame after it, as on a live stream.
+            check_payload(&bytes[4.min(bytes.len())..], case);
+            bytes.extend_from_slice(&frames[rng.below(frames.len())]);
+            let mut reader = FrameReader::new();
+            let mut fed = 0;
+            'feed: while fed < bytes.len() {
+                let piece = (1 + rng.below(4096)).min(bytes.len() - fed);
+                reader.push(&bytes[fed..fed + piece]);
+                fed += piece;
+                loop {
+                    match reader.next_frame() {
+                        Ok(Some(payload)) => {
+                            check_payload(payload, case);
+                            decoded += 1;
+                        }
+                        Ok(None) => break,
+                        Err(_) => break 'feed,
+                    }
+                }
+            }
+        }
+        assert!(
+            decoded > 1_000,
+            "only {decoded} frames came out of the reader"
+        );
     }
 
     #[test]

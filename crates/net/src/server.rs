@@ -17,9 +17,10 @@ use crate::door::{
     AcceptDisposition, Action, Completion, FrontDoor, Job, Served, READ_CHUNK, SHUTDOWN_GRACE,
     TOKEN_LISTENER, TOKEN_WAKER,
 };
-use crate::protocol::response_frames;
+use crate::protocol::{encode_response, Frame};
 use crate::sys::{self, AsSockId, Event, Interest, Poller, WakeReceiver, Waker};
 use polygen_obs::trace::Trace;
+use polygen_serve::request::ErrorCode;
 use polygen_serve::service::QueryService;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -209,7 +210,10 @@ fn worker_loop(
     }
 }
 
-/// Execute one job and encode its response frames. A request with
+/// Execute one job and encode its response frames, straight from the
+/// (possibly cached, shared) answer into one buffer. An answer the wire
+/// cannot carry — a frame over the cap — fails this request alone with
+/// error 500; the worker and the connection serve on. A request with
 /// `options.trace` set runs under an enabled recorder: `net/decode` and
 /// `net/queue` from the job's instants, then the service's waterfall;
 /// the recorder rides the completion to the front door, which closes
@@ -222,11 +226,17 @@ pub(crate) fn run_job(service: &QueryService, job: Job) -> Completion {
     };
     trace.record_closed("net/decode", job.decode_start, job.decode_done);
     trace.record_closed("net/queue", job.decode_done, Instant::now());
-    let (response, detail) = service.execute_traced(&job.request, &trace, Some(&job.stats));
-    let mut bytes = Vec::new();
-    for frame in response_frames(&response) {
-        bytes.extend(frame.encode());
-    }
+    let (response, mut detail) = service.execute_traced(&job.request, &trace, Some(&job.stats));
+    let bytes = encode_response(&response).unwrap_or_else(|e| {
+        let code = ErrorCode::Internal;
+        detail.error = Some((code.code(), code.mnemonic()));
+        let message = format!("the answer cannot be sent: {e}");
+        Frame::Error {
+            code: code.code(),
+            message,
+        }
+        .encode()
+    });
     Completion {
         token: job.token,
         bytes,

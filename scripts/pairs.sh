@@ -16,6 +16,13 @@
 # change medians, the change in % of the parent median, how many pairs
 # the change won (ties count for neither) and the parent's interquartile
 # range. A median difference no larger than that IQR reads `unresolved`.
+#
+# Then one `--trace 1` run per side on seed 101 prints every per-layer
+# metric whose unit is `count`, `B` or `hash` — bytes on the wire, frames,
+# rows, script hashes — parent beside change, with `*` marking each that
+# differs. Exact counters should repeat; a mark is information to
+# explain, not a failure.
+#
 # Exits non-zero if any run reports `failed` > 0.
 #
 # The work directory (the exported parent, both target directories and
@@ -73,11 +80,12 @@ done
 
 failures=0
 run() {
-    local side="$1" seed="$2"
+    local side="$1" seed="$2" trace="${3:-0}"
     local out="$dir/runs/$side-$seed"
-    echo "pairs: $side, seed $seed" >&2
+    [ "$trace" = 0 ] || out="$out-traced"
+    echo "pairs: $side, seed $seed, trace $trace" >&2
     CARGO_TARGET_DIR="$dir/target-$side" bash "$(tree_of "$side")/benchmark/run.sh" \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 >"$out.out" || true
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace" >"$out.out" || true
     tail -n 1 "$out.out" >"$out.json"
     if ! jq -e '.failed == 0' "$out.json" >/dev/null 2>&1; then
         echo "pairs: $side seed $seed failed (see $out.out)" >&2
@@ -147,6 +155,19 @@ awk -F '\t' '
     }
     END { if (n) report() }
 ' "$table"
+
+run parent 101 1
+run change 101 1
+echo
+echo "$workload: exact counters, one traced run per side on seed 101 (* = differs)"
+jq -r -n --slurpfile p "$dir/runs/parent-101-traced.json" --slurpfile c "$dir/runs/change-101-traced.json" '
+    ($p[0].metrics // {}) as $pm | ($c[0].metrics // {}) as $cm
+    | ($pm + $cm) | to_entries[]
+    | select(.value.unit == "count" or .value.unit == "B" or .value.unit == "hash")
+    | .key as $k
+    | [$k, .value.unit, ($pm[$k].value // "missing" | tostring), ($cm[$k].value // "missing" | tostring)]
+    | @tsv' 2>/dev/null |
+    awk -F '\t' '{ printf "%-28s %-6s %22s -> %-22s %s\n", $1, $2, $3, $4, ($3 == $4 ? "" : "*") }'
 
 if [ "$failures" -gt 0 ]; then
     echo "pairs: $failures run(s) reported failed > 0" >&2

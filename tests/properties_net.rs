@@ -23,7 +23,7 @@ use polygen::core::cell::Cell;
 use polygen::core::source::{SourceId, SourceSet};
 use polygen::flat::relation::Relation;
 use polygen::flat::value::Value;
-use polygen::net::codec::CodecError;
+use polygen::net::codec::{CodecError, MAX_FRAME_LEN};
 use polygen::net::prelude::*;
 use polygen::net::protocol::request_frame;
 use polygen::serve::prelude::*;
@@ -844,6 +844,62 @@ fn a_panicking_query_answers_500_and_its_connection_serves_on() {
     let answer = response_from_frames(&frames).expect("well-formed stream");
     assert_eq!(answer.rows().map(|r| r.len()), Some(5), "{answer:?}");
     assert_eq!(service.metrics().errors_with_code(ErrorCode::Internal), 1);
+    server.shutdown();
+}
+
+/// An answer the wire cannot carry fails its own request, not the
+/// worker: one string cell just over `MAX_FRAME_LEN` makes a `Rows`
+/// frame too long to send, and the connection gets a single terminal
+/// `Internal` (500) frame, then answers its next request. (Encoding ran
+/// outside the service's panic containment and asserted on the frame
+/// length, so the worker died and the client waited forever.)
+#[test]
+fn an_answer_over_the_frame_cap_answers_500_and_its_connection_serves_on() {
+    let scenario = polygen::catalog::scenario::build();
+    let (service, server) = spawn_server(&scenario, ServeOptions::default());
+    let huge = Value::str("x".repeat(MAX_FRAME_LEN as usize + 1));
+    let relations = scenario
+        .database("CD")
+        .expect("the scenario has CD")
+        .relations
+        .iter()
+        .map(|rel| {
+            if rel.name() != "FIRM" {
+                return rel.clone();
+            }
+            let rows = rel
+                .rows()
+                .iter()
+                .map(|row| {
+                    let mut row = row.clone();
+                    if row[0] == Value::str("Ford") {
+                        row[1] = huge.clone();
+                    }
+                    row
+                })
+                .collect();
+            Relation::from_rows(Arc::clone(rel.schema()), rows).expect("FIRM rows")
+        })
+        .collect();
+    drop(huge);
+    service.update_source_relations("CD", relations);
+    let (mut stream, mut reader) = raw_session(server.addr());
+    let oversized = Request::sql("SELECT ONAME, CEO FROM PORGANIZATION");
+    stream
+        .write_all(&request_frame(&oversized).encode())
+        .expect("query sent");
+    let frames = read_response(&mut stream, &mut reader);
+    assert!(
+        matches!(frames.as_slice(), [Frame::Error { code: 500, .. }]),
+        "{frames:?}"
+    );
+    let healthy = Request::sql("SELECT ANAME FROM PALUMNUS WHERE DEGREE = \"MBA\"");
+    stream
+        .write_all(&request_frame(&healthy).encode())
+        .expect("next query sent");
+    let frames = read_response(&mut stream, &mut reader);
+    let answer = response_from_frames(&frames).expect("well-formed stream");
+    assert_eq!(answer.rows().map(|r| r.len()), Some(5), "{answer:?}");
     server.shutdown();
 }
 
