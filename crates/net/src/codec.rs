@@ -64,13 +64,6 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
-    /// An empty writer with room for `bytes` before it reallocates.
-    pub(crate) fn with_capacity(bytes: usize) -> Self {
-        ByteWriter {
-            buf: Vec::with_capacity(bytes),
-        }
-    }
-
     /// Open a frame: reserve its 4-byte length prefix and return where
     /// it starts, for [`ByteWriter::end_frame`].
     pub(crate) fn begin_frame(&mut self) -> usize {
@@ -184,7 +177,7 @@ impl ByteWriter {
 
     /// `u32 count + tuples` — the body of a `Rows` frame, whether the
     /// tuples are a frame's own or borrowed from a shared answer.
-    pub fn put_rows(&mut self, tuples: &[PolyTuple]) {
+    pub(crate) fn put_rows(&mut self, tuples: &[PolyTuple]) {
         self.put_u32(u32::try_from(tuples.len()).expect("batch exceeds u32::MAX"));
         for tuple in tuples {
             self.put_tuple(tuple);
@@ -324,7 +317,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// The body of a `Rows` frame: the inverse of [`ByteWriter::put_rows`].
-    pub fn get_rows(&mut self) -> Result<Vec<PolyTuple>, CodecError> {
+    pub(crate) fn get_rows(&mut self) -> Result<Vec<PolyTuple>, CodecError> {
         let count = self.get_u32()? as usize;
         if count > self.remaining() {
             return Err(CodecError::Truncated);

@@ -173,8 +173,7 @@ impl Frame {
     ///
     /// Panics on a payload over
     /// [`MAX_FRAME_LEN`](crate::codec::MAX_FRAME_LEN); the server's
-    /// answer path goes through [`encode_response`], which reports it
-    /// instead.
+    /// answer path reports that instead, as error 500.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         self.encode_into(&mut w)
@@ -189,7 +188,7 @@ impl Frame {
     /// Errors: a payload over
     /// [`MAX_FRAME_LEN`](crate::codec::MAX_FRAME_LEN) (nothing is
     /// appended).
-    pub fn encode_into(&self, w: &mut ByteWriter) -> Result<(), CodecError> {
+    pub(crate) fn encode_into(&self, w: &mut ByteWriter) -> Result<(), CodecError> {
         put_frame(w, self.tag(), |w| match self {
             Frame::Hello { version } => w.put_u8(*version),
             Frame::Query {
@@ -397,7 +396,7 @@ pub fn response_frames(response: &Response) -> Vec<Frame> {
 /// — a batch of very wide rows, or one string cell over the cap. The
 /// server answers that request with error 500 instead; the connection
 /// serves on.
-pub fn encode_response(response: &Response) -> Result<Vec<u8>, CodecError> {
+pub(crate) fn encode_response(response: &Response) -> Result<Vec<u8>, CodecError> {
     let Response::Rows { answer, info } = response else {
         let mut w = ByteWriter::new();
         for frame in response_frames(response) {
@@ -405,8 +404,7 @@ pub fn encode_response(response: &Response) -> Result<Vec<u8>, CodecError> {
         }
         return Ok(w.into_bytes());
     };
-    // A guess, not a bound: a cell is a datum and two small tag sets.
-    let mut w = ByteWriter::with_capacity(256 + answer.len() * (4 + 20 * answer.degree()));
+    let mut w = ByteWriter::new();
     let schema = answer.schema();
     let key = schema.key().iter().map(|&k| key_index(k));
     put_frame(&mut w, tag::SCHEMA, |w| {

@@ -17,10 +17,9 @@ use crate::door::{
     AcceptDisposition, Action, Completion, FrontDoor, Job, Served, READ_CHUNK, SHUTDOWN_GRACE,
     TOKEN_LISTENER, TOKEN_WAKER,
 };
-use crate::protocol::{encode_response, Frame};
+use crate::protocol::encode_response;
 use crate::sys::{self, AsSockId, Event, Interest, Poller, WakeReceiver, Waker};
 use polygen_obs::trace::Trace;
-use polygen_serve::request::ErrorCode;
 use polygen_serve::service::QueryService;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -213,11 +212,11 @@ fn worker_loop(
 /// Execute one job and encode its response frames, straight from the
 /// (possibly cached, shared) answer into one buffer. An answer the wire
 /// cannot carry — a frame over the cap — fails this request alone with
-/// error 500; the worker and the connection serve on. A request with
-/// `options.trace` set runs under an enabled recorder: `net/decode` and
-/// `net/queue` from the job's instants, then the service's waterfall;
-/// the recorder rides the completion to the front door, which closes
-/// it with `net/flush`.
+/// error 500, counted by the service like any other failure; the worker
+/// and the connection serve on. A request with `options.trace` set runs
+/// under an enabled recorder: `net/decode` and `net/queue` from the
+/// job's instants, then the service's waterfall; the recorder rides the
+/// completion to the front door, which closes it with `net/flush`.
 pub(crate) fn run_job(service: &QueryService, job: Job) -> Completion {
     let trace = if job.request.options.trace {
         Trace::enabled()
@@ -226,16 +225,8 @@ pub(crate) fn run_job(service: &QueryService, job: Job) -> Completion {
     };
     trace.record_closed("net/decode", job.decode_start, job.decode_done);
     trace.record_closed("net/queue", job.decode_done, Instant::now());
-    let (response, mut detail) = service.execute_traced(&job.request, &trace, Some(&job.stats));
-    let bytes = encode_response(&response).unwrap_or_else(|e| {
-        let code = ErrorCode::Internal;
-        detail.error = Some((code.code(), code.mnemonic()));
-        let message = format!("the answer cannot be sent: {e}");
-        Frame::Error {
-            code: code.code(),
-            message,
-        }
-        .encode()
+    let (bytes, detail) = service.execute_traced(&job.request, &trace, Some(&job.stats), |r| {
+        encode_response(&r).map_err(|e| e.to_string())
     });
     Completion {
         token: job.token,

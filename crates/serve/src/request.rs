@@ -240,7 +240,8 @@ pub enum ErrorCode {
     IndexLqp = 401,
     /// The indexed column does not exist on the relation.
     IndexColumn = 402,
-    /// Serving the request panicked; the panic was contained to it.
+    /// Serving the request panicked, or its answer could not be
+    /// delivered; either way the failure was contained to it.
     Internal = 500,
     /// Admission control shed the query: the service is at capacity
     /// with a full wait queue. Retry later — the overload response is
@@ -340,7 +341,7 @@ impl From<&ServeError> for ErrorCode {
             ServeError::Index(IndexError::UnknownSource(_)) => ErrorCode::IndexUnknownSource,
             ServeError::Index(IndexError::Lqp(_)) => ErrorCode::IndexLqp,
             ServeError::Index(IndexError::Flat(_)) => ErrorCode::IndexColumn,
-            ServeError::Panicked(_) => ErrorCode::Internal,
+            ServeError::Panicked(_) | ServeError::Undeliverable(_) => ErrorCode::Internal,
             ServeError::Overloaded { .. } => ErrorCode::Overloaded,
         }
     }

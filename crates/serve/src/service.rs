@@ -82,6 +82,9 @@ pub enum ServeError {
     /// Serving the request panicked. The panic is contained to this
     /// request: the unwind released its admission slot and threads.
     Panicked(String),
+    /// The transport could not deliver the answer (for the wire, a frame
+    /// over the length cap). It fails this request alone.
+    Undeliverable(String),
 }
 
 impl fmt::Display for ServeError {
@@ -96,6 +99,9 @@ impl fmt::Display for ServeError {
                 "service overloaded: {active} queries executing, {queued} queued"
             ),
             ServeError::Panicked(m) => write!(f, "internal error: the query panicked: {m}"),
+            ServeError::Undeliverable(m) => {
+                write!(f, "internal error: the answer cannot be sent: {m}")
+            }
         }
     }
 }
@@ -577,7 +583,7 @@ impl QueryService {
         } else {
             Trace::disabled()
         };
-        let (response, detail) = self.execute_traced(request, &trace, session);
+        let (response, detail) = self.execute_traced(request, &trace, session, Ok);
         self.observe_slow(&request.text, start.elapsed(), &trace, detail);
         response
     }
@@ -591,12 +597,19 @@ impl QueryService {
     /// its in-flight query while it runs, counted when it finishes — so
     /// an in-process [`Session`] and a wire connection bracket a request
     /// in one place. Tracing never changes results.
-    pub fn execute_traced(
+    ///
+    /// `deliver` turns the response into what the caller sends (an
+    /// in-process caller passes `Ok`; the wire encodes it). An answer it
+    /// cannot deliver is [`ServeError::Undeliverable`]: error 500 for
+    /// this request, counted in the metrics and the session row like any
+    /// other failure. `deliver` must accept every error response.
+    pub fn execute_traced<T>(
         &self,
         request: &Request,
         trace: &Trace,
         session: Option<&SessionStats>,
-    ) -> (Response, QueryDetail) {
+        deliver: impl Fn(Response) -> Result<T, String>,
+    ) -> (T, QueryDetail) {
         if let Some(session) = session {
             session.begin_query(&request.text, request.lang.label());
         }
@@ -609,18 +622,24 @@ impl QueryService {
                 .unwrap_or_else(|payload| {
                     Err(ServeError::Panicked(panic_message(payload.as_ref())))
                 });
+        let (mut rows, mut errored) = (0, false);
+        let delivered = served.and_then(|response| {
+            rows = response.rows().map_or(0, |r| r.len() as u64);
+            errored = response.error_code().is_some();
+            deliver(response).map_err(ServeError::Undeliverable)
+        });
         // Every mode's failures are counted here and nowhere else.
-        let response = served.unwrap_or_else(|e| {
+        let out = delivered.unwrap_or_else(|e| {
             let code = e.code();
             self.metrics.record_failure(code);
             detail.error = Some((code.code(), code.mnemonic()));
-            e.into()
+            (rows, errored) = (0, true);
+            deliver(e.into()).unwrap_or_else(|m| panic!("an error response is undeliverable: {m}"))
         });
         if let Some(session) = session {
-            let rows = response.rows().map_or(0, |r| r.len() as u64);
-            session.finish_query(rows, response.error_code().is_some());
+            session.finish_query(rows, errored);
         }
-        (response, detail)
+        (out, detail)
     }
 
     /// Feed a completed request into the slow-query log, with the detail
@@ -1493,7 +1512,7 @@ mod tests {
         use crate::request::Request;
         let svc = service();
         let trace = Trace::enabled();
-        svc.execute_traced(&Request::sql(PAPER_SQL), &trace, None);
+        svc.execute_traced(&Request::sql(PAPER_SQL), &trace, None, Ok);
         let report = trace.report().unwrap();
         report.well_formed().unwrap();
         assert!(report.span("serve/queue").is_some());

@@ -850,9 +850,10 @@ fn a_panicking_query_answers_500_and_its_connection_serves_on() {
 /// An answer the wire cannot carry fails its own request, not the
 /// worker: one string cell just over `MAX_FRAME_LEN` makes a `Rows`
 /// frame too long to send, and the connection gets a single terminal
-/// `Internal` (500) frame, then answers its next request. (Encoding ran
-/// outside the service's panic containment and asserted on the frame
-/// length, so the worker died and the client waited forever.)
+/// `Internal` (500) frame, counted as a failure, then answers its next
+/// request. (Encoding ran outside the service's panic containment and
+/// asserted on the frame length, so the worker died and the client
+/// waited forever.)
 #[test]
 fn an_answer_over_the_frame_cap_answers_500_and_its_connection_serves_on() {
     let scenario = polygen::catalog::scenario::build();
@@ -900,6 +901,14 @@ fn an_answer_over_the_frame_cap_answers_500_and_its_connection_serves_on() {
     let frames = read_response(&mut stream, &mut reader);
     let answer = response_from_frames(&frames).expect("well-formed stream");
     assert_eq!(answer.rows().map(|r| r.len()), Some(5), "{answer:?}");
+    // The service counts the undelivered answer once, as a failure: in
+    // the metrics and in the connection's session row.
+    assert_eq!(service.metrics().errors_with_code(ErrorCode::Internal), 1);
+    let rows = service.sessions().snapshot();
+    let [session] = rows.as_slice() else {
+        panic!("one live session: {rows:?}");
+    };
+    assert_eq!((session.queries, session.rows, session.errors), (2, 5, 1));
     server.shutdown();
 }
 
