@@ -11,15 +11,16 @@
 //! has one `AID#` column, Table 7 one `ONAME` column whose origin sets are
 //! the unions of the two join attributes' origins.
 
-use crate::algebra::coalesce::{coalesce, coalesce_views, ConflictPolicy};
+use crate::algebra::coalesce::{coalesce, ConflictPolicy};
 use crate::base::{Operand, RowView};
 use crate::cell::Cell;
 use crate::error::PolygenError;
 use crate::relation::PolygenRelation;
 use crate::stream::{scoped_map, ParallelOptions, Partitioner};
-use crate::tuple::{self, PolyTuple};
+use crate::tuple::{self, DataKey, PolyTuple};
 use polygen_flat::schema::Schema;
 use polygen_flat::value::{Cmp, Value};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -205,38 +206,191 @@ pub fn hash_equi_join_coalesced<L: Operand, R: Operand>(
         .map(|(joined, _)| joined)
 }
 
-/// Build one output tuple of the coalesced equi-join: the matched pair
-/// concatenated with the join columns merged into `a[xi]`'s position and
-/// the Restrict-style mediator update applied. Shared by the one-partition
-/// and the split paths so the two can never diverge on emit semantics.
-fn coalesced_join_tuple<'a, 'b>(
-    a: impl RowView<'a>,
-    b: impl RowView<'b>,
+/// How the coalesced equi-join emits a matched pair `(a, b)`: which
+/// output columns it builds, read off the concatenated pair `a ++ b`
+/// (the coalesced key column reads `a[xi]`, the join column `b[yi]` is
+/// never built), and whether rows equal on them collapse into their
+/// first occurrence, as Project's do. The full join is the identity map
+/// without collapse; a join fused with the Project over it keeps only
+/// the projected columns and collapses. One emit for both, and for the
+/// one-partition and the split paths, so none can diverge on emit
+/// semantics.
+struct JoinEmit<'k> {
+    /// Per output column, its position in `a ++ b`.
+    src: &'k [usize],
     xi: usize,
     yi: usize,
-    out: &str,
-) -> Result<PolyTuple, PolygenError> {
-    let merged = coalesce_views(a, xi, b, yi).ok_or_else(|| {
-        // Data equal through θ but not through `==` (Int vs Float):
-        // the reference path's strict coalesce rejects this too.
-        PolygenError::CoalesceConflict {
-            attribute: out.to_string(),
-            left: a.datum(xi).to_string(),
-            right: b.datum(yi).to_string(),
+    collapse: bool,
+    /// The coalesced column's name, for the conflict error.
+    out: &'k str,
+}
+
+/// What one run of a [`JoinEmit`] has built: output rows in order of
+/// first occurrence, the collapse's index over their borrowed data, and
+/// the matched pairs seen (collapsed or not).
+struct Emitted<'k, A, B> {
+    rows: Vec<PolyTuple>,
+    first: HashMap<DataKey<'k, (A, B)>, usize>,
+    pairs: usize,
+}
+
+impl<A, B> Emitted<'_, A, B> {
+    fn new() -> Self {
+        Emitted {
+            rows: Vec::new(),
+            first: HashMap::new(),
+            pairs: 0,
         }
-    })?;
-    let mut t = Vec::with_capacity(a.width() + b.width() - 1);
-    for i in 0..a.width() {
-        t.push(if i == xi { merged.clone() } else { a.cell(i) });
     }
-    for i in 0..b.width() {
-        if i != yi {
-            t.push(b.cell(i));
+}
+
+impl<'k> JoinEmit<'k> {
+    /// Emit the matched pair `(a, b)` with the Restrict-style mediator
+    /// update `a[xi](o) ∪ b[yi](o)` on every cell: as a new output row
+    /// (`true`), or — a duplicate of an earlier row on the projected
+    /// data — by unioning its tags attribute-wise into that row.
+    fn emit<'a, A: RowView<'a>, B: RowView<'a>>(
+        &self,
+        into: &mut Emitted<'k, A, B>,
+        a: A,
+        b: B,
+    ) -> Result<bool, PolygenError> {
+        into.pairs += 1;
+        if a.datum(self.xi) != b.datum(self.yi) {
+            // Data equal through θ but not through `==` (Int vs Float):
+            // the reference path's strict coalesce rejects this too.
+            return Err(PolygenError::CoalesceConflict {
+                attribute: self.out.to_string(),
+                left: a.datum(self.xi).to_string(),
+                right: b.datum(self.yi).to_string(),
+            });
         }
+        let pair = (a, b);
+        let mediators = a.origin(self.xi).union(b.origin(self.yi));
+        // Both unions commute with dropping what the answer drops, so a
+        // cell gets the same tags built once or absorbed later.
+        let finish = |s: usize, cell: &mut Cell| {
+            if s == self.xi {
+                b.absorb_into(self.yi, cell);
+            }
+            cell.add_intermediate(&mediators);
+        };
+        if self.collapse {
+            match into.first.entry(DataKey::of(pair, self.src)) {
+                Entry::Occupied(e) => {
+                    for (cell, &s) in into.rows[*e.get()].iter_mut().zip(self.src) {
+                        pair.absorb_into(s, cell);
+                        finish(s, cell);
+                    }
+                    return Ok(false);
+                }
+                Entry::Vacant(e) => {
+                    e.insert(into.rows.len());
+                }
+            }
+        }
+        let row = self
+            .src
+            .iter()
+            .map(|&s| {
+                let mut cell = pair.cell(s);
+                finish(s, &mut cell);
+                cell
+            })
+            .collect();
+        into.rows.push(row);
+        Ok(true)
     }
-    let mediators = a.origin(xi).union(b.origin(yi));
-    tuple::add_intermediate_all(&mut t, &mediators);
-    Ok(t)
+
+    /// Run the join `p1[xi] = p2[yi]` through this emit at up to `par`
+    /// partitions. Returns the output rows, the partition count it ran
+    /// at and the matched pairs.
+    ///
+    /// Above one partition, both sides hash-split on the join key so
+    /// matching tuples co-locate, each partition builds + probes on a
+    /// scoped worker, and the emits reassemble in probe order — the
+    /// output is byte-identical (tuples, tags *and* order) on every
+    /// partition count. A collapse that keeps the key column is
+    /// partition-local: rows equal on it share a key, hence a
+    /// partition, so each partition's first occurrences are the global
+    /// ones and the probe-index splice orders them. It declines to split
+    /// when an input is empty, when the key columns mix `Int`/`Float`
+    /// data (a `1 = 1.0` match crosses hash partitions exactly like it
+    /// crosses hash buckets — the one-partition rescan handles it,
+    /// partitioning cannot), and when a collapse drops the key column
+    /// (rows of different keys may then collapse together).
+    fn run<'p, L: Operand, R: Operand>(
+        &self,
+        p1: &'p L,
+        p2: &'p R,
+        par: ParallelOptions,
+    ) -> Result<(Vec<PolyTuple>, usize, usize), PolygenError> {
+        let (xi, yi) = (self.xi, self.yi);
+        let partition_local = !self.collapse || self.src.contains(&xi);
+        if !par.is_parallel()
+            || !partition_local
+            || p1.is_empty()
+            || p2.is_empty()
+            || mixed_numeric_keys(p1, xi, p2, yi)
+        {
+            let mut emitted = Emitted::new();
+            probe_equi(p1, xi, p2, yi, &mut |a, b| {
+                self.emit(&mut emitted, a, b).map(drop)
+            })?;
+            return Ok((emitted.rows, 1, emitted.pairs));
+        }
+        let parter = Partitioner::new(par.partitions);
+        // Reference-only split: partitioning pushes row views, never
+        // builds a cell. nil keys never join, so they are dropped here
+        // outright. Each side's key column is hashed in one contiguous
+        // pass (`bucket_indices`), then the scatter loop is plain array
+        // reads.
+        let probe_buckets = parter.bucket_indices(p1.rows().map(|t| t.datum(xi)));
+        let mut probe: Vec<Vec<(usize, L::Row<'p>)>> = (0..parter.partitions())
+            .map(|_| Vec::with_capacity(p1.len() / parter.partitions() + 1))
+            .collect();
+        for ((i, t), &bucket) in p1.rows().enumerate().zip(&probe_buckets) {
+            if !t.datum(xi).is_nil() {
+                probe[bucket].push((i, t));
+            }
+        }
+        let build_buckets = parter.bucket_indices(p2.rows().map(|t| t.datum(yi)));
+        let mut build: Vec<Vec<R::Row<'p>>> = (0..parter.partitions())
+            .map(|_| Vec::with_capacity(p2.len() / parter.partitions() + 1))
+            .collect();
+        for (t, &bucket) in p2.rows().zip(&build_buckets) {
+            if !t.datum(yi).is_nil() {
+                build[bucket].push(t);
+            }
+        }
+        let parts: Vec<_> = probe.into_iter().zip(build).collect();
+        let results = scoped_map(parts, par.threads, |_, (probe, build)| {
+            // Homogeneous keys (the mixed case fell back above): no rescan.
+            let table = EquiTable::build(build.into_iter(), yi, false);
+            let mut emitted = Emitted::new();
+            let mut probe_index: Vec<usize> = Vec::new();
+            for (orig, a) in probe {
+                for b in table.matches(a.datum(xi)) {
+                    if self.emit(&mut emitted, a, b)? {
+                        probe_index.push(orig);
+                    }
+                }
+            }
+            Ok::<_, PolygenError>((probe_index.into_iter().zip(emitted.rows), emitted.pairs))
+        });
+        let mut all: Vec<(usize, PolyTuple)> = Vec::new();
+        let mut pairs = 0;
+        for r in results {
+            let (rows, n) = r?;
+            all.extend(rows);
+            pairs += n;
+        }
+        // Each partition's emits are already in probe order; a stable sort on
+        // the probe index interleaves them back into the sequential order.
+        all.sort_by_key(|(orig, _)| *orig);
+        let rows = all.into_iter().map(|(_, t)| t).collect();
+        Ok((rows, par.partitions, pairs))
+    }
 }
 
 /// Single-pass fused form of [`equi_join_coalesced`] — the physical-plan
@@ -246,14 +400,10 @@ fn coalesced_join_tuple<'a, 'b>(
 /// re-cloning every cell in a separate coalesce pass.
 ///
 /// At one partition (`par` serial) it is one build + probe over the
-/// whole input. Above one, both sides hash-split on the join key so
-/// matching tuples co-locate, each partition builds + probes on a scoped
-/// worker, and the emits reassemble in probe order — the output is
-/// byte-identical (tuples, tags *and* order) on every partition count.
-/// It declines to split when an input is empty or the key columns mix
-/// `Int`/`Float` data (a `1 = 1.0` match crosses hash partitions exactly
-/// like it crosses hash buckets — the one-partition rescan handles it,
-/// partitioning cannot).
+/// whole input; above one it splits by join key and splices the emits
+/// back in probe order, byte-identical on every partition count, and
+/// declines to split when an input is empty or the key columns mix
+/// `Int`/`Float` data.
 ///
 /// Generic over both operand types ([`Operand`]): a late-tagged base
 /// relation on either side is read in place, its cells built once as
@@ -267,61 +417,56 @@ pub fn hash_equi_join_coalesced_partitioned<L: Operand, R: Operand>(
     out: &str,
     par: ParallelOptions,
 ) -> Result<(PolygenRelation, usize), PolygenError> {
+    hash_equi_join_project(p1, p2, x, y, out, None, par).map(|(joined, used, _)| (joined, used))
+}
+
+/// [`hash_equi_join_coalesced_partitioned`], fused with the Project over
+/// it when `project` names the columns to keep: `(p1 [x = y] p2)
+/// [project]` in one pass. Only the projected cells of a first
+/// occurrence are built; a later pair equal on the projected data only
+/// unions its tags in, mediators included. Byte-identical (data, tags,
+/// order, errors) to the join followed by [`crate::algebra::project()`]
+/// at every partition count; it splits like the join, except when the
+/// projection drops the join column.
+///
+/// Returns the output, the partition count it ran at, and the matched
+/// pairs — the rows the join without the Project has.
+pub fn hash_equi_join_project<L: Operand, R: Operand>(
+    p1: &L,
+    p2: &R,
+    x: &str,
+    y: &str,
+    out: &str,
+    project: Option<&[&str]>,
+    par: ParallelOptions,
+) -> Result<(PolygenRelation, usize, usize), PolygenError> {
     let xi = p1.schema().index_of(x)?.0;
     let yi = p2.schema().index_of(y)?.0;
-    let schema = equi_join_coalesced_schema(p1.schema(), p2.schema(), x, y, out)?;
-    if !par.is_parallel() || p1.is_empty() || p2.is_empty() || mixed_numeric_keys(p1, xi, p2, yi) {
-        let mut tuples: Vec<PolyTuple> = Vec::new();
-        probe_equi(p1, xi, p2, yi, &mut |a, b| {
-            tuples.push(coalesced_join_tuple(a, b, xi, yi, out)?);
-            Ok(())
-        })?;
-        return Ok((PolygenRelation::from_tuples(schema, tuples)?, 1));
-    }
-    let parter = Partitioner::new(par.partitions);
-    // Reference-only split: partitioning pushes row views, never builds a
-    // cell. nil keys never join, so they are dropped here outright.
-    // Each side's key column is hashed in one contiguous pass
-    // (`bucket_indices`), then the scatter loop is plain array reads.
-    let probe_buckets = parter.bucket_indices(p1.rows().map(|t| t.datum(xi)));
-    let mut probe: Vec<Vec<(usize, L::Row<'_>)>> = (0..parter.partitions())
-        .map(|_| Vec::with_capacity(p1.len() / parter.partitions() + 1))
+    let mut schema = equi_join_coalesced_schema(p1.schema(), p2.schema(), x, y, out)?;
+    let kept: Vec<usize> = match project {
+        Some(attrs) => {
+            let idx = schema.indices_of(attrs)?;
+            schema = Arc::new(schema.project(&idx, schema.name())?);
+            idx
+        }
+        None => (0..schema.degree()).collect(),
+    };
+    // Output column `k` of the join sits at `k` in `a ++ b`, or one
+    // further on once past `b`'s (dropped) join column.
+    let wa = p1.schema().degree();
+    let src: Vec<usize> = kept
+        .into_iter()
+        .map(|k| if k < wa + yi { k } else { k + 1 })
         .collect();
-    for ((i, t), &bucket) in p1.rows().enumerate().zip(&probe_buckets) {
-        if !t.datum(xi).is_nil() {
-            probe[bucket].push((i, t));
-        }
-    }
-    let build_buckets = parter.bucket_indices(p2.rows().map(|t| t.datum(yi)));
-    let mut build: Vec<Vec<R::Row<'_>>> = (0..parter.partitions())
-        .map(|_| Vec::with_capacity(p2.len() / parter.partitions() + 1))
-        .collect();
-    for (t, &bucket) in p2.rows().zip(&build_buckets) {
-        if !t.datum(yi).is_nil() {
-            build[bucket].push(t);
-        }
-    }
-    let parts: Vec<_> = probe.into_iter().zip(build).collect();
-    let results = scoped_map(parts, par.threads, |_, (probe, build)| {
-        // Homogeneous keys (the mixed case fell back above): no rescan.
-        let table = EquiTable::build(build.into_iter(), yi, false);
-        let mut emitted: Vec<(usize, PolyTuple)> = Vec::new();
-        for (orig, a) in probe {
-            for b in table.matches(a.datum(xi)) {
-                emitted.push((orig, coalesced_join_tuple(a, b, xi, yi, out)?));
-            }
-        }
-        Ok::<_, PolygenError>(emitted)
-    });
-    let mut all: Vec<(usize, PolyTuple)> = Vec::new();
-    for r in results {
-        all.extend(r?);
-    }
-    // Each partition's emits are already in probe order; a stable sort on
-    // the probe index interleaves them back into the sequential order.
-    all.sort_by_key(|(orig, _)| *orig);
-    let joined = PolygenRelation::from_tuples(schema, all.into_iter().map(|(_, t)| t).collect())?;
-    Ok((joined, par.partitions))
+    let emit = JoinEmit {
+        src: &src,
+        xi,
+        yi,
+        collapse: project.is_some(),
+        out,
+    };
+    let (tuples, used, pairs) = emit.run(p1, p2, par)?;
+    Ok((PolygenRelation::from_tuples(schema, tuples)?, used, pairs))
 }
 
 /// Do the two join columns mix `Int` and `Float` data? Only then can an

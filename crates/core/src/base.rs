@@ -95,6 +95,52 @@ impl<'a> RowView<'a> for &'a [Cell] {
     }
 }
 
+/// Two rows read as one, `a ++ b`: positions from `a`'s width on
+/// address `b`. How a join reads a matched pair before it builds any
+/// cell of it.
+impl<'a, A: RowView<'a>, B: RowView<'a>> RowView<'a> for (A, B) {
+    #[inline]
+    fn width(self) -> usize {
+        self.0.width() + self.1.width()
+    }
+    #[inline]
+    fn datum(self, i: usize) -> &'a Value {
+        let w = self.0.width();
+        if i < w {
+            self.0.datum(i)
+        } else {
+            self.1.datum(i - w)
+        }
+    }
+    #[inline]
+    fn origin(self, i: usize) -> &'a SourceSet {
+        let w = self.0.width();
+        if i < w {
+            self.0.origin(i)
+        } else {
+            self.1.origin(i - w)
+        }
+    }
+    #[inline]
+    fn cell(self, i: usize) -> Cell {
+        let w = self.0.width();
+        if i < w {
+            self.0.cell(i)
+        } else {
+            self.1.cell(i - w)
+        }
+    }
+    #[inline]
+    fn absorb_into(self, i: usize, into: &mut Cell) {
+        let w = self.0.width();
+        if i < w {
+            self.0.absorb_into(i, into)
+        } else {
+            self.1.absorb_into(i - w, into)
+        }
+    }
+}
+
 impl Operand for PolygenRelation {
     type Row<'a> = &'a [Cell];
 

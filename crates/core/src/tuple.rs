@@ -5,6 +5,7 @@
 //! cell of attribute `x`. A tuple here is simply a vector of [`Cell`]s —
 //! the schema lives on the relation.
 
+use crate::base::RowView;
 use crate::cell::Cell;
 use crate::source::SourceSet;
 use polygen_flat::value::Value;
@@ -20,28 +21,38 @@ pub fn data_of(tuple: &[Cell]) -> Vec<Value> {
     tuple.iter().map(|c| c.datum.clone()).collect()
 }
 
-/// `t[X](d)` borrowed: a tuple plus the attribute positions `X`. Hashes
+/// `t[X](d)` borrowed: a row plus the attribute positions `X`. Hashes
 /// and compares exactly as the `Vec<Value>` of those datums would
 /// (set-semantics `Value` identity, so `nil = nil` and `1 ≠ 1.0`), but
 /// costs no allocation — the key the duplicate-collapsing operators hash
-/// rows by.
+/// rows by. The row is any [`RowView`]: a tagged tuple, or the pair of
+/// operand rows a fused join has matched but not yet built.
 #[derive(Clone, Copy)]
-pub(crate) struct DataKey<'a> {
-    cells: &'a [Cell],
-    idx: &'a [usize],
+pub(crate) struct DataKey<'k, R = &'k [Cell]> {
+    row: R,
+    idx: &'k [usize],
 }
 
-impl<'a> DataKey<'a> {
-    pub(crate) fn new(cells: &'a [Cell], idx: &'a [usize]) -> Self {
-        DataKey { cells, idx }
-    }
-
-    fn datums(self) -> impl Iterator<Item = &'a Value> {
-        self.idx.iter().map(move |&i| &self.cells[i].datum)
+impl<'k> DataKey<'k> {
+    pub(crate) fn new(cells: &'k [Cell], idx: &'k [usize]) -> Self {
+        DataKey { row: cells, idx }
     }
 }
 
-impl Hash for DataKey<'_> {
+impl<'k, R> DataKey<'k, R> {
+    pub(crate) fn of(row: R, idx: &'k [usize]) -> Self {
+        DataKey { row, idx }
+    }
+
+    fn datums<'a>(&self) -> impl Iterator<Item = &'a Value> + '_
+    where
+        R: RowView<'a>,
+    {
+        self.idx.iter().map(|&i| self.row.datum(i))
+    }
+}
+
+impl<'a, R: RowView<'a>> Hash for DataKey<'_, R> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.idx.len().hash(state);
         for d in self.datums() {
@@ -50,13 +61,13 @@ impl Hash for DataKey<'_> {
     }
 }
 
-impl PartialEq for DataKey<'_> {
+impl<'a, R: RowView<'a>> PartialEq for DataKey<'_, R> {
     fn eq(&self, other: &Self) -> bool {
         self.idx.len() == other.idx.len() && self.datums().eq(other.datums())
     }
 }
 
-impl Eq for DataKey<'_> {}
+impl<'a, R: RowView<'a>> Eq for DataKey<'_, R> {}
 
 /// Project every row onto `idx` and collapse rows equal on the projected
 /// data, unioning tags attribute-wise into the first occurrence, whose

@@ -16,11 +16,13 @@ use polygen_core::base::BaseRelation;
 use polygen_core::relation::PolygenRelation;
 use polygen_flat::schema::Schema;
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// A shared, thread-safe map of LD name → LQP.
 #[derive(Default)]
 pub struct LqpRegistry {
+    /// Poison-tolerant: a write is one map insert, so the map is whole
+    /// wherever a holder can panic.
     lqps: RwLock<HashMap<String, Arc<dyn Lqp>>>,
 }
 
@@ -34,7 +36,7 @@ impl LqpRegistry {
     pub fn register(&self, lqp: Arc<dyn Lqp>) {
         self.lqps
             .write()
-            .expect("lqp registry poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(lqp.name().to_string(), lqp);
     }
 
@@ -42,7 +44,7 @@ impl LqpRegistry {
     pub fn get(&self, name: &str) -> Option<Arc<dyn Lqp>> {
         self.lqps
             .read()
-            .expect("lqp registry poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .get(name)
             .cloned()
     }
@@ -52,7 +54,7 @@ impl LqpRegistry {
         let mut names: Vec<String> = self
             .lqps
             .read()
-            .expect("lqp registry poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .keys()
             .cloned()
             .collect();
@@ -62,12 +64,18 @@ impl LqpRegistry {
 
     /// Number of registered LQPs.
     pub fn len(&self) -> usize {
-        self.lqps.read().expect("lqp registry poisoned").len()
+        self.lqps
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Is the registry empty?
     pub fn is_empty(&self) -> bool {
-        self.lqps.read().expect("lqp registry poisoned").is_empty()
+        self.lqps
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_empty()
     }
 
     /// The schema [`execute_tagged`](Self::execute_tagged) will produce

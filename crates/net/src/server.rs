@@ -26,7 +26,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -100,6 +100,9 @@ impl NetServer {
 
         let stop = Arc::new(AtomicBool::new(false));
         let (job_tx, job_rx) = mpsc::channel::<Job>();
+        // Both locks are poison-tolerant: the job lock guards only a
+        // `recv`, and the completion queue changes by one whole push or
+        // take, so neither holds a half-made state where a holder panics.
         let job_rx = Arc::new(Mutex::new(job_rx));
         let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -194,7 +197,7 @@ fn worker_loop(
 ) {
     loop {
         let job = {
-            let rx = jobs.lock().expect("job queue poisoned");
+            let rx = jobs.lock().unwrap_or_else(PoisonError::into_inner);
             match rx.recv() {
                 Ok(job) => job,
                 Err(_) => return,
@@ -204,7 +207,10 @@ fn worker_loop(
             return;
         }
         let done = run_job(&service, job);
-        completions.lock().expect("completion queue").push(done);
+        completions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(done);
         waker.wake();
     }
 }
@@ -284,7 +290,12 @@ impl Driver {
             // Drain wake bytes before taking completions: a completion
             // pushed after the take brings a wake byte of its own.
             self.wake_rx.drain();
-            let done = std::mem::take(&mut *self.completions.lock().expect("completion queue"));
+            let done = std::mem::take(
+                &mut *self
+                    .completions
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner),
+            );
             for completion in done {
                 self.door.on_completion(completion, Instant::now());
                 self.apply();

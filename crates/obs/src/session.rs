@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// What a session is executing right now.
@@ -33,6 +33,7 @@ pub struct SessionStats {
     queries: AtomicU64,
     rows: AtomicU64,
     errors: AtomicU64,
+    /// Poison-tolerant: a write replaces the whole `Option` at once.
     in_flight: Mutex<Option<InFlight>>,
 }
 
@@ -50,7 +51,10 @@ impl SessionStats {
 
     /// Publish the query this session is about to run.
     pub fn begin_query(&self, text: &str, lang: &'static str) {
-        *self.in_flight.lock().unwrap() = Some(InFlight {
+        *self
+            .in_flight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(InFlight {
             text: text.to_string(),
             lang,
             started: Instant::now(),
@@ -66,7 +70,10 @@ impl SessionStats {
         if errored {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
-        *self.in_flight.lock().unwrap() = None;
+        *self
+            .in_flight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     /// Cumulative queries finished on this session.
@@ -109,6 +116,7 @@ pub struct SessionSnapshot {
 #[derive(Debug, Default)]
 pub struct SessionRegistry {
     next_id: AtomicU64,
+    /// Poison-tolerant: a write is one map insert or remove.
     sessions: Mutex<BTreeMap<u64, Arc<SessionStats>>>,
 }
 
@@ -132,18 +140,27 @@ impl SessionRegistry {
             errors: AtomicU64::new(0),
             in_flight: Mutex::new(None),
         });
-        self.sessions.lock().unwrap().insert(id, Arc::clone(&stats));
+        self.sessions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id, Arc::clone(&stats));
         stats
     }
 
     /// Remove a closed session from the registry.
     pub fn deregister(&self, id: u64) {
-        self.sessions.lock().unwrap().remove(&id);
+        self.sessions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&id);
     }
 
     /// Number of live sessions.
     pub fn len(&self) -> usize {
-        self.sessions.lock().unwrap().len()
+        self.sessions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// True when no session is registered.
@@ -153,7 +170,7 @@ impl SessionRegistry {
 
     /// A point-in-time copy of every live session, ordered by id.
     pub fn snapshot(&self) -> Vec<SessionSnapshot> {
-        let sessions = self.sessions.lock().unwrap();
+        let sessions = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
         sessions
             .values()
             .map(|s| SessionSnapshot {
@@ -163,13 +180,18 @@ impl SessionRegistry {
                 queries: s.queries(),
                 rows: s.rows(),
                 errors: s.errors(),
-                in_flight: s.in_flight.lock().unwrap().as_ref().map(|f| {
-                    (
-                        f.text.clone(),
-                        f.lang,
-                        u64::try_from(f.started.elapsed().as_micros()).unwrap_or(u64::MAX),
-                    )
-                }),
+                in_flight: s
+                    .in_flight
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .as_ref()
+                    .map(|f| {
+                        (
+                            f.text.clone(),
+                            f.lang,
+                            u64::try_from(f.started.elapsed().as_micros()).unwrap_or(u64::MAX),
+                        )
+                    }),
             })
             .collect()
     }

@@ -7,7 +7,7 @@
 
 use crate::trace::Trace;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// Structured facts about one finished query, beyond its total
@@ -43,6 +43,7 @@ struct Entry {
 pub struct SlowQueryLog {
     capacity: usize,
     threshold_micros: u64,
+    /// Poison-tolerant: a write pushes or replaces one whole entry.
     entries: Mutex<Vec<Entry>>,
 }
 
@@ -69,7 +70,7 @@ impl SlowQueryLog {
         if micros < self.threshold_micros {
             return;
         }
-        let mut entries = self.entries.lock().expect("slowlog lock");
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
         if entries.len() < self.capacity {
             entries.push(Entry {
                 query: query.to_string(),
@@ -100,7 +101,7 @@ impl SlowQueryLog {
     /// The current contents, worst first, waterfalls rendered from the
     /// live trace handles (so post-response spans are included).
     pub fn snapshot(&self) -> Vec<SlowQueryReport> {
-        let entries = self.entries.lock().expect("slowlog lock");
+        let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
         let mut reports: Vec<SlowQueryReport> = entries
             .iter()
             .map(|e| SlowQueryReport {

@@ -24,7 +24,7 @@
 
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// A typed span annotation value.
@@ -93,6 +93,8 @@ struct State {
 #[derive(Debug)]
 struct Collector {
     t0: Instant,
+    /// Poison-tolerant: each section appends or updates whole records,
+    /// and a span missing from the open stack reports as unclosed.
     state: Mutex<State>,
 }
 
@@ -135,7 +137,7 @@ impl Trace {
             return SpanId::NONE;
         };
         let start_ns = Self::now_ns(c);
-        let mut st = c.state.lock().expect("trace lock");
+        let mut st = c.state.lock().unwrap_or_else(PoisonError::into_inner);
         let id = u32::try_from(st.spans.len()).unwrap_or(u32::MAX - 1);
         let parent = st.stack.last().copied();
         st.spans.push(SpanRec {
@@ -158,7 +160,7 @@ impl Trace {
             return;
         }
         let end_ns = Self::now_ns(c);
-        let mut st = c.state.lock().expect("trace lock");
+        let mut st = c.state.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(span) = st.spans.get_mut(id.0 as usize) {
             span.end_ns = Some(end_ns);
         }
@@ -175,7 +177,7 @@ impl Trace {
         if id.is_none() {
             return;
         }
-        let mut st = c.state.lock().expect("trace lock");
+        let mut st = c.state.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(span) = st.spans.get_mut(id.0 as usize) {
             span.notes.push((key.to_string(), note));
         }
@@ -194,7 +196,7 @@ impl Trace {
             u64::try_from(t.saturating_duration_since(c.t0).as_nanos()).unwrap_or(u64::MAX)
         };
         let (start_ns, end_ns) = (to_ns(start), to_ns(end).max(to_ns(start)));
-        let mut st = c.state.lock().expect("trace lock");
+        let mut st = c.state.lock().unwrap_or_else(PoisonError::into_inner);
         let id = u32::try_from(st.spans.len()).unwrap_or(u32::MAX - 1);
         st.spans.push(SpanRec {
             name: name.to_string(),
@@ -212,7 +214,7 @@ impl Trace {
     pub fn report(&self) -> Option<TraceReport> {
         let c = self.inner.as_ref()?;
         let now = Self::now_ns(c);
-        let st = c.state.lock().expect("trace lock");
+        let st = c.state.lock().unwrap_or_else(PoisonError::into_inner);
         Some(TraceReport {
             spans: st
                 .spans

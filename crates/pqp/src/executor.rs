@@ -9,8 +9,11 @@
 //! coalesce fused into the emit, and Merge runs as the k-way single-pass
 //! hash merge — both reading leaves in place, so a base cell is first
 //! built when a kernel writes it into its output. Only pipeline breakers
-//! (joins, merges, set operations) materialize relations; nothing else
-//! is retained unless [`PqpOptions::retain_intermediates`] asks for the
+//! (joins, merges, set operations) materialize relations, with one fused
+//! exception: a hash join whose only consumer opens with a Project
+//! ([`PhysicalPlan::fused_join_project`]) runs that Project inside its
+//! emit and materializes the projection, never its own output. Nothing
+//! else is retained unless [`PqpOptions::retain_intermediates`] asks for the
 //! full `R(n)` trace (the golden-table reproduction of §IV's Tables 4–9
 //! does — on leaves tagged eagerly at the boundary, exactly as the
 //! paper prints them).
@@ -34,6 +37,7 @@ use crate::plan::{self, PhysOp, PhysicalPlan, StageKind};
 use crate::pom::{Op, RelRef, Rha};
 use crate::pqp::PqpOptions;
 use polygen_catalog::dictionary::DataDictionary;
+use polygen_core::algebra::join::equi_join_coalesced_schema;
 use polygen_core::algebra::{self, coalesce::ConflictPolicy};
 use polygen_core::base::BaseRelation;
 use polygen_core::batch::ColumnBatch;
@@ -103,13 +107,40 @@ fn apply_stage(s: &mut TupleStream, kind: &StageKind) -> Result<(), PqpError> {
         StageKind::Project { cols, output } => {
             let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
             s.project(&refs)?;
-            if output != cols {
-                let names: Vec<&str> = output.iter().map(String::as_str).collect();
-                s.rename(&names)?;
-            }
+            present(s, cols, output)?;
         }
     }
     Ok(())
+}
+
+/// A Project's presentation: its columns under the names the query
+/// asked for, when they differ from the resolved ones.
+fn present(s: &mut TupleStream, cols: &[String], output: &[String]) -> Result<(), PqpError> {
+    if output != cols {
+        let names: Vec<&str> = output.iter().map(String::as_str).collect();
+        s.rename(&names)?;
+    }
+    Ok(())
+}
+
+/// Fail loudly when node `i` produced a schema other than the one it
+/// was planned with. Planned and runtime schemas are identical by
+/// construction, but the LQP registry has interior mutability:
+/// re-registering an LQP between compile and run would make the baked
+/// plan stale, and resolved columns must not apply to the wrong shape.
+fn check_schema(i: usize, node: &plan::PhysNode, ran: &Schema) -> Result<(), PqpError> {
+    if ran == node.schema.as_ref() {
+        return Ok(());
+    }
+    Err(PqpError::MalformedRow {
+        row: node.row,
+        reason: format!(
+            "stale physical plan at node #{i}: planned schema {:?} diverges from \
+             runtime schema {:?}; recompile after registry changes",
+            node.schema.attrs(),
+            ran.attrs()
+        ),
+    })
 }
 
 /// What a node hands its consumers. Leaves (Scan/IndexScan) stay
@@ -304,6 +335,11 @@ pub fn execute_plan(
         let span = trace.begin(op_span_name(&node.op));
         // The partition count this node's kernel actually ran at.
         let mut fanned = 1;
+        // The rows the node produced, when its slot holds fewer (a join
+        // that ran its consumer's Project), and the schema it ran at,
+        // when its slot holds another.
+        let mut rows: Option<usize> = None;
+        let mut ran_schema: Option<Arc<Schema>> = None;
         let slot = match &node.op {
             PhysOp::Scan { db, op } => leaf(registry.scan(db, op, dictionary)?),
             PhysOp::IndexScan {
@@ -334,6 +370,11 @@ pub fn execute_plan(
                 leaf(index.probe_base(probe))
             }
             PhysOp::Pipeline { input, stages } => {
+                // A join that ran this pipeline's leading Project inside
+                // its emit hands over the projected rows; only the
+                // Project's presentation is left to apply.
+                let fused =
+                    !options.retain_intermediates && plan.fused_join_project(*input).is_some();
                 // The plan says which kernel runs: a batch pipeline
                 // (eligible stages over a leaf) takes the ColumnBatch
                 // kernels with late tag materialization, everything
@@ -385,6 +426,19 @@ pub fn execute_plan(
                             let parts = processed.into_iter().collect::<Result<Vec<_>, _>>()?;
                             s = concat_streams(parts).expect("at least one chunk");
                         }
+                        let rest = match rest.split_first() {
+                            Some((
+                                plan::Stage {
+                                    kind: StageKind::Project { cols, output },
+                                    ..
+                                },
+                                after,
+                            )) if fused => {
+                                present(&mut s, cols, output)?;
+                                after
+                            }
+                            _ => rest,
+                        };
                         for stage in rest {
                             apply_stage(&mut s, &stage.kind)?;
                             // Per-stage retention keeps the trace complete even
@@ -409,14 +463,45 @@ pub fn execute_plan(
                 let l = take(&mut slots, &mut remaining, *left);
                 let r = take(&mut slots, &mut remaining, *right);
                 let run = fan_out(par, l.len() + r.len());
-                use algebra::hash_equi_join_coalesced_partitioned as join;
-                let (joined, used) = match (l, r) {
-                    (Slot::Leaf(l), Slot::Leaf(r)) => join(&l, &r, x, y, out, run)?,
-                    (Slot::Leaf(l), r) => join(&l, &r.into_relation(), x, y, out, run)?,
-                    (l, Slot::Leaf(r)) => join(&l.into_relation(), &r, x, y, out, run)?,
-                    (l, r) => join(&l.into_relation(), &r.into_relation(), x, y, out, run)?,
+                // A join whose only consumer opens with a Project builds
+                // just the projected rows; retention records the join's
+                // own `R(n)`, so it runs the join whole.
+                let project: Option<Vec<&str>> = plan
+                    .fused_join_project(i)
+                    .filter(|_| !options.retain_intermediates)
+                    .map(|cols| cols.iter().map(String::as_str).collect());
+                if project.is_some() {
+                    // The join's own schema never materializes: the stale
+                    // check below reads it, the pipeline's the projection's.
+                    ran_schema = Some(equi_join_coalesced_schema(
+                        l.schema(),
+                        r.schema(),
+                        x,
+                        y,
+                        out,
+                    )?);
+                    if !span.is_none() {
+                        trace.annotate(span, "kernel", Note::str("join+project"));
+                    }
+                }
+                let project = project.as_deref();
+                use algebra::hash_equi_join_project as join;
+                let (joined, used, pairs) = match (l, r) {
+                    (Slot::Leaf(l), Slot::Leaf(r)) => join(&l, &r, x, y, out, project, run)?,
+                    (Slot::Leaf(l), r) => join(&l, &r.into_relation(), x, y, out, project, run)?,
+                    (l, Slot::Leaf(r)) => join(&l.into_relation(), &r, x, y, out, project, run)?,
+                    (l, r) => join(
+                        &l.into_relation(),
+                        &r.into_relation(),
+                        x,
+                        y,
+                        out,
+                        project,
+                        run,
+                    )?,
                 };
                 fanned = used;
+                rows = Some(pairs);
                 Slot::Stream(TupleStream::from_relation(joined))
             }
             PhysOp::ThetaJoin {
@@ -501,7 +586,8 @@ pub fn execute_plan(
         if !span.is_none() {
             trace.annotate(span, "node", Note::Uint(i as u64));
             trace.annotate(span, "row", Note::Uint(node.row as u64));
-            trace.annotate(span, "rows", Note::Uint(slot.len() as u64));
+            let rows = rows.unwrap_or_else(|| slot.len());
+            trace.annotate(span, "rows", Note::Uint(rows as u64));
             // The plan carries no fan-out, so this note is the only
             // record of it: `fan_out` chose it from the input size and
             // the kernel may have declined (EXPLAIN ANALYZE shows `xP`).
@@ -510,21 +596,7 @@ pub fn execute_plan(
             }
             trace.end(span);
         }
-        // Planned and runtime schemas are identical by construction, but
-        // the LQP registry has interior mutability: re-registering an LQP
-        // between compile and run would make the baked plan stale. Fail
-        // loudly instead of applying resolved columns to the wrong shape.
-        if slot.schema().as_ref() != node.schema.as_ref() {
-            return Err(PqpError::MalformedRow {
-                row: node.row,
-                reason: format!(
-                    "stale physical plan at node #{i}: planned schema {:?} diverges from \
-                     runtime schema {:?}; recompile after registry changes",
-                    node.schema.attrs(),
-                    slot.schema().attrs()
-                ),
-            });
-        }
+        check_schema(i, node, ran_schema.as_deref().unwrap_or(slot.schema()))?;
         // Pipelines already recorded themselves stage by stage (the last
         // stage's row IS node.row) — don't materialize a second copy.
         if options.retain_intermediates && !matches!(node.op, PhysOp::Pipeline { .. }) {

@@ -301,6 +301,32 @@ impl PhysicalPlan {
         ) && batch_eligible_stages(stages)
     }
 
+    /// The columns of the Project that HashJoin `i` runs inside its
+    /// emit, if any: the join is not the answer, its only consumer is a
+    /// Pipeline, and that pipeline's stage 0 is a Project. The join then
+    /// builds only the projected columns of each first occurrence and
+    /// unions a duplicate's tags in — Project's collapse and the join's
+    /// tag update are both set unions, so they commute with dropping
+    /// what the answer drops — and the pipeline only renames. Like
+    /// [`PhysicalPlan::is_batch_pipeline`] this reads the plan's shape
+    /// alone; everything it rejects (a join at the root or with two
+    /// consumers, a ThetaJoin, a Select or Restrict before the Project)
+    /// runs the join whole. (Retention mode records the join's own
+    /// `R(n)`, so it never fuses.)
+    pub fn fused_join_project(&self, i: usize) -> Option<&[String]> {
+        if i == self.root || !matches!(self.nodes[i].op, PhysOp::HashJoin { .. }) {
+            return None;
+        }
+        let mut consumers = self.nodes.iter().filter(|n| n.op.inputs().contains(&i));
+        match (consumers.next().map(|n| &n.op), consumers.next()) {
+            (Some(PhysOp::Pipeline { stages, .. }), None) => match &stages.first()?.kind {
+                StageKind::Project { cols, .. } => Some(cols),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
     /// A deterministic structural fingerprint: FNV-1a over the rendered
     /// operator tree plus every node's planned output schema. Two plans
     /// with the same fingerprint execute the same scans, stages,

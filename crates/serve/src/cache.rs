@@ -39,7 +39,7 @@ use polygen_pqp::pqp::CompiledQuery;
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One LRU slot: the value, its recency stamp, and how many times it
 /// has been served (the `sys.cache` relation's per-entry hit column).
@@ -143,6 +143,9 @@ pub struct PlanEntry {
 
 /// Canonical-text → shared compiled plan.
 pub struct PlanCache {
+    /// Poison-tolerant: an entry is wholly in the map or absent (a
+    /// `HashMap` stays valid when an operation unwinds), and a lost
+    /// entry is only a miss.
     inner: Mutex<Lru<Arc<str>, Arc<PlanEntry>>>,
 }
 
@@ -160,7 +163,7 @@ impl PlanCache {
     pub fn get(&self, canonical: &str) -> Option<Arc<PlanEntry>> {
         self.inner
             .lock()
-            .expect("plan cache poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .get(canonical)
             .cloned()
     }
@@ -171,7 +174,7 @@ impl PlanCache {
     pub fn insert(&self, entry: Arc<PlanEntry>) {
         self.inner
             .lock()
-            .expect("plan cache poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(Arc::clone(&entry.canonical), entry);
     }
 
@@ -180,7 +183,7 @@ impl PlanCache {
     pub fn invalidate_source(&self, source: &str) -> usize {
         self.inner
             .lock()
-            .expect("plan cache poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .purge(|_, entry| entry.reads.contains(source))
     }
 
@@ -191,7 +194,7 @@ impl PlanCache {
     pub fn clear(&self) -> usize {
         self.inner
             .lock()
-            .expect("plan cache poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .purge(|_, _| true)
     }
 
@@ -200,7 +203,7 @@ impl PlanCache {
     pub fn entries(&self) -> Vec<Arc<PlanEntry>> {
         self.inner
             .lock()
-            .expect("plan cache poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .map
             .values()
             .map(|slot| Arc::clone(&slot.value))
@@ -212,7 +215,7 @@ impl PlanCache {
     pub fn entries_with_hits(&self) -> Vec<(Arc<PlanEntry>, u64)> {
         self.inner
             .lock()
-            .expect("plan cache poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .map
             .values()
             .map(|slot| (Arc::clone(&slot.value), slot.hits))
@@ -221,7 +224,10 @@ impl PlanCache {
 
     /// Number of cached plans.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("plan cache poisoned").len()
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Is the cache empty?
@@ -245,6 +251,7 @@ pub struct ResultKey {
 
 /// `(plan × source versions)` → shared tagged answer.
 pub struct ResultCache {
+    /// Poison-tolerant, like [`PlanCache`]'s: a lost answer is a miss.
     inner: Mutex<Lru<ResultKey, Arc<PolygenRelation>>>,
 }
 
@@ -260,7 +267,7 @@ impl ResultCache {
     pub fn get(&self, key: &ResultKey) -> Option<Arc<PolygenRelation>> {
         self.inner
             .lock()
-            .expect("result cache poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .get(key)
             .cloned()
     }
@@ -269,7 +276,7 @@ impl ResultCache {
     pub fn insert(&self, key: ResultKey, answer: Arc<PolygenRelation>) {
         self.inner
             .lock()
-            .expect("result cache poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(key, answer);
     }
 
@@ -279,7 +286,7 @@ impl ResultCache {
     pub fn invalidate_source(&self, source: &str) -> usize {
         self.inner
             .lock()
-            .expect("result cache poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .purge(|key, _| key.versions.iter().any(|(s, _)| s == source))
     }
 
@@ -289,7 +296,7 @@ impl ResultCache {
     pub fn entries_with_hits(&self) -> Vec<(ResultKey, u64, usize)> {
         self.inner
             .lock()
-            .expect("result cache poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .map
             .iter()
             .map(|(k, slot)| (k.clone(), slot.hits, slot.value.len()))
@@ -298,12 +305,30 @@ impl ResultCache {
 
     /// Number of cached answers.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("result cache poisoned").len()
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// Poison the lock from a thread that panics holding it.
+#[cfg(test)]
+impl ResultCache {
+    pub(crate) fn poison(&self) {
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _held = self.inner.lock();
+                panic!("a holder of the result-cache lock panics");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(self.inner.is_poisoned());
     }
 }
 

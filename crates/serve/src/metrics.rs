@@ -19,7 +19,7 @@ use polygen_obs::hist::{Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// Live counters owned by the service.
@@ -29,6 +29,7 @@ pub struct ServiceMetrics {
     /// structured replacement for string-matching `Display` output.
     /// Mutex-guarded (not atomic) because errors are off the hot path;
     /// shed queries land here under [`ErrorCode::Overloaded`].
+    /// Poison-tolerant: a write is one counter increment.
     errors_by_code: Mutex<BTreeMap<ErrorCode, u64>>,
     errors: AtomicU64,
     rejected: AtomicU64,
@@ -91,7 +92,10 @@ impl ServiceMetrics {
             &self.errors
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        let mut by_code = self.errors_by_code.lock().expect("metrics map poisoned");
+        let mut by_code = self
+            .errors_by_code
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         *by_code.entry(code).or_insert(0) += 1;
     }
 
@@ -163,7 +167,7 @@ impl ServiceMetrics {
             errors_by_code: self
                 .errors_by_code
                 .lock()
-                .expect("metrics map poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .iter()
                 .map(|(&code, &count)| (code, count))
                 .collect(),

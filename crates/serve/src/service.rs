@@ -57,7 +57,7 @@ use polygen_sql::parse_algebra;
 use std::any::Any;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Service-level errors.
@@ -221,6 +221,9 @@ struct Admission {
     max_concurrent: usize,
     max_queue: usize,
     thread_budget: usize,
+    /// Poison-tolerant: every count moves in one statement, and nothing
+    /// between a paired move can panic (the `observe_*` calls are
+    /// atomic maxima, the wait returns the guard).
     state: Mutex<AdmissionState>,
     freed: Condvar,
 }
@@ -251,7 +254,7 @@ impl Admission {
     }
 
     fn admit(&self, metrics: &ServiceMetrics) -> Result<Permit<'_>, ServeError> {
-        let mut st = self.state.lock().expect("admission state poisoned");
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         // Queue whenever the slots are full *or* earlier arrivals are
         // already waiting — a newcomer must not barge past the queue
         // into a slot a waiter was just woken for.
@@ -265,7 +268,7 @@ impl Admission {
             st.queued += 1;
             metrics.observe_queue_depth(st.queued);
             while st.active >= self.max_concurrent {
-                st = self.freed.wait(st).expect("admission state poisoned");
+                st = self.freed.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
             st.queued -= 1;
         }
@@ -294,7 +297,7 @@ impl Drop for Permit<'_> {
             .admission
             .state
             .lock()
-            .expect("admission state poisoned");
+            .unwrap_or_else(PoisonError::into_inner);
         st.active -= 1;
         st.budget_used -= self.threads;
         drop(st);
@@ -1077,6 +1080,19 @@ mod tests {
 
     fn sql(svc: &QueryService, text: &str) -> (Arc<PolygenRelation>, ResponseInfo) {
         rows(svc, Request::sql(text))
+    }
+
+    /// A panic under the result-cache lock poisons it for good. The
+    /// service recovers the guard, so the next request and every later
+    /// one answer rows instead of error 500.
+    #[test]
+    fn a_poisoned_cache_lock_fails_no_later_request() {
+        let svc = service();
+        svc.result_cache.as_ref().expect("caches are on").poison();
+        for _ in 0..3 {
+            assert_eq!(sql(&svc, PAPER_SQL).0.len(), 3);
+        }
+        assert_eq!(svc.metrics().errors, 0);
     }
 
     #[test]

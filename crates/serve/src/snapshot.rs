@@ -25,7 +25,7 @@ use polygen_lqp::memory::InMemoryLqp;
 use polygen_lqp::registry::LqpRegistry;
 use polygen_lqp::scenario_registry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// A sorted `(source, version)` list — the slice of federation state a
 /// cached result depends on. Sorted so equal dependency sets compare and
@@ -215,6 +215,7 @@ impl FederationSnapshot {
 
 /// The mutable head: an atomically swappable [`FederationSnapshot`].
 pub struct Federation {
+    /// Poison-tolerant: a write swaps the whole `Arc` in one assignment.
     head: RwLock<Arc<FederationSnapshot>>,
 }
 
@@ -234,7 +235,7 @@ impl Federation {
     /// The current snapshot — O(1), two pointer copies under a read
     /// lock. Queries pin the snapshot they start on.
     pub fn snapshot(&self) -> Arc<FederationSnapshot> {
-        Arc::clone(&self.head.read().expect("federation head poisoned"))
+        Arc::clone(&self.head.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Replace (or add) a source's LQP, bumping its version. Returns the
@@ -254,7 +255,7 @@ impl Federation {
             let base = self.snapshot();
             let next = base.with_updated_source(Arc::clone(&lqp));
             let version = next.version_of(&name);
-            let mut head = self.head.write().expect("federation head poisoned");
+            let mut head = self.head.write().unwrap_or_else(PoisonError::into_inner);
             if Arc::ptr_eq(&*head, &base) {
                 *head = Arc::new(next);
                 return version;
@@ -282,7 +283,7 @@ impl Federation {
         loop {
             let base = self.snapshot();
             let next = base.as_ref().clone().with_indexes(specs)?;
-            let mut head = self.head.write().expect("federation head poisoned");
+            let mut head = self.head.write().unwrap_or_else(PoisonError::into_inner);
             if Arc::ptr_eq(&*head, &base) {
                 *head = Arc::new(next);
                 return Ok(());
@@ -305,7 +306,7 @@ impl Federation {
         loop {
             let base = self.snapshot();
             let next = base.with_virtual_source(Arc::clone(&lqp), Arc::clone(&dictionary), version);
-            let mut head = self.head.write().expect("federation head poisoned");
+            let mut head = self.head.write().unwrap_or_else(PoisonError::into_inner);
             if Arc::ptr_eq(&*head, &base) {
                 *head = Arc::new(next);
                 return;

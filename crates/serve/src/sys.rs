@@ -45,7 +45,7 @@ use polygen_obs::session::{SessionRegistry, SessionSnapshot};
 use polygen_obs::slowlog::SlowQueryReport;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The virtual local database name the catalog is registered under.
@@ -378,6 +378,8 @@ pub fn indexes_relation(snapshot: &FederationSnapshot) -> Relation {
 /// and the monotone materialization counter that versions each splice.
 pub struct SysCatalog {
     sessions: Arc<SessionRegistry>,
+    /// Poison-tolerant: a close pushes one whole snapshot before it
+    /// trims, and readers only read.
     stats: Mutex<StatsMarks>,
     materializations: AtomicU64,
 }
@@ -448,7 +450,10 @@ impl SysCatalog {
     /// counters' present values (a scrape boundary is always a window
     /// boundary).
     pub fn advance(&self, metrics: &ServiceMetrics) {
-        self.stats.lock().expect("sys stats lock").close(metrics);
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .close(metrics);
     }
 
     /// `sys.stats` as of now. The current window closes first only if
@@ -457,7 +462,7 @@ impl SysCatalog {
     /// against `sys.stats` returns rows even on a service nobody ever
     /// scrapes.
     pub fn stats(&self, metrics: &ServiceMetrics) -> Relation {
-        let mut stats = self.stats.lock().expect("sys stats lock");
+        let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
         if stats
             .last_close
             .is_none_or(|at| at.elapsed() >= SYS_STATS_TICK)

@@ -21,7 +21,9 @@
 # metric whose unit is `count`, `B` or `hash` — bytes on the wire, frames,
 # rows, script hashes — parent beside change, with `*` marking each that
 # differs. Exact counters should repeat; a mark is information to
-# explain, not a failure.
+# explain, not a failure. The same two runs then print every per-layer
+# `us` and `ratio` metric, parent beside change with the change in % —
+# one run per side, so where a saving sits, not a measurement of it.
 #
 # Exits non-zero if any run reports `failed` > 0.
 #
@@ -168,6 +170,20 @@ jq -r -n --slurpfile p "$dir/runs/parent-101-traced.json" --slurpfile c "$dir/ru
     | [$k, .value.unit, ($pm[$k].value // "missing" | tostring), ($cm[$k].value // "missing" | tostring)]
     | @tsv' 2>/dev/null |
     awk -F '\t' '{ printf "%-28s %-6s %22s -> %-22s %s\n", $1, $2, $3, $4, ($3 == $4 ? "" : "*") }'
+
+echo
+echo "$workload: per-layer times and ratios, the same traced runs (informational)"
+jq -r -n --slurpfile p "$dir/runs/parent-101-traced.json" --slurpfile c "$dir/runs/change-101-traced.json" '
+    ($p[0].metrics // {}) as $pm | ($c[0].metrics // {}) as $cm
+    | ($pm + $cm) | to_entries[]
+    | select(.value.unit == "us" or .value.unit == "ratio")
+    | .key as $k
+    | [$k, .value.unit, ($pm[$k].value // "missing" | tostring), ($cm[$k].value // "missing" | tostring)]
+    | @tsv' 2>/dev/null |
+    awk -F '\t' '{
+        delta = ($3 + 0 != 0 && $3 != "missing" && $4 != "missing") ? sprintf("%+8.1f%%", 100 * ($4 - $3) / $3) : ""
+        printf "%-28s %-6s %14.6g -> %-14.6g %s\n", $1, $2, $3, $4, delta
+    }'
 
 if [ "$failures" -gt 0 ]; then
     echo "pairs: $failures run(s) reported failed > 0" >&2

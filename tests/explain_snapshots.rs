@@ -14,8 +14,9 @@ mod common;
 use polygen::catalog::prelude::scenario;
 use polygen::index::{IndexCatalog, IndexSpec};
 use polygen::lqp::scenario_registry;
+use polygen::obs::trace::Trace;
 use polygen::pqp::prelude::*;
-use polygen::sql::prelude::{parse_algebra, PAPER_EXPRESSION};
+use polygen::sql::prelude::{parse_algebra, AlgebraExpr, PAPER_EXPRESSION};
 use std::sync::Arc;
 
 /// Lower `expr` over the MIT scenario and render the physical plan.
@@ -513,4 +514,109 @@ fn intersect_and_product_plan_serial() {
 #3  Scan[CD] FINANCE  → R(4)
 #4  Product[R(3), R(4)]  → R(5) ◀ answer",
     );
+}
+
+/// Every HashJoin of a plan that runs its consumer's leading Project
+/// inside its emit, with that Project's columns.
+fn fused_pairs(plan: &PhysicalPlan) -> Vec<(usize, Vec<String>)> {
+    (0..plan.nodes.len())
+        .filter_map(|i| plan.fused_join_project(i).map(|cols| (i, cols.to_vec())))
+        .collect()
+}
+
+/// The plan's shape alone decides which joins run their consumer's
+/// Project: a HashJoin whose only consumer is a pipeline opening with
+/// Project. Neither a join at the root, nor one feeding two consumers,
+/// nor one under a Select before the Project fuses.
+#[test]
+fn fused_join_project_follows_the_plan_shape() {
+    let big = polygen::workload::generate(&common::fixtures::small_config(5, 3, 64));
+    let pqp = Pqp::for_scenario(&big);
+    let physical = |expr: AlgebraExpr| pqp.compile(expr).unwrap().physical;
+    let join = physical(parse_algebra(&polygen::workload::queries::join_query(0)).unwrap());
+    let cols = vec!["ENAME".to_string(), "CATEGORY".to_string()];
+    assert_eq!(fused_pairs(&join), vec![(5, cols.clone())]);
+    let sql = polygen::workload::queries::paper_shaped_sql(0);
+    let paper_class = physical(pqp.translate_sql(&sql).unwrap());
+    assert_eq!(fused_pairs(&paper_class), vec![(6, cols)]);
+    for expr in [
+        "(PDETAIL [SCORE >= 0]) [ENAME = ENAME] PENTITY",
+        "(((PDETAIL [SCORE >= 0]) [ENAME = ENAME] PENTITY) [CATEGORY <> \"C1\"]) [ENAME, CATEGORY]",
+        "((PDETAIL [SCORE >= 90]) [ENAME < ENAME] PENTITY) [CATEGORY]",
+    ] {
+        let plan = physical(parse_algebra(expr).unwrap());
+        assert_eq!(
+            fused_pairs(&plan),
+            vec![],
+            "{expr}:\n{}",
+            render_plan(&plan)
+        );
+    }
+    // The join of `join_query` feeding a second pipeline as well.
+    let mut shared = join.clone();
+    let second = shared.nodes[6].clone();
+    shared.nodes.push(second);
+    assert_eq!(fused_pairs(&shared), vec![]);
+}
+
+/// EXPLAIN ANALYZE of a join that runs its consumer's Project reads as
+/// the unfused run did, row counts verbatim: the join's `act=` counts
+/// the pairs it matched, the pipeline the rows it answered. (Both
+/// literals were rendered before the fusion existed.) The join's span
+/// says it ran the Project; a retention run records the join's own
+/// `R(n)` and runs it whole.
+#[test]
+fn analyzed_fused_join_keeps_its_row_counts() {
+    let big = polygen::workload::generate(&common::fixtures::small_config(5, 3, 64));
+    let join = polygen::workload::queries::join_query(0);
+    let leaves = "\
+#0  Scan[S0] DETAIL[DSCORE >= 0]  → R(1)  est=(1500 µs, ~200 rows)  act=(_ µs, 2000 rows)
+#1  Scan[S0] ENTITY_0  → R(2)  est=(700 µs, ~40 rows)  act=(_ µs, 40 rows)
+#2  Scan[S1] ENTITY_1  → R(3)  est=(725 µs, ~45 rows)  act=(_ µs, 45 rows)
+#3  Scan[S2] ENTITY_2  → R(4)  est=(675 µs, ~35 rows)  act=(_ µs, 35 rows)
+";
+    assert_snapshot(
+        &analyzed_text_at(&big, &join, &[], 1),
+        &format!(
+            "{leaves}\
+#4  HashMerge[PENTITY on ENAME, 3-way single pass] over R(2), R(3), R(4)  → R(5)  est=(120 µs, ~120 rows)  act=(_ µs, 64 rows)
+#5  HashJoin[R(1).DNAME = R(5).ENAME, coalesce → ENAME] (build R(5), probe R(1))  → R(6)  est=(320 µs, ~200 rows)  act=(_ µs, 2000 rows)
+#6  Pipeline over R(6) → Project[ENAME, CATEGORY]@R(7)  → R(7) ◀ answer  est=(200 µs, ~200 rows)  act=(_ µs, 64 rows)
+(estimated 4240 µs total, executed in _ µs)"
+        ),
+    );
+    assert_snapshot(
+        &analyzed_text_at(&big, &join, &[], 4),
+        &format!(
+            "{leaves}\
+#4  HashMerge[PENTITY on ENAME, 3-way single pass] over R(2), R(3), R(4)  → R(5)  est=(120 µs, ~120 rows)  act=(_ µs, 64 rows, x4)
+#5  HashJoin[R(1).DNAME = R(5).ENAME, coalesce → ENAME] (build R(5), probe R(1))  → R(6)  est=(320 µs, ~200 rows)  act=(_ µs, 2000 rows, x4)
+#6  Pipeline over R(6) → Project[ENAME, CATEGORY]@R(7)  → R(7) ◀ answer  est=(200 µs, ~200 rows)  act=(_ µs, 64 rows)
+(estimated 4240 µs total, executed in _ µs)"
+        ),
+    );
+    let pqp = Pqp::for_scenario(&big);
+    let plan = pqp.compile(parse_algebra(&join).unwrap()).unwrap().physical;
+    for (retain, kernel) in [(false, Some("join+project")), (true, None)] {
+        let trace = Trace::enabled();
+        let options = PqpOptions {
+            retain_intermediates: retain,
+            ..PqpOptions::default()
+        };
+        execute_plan(
+            &plan,
+            pqp.registry(),
+            pqp.dictionary(),
+            None,
+            &options,
+            &trace,
+        )
+        .unwrap();
+        let report = trace.report().expect("enabled recorder reports");
+        let kernels: Vec<Option<&str>> = report
+            .spans_named("exec/HashJoin")
+            .map(|sp| sp.note_str("kernel"))
+            .collect();
+        assert_eq!(kernels, vec![kernel], "retain_intermediates = {retain}");
+    }
 }

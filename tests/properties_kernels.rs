@@ -14,6 +14,11 @@
 //! each with `nil`. `nil` never joins but collapses with `nil`; `1`
 //! joins `1.0` but never collapses with it; `-0.0` and `0.0` do neither.
 //!
+//! The join fused with the Project over it must equal the nested-loop
+//! join followed by the written collapse, at every partition count, for
+//! projections that keep the join column, drop it, take only right-side
+//! columns or reorder them.
+//!
 //! The hash Merge is one function at every partition count, so its
 //! one-partition path is checked on its own here: against the ONTJ fold
 //! (`algebra::merge`) and, byte for byte, against its own split runs.
@@ -228,6 +233,69 @@ proptest! {
         prop_assert_eq!(semi.tuples(), nested_loop_filter(&a, &b, true).as_slice());
         let anti = algebra::anti_join(&a, &b, "K", "K2").unwrap();
         prop_assert_eq!(anti.tuples(), nested_loop_filter(&a, &b, false).as_slice());
+    }
+
+    /// The join fused with its Project against nested loops followed by
+    /// the written collapse, at P ∈ {1, 2, 4}, byte for byte with order:
+    /// only first occurrences are built and a duplicate's tags (its
+    /// mediators included) union into them. A rejected `1` vs `1.0`
+    /// pair is the unfused path's error, unchanged.
+    #[test]
+    fn fused_join_project_matches_join_then_collapse(
+        a_rows in rows(),
+        b_rows in rows(),
+        domain in 0usize..3,
+    ) {
+        let a = relation("A", ["K", "V"], domain, &a_rows);
+        let b = relation("B", ["K2", "W"], domain, &b_rows);
+        // The coalesced join's columns are `[K, V, W]`.
+        let joined = nested_loop_join(&a, &b);
+        for (attrs, idx) in [
+            (&["K", "W"][..], &[0, 2][..]),
+            (&["V", "W"][..], &[1, 2][..]),
+            (&["V"][..], &[1][..]),
+            (&["W"][..], &[2][..]),
+            (&["W", "K"][..], &[2, 0][..]),
+            (&["K", "V", "W"][..], &[0, 1, 2][..]),
+        ] {
+            let oracle = joined.as_ref().map(|rows| {
+                vec_keyed_collapse(
+                    rows.iter()
+                        .map(|t| idx.iter().map(|&i| t[i].clone()).collect())
+                        .collect(),
+                )
+            });
+            for partitions in [1, 2, 4] {
+                let par = ParallelOptions { threads: partitions, partitions };
+                let fused = algebra::hash_equi_join_project(&a, &b, "K", "K2", "K", Some(attrs), par);
+                let unfused = algebra::hash_equi_join_coalesced_partitioned(&a, &b, "K", "K2", "K", par)
+                    .and_then(|(j, _)| algebra::project(&j, attrs));
+                match (fused, unfused) {
+                    (Ok((fused, used, pairs)), Ok(unfused)) => {
+                        prop_assert_eq!(
+                            Some(fused.tuples().to_vec()),
+                            oracle.clone(),
+                            "{:?} at P = {}", attrs, partitions
+                        );
+                        prop_assert_eq!(fused.schema().attrs(), unfused.schema().attrs());
+                        prop_assert_eq!(Some(pairs), joined.as_ref().map(Vec::len), "matched pairs");
+                        prop_assert!(
+                            used == 1 || attrs.contains(&"K"),
+                            "a collapse without the key ran split: {:?} at P = {}", attrs, partitions
+                        );
+                    }
+                    (Err(fused), Err(unfused)) => {
+                        prop_assert!(oracle.is_none(), "{:?} rejected a joinable pair", attrs);
+                        prop_assert_eq!(fused, unfused, "{:?} at P = {}", attrs, partitions);
+                    }
+                    (fused, unfused) => panic!(
+                        "{attrs:?} at P = {partitions}: fused {:?} vs unfused {:?}",
+                        fused.map(|_| ()),
+                        unfused.map(|_| ())
+                    ),
+                }
+            }
+        }
     }
 
     /// `hash_merge` at P ∈ {1, 2, 4} against the ONTJ fold (tagged-set

@@ -11,7 +11,9 @@
 
 mod common;
 
-use common::fixtures::{assert_parallel_matches, conflicted_config, small_config};
+use common::fixtures::{
+    assert_batch_matches, assert_parallel_matches, compile, conflicted_config, small_config,
+};
 use polygen::catalog::prelude::scenario;
 use polygen::core::algebra::coalesce::ConflictPolicy;
 use polygen::core::algebra::merge::{hash_merge_partitioned, merge};
@@ -19,6 +21,7 @@ use polygen::core::algebra::{equi_join_coalesced, hash_equi_join_coalesced_parti
 use polygen::core::stream::ParallelOptions;
 use polygen::core::{Cell, PolygenRelation, SourceId};
 use polygen::flat::{Schema, Value};
+use polygen::pqp::prelude::{lower_plan, PqpOptions};
 use polygen::sql::prelude::PAPER_EXPRESSION;
 use polygen::workload;
 use proptest::prelude::*;
@@ -231,5 +234,40 @@ fn large_federation_join_and_merge_across_thread_counts() {
             ConflictPolicy::Strict,
             threads,
         );
+    }
+}
+
+/// A join that runs the Project over it answers what the unfused join
+/// and Project do: against the same plan walked in retention mode (no
+/// fusion, byte for byte with order) and the eager interpreter, at
+/// every thread count — for projections that keep the join column,
+/// drop it (the collapse then runs at one partition), reorder, take one
+/// side only, or feed a later stage.
+#[test]
+fn fused_join_project_matches_the_unfused_run_across_thread_counts() {
+    let sc = workload::generate(&small_config(0xfeed, 4, 200));
+    let registry = polygen::lqp::scenario_registry(&sc);
+    let join = "((PDETAIL [SCORE >= 40]) [ENAME = ENAME] PENTITY)";
+    for expr in [
+        format!("{join} [CATEGORY, ENAME]"),
+        format!("{join} [CATEGORY]"),
+        format!("{join} [SCORE, CATEGORY]"),
+        format!("{join} [SCORE]"),
+        format!("({join} [ENAME, CATEGORY]) [CATEGORY <> \"C1\"]"),
+        "((PENTITY [CATEGORY = \"C0\"]) [ENAME = ENAME] PDETAIL) [SCORE]".to_string(),
+    ] {
+        let plan = lower_plan(
+            &compile(&expr, sc.dictionary.schema()),
+            &registry,
+            &sc.dictionary,
+            &PqpOptions::default(),
+        )
+        .unwrap();
+        let fused = (0..plan.nodes.len()).filter(|&i| plan.fused_join_project(i).is_some());
+        assert_eq!(fused.count(), 1, "`{expr}` runs its Project in the join");
+        for threads in THREAD_COUNTS {
+            assert_batch_matches(&sc, &expr, ConflictPolicy::Strict, threads);
+            assert_parallel_matches(&sc, &expr, ConflictPolicy::Strict, threads);
+        }
     }
 }
