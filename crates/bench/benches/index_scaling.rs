@@ -73,18 +73,18 @@ fn scan_vs_probe(g: &mut criterion::BenchmarkGroup<'_>, rows: usize, label: &str
         "route expected: {expr}"
     );
     // Identical answers before we time anything.
-    let a = scan.run_compiled(&scan_plan).unwrap().0;
-    let b = probe.run_compiled(&probe_plan).unwrap().0;
+    let a = scan.run_compiled(&scan_plan).unwrap();
+    let b = probe.run_compiled(&probe_plan).unwrap();
     assert_eq!(a.tuples(), b.tuples(), "scan and probe diverge on {expr}");
     g.bench_with_input(
         BenchmarkId::new(format!("{label}/scan"), rows),
         &(),
-        |b, ()| b.iter(|| scan.run_compiled(black_box(&scan_plan)).unwrap().0.len()),
+        |b, ()| b.iter(|| scan.run_compiled(black_box(&scan_plan)).unwrap().len()),
     );
     g.bench_with_input(
         BenchmarkId::new(format!("{label}/probe"), rows),
         &(),
-        |b, ()| b.iter(|| probe.run_compiled(black_box(&probe_plan)).unwrap().0.len()),
+        |b, ()| b.iter(|| probe.run_compiled(black_box(&probe_plan)).unwrap().len()),
     );
 }
 

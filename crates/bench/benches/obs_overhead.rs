@@ -115,7 +115,16 @@ fn observation_levels(c: &mut Criterion) {
         })
     });
     g.bench_with_input(BenchmarkId::new("analyze", "paper"), &(), |b, ()| {
-        b.iter(|| black_box(pqp.explain_analyze_compiled(black_box(&compiled)).unwrap()))
+        b.iter(|| {
+            let trace = Trace::enabled();
+            pqp.run_compiled_traced(black_box(&compiled), &trace)
+                .unwrap();
+            black_box(render_analyzed_plan(
+                &compiled.physical,
+                pqp.registry(),
+                &trace.report().unwrap_or_default(),
+            ))
+        })
     });
     g.finish();
 }

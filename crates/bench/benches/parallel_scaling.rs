@@ -132,9 +132,9 @@ fn end_to_end_thread_sweep(c: &mut Criterion) {
     let expr = "((PDETAIL [SCORE >= 10]) [ENAME = ENAME] PENTITY) [ENAME, CATEGORY]";
     let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
     let (_, iom) = interpret(&pom, scenario.dictionary.schema()).unwrap();
+    let plan = lower(&iom, &registry, &scenario.dictionary).unwrap();
     for threads in THREADS {
         let options = PqpOptions::default().with_threads(threads);
-        let plan = lower(&iom, &registry, &scenario.dictionary, &options).unwrap();
         g.bench_with_input(
             BenchmarkId::new(format!("t{threads}"), "4x10k"),
             &plan,

@@ -226,17 +226,6 @@ impl PolygenRelation {
             tuples: self.tuples.clone(),
         })
     }
-
-    /// [`PolygenRelation::rename_attrs`], consuming the relation — a
-    /// schema swap with no cell clones (the owned counterpart the
-    /// executor's merge path uses on leaf relations).
-    pub fn into_renamed_attrs(self, mapping: &[&str]) -> Result<PolygenRelation, PolygenError> {
-        let schema = Arc::new(self.schema.relabeled_attrs(mapping)?);
-        Ok(PolygenRelation {
-            schema,
-            tuples: self.tuples,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -65,13 +65,6 @@ impl TupleStream {
         self.tuples.is_empty()
     }
 
-    /// Materialize a relation, leaving the stream intact (cells clone).
-    pub fn to_relation(&self) -> PolygenRelation {
-        let tuples = self.tuples.iter().map(|t| (**t).clone()).collect();
-        PolygenRelation::from_tuples(Arc::clone(&self.schema), tuples)
-            .expect("stream tuples match stream schema")
-    }
-
     /// Materialize a relation, consuming the stream. Uniquely owned
     /// tuples move without cloning; shared ones copy.
     pub fn into_relation(self) -> PolygenRelation {
@@ -526,7 +519,7 @@ mod tests {
         let mut a = s.clone();
         let b = s.clone();
         a.select("DEG", Cmp::Eq, &Value::str("MBA")).unwrap();
-        assert!(b.to_relation().tagged_set_eq(&pristine));
+        assert!(b.into_relation().tagged_set_eq(&pristine));
         // The selected copy did gain the mediator tags.
         let sel = a.into_relation();
         assert!(sel.tuples()[0][2].intermediate.contains(SourceId(0)));
@@ -554,7 +547,7 @@ mod tests {
         for (a, b) in s.tuples.iter().zip(&before) {
             assert!(Arc::ptr_eq(a, b), "tuples reused, not rebuilt");
         }
-        assert_eq!(s.to_relation().tuples(), rel.tuples());
+        assert_eq!(s.into_relation().tuples(), rel.tuples());
         // A duplicate-bearing stream still takes the rebuild + collapse
         // path even when the projection is the identity.
         let mut tuples = rel.clone().into_tuples();
@@ -608,7 +601,11 @@ mod tests {
             let chunks = Partitioner::new(p).chunk_stream(s.clone());
             assert_eq!(chunks.len(), p);
             let back = concat_streams(chunks).unwrap();
-            assert_eq!(back.to_relation().tuples(), rel.tuples(), "order preserved");
+            assert_eq!(
+                back.into_relation().tuples(),
+                rel.tuples(),
+                "order preserved"
+            );
         }
     }
 

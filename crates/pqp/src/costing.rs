@@ -3,18 +3,16 @@
 //! The paper's prototype federated co-located MIT databases with
 //! transatlantic commercial feeds, so the dominant cost is *where* an
 //! operation runs and *how many tuples it ships*, not CPU. This module
-//! estimates both: per-relation statistics come from the LQPs, execution
-//! locations from the IOM, latency from each LQP's
+//! estimates both over the lowered physical plan: per-relation statistics
+//! come from the LQPs, execution locations from the plan's Scan leaves,
+//! latency from each LQP's
 //! [`CostModel`](polygen_lqp::cost::CostModel). Estimates are deliberately
 //! coarse (fixed selectivities, no histograms) — enough to compare plans
 //! and to surface "this plan ships the whole Finsbury feed twice".
 
-use crate::iom::{ExecLoc, Iom, IomRow};
 use crate::plan::{PhysOp, PhysicalPlan, StageKind};
-use crate::pom::{Op, RelRef};
 use polygen_index::Probe;
 use polygen_lqp::registry::LqpRegistry;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Assumed fraction of rows surviving a selection predicate.
@@ -63,40 +61,10 @@ impl fmt::Display for PlanCost {
     }
 }
 
-fn input_rows(r: &RelRef, est: &BTreeMap<usize, f64>) -> f64 {
-    match r {
-        RelRef::Derived(i) => est.get(i).copied().unwrap_or(0.0),
-        RelRef::DerivedList(ids) => ids.iter().map(|i| est.get(i).copied().unwrap_or(0.0)).sum(),
-        _ => 0.0,
-    }
-}
-
-/// Estimate the cost of executing an IOM against a registry.
-pub fn estimate(iom: &Iom, registry: &LqpRegistry) -> PlanCost {
-    let mut est_rows: BTreeMap<usize, f64> = BTreeMap::new();
-    let mut rows = Vec::with_capacity(iom.rows.len());
-    let mut total = 0.0;
-    let mut shipped = 0.0;
-    for row in &iom.rows {
-        let (cost, out_rows) = estimate_row(row, registry, &est_rows);
-        if matches!(row.el, ExecLoc::Lqp(_)) {
-            shipped += out_rows;
-        }
-        est_rows.insert(row.pr, out_rows);
-        rows.push((row.pr, cost, out_rows));
-        total += cost;
-    }
-    PlanCost {
-        total_us: total,
-        tuples_shipped: shipped,
-        rows,
-    }
-}
-
-/// Estimate the cost of a lowered physical plan. Unlike the IOM-level
-/// [`estimate`], this sees the physical strategies: a fused pipeline
-/// inspects its input once regardless of stage count, a hash join
-/// inspects `|L| + |R|`, and the nested-loop θ-join inspects `|L| × |R|`.
+/// Estimate the cost of a lowered physical plan. It sees the physical
+/// strategies: a fused pipeline inspects its input once regardless of
+/// stage count, a hash join inspects `|L| + |R|`, and the nested-loop
+/// θ-join inspects `|L| × |R|`.
 pub fn estimate_physical(plan: &PhysicalPlan, registry: &LqpRegistry) -> PlanCost {
     let mut est: Vec<f64> = Vec::with_capacity(plan.nodes.len());
     let mut rows = Vec::with_capacity(plan.nodes.len());
@@ -111,7 +79,7 @@ pub fn estimate_physical(plan: &PhysicalPlan, registry: &LqpRegistry) -> PlanCos
                 let (cost, out) = scan_estimate(
                     registry,
                     db,
-                    Some(&op.relation),
+                    &op.relation,
                     op.filter.is_some(),
                     op.restrict.is_some(),
                 );
@@ -211,22 +179,17 @@ pub fn estimate_physical(plan: &PhysicalPlan, registry: &LqpRegistry) -> PlanCos
     }
 }
 
-/// Estimated (µs, output rows) of one operation shipped to an LQP —
-/// shared by the IOM and physical estimators so the two can never drift
-/// on base-scan cardinality or latency.
+/// Estimated (µs, output rows) of one operation shipped to an LQP.
 fn scan_estimate(
     registry: &LqpRegistry,
     db: &str,
-    relation: Option<&str>,
+    relation: &str,
     has_filter: bool,
     has_restrict: bool,
 ) -> (f64, f64) {
     let (base_rows, model) = match registry.get(db) {
         Some(lqp) => (
-            relation
-                .and_then(|rel| lqp.stats(rel))
-                .map(|s| s.rows as f64)
-                .unwrap_or(100.0),
+            lqp.stats(relation).map(|s| s.rows as f64).unwrap_or(100.0),
             lqp.cost_model(),
         ),
         None => (100.0, polygen_lqp::cost::CostModel::local()),
@@ -241,55 +204,14 @@ fn scan_estimate(
     (model.op_cost_us(out_rows.ceil() as usize) as f64, out_rows)
 }
 
-fn estimate_row(row: &IomRow, registry: &LqpRegistry, est: &BTreeMap<usize, f64>) -> (f64, f64) {
-    match &row.el {
-        ExecLoc::Lqp(db) => {
-            let relation = match &row.lhr {
-                RelRef::Named(rel) => Some(rel.as_str()),
-                _ => None,
-            };
-            scan_estimate(
-                registry,
-                db,
-                relation,
-                row.op == Op::Select,
-                row.op == Op::Restrict,
-            )
-        }
-        ExecLoc::Pqp => {
-            let left = input_rows(&row.lhr, est);
-            let right = input_rows(&row.rhr, est);
-            let out_rows = match row.op {
-                Op::Select => left * SELECT_SELECTIVITY,
-                Op::Restrict => left * RESTRICT_SELECTIVITY,
-                Op::Project => left,
-                Op::Join => left.max(right) * JOIN_FANOUT,
-                Op::AntiJoin => left * 0.5,
-                Op::Union => left + right,
-                Op::Difference => left * 0.5,
-                Op::Intersect => left.min(right),
-                Op::Product => left * right,
-                Op::Merge => left, // union of key spaces ≤ sum of inputs
-                Op::Retrieve => left,
-            };
-            // CPU cost proportional to the work the operator inspects.
-            let inspected = match row.op {
-                Op::Join | Op::AntiJoin | Op::Intersect => left + right,
-                Op::Product => left * right,
-                Op::Union | Op::Difference => left + right,
-                _ => left,
-            };
-            (inspected * PQP_TUPLE_US, out_rows)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyzer::analyze;
     use crate::interpreter::interpret;
-    use crate::pqp::PqpOptions;
+    use crate::iom::Iom;
+    use crate::plan::lower;
+    use crate::pqp::{Pqp, PqpOptions};
     use polygen_catalog::scenario;
     use polygen_lqp::adapter::MenuDrivenLqp;
     use polygen_lqp::cost::CostModel;
@@ -299,22 +221,27 @@ mod tests {
     use polygen_sql::algebra_expr::{parse_algebra, PAPER_EXPRESSION};
     use std::sync::Arc;
 
-    fn paper_iom() -> Iom {
+    fn iom_of(expr: &str) -> Iom {
         let schema = scenario::polygen_schema();
-        let pom = analyze(&parse_algebra(PAPER_EXPRESSION).unwrap()).unwrap();
+        let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
         interpret(&pom, &schema).unwrap().1
+    }
+
+    fn paper_plan(registry: &LqpRegistry) -> PhysicalPlan {
+        let s = scenario::build();
+        lower(&iom_of(PAPER_EXPRESSION), registry, &s.dictionary).unwrap()
     }
 
     #[test]
     fn estimates_cover_every_row() {
         let s = scenario::build();
         let registry = scenario_registry(&s);
-        let cost = estimate(&paper_iom(), &registry);
-        assert_eq!(cost.rows.len(), 10);
+        let plan = paper_plan(&registry);
+        let cost = estimate_physical(&plan, &registry);
+        assert_eq!(cost.rows.len(), plan.nodes.len());
         assert!(cost.total_us > 0.0);
-        assert!(cost.tuples_shipped > 0.0);
-        // Five LQP rows ship tuples: the MBA select (~0.8 rows est) plus
-        // four full retrieves (9 + 9 + 7 + 10 actual rows).
+        // Five Scan leaves ship tuples: the MBA select (~0.9 rows est)
+        // plus four full retrieves (9 + 9 + 7 + 10 actual rows).
         assert!(cost.tuples_shipped > 30.0, "{}", cost.tuples_shipped);
         let shown = cost.to_string();
         assert!(shown.contains("tuples shipped"));
@@ -324,50 +251,29 @@ mod tests {
     fn physical_estimate_sees_fusion() {
         let s = scenario::build();
         let registry = scenario_registry(&s);
-        let iom = paper_iom();
-        let fused = crate::plan::lower(
-            &iom,
-            &registry,
-            &s.dictionary,
-            &PqpOptions::default().with_threads(1),
-        )
-        .unwrap();
-        let unfused = crate::plan::lower(
-            &iom,
-            &registry,
-            &s.dictionary,
-            &PqpOptions {
-                retain_intermediates: true,
-                ..PqpOptions::default().with_threads(1)
-            },
-        )
-        .unwrap();
-        let cf = estimate_physical(&fused, &registry);
-        let cu = estimate_physical(&unfused, &registry);
-        assert!(cf.rows.len() < cu.rows.len(), "fusion shrinks the plan");
-        assert!(
-            cf.total_us < cu.total_us,
-            "a fused pipeline inspects its input once: {} vs {}",
-            cf.total_us,
-            cu.total_us
-        );
-        assert_eq!(cf.tuples_shipped, cu.tuples_shipped, "shipping unchanged");
+        let plan = paper_plan(&registry);
+        let cost = estimate_physical(&plan, &registry);
+        // The fused Restrict → Project pipeline is charged one pass over
+        // its input, not one per stage.
+        let root = &plan.nodes[plan.root];
+        let PhysOp::Pipeline { input, stages } = &root.op else {
+            panic!("the paper plan ends in a pipeline");
+        };
+        assert_eq!(stages.len(), 2);
+        let inspected = cost.rows[*input].2;
+        assert_eq!(cost.rows[plan.root].1, inspected * PQP_TUPLE_US);
     }
 
     #[test]
     fn estimate_is_equal_across_thread_counts() {
         let s = scenario::build();
-        let registry = scenario_registry(&s);
-        let iom = paper_iom();
         let at = |threads| {
-            let plan = crate::plan::lower(
-                &iom,
-                &registry,
-                &s.dictionary,
-                &PqpOptions::default().with_threads(threads),
-            )
-            .unwrap();
-            estimate_physical(&plan, &registry)
+            let pqp =
+                Pqp::for_scenario(&s).with_options(PqpOptions::default().with_threads(threads));
+            let compiled = pqp
+                .compile(parse_algebra(PAPER_EXPRESSION).unwrap())
+                .unwrap();
+            estimate_physical(&compiled.physical, pqp.registry())
         };
         let serial = at(1);
         for threads in [2, 4, 8] {
@@ -395,9 +301,9 @@ mod tests {
                 remote.register(Arc::new(inner));
             }
         }
-        let iom = paper_iom();
-        let cheap = estimate(&iom, &local);
-        let pricey = estimate(&iom, &remote);
+        let plan = paper_plan(&local);
+        let cheap = estimate_physical(&plan, &local);
+        let pricey = estimate_physical(&plan, &remote);
         assert!(
             pricey.total_us > cheap.total_us * 10.0,
             "remote feed must dominate: {} vs {}",
@@ -411,12 +317,12 @@ mod tests {
         // A self-join ships CAREER twice naive, once optimized.
         let s = scenario::build();
         let registry = scenario_registry(&s);
-        let schema = scenario::polygen_schema();
-        let pom = analyze(&parse_algebra("PCAREER [AID# = AID#] PCAREER").unwrap()).unwrap();
-        let (_, iom) = interpret(&pom, &schema).unwrap();
+        let iom = iom_of("PCAREER [AID# = AID#] PCAREER");
         let (opt, _) = crate::optimizer::optimize(&iom, &registry, &s.dictionary).unwrap();
-        let naive_cost = estimate(&iom, &registry);
-        let opt_cost = estimate(&opt, &registry);
+        let naive = lower(&iom, &registry, &s.dictionary).unwrap();
+        let opt = lower(&opt, &registry, &s.dictionary).unwrap();
+        let naive_cost = estimate_physical(&naive, &registry);
+        let opt_cost = estimate_physical(&opt, &registry);
         assert!(opt_cost.tuples_shipped < naive_cost.tuples_shipped);
         assert!(opt_cost.total_us < naive_cost.total_us);
     }

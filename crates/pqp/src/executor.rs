@@ -13,15 +13,17 @@
 //! exception: a hash join whose only consumer opens with a Project
 //! ([`PhysicalPlan::fused_join_project`]) runs that Project inside its
 //! emit and materializes the projection, never its own output. Nothing
-//! else is retained unless [`PqpOptions::retain_intermediates`] asks for the
-//! full `R(n)` trace (the golden-table reproduction of §IV's Tables 4–9
-//! does — on leaves tagged eagerly at the boundary, exactly as the
-//! paper prints them).
+//! else is retained: the walk returns the answer alone.
 //!
 //! The paper-faithful row-by-row interpreter survives as
 //! [`execute_eager`]: it materializes every `R(n)` eagerly with the
-//! reference algebra, and the physical engine is differential-tested
-//! against it (`tests/properties_executor.rs`).
+//! reference algebra, on leaves tagged at the boundary exactly as the
+//! paper prints them, and returns them all in an [`ExecutionTrace`] —
+//! the golden-table reproduction of §IV's Tables 4–8 reads them there.
+//! It is the order-exact reference the physical engine is
+//! differential-tested against (`tests/properties_executor.rs`): every
+//! prefix of an IOM, run on the physical engine, answers eager's `R(n)`
+//! byte for byte.
 //!
 //! ## Attribute-name resolution
 //!
@@ -59,12 +61,11 @@ use std::sync::Arc;
 /// the sequential ones.
 const PARALLEL_MIN_TUPLES: usize = 32;
 
-/// The per-row results of one execution — the golden tests read Tables
-/// 4–9 out of this (with [`PqpOptions::retain_intermediates`] set).
+/// Every per-row result of one [`execute_eager`] run — the golden tests
+/// read Tables 4–8 out of this.
 #[derive(Debug, Clone)]
 pub struct ExecutionTrace {
-    /// `R(n)` → materialized relation: every row when retention is on,
-    /// only the final row otherwise.
+    /// `R(n)` → materialized relation, for every row of the IOM.
     pub results: BTreeMap<usize, PolygenRelation>,
 }
 
@@ -87,14 +88,14 @@ pub fn resolve_attr(
 }
 
 /// Execute an IOM on the physical-plan engine; returns the final
-/// relation and the trace (see [`PqpOptions::retain_intermediates`]).
+/// relation.
 pub fn execute(
     iom: &Iom,
     registry: &LqpRegistry,
     dictionary: &DataDictionary,
     options: &PqpOptions,
-) -> Result<(PolygenRelation, ExecutionTrace), PqpError> {
-    let plan = plan::lower(iom, registry, dictionary, options)?;
+) -> Result<PolygenRelation, PqpError> {
+    let plan = plan::lower(iom, registry, dictionary)?;
     let trace = Trace::disabled();
     execute_plan(&plan, registry, dictionary, None, options, &trace)
 }
@@ -148,8 +149,7 @@ fn check_schema(i: usize, node: &plan::PhysNode, ran: &Schema) -> Result<(), Pqp
 /// any number of consumers may take it: a pipeline lifts it into a
 /// `ColumnBatch` with uniform tag columns, hash joins and merges read it
 /// in place, and everything else materializes it. Every interior node
-/// (and, in retention mode, every leaf) flows as a [`Slot::Stream`] of
-/// `Arc`-shared tuples.
+/// flows as a [`Slot::Stream`] of `Arc`-shared tuples.
 #[derive(Clone)]
 enum Slot {
     Leaf(BaseRelation),
@@ -172,24 +172,10 @@ impl Slot {
         }
     }
 
-    fn as_leaf(&self) -> Option<&BaseRelation> {
-        match self {
-            Slot::Leaf(b) => Some(b),
-            Slot::Stream(_) => None,
-        }
-    }
-
     fn into_relation(self) -> PolygenRelation {
         match self {
             Slot::Leaf(b) => b.materialize(),
             Slot::Stream(s) => s.into_relation(),
-        }
-    }
-
-    fn to_relation(&self) -> PolygenRelation {
-        match self {
-            Slot::Leaf(b) => b.materialize(),
-            Slot::Stream(s) => s.to_relation(),
         }
     }
 
@@ -298,7 +284,7 @@ pub fn execute_plan(
     indexes: Option<&IndexCatalog>,
     options: &PqpOptions,
     trace: &Trace,
-) -> Result<(PolygenRelation, ExecutionTrace), PqpError> {
+) -> Result<PolygenRelation, PqpError> {
     let n = plan.nodes.len();
     let par = options.parallelism();
     // Remaining consumers per node; the last consumer takes the slot,
@@ -312,23 +298,12 @@ pub fn execute_plan(
     }
     remaining[plan.root] += 1;
     let mut slots: Vec<Option<Slot>> = (0..n).map(|_| None).collect();
-    let mut results: BTreeMap<usize, PolygenRelation> = BTreeMap::new();
     let take = |slots: &mut Vec<Option<Slot>>, remaining: &mut Vec<usize>, i: usize| {
         remaining[i] -= 1;
         if remaining[i] == 0 {
             slots[i].take().expect("plan is topologically ordered")
         } else {
             slots[i].clone().expect("plan is topologically ordered")
-        }
-    };
-    // Retention mode tags leaves eagerly at the boundary (the golden
-    // tables print them so) and records everything stream-wise;
-    // production leaves stay late-tagged.
-    let leaf = |base: BaseRelation| {
-        if options.retain_intermediates {
-            Slot::Stream(TupleStream::from_relation(base.materialize()))
-        } else {
-            Slot::Leaf(base)
         }
     };
     for (i, node) in plan.nodes.iter().enumerate() {
@@ -341,7 +316,7 @@ pub fn execute_plan(
         let mut rows: Option<usize> = None;
         let mut ran_schema: Option<Arc<Schema>> = None;
         let slot = match &node.op {
-            PhysOp::Scan { db, op } => leaf(registry.scan(db, op, dictionary)?),
+            PhysOp::Scan { db, op } => Slot::Leaf(registry.scan(db, op, dictionary)?),
             PhysOp::IndexScan {
                 db,
                 relation,
@@ -367,20 +342,17 @@ pub fn execute_plan(
                              {db}.{relation}.{column}; recompile against the current catalog"
                             ),
                         })?;
-                leaf(index.probe_base(probe))
+                Slot::Leaf(index.probe_base(probe))
             }
             PhysOp::Pipeline { input, stages } => {
                 // A join that ran this pipeline's leading Project inside
                 // its emit hands over the projected rows; only the
                 // Project's presentation is left to apply.
-                let fused =
-                    !options.retain_intermediates && plan.fused_join_project(*input).is_some();
+                let fused = plan.fused_join_project(*input).is_some();
                 // The plan says which kernel runs: a batch pipeline
                 // (eligible stages over a leaf) takes the ColumnBatch
                 // kernels with late tag materialization, everything
-                // else the row walk below. Retention mode has no
-                // late-tagged leaves and records per-stage tables, so
-                // its slots are never `Leaf` and it always walks rows.
+                // else the row walk below.
                 match take(&mut slots, &mut remaining, *input) {
                     Slot::Leaf(base) if plan.is_batch_pipeline(i) => {
                         if !span.is_none() {
@@ -396,16 +368,11 @@ pub fn execute_plan(
                         }
                         // Tuple-local prefix (cut at the first Project, whose
                         // duplicate collapse is a whole-stream operation), then
-                        // the rest on the much smaller stream. Retention mode
-                        // records every stage, so it keeps the all-stream walk.
-                        let cut = if options.retain_intermediates {
-                            0
-                        } else {
-                            stages
-                                .iter()
-                                .position(|st| matches!(st.kind, StageKind::Project { .. }))
-                                .unwrap_or(stages.len())
-                        };
+                        // the rest on the much smaller stream.
+                        let cut = stages
+                            .iter()
+                            .position(|st| matches!(st.kind, StageKind::Project { .. }))
+                            .unwrap_or(stages.len());
                         let (prefix, rest) = stages.split_at(cut);
                         let mut s = input_slot.into_stream();
                         if !prefix.is_empty() {
@@ -441,11 +408,6 @@ pub fn execute_plan(
                         };
                         for stage in rest {
                             apply_stage(&mut s, &stage.kind)?;
-                            // Per-stage retention keeps the trace complete even
-                            // when the caller hands us a *fused* plan.
-                            if options.retain_intermediates {
-                                results.insert(stage.row, s.to_relation());
-                            }
                         }
                         Slot::Stream(s)
                     }
@@ -464,11 +426,9 @@ pub fn execute_plan(
                 let r = take(&mut slots, &mut remaining, *right);
                 let run = fan_out(par, l.len() + r.len());
                 // A join whose only consumer opens with a Project builds
-                // just the projected rows; retention records the join's
-                // own `R(n)`, so it runs the join whole.
+                // just the projected rows.
                 let project: Option<Vec<&str>> = plan
                     .fused_join_project(i)
-                    .filter(|_| !options.retain_intermediates)
                     .map(|cols| cols.iter().map(String::as_str).collect());
                 if project.is_some() {
                     // The join's own schema never materializes: the stale
@@ -530,28 +490,25 @@ pub fn execute_plan(
                 let run = fan_out(par, taken.iter().map(Slot::len).sum());
                 let policy = options.conflict_policy;
                 let names = |k: usize| relabels[k].iter().map(String::as_str).collect::<Vec<_>>();
-                // Relabeling is a schema swap on either carrier — no
-                // cell copies. Merge operands are always leaves, so in
-                // production they are read in place.
-                let leaves: Option<Vec<&BaseRelation>> = taken.iter().map(Slot::as_leaf).collect();
-                let (merged, _conflicts, used) = match leaves {
-                    Some(leaves) => {
-                        let operands = leaves
-                            .iter()
-                            .enumerate()
-                            .map(|(k, b)| b.rename_attrs(&names(k)))
-                            .collect::<Result<Vec<_>, _>>()?;
-                        algebra::hash_merge_partitioned(&operands, key, policy, run)?
-                    }
-                    None => {
-                        let operands = taken
-                            .into_iter()
-                            .enumerate()
-                            .map(|(k, slot)| slot.into_relation().into_renamed_attrs(&names(k)))
-                            .collect::<Result<Vec<_>, _>>()?;
-                        algebra::hash_merge_partitioned(&operands, key, policy, run)?
-                    }
-                };
+                // Every merge operand is a base retrieve (lowering rejects
+                // anything else), so it arrives as a leaf and is read in
+                // place; relabeling is a schema swap — no cell copies.
+                let operands = taken
+                    .iter()
+                    .enumerate()
+                    .map(|(k, slot)| match slot {
+                        Slot::Leaf(b) => Ok(b.rename_attrs(&names(k))?),
+                        Slot::Stream(_) => Err(PqpError::MalformedRow {
+                            row: node.row,
+                            reason: format!(
+                                "Merge input R({}) is not a base retrieve",
+                                plan.nodes[inputs[k]].row
+                            ),
+                        }),
+                    })
+                    .collect::<Result<Vec<_>, PqpError>>()?;
+                let (merged, _conflicts, used) =
+                    algebra::hash_merge_partitioned(&operands, key, policy, run)?;
                 fanned = used;
                 Slot::Stream(TupleStream::from_relation(merged))
             }
@@ -597,20 +554,12 @@ pub fn execute_plan(
             trace.end(span);
         }
         check_schema(i, node, ran_schema.as_deref().unwrap_or(slot.schema()))?;
-        // Pipelines already recorded themselves stage by stage (the last
-        // stage's row IS node.row) — don't materialize a second copy.
-        if options.retain_intermediates && !matches!(node.op, PhysOp::Pipeline { .. }) {
-            results.insert(node.row, slot.to_relation());
-        }
         slots[i] = Some(slot);
     }
-    let root = &plan.nodes[plan.root];
-    let answer = slots[plan.root]
+    Ok(slots[plan.root]
         .take()
         .expect("root evaluated")
-        .into_relation();
-    results.entry(root.row).or_insert_with(|| answer.clone());
-    Ok((answer, ExecutionTrace { results }))
+        .into_relation())
 }
 
 // ---------------------------------------------------------------------
@@ -909,7 +858,7 @@ impl Executor<'_> {
 }
 
 /// Execute an IOM row by row with the eager reference algebra; returns
-/// the final relation and the full per-row trace (always retained).
+/// the final relation and every `R(n)` in an [`ExecutionTrace`].
 pub fn execute_eager(
     iom: &Iom,
     registry: &LqpRegistry,
@@ -960,26 +909,23 @@ mod tests {
     use polygen_catalog::scenario;
     use polygen_flat::value::Value;
     use polygen_lqp::scenario_registry;
-    use polygen_sql::algebra_expr::parse_algebra;
+    use polygen_sql::algebra_expr::{parse_algebra, PAPER_EXPRESSION};
 
-    fn retained() -> PqpOptions {
-        PqpOptions {
-            retain_intermediates: true,
-            ..PqpOptions::default()
-        }
+    fn iom_of(expr: &str, s: &scenario::Scenario) -> Iom {
+        let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
+        interpret(&pom, s.dictionary.schema()).unwrap().1
     }
 
-    fn run(expr: &str) -> (PolygenRelation, ExecutionTrace) {
+    fn run(expr: &str) -> PolygenRelation {
         let s = scenario::build();
         let registry = scenario_registry(&s);
-        let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
-        let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-        execute(&iom, &registry, &s.dictionary, &retained()).unwrap()
+        let iom = iom_of(expr, &s);
+        execute(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap()
     }
 
     #[test]
     fn lqp_select_produces_table4_shape() {
-        let (rel, _) = run("PALUMNUS [DEGREE = \"MBA\"] [AID#, ANAME]");
+        let rel = run("PALUMNUS [DEGREE = \"MBA\"] [AID#, ANAME]");
         assert_eq!(rel.len(), 5);
         // Raw local names survive single-source execution.
         assert!(rel.schema().contains("AID#"));
@@ -988,7 +934,7 @@ mod tests {
 
     #[test]
     fn merge_then_select_on_polygen_names() {
-        let (rel, _) = run("PORGANIZATION [INDUSTRY = \"Banking\"]");
+        let rel = run("PORGANIZATION [INDUSTRY = \"Banking\"]");
         assert_eq!(rel.len(), 1);
         let row = &rel.tuples()[0];
         assert_eq!(row[0].datum, Value::str("Citicorp"));
@@ -996,7 +942,7 @@ mod tests {
 
     #[test]
     fn final_answer_matches_table9_data() {
-        let (rel, _) = run(polygen_sql::algebra_expr::PAPER_EXPRESSION);
+        let rel = run(PAPER_EXPRESSION);
         assert_eq!(rel.len(), 3);
         let strip = rel.strip();
         assert!(strip.contains(&[Value::str("Genentech"), Value::str("Bob Swanson")]));
@@ -1006,7 +952,12 @@ mod tests {
 
     #[test]
     fn trace_exposes_intermediate_tables_when_retained() {
-        let (_, trace) = run(polygen_sql::algebra_expr::PAPER_EXPRESSION);
+        // The eager interpreter retains every `R(n)`.
+        let s = scenario::build();
+        let registry = scenario_registry(&s);
+        let iom = iom_of(PAPER_EXPRESSION, &s);
+        let (_, trace) =
+            execute_eager(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
         assert_eq!(trace.results.len(), 10);
         // R(1) = Table 4 (5 MBA alumni), R(7) = Table 6 (12 organizations).
         assert_eq!(trace.result(1).unwrap().len(), 5);
@@ -1015,74 +966,32 @@ mod tests {
     }
 
     #[test]
-    fn fused_plan_retention_still_traces_every_row() {
-        // A caller can hand execute_plan a *fused* plan and still ask for
-        // retention: fused stages are captured stage by stage.
-        let s = scenario::build();
-        let registry = scenario_registry(&s);
-        let pom =
-            analyze(&parse_algebra(polygen_sql::algebra_expr::PAPER_EXPRESSION).unwrap()).unwrap();
-        let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-        let fused =
-            crate::plan::lower(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
-        assert!(fused.fused_rows() > 0);
-        let (_, trace) = execute_plan(
-            &fused,
-            &registry,
-            &s.dictionary,
-            None,
-            &retained(),
-            &Trace::disabled(),
-        )
-        .unwrap();
-        assert_eq!(
-            trace.results.len(),
-            10,
-            "R(9) captured from inside the pipeline"
-        );
-        assert_eq!(trace.result(9).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn production_trace_keeps_only_the_final_relation() {
-        let s = scenario::build();
-        let registry = scenario_registry(&s);
-        let pom =
-            analyze(&parse_algebra(polygen_sql::algebra_expr::PAPER_EXPRESSION).unwrap()).unwrap();
-        let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-        let (rel, trace) = execute(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
-        assert_eq!(trace.results.len(), 1);
-        assert!(trace.result(10).unwrap().tagged_set_eq(&rel));
-    }
-
-    #[test]
     fn physical_engine_matches_eager_reference() {
+        // Every prefix of the IOM, lowered and run on the physical engine,
+        // answers the eager interpreter's `R(n)` byte for byte: schema,
+        // data, tags and tuple order.
         let s = scenario::build();
         let registry = scenario_registry(&s);
         for expr in [
-            polygen_sql::algebra_expr::PAPER_EXPRESSION,
+            PAPER_EXPRESSION,
             "PORGANIZATION [INDUSTRY = \"Banking\"]",
             "(PALUMNUS [DEGREE = \"MBA\"]) UNION (PALUMNUS [DEGREE = \"MS\"])",
             "PALUMNUS MINUS (PALUMNUS [DEGREE = \"MBA\"])",
             "(PORGANIZATION ANTIJOIN [ONAME = ONAME] PFINANCE) [ONAME]",
             "PCAREER [AID# < AID#] PCAREER",
         ] {
-            let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
-            let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-            let (eager, eager_trace) =
-                execute_eager(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
-            let (fast, fast_trace) = execute(&iom, &registry, &s.dictionary, &retained()).unwrap();
-            assert!(eager.tagged_set_eq(&fast), "answers diverge for {expr}");
-            assert_eq!(
-                eager_trace.results.len(),
-                fast_trace.results.len(),
-                "trace shape diverges for {expr}"
-            );
-            for (pr, rel) in &eager_trace.results {
-                assert!(
-                    rel.tagged_set_eq(fast_trace.result(*pr).unwrap()),
-                    "R({pr}) diverges for {expr}"
-                );
+            let iom = iom_of(expr, &s);
+            let options = PqpOptions::default();
+            let (_, eager) = execute_eager(&iom, &registry, &s.dictionary, &options).unwrap();
+            for n in 1..=iom.rows.len() {
+                let prefix = Iom {
+                    rows: iom.rows[..n].to_vec(),
+                };
+                let pr = iom.rows[n - 1].pr;
+                let want = eager.result(pr).unwrap();
+                let got = execute(&prefix, &registry, &s.dictionary, &options).unwrap();
+                assert_eq!(want.schema(), got.schema(), "R({pr}) schema for {expr}");
+                assert_eq!(want.tuples(), got.tuples(), "R({pr}) diverges for {expr}");
             }
         }
     }
@@ -1091,13 +1000,11 @@ mod tests {
     fn threaded_options_produce_identical_results() {
         let s = scenario::build();
         let registry = scenario_registry(&s);
-        let pom =
-            analyze(&parse_algebra(polygen_sql::algebra_expr::PAPER_EXPRESSION).unwrap()).unwrap();
-        let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
+        let iom = iom_of(PAPER_EXPRESSION, &s);
         let at = |threads| PqpOptions::default().with_threads(threads);
-        let (seq, _) = execute(&iom, &registry, &s.dictionary, &at(1)).unwrap();
+        let seq = execute(&iom, &registry, &s.dictionary, &at(1)).unwrap();
         for threads in [2usize, 4, 8] {
-            let (parl, _) = execute(&iom, &registry, &s.dictionary, &at(threads)).unwrap();
+            let parl = execute(&iom, &registry, &s.dictionary, &at(threads)).unwrap();
             assert!(seq.tagged_set_eq(&parl), "threads = {threads}");
         }
         // Knob resolution: explicit values pass through, 0 resolves.
@@ -1108,16 +1015,16 @@ mod tests {
 
     #[test]
     fn union_and_difference_execute() {
-        let (rel, _) = run("(PALUMNUS [DEGREE = \"MBA\"]) UNION (PALUMNUS [DEGREE = \"MS\"])");
+        let rel = run("(PALUMNUS [DEGREE = \"MBA\"]) UNION (PALUMNUS [DEGREE = \"MS\"])");
         assert_eq!(rel.len(), 6);
-        let (diff, _) = run("PALUMNUS MINUS (PALUMNUS [DEGREE = \"MBA\"])");
+        let diff = run("PALUMNUS MINUS (PALUMNUS [DEGREE = \"MBA\"])");
         assert_eq!(diff.len(), 3);
     }
 
     #[test]
     fn antijoin_executes() {
         // Organizations with no finance record: only MIT and BP.
-        let (rel, _) = run("(PORGANIZATION ANTIJOIN [ONAME = ONAME] PFINANCE) [ONAME]");
+        let rel = run("(PORGANIZATION ANTIJOIN [ONAME = ONAME] PFINANCE) [ONAME]");
         let names = rel.strip();
         assert_eq!(names.len(), 2);
         assert!(names.contains(&[Value::str("MIT")]));

@@ -19,8 +19,9 @@
 //!              equi-joins, k-way hash Merge            ([`plan`])
 //!      ▼
 //! Executor ──▶ walks the physical plan, materializing only pipeline
-//!              breakers; the eager row-by-row reference interpreter
-//!              survives as `execute_eager`             (Tables 4–9)
+//!              breakers, and returns the answer         (Table 9);
+//!              the eager row-by-row reference interpreter
+//!              `execute_eager` keeps every `R(n)`       (Tables 4–8)
 //! ```
 //!
 //! Entry point: [`pqp::Pqp`]. `Pqp::for_scenario` wires the paper's MIT
@@ -43,7 +44,7 @@ pub mod pqp;
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::analyzer::analyze;
-    pub use crate::costing::{estimate, estimate_physical, PlanCost};
+    pub use crate::costing::{estimate_physical, PlanCost};
     pub use crate::error::PqpError;
     pub use crate::executor::{execute, execute_eager, execute_plan, resolve_attr, ExecutionTrace};
     pub use crate::explain::{explain, render_analyzed_plan};

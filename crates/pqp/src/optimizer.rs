@@ -282,8 +282,8 @@ mod tests {
         let retrieves_after = opt.rows.iter().filter(|r| r.op == Op::Retrieve).count();
         assert_eq!(retrieves_after, 1);
         // Results agree.
-        let (naive, _) = execute(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
-        let (fast, _) = execute(&opt, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
+        let naive = execute(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
+        let fast = execute(&opt, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
         assert!(naive.tagged_set_eq(&fast));
     }
 
@@ -335,8 +335,8 @@ mod tests {
         assert_eq!(opt.rows[0].el, ExecLoc::Lqp("CD".into()));
         // Equivalent results — except tags: a pushed select runs before
         // tagging, so the intermediate {CD} tag disappears. Data agrees.
-        let (naive, _) = execute(&hand, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
-        let (fast, _) = execute(&opt, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
+        let naive = execute(&hand, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
+        let fast = execute(&opt, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
         assert!(naive.strip().set_eq(&fast.strip()));
     }
 
@@ -393,8 +393,8 @@ mod tests {
         let registry = scenario_registry(&s);
         let iom = compile(polygen_sql::algebra_expr::PAPER_EXPRESSION, &s);
         let (opt, _) = optimize(&iom, &registry, &s.dictionary).unwrap();
-        let (naive, _) = execute(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
-        let (fast, _) = execute(&opt, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
+        let naive = execute(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
+        let fast = execute(&opt, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
         assert!(naive.tagged_set_eq(&fast));
     }
 
@@ -412,8 +412,8 @@ mod tests {
         assert_eq!(report.merges_deduped, 1);
         let merges_after = opt.rows.iter().filter(|r| r.op == Op::Merge).count();
         assert_eq!(merges_after, 1);
-        let (naive, _) = execute(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
-        let (fast, _) = execute(&opt, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
+        let naive = execute(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
+        let fast = execute(&opt, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
         assert!(naive.tagged_set_eq(&fast));
     }
 

@@ -30,7 +30,6 @@
 use crate::error::PqpError;
 use crate::iom::{ExecLoc, Iom, IomRow};
 use crate::pom::{Op, RelRef, Rha};
-use crate::pqp::PqpOptions;
 use polygen_catalog::dictionary::DataDictionary;
 use polygen_core::algebra::join::equi_join_coalesced_schema;
 use polygen_core::algebra::merge::merged_schema;
@@ -461,7 +460,6 @@ struct Produced {
 struct Lowerer<'a> {
     registry: &'a LqpRegistry,
     dictionary: &'a DataDictionary,
-    fuse: bool,
     /// pr → number of later references.
     uses: HashMap<usize, usize>,
     nodes: Vec<PhysNode>,
@@ -558,7 +556,7 @@ impl Lowerer<'_> {
             .get(&input_pr)
             .ok_or(PqpError::DanglingReference(input_pr))?;
         let input_node = input.node;
-        let fusible = self.fuse && self.uses.get(&input_pr).copied().unwrap_or(0) == 1;
+        let fusible = self.uses.get(&input_pr).copied().unwrap_or(0) == 1;
         if fusible {
             if let PhysOp::Pipeline { stages, .. } = &mut self.nodes[input_node].op {
                 stages.push(stage);
@@ -917,16 +915,15 @@ impl Lowerer<'_> {
     }
 }
 
-/// Lower an IOM into a physical plan: stages fuse unless `options`
-/// retains intermediates. Lowering reads no parallelism — the executor
-/// picks each operator's fan-out at run time from its input size — so a
-/// plan's text, fingerprint and cost estimate are the same at every
-/// thread count.
+/// Lower an IOM into a physical plan: a stage chain over a
+/// single-consumer input fuses into one pipeline. Lowering reads no
+/// engine options — the executor picks each operator's fan-out at run
+/// time from its input size — so a plan's text, fingerprint and cost
+/// estimate are the same at every thread count.
 pub fn lower(
     iom: &Iom,
     registry: &LqpRegistry,
     dictionary: &DataDictionary,
-    options: &PqpOptions,
 ) -> Result<PhysicalPlan, PqpError> {
     let mut uses: HashMap<usize, usize> = HashMap::new();
     for row in &iom.rows {
@@ -945,7 +942,6 @@ pub fn lower(
     let mut lowerer = Lowerer {
         registry,
         dictionary,
-        fuse: !options.retain_intermediates,
         uses,
         nodes: Vec::with_capacity(iom.rows.len()),
         env: HashMap::new(),
@@ -1240,31 +1236,17 @@ mod tests {
     use polygen_lqp::scenario_registry;
     use polygen_sql::algebra_expr::{parse_algebra, PAPER_EXPRESSION};
 
-    /// One thread, one partition.
-    fn serial() -> PqpOptions {
-        PqpOptions::default().with_threads(1)
-    }
-
-    fn paper_plan(fuse: bool) -> PhysicalPlan {
+    fn paper_plan() -> PhysicalPlan {
         let s = scenario::build();
         let registry = scenario_registry(&s);
         let pom = analyze(&parse_algebra(PAPER_EXPRESSION).unwrap()).unwrap();
         let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-        lower(
-            &iom,
-            &registry,
-            &s.dictionary,
-            &PqpOptions {
-                retain_intermediates: !fuse,
-                ..serial()
-            },
-        )
-        .unwrap()
+        lower(&iom, &registry, &s.dictionary).unwrap()
     }
 
     #[test]
     fn paper_query_lowers_with_hash_strategies() {
-        let plan = paper_plan(true);
+        let plan = paper_plan();
         let joins = plan
             .nodes
             .iter()
@@ -1284,20 +1266,17 @@ mod tests {
 
     #[test]
     fn fusion_collapses_restrict_project_tail() {
-        let fused = paper_plan(true);
-        let unfused = paper_plan(false);
-        // Rows 9 (Restrict) and 10 (Project) fuse into one pipeline.
+        let fused = paper_plan();
+        // Rows 9 (Restrict) and 10 (Project) fuse into one pipeline, so
+        // ten IOM rows lower to nine nodes ending at the final row.
         assert_eq!(fused.fused_rows(), 1);
-        assert!(fused.nodes.len() < unfused.nodes.len());
-        assert_eq!(unfused.nodes.len(), 10, "no fusion → one node per row");
-        // Both plans end at the final row.
+        assert_eq!(fused.nodes.len(), 9);
         assert_eq!(fused.nodes[fused.root].row, 10);
-        assert_eq!(unfused.nodes[unfused.root].row, 10);
     }
 
     #[test]
     fn planned_schemas_name_final_columns() {
-        let plan = paper_plan(true);
+        let plan = paper_plan();
         let root = &plan.nodes[plan.root];
         let attrs: Vec<&str> = root.schema.attrs().iter().map(|a| a.as_ref()).collect();
         assert_eq!(attrs, vec!["ONAME", "CEO"]);
@@ -1305,7 +1284,7 @@ mod tests {
 
     #[test]
     fn render_annotates_strategies_and_fusion() {
-        let shown = render_plan(&paper_plan(true));
+        let shown = render_plan(&paper_plan());
         assert!(shown.contains("HashJoin"), "{shown}");
         assert!(shown.contains("HashMerge[PORGANIZATION on ONAME, 3-way single pass]"));
         assert!(shown.contains("(fused ×2)"));
@@ -1323,7 +1302,7 @@ mod tests {
             &s.dictionary,
         )
         .unwrap();
-        let plan = paper_plan(true);
+        let plan = paper_plan();
         let routed = route_index_scans(&plan, &catalog);
         assert_eq!(routed.index_scans(), 1, "the MBA select routes");
         assert!(matches!(
@@ -1360,7 +1339,7 @@ mod tests {
         let lower_expr = |expr: &str| {
             let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
             let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-            lower(&iom, &registry, &s.dictionary, &serial()).unwrap()
+            lower(&iom, &registry, &s.dictionary).unwrap()
         };
         // `<>` is not sargable.
         let ne = lower_expr("PALUMNUS [DEGREE <> \"MBA\"]");
@@ -1394,7 +1373,7 @@ mod tests {
         let pom = analyze(&parse_algebra("PALUMNUS [AID# >= \"200\"] [AID# <= \"600\"]").unwrap())
             .unwrap();
         let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-        let plan = lower(&iom, &registry, &s.dictionary, &serial()).unwrap();
+        let plan = lower(&iom, &registry, &s.dictionary).unwrap();
         let routed = route_index_scans(&plan, &catalog);
         assert_eq!(routed.index_scans(), 1);
         let PhysOp::IndexScan { probe, .. } = &routed.nodes[0].op else {
@@ -1422,7 +1401,7 @@ mod tests {
         let pom = analyze(&parse_algebra("PCAREER [AID# = AID#] PCAREER").unwrap()).unwrap();
         let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
         let (opt, _) = crate::optimizer::optimize(&iom, &registry, &s.dictionary).unwrap();
-        let plan = lower(&opt, &registry, &s.dictionary, &serial()).unwrap();
+        let plan = lower(&opt, &registry, &s.dictionary).unwrap();
         // Deduped plan: one scan + one hash join over it twice.
         let scans = plan
             .nodes

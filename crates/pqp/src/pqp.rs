@@ -6,7 +6,7 @@
 
 use crate::analyzer::analyze;
 use crate::error::PqpError;
-use crate::executor::{execute_plan, ExecutionTrace};
+use crate::executor::execute_plan;
 use crate::interpreter::interpret;
 use crate::iom::Iom;
 use crate::optimizer::{optimize, OptimizerReport};
@@ -27,9 +27,10 @@ use polygen_sql::parser::parse_query;
 use std::sync::Arc;
 
 /// The engine configuration: the one statement of every execution
-/// decision. The lowerer, the executor and the serving layer all read
-/// it; the service overrides only `threads` per query, with the
-/// allotment admission hands it.
+/// decision. SQL translation, the optimizer switch, the executor and
+/// the serving layer read it (physical-plan lowering reads none of it);
+/// the service overrides only `threads` per query, with the allotment
+/// admission hands it.
 #[derive(Debug, Clone, Copy)]
 pub struct PqpOptions {
     /// SQL lowering mode (paper vs strict range variables).
@@ -39,13 +40,6 @@ pub struct PqpOptions {
     /// Run the Query Optimizer (off reproduces the paper's "Table 3 used
     /// as a query execution plan … without further optimization").
     pub optimize: bool,
-    /// Retain every `R(n)` in the [`ExecutionTrace`]. Off (the default),
-    /// the lowerer fuses Select/Restrict/Project chains into pipelines
-    /// and execution keeps only the final relation; on, lowering maps
-    /// the plan 1:1 onto IOM rows and every `R(n)` materializes into the
-    /// trace (a fused plan handed to the executor is still captured
-    /// stage by stage) — the golden-table tests read Tables 4–9 this way.
-    pub retain_intermediates: bool,
     /// Worker threads for partition-parallel operators (fused stage
     /// chains, hash joins, hash merges). `0` (the default) = auto: the
     /// `POLYGEN_THREADS` environment variable when set, otherwise
@@ -66,7 +60,6 @@ impl Default for PqpOptions {
             lowering: LoweringOptions::default(),
             conflict_policy: ConflictPolicy::Strict,
             optimize: false,
-            retain_intermediates: false,
             threads: 0,
             partitions: 0,
         }
@@ -107,15 +100,16 @@ pub struct CompiledQuery {
     pub physical: PhysicalPlan,
 }
 
-/// One executed query: the answer plus every intermediate relation.
+/// One executed query: the compiled pipeline stages and the answer. The
+/// intermediate relations `R(n)` (Tables 4–8 for the paper query) are
+/// not kept; [`crate::executor::execute_eager`] over `compiled.iom`
+/// computes every one of them.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     /// The compiled pipeline stages.
     pub compiled: CompiledQuery,
     /// The tagged composite answer.
     pub answer: PolygenRelation,
-    /// Per-row intermediate relations (Tables 4–9 for the paper query).
-    pub trace: ExecutionTrace,
 }
 
 /// The PQP.
@@ -204,14 +198,10 @@ impl Pqp {
         } else {
             (iom.clone(), OptimizerReport::default())
         };
-        let mut physical = lower_plan(&plan, &self.registry, &self.dictionary, &self.options)?;
-        // Index pushdown: swap eligible Scan leaves for probes. Skipped
-        // in retention mode — the golden-table trace expects every
-        // `R(n)` to materialize from full scans.
+        let mut physical = lower_plan(&plan, &self.registry, &self.dictionary)?;
+        // Index pushdown: swap eligible Scan leaves for probes.
         if let Some(catalog) = &self.indexes {
-            if !self.options.retain_intermediates {
-                physical = crate::plan::route_index_scans(&physical, catalog);
-            }
+            physical = crate::plan::route_index_scans(&physical, catalog);
         }
         Ok(CompiledQuery {
             expr,
@@ -229,10 +219,7 @@ impl Pqp {
     /// `CompiledQuery` across sessions. The plan carries no parallelism:
     /// the thread/partition knobs come from the executing PQP's options,
     /// so one cached plan serves every concurrency level.
-    pub fn run_compiled(
-        &self,
-        compiled: &CompiledQuery,
-    ) -> Result<(PolygenRelation, ExecutionTrace), PqpError> {
+    pub fn run_compiled(&self, compiled: &CompiledQuery) -> Result<PolygenRelation, PqpError> {
         self.run_compiled_traced(compiled, &Trace::disabled())
     }
 
@@ -244,7 +231,7 @@ impl Pqp {
         &self,
         compiled: &CompiledQuery,
         trace: &Trace,
-    ) -> Result<(PolygenRelation, ExecutionTrace), PqpError> {
+    ) -> Result<PolygenRelation, PqpError> {
         execute_plan(
             &compiled.physical,
             &self.registry,
@@ -257,33 +244,8 @@ impl Pqp {
 
     /// Execute a compiled query on the physical-plan engine.
     pub fn run(&self, compiled: CompiledQuery) -> Result<QueryOutcome, PqpError> {
-        let (answer, trace) = self.run_compiled(&compiled)?;
-        Ok(QueryOutcome {
-            compiled,
-            answer,
-            trace,
-        })
-    }
-
-    /// EXPLAIN ANALYZE a compiled query: execute it under an enabled
-    /// trace and render the physical tree with the cost model's
-    /// estimates beside the measured per-node actuals
-    /// (`est=(µs, ~rows)  act=(µs, rows)` on every line).
-    pub fn explain_analyze_compiled(&self, compiled: &CompiledQuery) -> Result<String, PqpError> {
-        let trace = Trace::enabled();
-        self.run_compiled_traced(compiled, &trace)?;
-        let report = trace.report().unwrap_or_default();
-        Ok(crate::explain::render_analyzed_plan(
-            &compiled.physical,
-            &self.registry,
-            &report,
-        ))
-    }
-
-    /// EXPLAIN ANALYZE for SQL text (compile, execute traced, render).
-    pub fn explain_analyze(&self, sql: &str) -> Result<String, PqpError> {
-        let compiled = self.compile(self.translate_sql(sql)?)?;
-        self.explain_analyze_compiled(&compiled)
+        let answer = self.run_compiled(&compiled)?;
+        Ok(QueryOutcome { compiled, answer })
     }
 
     /// SQL in, tagged composite answer out.
@@ -344,26 +306,8 @@ mod tests {
         assert_eq!(out.compiled.half.cardinality(), 5);
         assert_eq!(out.compiled.iom.cardinality(), 10);
         assert_eq!(out.answer.len(), 3);
-        // Production default: fused physical plan, final-only trace.
+        // The one configuration: a fused physical plan.
         assert!(out.compiled.physical.fused_rows() > 0);
-        assert_eq!(out.trace.results.len(), 1);
-    }
-
-    #[test]
-    fn retained_outcome_exposes_full_trace() {
-        let s = scenario::build();
-        let pqp = Pqp::for_scenario(&s).with_options(PqpOptions {
-            retain_intermediates: true,
-            ..PqpOptions::default()
-        });
-        let out = pqp.query_algebra(PAPER_EXPRESSION).unwrap();
-        assert_eq!(out.trace.results.len(), 10);
-        assert_eq!(
-            out.compiled.physical.fused_rows(),
-            0,
-            "retention disables fusion"
-        );
-        assert!(out.trace.result(10).unwrap().tagged_set_eq(&out.answer));
     }
 
     #[test]
@@ -429,16 +373,6 @@ mod tests {
                 .unwrap();
             assert_eq!(routed.physical.index_scans(), 1);
         }
-        // Retention mode (golden tables) never routes.
-        let retained = Pqp::for_scenario(&s)
-            .with_options(PqpOptions {
-                retain_intermediates: true,
-                ..PqpOptions::default()
-            })
-            .with_indexes(Arc::clone(&catalog));
-        let out = retained.query_algebra(PAPER_EXPRESSION).unwrap();
-        assert_eq!(out.compiled.physical.index_scans(), 0);
-        assert_eq!(out.trace.results.len(), 10);
     }
 
     #[test]

@@ -798,7 +798,7 @@ impl QueryService {
         self.metrics.record_execute(exec_elapsed);
         trace.end(exec_span);
         detail.exec_micros = micros(exec_elapsed);
-        let (answer, _) = run?;
+        let answer = run?;
         if mode == ExplainOptions::Analyze {
             return Ok(Response::Explain {
                 plan: polygen_pqp::explain::render_analyzed_plan(
@@ -955,10 +955,9 @@ impl QueryService {
 }
 
 /// The engine settings every served query compiles and runs under: the
-/// defaults' conflict policy, optimizer switch and SQL lowering mode,
-/// with `retain_intermediates` off (serving keeps answers, not
-/// paper-table traces). Each run overrides only `threads`, with the
-/// allotment admission takes from the shared budget.
+/// defaults' conflict policy, optimizer switch and SQL lowering mode.
+/// Each run overrides only `threads`, with the allotment admission takes
+/// from the shared budget.
 fn engine_options() -> PqpOptions {
     PqpOptions::default()
 }
@@ -1007,7 +1006,10 @@ fn peel_explain_prefix(mode: ExplainOptions, text: &str) -> (ExplainOptions, &st
 /// keyword as a whole word, case-insensitively.
 fn strip_leading_keyword<'a>(text: &'a str, keyword: &str) -> Option<&'a str> {
     let t = text.trim_start();
-    if t.len() < keyword.len() || !t[..keyword.len()].eq_ignore_ascii_case(keyword) {
+    if !t
+        .get(..keyword.len())
+        .is_some_and(|p| p.eq_ignore_ascii_case(keyword))
+    {
         return None;
     }
     let rest = &t[keyword.len()..];
@@ -1454,6 +1456,42 @@ mod tests {
             "SELECT ONAME FROM PORGANIZATION WHERE CEO = \"EXPLAIN\"",
         ));
         assert!(matches!(lit, Response::Rows { .. }));
+    }
+
+    /// A multi-byte character straddling the keyword's length is text the
+    /// keyword does not lead, not a slicing panic: it answers a syntax
+    /// error, and well-formed `EXPLAIN` / `EXPLAIN ANALYZE` still peel.
+    #[test]
+    fn multibyte_text_at_the_keyword_cut_is_a_syntax_error() {
+        let svc = service();
+        for text in [
+            "SELEC日本T ONAME FROM PORGANIZATION",
+            "EXP日本LAIN SELECT ONAME FROM PORGANIZATION",
+            "SELECT\u{FFFD} ONAME FROM PORGANIZATION",
+        ] {
+            assert_eq!(
+                svc.execute(Request::sql(text)).error_code(),
+                Some(ErrorCode::SqlSyntax),
+                "{text}"
+            );
+        }
+        let off = ExplainOptions::Off;
+        assert_eq!(
+            peel_explain_prefix(off, "  explain SELECT X"),
+            (ExplainOptions::Plan, " SELECT X")
+        );
+        assert_eq!(
+            peel_explain_prefix(off, "EXPLAIN analyze SELECT X"),
+            (ExplainOptions::Analyze, " SELECT X")
+        );
+        assert_eq!(
+            peel_explain_prefix(off, "EXPLAINED SELECT X"),
+            (off, "EXPLAINED SELECT X")
+        );
+        assert_eq!(
+            peel_explain_prefix(off, "EXPLAIN ANALYZ日 X"),
+            (ExplainOptions::Plan, " ANALYZ日 X")
+        );
     }
 
     #[test]

@@ -18,12 +18,7 @@ use polygen::sql::prelude::PAPER_EXPRESSION;
 
 fn main() {
     let s = scenario::build();
-    // Tables 4–9 are read out of the execution trace: opt into full
-    // retention (the production default keeps only the final relation).
-    let pqp = Pqp::for_scenario(&s).with_options(PqpOptions {
-        retain_intermediates: true,
-        ..PqpOptions::default()
-    });
+    let pqp = Pqp::for_scenario(&s);
     let reg = pqp.dictionary().registry();
 
     println!("== The polygen algebraic expression (Section III) ==\n");
@@ -38,23 +33,35 @@ fn main() {
     println!("== Table 3: Intermediate Operation Matrix (pass two) ==\n");
     println!("{}", render_iom(&out.compiled.iom));
 
-    let table = |n: usize, title: &str, rid: usize| {
+    // Tables 4–8 are intermediate relations: the eager reference
+    // interpreter runs Table 3 row by row and keeps every `R(n)`. Table 9
+    // is the engine's own answer.
+    let (_, trace) = execute_eager(
+        &out.compiled.iom,
+        pqp.registry(),
+        pqp.dictionary(),
+        &pqp.options(),
+    )
+    .expect("reference run");
+    let table = |n: usize, title: &str, rel: &PolygenRelation| {
         println!("== Table {n}: {title} ==\n");
-        println!(
-            "{}",
-            render_relation(out.trace.result(rid).expect("traced"), reg)
-        );
+        println!("{}", render_relation(rel, reg));
     };
-    table(4, "result of row 1 (Select at AD)", 1);
-    table(5, "result of rows 2-3 (Join with CAREER)", 3);
+    let r = |rid: usize| trace.result(rid).expect("traced");
+    table(4, "result of row 1 (Select at AD)", r(1));
+    table(5, "result of rows 2-3 (Join with CAREER)", r(3));
     table(
         6,
         "result of rows 4-7 (Merge of BUSINESS, CORPORATION, FIRM)",
-        7,
+        r(7),
     );
-    table(7, "result of row 8 (Join with the merged organizations)", 8);
-    table(8, "result of row 9 (Restrict CEO = ANAME)", 9);
-    table(9, "result of row 10 (the composite answer)", 10);
+    table(
+        7,
+        "result of row 8 (Join with the merged organizations)",
+        r(8),
+    );
+    table(8, "result of row 9 (Restrict CEO = ANAME)", r(9));
+    table(9, "result of row 10 (the composite answer)", &out.answer);
 
     // Appendix A, stepped by hand with the core algebra.
     let lqps = scenario_registry(&s);

@@ -5,10 +5,10 @@
 //! The central assertion is [`assert_parallel_matches`]: one expression,
 //! three engines — the eager row-by-row reference interpreter, the
 //! sequential physical engine, and the partition-parallel physical engine
-//! at a given thread count — must produce identical relations (data,
-//! origin tags *and* intermediate tags), for the answer and for every
-//! traced `R(n)`; and the sequential and parallel physical runs must be
-//! byte-identical including tuple order.
+//! at a given thread count — must produce byte-identical relations
+//! (schema, data, origin tags, intermediate tags and tuple order), for the
+//! answer and for every `R(n)`, which the physical engine computes by
+//! running the IOM's prefix `rows[..n]`.
 
 use polygen::catalog::scenario::Scenario;
 use polygen::catalog::schema::PolygenSchema;
@@ -16,7 +16,6 @@ use polygen::core::algebra::coalesce::ConflictPolicy;
 use polygen::core::PolygenRelation;
 use polygen::flat::{Relation, Schema};
 use polygen::lqp::prelude::{Capabilities, InMemoryLqp, LocalOp, Lqp, LqpError, RelStats};
-use polygen::obs::trace::Trace;
 use polygen::pqp::prelude::*;
 use polygen::serve::request::{Request, Response, ResponseInfo};
 use polygen::serve::QueryService;
@@ -123,10 +122,11 @@ pub fn same_error_kind(a: &PqpError, b: &PqpError) -> bool {
 
 /// Run one expression through the eager reference interpreter, the
 /// sequential physical engine and the partition-parallel physical engine
-/// at `threads` workers, and assert they agree completely — answers and
-/// every retained `R(n)` (tags included), with the two physical runs
-/// additionally byte-identical in tuple order. Rejections must agree in
-/// error kind across all three.
+/// at `threads` workers, and assert they agree byte for byte — schema,
+/// data, tags and tuple order — on the answer and on every intermediate
+/// relation: the physical run (at 1 and at `threads` workers) of each
+/// prefix `rows[..n]` of the IOM must equal eager's `R(n)`. Rejections
+/// must agree in error kind across all three.
 pub fn assert_parallel_matches(
     scenario: &Scenario,
     expr: &str,
@@ -135,53 +135,37 @@ pub fn assert_parallel_matches(
 ) {
     let registry = polygen::lqp::scenario_registry(scenario);
     let iom = compile(expr, scenario.dictionary.schema());
-    let opts = |threads: usize, retain: bool| PqpOptions {
+    let opts = |threads: usize| PqpOptions {
         conflict_policy: policy,
-        retain_intermediates: retain,
         threads,
         partitions: threads,
         ..PqpOptions::default()
     };
-    let eager = execute_eager(&iom, &registry, &scenario.dictionary, &opts(1, false));
-    let sequential = execute(&iom, &registry, &scenario.dictionary, &opts(1, false));
-    let parallel = execute(&iom, &registry, &scenario.dictionary, &opts(threads, false));
+    let eager = execute_eager(&iom, &registry, &scenario.dictionary, &opts(1));
+    let sequential = execute(&iom, &registry, &scenario.dictionary, &opts(1));
+    let parallel = execute(&iom, &registry, &scenario.dictionary, &opts(threads));
     match (eager, sequential, parallel) {
-        (Ok((eager, _)), Ok((seq, _)), Ok((parl, _))) => {
-            assert!(
-                eager.tagged_set_eq(&seq),
-                "eager vs sequential diverge on `{expr}`:\n eager: {} rows\n sequential: {} rows",
-                eager.len(),
-                seq.len()
+        (Ok((eager, trace)), Ok(seq), Ok(parl)) => {
+            assert_same_bytes(&eager, &seq, &format!("sequential answer to `{expr}`"));
+            assert_same_bytes(
+                &eager,
+                &parl,
+                &format!("parallel({threads}) answer to `{expr}`"),
             );
-            assert!(
-                eager.tagged_set_eq(&parl),
-                "eager vs parallel({threads}) diverge on `{expr}`:\n eager: {} rows\n parallel: {} rows",
-                eager.len(),
-                parl.len()
-            );
-            assert_eq!(
-                seq.tuples(),
-                parl.tuples(),
-                "parallel({threads}) is not byte-identical to sequential on `{expr}`"
-            );
-            // Retained runs: every traced R(n) must match across engines.
-            let (_, eager_trace) =
-                execute_eager(&iom, &registry, &scenario.dictionary, &opts(1, true)).unwrap();
-            let (_, seq_trace) =
-                execute(&iom, &registry, &scenario.dictionary, &opts(1, true)).unwrap();
-            let (_, parl_trace) =
-                execute(&iom, &registry, &scenario.dictionary, &opts(threads, true)).unwrap();
-            assert_eq!(eager_trace.results.len(), seq_trace.results.len());
-            assert_eq!(eager_trace.results.len(), parl_trace.results.len());
-            for (pr, rel) in &eager_trace.results {
-                assert!(
-                    rel.tagged_set_eq(seq_trace.result(*pr).expect("traced row")),
-                    "sequential R({pr}) diverges on `{expr}`"
-                );
-                assert!(
-                    rel.tagged_set_eq(parl_trace.result(*pr).expect("traced row")),
-                    "parallel({threads}) R({pr}) diverges on `{expr}`"
-                );
+            let counts = if threads == 1 { vec![1] } else { vec![1, threads] };
+            for n in 1..iom.rows.len() {
+                let prefix = Iom {
+                    rows: iom.rows[..n].to_vec(),
+                };
+                let pr = iom.rows[n - 1].pr;
+                let want = trace.result(pr).expect("eager keeps every R(n)");
+                for &t in &counts {
+                    let got = execute(&prefix, &registry, &scenario.dictionary, &opts(t))
+                        .unwrap_or_else(|e| {
+                            panic!("R({pr}) of `{expr}` fails at {t} threads but eager answers: {e}")
+                        });
+                    assert_same_bytes(want, &got, &format!("R({pr}) of `{expr}` at {t} threads"));
+                }
             }
         }
         (Err(ee), Err(se), Err(pe)) => {
@@ -206,6 +190,16 @@ pub fn assert_parallel_matches(
     }
 }
 
+/// Byte-identity of two relations: schema, data, tags and tuple order.
+pub fn assert_same_bytes(want: &PolygenRelation, got: &PolygenRelation, what: &str) {
+    assert_eq!(want.schema(), got.schema(), "{what}: schemas diverge");
+    assert_eq!(
+        want.tuples(),
+        got.tuples(),
+        "{what}: not byte-identical to the eager reference"
+    );
+}
+
 /// Sequential physical engine vs the eager reference (no parallelism) —
 /// the pre-parallel differential contract.
 pub fn assert_engines_agree(scenario: &Scenario, expr: &str, policy: ConflictPolicy) {
@@ -213,12 +207,9 @@ pub fn assert_engines_agree(scenario: &Scenario, expr: &str, policy: ConflictPol
 }
 
 /// Run one expression's production plan — whose eligible leaf pipelines
-/// take the columnar batch kernels — against two references at `threads`
-/// workers: the same plan walked in retention mode (leaves tagged
-/// eagerly, every stage on the `TupleStream` row kernels) and the eager
-/// interpreter. The production run must be byte-identical to the row
-/// walk (data, tags *and* tuple order) and tag-set-equal to the eager
-/// reference. Rejections must agree in error kind across all three.
+/// take the columnar batch kernels — at `threads` workers against the
+/// eager interpreter: the answer must be byte-identical (schema, data,
+/// tags and tuple order), and rejections must agree in error kind.
 pub fn assert_batch_matches(
     scenario: &Scenario,
     expr: &str,
@@ -227,59 +218,27 @@ pub fn assert_batch_matches(
 ) {
     let registry = polygen::lqp::scenario_registry(scenario);
     let iom = compile(expr, scenario.dictionary.schema());
-    let opts = |retain: bool| PqpOptions {
+    let opts = PqpOptions {
         conflict_policy: policy,
-        retain_intermediates: retain,
         threads,
         partitions: threads,
         ..PqpOptions::default()
     };
-    let eager = execute_eager(&iom, &registry, &scenario.dictionary, &opts(false));
-    let plan = lower_plan(&iom, &registry, &scenario.dictionary, &opts(false));
-    let (row, batch) = match plan {
-        Ok(plan) => {
-            let run = |retain| {
-                execute_plan(
-                    &plan,
-                    &registry,
-                    &scenario.dictionary,
-                    None,
-                    &opts(retain),
-                    &Trace::disabled(),
-                )
-            };
-            (run(true), run(false))
+    let eager = execute_eager(&iom, &registry, &scenario.dictionary, &opts);
+    let batch = execute(&iom, &registry, &scenario.dictionary, &opts);
+    match (eager, batch) {
+        (Ok((eager, _)), Ok(batch)) => {
+            assert_same_bytes(&eager, &batch, &format!("batch({threads}) answer to `{expr}`"));
         }
-        Err(e) => (Err(e.clone()), Err(e)),
-    };
-    match (eager, row, batch) {
-        (Ok((eager, _)), Ok((row, _)), Ok((batch, _))) => {
-            assert!(
-                eager.tagged_set_eq(&batch),
-                "eager vs batch({threads}) diverge on `{expr}`:\n eager: {} rows\n batch: {} rows",
-                eager.len(),
-                batch.len()
-            );
-            assert_eq!(
-                row.tuples(),
-                batch.tuples(),
-                "batch({threads}) is not byte-identical to the row walk on `{expr}`"
-            );
-        }
-        (Err(ee), Err(re), Err(be)) => {
-            assert!(
-                same_error_kind(&ee, &re),
-                "eager and row walk reject `{expr}` differently:\n eager: {ee}\n row: {re}"
-            );
+        (Err(ee), Err(be)) => {
             assert!(
                 same_error_kind(&ee, &be),
                 "eager and batch({threads}) reject `{expr}` differently:\n eager: {ee}\n batch: {be}"
             );
         }
-        (eager, row, batch) => panic!(
-            "engines disagree on success for `{expr}` (threads = {threads}):\n eager: {}\n row: {}\n batch: {}",
+        (eager, batch) => panic!(
+            "engines disagree on success for `{expr}` (threads = {threads}):\n eager: {}\n batch: {}",
             outcome(&eager),
-            outcome(&row),
             outcome(&batch)
         ),
     }

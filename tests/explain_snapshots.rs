@@ -20,22 +20,12 @@ use polygen::sql::prelude::{parse_algebra, AlgebraExpr, PAPER_EXPRESSION};
 use std::sync::Arc;
 
 /// Lower `expr` over the MIT scenario and render the physical plan.
-fn plan_text(expr: &str, fuse: bool) -> String {
+fn plan_text(expr: &str) -> String {
     let s = scenario::build();
     let registry = scenario_registry(&s);
     let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
     let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-    let plan = lower_plan(
-        &iom,
-        &registry,
-        &s.dictionary,
-        &PqpOptions {
-            retain_intermediates: !fuse,
-            ..PqpOptions::default()
-        },
-    )
-    .unwrap();
-    render_plan(&plan)
+    render_plan(&lower_plan(&iom, &registry, &s.dictionary).unwrap())
 }
 
 /// The same with secondary indexes declared: lower, run the pushdown
@@ -47,13 +37,7 @@ fn indexed_plan_and_cost(expr: &str, specs: &[IndexSpec]) -> (String, String) {
     let catalog = IndexCatalog::build(specs, &registry, &s.dictionary).unwrap();
     let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
     let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-    let plan = lower_plan(
-        &iom,
-        &registry,
-        &s.dictionary,
-        &PqpOptions::default().with_threads(1),
-    )
-    .unwrap();
+    let plan = lower_plan(&iom, &registry, &s.dictionary).unwrap();
     let routed = route_index_scans(&plan, &catalog);
     let cost = estimate_physical(&routed, &registry).to_string();
     (render_plan(&routed), cost)
@@ -81,7 +65,14 @@ fn analyzed_text_at(
         pqp = pqp.with_indexes(Arc::new(catalog));
     }
     let compiled = pqp.compile(parse_algebra(expr).unwrap()).unwrap();
-    mask_act_micros(&pqp.explain_analyze_compiled(&compiled).unwrap())
+    let trace = Trace::enabled();
+    pqp.run_compiled_traced(&compiled, &trace).unwrap();
+    let report = trace.report().unwrap_or_default();
+    mask_act_micros(&render_analyzed_plan(
+        &compiled.physical,
+        pqp.registry(),
+        &report,
+    ))
 }
 
 /// Replace the digit run right after `marker` with `_`, if any.
@@ -125,7 +116,7 @@ fn assert_snapshot(actual: &str, expected: &str) {
 #[test]
 fn paper_plan_fused_serial() {
     assert_snapshot(
-        &plan_text(PAPER_EXPRESSION, true),
+        &plan_text(PAPER_EXPRESSION),
         "\
 #0  Scan[AD] ALUMNUS[DEG = MBA]  → R(1)
 #1  Scan[AD] CAREER  → R(2)
@@ -154,7 +145,7 @@ fn lowered_at(expr: &str, threads: usize) -> String {
 fn paper_plan_fused_partitioned_x4() {
     assert_snapshot(
         &lowered_at(PAPER_EXPRESSION, 4),
-        &plan_text(PAPER_EXPRESSION, true),
+        &plan_text(PAPER_EXPRESSION),
     );
 }
 
@@ -167,7 +158,7 @@ fn theta_join_stays_serial_under_partitioning() {
 #0  Scan[AD] CAREER  → R(1)
 #1  Scan[AD] CAREER  → R(2)
 #2  NestedLoopJoin[R(2).AID# < R(1).AID#]  → R(3) ◀ answer";
-    assert_snapshot(&plan_text(expr, true), golden);
+    assert_snapshot(&plan_text(expr), golden);
     assert_snapshot(&lowered_at(expr, 4), golden);
 }
 
@@ -191,34 +182,11 @@ fn compiled_plan_is_identical_at_every_thread_count() {
     }
 }
 
-/// Retention-mode lowering (no fusion): every Select/Restrict/Project row
-/// keeps its own single-stage pipeline node.
-#[test]
-fn paper_plan_unfused_serial() {
-    assert_snapshot(
-        &plan_text(PAPER_EXPRESSION, false),
-        "\
-#0  Scan[AD] ALUMNUS[DEG = MBA]  → R(1)
-#1  Scan[AD] CAREER  → R(2)
-#2  HashJoin[R(1).AID# = R(2).AID#, coalesce → AID#] (build R(2), probe R(1))  → R(3)
-#3  Scan[AD] BUSINESS  → R(4)
-#4  Scan[PD] CORPORATION  → R(5)
-#5  Scan[CD] FIRM  → R(6)
-#6  HashMerge[PORGANIZATION on ONAME, 3-way single pass] over R(4), R(5), R(6)  → R(7)
-#7  HashJoin[R(3).BNAME = R(7).ONAME, coalesce → ONAME] (build R(7), probe R(3))  → R(8)
-#8  Pipeline over R(8) → Restrict[CEO = ANAME]@R(9)  → R(9)
-#9  Pipeline over R(9) → Project[ONAME, CEO]@R(10)  → R(10) ◀ answer",
-    );
-}
-
 /// AntiJoin feeding a lone-Project pipeline, over a merge.
 #[test]
 fn antijoin_plan_serial() {
     assert_snapshot(
-        &plan_text(
-            "(PORGANIZATION ANTIJOIN [ONAME = ONAME] PFINANCE) [ONAME]",
-            true,
-        ),
+        &plan_text("(PORGANIZATION ANTIJOIN [ONAME = ONAME] PFINANCE) [ONAME]"),
         "\
 #0  Scan[AD] BUSINESS  → R(1)
 #1  Scan[PD] CORPORATION  → R(2)
@@ -237,7 +205,6 @@ fn set_ops_plan_serial() {
         &plan_text(
             "((PALUMNUS [DEGREE = \"MBA\"]) UNION (PALUMNUS [DEGREE = \"MS\"])) \
              MINUS (PALUMNUS [DEGREE = \"MBA\"])",
-            true,
         ),
         "\
 #0  Scan[AD] ALUMNUS[DEG = MBA]  → R(1)
@@ -316,12 +283,11 @@ fn between_folds_into_a_range_probe_with_residual() {
 /// into the scan descriptor, the trailing Project runs columnar), and
 /// EXPLAIN says so with `[batch]`. The marker is the routing itself:
 /// the executor asks the same `is_batch_pipeline` predicate, so a
-/// marked node runs on `ColumnBatch` (only retention mode, which has no
-/// late-tagged leaves, walks it as rows).
+/// marked node runs on `ColumnBatch`.
 #[test]
 fn eligible_leaf_pipeline_announces_batch() {
     assert_snapshot(
-        &plan_text("PCAREER [AID# = ONAME] [AID#, POSITION]", true),
+        &plan_text("PCAREER [AID# = ONAME] [AID#, POSITION]"),
         "\
 #0  Scan[AD] CAREER[AID# = BNAME]  → R(1)
 #1  Pipeline over R(1) → Project[AID#, POSITION]@R(2) [batch]  → R(2) ◀ answer",
@@ -331,11 +297,10 @@ fn eligible_leaf_pipeline_announces_batch() {
 /// Columnar annotation, rejected: the paper plan's final pipeline reads
 /// a HashJoin (an interior node, already `Arc`-shared streams), so it
 /// stays on the row engine and renders without the `[batch]` marker —
-/// see `paper_plan_fused_serial` above. The same holds for every
-/// unfused (retention-mode) stage chain.
+/// see `paper_plan_fused_serial` above.
 #[test]
 fn interior_pipeline_stays_on_the_row_engine() {
-    let shown = plan_text(PAPER_EXPRESSION, true);
+    let shown = plan_text(PAPER_EXPRESSION);
     assert!(
         !shown.contains("[batch]"),
         "interior pipelines must not claim the columnar path:\n{shown}"
@@ -506,7 +471,7 @@ fn analyzed_join_reports_the_fan_out_it_ran_at() {
 #[test]
 fn intersect_and_product_plan_serial() {
     assert_snapshot(
-        &plan_text("(PALUMNUS INTERSECT PALUMNUS) TIMES PFINANCE", true),
+        &plan_text("(PALUMNUS INTERSECT PALUMNUS) TIMES PFINANCE"),
         "\
 #0  Scan[AD] ALUMNUS  → R(1)
 #1  Scan[AD] ALUMNUS  → R(2)
@@ -563,8 +528,7 @@ fn fused_join_project_follows_the_plan_shape() {
 /// the unfused run did, row counts verbatim: the join's `act=` counts
 /// the pairs it matched, the pipeline the rows it answered. (Both
 /// literals were rendered before the fusion existed.) The join's span
-/// says it ran the Project; a retention run records the join's own
-/// `R(n)` and runs it whole.
+/// says it ran the Project.
 #[test]
 fn analyzed_fused_join_keeps_its_row_counts() {
     let big = polygen::workload::generate(&common::fixtures::small_config(5, 3, 64));
@@ -596,27 +560,13 @@ fn analyzed_fused_join_keeps_its_row_counts() {
         ),
     );
     let pqp = Pqp::for_scenario(&big);
-    let plan = pqp.compile(parse_algebra(&join).unwrap()).unwrap().physical;
-    for (retain, kernel) in [(false, Some("join+project")), (true, None)] {
-        let trace = Trace::enabled();
-        let options = PqpOptions {
-            retain_intermediates: retain,
-            ..PqpOptions::default()
-        };
-        execute_plan(
-            &plan,
-            pqp.registry(),
-            pqp.dictionary(),
-            None,
-            &options,
-            &trace,
-        )
-        .unwrap();
-        let report = trace.report().expect("enabled recorder reports");
-        let kernels: Vec<Option<&str>> = report
-            .spans_named("exec/HashJoin")
-            .map(|sp| sp.note_str("kernel"))
-            .collect();
-        assert_eq!(kernels, vec![kernel], "retain_intermediates = {retain}");
-    }
+    let compiled = pqp.compile(parse_algebra(&join).unwrap()).unwrap();
+    let trace = Trace::enabled();
+    pqp.run_compiled_traced(&compiled, &trace).unwrap();
+    let report = trace.report().expect("enabled recorder reports");
+    let kernels: Vec<Option<&str>> = report
+        .spans_named("exec/HashJoin")
+        .map(|sp| sp.note_str("kernel"))
+        .collect();
+    assert_eq!(kernels, vec![Some("join+project")]);
 }

@@ -19,25 +19,30 @@ const PAPER_SQL: &str = "SELECT ONAME, CEO \
     (SELECT ONAME FROM PCAREER WHERE AID# IN \
     (SELECT AID# FROM PALUMNUS WHERE DEGREE = \"MBA\"))";
 
-fn outcome() -> (QueryOutcome, polygen::core::SourceRegistry) {
+/// The paper query on the engine, plus every intermediate `R(n)`: Tables
+/// 4–8 come from the eager reference interpreter running Table 3 row by
+/// row, Table 9 is the engine's own answer.
+fn outcome() -> (QueryOutcome, ExecutionTrace, polygen::core::SourceRegistry) {
     let s = scenario::build();
-    // Tables 4–9 are read out of the execution trace, so retention is
-    // switched on (production pipelines default to final-only).
-    let pqp = Pqp::for_scenario(&s).with_options(PqpOptions {
-        retain_intermediates: true,
-        ..PqpOptions::default()
-    });
+    let pqp = Pqp::for_scenario(&s);
     let out = pqp
         .query_algebra(PAPER_EXPRESSION)
         .expect("paper query runs");
+    let (_, trace) = execute_eager(
+        &out.compiled.iom,
+        pqp.registry(),
+        pqp.dictionary(),
+        &pqp.options(),
+    )
+    .expect("reference run");
     let reg = pqp.dictionary().registry().clone();
-    (out, reg)
+    (out, trace, reg)
 }
 
 /// Table 1: the Polygen Operation Matrix, row for row.
 #[test]
 fn table1_polygen_operation_matrix() {
-    let (out, _) = outcome();
+    let (out, _, _) = outcome();
     let rendered = render_pom(&out.compiled.pom);
     let expected_rows = [
         "R(1) | Select | PALUMNUS | DEGREE | = | \"MBA\" | nil",
@@ -64,7 +69,7 @@ fn table1_polygen_operation_matrix() {
 /// Table 2: the half-processed IOM after pass one.
 #[test]
 fn table2_half_processed_iom() {
-    let (out, _) = outcome();
+    let (out, _, _) = outcome();
     let expected = [
         ("Select", "ALUMNUS", "DEG", "\"MBA\"", "nil", "AD"),
         ("Join", "R(1)", "AID#", "AID#", "PCAREER", "PQP"),
@@ -93,7 +98,7 @@ fn table2_half_processed_iom() {
 /// Table 3: the full IOM after pass two.
 #[test]
 fn table3_intermediate_operation_matrix() {
-    let (out, _) = outcome();
+    let (out, _, _) = outcome();
     let expected = [
         ("Select", "ALUMNUS", "DEG", "\"MBA\"", "nil", "AD"),
         ("Retrieve", "CAREER", "", "nil", "nil", "AD"),
@@ -120,8 +125,8 @@ fn table3_intermediate_operation_matrix() {
 /// Table 4: `ALUMNUS[DEG = "MBA"]` executed at AD, tagged on arrival.
 #[test]
 fn table4_select_result() {
-    let (out, reg) = outcome();
-    let r1 = out.trace.result(1).expect("R(1)");
+    let (_, trace, reg) = outcome();
+    let r1 = trace.result(1).expect("R(1)");
     check_table(
         "Table 4",
         r1,
@@ -142,8 +147,8 @@ fn table4_select_result() {
 /// this case it appears to be redundant."
 #[test]
 fn table5_join_with_career() {
-    let (out, reg) = outcome();
-    let r3 = out.trace.result(3).expect("R(3)");
+    let (_, trace, reg) = outcome();
+    let r3 = trace.result(3).expect("R(3)");
     check_table(
         "Table 5",
         r3,
@@ -163,8 +168,8 @@ fn table5_join_with_career() {
 /// Table 6: the Merge of BUSINESS, CORPORATION and FIRM (== Table A9).
 #[test]
 fn table6_merged_organizations() {
-    let (out, reg) = outcome();
-    let r7 = out.trace.result(7).expect("R(7)");
+    let (_, trace, reg) = outcome();
+    let r7 = trace.result(7).expect("R(7)");
     check_table(
         "Table 6",
         r7,
@@ -190,8 +195,8 @@ fn table6_merged_organizations() {
 /// Table 7: Table 5 joined with Table 6 on ONAME.
 #[test]
 fn table7_join_with_organizations() {
-    let (out, reg) = outcome();
-    let r8 = out.trace.result(8).expect("R(8)");
+    let (_, trace, reg) = outcome();
+    let r8 = trace.result(8).expect("R(8)");
     check_table(
         "Table 7",
         r8,
@@ -219,8 +224,8 @@ fn table7_join_with_organizations() {
 /// Table 8: the Restrict `CEO = ANAME` keeps only self-CEO alumni.
 #[test]
 fn table8_restrict_ceo_is_alumnus() {
-    let (out, reg) = outcome();
-    let r9 = out.trace.result(9).expect("R(9)");
+    let (_, trace, reg) = outcome();
+    let r9 = trace.result(9).expect("R(9)");
     check_table(
         "Table 8",
         r9,
@@ -239,7 +244,7 @@ fn table8_restrict_ceo_is_alumnus() {
 /// Table 9: the final projection — the paper's headline result.
 #[test]
 fn table9_final_answer() {
-    let (out, reg) = outcome();
+    let (out, _, reg) = outcome();
     check_table(
         "Table 9",
         &out.answer,
@@ -270,7 +275,7 @@ fn sql_pipeline_matches_algebra_pipeline() {
 /// coordinates yields BUSINESS.BNAME and FIRM.FNAME.
 #[test]
 fn observation3_tag_to_triplet_explanation() {
-    let (out, reg) = outcome();
+    let (out, _, reg) = outcome();
     let s = scenario::build();
     let genentech = out
         .answer

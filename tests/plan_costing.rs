@@ -1,10 +1,10 @@
-//! Integration tests for plan costing: the estimator must track reality
-//! in *direction* — remote feeds dominate, optimization never raises
-//! estimated shipping, and the explain report surfaces all of it.
+//! Integration tests for plan costing: the physical-plan estimator must
+//! track reality in *direction* — remote feeds dominate, optimization
+//! never raises estimated shipping, and the explain report surfaces all
+//! of it.
 
 use polygen::catalog::prelude::scenario;
 use polygen::lqp::prelude::*;
-use polygen::pqp::costing::estimate;
 use polygen::pqp::explain::explain_with_cost;
 use polygen::pqp::prelude::*;
 use polygen::sql::prelude::PAPER_EXPRESSION;
@@ -16,7 +16,7 @@ fn estimated_shipping_matches_actual_within_reason() {
     let s = scenario::build();
     let pqp = Pqp::for_scenario(&s);
     let out = pqp.query_algebra(PAPER_EXPRESSION).unwrap();
-    let cost = estimate(&out.compiled.plan, pqp.registry());
+    let cost = estimate_physical(&out.compiled.physical, pqp.registry());
     // Actual shipped rows for the paper query: 5 (select) + 9 (CAREER) +
     // 9 + 7 + 10 (the three merge retrieves) = 40. The estimator assumes
     // 10% select selectivity (0.8 rows vs actual 5), so it must land in
@@ -44,8 +44,8 @@ fn optimizer_never_raises_estimated_shipping() {
     ] {
         let a = naive.query_algebra(&query).unwrap();
         let b = optimized.query_algebra(&query).unwrap();
-        let ca = estimate(&a.compiled.plan, naive.registry());
-        let cb = estimate(&b.compiled.plan, optimized.registry());
+        let ca = estimate_physical(&a.compiled.physical, naive.registry());
+        let cb = estimate_physical(&b.compiled.physical, optimized.registry());
         assert!(
             cb.tuples_shipped <= ca.tuples_shipped + 1e-9,
             "{query}: optimized plan ships more ({} > {})",
@@ -77,7 +77,8 @@ fn remote_feed_shows_up_in_explain() {
     assert!(report.contains("Plan cost estimate"));
     // With CD behind a transatlantic feed the estimate is dominated by
     // its fixed cost (250 ms per operation).
-    let remote_cost = estimate(&out.compiled.plan, &registry);
-    let local_cost = estimate(&out.compiled.plan, &polygen::lqp::scenario_registry(&s));
+    let remote_cost = estimate_physical(&out.compiled.physical, &registry);
+    let local_cost =
+        estimate_physical(&out.compiled.physical, &polygen::lqp::scenario_registry(&s));
     assert!(remote_cost.total_us > local_cost.total_us * 10.0);
 }

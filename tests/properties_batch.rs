@@ -4,12 +4,11 @@
 //! The guarantee under test: **the batch kernels are invisible**. The
 //! plan alone decides which pipelines run on `ColumnBatch`
 //! (`PhysicalPlan::is_batch_pipeline`: eligible stages over a leaf), so
-//! the reference is not a switch but the same plan walked in retention
-//! mode — leaves tagged eagerly, every stage on the `TupleStream` row
-//! kernels. For random federations, policies and thread counts the
-//! production run must be *byte-identical* to that walk — data, origin
-//! tags, intermediate tags, and tuple order — and tag-set-equal to the
-//! eager reference interpreter; rejections must agree in error kind.
+//! the reference is not a switch but the eager reference interpreter —
+//! leaves tagged eagerly, every row on the reference algebra. For random
+//! federations, policies and thread counts the production run must be
+//! *byte-identical* to it — data, origin tags, intermediate tags, and
+//! tuple order; rejections must agree in error kind.
 //! The same holds through index-routed probes (batch ordinals) and
 //! across a mid-run source update in the serving layer.
 
@@ -24,10 +23,9 @@ use polygen::core::{Cell, PolygenRelation, SourceId};
 use polygen::flat::value::Cmp;
 use polygen::flat::{Schema, Value};
 use polygen::index::IndexSpec;
-use polygen::obs::trace::Trace;
 use polygen::pqp::prelude::*;
 use polygen::serve::prelude::*;
-use polygen::sql::prelude::PAPER_EXPRESSION;
+use polygen::sql::prelude::{parse_algebra, PAPER_EXPRESSION};
 use polygen::workload::queries::{point_lookup, range_scan};
 use polygen::workload::{self, replay, ClientMix, MixWeights};
 use proptest::prelude::*;
@@ -191,7 +189,7 @@ fn edge_shapes_agree_under_batch_execution() {
 
 /// Index-routed plans: the probe hands the pipeline a gathered batch
 /// (ordinals, not a relation), and the answer stays byte-identical to
-/// the row walk over the same routed plan.
+/// the eager interpreter's full-scan run of the same IOM.
 #[test]
 fn indexed_probes_feed_batches_byte_identically() {
     let config = small_config(0xbead, 3, 120);
@@ -218,22 +216,15 @@ fn indexed_probes_feed_batches_byte_identically() {
                 b.compiled.physical.index_scans() > 0 || expr.contains(">= 30"),
                 "probe shapes must route: `{expr}`"
             );
-            let (row, _) = execute_plan(
-                &b.compiled.physical,
+            let (eager, _) = execute_eager(
+                &b.compiled.iom,
                 pqp.registry(),
                 pqp.dictionary(),
-                Some(&catalog),
-                &PqpOptions {
-                    retain_intermediates: true,
-                    threads,
-                    partitions: threads,
-                    ..PqpOptions::default()
-                },
-                &Trace::disabled(),
+                &pqp.options(),
             )
             .unwrap();
             assert_eq!(
-                row.tuples(),
+                eager.tuples(),
                 b.answer.tuples(),
                 "batch diverged on routed `{expr}` (threads = {threads})"
             );
@@ -243,9 +234,9 @@ fn indexed_probes_feed_batches_byte_identically() {
 
 /// Service-level: an indexed, cached service — whose point and range
 /// pipelines run on the batch kernels — returns byte-identical answers
-/// to a row-walk baseline (a retention-mode engine: full scans, eager
-/// tags, `TupleStream` kernels) across a mid-run source update, which
-/// swaps snapshots and rebuilds the updated source's indexes under it.
+/// to the eager interpreter (full scans, eager tags, the reference
+/// algebra) across a mid-run source update, which swaps snapshots and
+/// rebuilds the updated source's indexes under it.
 #[test]
 fn batch_service_is_invisible_across_source_update() {
     let config = small_config(0xcafe, 3, 96);
@@ -290,22 +281,29 @@ fn batch_service_is_invisible_across_source_update() {
             let s0 = sc.database("S0").expect("S0 exists");
             service.update_source_relations("S0", s0.relations.clone());
         }
-        let row = Pqp::for_scenario(sc).with_options(PqpOptions {
-            retain_intermediates: true,
-            ..PqpOptions::default()
-        });
+        let reference = Pqp::for_scenario(sc);
+        let eager = |q: &Request| {
+            let expr = match q.lang {
+                Lang::Sql => reference.translate_sql(&q.text)?,
+                Lang::Algebra => parse_algebra(&q.text)?,
+                Lang::App => panic!("scripts carry no application SQL"),
+            };
+            let compiled = reference.compile(expr)?;
+            execute_eager(
+                &compiled.iom,
+                reference.registry(),
+                reference.dictionary(),
+                &reference.options(),
+            )
+        };
         replay(&mix, |c, q| {
             let (got, _) = serve_rows(&service, q.clone());
-            let want = match q.lang {
-                Lang::Sql => row.query(&q.text),
-                Lang::Algebra => row.query_algebra(&q.text),
-                Lang::App => panic!("scripts carry no application SQL"),
-            }
-            .unwrap_or_else(|e| panic!("row walk of `{}` failed: {e}", q.text));
+            let (want, _) =
+                eager(q).unwrap_or_else(|e| panic!("eager run of `{}` failed: {e}", q.text));
             assert_eq!(
                 got.tuples(),
-                want.answer.tuples(),
-                "phase {phase} client {c} query `{}`: service diverged from the row walk",
+                want.tuples(),
+                "phase {phase} client {c} query `{}`: service diverged from the eager reference",
                 q.text
             );
         });

@@ -69,7 +69,7 @@ proptest! {
         let (opt, _) = optimize(&iom, &registry, &sc.dictionary).unwrap();
         let options = PqpOptions::default();
         let (eager, _) = execute_eager(&opt, &registry, &sc.dictionary, &options).unwrap();
-        let (fast, _) = execute(&opt, &registry, &sc.dictionary, &options).unwrap();
+        let fast = execute(&opt, &registry, &sc.dictionary, &options).unwrap();
         prop_assert!(fast.tagged_set_eq(&eager), "optimized plan diverges for {expr}");
     }
 }

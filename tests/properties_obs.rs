@@ -12,8 +12,8 @@
 //! * A span's `partitions` note reports the dispatch the run took — the
 //!   plan carries none.
 //! * EXPLAIN ANALYZE's `act=` row counts are not estimates: they must
-//!   equal the materialized `R(n)` sizes the retention-mode executor
-//!   produces for the same plan.
+//!   equal the sizes of the `R(n)` the eager interpreter materializes
+//!   for the rows the plan's nodes end at.
 //! * The serving histograms' percentiles must agree with the exact
 //!   order-statistics summary on identical samples, within the
 //!   documented 2× power-of-two bucket resolution.
@@ -58,7 +58,6 @@ fn partition_notes_report_the_run_not_the_plan() {
             &compile(expr, sc.dictionary.schema()),
             &registry,
             &sc.dictionary,
-            &PqpOptions::default(),
         )
         .expect("lowers");
         let trace = Trace::enabled();
@@ -116,8 +115,7 @@ proptest! {
     /// reference; rejections must agree in error kind. The enabled
     /// run's span tree must be well formed every time, and its
     /// `exec/Pipeline` spans must show the executor obeying the plan:
-    /// `kernel = "batch"` exactly on the plan's batch pipelines, and
-    /// `"row"` everywhere under retention.
+    /// `kernel = "batch"` exactly on the plan's batch pipelines.
     #[test]
     fn tracing_is_invisible_to_results(
         fed_seed in any::<u64>(),
@@ -131,25 +129,23 @@ proptest! {
         let registry = scenario_registry(&sc);
         for expr in [random.to_string(), "PDETAIL [SCORE >= 30] [ENAME, SCORE]".to_string()] {
             let iom = compile(&expr, sc.dictionary.schema());
-            let serial = PqpOptions::default().with_threads(1);
-            let plan = lower_plan(&iom, &registry, &sc.dictionary, &serial);
+            let plan = lower_plan(&iom, &registry, &sc.dictionary);
             for threads in [1usize, 4] {
-                let opts = |retain: bool| PqpOptions {
-                    retain_intermediates: retain,
+                let opts = PqpOptions {
                     threads,
                     partitions: threads,
                     ..PqpOptions::default()
                 };
-                let run = |trace: Trace, retain: bool| {
+                let run = |trace: Trace| {
                     let plan = plan.as_ref().map_err(Clone::clone)?;
-                    execute_plan(plan, &registry, &sc.dictionary, None, &opts(retain), &trace)
+                    execute_plan(plan, &registry, &sc.dictionary, None, &opts, &trace)
                 };
-                let eager = execute_eager(&iom, &registry, &sc.dictionary, &opts(false));
-                let off = run(Trace::disabled(), false);
+                let eager = execute_eager(&iom, &registry, &sc.dictionary, &opts);
+                let off = run(Trace::disabled());
                 let recorder = Trace::enabled();
-                let on = run(recorder.clone(), false);
+                let on = run(recorder.clone());
                 match (eager, off, on) {
-                    (Ok((eager, _)), Ok((off, _)), Ok((on, _))) => {
+                    (Ok((eager, _)), Ok(off), Ok(on)) => {
                         prop_assert_eq!(
                             off.tuples(),
                             on.tuples(),
@@ -173,17 +169,6 @@ proptest! {
                                 plan.is_batch_pipeline(node),
                                 "node #{} of `{}` ran `{:?}` against the plan (threads={})",
                                 node, expr, sp.note_str("kernel"), threads
-                            );
-                        }
-                        let retained = Trace::enabled();
-                        run(retained.clone(), true).expect("retention answers what production does");
-                        let report = retained.report().expect("enabled recorder reports");
-                        for sp in report.spans_named("exec/Pipeline") {
-                            prop_assert_eq!(
-                                sp.note_str("kernel"),
-                                Some("row"),
-                                "retention must walk rows on `{}` (threads={})",
-                                expr, threads
                             );
                         }
                     }
@@ -283,22 +268,25 @@ fn executor_records_one_span_per_node() {
     }
 }
 
-/// EXPLAIN ANALYZE's `act=` side is measurement, not estimation: in
-/// retention mode every node's reported row count must equal the length
-/// of the materialized `R(n)` the executor kept for that node, and the
-/// final node's count must equal the answer.
+/// EXPLAIN ANALYZE's `act=` side is measurement, not estimation: on the
+/// fused production plan, at 4 threads, every node's reported row count
+/// must equal the length of the eager interpreter's `R(n)` for the row
+/// the node ends at, and the final node's count must equal the answer.
 #[test]
 fn analyze_row_counts_equal_materialized_sizes() {
     let s = scenario::build();
-    let pqp = Pqp::for_scenario(&s).with_options(PqpOptions {
-        retain_intermediates: true,
-        threads: 1,
-        ..PqpOptions::default()
-    });
+    let pqp = Pqp::for_scenario(&s).with_options(PqpOptions::default().with_threads(4));
     for expr in COVERAGE_EXPRESSIONS {
         let compiled = pqp.compile(parse_algebra(expr).unwrap()).unwrap();
         let trace = Trace::enabled();
-        let (answer, exec_trace) = pqp.run_compiled_traced(&compiled, &trace).unwrap();
+        let answer = pqp.run_compiled_traced(&compiled, &trace).unwrap();
+        let (_, exec_trace) = execute_eager(
+            &compiled.iom,
+            pqp.registry(),
+            pqp.dictionary(),
+            &pqp.options(),
+        )
+        .unwrap();
         let report = trace.report().expect("enabled recorder reports");
         let mut checked = 0;
         for sp in &report.spans {
@@ -309,7 +297,7 @@ fn analyze_row_counts_equal_materialized_sizes() {
             let pr = compiled.physical.nodes[node].row;
             let materialized = exec_trace
                 .result(pr)
-                .unwrap_or_else(|| panic!("R({pr}) not retained for `{expr}`"))
+                .unwrap_or_else(|| panic!("eager computed no R({pr}) for `{expr}`"))
                 .len();
             assert_eq!(
                 rows as usize, materialized,

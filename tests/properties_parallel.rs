@@ -21,7 +21,7 @@ use polygen::core::algebra::{equi_join_coalesced, hash_equi_join_coalesced_parti
 use polygen::core::stream::ParallelOptions;
 use polygen::core::{Cell, PolygenRelation, SourceId};
 use polygen::flat::{Schema, Value};
-use polygen::pqp::prelude::{lower_plan, PqpOptions};
+use polygen::pqp::prelude::lower_plan;
 use polygen::sql::prelude::PAPER_EXPRESSION;
 use polygen::workload;
 use proptest::prelude::*;
@@ -238,9 +238,9 @@ fn large_federation_join_and_merge_across_thread_counts() {
 }
 
 /// A join that runs the Project over it answers what the unfused join
-/// and Project do: against the same plan walked in retention mode (no
-/// fusion, byte for byte with order) and the eager interpreter, at
-/// every thread count — for projections that keep the join column,
+/// and Project do: byte for byte with order against the eager
+/// interpreter — on the answer and on the prefix that ends at the join,
+/// which runs it whole — at every thread count — for projections that keep the join column,
 /// drop it (the collapse then runs at one partition), reorder, take one
 /// side only, or feed a later stage.
 #[test]
@@ -260,7 +260,6 @@ fn fused_join_project_matches_the_unfused_run_across_thread_counts() {
             &compile(&expr, sc.dictionary.schema()),
             &registry,
             &sc.dictionary,
-            &PqpOptions::default(),
         )
         .unwrap();
         let fused = (0..plan.nodes.len()).filter(|&i| plan.fused_join_project(i).is_some());

@@ -4,10 +4,8 @@
 //! is the LQP's own rows plus one source id, and source tags come into
 //! existence in the first kernel that builds an output cell — yet every
 //! answer must be byte-identical (data, origin tags, intermediate tags,
-//! tuple order, error kinds) to the eager reference interpreter and to
-//! the same plan run over `execute_tagged`-materialized leaves (retention
-//! mode, which also walks every pipeline on the row kernels), on every
-//! thread count.
+//! tuple order, error kinds) to the eager reference interpreter, whose
+//! leaves are `execute_tagged`-materialized, on every thread count.
 //!
 //! The federations here are deliberately hostile where the synthetic
 //! workload generator is clean: domain rules that collapse rows, nil and
@@ -227,11 +225,9 @@ const QUERIES: [&str; 12] = [
     "PD MINUS (PD [DK = DV])",
 ];
 
-/// Every physical configuration of one compiled plan — threads ×
-/// retention (the production kernels, batch pipelines included, vs the
-/// row walk over eagerly tagged leaves) — must produce the same bytes,
-/// equal to the eager reference; rejections must agree in kind
-/// everywhere.
+/// One compiled plan — late-tagged leaves, batch pipelines included —
+/// must produce the same bytes at every thread count, equal to the eager
+/// reference; rejections must agree in kind everywhere.
 fn assert_late_tagging_invisible(
     sc: &Scenario,
     expr: &str,
@@ -254,8 +250,7 @@ fn assert_late_tagging_invisible(
             ..PqpOptions::default()
         },
     );
-    let serial = PqpOptions::default().with_threads(1);
-    let plan = lower_plan(&iom, &registry, &sc.dictionary, &serial);
+    let plan = lower_plan(&iom, &registry, &sc.dictionary);
     let plan = match (plan, &eager) {
         (Ok(plan), _) => plan,
         (Err(pe), Err(ee)) => {
@@ -265,36 +260,33 @@ fn assert_late_tagging_invisible(
         (Err(pe), Ok(_)) => panic!("`{expr}` lowers with {pe} but the reference answers"),
     };
     for threads in THREAD_COUNTS {
-        for retain in [false, true] {
-            let got = execute_plan(
-                &plan,
-                &registry,
-                &sc.dictionary,
-                None,
-                &PqpOptions {
-                    conflict_policy: policy,
-                    retain_intermediates: retain,
-                    threads,
-                    partitions: threads,
-                    ..PqpOptions::default()
-                },
-                &Trace::disabled(),
-            );
-            let leg = format!("`{expr}` threads={threads} retain={retain}");
-            match (&eager, got) {
-                (Ok((want, _)), Ok((got, _))) => {
-                    assert_eq!(want.schema().attrs(), got.schema().attrs(), "{leg}");
-                    assert_eq!(want.tuples(), got.tuples(), "{leg}");
-                }
-                (Err(want), Err(got)) => {
-                    assert!(same_error_kind(want, &got), "{leg}: {want} vs {got}")
-                }
-                (want, got) => panic!(
-                    "{leg}: reference {} but engine {}",
-                    want.as_ref().map(|_| "answers").unwrap_or("rejects"),
-                    got.map(|_| "answers").unwrap_or("rejects"),
-                ),
+        let got = execute_plan(
+            &plan,
+            &registry,
+            &sc.dictionary,
+            None,
+            &PqpOptions {
+                conflict_policy: policy,
+                threads,
+                partitions: threads,
+                ..PqpOptions::default()
+            },
+            &Trace::disabled(),
+        );
+        let leg = format!("`{expr}` threads={threads}");
+        match (&eager, got) {
+            (Ok((want, _)), Ok(got)) => {
+                assert_eq!(want.schema().attrs(), got.schema().attrs(), "{leg}");
+                assert_eq!(want.tuples(), got.tuples(), "{leg}");
             }
+            (Err(want), Err(got)) => {
+                assert!(same_error_kind(want, &got), "{leg}: {want} vs {got}")
+            }
+            (want, got) => panic!(
+                "{leg}: reference {} but engine {}",
+                want.as_ref().map(|_| "answers").unwrap_or("rejects"),
+                got.map(|_| "answers").unwrap_or("rejects"),
+            ),
         }
     }
 }
