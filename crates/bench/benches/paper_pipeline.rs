@@ -6,10 +6,14 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use polygen_bench::{merge_operands, mit_setup};
 use polygen_core::algebra::coalesce::ConflictPolicy;
 use polygen_core::algebra::{coalesce, merge::merge, outer_join};
+use polygen_core::relation::PolygenRelation;
+use polygen_obs::trace::Trace;
 use polygen_pqp::analyzer::analyze;
-use polygen_pqp::executor::{execute, execute_eager};
+use polygen_pqp::executor::{execute_eager, execute_plan};
 use polygen_pqp::interpreter::interpret;
+use polygen_pqp::plan::lower;
 use polygen_pqp::pqp::{Pqp, PqpOptions};
+use polygen_pqp::PqpError;
 use polygen_sql::algebra_expr::{parse_algebra, PAPER_EXPRESSION};
 use std::hint::black_box;
 
@@ -31,21 +35,21 @@ fn paper_query(c: &mut Criterion) {
     });
     let compiled = pqp.compile(expr).unwrap();
     g.bench_function("execute_tables_4_to_9", |b| {
-        b.iter(|| pqp.run(black_box(compiled.clone())).unwrap())
+        b.iter(|| pqp.run_compiled(black_box(&compiled)).unwrap())
     });
+    // Parse, compile and run algebra text.
+    let from_text = |pqp: &Pqp, text: &str| -> Result<PolygenRelation, PqpError> {
+        pqp.run_compiled(&pqp.compile(parse_algebra(text)?)?)
+    };
     g.bench_function("full_pipeline_from_text", |b| {
-        b.iter(|| pqp.query_algebra(black_box(PAPER_EXPRESSION)).unwrap())
+        b.iter(|| from_text(&pqp, black_box(PAPER_EXPRESSION)).unwrap())
     });
     let optimizing = Pqp::for_scenario(&s).with_options(PqpOptions {
         optimize: true,
         ..PqpOptions::default()
     });
     g.bench_function("full_pipeline_optimized", |b| {
-        b.iter(|| {
-            optimizing
-                .query_algebra(black_box(PAPER_EXPRESSION))
-                .unwrap()
-        })
+        b.iter(|| from_text(&optimizing, black_box(PAPER_EXPRESSION)).unwrap())
     });
     g.finish();
 }
@@ -71,11 +75,14 @@ fn engine_comparison(c: &mut Criterion) {
     });
     g.bench_function("execute_physical", |b| {
         b.iter(|| {
-            execute(
-                black_box(&iom),
+            let plan = lower(black_box(&iom), &registry, &s.dictionary).unwrap();
+            execute_plan(
+                &plan,
                 &registry,
                 &s.dictionary,
+                None,
                 &PqpOptions::default(),
+                &Trace::disabled(),
             )
             .unwrap()
         })

@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use polygen_bench::merge_operands;
 use polygen_core::algebra::coalesce::ConflictPolicy;
 use polygen_core::algebra::merge::hash_merge_partitioned;
-use polygen_core::algebra::{hash_equi_join_coalesced_partitioned, merge};
+use polygen_core::algebra::{hash_equi_join_project, merge};
 use polygen_core::stream::ParallelOptions;
 use polygen_lqp::engine::LocalOp;
 use polygen_lqp::scenario_registry;
@@ -103,12 +103,13 @@ fn join_thread_sweep(c: &mut Criterion) {
                 &(&probe, &build),
                 |b, (probe, build)| {
                     b.iter(|| {
-                        hash_equi_join_coalesced_partitioned(
+                        hash_equi_join_project(
                             black_box(*probe),
                             *build,
                             "DNAME",
                             "NAME_0",
                             "NAME_0",
+                            None,
                             ParallelOptions::with_threads(threads),
                         )
                         .unwrap()

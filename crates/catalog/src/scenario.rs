@@ -7,7 +7,8 @@
 //! the STATE domain (Table A3 prints plain states because "the domain
 //! mismatch problem … has been resolved").
 //!
-//! Normalizations documented in `EXPERIMENTS.md`:
+//! Normalizations of the scan (DESIGN.md, "Known discrepancies with the
+//! 1990 scan", collects them with the paper's own):
 //! * `CitiCorp` vs `Citicorp`: the scan mixes spellings across relations;
 //!   the paper *assumes* the inter-database instance-identifier
 //!   mismatching problem resolved, so we store the single spelling

@@ -76,7 +76,7 @@ const CHAIN_END: u32 = u32::MAX;
 ///
 /// Every equality kernel probes through it — [`theta_join`]'s equality
 /// path, [`hash_equi_join_coalesced`], each partition of
-/// [`hash_equi_join_coalesced_partitioned`], semi-join and anti-join — so
+/// [`hash_equi_join_project`], semi-join and anti-join — so
 /// none of them can diverge on match semantics or match order.
 pub(crate) struct EquiTable<'p, B> {
     rows: Vec<B>,
@@ -193,8 +193,8 @@ pub fn equi_join_coalesced(
     )
 }
 
-/// [`hash_equi_join_coalesced_partitioned`] at one partition: the
-/// single-pass fused join without the partition count.
+/// [`hash_equi_join_project`] at one partition with no Project: the
+/// single-pass fused join on its own.
 pub fn hash_equi_join_coalesced<L: Operand, R: Operand>(
     p1: &L,
     p2: &R,
@@ -202,8 +202,8 @@ pub fn hash_equi_join_coalesced<L: Operand, R: Operand>(
     y: &str,
     out: &str,
 ) -> Result<PolygenRelation, PolygenError> {
-    hash_equi_join_coalesced_partitioned(p1, p2, x, y, out, ParallelOptions::serial())
-        .map(|(joined, _)| joined)
+    hash_equi_join_project(p1, p2, x, y, out, None, ParallelOptions::serial())
+        .map(|(joined, _, _)| joined)
 }
 
 /// How the coalesced equi-join emits a matched pair `(a, b)`: which
@@ -394,43 +394,29 @@ impl<'k> JoinEmit<'k> {
 }
 
 /// Single-pass fused form of [`equi_join_coalesced`] — the physical-plan
-/// engine's join kernel. Produces the same relation cell-for-cell, but
-/// builds each output tuple once (join, tag update and join-column
-/// coalesce in one emit) instead of materializing the full θ-join and
-/// re-cloning every cell in a separate coalesce pass.
+/// engine's join kernel — fused with the Project over it when `project`
+/// names the columns to keep: `(p1 [x = y] p2) [project]` in one pass.
+/// Without a Project it produces the same relation cell-for-cell as
+/// [`equi_join_coalesced`], but builds each output tuple once (join, tag
+/// update and join-column coalesce in one emit) instead of
+/// materializing the full θ-join and re-cloning every cell in a
+/// separate coalesce pass. With one, only the projected cells of a
+/// first occurrence are built; a later pair equal on the projected data
+/// only unions its tags in, mediators included. Byte-identical (data,
+/// tags, order, errors) to the join followed by
+/// [`crate::algebra::project()`].
 ///
 /// At one partition (`par` serial) it is one build + probe over the
 /// whole input; above one it splits by join key and splices the emits
 /// back in probe order, byte-identical on every partition count, and
-/// declines to split when an input is empty or the key columns mix
-/// `Int`/`Float` data.
+/// declines to split when an input is empty, the key columns mix
+/// `Int`/`Float` data, or the projection drops the join column.
 ///
 /// Generic over both operand types ([`Operand`]): a late-tagged base
 /// relation on either side is read in place, its cells built once as
-/// they land in an output tuple. Returns the join with the partition
-/// count it ran at: `1` when it did not split.
-pub fn hash_equi_join_coalesced_partitioned<L: Operand, R: Operand>(
-    p1: &L,
-    p2: &R,
-    x: &str,
-    y: &str,
-    out: &str,
-    par: ParallelOptions,
-) -> Result<(PolygenRelation, usize), PolygenError> {
-    hash_equi_join_project(p1, p2, x, y, out, None, par).map(|(joined, used, _)| (joined, used))
-}
-
-/// [`hash_equi_join_coalesced_partitioned`], fused with the Project over
-/// it when `project` names the columns to keep: `(p1 [x = y] p2)
-/// [project]` in one pass. Only the projected cells of a first
-/// occurrence are built; a later pair equal on the projected data only
-/// unions its tags in, mediators included. Byte-identical (data, tags,
-/// order, errors) to the join followed by [`crate::algebra::project()`]
-/// at every partition count; it splits like the join, except when the
-/// projection drops the join column.
-///
-/// Returns the output, the partition count it ran at, and the matched
-/// pairs — the rows the join without the Project has.
+/// they land in an output tuple. Returns the output, the partition
+/// count it ran at (`1` when it did not split), and the matched pairs —
+/// the rows the join without the Project has.
 pub fn hash_equi_join_project<L: Operand, R: Operand>(
     p1: &L,
     p2: &R,
@@ -656,15 +642,9 @@ mod tests {
                 threads,
                 partitions,
             };
-            let (parallel, used) = hash_equi_join_coalesced_partitioned(
-                &alumnus(),
-                &career(),
-                "AID#",
-                "AID#",
-                "AID#",
-                par,
-            )
-            .unwrap();
+            let (parallel, used, _) =
+                hash_equi_join_project(&alumnus(), &career(), "AID#", "AID#", "AID#", None, par)
+                    .unwrap();
             assert_eq!(used, partitions, "no fallback on homogeneous keys");
             assert_eq!(
                 sequential.tuples(),
@@ -682,15 +662,9 @@ mod tests {
         let mut left = alumnus();
         left.tuples_mut()[0][0].datum = Value::float(123.0);
         let par = ParallelOptions::with_threads(4);
-        assert!(hash_equi_join_coalesced_partitioned(
-            &left,
-            &career(),
-            "AID#",
-            "AID#",
-            "AID#",
-            par
-        )
-        .is_err());
+        assert!(
+            hash_equi_join_project(&left, &career(), "AID#", "AID#", "AID#", None, par).is_err()
+        );
         // Homogeneous Float keys take the parallel path and still match.
         for t in left.tuples_mut() {
             if let Value::Int(i) = t[0].datum {
@@ -704,16 +678,14 @@ mod tests {
             }
         }
         let seq = hash_equi_join_coalesced(&left, &right, "AID#", "AID#", "AID#").unwrap();
-        let (parl, used) =
-            hash_equi_join_coalesced_partitioned(&left, &right, "AID#", "AID#", "AID#", par)
-                .unwrap();
+        let (parl, used, _) =
+            hash_equi_join_project(&left, &right, "AID#", "AID#", "AID#", None, par).unwrap();
         assert_eq!(seq.tuples(), parl.tuples());
         assert_eq!(used, 4);
         // A mixed pair that does not collide still falls back, and says so.
         left.tuples_mut()[0][0].datum = Value::int(-1);
-        let (_, used) =
-            hash_equi_join_coalesced_partitioned(&left, &right, "AID#", "AID#", "AID#", par)
-                .unwrap();
+        let (_, used, _) =
+            hash_equi_join_project(&left, &right, "AID#", "AID#", "AID#", None, par).unwrap();
         assert_eq!(used, 1, "mixed Int/Float keys run at one partition");
     }
 
@@ -723,14 +695,12 @@ mod tests {
         left.tuples_mut()[0][0].datum = Value::Null;
         let par = ParallelOptions::with_threads(3);
         let seq = hash_equi_join_coalesced(&left, &career(), "AID#", "AID#", "AID#").unwrap();
-        let (parl, _) =
-            hash_equi_join_coalesced_partitioned(&left, &career(), "AID#", "AID#", "AID#", par)
-                .unwrap();
+        let (parl, _, _) =
+            hash_equi_join_project(&left, &career(), "AID#", "AID#", "AID#", None, par).unwrap();
         assert_eq!(seq.tuples(), parl.tuples());
         let empty = PolygenRelation::empty(Arc::clone(alumnus().schema()));
-        let (j, used) =
-            hash_equi_join_coalesced_partitioned(&empty, &career(), "AID#", "AID#", "AID#", par)
-                .unwrap();
+        let (j, used, _) =
+            hash_equi_join_project(&empty, &career(), "AID#", "AID#", "AID#", None, par).unwrap();
         assert!(j.is_empty());
         assert_eq!(used, 1, "an empty side runs at one partition");
     }

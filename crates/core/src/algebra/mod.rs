@@ -38,10 +38,7 @@ pub use anti_join::anti_join;
 pub use coalesce::{coalesce, coalesce_with_report, ConflictPolicy};
 pub use difference::difference;
 pub use intersect::intersect;
-pub use join::{
-    equi_join_coalesced, hash_equi_join_coalesced, hash_equi_join_coalesced_partitioned,
-    hash_equi_join_project, theta_join,
-};
+pub use join::{equi_join_coalesced, hash_equi_join_coalesced, hash_equi_join_project, theta_join};
 pub use merge::{hash_merge, hash_merge_partitioned, merge};
 pub use natural::{outer_natural_primary_join, outer_natural_total_join};
 pub use outer_join::outer_join;

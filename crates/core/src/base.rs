@@ -12,7 +12,7 @@
 //! a caller asks.
 //!
 //! The kernels that consume scan leaves — `hash_merge_partitioned` and
-//! `hash_equi_join_coalesced_partitioned`, at any partition count — read their
+//! `hash_equi_join_project`, at any partition count — read their
 //! operands through [`Operand`] / [`RowView`], implemented by tagged
 //! relations and base relations alike, and monomorphized per operand
 //! type: the `PolygenRelation` instantiation is the loop it always was,

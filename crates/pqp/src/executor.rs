@@ -1,9 +1,9 @@
 //! The plan executor.
 //!
-//! [`execute`] lowers the IOM through the physical-plan layer
-//! ([`crate::plan`]) and walks the resulting operator DAG: scans run at
-//! the LQPs and come back *late-tagged* (the LQP's rows plus one source
-//! id — see [`polygen_core::base`]), fused Select/Restrict/Project
+//! [`execute_plan`] walks the operator DAG the physical-plan layer
+//! ([`crate::plan`]) lowers an IOM to: scans run at the LQPs and come
+//! back *late-tagged* (the LQP's rows plus one source id — see
+//! [`polygen_core::base`]), fused Select/Restrict/Project
 //! stages run columnar over a leaf or stream `Arc`-shared tuples in
 //! place, equi-joins run as single-pass hash joins with the join-column
 //! coalesce fused into the emit, and Merge runs as the k-way single-pass
@@ -85,19 +85,6 @@ pub fn resolve_attr(
     dictionary: &DataDictionary,
 ) -> Result<String, PqpError> {
     plan::resolve_in_schema(rel.schema(), attr, dictionary)
-}
-
-/// Execute an IOM on the physical-plan engine; returns the final
-/// relation.
-pub fn execute(
-    iom: &Iom,
-    registry: &LqpRegistry,
-    dictionary: &DataDictionary,
-    options: &PqpOptions,
-) -> Result<PolygenRelation, PqpError> {
-    let plan = plan::lower(iom, registry, dictionary)?;
-    let trace = Trace::disabled();
-    execute_plan(&plan, registry, dictionary, None, options, &trace)
 }
 
 /// Run one fused pipeline stage in place.
@@ -914,6 +901,24 @@ mod tests {
     fn iom_of(expr: &str, s: &scenario::Scenario) -> Iom {
         let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
         interpret(&pom, s.dictionary.schema()).unwrap().1
+    }
+
+    /// Lower an IOM and run it on the physical engine, catalog-free.
+    fn execute(
+        iom: &Iom,
+        registry: &LqpRegistry,
+        dictionary: &DataDictionary,
+        options: &PqpOptions,
+    ) -> Result<PolygenRelation, PqpError> {
+        let plan = plan::lower(iom, registry, dictionary)?;
+        execute_plan(
+            &plan,
+            registry,
+            dictionary,
+            None,
+            options,
+            &Trace::disabled(),
+        )
     }
 
     fn run(expr: &str) -> PolygenRelation {

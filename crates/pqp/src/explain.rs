@@ -6,33 +6,42 @@ use crate::costing;
 use crate::iom::render_iom;
 use crate::plan::{render_plan, PhysicalPlan};
 use crate::pom::render_pom;
-use crate::pqp::QueryOutcome;
+use crate::pqp::CompiledQuery;
 use polygen_catalog::dictionary::DataDictionary;
 use polygen_core::lineage;
+use polygen_core::relation::PolygenRelation;
 use polygen_core::render::render_relation;
 use polygen_lqp::registry::LqpRegistry;
 use polygen_obs::trace::TraceReport;
 use std::fmt::Write as _;
 
-/// Render a full explain report for an executed query.
-pub fn explain(outcome: &QueryOutcome, dictionary: &DataDictionary) -> String {
+/// Render a full explain report for an executed query: the compiled
+/// stages, the answer with its provenance, and the plan-cost estimate
+/// against `registry` (which LQPs dominate, how many tuples ship),
+/// estimated over the physical operator tree.
+pub fn explain(
+    compiled: &CompiledQuery,
+    answer: &PolygenRelation,
+    dictionary: &DataDictionary,
+    registry: &LqpRegistry,
+) -> String {
     let mut out = String::new();
     let reg = dictionary.registry();
     let _ = writeln!(out, "== Polygen algebraic expression ==");
-    let _ = writeln!(out, "{}", outcome.compiled.expr);
+    let _ = writeln!(out, "{}", compiled.expr);
     let _ = writeln!(out, "\n== Polygen Operation Matrix (Table 1 form) ==");
-    out.push_str(&render_pom(&outcome.compiled.pom));
+    out.push_str(&render_pom(&compiled.pom));
     let _ = writeln!(
         out,
         "\n== Half-processed IOM after pass one (Table 2 form) =="
     );
-    out.push_str(&render_iom(&outcome.compiled.half));
+    out.push_str(&render_iom(&compiled.half));
     let _ = writeln!(out, "\n== Intermediate Operation Matrix (Table 3 form) ==");
-    out.push_str(&render_iom(&outcome.compiled.iom));
-    if outcome.compiled.plan != outcome.compiled.iom {
+    out.push_str(&render_iom(&compiled.iom));
+    if compiled.plan != compiled.iom {
         let _ = writeln!(out, "\n== Optimized plan ==");
-        out.push_str(&render_iom(&outcome.compiled.plan));
-        let r = outcome.compiled.optimizer_report;
+        out.push_str(&render_iom(&compiled.plan));
+        let r = compiled.optimizer_report;
         let _ = writeln!(
             out,
             "(deduped {} retrieves + {} merges, pushed {} selects, eliminated {} rows)",
@@ -40,15 +49,15 @@ pub fn explain(outcome: &QueryOutcome, dictionary: &DataDictionary) -> String {
         );
     }
     let _ = writeln!(out, "\n== Physical plan ==");
-    out.push_str(&render_plan(&outcome.compiled.physical));
-    let fused = outcome.compiled.physical.fused_rows();
+    out.push_str(&render_plan(&compiled.physical));
+    let fused = compiled.physical.fused_rows();
     if fused > 0 {
         let _ = writeln!(out, "({fused} row(s) fused into pipeline stages)");
     }
     let _ = writeln!(out, "\n== Answer ==");
-    out.push_str(&render_relation(&outcome.answer, reg));
+    out.push_str(&render_relation(answer, reg));
     let _ = writeln!(out, "\n== Provenance by attribute ==");
-    for col in lineage::column_provenance(&outcome.answer) {
+    for col in lineage::column_provenance(answer) {
         let _ = writeln!(
             out,
             "{}: origins {} | intermediates {}",
@@ -57,7 +66,7 @@ pub fn explain(outcome: &QueryOutcome, dictionary: &DataDictionary) -> String {
             reg.render_set(&col.intermediates)
         );
     }
-    let purely = lineage::purely_intermediate_sources(&outcome.answer);
+    let purely = lineage::purely_intermediate_sources(answer);
     if !purely.is_empty() {
         let names: Vec<&str> = purely.iter().map(|id| reg.name(*id)).collect();
         let _ = writeln!(
@@ -66,20 +75,8 @@ pub fn explain(outcome: &QueryOutcome, dictionary: &DataDictionary) -> String {
             names.join(", ")
         );
     }
-    out
-}
-
-/// [`explain`] plus the plan-cost estimate against a concrete LQP
-/// registry (which LQPs dominate, how many tuples ship), estimated over
-/// the physical operator tree.
-pub fn explain_with_cost(
-    outcome: &QueryOutcome,
-    dictionary: &DataDictionary,
-    registry: &LqpRegistry,
-) -> String {
-    let mut out = explain(outcome, dictionary);
     let _ = writeln!(out, "\n== Plan cost estimate (physical) ==");
-    out.push_str(&costing::estimate_physical(&outcome.compiled.physical, registry).to_string());
+    out.push_str(&costing::estimate_physical(&compiled.physical, registry).to_string());
     out
 }
 
@@ -137,24 +134,28 @@ pub fn render_analyzed_plan(
 mod tests {
     use crate::pqp::Pqp;
     use polygen_catalog::scenario;
-    use polygen_sql::algebra_expr::PAPER_EXPRESSION;
+    use polygen_sql::algebra_expr::{parse_algebra, PAPER_EXPRESSION};
 
-    #[test]
-    fn explain_with_cost_appends_estimate() {
+    fn paper_report() -> String {
         let s = scenario::build();
         let pqp = Pqp::for_scenario(&s);
-        let out = pqp.query_algebra(PAPER_EXPRESSION).unwrap();
-        let report = super::explain_with_cost(&out, pqp.dictionary(), pqp.registry());
+        let compiled = pqp
+            .compile(parse_algebra(PAPER_EXPRESSION).unwrap())
+            .unwrap();
+        let answer = pqp.run_compiled(&compiled).unwrap();
+        super::explain(&compiled, &answer, pqp.dictionary(), pqp.registry())
+    }
+
+    #[test]
+    fn explain_appends_cost_estimate() {
+        let report = paper_report();
         assert!(report.contains("Plan cost estimate"));
         assert!(report.contains("tuples shipped"));
     }
 
     #[test]
     fn explain_covers_all_stages() {
-        let s = scenario::build();
-        let pqp = Pqp::for_scenario(&s);
-        let out = pqp.query_algebra(PAPER_EXPRESSION).unwrap();
-        let report = super::explain(&out, pqp.dictionary());
+        let report = paper_report();
         assert!(report.contains("Polygen Operation Matrix"));
         assert!(report.contains("pass one"));
         assert!(report.contains("Intermediate Operation Matrix"));

@@ -8,7 +8,10 @@
 //! pass two does the same for the right-hand side and fixes up rows whose
 //! two operands live in different places.
 //!
-//! ## Documented deviations from the figures (see `EXPERIMENTS.md`)
+//! ## Documented deviations from the figures
+//!
+//! DESIGN.md, "Known discrepancies with the 1990 scan", collects these
+//! with the paper's own.
 //!
 //! 1. The figures key the single/multi decision off `MAi` — the mapping of
 //!    the *attribute* being operated on. We key it off the *scheme's*

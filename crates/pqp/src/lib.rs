@@ -24,8 +24,12 @@
 //!              `execute_eager` keeps every `R(n)`       (Tables 4–8)
 //! ```
 //!
-//! Entry point: [`pqp::Pqp`]. `Pqp::for_scenario` wires the paper's MIT
-//! federation; [`explain::explain`] renders the whole pipeline in the
+//! Entry point: [`pqp::Pqp`]. [`Pqp::compile`] produces every stage
+//! above as a [`pqp::CompiledQuery`] and [`Pqp::run_compiled`] executes
+//! its physical plan; `Pqp::for_scenario` wires the paper's MIT
+//! federation. Answers are served by `polygen-serve`'s
+//! `QueryService::execute`, which compiles and runs through these two.
+//! [`explain::explain`] renders a compiled query and its answer in the
 //! paper's table notation.
 
 pub mod analyzer;
@@ -46,7 +50,7 @@ pub mod prelude {
     pub use crate::analyzer::analyze;
     pub use crate::costing::{estimate_physical, PlanCost};
     pub use crate::error::PqpError;
-    pub use crate::executor::{execute, execute_eager, execute_plan, resolve_attr, ExecutionTrace};
+    pub use crate::executor::{execute_eager, execute_plan, resolve_attr, ExecutionTrace};
     pub use crate::explain::{explain, render_analyzed_plan};
     pub use crate::interpreter::{interpret, pass_one, pass_two};
     pub use crate::iom::{render_iom, ExecLoc, Iom, IomRow};
@@ -56,8 +60,8 @@ pub mod prelude {
         StageKind,
     };
     pub use crate::pom::{render_pom, Op, Pom, PomRow, RelRef, Rha};
-    pub use crate::pqp::{CompiledQuery, Pqp, PqpOptions, QueryOutcome};
+    pub use crate::pqp::{CompiledQuery, Pqp, PqpOptions};
 }
 
 pub use error::PqpError;
-pub use pqp::{Pqp, PqpOptions, QueryOutcome};
+pub use pqp::{Pqp, PqpOptions};

@@ -252,21 +252,39 @@ fn eliminate_dead_rows(iom: &Iom, report: &mut OptimizerReport) -> Result<Iom, P
 mod tests {
     use super::*;
     use crate::analyzer::analyze;
-    use crate::executor::execute;
+    use crate::executor::execute_plan;
     use crate::interpreter::interpret;
+    use crate::plan::lower;
     use crate::pqp::PqpOptions;
     use polygen_catalog::scenario::{self, Scenario};
+    use polygen_core::relation::PolygenRelation;
     use polygen_lqp::adapter::MenuDrivenLqp;
     use polygen_lqp::cost::CostModel;
     use polygen_lqp::memory::InMemoryLqp;
     use polygen_lqp::registry::LqpRegistry;
     use polygen_lqp::scenario_registry;
+    use polygen_obs::trace::Trace;
     use polygen_sql::algebra_expr::parse_algebra;
     use std::sync::Arc;
 
     fn compile(expr: &str, s: &Scenario) -> Iom {
         let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
         interpret(&pom, s.dictionary.schema()).unwrap().1
+    }
+
+    /// Lower an IOM and run it on the physical engine.
+    fn run(iom: &Iom, registry: &LqpRegistry, s: &Scenario) -> PolygenRelation {
+        let plan = lower(iom, registry, &s.dictionary).unwrap();
+        let options = PqpOptions::default();
+        execute_plan(
+            &plan,
+            registry,
+            &s.dictionary,
+            None,
+            &options,
+            &Trace::disabled(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -282,8 +300,8 @@ mod tests {
         let retrieves_after = opt.rows.iter().filter(|r| r.op == Op::Retrieve).count();
         assert_eq!(retrieves_after, 1);
         // Results agree.
-        let naive = execute(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
-        let fast = execute(&opt, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
+        let naive = run(&iom, &registry, &s);
+        let fast = run(&opt, &registry, &s);
         assert!(naive.tagged_set_eq(&fast));
     }
 
@@ -335,8 +353,8 @@ mod tests {
         assert_eq!(opt.rows[0].el, ExecLoc::Lqp("CD".into()));
         // Equivalent results — except tags: a pushed select runs before
         // tagging, so the intermediate {CD} tag disappears. Data agrees.
-        let naive = execute(&hand, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
-        let fast = execute(&opt, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
+        let naive = run(&hand, &registry, &s);
+        let fast = run(&opt, &registry, &s);
         assert!(naive.strip().set_eq(&fast.strip()));
     }
 
@@ -393,8 +411,8 @@ mod tests {
         let registry = scenario_registry(&s);
         let iom = compile(polygen_sql::algebra_expr::PAPER_EXPRESSION, &s);
         let (opt, _) = optimize(&iom, &registry, &s.dictionary).unwrap();
-        let naive = execute(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
-        let fast = execute(&opt, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
+        let naive = run(&iom, &registry, &s);
+        let fast = run(&opt, &registry, &s);
         assert!(naive.tagged_set_eq(&fast));
     }
 
@@ -412,8 +430,8 @@ mod tests {
         assert_eq!(report.merges_deduped, 1);
         let merges_after = opt.rows.iter().filter(|r| r.op == Op::Merge).count();
         assert_eq!(merges_after, 1);
-        let naive = execute(&iom, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
-        let fast = execute(&opt, &registry, &s.dictionary, &PqpOptions::default()).unwrap();
+        let naive = run(&iom, &registry, &s);
+        let fast = run(&opt, &registry, &s);
         assert!(naive.tagged_set_eq(&fast));
     }
 

@@ -288,8 +288,6 @@ impl PhysicalPlan {
     /// engine choice there is: the executor, the cost model and
     /// EXPLAIN's `[batch]` marker all ask it, and everything it rejects
     /// — interior inputs, a mid-chain Project — walks the row stream.
-    /// (Retention mode tags leaves eagerly, so its pipelines never see
-    /// a leaf and walk rows whatever the plan says.)
     pub fn is_batch_pipeline(&self, i: usize) -> bool {
         let PhysOp::Pipeline { input, stages } = &self.nodes[i].op else {
             return false;
@@ -310,8 +308,7 @@ impl PhysicalPlan {
     /// [`PhysicalPlan::is_batch_pipeline`] this reads the plan's shape
     /// alone; everything it rejects (a join at the root or with two
     /// consumers, a ThetaJoin, a Select or Restrict before the Project)
-    /// runs the join whole. (Retention mode records the join's own
-    /// `R(n)`, so it never fuses.)
+    /// runs the join whole.
     pub fn fused_join_project(&self, i: usize) -> Option<&[String]> {
         if i == self.root || !matches!(self.nodes[i].op, PhysOp::HashJoin { .. }) {
             return None;

@@ -21,7 +21,7 @@ use polygen_index::IndexCatalog;
 use polygen_lqp::registry::LqpRegistry;
 use polygen_lqp::scenario_registry;
 use polygen_obs::trace::Trace;
-use polygen_sql::algebra_expr::{parse_algebra, AlgebraExpr};
+use polygen_sql::algebra_expr::AlgebraExpr;
 use polygen_sql::lower::{lower, LoweringOptions};
 use polygen_sql::parser::parse_query;
 use std::sync::Arc;
@@ -98,18 +98,6 @@ pub struct CompiledQuery {
     /// The physical operator DAG lowered from `plan` — what actually
     /// executes (hash joins, k-way hash merge, fused pipelines).
     pub physical: PhysicalPlan,
-}
-
-/// One executed query: the compiled pipeline stages and the answer. The
-/// intermediate relations `R(n)` (Tables 4–8 for the paper query) are
-/// not kept; [`crate::executor::execute_eager`] over `compiled.iom`
-/// computes every one of them.
-#[derive(Debug, Clone)]
-pub struct QueryOutcome {
-    /// The compiled pipeline stages.
-    pub compiled: CompiledQuery,
-    /// The tagged composite answer.
-    pub answer: PolygenRelation,
 }
 
 /// The PQP.
@@ -241,24 +229,6 @@ impl Pqp {
             trace,
         )
     }
-
-    /// Execute a compiled query on the physical-plan engine.
-    pub fn run(&self, compiled: CompiledQuery) -> Result<QueryOutcome, PqpError> {
-        let answer = self.run_compiled(&compiled)?;
-        Ok(QueryOutcome { compiled, answer })
-    }
-
-    /// SQL in, tagged composite answer out.
-    pub fn query(&self, sql: &str) -> Result<QueryOutcome, PqpError> {
-        let expr = self.translate_sql(sql)?;
-        self.run(self.compile(expr)?)
-    }
-
-    /// Algebra-expression text in, tagged composite answer out.
-    pub fn query_algebra(&self, text: &str) -> Result<QueryOutcome, PqpError> {
-        let expr = parse_algebra(text)?;
-        self.run(self.compile(expr)?)
-    }
 }
 
 #[cfg(test)]
@@ -266,7 +236,7 @@ mod tests {
     use super::*;
     use polygen_catalog::scenario;
     use polygen_flat::value::Value;
-    use polygen_sql::algebra_expr::PAPER_EXPRESSION;
+    use polygen_sql::algebra_expr::{parse_algebra, PAPER_EXPRESSION};
 
     const PAPER_SQL: &str = "SELECT ONAME, CEO \
         FROM PORGANIZATION, PALUMNUS \
@@ -274,14 +244,28 @@ mod tests {
         (SELECT ONAME FROM PCAREER WHERE AID# IN \
         (SELECT AID# FROM PALUMNUS WHERE DEGREE = \"MBA\"))";
 
+    /// Compile algebra text and run it: the stages and the answer.
+    fn run_algebra(pqp: &Pqp, text: &str) -> Result<(CompiledQuery, PolygenRelation), PqpError> {
+        let compiled = pqp.compile(parse_algebra(text)?)?;
+        let answer = pqp.run_compiled(&compiled)?;
+        Ok((compiled, answer))
+    }
+
+    /// [`run_algebra`] for SQL text.
+    fn run_sql(pqp: &Pqp, sql: &str) -> Result<(CompiledQuery, PolygenRelation), PqpError> {
+        let compiled = pqp.compile(pqp.translate_sql(sql)?)?;
+        let answer = pqp.run_compiled(&compiled)?;
+        Ok((compiled, answer))
+    }
+
     #[test]
     fn sql_and_algebra_paths_agree() {
         let s = scenario::build();
         let pqp = Pqp::for_scenario(&s);
-        let via_sql = pqp.query(PAPER_SQL).unwrap();
-        let via_algebra = pqp.query_algebra(PAPER_EXPRESSION).unwrap();
-        assert!(via_sql.answer.tagged_set_eq(&via_algebra.answer));
-        assert_eq!(via_sql.compiled.pom, via_algebra.compiled.pom);
+        let (sql_compiled, via_sql) = run_sql(&pqp, PAPER_SQL).unwrap();
+        let (alg_compiled, via_algebra) = run_algebra(&pqp, PAPER_EXPRESSION).unwrap();
+        assert_eq!(via_sql.tuples(), via_algebra.tuples());
+        assert_eq!(sql_compiled.pom, alg_compiled.pom);
     }
 
     #[test]
@@ -292,40 +276,40 @@ mod tests {
             optimize: true,
             ..PqpOptions::default()
         });
-        let a = naive.query(PAPER_SQL).unwrap();
-        let b = opt.query(PAPER_SQL).unwrap();
-        assert!(a.answer.tagged_set_eq(&b.answer));
+        let (_, a) = run_sql(&naive, PAPER_SQL).unwrap();
+        let (_, b) = run_sql(&opt, PAPER_SQL).unwrap();
+        assert!(a.tagged_set_eq(&b));
     }
 
     #[test]
     fn outcome_exposes_pipeline_stages() {
         let s = scenario::build();
         let pqp = Pqp::for_scenario(&s);
-        let out = pqp.query_algebra(PAPER_EXPRESSION).unwrap();
-        assert_eq!(out.compiled.pom.cardinality(), 5);
-        assert_eq!(out.compiled.half.cardinality(), 5);
-        assert_eq!(out.compiled.iom.cardinality(), 10);
-        assert_eq!(out.answer.len(), 3);
+        let (compiled, answer) = run_algebra(&pqp, PAPER_EXPRESSION).unwrap();
+        assert_eq!(compiled.pom.cardinality(), 5);
+        assert_eq!(compiled.half.cardinality(), 5);
+        assert_eq!(compiled.iom.cardinality(), 10);
+        assert_eq!(answer.len(), 3);
         // The one configuration: a fused physical plan.
-        assert!(out.compiled.physical.fused_rows() > 0);
+        assert!(compiled.physical.fused_rows() > 0);
     }
 
     #[test]
     fn thread_knob_keeps_answers_and_plans_identical() {
         let s = scenario::build();
         let sequential = Pqp::for_scenario(&s).with_options(PqpOptions::default().with_threads(1));
-        let a = sequential.query_algebra(PAPER_EXPRESSION).unwrap();
-        let shown = crate::plan::render_plan(&a.compiled.physical);
+        let (compiled, a) = run_algebra(&sequential, PAPER_EXPRESSION).unwrap();
+        let shown = crate::plan::render_plan(&compiled.physical);
         for threads in [2usize, 4, 8] {
             let parallel =
                 Pqp::for_scenario(&s).with_options(PqpOptions::default().with_threads(threads));
-            let b = parallel.query_algebra(PAPER_EXPRESSION).unwrap();
+            let (compiled, b) = run_algebra(&parallel, PAPER_EXPRESSION).unwrap();
             assert!(
-                a.answer.tagged_set_eq(&b.answer),
+                a.tagged_set_eq(&b),
                 "threads = {threads} changed the answer"
             );
             assert_eq!(
-                crate::plan::render_plan(&b.compiled.physical),
+                crate::plan::render_plan(&compiled.physical),
                 shown,
                 "threads = {threads} changed the plan"
             );
@@ -359,11 +343,11 @@ mod tests {
                 "PALUMNUS [AID# >= \"200\"] [AID# <= \"600\"]",
                 "PALUMNUS [DEGREE <> \"MBA\"]",
             ] {
-                let a = plain.query_algebra(expr).unwrap();
-                let b = indexed.query_algebra(expr).unwrap();
+                let (_, a) = run_algebra(&plain, expr).unwrap();
+                let (_, b) = run_algebra(&indexed, expr).unwrap();
                 assert_eq!(
-                    a.answer.tuples(),
-                    b.answer.tuples(),
+                    a.tuples(),
+                    b.tuples(),
                     "indexed execution diverged on `{expr}` (threads = {threads})"
                 );
             }
@@ -403,7 +387,7 @@ mod tests {
     fn answer_has_paper_tags() {
         let s = scenario::build();
         let pqp = Pqp::for_scenario(&s);
-        let out = pqp.query_algebra(PAPER_EXPRESSION).unwrap();
+        let (_, answer) = run_algebra(&pqp, PAPER_EXPRESSION).unwrap();
         let reg = pqp.dictionary().registry();
         let (ad, pd, cd) = (
             reg.lookup("AD").unwrap(),
@@ -411,15 +395,13 @@ mod tests {
             reg.lookup("CD").unwrap(),
         );
         // Genentech, {AD, CD}, {AD, CD}
-        let g = out
-            .answer
+        let g = answer
             .cell("ONAME", &Value::str("Genentech"), "ONAME")
             .unwrap();
         assert!(g.origin.contains(ad) && g.origin.contains(cd) && !g.origin.contains(pd));
         assert!(g.intermediate.contains(ad) && g.intermediate.contains(cd));
         // Bob Swanson, {CD}, {AD, CD}
-        let bs = out
-            .answer
+        let bs = answer
             .cell("ONAME", &Value::str("Genentech"), "CEO")
             .unwrap();
         assert_eq!(bs.datum, Value::str("Bob Swanson"));
@@ -431,8 +413,8 @@ mod tests {
     fn errors_propagate() {
         let s = scenario::build();
         let pqp = Pqp::for_scenario(&s);
-        assert!(pqp.query("SELECT").is_err());
-        assert!(pqp.query("SELECT X FROM NOPE").is_err());
-        assert!(pqp.query_algebra("NOPE [X = 1]").is_err());
+        assert!(run_sql(&pqp, "SELECT").is_err());
+        assert!(run_sql(&pqp, "SELECT X FROM NOPE").is_err());
+        assert!(run_algebra(&pqp, "NOPE [X = 1]").is_err());
     }
 }

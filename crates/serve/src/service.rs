@@ -206,17 +206,24 @@ impl ServeOptions {
     }
 }
 
-/// Admission state: executing and waiting query counts, plus how many
-/// budget threads the executing queries currently hold.
+/// Admission state: executing and waiting query counts, how many budget
+/// threads the executing queries currently hold, and the FIFO tickets
+/// that order the waiters.
 struct AdmissionState {
     active: usize,
     queued: usize,
     budget_used: usize,
+    /// The ticket the next queued arrival takes.
+    next_ticket: u64,
+    /// The ticket of the queue's head: the only waiter a freed slot
+    /// may go to.
+    serving: u64,
 }
 
 /// The gate in front of execution. `admit` blocks while `max_concurrent`
-/// queries run and fewer than `max_queue` wait; the returned permit
-/// releases a slot (and wakes one waiter) on drop.
+/// queries run and fewer than `max_queue` wait, and admits waiters in
+/// arrival order; the returned permit releases a slot (and wakes the
+/// waiters, of which the queue's head takes it) on drop.
 struct Admission {
     max_concurrent: usize,
     max_queue: usize,
@@ -248,6 +255,8 @@ impl Admission {
                 active: 0,
                 queued: 0,
                 budget_used: 0,
+                next_ticket: 0,
+                serving: 0,
             }),
             freed: Condvar::new(),
         }
@@ -257,7 +266,8 @@ impl Admission {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         // Queue whenever the slots are full *or* earlier arrivals are
         // already waiting — a newcomer must not barge past the queue
-        // into a slot a waiter was just woken for.
+        // into a slot a waiter was just woken for. The queue is served
+        // by ticket, so a freed slot goes to the longest waiter.
         if st.active >= self.max_concurrent || st.queued > 0 {
             if st.queued >= self.max_queue {
                 return Err(ServeError::Overloaded {
@@ -265,12 +275,19 @@ impl Admission {
                     queued: st.queued,
                 });
             }
+            let ticket = st.next_ticket;
+            st.next_ticket += 1;
             st.queued += 1;
             metrics.observe_queue_depth(st.queued);
-            while st.active >= self.max_concurrent {
+            while st.active >= self.max_concurrent || st.serving != ticket {
                 st = self.freed.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
             st.queued -= 1;
+            st.serving += 1;
+            if st.queued > 0 {
+                // The next ticket may fit in a slot that is still free.
+                self.freed.notify_all();
+            }
         }
         st.active += 1;
         metrics.observe_concurrency(st.active);
@@ -301,7 +318,8 @@ impl Drop for Permit<'_> {
         st.active -= 1;
         st.budget_used -= self.threads;
         drop(st);
-        self.admission.freed.notify_one();
+        // Every waiter re-checks; only the queue's head proceeds.
+        self.admission.freed.notify_all();
     }
 }
 
@@ -1215,6 +1233,49 @@ mod tests {
         ));
         // The service itself still serves sequentially.
         assert_eq!(sql(&svc, PAPER_SQL).0.len(), 3);
+    }
+
+    #[test]
+    fn a_newcomer_does_not_barge_past_a_queued_waiter() {
+        use std::thread;
+        use std::time::Instant;
+        let adm = Admission::new(1, 4, 1);
+        let m = ServiceMetrics::default();
+        let order = Mutex::new(Vec::new());
+        let state = || adm.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let wait_for = |arrived: &dyn Fn() -> bool| {
+            let start = Instant::now();
+            while !arrived() {
+                assert!(start.elapsed() < Duration::from_secs(10), "never arrived");
+                thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let held = adm.admit(&m).unwrap();
+        thread::scope(|scope| {
+            let enter = |name: &'static str| {
+                let permit = adm.admit(&m).unwrap();
+                order.lock().unwrap().push(name);
+                drop(permit);
+            };
+            scope.spawn(move || enter("B"));
+            wait_for(&|| state().queued == 1);
+            // The slot frees, but B has not yet re-taken the lock: the
+            // window between a release and the woken waiter's turn.
+            {
+                let mut st = state();
+                st.active -= 1;
+                st.budget_used -= held.threads;
+            }
+            std::mem::forget(held);
+            scope.spawn(move || enter("C"));
+            wait_for(&|| state().queued == 2 || !order.lock().unwrap().is_empty());
+            adm.freed.notify_all();
+        });
+        assert_eq!(
+            *order.lock().unwrap(),
+            ["B", "C"],
+            "admitted out of arrival order"
+        );
     }
 
     #[test]

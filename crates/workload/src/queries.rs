@@ -99,7 +99,22 @@ pub fn random_expression(config: &WorkloadConfig, seed: u64, depth: usize) -> Al
 mod tests {
     use super::*;
     use crate::generator::generate;
-    use polygen_pqp::pqp::Pqp;
+    use polygen_core::relation::PolygenRelation;
+    use polygen_serve::request::{Request, Response};
+    use polygen_serve::{QueryService, ServeOptions};
+    use std::sync::Arc;
+
+    fn service(config: &WorkloadConfig) -> QueryService {
+        QueryService::for_scenario(&generate(config), ServeOptions::default())
+    }
+
+    /// Serve a request that must answer rows.
+    fn rows(service: &QueryService, request: Request) -> Arc<PolygenRelation> {
+        match service.execute(request) {
+            Response::Rows { answer, .. } => answer,
+            other => panic!("expected rows, got {other:?}"),
+        }
+    }
 
     #[test]
     fn canned_queries_parse() {
@@ -112,39 +127,40 @@ mod tests {
     #[test]
     fn index_classes_run_end_to_end() {
         let config = WorkloadConfig::default().with_entities(100).with_sources(3);
-        let scenario = generate(&config);
-        let pqp = Pqp::for_scenario(&scenario);
-        let point = pqp.query_algebra(&point_lookup(0)).unwrap();
-        assert_eq!(point.answer.schema().attrs().len(), 3);
-        let range = pqp.query_algebra(&range_scan(0, 99)).unwrap();
-        assert_eq!(range.answer.len(), config.detail_rows, "full score range");
-        assert!(pqp.query_algebra(&range_scan(40, 49)).unwrap().answer.len() < config.detail_rows);
+        let service = service(&config);
+        let point = rows(&service, Request::algebra(point_lookup(0)));
+        assert_eq!(point.schema().attrs().len(), 3);
+        let range = rows(&service, Request::algebra(range_scan(0, 99)));
+        assert_eq!(range.len(), config.detail_rows, "full score range");
+        let narrow = rows(&service, Request::algebra(range_scan(40, 49)));
+        assert!(narrow.len() < config.detail_rows);
     }
 
     #[test]
     fn generated_queries_run_end_to_end() {
         let config = WorkloadConfig::default().with_entities(100).with_sources(3);
-        let scenario = generate(&config);
-        let pqp = Pqp::for_scenario(&scenario);
-        let out = pqp.query_algebra(&select_query(0)).unwrap();
-        assert!(!out.answer.is_empty(), "C0 is the most frequent category");
-        let out = pqp.query_algebra(&join_query(90)).unwrap();
-        assert_eq!(out.answer.schema().attrs().len(), 2);
-        let out = pqp.query(&paper_shaped_sql(0)).unwrap();
-        assert_eq!(out.answer.schema().attrs().len(), 2);
+        let service = service(&config);
+        let out = rows(&service, Request::algebra(select_query(0)));
+        assert!(!out.is_empty(), "C0 is the most frequent category");
+        let out = rows(&service, Request::algebra(join_query(90)));
+        assert_eq!(out.schema().attrs().len(), 2);
+        let out = rows(&service, Request::sql(paper_shaped_sql(0)));
+        assert_eq!(out.schema().attrs().len(), 2);
     }
 
     #[test]
     fn random_expressions_are_deterministic_and_executable() {
         let config = WorkloadConfig::default().with_entities(60);
-        let scenario = generate(&config);
-        let pqp = Pqp::for_scenario(&scenario);
+        let service = service(&config);
         for seed in 0..8 {
             let a = random_expression(&config, seed, 4);
             let b = random_expression(&config, seed, 4);
             assert_eq!(a, b);
-            let out = pqp.query_algebra(&a.to_string());
-            assert!(out.is_ok(), "seed {seed}: {a} failed: {:?}", out.err());
+            let out = service.execute(Request::algebra(a.to_string()));
+            assert!(
+                matches!(out, Response::Rows { .. }),
+                "seed {seed}: {a} failed: {out:?}"
+            );
         }
     }
 }

@@ -18,6 +18,8 @@ use polygen::federation::prelude::*;
 use polygen::flat::{Relation, Value};
 use polygen::lqp::prelude::*;
 use polygen::pqp::prelude::*;
+use polygen::serve::{QueryService, Request, Response, ServeOptions};
+use polygen::sql::prelude::parse_algebra;
 use std::sync::Arc;
 
 fn main() {
@@ -39,25 +41,30 @@ fn main() {
         }
     }
     let reg = s.dictionary.registry().clone();
+    let query = "PORGANIZATION [ONAME, HEADQUARTERS]";
 
-    // Policy 1: strict — the conflict is an error carrying both values.
-    let strict = Pqp::for_scenario(&s);
-    match strict.query_algebra("PORGANIZATION [ONAME, HEADQUARTERS]") {
-        Err(e) => println!("strict policy refused the merge:\n  {e}\n"),
-        Ok(_) => unreachable!("the injected conflict must surface"),
+    // Policy 1: strict — the federation as served refuses the merge with
+    // an error carrying both values.
+    let service = QueryService::for_scenario(&s, ServeOptions::default());
+    match service.execute(Request::algebra(query)) {
+        Response::Error { code, message } => {
+            println!("strict policy refused the merge ({code}):\n  {message}\n")
+        }
+        other => unreachable!("the injected conflict must surface, got {other:?}"),
     }
 
-    // Policy 2: positional preference — catalog order wins, loser demoted
-    // to an intermediate source (you can still see it was consulted).
+    // Policy 2: positional preference — an engine setting of the PQP:
+    // catalog order wins, loser demoted to an intermediate source (you can
+    // still see it was consulted).
     let lenient = Pqp::for_scenario(&s).with_options(PqpOptions {
         conflict_policy: ConflictPolicy::PreferLeft,
         ..PqpOptions::default()
     });
-    let out = lenient
-        .query_algebra("PORGANIZATION [ONAME, HEADQUARTERS]")
-        .expect("lenient merge");
-    let hq = out
-        .answer
+    let compiled = lenient
+        .compile(parse_algebra(query).expect("query parses"))
+        .expect("query compiles");
+    let answer = lenient.run_compiled(&compiled).expect("lenient merge");
+    let hq = answer
         .cell("ONAME", &Value::str("Citicorp"), "HEADQUARTERS")
         .unwrap();
     println!(

@@ -13,12 +13,13 @@ use polygen::catalog::prelude::scenario;
 use polygen::core::prelude::*;
 use polygen::federation::prelude::*;
 use polygen::flat::Value;
-use polygen::pqp::prelude::*;
+use polygen::serve::{QueryService, Request, ServeOptions};
 
 fn main() {
     let s = scenario::build();
-    let pqp = Pqp::for_scenario(&s);
-    let reg = pqp.dictionary().registry();
+    let service = QueryService::for_scenario(&s, ServeOptions::default());
+    let snapshot = service.federation().snapshot();
+    let reg = snapshot.dictionary().registry();
 
     // Profitable (> $1B) organizations whose CEO is a known alumnus —
     // touches all three databases plus the FINANCE relation. The equi-join
@@ -26,25 +27,26 @@ fn main() {
     // survives), but the executor's alias tracking keeps `CEO` and
     // `DEGREE` referenceable, and the final projection restores the
     // requested names.
-    let out = pqp
-        .query_algebra(
-            "(((PFINANCE [PROFIT >= 1000]) [ONAME = ONAME] PORGANIZATION) \
-              [CEO = ANAME] PALUMNUS) [ONAME, PROFIT, CEO, DEGREE]",
-        )
-        .expect("query runs");
+    let out = service.execute(Request::algebra(
+        "(((PFINANCE [PROFIT >= 1000]) [ONAME = ONAME] PORGANIZATION) \
+          [CEO = ANAME] PALUMNUS) [ONAME, PROFIT, CEO, DEGREE]",
+    ));
+    let answer = out
+        .rows()
+        .unwrap_or_else(|| panic!("query failed: {out:?}"));
     println!("Billion-dollar companies with alumni CEOs:\n");
-    println!("{}", render_relation(&out.answer, reg));
+    println!("{}", render_relation(answer, reg));
 
     // (a) Billing: every source that contributed data or mediated it.
-    let contributing = lineage::contributing_sources(&out.answer);
+    let contributing = lineage::contributing_sources(answer);
     let names: Vec<&str> = contributing.iter().map(|id| reg.name(id)).collect();
     println!("databases to bill for this answer: {}\n", names.join(", "));
 
     // (b) Credibility ranking: the dictionary scores AD=0.9, PD=0.8,
     //     CD=0.7; each tuple is as credible as its weakest cell.
     println!("answers ranked by source credibility:");
-    for (idx, score) in rank_tuples(&out.answer, &s.dictionary) {
-        let t = &out.answer.tuples()[idx];
+    for (idx, score) in rank_tuples(answer, &s.dictionary) {
+        let t = &answer.tuples()[idx];
         println!(
             "  {:.2}  {} (CEO {}, sources {})",
             score,
@@ -55,7 +57,7 @@ fn main() {
     }
 
     // (c) Consulted-but-silent feeds: purely intermediate sources.
-    let purely = lineage::purely_intermediate_sources(&out.answer);
+    let purely = lineage::purely_intermediate_sources(answer);
     if purely.is_empty() {
         println!("\nno purely-intermediate sources in this answer");
     } else {
@@ -67,8 +69,7 @@ fn main() {
     }
 
     // Cell-level drill-down, §IV-style.
-    let citicorp_profit = out
-        .answer
+    let citicorp_profit = answer
         .cell("ONAME", &Value::str("Citicorp"), "PROFIT")
         .expect("Citicorp qualifies");
     println!(

@@ -14,7 +14,8 @@ use polygen::core::algebra::{coalesce, outer_join};
 use polygen::core::prelude::*;
 use polygen::lqp::prelude::*;
 use polygen::pqp::prelude::*;
-use polygen::sql::prelude::PAPER_EXPRESSION;
+use polygen::serve::{QueryService, Request, ServeOptions};
+use polygen::sql::prelude::{parse_algebra, PAPER_EXPRESSION};
 
 fn main() {
     let s = scenario::build();
@@ -24,20 +25,22 @@ fn main() {
     println!("== The polygen algebraic expression (Section III) ==\n");
     println!("{PAPER_EXPRESSION}\n");
 
-    let out = pqp.query_algebra(PAPER_EXPRESSION).expect("pipeline");
+    // Tables 1–3 are the compiled stages.
+    let expr = parse_algebra(PAPER_EXPRESSION).expect("paper expression parses");
+    let compiled = pqp.compile(expr).expect("pipeline");
 
     println!("== Table 1: Polygen Operation Matrix ==\n");
-    println!("{}", render_pom(&out.compiled.pom));
+    println!("{}", render_pom(&compiled.pom));
     println!("== Table 2: half-processed IOM (pass one) ==\n");
-    println!("{}", render_iom(&out.compiled.half));
+    println!("{}", render_iom(&compiled.half));
     println!("== Table 3: Intermediate Operation Matrix (pass two) ==\n");
-    println!("{}", render_iom(&out.compiled.iom));
+    println!("{}", render_iom(&compiled.iom));
 
     // Tables 4–8 are intermediate relations: the eager reference
     // interpreter runs Table 3 row by row and keeps every `R(n)`. Table 9
-    // is the engine's own answer.
+    // is the answer the federation serves.
     let (_, trace) = execute_eager(
-        &out.compiled.iom,
+        &compiled.iom,
         pqp.registry(),
         pqp.dictionary(),
         &pqp.options(),
@@ -61,7 +64,12 @@ fn main() {
         r(8),
     );
     table(8, "result of row 9 (Restrict CEO = ANAME)", r(9));
-    table(9, "result of row 10 (the composite answer)", &out.answer);
+    let service = QueryService::for_scenario(&s, ServeOptions::default());
+    let served = service.execute(Request::algebra(PAPER_EXPRESSION));
+    let answer = served
+        .rows()
+        .unwrap_or_else(|| panic!("paper query: {served:?}"));
+    table(9, "result of row 10 (the composite answer)", answer);
 
     // Appendix A, stepped by hand with the core algebra.
     let lqps = scenario_registry(&s);
@@ -109,8 +117,7 @@ fn main() {
     println!("{}", render_relation(&a9, reg));
 
     println!("== Section IV's closing observations, recomputed ==\n");
-    let genentech = out
-        .answer
+    let genentech = answer
         .cell("ONAME", &polygen::flat::Value::str("Genentech"), "ONAME")
         .unwrap();
     println!(
@@ -118,8 +125,7 @@ fn main() {
         reg.render_set(&genentech.origin),
         reg.render_set(&genentech.intermediate)
     );
-    let reed = out
-        .answer
+    let reed = answer
         .cell("ONAME", &polygen::flat::Value::str("Citicorp"), "CEO")
         .unwrap();
     println!(

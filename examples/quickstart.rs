@@ -9,7 +9,7 @@ use polygen::catalog::prelude::*;
 use polygen::core::prelude::*;
 use polygen::flat::prelude::*;
 use polygen::lqp::prelude::*;
-use polygen::pqp::prelude::*;
+use polygen::serve::{Federation, FederationSnapshot, QueryService, Request, ServeOptions};
 use std::sync::Arc;
 
 fn main() {
@@ -52,22 +52,28 @@ fn main() {
         ],
     ));
 
-    // 3. Stand up LQPs and the PQP (Figure 1 in miniature).
+    // 3. Stand up LQPs and serve the federation through the PQP
+    //    (Figure 1 in miniature).
     let registry = LqpRegistry::new();
     registry.register(Arc::new(InMemoryLqp::new("FUND", vec![watchlist])));
     registry.register(Arc::new(InMemoryLqp::new("NEWS", vec![feed])));
-    let pqp = Pqp::new(Arc::new(dictionary), Arc::new(registry));
+    let snapshot = FederationSnapshot::from_parts(Arc::new(dictionary), Arc::new(registry));
+    let service = QueryService::new(Federation::new(snapshot), ServeOptions::default());
 
     // 4. Ask: which high-tech securities do we have ratings for?
-    let out = pqp
-        .query("SELECT TICKER, RATING, SECTOR FROM PSECURITY WHERE SECTOR = \"High Tech\"")
-        .expect("query runs");
+    let out = service.execute(Request::sql(
+        "SELECT TICKER, RATING, SECTOR FROM PSECURITY WHERE SECTOR = \"High Tech\"",
+    ));
+    let answer = out
+        .rows()
+        .unwrap_or_else(|| panic!("query failed: {out:?}"));
 
     // 5. Every cell tells you where it came from and which sources
     //    mediated its selection.
-    let reg = pqp.dictionary().registry();
-    println!("answer:\n{}", render_relation(&out.answer, reg));
-    for col in lineage::column_provenance(&out.answer) {
+    let snapshot = service.federation().snapshot();
+    let reg = snapshot.dictionary().registry();
+    println!("answer:\n{}", render_relation(answer, reg));
+    for col in lineage::column_provenance(answer) {
         println!(
             "{:>7}: origins {:<14} mediators {}",
             col.attribute,
@@ -77,8 +83,7 @@ fn main() {
     }
     // The merged TICKER column originates from both sources; the SECTOR
     // select made NEWS a mediator of every surviving cell.
-    let ibm = out
-        .answer
+    let ibm = answer
         .cell("TICKER", &Value::str("IBM"), "TICKER")
         .expect("IBM present");
     assert_eq!(ibm.origin.len(), 2);

@@ -9,10 +9,21 @@
 //! cargo run --release --example synthetic_scale
 //! ```
 
-use polygen::core::prelude::lineage;
+use polygen::core::prelude::{lineage, PolygenRelation};
 use polygen::pqp::prelude::*;
+use polygen::sql::prelude::parse_algebra;
 use polygen::workload::{self, queries, WorkloadConfig};
 use std::time::Instant;
+
+/// Compile algebra text on `pqp` and run it under the PQP's own engine
+/// settings: the compiled stages and the answer.
+fn run(pqp: &Pqp, text: &str) -> (CompiledQuery, PolygenRelation) {
+    let compiled = pqp
+        .compile(parse_algebra(text).expect("query parses"))
+        .expect("query compiles");
+    let answer = pqp.run_compiled(&compiled).expect("query runs");
+    (compiled, answer)
+}
 
 fn main() {
     println!(
@@ -35,7 +46,7 @@ fn main() {
 
         let naive = Pqp::for_scenario(&scenario);
         let t0 = Instant::now();
-        let out = naive.query_algebra(&query).expect("query runs");
+        let (compiled, answer) = run(&naive, &query);
         let naive_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         let optimizing = Pqp::for_scenario(&scenario).with_options(PqpOptions {
@@ -43,16 +54,16 @@ fn main() {
             ..PqpOptions::default()
         });
         let t1 = Instant::now();
-        let out_opt = optimizing.query_algebra(&query).expect("query runs");
+        let (_, optimized) = run(&optimizing, &query);
         let opt_ms = t1.elapsed().as_secs_f64() * 1e3;
-        assert!(out.answer.tagged_set_eq(&out_opt.answer));
+        assert!(answer.tagged_set_eq(&optimized));
 
-        let (lqp_rows, pqp_rows) = out.compiled.iom.routing_counts();
+        let (lqp_rows, pqp_rows) = compiled.iom.routing_counts();
         println!(
             "{:>8} {:>9} {:>9} {:>10} {:>10} {:>12.2} {:>12.2}",
             sources,
             total_rows,
-            out.answer.len(),
+            answer.len(),
             lqp_rows,
             pqp_rows,
             naive_ms,
@@ -70,12 +81,9 @@ fn main() {
             .with_coverage(0.9);
         let scenario = workload::generate(&config);
         let pqp = Pqp::for_scenario(&scenario);
-        let out = pqp
-            .query_algebra("PENTITY [ENAME, CATEGORY]")
-            .expect("merge runs");
-        let cols = lineage::column_provenance(&out.answer);
-        let max_width = out
-            .answer
+        let (_, answer) = run(&pqp, "PENTITY [ENAME, CATEGORY]");
+        let cols = lineage::column_provenance(&answer);
+        let max_width = answer
             .tuples()
             .iter()
             .map(|t| t[0].origin.len())

@@ -10,8 +10,8 @@
 //! ```
 //!
 //! Commands:
-//! * plain SQL — translated and executed, tagged answer printed;
-//! * `\a <expr>` — run a polygen algebra expression directly;
+//! * plain SQL — served by the query service, tagged answer printed;
+//! * `\a <expr>` — serve a polygen algebra expression directly;
 //! * `\explain <sql>` — the full POM/IOM/plan/provenance report;
 //! * `\schema` — the polygen schema; `\tables` — the local databases;
 //! * `\audit <scheme>` — the cardinality-inconsistency report;
@@ -20,16 +20,27 @@
 use polygen::catalog::prelude::scenario;
 use polygen::core::prelude::*;
 use polygen::federation::prelude::audit_scheme;
-use polygen::lqp::prelude::*;
-use polygen::pqp::explain::explain_with_cost;
+use polygen::pqp::explain::explain;
 use polygen::pqp::prelude::*;
+use polygen::serve::{QueryService, Request, Response, ServeOptions};
 use std::io::{self, BufRead, Write};
-use std::sync::Arc;
+
+/// `\explain`'s report: the compiled stages, the answer and its cost.
+fn explain_sql(pqp: &Pqp, sql: &str) -> Result<String, PqpError> {
+    let compiled = pqp.compile(pqp.translate_sql(sql)?)?;
+    let answer = pqp.run_compiled(&compiled)?;
+    Ok(explain(
+        &compiled,
+        &answer,
+        pqp.dictionary(),
+        pqp.registry(),
+    ))
+}
 
 fn main() {
     let s = scenario::build();
-    let registry = Arc::new(scenario_registry(&s));
-    let pqp = Pqp::new(Arc::new(s.dictionary.clone()), Arc::clone(&registry));
+    let service = QueryService::for_scenario(&s, ServeOptions::default());
+    let pqp = Pqp::for_scenario(&s);
     let reg = pqp.dictionary().registry().clone();
 
     eprintln!("System P — polygen federation shell (MIT scenario: AD, PD, CD)");
@@ -75,36 +86,36 @@ fn main() {
             continue;
         }
         if let Some(scheme) = line.strip_prefix("\\audit ") {
-            match audit_scheme(scheme.trim(), &registry, pqp.dictionary()) {
+            match audit_scheme(scheme.trim(), pqp.registry(), pqp.dictionary()) {
                 Ok(report) => println!("{report}"),
                 Err(e) => println!("audit error: {e}"),
             }
             continue;
         }
         if let Some(sql) = line.strip_prefix("\\explain ") {
-            match pqp.query(sql.trim()) {
-                Ok(out) => println!("{}", explain_with_cost(&out, pqp.dictionary(), &registry)),
+            match explain_sql(&pqp, sql.trim()) {
+                Ok(report) => println!("{report}"),
                 Err(e) => println!("error: {e}"),
             }
             continue;
         }
-        let result = if let Some(expr) = line.strip_prefix("\\a ") {
-            pqp.query_algebra(expr.trim())
-        } else {
-            pqp.query(line)
+        let request = match line.strip_prefix("\\a ") {
+            Some(expr) => Request::algebra(expr.trim()),
+            None => Request::sql(line),
         };
-        match result {
-            Ok(out) => {
-                println!("{}", render_relation(&out.answer, &reg));
-                let (lqp_rows, pqp_rows) = out.compiled.iom.routing_counts();
-                println!(
-                    "({} tuples; {} LQP + {} PQP operations)",
-                    out.answer.len(),
-                    lqp_rows,
-                    pqp_rows
-                );
+        match service.execute(request) {
+            Response::Rows { answer, info } => {
+                println!("{}", render_relation(&answer, &reg));
+                let cached = if info.result_hit {
+                    ", from the result cache"
+                } else {
+                    ""
+                };
+                println!("({} tuples{cached})", answer.len());
             }
-            Err(e) => println!("error: {e}"),
+            Response::Explain { plan, .. } => println!("{plan}"),
+            Response::Empty => {}
+            Response::Error { code, message } => println!("error: {message} [{code}]"),
         }
     }
     eprintln!("bye");

@@ -100,6 +100,15 @@ pub fn generate_pqp(config: &WorkloadConfig) -> (Scenario, Pqp) {
     (scenario, pqp)
 }
 
+/// Compile algebra text on `pqp` and run it under the PQP's own engine
+/// settings (optimizer, conflict policy, threads, index catalog): the
+/// compiled stages and the answer.
+pub fn run_algebra(pqp: &Pqp, text: &str) -> Result<(CompiledQuery, PolygenRelation), PqpError> {
+    let compiled = pqp.compile(parse_algebra(text)?)?;
+    let answer = pqp.run_compiled(&compiled)?;
+    Ok((compiled, answer))
+}
+
 /// Compile an algebra expression to its (unoptimized) IOM.
 pub fn compile(expr: &str, schema: &PolygenSchema) -> Iom {
     let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
@@ -142,8 +151,8 @@ pub fn assert_parallel_matches(
         ..PqpOptions::default()
     };
     let eager = execute_eager(&iom, &registry, &scenario.dictionary, &opts(1));
-    let sequential = execute(&iom, &registry, &scenario.dictionary, &opts(1));
-    let parallel = execute(&iom, &registry, &scenario.dictionary, &opts(threads));
+    let sequential = run_iom(&iom, &registry, &scenario.dictionary, &opts(1));
+    let parallel = run_iom(&iom, &registry, &scenario.dictionary, &opts(threads));
     match (eager, sequential, parallel) {
         (Ok((eager, trace)), Ok(seq), Ok(parl)) => {
             assert_same_bytes(&eager, &seq, &format!("sequential answer to `{expr}`"));
@@ -160,7 +169,7 @@ pub fn assert_parallel_matches(
                 let pr = iom.rows[n - 1].pr;
                 let want = trace.result(pr).expect("eager keeps every R(n)");
                 for &t in &counts {
-                    let got = execute(&prefix, &registry, &scenario.dictionary, &opts(t))
+                    let got = run_iom(&prefix, &registry, &scenario.dictionary, &opts(t))
                         .unwrap_or_else(|e| {
                             panic!("R({pr}) of `{expr}` fails at {t} threads but eager answers: {e}")
                         });
@@ -188,6 +197,19 @@ pub fn assert_parallel_matches(
             outcome(&parallel)
         ),
     }
+}
+
+/// Lower an IOM and run it on the physical engine, with no index
+/// catalog and no trace.
+pub fn run_iom(
+    iom: &Iom,
+    registry: &polygen::lqp::registry::LqpRegistry,
+    dictionary: &polygen::catalog::dictionary::DataDictionary,
+    options: &PqpOptions,
+) -> Result<PolygenRelation, PqpError> {
+    let plan = lower_plan(iom, registry, dictionary)?;
+    let trace = polygen::obs::trace::Trace::disabled();
+    execute_plan(&plan, registry, dictionary, None, options, &trace)
 }
 
 /// Byte-identity of two relations: schema, data, tags and tuple order.
@@ -225,7 +247,7 @@ pub fn assert_batch_matches(
         ..PqpOptions::default()
     };
     let eager = execute_eager(&iom, &registry, &scenario.dictionary, &opts);
-    let batch = execute(&iom, &registry, &scenario.dictionary, &opts);
+    let batch = run_iom(&iom, &registry, &scenario.dictionary, &opts);
     match (eager, batch) {
         (Ok((eager, _)), Ok(batch)) => {
             assert_same_bytes(&eager, &batch, &format!("batch({threads}) answer to `{expr}`"));

@@ -10,7 +10,7 @@ use polygen::flat::{Relation, Value};
 use polygen::lqp::prelude::*;
 use polygen::pqp::prelude::*;
 use polygen::serve::prelude::*;
-use polygen::sql::prelude::{translate_app_query, AppRelation, AppSchema};
+use polygen::sql::prelude::{parse_algebra, translate_app_query, AppRelation, AppSchema};
 use std::sync::Arc;
 
 fn app_schema() -> AppSchema {
@@ -47,6 +47,22 @@ const COMPUTERWORLD: &str = "SELECT COMPANY, CHIEF FROM COMPANIES, GRADS \
 /// The service over the paper's scenario with the application schema.
 fn app_service(s: &Scenario) -> QueryService {
     QueryService::for_scenario(s, ServeOptions::default()).with_app_schema(app_schema())
+}
+
+/// The service over a hand-built federation: the scenario's dictionary
+/// with `registry`'s LQPs standing in for its local databases.
+fn registry_service(s: &Scenario, registry: LqpRegistry) -> QueryService {
+    let snapshot =
+        FederationSnapshot::from_parts(Arc::new(s.dictionary.clone()), Arc::new(registry));
+    QueryService::new(Federation::new(snapshot), ServeOptions::default())
+}
+
+/// The code and message of a response that must be an error.
+fn error_of(response: &Response) -> (ErrorCode, &str) {
+    match response {
+        Response::Error { code, message } => (*code, message),
+        other => panic!("expected an error, got {other:?}"),
+    }
 }
 
 /// The complete Figure 1 dataflow with the paper's answer at the end.
@@ -124,16 +140,13 @@ fn menu_driven_feed_compensates() {
             registry.register(Arc::new(inner));
         }
     }
-    let pqp = Pqp::new(Arc::new(s.dictionary.clone()), Arc::new(registry));
-    let out = pqp
-        .query_algebra(polygen::sql::prelude::PAPER_EXPRESSION)
-        .unwrap();
-    assert_eq!(out.answer.len(), 3);
+    let paper = || Request::algebra(polygen::sql::prelude::PAPER_EXPRESSION);
+    let out = registry_service(&s, registry).execute(paper());
+    let answer = out.rows().unwrap_or_else(|| panic!("{out:?}"));
+    assert_eq!(answer.len(), 3);
     // Against a plain registry the answers are tag-identical.
-    let baseline = Pqp::for_scenario(&s)
-        .query_algebra(polygen::sql::prelude::PAPER_EXPRESSION)
-        .unwrap();
-    assert!(out.answer.tagged_set_eq(&baseline.answer));
+    let baseline = QueryService::for_scenario(&s, ServeOptions::default()).execute(paper());
+    assert!(answer.tagged_set_eq(baseline.rows().unwrap()));
 }
 
 /// Without the compensating adapter, pushing a select to a menu-driven
@@ -153,12 +166,12 @@ fn menu_driven_feed_without_adapter_rejects_pushdown() {
             registry.register(Arc::new(inner));
         }
     }
-    let pqp = Pqp::new(Arc::new(s.dictionary.clone()), Arc::new(registry));
     // The interpreter pushes [DEGREE = "MBA"] to AD, which now refuses.
-    let err = pqp
-        .query_algebra("PALUMNUS [DEGREE = \"MBA\"]")
-        .unwrap_err();
-    assert!(matches!(err, PqpError::Lqp(LqpError::Unsupported { .. })));
+    let out =
+        registry_service(&s, registry).execute(Request::algebra("PALUMNUS [DEGREE = \"MBA\"]"));
+    let (code, message) = error_of(&out);
+    assert_eq!(code, ErrorCode::Lqp);
+    assert!(message.contains("cannot execute"), "{message}");
 }
 
 /// Missing local relations and unknown databases surface as typed errors.
@@ -176,14 +189,11 @@ fn failure_injection_missing_pieces() {
             .collect();
         registry.register(Arc::new(InMemoryLqp::new(&db.name, relations)));
     }
-    let pqp = Pqp::new(Arc::new(s.dictionary.clone()), Arc::new(registry));
-    let err = pqp
-        .query_algebra("PALUMNUS [AID# = AID#] PCAREER")
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        PqpError::Lqp(LqpError::UnknownRelation { .. })
-    ));
+    let out =
+        registry_service(&s, registry).execute(Request::algebra("PALUMNUS [AID# = AID#] PCAREER"));
+    let (code, message) = error_of(&out);
+    assert_eq!(code, ErrorCode::Lqp);
+    assert!(message.contains("has no relation `CAREER`"), "{message}");
 }
 
 /// Conflicting sources: Strict errors, PreferLeft resolves and demotes.
@@ -206,23 +216,21 @@ fn conflict_policies_through_the_pipeline() {
             }
         }
     }
-    let strict = Pqp::for_scenario(&s);
-    let err = strict
-        .query_algebra("PORGANIZATION [ONAME, HEADQUARTERS]")
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        PqpError::Polygen(polygen::core::PolygenError::CoalesceConflict { .. })
-    ));
+    const QUERY: &str = "PORGANIZATION [ONAME, HEADQUARTERS]";
+    let strict = QueryService::for_scenario(&s, ServeOptions::default());
+    let out = strict.execute(Request::algebra(QUERY));
+    let (code, message) = error_of(&out);
+    assert_eq!(code, ErrorCode::Algebra);
+    assert!(message.contains("coalesce conflict"), "{message}");
+    // The service serves only the strict policy; PreferLeft is an engine
+    // setting of the PQP.
     let lenient = Pqp::for_scenario(&s).with_options(PqpOptions {
         conflict_policy: ConflictPolicy::PreferLeft,
         ..PqpOptions::default()
     });
-    let out = lenient
-        .query_algebra("PORGANIZATION [ONAME, HEADQUARTERS]")
-        .unwrap();
-    let hq = out
-        .answer
+    let compiled = lenient.compile(parse_algebra(QUERY).unwrap()).unwrap();
+    let answer = lenient.run_compiled(&compiled).unwrap();
+    let hq = answer
         .cell("ONAME", &Value::str("Citicorp"), "HEADQUARTERS")
         .unwrap();
     // PD is merged before CD (catalog order), so PD's DE wins under
@@ -241,13 +249,14 @@ fn audits_and_credibility_over_live_federation() {
     assert_eq!(report.total_keys, 12);
     assert_eq!(report.inconsistent_keys(), 8);
 
-    let pqp = Pqp::for_scenario(&s);
-    let out = pqp.query_algebra("PORGANIZATION [ONAME, CEO]").unwrap();
-    let ranks = rank_tuples(&out.answer, &s.dictionary);
+    let service = QueryService::for_scenario(&s, ServeOptions::default());
+    let out = service.execute(Request::algebra("PORGANIZATION [ONAME, CEO]"));
+    let answer = out.rows().unwrap_or_else(|| panic!("{out:?}"));
+    let ranks = rank_tuples(answer, &s.dictionary);
     assert_eq!(ranks.len(), 12);
     // AD-backed tuples (credibility 0.9 floor) rank above CD-only data.
-    let best = &out.answer.tuples()[ranks[0].0];
-    let worst = &out.answer.tuples()[ranks[ranks.len() - 1].0];
+    let best = &answer.tuples()[ranks[0].0];
+    let worst = &answer.tuples()[ranks[ranks.len() - 1].0];
     assert!(ranks[0].1 >= ranks[ranks.len() - 1].1);
     assert_ne!(best[0].datum, worst[0].datum);
 }

@@ -4,14 +4,19 @@
 //! §IV scenario; every table the paper prints along the way must match
 //! cell-for-cell — datum, originating sources *and* intermediate sources.
 //! Transcription corrections (printed typos in the 1990 scan) are
-//! documented in `EXPERIMENTS.md` and in `catalog::scenario`.
+//! documented in DESIGN.md ("Known discrepancies with the 1990 scan")
+//! and in `catalog::scenario`.
 
 mod common;
 
 use common::check_table;
+use common::fixtures::serve_rows;
 use polygen::catalog::prelude::scenario;
+use polygen::core::{PolygenRelation, SourceRegistry};
 use polygen::pqp::prelude::*;
-use polygen::sql::prelude::PAPER_EXPRESSION;
+use polygen::serve::{QueryService, Request, ServeOptions};
+use polygen::sql::prelude::{parse_algebra, PAPER_EXPRESSION};
+use std::sync::Arc;
 
 const PAPER_SQL: &str = "SELECT ONAME, CEO \
     FROM PORGANIZATION, PALUMNUS \
@@ -19,31 +24,44 @@ const PAPER_SQL: &str = "SELECT ONAME, CEO \
     (SELECT ONAME FROM PCAREER WHERE AID# IN \
     (SELECT AID# FROM PALUMNUS WHERE DEGREE = \"MBA\"))";
 
-/// The paper query on the engine, plus every intermediate `R(n)`: Tables
-/// 4–8 come from the eager reference interpreter running Table 3 row by
-/// row, Table 9 is the engine's own answer.
-fn outcome() -> (QueryOutcome, ExecutionTrace, polygen::core::SourceRegistry) {
+/// The paper query compiled — Tables 1–3 are its stages — plus every
+/// intermediate `R(n)`: Tables 4–8 come from the eager reference
+/// interpreter running Table 3 row by row.
+fn compiled() -> (CompiledQuery, ExecutionTrace, SourceRegistry) {
     let s = scenario::build();
     let pqp = Pqp::for_scenario(&s);
-    let out = pqp
-        .query_algebra(PAPER_EXPRESSION)
-        .expect("paper query runs");
+    let compiled = pqp
+        .compile(parse_algebra(PAPER_EXPRESSION).unwrap())
+        .expect("paper query compiles");
     let (_, trace) = execute_eager(
-        &out.compiled.iom,
+        &compiled.iom,
         pqp.registry(),
         pqp.dictionary(),
         &pqp.options(),
     )
     .expect("reference run");
     let reg = pqp.dictionary().registry().clone();
-    (out, trace, reg)
+    (compiled, trace, reg)
+}
+
+/// Table 9: the answer the paper's federation serves to the query.
+fn served() -> (Arc<PolygenRelation>, SourceRegistry) {
+    let service = QueryService::for_scenario(&scenario::build(), ServeOptions::default());
+    let (answer, _) = serve_rows(&service, Request::algebra(PAPER_EXPRESSION));
+    let reg = service
+        .federation()
+        .snapshot()
+        .dictionary()
+        .registry()
+        .clone();
+    (answer, reg)
 }
 
 /// Table 1: the Polygen Operation Matrix, row for row.
 #[test]
 fn table1_polygen_operation_matrix() {
-    let (out, _, _) = outcome();
-    let rendered = render_pom(&out.compiled.pom);
+    let (compiled, _, _) = compiled();
+    let rendered = render_pom(&compiled.pom);
     let expected_rows = [
         "R(1) | Select | PALUMNUS | DEGREE | = | \"MBA\" | nil",
         "R(2) | Join | R(1) | AID# | = | AID# | PCAREER",
@@ -69,7 +87,7 @@ fn table1_polygen_operation_matrix() {
 /// Table 2: the half-processed IOM after pass one.
 #[test]
 fn table2_half_processed_iom() {
-    let (out, _, _) = outcome();
+    let (compiled, _, _) = compiled();
     let expected = [
         ("Select", "ALUMNUS", "DEG", "\"MBA\"", "nil", "AD"),
         ("Join", "R(1)", "AID#", "AID#", "PCAREER", "PQP"),
@@ -77,8 +95,8 @@ fn table2_half_processed_iom() {
         ("Restrict", "R(3)", "CEO", "ANAME", "nil", "PQP"),
         ("Project", "R(4)", "ONAME, CEO", "nil", "nil", "PQP"),
     ];
-    assert_eq!(out.compiled.half.cardinality(), expected.len());
-    for (row, (op, lhr, lha, rha, rhr, el)) in out.compiled.half.rows.iter().zip(expected) {
+    assert_eq!(compiled.half.cardinality(), expected.len());
+    for (row, (op, lhr, lha, rha, rhr, el)) in compiled.half.rows.iter().zip(expected) {
         assert_eq!(row.op.to_string(), op);
         assert_eq!(row.lhr.to_string(), lhr);
         assert_eq!(
@@ -98,7 +116,7 @@ fn table2_half_processed_iom() {
 /// Table 3: the full IOM after pass two.
 #[test]
 fn table3_intermediate_operation_matrix() {
-    let (out, _, _) = outcome();
+    let (compiled, _, _) = compiled();
     let expected = [
         ("Select", "ALUMNUS", "DEG", "\"MBA\"", "nil", "AD"),
         ("Retrieve", "CAREER", "", "nil", "nil", "AD"),
@@ -111,8 +129,8 @@ fn table3_intermediate_operation_matrix() {
         ("Restrict", "R(8)", "CEO", "ANAME", "nil", "PQP"),
         ("Project", "R(9)", "ONAME, CEO", "nil", "nil", "PQP"),
     ];
-    assert_eq!(out.compiled.iom.cardinality(), expected.len());
-    for (row, (op, lhr, lha, rha, rhr, el)) in out.compiled.iom.rows.iter().zip(expected) {
+    assert_eq!(compiled.iom.cardinality(), expected.len());
+    for (row, (op, lhr, lha, rha, rhr, el)) in compiled.iom.rows.iter().zip(expected) {
         assert_eq!(row.op.to_string(), op, "row {}", row.pr);
         assert_eq!(row.lhr.to_string(), lhr, "row {}", row.pr);
         assert_eq!(row.lha.join(", "), lha, "row {}", row.pr);
@@ -125,7 +143,7 @@ fn table3_intermediate_operation_matrix() {
 /// Table 4: `ALUMNUS[DEG = "MBA"]` executed at AD, tagged on arrival.
 #[test]
 fn table4_select_result() {
-    let (_, trace, reg) = outcome();
+    let (_, trace, reg) = compiled();
     let r1 = trace.result(1).expect("R(1)");
     check_table(
         "Table 4",
@@ -147,7 +165,7 @@ fn table4_select_result() {
 /// this case it appears to be redundant."
 #[test]
 fn table5_join_with_career() {
-    let (_, trace, reg) = outcome();
+    let (_, trace, reg) = compiled();
     let r3 = trace.result(3).expect("R(3)");
     check_table(
         "Table 5",
@@ -168,7 +186,7 @@ fn table5_join_with_career() {
 /// Table 6: the Merge of BUSINESS, CORPORATION and FIRM (== Table A9).
 #[test]
 fn table6_merged_organizations() {
-    let (_, trace, reg) = outcome();
+    let (_, trace, reg) = compiled();
     let r7 = trace.result(7).expect("R(7)");
     check_table(
         "Table 6",
@@ -195,7 +213,7 @@ fn table6_merged_organizations() {
 /// Table 7: Table 5 joined with Table 6 on ONAME.
 #[test]
 fn table7_join_with_organizations() {
-    let (_, trace, reg) = outcome();
+    let (_, trace, reg) = compiled();
     let r8 = trace.result(8).expect("R(8)");
     check_table(
         "Table 7",
@@ -224,7 +242,7 @@ fn table7_join_with_organizations() {
 /// Table 8: the Restrict `CEO = ANAME` keeps only self-CEO alumni.
 #[test]
 fn table8_restrict_ceo_is_alumnus() {
-    let (_, trace, reg) = outcome();
+    let (_, trace, reg) = compiled();
     let r9 = trace.result(9).expect("R(9)");
     check_table(
         "Table 8",
@@ -244,10 +262,10 @@ fn table8_restrict_ceo_is_alumnus() {
 /// Table 9: the final projection — the paper's headline result.
 #[test]
 fn table9_final_answer() {
-    let (out, _, reg) = outcome();
+    let (answer, reg) = served();
     check_table(
         "Table 9",
-        &out.answer,
+        &answer,
         &reg,
         &["ONAME", "CEO"],
         &[
@@ -259,26 +277,36 @@ fn table9_final_answer() {
 }
 
 /// The SQL front end produces the identical pipeline (the paper presents
-/// the SQL and the algebra as the same query).
+/// the SQL and the algebra as the same query), and the federation serves
+/// both spellings as one query: the same canonical text, byte-identical
+/// answers, the second served from the first's result-cache entry.
 #[test]
 fn sql_pipeline_matches_algebra_pipeline() {
     let s = scenario::build();
     let pqp = Pqp::for_scenario(&s);
-    let via_sql = pqp.query(PAPER_SQL).unwrap();
-    let via_alg = pqp.query_algebra(PAPER_EXPRESSION).unwrap();
-    assert_eq!(via_sql.compiled.expr, via_alg.compiled.expr);
-    assert_eq!(via_sql.compiled.iom, via_alg.compiled.iom);
-    assert!(via_sql.answer.tagged_set_eq(&via_alg.answer));
+    let via_sql = pqp.compile(pqp.translate_sql(PAPER_SQL).unwrap()).unwrap();
+    let via_alg = pqp
+        .compile(parse_algebra(PAPER_EXPRESSION).unwrap())
+        .unwrap();
+    assert_eq!(via_sql.expr, via_alg.expr);
+    assert_eq!(via_sql.iom, via_alg.iom);
+    let service = QueryService::for_scenario(&s, ServeOptions::default());
+    let (sql_answer, sql_info) = serve_rows(&service, Request::sql(PAPER_SQL));
+    let (alg_answer, alg_info) = serve_rows(&service, Request::algebra(PAPER_EXPRESSION));
+    assert_eq!(sql_answer.schema(), alg_answer.schema());
+    assert_eq!(sql_answer.tuples(), alg_answer.tuples());
+    assert_eq!(sql_info.canonical, alg_info.canonical);
+    assert!(!sql_info.result_hit, "the first spelling executes");
+    assert!(alg_info.result_hit, "the second spelling is the same query");
 }
 
 /// §IV observation (3): mapping `("ONAME", {AD, CD})` back to local
 /// coordinates yields BUSINESS.BNAME and FIRM.FNAME.
 #[test]
 fn observation3_tag_to_triplet_explanation() {
-    let (out, _, reg) = outcome();
+    let (answer, _) = served();
     let s = scenario::build();
-    let genentech = out
-        .answer
+    let genentech = answer
         .cell("ONAME", &polygen::flat::Value::str("Genentech"), "ONAME")
         .unwrap();
     let triplets = s
@@ -286,5 +314,4 @@ fn observation3_tag_to_triplet_explanation() {
         .explain_attribute("PORGANIZATION", "ONAME", &genentech.origin);
     let shown: Vec<String> = triplets.iter().map(|t| t.to_string()).collect();
     assert_eq!(shown, vec!["(AD, BUSINESS, BNAME)", "(CD, FIRM, FNAME)"]);
-    let _ = reg;
 }

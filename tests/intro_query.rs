@@ -5,9 +5,16 @@
 //! operations need to be performed first before the requested polygen
 //! operation is performed").
 
+mod common;
+
+use common::fixtures::serve_rows;
 use polygen::catalog::prelude::scenario;
+use polygen::core::PolygenRelation;
 use polygen::flat::Value;
 use polygen::pqp::prelude::*;
+use polygen::serve::{QueryService, Request, ServeOptions};
+use polygen::sql::prelude::parse_algebra;
+use std::sync::Arc;
 
 /// §I: "SELECT CEO FROM PORGANIZATION, PALUMNUS WHERE CEO = ANAME AND
 /// DEGREE = \"MBA\"" — CEOs with MIT MBAs, without the career-path
@@ -15,16 +22,21 @@ use polygen::pqp::prelude::*;
 const INTRO_SQL: &str = "SELECT CEO FROM PORGANIZATION, PALUMNUS \
      WHERE CEO = ANAME AND DEGREE = \"MBA\"";
 
+/// The paper's federation as served, and one request's answer from it.
+fn served(request: Request) -> (QueryService, Arc<PolygenRelation>) {
+    let service = QueryService::for_scenario(&scenario::build(), ServeOptions::default());
+    let (answer, _) = serve_rows(&service, request);
+    (service, answer)
+}
+
 #[test]
 fn intro_query_answer() {
-    let s = scenario::build();
-    let pqp = Pqp::for_scenario(&s);
-    let out = pqp.query(INTRO_SQL).unwrap();
+    let (service, answer) = served(Request::sql(INTRO_SQL));
     // MBA alumni who are CEOs *of anything in the company directory*:
     // Bob Swanson, Stu Madnick, John Reed (same people as Table 9 — here
     // via the direct CEO = ANAME join rather than the career path).
-    let data = out.answer.strip();
-    assert_eq!(out.answer.len(), 3);
+    let data = answer.strip();
+    assert_eq!(answer.len(), 3);
     for ceo in ["Bob Swanson", "Stu Madnick", "John Reed"] {
         assert!(data.contains(&[Value::str(ceo)]), "missing {ceo}");
     }
@@ -33,9 +45,10 @@ fn intro_query_answer() {
     // result contains only the names of CEO which originated from the
     // Company Database, but the query processor also needs to access the
     // Alumni Database (an intermediate source)".
-    let reg = pqp.dictionary().registry();
+    let snapshot = service.federation().snapshot();
+    let reg = snapshot.dictionary().registry();
     let (ad, cd) = (reg.lookup("AD").unwrap(), reg.lookup("CD").unwrap());
-    for t in out.answer.tuples() {
+    for t in answer.tuples() {
         assert!(t[0].origin.contains(cd));
         assert!(t[0].intermediate.contains(ad), "AD must appear as mediator");
     }
@@ -45,25 +58,19 @@ fn intro_query_answer() {
 fn intro_query_plan_shape() {
     let s = scenario::build();
     let pqp = Pqp::for_scenario(&s);
-    let out = pqp.query(INTRO_SQL).unwrap();
+    let compiled = pqp.compile(pqp.translate_sql(INTRO_SQL).unwrap()).unwrap();
     // Lowering: the MBA filter pushes into the PALUMNUS leaf, CEO = ANAME
     // becomes the join between the two schemes, the projection closes.
     // (The projected `CEO` is the join's coalesced column; the executor's
     // alias tracking keeps it referenceable and the projection restores
     // the requested name.)
     assert_eq!(
-        out.compiled.expr.to_string(),
+        compiled.expr.to_string(),
         "(PORGANIZATION [CEO = ANAME] (PALUMNUS [DEGREE = \"MBA\"])) [CEO]"
     );
     // The IOM retrieves+merges the three organization relations and joins
     // at the PQP.
-    let ops: Vec<String> = out
-        .compiled
-        .iom
-        .rows
-        .iter()
-        .map(|r| r.op.to_string())
-        .collect();
+    let ops: Vec<String> = compiled.iom.rows.iter().map(|r| r.op.to_string()).collect();
     assert_eq!(
         ops,
         vec![
@@ -74,7 +81,7 @@ fn intro_query_plan_shape() {
             "Merge", "Join", "Project"
         ]
     );
-    let (lqp_rows, pqp_rows) = out.compiled.iom.routing_counts();
+    let (lqp_rows, pqp_rows) = compiled.iom.routing_counts();
     assert_eq!((lqp_rows, pqp_rows), (4, 3));
 }
 
@@ -83,20 +90,13 @@ fn intro_query_plan_shape() {
 /// polygen schema" branch.
 #[test]
 fn both_sides_polygen_join() {
+    const BOTH: &str = "(PALUMNUS [ANAME = CEO] PORGANIZATION) [CEO, DEGREE]";
     let s = scenario::build();
     let pqp = Pqp::for_scenario(&s);
-    let out = pqp
-        .query_algebra("(PALUMNUS [ANAME = CEO] PORGANIZATION) [CEO, DEGREE]")
-        .unwrap();
+    let compiled = pqp.compile(parse_algebra(BOTH).unwrap()).unwrap();
     // Pass one localizes PALUMNUS to ALUMNUS@AD; pass two must retrieve
     // it before the PQP join with the merged organizations.
-    let ops: Vec<String> = out
-        .compiled
-        .iom
-        .rows
-        .iter()
-        .map(|r| r.op.to_string())
-        .collect();
+    let ops: Vec<String> = compiled.iom.rows.iter().map(|r| r.op.to_string()).collect();
     assert_eq!(
         ops,
         vec![
@@ -109,8 +109,9 @@ fn both_sides_polygen_join() {
     );
     // Every CEO in the answer is an alumnus; 4 alumni are CEOs of listed
     // organizations (McCauley is MIS Director, so excluded by data).
-    assert_eq!(out.answer.len(), 4);
-    let data = out.answer.strip();
+    let (_, answer) = served(Request::algebra(BOTH));
+    assert_eq!(answer.len(), 4);
+    let data = answer.strip();
     assert!(data.contains(&[Value::str("Ken Olsen"), Value::str("MS")]));
     assert!(data.contains(&[Value::str("John Reed"), Value::str("MBA")]));
 }
@@ -119,14 +120,13 @@ fn both_sides_polygen_join() {
 /// (float GPAs) and PINTERVIEW.
 #[test]
 fn student_and_interview_schemes() {
-    let s = scenario::build();
-    let pqp = Pqp::for_scenario(&s);
-    let strong = pqp
-        .query("SELECT SNAME, GPA FROM PSTUDENT WHERE GPA >= 3.5")
-        .unwrap();
-    assert_eq!(strong.answer.len(), 3); // Forea Wang, Yeuk Yuan, Mike Lavine
-    let pd = pqp.dictionary().registry().lookup("PD").unwrap();
-    for t in strong.answer.tuples() {
+    let (service, strong) = served(Request::sql(
+        "SELECT SNAME, GPA FROM PSTUDENT WHERE GPA >= 3.5",
+    ));
+    assert_eq!(strong.len(), 3); // Forea Wang, Yeuk Yuan, Mike Lavine
+    let snapshot = service.federation().snapshot();
+    let pd = snapshot.dictionary().registry().lookup("PD").unwrap();
+    for t in strong.tuples() {
         assert!(t[0].origin.contains(pd));
         assert!(
             t[0].intermediate.is_empty(),
@@ -134,12 +134,13 @@ fn student_and_interview_schemes() {
         );
     }
     // Students interviewing with organizations known to the company DB.
-    let out = pqp
-        .query_algebra(
+    let (out, _) = serve_rows(
+        &service,
+        Request::algebra(
             "((PINTERVIEW [ONAME = ONAME] PFINANCE) [SID# = SID#] PSTUDENT) [SNAME, ONAME, PROFIT]",
-        )
-        .unwrap();
-    let data = out.answer.strip();
+        ),
+    );
+    let data = out.strip();
     assert!(
         data.len() >= 3,
         "IBM/Oracle/Banker's Trust/Citicorp interviews"

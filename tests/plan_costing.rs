@@ -3,11 +3,13 @@
 //! never raises estimated shipping, and the explain report surfaces all
 //! of it.
 
+mod common;
+
+use common::fixtures::run_algebra;
 use polygen::catalog::prelude::scenario;
 use polygen::lqp::prelude::*;
-use polygen::pqp::explain::explain_with_cost;
 use polygen::pqp::prelude::*;
-use polygen::sql::prelude::PAPER_EXPRESSION;
+use polygen::sql::prelude::{parse_algebra, PAPER_EXPRESSION};
 use polygen::workload::{self, WorkloadConfig};
 use std::sync::Arc;
 
@@ -15,8 +17,10 @@ use std::sync::Arc;
 fn estimated_shipping_matches_actual_within_reason() {
     let s = scenario::build();
     let pqp = Pqp::for_scenario(&s);
-    let out = pqp.query_algebra(PAPER_EXPRESSION).unwrap();
-    let cost = estimate_physical(&out.compiled.physical, pqp.registry());
+    let compiled = pqp
+        .compile(parse_algebra(PAPER_EXPRESSION).unwrap())
+        .unwrap();
+    let cost = estimate_physical(&compiled.physical, pqp.registry());
     // Actual shipped rows for the paper query: 5 (select) + 9 (CAREER) +
     // 9 + 7 + 10 (the three merge retrieves) = 40. The estimator assumes
     // 10% select selectivity (0.8 rows vs actual 5), so it must land in
@@ -42,10 +46,10 @@ fn optimizer_never_raises_estimated_shipping() {
         workload::queries::join_query(40),
         "((PDETAIL [SCORE >= 90]) [ENAME = ENAME] PDETAIL) [ENAME]".to_string(),
     ] {
-        let a = naive.query_algebra(&query).unwrap();
-        let b = optimized.query_algebra(&query).unwrap();
-        let ca = estimate_physical(&a.compiled.physical, naive.registry());
-        let cb = estimate_physical(&b.compiled.physical, optimized.registry());
+        let (a, _) = run_algebra(&naive, &query).unwrap();
+        let (b, _) = run_algebra(&optimized, &query).unwrap();
+        let ca = estimate_physical(&a.physical, naive.registry());
+        let cb = estimate_physical(&b.physical, optimized.registry());
         assert!(
             cb.tuples_shipped <= ca.tuples_shipped + 1e-9,
             "{query}: optimized plan ships more ({} > {})",
@@ -72,13 +76,12 @@ fn remote_feed_shows_up_in_explain() {
     }
     let registry = Arc::new(registry);
     let pqp = Pqp::new(Arc::new(s.dictionary.clone()), Arc::clone(&registry));
-    let out = pqp.query_algebra(PAPER_EXPRESSION).unwrap();
-    let report = explain_with_cost(&out, pqp.dictionary(), &registry);
+    let (compiled, answer) = run_algebra(&pqp, PAPER_EXPRESSION).unwrap();
+    let report = explain(&compiled, &answer, pqp.dictionary(), &registry);
     assert!(report.contains("Plan cost estimate"));
     // With CD behind a transatlantic feed the estimate is dominated by
     // its fixed cost (250 ms per operation).
-    let remote_cost = estimate_physical(&out.compiled.physical, &registry);
-    let local_cost =
-        estimate_physical(&out.compiled.physical, &polygen::lqp::scenario_registry(&s));
+    let remote_cost = estimate_physical(&compiled.physical, &registry);
+    let local_cost = estimate_physical(&compiled.physical, &polygen::lqp::scenario_registry(&s));
     assert!(remote_cost.total_us > local_cost.total_us * 10.0);
 }

@@ -14,7 +14,9 @@
 
 mod common;
 
-use common::fixtures::{assert_batch_matches, conflicted_config, serve_rows, small_config};
+use common::fixtures::{
+    assert_batch_matches, conflicted_config, run_algebra, serve_rows, small_config,
+};
 use polygen::catalog::prelude::scenario;
 use polygen::core::algebra::coalesce::ConflictPolicy;
 use polygen::core::batch::ColumnBatch;
@@ -211,13 +213,13 @@ fn indexed_probes_feed_batches_byte_identically() {
             range_scan(60, 20),
             "PDETAIL [SCORE >= 30] [ENAME, SCORE]".to_string(),
         ] {
-            let b = pqp.query_algebra(&expr).unwrap();
+            let (compiled, answer) = run_algebra(&pqp, &expr).unwrap();
             assert!(
-                b.compiled.physical.index_scans() > 0 || expr.contains(">= 30"),
+                compiled.physical.index_scans() > 0 || expr.contains(">= 30"),
                 "probe shapes must route: `{expr}`"
             );
             let (eager, _) = execute_eager(
-                &b.compiled.iom,
+                &compiled.iom,
                 pqp.registry(),
                 pqp.dictionary(),
                 &pqp.options(),
@@ -225,7 +227,7 @@ fn indexed_probes_feed_batches_byte_identically() {
             .unwrap();
             assert_eq!(
                 eager.tuples(),
-                b.answer.tuples(),
+                answer.tuples(),
                 "batch diverged on routed `{expr}` (threads = {threads})"
             );
         }

@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::fixtures::{assert_engines_agree, compile, conflicted_config, small_config};
+use common::fixtures::{assert_engines_agree, compile, conflicted_config, run_iom, small_config};
 use polygen::catalog::prelude::scenario;
 use polygen::core::algebra::coalesce::ConflictPolicy;
 use polygen::pqp::prelude::*;
@@ -69,7 +69,7 @@ proptest! {
         let (opt, _) = optimize(&iom, &registry, &sc.dictionary).unwrap();
         let options = PqpOptions::default();
         let (eager, _) = execute_eager(&opt, &registry, &sc.dictionary, &options).unwrap();
-        let fast = execute(&opt, &registry, &sc.dictionary, &options).unwrap();
+        let fast = run_iom(&opt, &registry, &sc.dictionary, &options).unwrap();
         prop_assert!(fast.tagged_set_eq(&eager), "optimized plan diverges for {expr}");
     }
 }

@@ -14,7 +14,7 @@
 
 mod common;
 
-use common::fixtures::{serve_rows, small_config};
+use common::fixtures::{run_algebra, serve_rows, small_config};
 use polygen::core::PolygenRelation;
 use polygen::flat::relation::Relation;
 use polygen::flat::value::Value;
@@ -102,11 +102,11 @@ proptest! {
             );
             let indexed = indexed.with_indexes(catalog);
             for expr in &exprs {
-                let a = plain.query_algebra(expr).unwrap();
-                let b = indexed.query_algebra(expr).unwrap();
+                let (_, a) = run_algebra(&plain, expr).unwrap();
+                let (_, b) = run_algebra(&indexed, expr).unwrap();
                 prop_assert_eq!(
-                    a.answer.tuples(),
-                    b.answer.tuples(),
+                    a.tuples(),
+                    b.tuples(),
                     "indexed diverged on `{}` (threads = {})",
                     expr,
                     threads

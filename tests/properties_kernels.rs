@@ -222,9 +222,9 @@ proptest! {
         for (threads, partitions) in [(2, 2), (4, 8)] {
             let par = ParallelOptions { threads, partitions };
             let parallel =
-                algebra::hash_equi_join_coalesced_partitioned(&a, &b, "K", "K2", "K", par);
+                algebra::hash_equi_join_project(&a, &b, "K", "K2", "K", None, par);
             prop_assert_eq!(
-                parallel.ok().map(|(j, _)| j.tuples().to_vec()),
+                parallel.ok().map(|(j, _, _)| j.tuples().to_vec()),
                 oracle.clone(),
                 "{}t/{}p join", threads, partitions
             );
@@ -268,8 +268,8 @@ proptest! {
             for partitions in [1, 2, 4] {
                 let par = ParallelOptions { threads: partitions, partitions };
                 let fused = algebra::hash_equi_join_project(&a, &b, "K", "K2", "K", Some(attrs), par);
-                let unfused = algebra::hash_equi_join_coalesced_partitioned(&a, &b, "K", "K2", "K", par)
-                    .and_then(|(j, _)| algebra::project(&j, attrs));
+                let unfused = algebra::hash_equi_join_project(&a, &b, "K", "K2", "K", None, par)
+                    .and_then(|(j, _, _)| algebra::project(&j, attrs));
                 match (fused, unfused) {
                     (Ok((fused, used, pairs)), Ok(unfused)) => {
                         prop_assert_eq!(

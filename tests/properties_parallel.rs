@@ -5,7 +5,7 @@
 //! tags — identical to `execute_eager` and to the sequential physical
 //! engine (byte-identical there, order included). The kernel-level
 //! properties additionally drive `hash_merge_partitioned` and
-//! `hash_equi_join_coalesced_partitioned` through their fallback paths:
+//! `hash_equi_join_project` through their fallback paths:
 //! duplicate non-nil keys inside an operand and Int/Float-mixed key
 //! columns, both of which must take the reference route and still match.
 
@@ -17,7 +17,7 @@ use common::fixtures::{
 use polygen::catalog::prelude::scenario;
 use polygen::core::algebra::coalesce::ConflictPolicy;
 use polygen::core::algebra::merge::{hash_merge_partitioned, merge};
-use polygen::core::algebra::{equi_join_coalesced, hash_equi_join_coalesced_partitioned};
+use polygen::core::algebra::{equi_join_coalesced, hash_equi_join_project};
 use polygen::core::stream::ParallelOptions;
 use polygen::core::{Cell, PolygenRelation, SourceId};
 use polygen::flat::{Schema, Value};
@@ -178,9 +178,9 @@ proptest! {
         let par = ParallelOptions::with_threads(THREAD_COUNTS[tidx]);
         match (
             equi_join_coalesced(&left, &right, "K", "K", "K"),
-            hash_equi_join_coalesced_partitioned(&left, &right, "K", "K", "K", par),
+            hash_equi_join_project(&left, &right, "K", "K", "K", None, par),
         ) {
-            (Ok(reference), Ok((parl, _))) => {
+            (Ok(reference), Ok((parl, _, _))) => {
                 prop_assert_eq!(reference.schema().attrs(), parl.schema().attrs());
                 prop_assert_eq!(reference.tuples(), parl.tuples(), "order included");
             }

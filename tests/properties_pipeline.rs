@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::fixtures::{generate_pqp, small_config};
+use common::fixtures::{generate_pqp, run_algebra, small_config};
 use polygen::pqp::prelude::*;
 use polygen::sql::prelude::*;
 use polygen::workload::{self, WorkloadConfig};
@@ -61,9 +61,10 @@ proptest! {
     fn sql_and_algebra_agree_on_mit(sql in sql_query()) {
         let s = polygen::catalog::prelude::scenario::build();
         let pqp = Pqp::for_scenario(&s);
-        let out_sql = pqp.query(&sql).unwrap();
-        let out_alg = pqp.query_algebra(&out_sql.compiled.expr.to_string()).unwrap();
-        prop_assert!(out_sql.answer.tagged_set_eq(&out_alg.answer));
+        let compiled = pqp.compile(pqp.translate_sql(&sql).unwrap()).unwrap();
+        let via_sql = pqp.run_compiled(&compiled).unwrap();
+        let (_, via_alg) = run_algebra(&pqp, &compiled.expr.to_string()).unwrap();
+        prop_assert!(via_sql.tagged_set_eq(&via_alg));
     }
 }
 
@@ -87,10 +88,10 @@ proptest! {
             optimize: true,
             ..PqpOptions::default()
         });
-        let a = naive.query_algebra(&expr.to_string()).unwrap();
-        let b = optimizing.query_algebra(&expr.to_string()).unwrap();
+        let (_, a) = run_algebra(&naive, &expr.to_string()).unwrap();
+        let (_, b) = run_algebra(&optimizing, &expr.to_string()).unwrap();
         prop_assert!(
-            a.answer.tagged_set_eq(&b.answer),
+            a.tagged_set_eq(&b),
             "optimizer changed the answer for {expr}"
         );
     }
@@ -101,9 +102,9 @@ proptest! {
     fn full_coverage_tags_every_source(fed_seed in any::<u64>(), sources in 2usize..5) {
         let config = small_config(fed_seed, sources, 20).with_coverage(1.0);
         let (_, pqp) = generate_pqp(&config);
-        let out = pqp.query_algebra("PENTITY [ENAME, CATEGORY]").unwrap();
-        prop_assert_eq!(out.answer.len(), 20);
-        for t in out.answer.tuples() {
+        let (_, out) = run_algebra(&pqp, "PENTITY [ENAME, CATEGORY]").unwrap();
+        prop_assert_eq!(out.len(), 20);
+        for t in out.tuples() {
             prop_assert_eq!(t[0].origin.len(), sources, "key knows all sources");
         }
     }

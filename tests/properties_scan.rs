@@ -23,9 +23,7 @@ use polygen::catalog::scenario::{self, LocalDatabase, Scenario};
 use polygen::catalog::schema::PolygenSchema;
 use polygen::catalog::scheme::PolygenScheme;
 use polygen::core::algebra::coalesce::ConflictPolicy;
-use polygen::core::algebra::join::{
-    hash_equi_join_coalesced, hash_equi_join_coalesced_partitioned,
-};
+use polygen::core::algebra::join::{hash_equi_join_coalesced, hash_equi_join_project};
 use polygen::core::algebra::merge::{hash_merge, hash_merge_partitioned};
 use polygen::core::base::BaseRelation;
 use polygen::core::stream::ParallelOptions;
@@ -385,11 +383,11 @@ proptest! {
         ];
         for threads in THREAD_COUNTS {
             let par = ParallelOptions { threads, partitions: threads.max(2) };
-            let drop_used = |(j, _)| j;
-            got.push(hash_equi_join_coalesced_partitioned(&bl, &br, "K", "J", "J", par).map(drop_used));
-            got.push(hash_equi_join_coalesced_partitioned(&bl, &tr, "K", "J", "J", par).map(drop_used));
-            got.push(hash_equi_join_coalesced_partitioned(&tl, &br, "K", "J", "J", par).map(drop_used));
-            got.push(hash_equi_join_coalesced_partitioned(&tl, &tr, "K", "J", "J", par).map(drop_used));
+            let drop_used = |(j, _, _)| j;
+            got.push(hash_equi_join_project(&bl, &br, "K", "J", "J", None, par).map(drop_used));
+            got.push(hash_equi_join_project(&bl, &tr, "K", "J", "J", None, par).map(drop_used));
+            got.push(hash_equi_join_project(&tl, &br, "K", "J", "J", None, par).map(drop_used));
+            got.push(hash_equi_join_project(&tl, &tr, "K", "J", "J", None, par).map(drop_used));
         }
         for got in got {
             match (&want, got) {

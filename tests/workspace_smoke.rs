@@ -1,10 +1,11 @@
 //! Workspace-surface smoke test: the facade crate's `prelude` must keep
 //! resolving the names downstream code (examples, benches, future crates)
 //! imports, and the paper's MIT scenario must round-trip end-to-end
-//! through one PQP query. This is the canary for manifest or re-export
+//! through one served query. This is the canary for manifest or re-export
 //! regressions — it fails at compile time if a prelude item disappears.
 
 use polygen::prelude::*;
+use polygen::serve::{QueryService, Request, ServeOptions};
 
 /// Every prelude family is touchable by name. Compile-time coverage: each
 /// binding below comes from a different member crate's prelude via the
@@ -40,24 +41,26 @@ fn prelude_reexports_resolve() {
 }
 
 /// The MIT scenario from `catalog::scenario` answers a real polygen query
-/// through the full PQP pipeline: parse → two-pass interpret → optimize →
-/// execute across the three LQPs, with source tags surviving the trip.
+/// through the query service and the full PQP pipeline: parse → two-pass
+/// interpret → plan → execute across the three LQPs, with source tags
+/// surviving the trip.
 #[test]
 fn mit_scenario_roundtrips_through_pqp() {
     let scenario = scenario::build();
-    let pqp = Pqp::for_scenario(&scenario);
-    let out: QueryOutcome = pqp
-        .query("SELECT CEO FROM PORGANIZATION, PALUMNUS WHERE CEO = ANAME AND DEGREE = \"MBA\"")
-        .unwrap();
-    assert_eq!(out.answer.len(), 3, "the paper's intro query finds 3 CEOs");
+    let service = QueryService::for_scenario(&scenario, ServeOptions::default());
+    let out = service.execute(Request::sql(
+        "SELECT CEO FROM PORGANIZATION, PALUMNUS WHERE CEO = ANAME AND DEGREE = \"MBA\"",
+    ));
+    let answer = out.rows().unwrap_or_else(|| panic!("{out:?}"));
+    assert_eq!(answer.len(), 3, "the paper's intro query finds 3 CEOs");
     // Source tagging round-trip: answers originate in the company database
     // and the alumni database mediated the join.
-    let registry = pqp.dictionary().registry();
+    let registry = scenario.dictionary.registry();
     let (ad, cd) = (
         registry.lookup("AD").expect("AD interned"),
         registry.lookup("CD").expect("CD interned"),
     );
-    for tuple in out.answer.tuples() {
+    for tuple in answer.tuples() {
         assert!(tuple[0].origin.contains(cd), "CEO names originate in CD");
         assert!(tuple[0].intermediate.contains(ad), "AD mediated the query");
     }
