@@ -48,8 +48,8 @@ pub enum ConflictPolicy {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoalesceConflict {
     /// Index of the conflicting tuple — in the *input* relation for the
-    /// `coalesce*` family, in the *output* relation for
-    /// [`hash_merge`](crate::algebra::merge::hash_merge) (and into the
+    /// `coalesce*` family, in the *merged* relation (before any fused
+    /// filter) for [`hash_merge`](crate::algebra::merge::hash_merge) (and into the
     /// fold's intermediate join products on its fallback path). Treat as
     /// diagnostic context, not a stable row key.
     pub tuple_index: usize,

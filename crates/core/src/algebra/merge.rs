@@ -13,6 +13,7 @@
 
 use crate::algebra::coalesce::{coalesce_views, conflict_winner, CoalesceConflict, ConflictPolicy};
 use crate::algebra::natural::outer_natural_total_join;
+use crate::algebra::restrict::{ColumnFilter, RowFilter};
 use crate::base::{Operand, RowView};
 use crate::cell::Cell;
 use crate::error::PolygenError;
@@ -22,7 +23,7 @@ use crate::stream::{scoped_map, ParallelOptions, Partitioner};
 use crate::tuple::PolyTuple;
 use polygen_flat::schema::Schema;
 use polygen_flat::value::Value;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Merge `relations` on the shared primary-key attribute `key`.
@@ -35,14 +36,7 @@ pub fn merge(
     policy: ConflictPolicy,
 ) -> Result<(PolygenRelation, Vec<CoalesceConflict>), PolygenError> {
     let (first, rest) = relations.split_first().ok_or(PolygenError::EmptyMerge)?;
-    for rel in relations {
-        if !rel.schema().contains(key) {
-            return Err(PolygenError::MissingMergeKey {
-                relation: rel.name().to_string(),
-                key: key.to_string(),
-            });
-        }
-    }
+    check_merge_key(relations, key)?;
     let mut acc = first.clone();
     let mut conflicts = Vec::new();
     for next in rest {
@@ -79,19 +73,20 @@ fn check_merge_key<O: Operand>(relations: &[O], key: &str) -> Result<(), Polygen
 
 /// What the closed form resolves once per Merge: the output schema and,
 /// per operand, the operand-column → output-column mapping and the key
-/// column's position.
+/// column's position; per output column, the operands carrying it.
 struct MergePlan {
     schema: Arc<Schema>,
-    key_out: usize,
     col_maps: Vec<Vec<usize>>,
     key_ins: Vec<usize>,
+    /// Per output column, `(operand, operand column)` in operand order.
+    sources: Vec<Vec<(usize, usize)>>,
 }
 
 impl MergePlan {
     fn new<O: Operand>(relations: &[O], key: &str) -> Result<Self, PolygenError> {
         let schemas: Vec<&Schema> = relations.iter().map(|r| r.schema().as_ref()).collect();
         let schema = merged_schema(&schemas)?;
-        let col_maps = schemas
+        let col_maps: Vec<Vec<usize>> = schemas
             .iter()
             .map(|s| {
                 s.attrs()
@@ -104,199 +99,419 @@ impl MergePlan {
             .iter()
             .map(|s| s.index_of(key).map(|r| r.0))
             .collect::<Result<_, _>>()?;
-        let key_out = schema.index_of(key)?.0;
-        Ok(MergePlan {
-            schema,
-            key_out,
-            col_maps,
-            key_ins,
-        })
-    }
-}
-
-/// A partially-filled Merge output row plus its accumulating `K(v)`.
-type PendingRow = (Vec<Option<Cell>>, SourceSet);
-
-/// The closed-form Merge accumulator: one partially-filled output row per
-/// key (plus one per nil-key tuple), with the accumulating `K(v)`.
-#[derive(Default)]
-struct MergeAcc<'a> {
-    /// Per output row: partially filled cells plus the accumulating K(v).
-    rows: Vec<PendingRow>,
-    /// Per output row: the global scan index of the tuple that created it
-    /// — its position in the one-partition first-appearance order, which
-    /// is how a split [`hash_merge_partitioned`] splices partitions back.
-    ranks: Vec<usize>,
-    by_key: HashMap<&'a Value, usize>,
-    conflicts: Vec<CoalesceConflict>,
-}
-
-/// Fold operand `ri`'s rows (each tagged with its global scan index)
-/// into the accumulator — the inner loop of the closed-form
-/// [`hash_merge_partitioned`], run once at one partition and once per
-/// hash partition above it, so the two can never diverge.
-fn merge_into<'a, R: RowView<'a>>(
-    acc: &mut MergeAcc<'a>,
-    plan: &MergePlan,
-    ri: usize,
-    rows: impl IntoIterator<Item = (usize, R)>,
-    policy: ConflictPolicy,
-) -> Result<(), PolygenError> {
-    let (col_map, key_in) = (&plan.col_maps[ri], plan.key_ins[ri]);
-    for (scan_idx, t) in rows {
-        let key = t.datum(key_in);
-        let row_idx = if key.is_nil() {
-            // nil keys never match (§II: nil satisfies no θ): each
-            // stays its own row, mediated only by its own origins.
-            None
-        } else {
-            acc.by_key.get(key).copied()
-        };
-        match row_idx {
-            Some(i) => {
-                let (cells, mediators) = &mut acc.rows[i];
-                mediators.union_with(t.origin(key_in));
-                for ci in 0..t.width() {
-                    let out = &mut cells[col_map[ci]];
-                    match out {
-                        None => *out = Some(t.cell(ci)),
-                        Some(existing) => {
-                            let merged =
-                                match coalesce_views(std::slice::from_ref(&*existing), 0, t, ci) {
-                                    Some(m) => m,
-                                    None => {
-                                        let c = t.cell(ci);
-                                        let attribute =
-                                            plan.schema.attr_at(col_map[ci]).to_string();
-                                        acc.conflicts.push(CoalesceConflict {
-                                            tuple_index: i,
-                                            attribute: attribute.clone(),
-                                            left: existing.clone(),
-                                            right: c.clone(),
-                                        });
-                                        conflict_winner(policy, existing, &c).ok_or_else(|| {
-                                            PolygenError::CoalesceConflict {
-                                                attribute,
-                                                left: existing.datum.to_string(),
-                                                right: c.datum.to_string(),
-                                            }
-                                        })?
-                                    }
-                                };
-                            *out = Some(merged);
-                        }
-                    }
-                }
-            }
-            None => {
-                let mut cells: Vec<Option<Cell>> = vec![None; plan.schema.degree()];
-                for ci in 0..t.width() {
-                    cells[col_map[ci]] = Some(t.cell(ci));
-                }
-                if !key.is_nil() {
-                    acc.by_key.insert(key, acc.rows.len());
-                }
-                acc.rows.push((cells, t.origin(key_in).clone()));
-                acc.ranks.push(scan_idx);
+        let mut sources = vec![Vec::new(); schema.degree()];
+        for (k, col_map) in col_maps.iter().enumerate() {
+            for (ci, &c) in col_map.iter().enumerate() {
+                sources[c].push((k, ci));
             }
         }
-    }
-    Ok(())
-}
-
-/// Seal one accumulator row: pad absent attributes with nil and apply the
-/// row's `K(v)` to every cell's intermediate set.
-fn finalize_row(cells: Vec<Option<Cell>>, mediators: &SourceSet, key_out: usize) -> PolyTuple {
-    cells
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| {
-            debug_assert!(i != key_out || c.is_some(), "key column always filled");
-            let mut cell = c.unwrap_or_else(|| Cell::nil_padding(SourceSet::empty()));
-            cell.add_intermediate(mediators);
-            cell
+        Ok(MergePlan {
+            schema,
+            col_maps,
+            key_ins,
+            sources,
         })
-        .collect()
+    }
 }
 
-/// Single-pass, hash-based Merge — the physical-plan engine's kernel.
-///
-/// Computes the same relation as [`merge`] (cell-exact, tags included)
-/// without the quadratic ONTJ fold: one hash table keyed on the primary
-/// key's datum, one pass over every operand tuple. The ONTJ fold's tag
-/// discipline collapses to a closed form (derivable from §II's
-/// definitions): for the output tuple of key `v`, let `K(v)` be the union
-/// of the key cells' origins across the operands containing `v`; then
-/// every cell coalesces its operands' raw contributions in operand order
-/// (equal data → tag union, one-sided nil → the non-nil cell verbatim,
-/// genuine conflict → `policy`), absent attributes pad with nil, and
-/// finally every cell's intermediate set gains `K(v)` — exactly the
-/// mediator tags the fold accretes step by step.
-///
-/// At one partition (`par` serial) the accumulator runs inline over the
-/// operands. Above one, every operand is hash-split on the merge key so
-/// all contributions to one output row co-locate, the accumulator runs
-/// per partition on a scoped worker, and the partitions' rows splice
-/// back into the first-appearance order — the relation is byte-identical
-/// (cells, tags *and* row order) on every partition count.
-///
-/// Two inputs the closed form does not cover fall back to the reference
-/// fold at any `par`: an operand with duplicate non-nil key data (the
-/// fold cross-joins those tuples) and key columns mixing `Int`/`Float`
-/// (the fold matches them through numeric comparison, a hash table
-/// cannot).
-///
-/// The *relation* is identical across every path; the conflict records
-/// are not — the closed form reports `tuple_index` against the final
-/// output rows, while the fold reports indices into its intermediate
-/// join products, and split runs record (and a `Strict` policy trips on)
-/// conflicts in partition order rather than scan order. Treat them as
-/// diagnostic, not as a stable key.
-///
-/// Generic over the operand type ([`Operand`]): tagged relations are read
-/// as they always were; late-tagged base relations are read in place and
-/// each of their cells is built once, when it lands in an output row.
-/// The last element is the partition count the merge ran at: `1` on a
-/// single operand or a fallback.
+/// A fold row's operand slot that no row of that operand filled.
+const ABSENT: u32 = u32::MAX;
+
+/// The datum a column reads before any operand has contributed to it.
+static NIL: Value = Value::Null;
+
+/// One operand's rows as the fold reads them: by position, each with
+/// its global scan index — its rank in the one-partition creation
+/// order, which only a split run reads.
+trait FoldRows<'a> {
+    type Row: RowView<'a>;
+    fn count(&self) -> usize;
+    fn at(&self, r: u32) -> Self::Row;
+    fn scan_index(&self, r: u32) -> usize;
+}
+
+/// A whole operand: the one-partition fold.
+impl<'a, O: Operand> FoldRows<'a> for &'a O {
+    type Row = O::Row<'a>;
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn at(&self, r: u32) -> O::Row<'a> {
+        self.row(r as usize)
+    }
+    fn scan_index(&self, r: u32) -> usize {
+        r as usize
+    }
+}
+
+/// One hash partition's share of an operand: `(scan index, row)` pairs
+/// in scan order.
+impl<'a, R: RowView<'a>> FoldRows<'a> for Vec<(usize, R)> {
+    type Row = R;
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn at(&self, r: u32) -> R {
+        self[r as usize].1
+    }
+    fn scan_index(&self, r: u32) -> usize {
+        self[r as usize].0
+    }
+}
+
+/// The closed-form Merge before any cell exists: one output row per key
+/// (plus one per nil-key row) in creation order, each holding its
+/// coalesced datum per column and the row each operand contributed.
+/// [`MergeFold::emit`] builds cells for the rows a caller keeps.
+struct MergeFold<'a> {
+    degree: usize,
+    arity: usize,
+    /// Per output row, `degree` data: each column's contributions
+    /// coalesced on data alone, in operand order.
+    data: Vec<&'a Value>,
+    /// Per output row, `arity` operand row ids, or [`ABSENT`].
+    from: Vec<u32>,
+    by_key: HashMap<&'a Value, u32>,
+    /// The conflicts a `Prefer*` policy resolved, in scan order.
+    conflicts: Vec<CoalesceConflict>,
+    /// The first conflict under `Strict`. The pass goes on, because a
+    /// later duplicate key hands the whole Merge to the reference fold.
+    strict: Option<PolygenError>,
+    /// An operand carries a non-nil key twice: the reference fold
+    /// cross-joins those rows, the closed form cannot.
+    duplicate: bool,
+    /// Key data of each numeric type seen. Mixed, the reference fold
+    /// matches `1 = 1.0` through θ, a hash table cannot.
+    ints: bool,
+    floats: bool,
+}
+
+impl<'a> MergeFold<'a> {
+    /// Fold every operand's rows, operand by operand in scan order — run
+    /// once at one partition and once per hash partition above it, so
+    /// the two can never diverge. Every column of every key goes through
+    /// the data coalesce and its conflict rule, whatever a caller keeps
+    /// later. Stops at the first duplicate key.
+    fn run<S: FoldRows<'a>>(plan: &MergePlan, operands: &[S], policy: ConflictPolicy) -> Self {
+        let (degree, arity) = (plan.schema.degree(), operands.len());
+        // At least the largest operand's rows come out.
+        let expect = operands.iter().map(S::count).max().unwrap_or(0);
+        let mut fold = MergeFold {
+            degree,
+            arity,
+            data: Vec::with_capacity(expect * degree),
+            from: Vec::with_capacity(expect * arity),
+            by_key: HashMap::with_capacity(expect),
+            conflicts: Vec::new(),
+            strict: None,
+            duplicate: false,
+            ints: false,
+            floats: false,
+        };
+        for (ri, rows) in operands.iter().enumerate() {
+            let (col_map, key_in) = (&plan.col_maps[ri], plan.key_ins[ri]);
+            let n = u32::try_from(rows.count()).expect("operand rows fit u32 row ids");
+            for r in 0..n {
+                let t = rows.at(r);
+                let key = t.datum(key_in);
+                match key {
+                    Value::Int(_) => fold.ints = true,
+                    Value::Float(_) => fold.floats = true,
+                    _ => {}
+                }
+                // nil keys never match (§II: nil satisfies no θ): each
+                // stays its own row, mediated only by its own origins.
+                let found = if key.is_nil() {
+                    None
+                } else {
+                    fold.by_key.get(key).copied()
+                };
+                let Some(i) = found else {
+                    let i = fold.rows();
+                    if !key.is_nil() {
+                        let id = u32::try_from(i).expect("output rows fit u32 row ids");
+                        fold.by_key.insert(key, id);
+                    }
+                    fold.data.extend(std::iter::repeat_n(&NIL, degree));
+                    fold.from.extend(std::iter::repeat_n(ABSENT, arity));
+                    fold.from[i * arity + ri] = r;
+                    for (ci, &c) in col_map.iter().enumerate() {
+                        fold.data[i * degree + c] = t.datum(ci);
+                    }
+                    continue;
+                };
+                let i = i as usize;
+                if fold.from[i * arity + ri] != ABSENT {
+                    fold.duplicate = true;
+                    return fold;
+                }
+                fold.from[i * arity + ri] = r;
+                for ci in 0..col_map.len() {
+                    fold.coalesce(plan, operands, policy, i, ri, t, ci);
+                }
+            }
+        }
+        fold
+    }
+
+    /// Coalesce cell `ci` of operand `ri`'s row `t` into output row `i`,
+    /// on data alone: the [`coalesce_views`] case analysis (equal data or
+    /// a nil side keep the datum, a nil datum takes the other). A genuine
+    /// conflict fails a `Strict` merge; a `Prefer*` policy resolves it and
+    /// records the cells it saw: the column built from the operands
+    /// before `ri`, and `t`'s.
+    #[allow(clippy::too_many_arguments)]
+    fn coalesce<S: FoldRows<'a>>(
+        &mut self,
+        plan: &MergePlan,
+        operands: &[S],
+        policy: ConflictPolicy,
+        i: usize,
+        ri: usize,
+        t: S::Row,
+        ci: usize,
+    ) {
+        let c = plan.col_maps[ri][ci];
+        let slot = i * self.degree + c;
+        let (x, y) = (self.data[slot], t.datum(ci));
+        if x == y || y.is_nil() {
+            return;
+        }
+        if x.is_nil() {
+            self.data[slot] = y;
+            return;
+        }
+        let attribute = plan.schema.attr_at(c).to_string();
+        if policy == ConflictPolicy::Strict {
+            if self.strict.is_none() {
+                self.strict = Some(PolygenError::CoalesceConflict {
+                    attribute,
+                    left: x.to_string(),
+                    right: y.to_string(),
+                });
+            }
+            return;
+        }
+        let from = &self.from[i * self.arity..][..self.arity];
+        let left = build_cell(plan, operands, from, c, ri, policy).expect("x is a contribution");
+        let right = t.cell(ci);
+        let winner = conflict_winner(policy, &left, &right).expect("Prefer* resolves");
+        if winner.datum != *x {
+            self.data[slot] = y;
+        }
+        self.conflicts.push(CoalesceConflict {
+            tuple_index: i,
+            attribute,
+            left,
+            right,
+        });
+    }
+
+    /// Does the closed form hold for what this pass saw?
+    fn closed_form(&self) -> bool {
+        !(self.duplicate || self.ints && self.floats)
+    }
+
+    /// Output rows so far.
+    fn rows(&self) -> usize {
+        self.from.len() / self.arity
+    }
+
+    /// Output row `i`'s rank: the scan index of the row that created it,
+    /// its first contribution (operands fold in order).
+    fn rank<S: FoldRows<'a>>(&self, operands: &[S], i: usize) -> usize {
+        let from = &self.from[i * self.arity..][..self.arity];
+        let (k, &r) = from
+            .iter()
+            .enumerate()
+            .find(|(_, &r)| r != ABSENT)
+            .expect("every row has a creator");
+        operands[k].scan_index(r)
+    }
+
+    /// Build every output row all `filters` keep, in creation order, and
+    /// hand it to `out` with its row number. Each kept row builds each of
+    /// its cells once, column by column, coalescing the contributions in
+    /// operand order (absent attributes pad with nil). Every cell then
+    /// gains `K(v)` — the union of the key cells' origins across the
+    /// contributing operands, exactly the mediator tags the ONTJ fold
+    /// accretes step by step — and each filter's mediators, as
+    /// merge-then-filter gives them.
+    fn emit<S: FoldRows<'a>>(
+        &self,
+        plan: &MergePlan,
+        operands: &[S],
+        filters: &[ColumnFilter<'_>],
+        policy: ConflictPolicy,
+        mut out: impl FnMut(usize, PolyTuple),
+    ) {
+        for i in 0..self.rows() {
+            let data = &self.data[i * self.degree..][..self.degree];
+            if !filters.iter().all(|f| f.passes(data)) {
+                continue;
+            }
+            let from = &self.from[i * self.arity..][..self.arity];
+            let mut row: PolyTuple = (0..self.degree)
+                .map(|c| {
+                    build_cell(plan, operands, from, c, self.arity, policy)
+                        .unwrap_or_else(|| Cell::nil_padding(SourceSet::empty()))
+                })
+                .collect();
+            let mut mediators = SourceSet::empty();
+            for (k, &r) in from.iter().enumerate() {
+                if r != ABSENT {
+                    mediators.union_with(operands[k].at(r).origin(plan.key_ins[k]));
+                }
+            }
+            for f in filters {
+                f.mediators(&row, &mut mediators);
+            }
+            for cell in &mut row {
+                cell.add_intermediate(&mediators);
+            }
+            out(i, row);
+        }
+    }
+}
+
+/// Output column `c` of the row whose contributions are `from`, built
+/// from the operands before `upto`: the contributions coalesce in
+/// operand order ([`coalesce_views`]; a conflict goes to `policy`).
+/// `None` when none of them carries the column.
+fn build_cell<'a, S: FoldRows<'a>>(
+    plan: &MergePlan,
+    operands: &[S],
+    from: &[u32],
+    c: usize,
+    upto: usize,
+    policy: ConflictPolicy,
+) -> Option<Cell> {
+    let mut cell: Option<Cell> = None;
+    for &(k, ci) in plan.sources[c].iter().take_while(|&&(k, _)| k < upto) {
+        let r = from[k];
+        if r == ABSENT {
+            continue;
+        }
+        let t = operands[k].at(r);
+        cell = Some(match cell {
+            None => t.cell(ci),
+            Some(existing) => coalesce_views(std::slice::from_ref(&existing), 0, t, ci)
+                .unwrap_or_else(|| {
+                    conflict_winner(policy, &existing, &t.cell(ci))
+                        .expect("the fold failed every Strict conflict")
+                }),
+        });
+    }
+    cell
+}
+
+/// [`hash_merge_select`] without filters: the single-pass hash Merge on
+/// its own. Returns the merged relation, the resolved conflicts and the
+/// partition count it ran at.
 pub fn hash_merge_partitioned<O: Operand>(
     relations: &[O],
     key: &str,
     policy: ConflictPolicy,
     par: ParallelOptions,
 ) -> Result<(PolygenRelation, Vec<CoalesceConflict>, usize), PolygenError> {
-    let (first, _) = relations.split_first().ok_or(PolygenError::EmptyMerge)?;
+    hash_merge_select(relations, key, policy, &[], par)
+        .map(|(merged, conflicts, used, _)| (merged, conflicts, used))
+}
+
+/// Single-pass, hash-based Merge — the physical-plan engine's kernel —
+/// fused with the Select/Restrict chain `filters` over it:
+/// `merge(relations)[filters…]` in one pass, building cells only for the
+/// rows the chain keeps. Without filters it is [`merge`]'s relation.
+///
+/// Computes the same relation as [`merge`] followed by
+/// [`select()`](crate::algebra::select()) /
+/// [`restrict()`](crate::algebra::restrict()) (cell-exact, tags and
+/// errors included) without the quadratic ONTJ fold: one hash table
+/// keyed on the primary key's datum, one pass over every operand tuple.
+/// The ONTJ fold's tag discipline collapses to a closed form (derivable
+/// from §II's definitions): for the output tuple of key `v`, let `K(v)`
+/// be the union of the key cells' origins across the operands
+/// containing `v`; then every cell coalesces its operands' raw
+/// contributions in operand order (equal data → tag union, one-sided nil
+/// → the non-nil cell verbatim, genuine conflict → `policy`), absent
+/// attributes pad with nil, and finally every cell's intermediate set
+/// gains `K(v)` — exactly the mediator tags the fold accretes step by
+/// step. The pass coalesces data only; the filters test the coalesced
+/// data of every output row, and only the rows they keep build cells,
+/// which gain each filter's mediators after `K(v)`. Conflicts are found
+/// in the pass, on every row: under `Strict` a conflict fails the merge
+/// even on a row the filters drop.
+///
+/// At one partition (`par` serial) the fold runs inline over the
+/// operands. Above one, every operand is hash-split on the merge key so
+/// all contributions to one output row co-locate, the fold and the emit
+/// run per partition on a scoped worker, and the partitions' kept rows
+/// splice back into the first-appearance order — the relation is
+/// byte-identical (cells, tags *and* row order) on every partition
+/// count.
+///
+/// Two inputs the closed form does not cover fall back to the reference
+/// fold (then the filters) at any `par`: an operand with duplicate
+/// non-nil key data (the fold cross-joins those tuples) and key columns
+/// mixing `Int`/`Float` (the fold matches them through numeric
+/// comparison, a hash table cannot). The pass detects both; a `Strict`
+/// conflict it met first is then the fallback's to report.
+///
+/// The *relation* is identical across every path; the conflict records
+/// are not — the closed form reports `tuple_index` against the merged
+/// rows (before the filters), while the fold reports indices into its
+/// intermediate join products, and split runs record (and a `Strict`
+/// policy trips on) conflicts in partition order rather than scan order.
+/// Treat them as diagnostic, not as a stable key.
+///
+/// Generic over the operand type ([`Operand`]): tagged relations are read
+/// as they always were; late-tagged base relations are read in place and
+/// each of their cells is built once, when it lands in a kept row.
+/// Returns the kept rows, the conflicts, the partition count the merge
+/// ran at (`1` on a single operand or a fallback), and how many rows the
+/// merge itself had.
+pub fn hash_merge_select<O: Operand>(
+    relations: &[O],
+    key: &str,
+    policy: ConflictPolicy,
+    filters: &[RowFilter<'_>],
+    par: ParallelOptions,
+) -> Result<(PolygenRelation, Vec<CoalesceConflict>, usize, usize), PolygenError> {
+    if relations.len() <= 1 {
+        // An empty merge, a missing key and a lone operand are the
+        // fold's, as they always were.
+        return reference(relations, key, policy, filters);
+    }
     check_merge_key(relations, key)?;
-    if relations.len() == 1 {
-        return Ok((first.materialize(), Vec::new(), 1));
-    }
-    if !hash_mergeable(relations, key) {
-        let (merged, conflicts) = merge(&O::tagged(relations), key, policy)?;
-        return Ok((merged, conflicts, 1));
-    }
     let plan = MergePlan::new(relations, key)?;
+    // Resolved up front, reported after the merge: merge-then-filter
+    // fails on the merge first.
+    let resolved: Result<Vec<ColumnFilter<'_>>, PolygenError> =
+        filters.iter().map(|f| f.resolve(&plan.schema)).collect();
     if !par.is_parallel() {
-        let mut acc = MergeAcc::default();
-        for (ri, rel) in relations.iter().enumerate() {
-            // Scan indices are only consumed by the split path's splice;
-            // one partition's creation order is already the answer's.
-            merge_into(&mut acc, &plan, ri, rel.rows().enumerate(), policy)?;
+        let whole: Vec<&O> = relations.iter().collect();
+        let fold = MergeFold::run(&plan, &whole, policy);
+        if !fold.closed_form() {
+            return reference(relations, key, policy, filters);
         }
-        let tuples: Vec<PolyTuple> = acc
-            .rows
-            .into_iter()
-            .map(|(cells, mediators)| finalize_row(cells, &mediators, plan.key_out))
-            .collect();
+        if let Some(e) = fold.strict {
+            return Err(e);
+        }
+        let mut kept = Vec::new();
+        fold.emit(&plan, &whole, &resolved?, policy, |_, t| kept.push(t));
+        let rows = fold.rows();
         return Ok((
-            PolygenRelation::from_tuples(plan.schema, tuples)?,
-            acc.conflicts,
+            PolygenRelation::from_tuples(plan.schema, kept)?,
+            fold.conflicts,
             1,
+            rows,
         ));
     }
     // Reference-only split (partition → operand → (scan index, row)):
     // row views are pushed, no cell is built. The scan index is the row's
-    // position in the global scan across operands; the accumulator stamps
-    // each output row with its creator's index, which IS the row's
-    // position in the one-partition first-appearance order.
+    // position in the global scan across operands; an output row's rank
+    // is its creator's index, which IS the row's position in the
+    // one-partition first-appearance order.
     let parter = Partitioner::new(par.partitions);
     let mut parts: Vec<_> = (0..parter.partitions())
         .map(|_| vec![Vec::new(); relations.len()])
@@ -311,35 +526,62 @@ pub fn hash_merge_partitioned<O: Operand>(
             scan_pos += 1;
         }
     }
-    let results = scoped_map(parts, par.threads, |_, operands| {
-        let mut acc = MergeAcc::default();
-        for (ri, rows) in operands.into_iter().enumerate() {
-            merge_into(&mut acc, &plan, ri, rows, policy)?;
+    let tests = resolved.as_deref().ok();
+    let mut results = scoped_map(parts, par.threads, |_, operands| {
+        let fold = MergeFold::run(&plan, &operands, policy);
+        let mut kept: Vec<(usize, PolyTuple)> = Vec::new();
+        // A partition that cannot finish the closed form emits nothing.
+        if let Some(tests) = tests.filter(|_| fold.closed_form() && fold.strict.is_none()) {
+            fold.emit(&plan, &operands, tests, policy, |i, t| {
+                kept.push((fold.rank(&operands, i), t));
+            });
         }
-        Ok::<_, PolygenError>((acc.rows, acc.ranks, acc.conflicts))
+        (fold, kept, operands)
     });
+    // Mixed numeric keys may split across partitions.
+    let mixed = results.iter().any(|(fold, _, _)| fold.ints)
+        && results.iter().any(|(fold, _, _)| fold.floats);
+    if mixed || results.iter().any(|(fold, _, _)| !fold.closed_form()) {
+        return reference(relations, key, policy, filters);
+    }
+    if let Some(e) = results
+        .iter_mut()
+        .find_map(|(fold, _, _)| fold.strict.take())
+    {
+        return Err(e);
+    }
+    resolved?;
     // Splice the partitions back into the one-partition creation order.
     // Within a partition rows are already rank-sorted (creation follows
     // the scan), so the stable sort merges pre-sorted runs.
-    let mut ranked: Vec<(usize, PendingRow)> = Vec::new();
+    let rows = results.iter().map(|(fold, _, _)| fold.rows()).sum();
+    let mut ranked: Vec<(usize, PolyTuple)> =
+        Vec::with_capacity(results.iter().map(|(_, kept, _)| kept.len()).sum());
     let mut ranked_conflicts: Vec<(usize, CoalesceConflict)> = Vec::new();
-    for result in results {
-        let (rows, ranks, conflicts) = result?;
-        let base = ranked.len();
-        ranked.extend(ranks.into_iter().zip(rows));
-        for c in conflicts {
-            let rank = ranked[base + c.tuple_index].0;
-            ranked_conflicts.push((rank, c));
+    let mut ranks: Vec<usize> = Vec::new();
+    let any_conflicts = results
+        .iter()
+        .any(|(fold, _, _)| !fold.conflicts.is_empty());
+    for (fold, kept, operands) in results {
+        ranked.extend(kept);
+        if any_conflicts {
+            let base = ranks.len();
+            ranks.extend((0..fold.rows()).map(|i| fold.rank(&operands, i)));
+            for c in fold.conflicts {
+                ranked_conflicts.push((ranks[base + c.tuple_index], c));
+            }
         }
     }
     ranked.sort_by_key(|(rank, _)| *rank);
     let conflicts = if ranked_conflicts.is_empty() {
         Vec::new()
     } else {
-        let final_index: HashMap<usize, usize> = ranked
+        // Conflicts index the merged rows in their final order.
+        ranks.sort_unstable();
+        let final_index: HashMap<usize, usize> = ranks
             .iter()
             .enumerate()
-            .map(|(i, (rank, _))| (*rank, i))
+            .map(|(i, &rank)| (rank, i))
             .collect();
         ranked_conflicts.sort_by_key(|(rank, _)| *rank);
         ranked_conflicts
@@ -350,40 +592,30 @@ pub fn hash_merge_partitioned<O: Operand>(
             })
             .collect()
     };
-    let tuples: Vec<PolyTuple> = ranked
-        .into_iter()
-        .map(|(_, (cells, mediators))| finalize_row(cells, &mediators, plan.key_out))
-        .collect();
+    let tuples: Vec<PolyTuple> = ranked.into_iter().map(|(_, t)| t).collect();
     Ok((
         PolygenRelation::from_tuples(Arc::clone(&plan.schema), tuples)?,
         conflicts,
         par.partitions,
+        rows,
     ))
 }
 
-/// Can the closed form apply? Requires per-operand unique non-nil key
-/// data and no Int/Float mixing in any key column.
-fn hash_mergeable<O: Operand>(relations: &[O], key: &str) -> bool {
-    let (mut saw_int, mut saw_float) = (false, false);
-    for rel in relations {
-        let Ok(ki) = rel.schema().index_of(key).map(|r| r.0) else {
-            return false;
-        };
-        let mut seen: HashSet<&Value> = HashSet::with_capacity(rel.len());
-        for t in rel.rows() {
-            let d = t.datum(ki);
-            match d {
-                Value::Null => continue,
-                Value::Int(_) => saw_int = true,
-                Value::Float(_) => saw_float = true,
-                _ => {}
-            }
-            if !seen.insert(d) {
-                return false;
-            }
-        }
+/// The reference fold, then `filters` with the reference operators:
+/// [`hash_merge_select`] on one operand and on its fallbacks.
+#[allow(clippy::type_complexity)]
+fn reference<O: Operand>(
+    relations: &[O],
+    key: &str,
+    policy: ConflictPolicy,
+    filters: &[RowFilter<'_>],
+) -> Result<(PolygenRelation, Vec<CoalesceConflict>, usize, usize), PolygenError> {
+    let (mut out, conflicts) = merge(&O::tagged(relations), key, policy)?;
+    let rows = out.len();
+    for f in filters {
+        out = f.apply(&out)?;
     }
-    !(saw_int && saw_float)
+    Ok((out, conflicts, 1, rows))
 }
 
 /// The schema a Merge of operands with these schemas produces — exactly
@@ -426,14 +658,7 @@ where
     ) -> Result<crate::cell::Cell, PolygenError>,
 {
     let (first, rest) = relations.split_first().ok_or(PolygenError::EmptyMerge)?;
-    for rel in relations {
-        if !rel.schema().contains(key) {
-            return Err(PolygenError::MissingMergeKey {
-                relation: rel.name().to_string(),
-                key: key.to_string(),
-            });
-        }
-    }
+    check_merge_key(relations, key)?;
     let mut acc = first.clone();
     for next in rest {
         acc =
@@ -446,6 +671,7 @@ where
 mod tests {
     use super::*;
     use crate::algebra::project::project;
+    use crate::algebra::restrict::RowFilter;
     use crate::source::SourceId;
     use polygen_flat::relation::Relation;
     use polygen_flat::value::Value;
@@ -779,6 +1005,62 @@ mod tests {
         let dup = rels[0].tuples()[0].clone();
         rels[0].tuples_mut().push(dup);
         assert_hash_matches_fold(&rels, "ONAME", ConflictPolicy::Strict);
+    }
+
+    /// Three sources where CORPORATION and FIRM disagree on Apple's HQ.
+    fn apple_conflict() -> [PolygenRelation; 3] {
+        let mut rels = three_sources();
+        for t in rels[1].tuples_mut() {
+            if t[0].datum == Value::str("Apple") {
+                t[2].datum = Value::str("TX");
+            }
+        }
+        rels
+    }
+
+    #[test]
+    fn strict_conflict_fails_the_merge_on_a_row_the_select_drops() {
+        let rels = apple_conflict();
+        let ibm = Value::str("IBM");
+        let only_ibm = [RowFilter::Select {
+            attr: "ONAME",
+            cmp: polygen_flat::value::Cmp::Eq,
+            value: &ibm,
+        }];
+        for par in [ParallelOptions::serial(), ParallelOptions::with_threads(4)] {
+            let strict = hash_merge_select(&rels, "ONAME", ConflictPolicy::Strict, &only_ibm, par);
+            assert!(
+                matches!(strict, Err(PolygenError::CoalesceConflict { .. })),
+                "{par:?}: {strict:?}"
+            );
+            let (kept, conflicts, _, merged) =
+                hash_merge_select(&rels, "ONAME", ConflictPolicy::PreferLeft, &only_ibm, par)
+                    .unwrap();
+            assert_eq!((kept.len(), merged, conflicts.len()), (1, 3, 1));
+        }
+    }
+
+    /// A `Strict` conflict the pass meets before a duplicate key does not
+    /// decide the answer: the duplicate sends the merge to the reference
+    /// fold, whose answer (or error) it is, at one partition and split.
+    #[test]
+    fn strict_conflict_before_a_duplicate_key_answers_as_the_fold() {
+        let mut rels = apple_conflict();
+        // FIRM's rows run IBM, Apple (the conflict), then IBM again.
+        let dup = rels[2].tuples()[0].clone();
+        rels[2].tuples_mut().push(dup);
+        let fold = merge(&rels, "ONAME", ConflictPolicy::Strict);
+        for par in [ParallelOptions::serial(), ParallelOptions::with_threads(4)] {
+            let hashed = hash_merge_partitioned(&rels, "ONAME", ConflictPolicy::Strict, par);
+            match (&fold, hashed) {
+                (Ok((fold, _)), Ok((hashed, _, used))) => {
+                    assert_eq!(fold.tuples(), hashed.tuples());
+                    assert_eq!(used, 1);
+                }
+                (Err(fold), Err(hashed)) => assert_eq!(fold.to_string(), hashed.to_string()),
+                (fold, hashed) => panic!("{par:?}: fold {fold:?} vs hashed {hashed:?}"),
+            }
+        }
     }
 
     #[test]

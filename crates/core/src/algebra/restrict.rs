@@ -16,9 +16,12 @@
 //! no intermediate tags appear — that path goes through the flat algebra
 //! and [`PolygenRelation::from_flat`](crate::relation::PolygenRelation::from_flat).
 
+use crate::cell::Cell;
 use crate::error::PolygenError;
 use crate::relation::PolygenRelation;
+use crate::source::SourceSet;
 use crate::tuple;
+use polygen_flat::schema::Schema;
 use polygen_flat::value::{Cmp, Value};
 use std::sync::Arc;
 
@@ -63,6 +66,89 @@ pub fn select(
         }
     }
     PolygenRelation::from_tuples(Arc::clone(p.schema()), tuples)
+}
+
+/// A Select or Restrict as a fused kernel runs it: tested on a row's
+/// borrowed data before any cell of the row exists, with [`select()`] /
+/// [`restrict()`]'s tag update on the rows it keeps. A chain of them
+/// keeps the rows that pass every one; each kept cell gains every
+/// stage's mediators.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RowFilter<'s> {
+    /// `[attr θ value]`, as [`select()`].
+    Select {
+        /// The compared column.
+        attr: &'s str,
+        /// θ.
+        cmp: Cmp,
+        /// The constant.
+        value: &'s Value,
+    },
+    /// `[x θ y]`, as [`restrict()`].
+    Restrict {
+        /// The left column.
+        x: &'s str,
+        /// θ.
+        cmp: Cmp,
+        /// The right column.
+        y: &'s str,
+    },
+}
+
+impl<'s> RowFilter<'s> {
+    /// The filter over the columns of `schema`.
+    pub(crate) fn resolve(&self, schema: &Schema) -> Result<ColumnFilter<'s>, PolygenError> {
+        Ok(match *self {
+            RowFilter::Select { attr, cmp, value } => ColumnFilter {
+                x: schema.index_of(attr)?.0,
+                cmp,
+                y: Err(value),
+            },
+            RowFilter::Restrict { x, cmp, y } => ColumnFilter {
+                x: schema.index_of(x)?.0,
+                cmp,
+                y: Ok(schema.index_of(y)?.0),
+            },
+        })
+    }
+
+    /// The reference form: [`select()`] or [`restrict()`] over a whole
+    /// relation.
+    pub(crate) fn apply(&self, p: &PolygenRelation) -> Result<PolygenRelation, PolygenError> {
+        match *self {
+            RowFilter::Select { attr, cmp, value } => select(p, attr, cmp, value.clone()),
+            RowFilter::Restrict { x, cmp, y } => restrict(p, x, cmp, y),
+        }
+    }
+}
+
+/// A [`RowFilter`] resolved to column positions: `x θ y`, where `y` is
+/// a column (`Ok`) or a Select's constant (`Err`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ColumnFilter<'s> {
+    x: usize,
+    cmp: Cmp,
+    y: Result<usize, &'s Value>,
+}
+
+impl ColumnFilter<'_> {
+    /// Does a row with these data pass?
+    pub(crate) fn passes(&self, data: &[&Value]) -> bool {
+        let rhs = match self.y {
+            Ok(yi) => data[yi],
+            Err(constant) => constant,
+        };
+        data[self.x].satisfies(self.cmp, rhs)
+    }
+
+    /// Union the filter's mediators into `into`: `t[x](o)`, and
+    /// `t[y](o)` for a Restrict. Constants originate nowhere.
+    pub(crate) fn mediators(&self, row: &[Cell], into: &mut SourceSet) {
+        into.union_with(&row[self.x].origin);
+        if let Ok(yi) = self.y {
+            into.union_with(&row[yi].origin);
+        }
+    }
 }
 
 #[cfg(test)]

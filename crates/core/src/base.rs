@@ -11,7 +11,7 @@
 //! [`BaseRelation::materialize`] produces it, but nothing is tagged until
 //! a caller asks.
 //!
-//! The kernels that consume scan leaves — `hash_merge_partitioned` and
+//! The kernels that consume scan leaves — `hash_merge_select` and
 //! `hash_equi_join_project`, at any partition count — read their
 //! operands through [`Operand`] / [`RowView`], implemented by tagged
 //! relations and base relations alike, and monomorphized per operand
@@ -63,6 +63,8 @@ pub trait Operand: Sized + Sync {
     }
     /// The rows, in scan order.
     fn rows(&self) -> impl ExactSizeIterator<Item = Self::Row<'_>>;
+    /// Row `i` of the scan.
+    fn row(&self, i: usize) -> Self::Row<'_>;
     /// The operand as a tagged relation.
     fn materialize(&self) -> PolygenRelation;
     /// The operands as tagged relations — what the kernels' reference
@@ -152,6 +154,9 @@ impl Operand for PolygenRelation {
     }
     fn rows(&self) -> impl ExactSizeIterator<Item = &[Cell]> {
         self.tuples().iter().map(Vec::as_slice)
+    }
+    fn row(&self, i: usize) -> &[Cell] {
+        &self.tuples()[i]
     }
     fn materialize(&self) -> PolygenRelation {
         self.clone()
@@ -287,6 +292,12 @@ impl Operand for BaseRelation {
             values,
             origin: &self.origin,
         })
+    }
+    fn row(&self, i: usize) -> BaseRow<'_> {
+        BaseRow {
+            values: &self.rel.rows()[i],
+            origin: &self.origin,
+        }
     }
     fn materialize(&self) -> PolygenRelation {
         BaseRelation::materialize(self)

@@ -9,11 +9,14 @@
 //! coalesce fused into the emit, and Merge runs as the k-way single-pass
 //! hash merge — both reading leaves in place, so a base cell is first
 //! built when a kernel writes it into its output. Only pipeline breakers
-//! (joins, merges, set operations) materialize relations, with one fused
-//! exception: a hash join whose only consumer opens with a Project
+//! (joins, merges, set operations) materialize relations, with two fused
+//! exceptions: a hash join whose only consumer opens with a Project
 //! ([`PhysicalPlan::fused_join_project`]) runs that Project inside its
-//! emit and materializes the projection, never its own output. Nothing
-//! else is retained: the walk returns the answer alone.
+//! emit and materializes the projection, never its own output; and a
+//! merge whose only consumer opens with Selects/Restricts
+//! ([`PhysicalPlan::fused_merge_stages`]) runs them inside its emit and
+//! materializes only the rows they keep. Nothing else is retained: the
+//! walk returns the answer alone.
 //!
 //! The paper-faithful row-by-row interpreter survives as
 //! [`execute_eager`]: it materializes every `R(n)` eagerly with the
@@ -40,7 +43,8 @@ use crate::pom::{Op, RelRef, Rha};
 use crate::pqp::PqpOptions;
 use polygen_catalog::dictionary::DataDictionary;
 use polygen_core::algebra::join::equi_join_coalesced_schema;
-use polygen_core::algebra::{self, coalesce::ConflictPolicy};
+use polygen_core::algebra::merge::merged_schema;
+use polygen_core::algebra::{self, coalesce::ConflictPolicy, RowFilter};
 use polygen_core::base::BaseRelation;
 use polygen_core::batch::ColumnBatch;
 use polygen_core::relation::PolygenRelation;
@@ -76,17 +80,6 @@ impl ExecutionTrace {
     }
 }
 
-/// Resolve an IOM attribute name against a relation's actual columns.
-/// Delegates to the planner's schema-level resolver so the eager and
-/// physical engines can never disagree on resolution.
-pub fn resolve_attr(
-    rel: &PolygenRelation,
-    attr: &str,
-    dictionary: &DataDictionary,
-) -> Result<String, PqpError> {
-    plan::resolve_in_schema(rel.schema(), attr, dictionary)
-}
-
 /// Run one fused pipeline stage in place.
 fn apply_stage(s: &mut TupleStream, kind: &StageKind) -> Result<(), PqpError> {
     match kind {
@@ -99,6 +92,21 @@ fn apply_stage(s: &mut TupleStream, kind: &StageKind) -> Result<(), PqpError> {
         }
     }
     Ok(())
+}
+
+/// A Select or Restrict stage as a fused merge runs it.
+fn row_filter(kind: &StageKind) -> RowFilter<'_> {
+    match kind {
+        StageKind::Select { attr, cmp, value } => RowFilter::Select {
+            attr,
+            cmp: *cmp,
+            value,
+        },
+        StageKind::Restrict { x, cmp, y } => RowFilter::Restrict { x, cmp: *cmp, y },
+        StageKind::Project { .. } => {
+            unreachable!("a merge's fused stages stop at the first Project")
+        }
+    }
 }
 
 /// A Project's presentation: its columns under the names the query
@@ -285,6 +293,8 @@ pub fn execute_plan(
     }
     remaining[plan.root] += 1;
     let mut slots: Vec<Option<Slot>> = (0..n).map(|_| None).collect();
+    // The partition count each node's kernel ran at.
+    let mut ran_at = vec![1usize; n];
     let take = |slots: &mut Vec<Option<Slot>>, remaining: &mut Vec<usize>, i: usize| {
         remaining[i] -= 1;
         if remaining[i] == 0 {
@@ -336,6 +346,13 @@ pub fn execute_plan(
                 // its emit hands over the projected rows; only the
                 // Project's presentation is left to apply.
                 let fused = plan.fused_join_project(*input).is_some();
+                // A merge that ran the leading Selects/Restricts inside
+                // its emit, split as it ran, hands over their survivors.
+                let ran_in_merge = plan.fused_merge_stages(*input).map_or(0, <[_]>::len);
+                if ran_in_merge > 0 {
+                    fanned = ran_at[*input];
+                }
+                let stages = &stages[ran_in_merge..];
                 // The plan says which kernel runs: a batch pipeline
                 // (eligible stages over a leaf) takes the ColumnBatch
                 // kernels with late tag materialization, everything
@@ -494,10 +511,29 @@ pub fn execute_plan(
                         }),
                     })
                     .collect::<Result<Vec<_>, PqpError>>()?;
-                let (merged, _conflicts, used) =
-                    algebra::hash_merge_partitioned(&operands, key, policy, run)?;
+                // A merge whose only consumer opens with Selects/Restricts
+                // builds only the rows they keep. Their columns are the
+                // planned schema's: on a stale plan the merge runs whole
+                // and the schema check below fails as it always has.
+                let as_planned = || {
+                    let schemas: Vec<&Schema> =
+                        operands.iter().map(|b| b.schema().as_ref()).collect();
+                    merged_schema(&schemas).is_ok_and(|s| s == node.schema)
+                };
+                let filters: Vec<RowFilter<'_>> = match plan.fused_merge_stages(i) {
+                    Some(stages) if as_planned() => {
+                        stages.iter().map(|st| row_filter(&st.kind)).collect()
+                    }
+                    _ => Vec::new(),
+                };
+                if !filters.is_empty() && !span.is_none() {
+                    trace.annotate(span, "kernel", Note::str("merge+select"));
+                }
+                let (kept, _conflicts, used, merged) =
+                    algebra::hash_merge_select(&operands, key, policy, &filters, run)?;
                 fanned = used;
-                Slot::Stream(TupleStream::from_relation(merged))
+                rows = Some(merged);
+                Slot::Stream(TupleStream::from_relation(kept))
             }
             PhysOp::AntiJoin { left, right, x, y } => {
                 let l = take(&mut slots, &mut remaining, *left).into_relation();
@@ -541,6 +577,7 @@ pub fn execute_plan(
             trace.end(span);
         }
         check_schema(i, node, ran_schema.as_deref().unwrap_or(slot.schema()))?;
+        ran_at[i] = fanned;
         slots[i] = Some(slot);
     }
     Ok(slots[plan.root]
@@ -607,7 +644,9 @@ impl Executor<'_> {
                 }
             }
         }
-        resolve_attr(rel, attr, self.dictionary)
+        // The planner's schema-level resolver: the eager and physical
+        // engines can never disagree on resolution.
+        plan::resolve_in_schema(rel.schema(), attr, self.dictionary)
     }
 
     /// Keep only alias entries whose target column still exists.

@@ -50,7 +50,7 @@ pub mod prelude {
     pub use crate::analyzer::analyze;
     pub use crate::costing::{estimate_physical, PlanCost};
     pub use crate::error::PqpError;
-    pub use crate::executor::{execute_eager, execute_plan, resolve_attr, ExecutionTrace};
+    pub use crate::executor::{execute_eager, execute_plan, ExecutionTrace};
     pub use crate::explain::{explain, render_analyzed_plan};
     pub use crate::interpreter::{interpret, pass_one, pass_two};
     pub use crate::iom::{render_iom, ExecLoc, Iom, IomRow};

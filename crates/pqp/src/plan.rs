@@ -284,10 +284,12 @@ impl PhysicalPlan {
     /// pipeline with batch-eligible stages over a Scan/IndexScan leaf —
     /// the shape the executor lifts into a `ColumnBatch` instead of a
     /// row stream (leaves are late-tagged and shared by pointer, so any
-    /// number of consumers may do so). This predicate is the only
-    /// engine choice there is: the executor, the cost model and
+    /// number of consumers may do so). The executor, the cost model and
     /// EXPLAIN's `[batch]` marker all ask it, and everything it rejects
-    /// — interior inputs, a mid-chain Project — walks the row stream.
+    /// — interior inputs, a mid-chain Project — walks the row stream,
+    /// unless the breaker under it already ran the leading stages
+    /// ([`PhysicalPlan::fused_join_project`],
+    /// [`PhysicalPlan::fused_merge_stages`]).
     pub fn is_batch_pipeline(&self, i: usize) -> bool {
         let PhysOp::Pipeline { input, stages } = &self.nodes[i].op else {
             return false;
@@ -296,6 +298,20 @@ impl PhysicalPlan {
             self.nodes[*input].op,
             PhysOp::Scan { .. } | PhysOp::IndexScan { .. }
         ) && batch_eligible_stages(stages)
+    }
+
+    /// The stages of node `i`'s consumer, when `i` is not the answer and
+    /// its only consumer is a Pipeline — the one shape in which a breaker
+    /// may run its consumer's leading stages inside its own emit.
+    fn sole_pipeline_consumer(&self, i: usize) -> Option<&[Stage]> {
+        if i == self.root {
+            return None;
+        }
+        let mut consumers = self.nodes.iter().filter(|n| n.op.inputs().contains(&i));
+        match (consumers.next().map(|n| &n.op), consumers.next()) {
+            (Some(PhysOp::Pipeline { stages, .. }), None) => Some(stages),
+            _ => None,
+        }
     }
 
     /// The columns of the Project that HashJoin `i` runs inside its
@@ -310,17 +326,36 @@ impl PhysicalPlan {
     /// consumers, a ThetaJoin, a Select or Restrict before the Project)
     /// runs the join whole.
     pub fn fused_join_project(&self, i: usize) -> Option<&[String]> {
-        if i == self.root || !matches!(self.nodes[i].op, PhysOp::HashJoin { .. }) {
+        if !matches!(self.nodes[i].op, PhysOp::HashJoin { .. }) {
             return None;
         }
-        let mut consumers = self.nodes.iter().filter(|n| n.op.inputs().contains(&i));
-        match (consumers.next().map(|n| &n.op), consumers.next()) {
-            (Some(PhysOp::Pipeline { stages, .. }), None) => match &stages.first()?.kind {
-                StageKind::Project { cols, .. } => Some(cols),
-                _ => None,
-            },
+        match &self.sole_pipeline_consumer(i)?.first()?.kind {
+            StageKind::Project { cols, .. } => Some(cols),
             _ => None,
         }
+    }
+
+    /// The Select/Restrict stages HashMerge `i` runs inside its emit, if
+    /// any: the merge is not the answer, its only consumer is a
+    /// Pipeline, and that pipeline opens with Selects or Restricts — all
+    /// of them up to its first Project. The merge then tests them on
+    /// each key's coalesced data and builds cells only for the rows they
+    /// keep, and the pipeline runs the rest. Both tag updates are set
+    /// unions over cells the merge has built by then, so the kept rows
+    /// read as merge-then-stages. Shape alone decides, as for
+    /// [`PhysicalPlan::fused_join_project`]: a merge at the root, with
+    /// two consumers, or under a pipeline opening with Project runs
+    /// whole.
+    pub fn fused_merge_stages(&self, i: usize) -> Option<&[Stage]> {
+        if !matches!(self.nodes[i].op, PhysOp::HashMerge { .. }) {
+            return None;
+        }
+        let stages = self.sole_pipeline_consumer(i)?;
+        let cut = stages
+            .iter()
+            .position(|s| matches!(s.kind, StageKind::Project { .. }))
+            .unwrap_or(stages.len());
+        (cut > 0).then(|| &stages[..cut])
     }
 
     /// A deterministic structural fingerprint: FNV-1a over the rendered

@@ -3,21 +3,26 @@
 # tree, summarised per end-to-end metric. Reads `benchmark/run.sh` output
 # only; edits nothing under benchmark/.
 #
-#   bash scripts/pairs.sh <parent-rev> [--workload W] [--pairs N] [--seconds S]
+#   bash scripts/pairs.sh <parent-rev> [--workload W|all] [--pairs N]
+#                         [--seconds S] [--first-seed F]
 #
 # Defaults: --workload tag_tax, --pairs 10, --seconds = BENCHMARK.json's
-# run_seconds. The parent is exported with `git archive` into a work
+# run_seconds, --first-seed 101. `--workload all` runs every workload
+# BENCHMARK.json declares, one after another, each printing its own
+# tables. The parent is exported with `git archive` into a work
 # directory (a plain tree: nothing is registered in this repository's
-# .git), and each side's ledger builds into a CARGO_TARGET_DIR of its own
-# before any run starts. Pair i runs seed 100 + i with `--trace 0`; odd
-# pairs run the parent first, even pairs the change.
+# .git) once, and each side's ledger builds into a CARGO_TARGET_DIR of
+# its own once, before any run starts. Pair i runs seed F + i - 1 with
+# `--trace 0`; odd pairs run the parent first, even pairs the change. A
+# claim made on the default seeds can be re-checked on seeds not used
+# while writing the change by starting past them (`--first-seed 111`).
 #
 # For every end-to-end metric of BENCHMARK.json it prints the parent and
 # change medians, the change in % of the parent median, how many pairs
 # the change won (ties count for neither) and the parent's interquartile
 # range. A median difference no larger than that IQR reads `unresolved`.
 #
-# Then one `--trace 1` run per side on seed 101 prints every per-layer
+# Then one `--trace 1` run per side on seed F prints every per-layer
 # metric whose unit is `count`, `B` or `hash` — bytes on the wire, frames,
 # rows, script hashes — parent beside change, with `*` marking each that
 # differs. Exact counters should repeat; a mark is information to
@@ -34,7 +39,7 @@
 set -euo pipefail
 
 usage() {
-    echo "usage: bash scripts/pairs.sh <parent-rev> [--workload W] [--pairs N] [--seconds S]" >&2
+    echo "usage: bash scripts/pairs.sh <parent-rev> [--workload W|all] [--pairs N] [--seconds S] [--first-seed F]" >&2
     exit 2
 }
 
@@ -44,12 +49,14 @@ shift
 workload=tag_tax
 pairs=10
 seconds=""
+first_seed=101
 while [ $# -gt 0 ]; do
     [ $# -ge 2 ] || usage
     case "$1" in
         --workload) workload="$2" ;;
         --pairs) pairs="$2" ;;
         --seconds) seconds="$2" ;;
+        --first-seed) first_seed="$2" ;;
         *) usage ;;
     esac
     shift 2
@@ -58,6 +65,12 @@ done
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
 [ -n "$seconds" ] || seconds="$(jq -r '.run_seconds' BENCHMARK.json)"
+if [ "$workload" = all ]; then
+    workloads="$(jq -r '.workloads[].name' BENCHMARK.json)"
+else
+    workloads="$workload"
+fi
+last_seed=$((first_seed + pairs - 1))
 parent_sha="$(git rev-parse --verify --quiet "$parent_rev^{commit}")" || {
     echo "pairs: $parent_rev is not a commit" >&2
     exit 2
@@ -83,7 +96,7 @@ done
 failures=0
 run() {
     local side="$1" seed="$2" trace="${3:-0}"
-    local out="$dir/runs/$side-$seed"
+    local out="$dir/runs/$workload-$side-$seed"
     [ "$trace" = 0 ] || out="$out-traced"
     echo "pairs: $side, seed $seed, trace $trace" >&2
     CARGO_TARGET_DIR="$dir/target-$side" bash "$(tree_of "$side")/benchmark/run.sh" \
@@ -95,95 +108,108 @@ run() {
     fi
 }
 
-for i in $(seq 1 "$pairs"); do
-    seed=$((100 + i))
-    if [ $((i % 2)) -eq 1 ]; then
-        run parent "$seed"
-        run change "$seed"
-    else
-        run change "$seed"
-        run parent "$seed"
-    fi
-done
-
-# One line per (metric, pair): name, direction, parent value, change value.
-table="$dir/table.tsv"
-: >"$table"
-jq -r '.end_to_end[] | "\(.name) \(.better)"' BENCHMARK.json | while read -r metric better; do
+# The pairs, the end-to-end table and the traced comparison for one
+# workload.
+measure() {
+    workload="$1"
+    local i seed
     for i in $(seq 1 "$pairs"); do
-        seed=$((100 + i))
-        p="$(jq -r --arg m "$metric" '.metrics[$m].value // "nan"' "$dir/runs/parent-$seed.json" 2>/dev/null || echo nan)"
-        c="$(jq -r --arg m "$metric" '.metrics[$m].value // "nan"' "$dir/runs/change-$seed.json" 2>/dev/null || echo nan)"
-        printf '%s\t%s\t%s\t%s\n' "$metric" "$better" "$p" "$c" >>"$table"
+        seed=$((first_seed + i - 1))
+        if [ $((i % 2)) -eq 1 ]; then
+            run parent "$seed"
+            run change "$seed"
+        else
+            run change "$seed"
+            run parent "$seed"
+        fi
     done
-done
 
-echo "$workload: $pairs pairs x ${seconds}s, seeds 101-$((100 + pairs)), parent ${parent_sha:0:10} -> working tree"
-awk -F '\t' '
-    function sort(a, n,    i, j, t) {
-        for (i = 2; i <= n; i++) {
-            t = a[i]
-            for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]
-            a[j + 1] = t
+    # One line per (metric, pair): name, direction, parent value, change value.
+    local table="$dir/table-$workload.tsv"
+    : >"$table"
+    jq -r '.end_to_end[] | "\(.name) \(.better)"' BENCHMARK.json | while read -r metric better; do
+        for i in $(seq 1 "$pairs"); do
+            seed=$((first_seed + i - 1))
+            p="$(jq -r --arg m "$metric" '.metrics[$m].value // "nan"' "$dir/runs/$workload-parent-$seed.json" 2>/dev/null || echo nan)"
+            c="$(jq -r --arg m "$metric" '.metrics[$m].value // "nan"' "$dir/runs/$workload-change-$seed.json" 2>/dev/null || echo nan)"
+            printf '%s\t%s\t%s\t%s\n' "$metric" "$better" "$p" "$c" >>"$table"
+        done
+    done
+
+    echo "$workload: $pairs pairs x ${seconds}s, seeds $first_seed-$last_seed, parent ${parent_sha:0:10} -> working tree"
+    awk -F '\t' '
+        function sort(a, n,    i, j, t) {
+            for (i = 2; i <= n; i++) {
+                t = a[i]
+                for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]
+                a[j + 1] = t
+            }
         }
-    }
-    # Linear-interpolation quantile of the sorted a[1..n].
-    function quantile(a, n, q,    h, lo) {
-        h = (n - 1) * q + 1
-        lo = int(h)
-        return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
-    }
-    function report(    pm, cm, iqr, delta, pct, verdict) {
-        sort(p, n); sort(c, n)
-        pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
-        iqr = quantile(p, n, 0.75) - quantile(p, n, 0.25)
-        delta = cm - pm
-        pct = pm != 0 ? 100 * delta / pm : 0
-        if ((delta < 0 ? -delta : delta) <= iqr) verdict = "unresolved"
-        else if ((delta > 0) == (dir == "higher")) verdict = "better"
-        else verdict = "worse"
-        printf "%-12s %12.5g -> %-12.5g %+8.1f%% %6d/%-3d %12.4g  %s\n", name, pm, cm, pct, wins, n, iqr, verdict
-    }
-    BEGIN {
-        printf "%-12s %12s    %-12s %9s %10s %12s  %s\n", "metric", "parent", "change", "delta", "won", "parent IQR", "verdict"
-    }
-    $1 != name {
-        if (n) report()
-        name = $1; dir = $2; n = 0; wins = 0
-    }
-    {
-        n++; p[n] = $3 + 0; c[n] = $4 + 0
-        if (dir == "higher" ? $4 + 0 > $3 + 0 : $4 + 0 < $3 + 0) wins++
-    }
-    END { if (n) report() }
-' "$table"
+        # Linear-interpolation quantile of the sorted a[1..n].
+        function quantile(a, n, q,    h, lo) {
+            h = (n - 1) * q + 1
+            lo = int(h)
+            return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
+        }
+        function report(    pm, cm, iqr, delta, pct, verdict) {
+            sort(p, n); sort(c, n)
+            pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
+            iqr = quantile(p, n, 0.75) - quantile(p, n, 0.25)
+            delta = cm - pm
+            pct = pm != 0 ? 100 * delta / pm : 0
+            if ((delta < 0 ? -delta : delta) <= iqr) verdict = "unresolved"
+            else if ((delta > 0) == (dir == "higher")) verdict = "better"
+            else verdict = "worse"
+            printf "%-12s %12.5g -> %-12.5g %+8.1f%% %6d/%-3d %12.4g  %s\n", name, pm, cm, pct, wins, n, iqr, verdict
+        }
+        BEGIN {
+            printf "%-12s %12s    %-12s %9s %10s %12s  %s\n", "metric", "parent", "change", "delta", "won", "parent IQR", "verdict"
+        }
+        $1 != name {
+            if (n) report()
+            name = $1; dir = $2; n = 0; wins = 0
+        }
+        {
+            n++; p[n] = $3 + 0; c[n] = $4 + 0
+            if (dir == "higher" ? $4 + 0 > $3 + 0 : $4 + 0 < $3 + 0) wins++
+        }
+        END { if (n) report() }
+    ' "$table"
 
-run parent 101 1
-run change 101 1
-echo
-echo "$workload: exact counters, one traced run per side on seed 101 (* = differs)"
-jq -r -n --slurpfile p "$dir/runs/parent-101-traced.json" --slurpfile c "$dir/runs/change-101-traced.json" '
-    ($p[0].metrics // {}) as $pm | ($c[0].metrics // {}) as $cm
-    | ($pm + $cm) | to_entries[]
-    | select(.value.unit == "count" or .value.unit == "B" or .value.unit == "hash")
-    | .key as $k
-    | [$k, .value.unit, ($pm[$k].value // "missing" | tostring), ($cm[$k].value // "missing" | tostring)]
-    | @tsv' 2>/dev/null |
-    awk -F '\t' '{ printf "%-28s %-6s %22s -> %-22s %s\n", $1, $2, $3, $4, ($3 == $4 ? "" : "*") }'
+    run parent "$first_seed" 1
+    run change "$first_seed" 1
+    echo
+    echo "$workload: exact counters, one traced run per side on seed $first_seed (* = differs)"
+    jq -r -n --slurpfile p "$dir/runs/$workload-parent-$first_seed-traced.json" --slurpfile c "$dir/runs/$workload-change-$first_seed-traced.json" '
+        ($p[0].metrics // {}) as $pm | ($c[0].metrics // {}) as $cm
+        | ($pm + $cm) | to_entries[]
+        | select(.value.unit == "count" or .value.unit == "B" or .value.unit == "hash")
+        | .key as $k
+        | [$k, .value.unit, ($pm[$k].value // "missing" | tostring), ($cm[$k].value // "missing" | tostring)]
+        | @tsv' 2>/dev/null |
+        awk -F '\t' '{ printf "%-28s %-6s %22s -> %-22s %s\n", $1, $2, $3, $4, ($3 == $4 ? "" : "*") }'
 
-echo
-echo "$workload: per-layer times and ratios, the same traced runs (informational)"
-jq -r -n --slurpfile p "$dir/runs/parent-101-traced.json" --slurpfile c "$dir/runs/change-101-traced.json" '
-    ($p[0].metrics // {}) as $pm | ($c[0].metrics // {}) as $cm
-    | ($pm + $cm) | to_entries[]
-    | select(.value.unit == "us" or .value.unit == "ratio")
-    | .key as $k
-    | [$k, .value.unit, ($pm[$k].value // "missing" | tostring), ($cm[$k].value // "missing" | tostring)]
-    | @tsv' 2>/dev/null |
-    awk -F '\t' '{
-        delta = ($3 + 0 != 0 && $3 != "missing" && $4 != "missing") ? sprintf("%+8.1f%%", 100 * ($4 - $3) / $3) : ""
-        printf "%-28s %-6s %14.6g -> %-14.6g %s\n", $1, $2, $3, $4, delta
-    }'
+    echo
+    echo "$workload: per-layer times and ratios, the same traced runs (informational)"
+    jq -r -n --slurpfile p "$dir/runs/$workload-parent-$first_seed-traced.json" --slurpfile c "$dir/runs/$workload-change-$first_seed-traced.json" '
+        ($p[0].metrics // {}) as $pm | ($c[0].metrics // {}) as $cm
+        | ($pm + $cm) | to_entries[]
+        | select(.value.unit == "us" or .value.unit == "ratio")
+        | .key as $k
+        | [$k, .value.unit, ($pm[$k].value // "missing" | tostring), ($cm[$k].value // "missing" | tostring)]
+        | @tsv' 2>/dev/null |
+        awk -F '\t' '{
+            delta = ($3 + 0 != 0 && $3 != "missing" && $4 != "missing") ? sprintf("%+8.1f%%", 100 * ($4 - $3) / $3) : ""
+            printf "%-28s %-6s %14.6g -> %-14.6g %s\n", $1, $2, $3, $4, delta
+        }'
+}
+
+first=1
+for w in $workloads; do
+    [ "$first" = 1 ] || echo
+    first=0
+    measure "$w"
+done
 
 if [ "$failures" -gt 0 ]; then
     echo "pairs: $failures run(s) reported failed > 0" >&2

@@ -570,3 +570,138 @@ fn analyzed_fused_join_keeps_its_row_counts() {
         .collect();
     assert_eq!(kernels, vec![Some("join+project")]);
 }
+
+/// Every HashMerge of a plan that runs its consumer's leading
+/// Selects/Restricts inside its emit, with those stages' rows.
+fn fused_merges(plan: &PhysicalPlan) -> Vec<(usize, Vec<usize>)> {
+    (0..plan.nodes.len())
+        .filter_map(|i| {
+            let stages = plan.fused_merge_stages(i)?;
+            Some((i, stages.iter().map(|st| st.row).collect()))
+        })
+        .collect()
+}
+
+/// The plan's shape alone decides which merges run their consumer's
+/// Selects and Restricts: a HashMerge whose only consumer is a pipeline
+/// opening with them, up to its first Project. The select and paper
+/// classes fuse; a merge at the root, one feeding a join, one under a
+/// pipeline that opens with Project and one feeding two consumers do
+/// not.
+#[test]
+fn fused_merge_stages_follows_the_plan_shape() {
+    let big = polygen::workload::generate(&common::fixtures::small_config(5, 3, 64));
+    let pqp = Pqp::for_scenario(&big);
+    let physical = |expr: AlgebraExpr| pqp.compile(expr).unwrap().physical;
+    let select = physical(parse_algebra(&polygen::workload::queries::select_query(1)).unwrap());
+    assert_eq!(fused_merges(&select), vec![(3, vec![5])]);
+    let sql = polygen::workload::queries::paper_shaped_sql(1);
+    let paper_class = physical(pqp.translate_sql(&sql).unwrap());
+    assert_eq!(fused_merges(&paper_class), vec![(4, vec![6])]);
+    // Every stage before the first Project fuses; the Project stays.
+    let chain = physical(
+        parse_algebra("((PENTITY [CATEGORY <> \"C1\"]) [ENAME <> CATEGORY]) [ENAME, CATEGORY]")
+            .unwrap(),
+    );
+    assert_eq!(
+        fused_merges(&chain),
+        vec![(3, vec![5, 6])],
+        "{}",
+        render_plan(&chain)
+    );
+    for expr in [
+        "(PDETAIL [SCORE >= 0]) [ENAME = ENAME] PENTITY",
+        "PENTITY [ENAME, CATEGORY]",
+        "(PENTITY [ENAME, CATEGORY]) [CATEGORY = \"C1\"]",
+    ] {
+        let plan = physical(parse_algebra(expr).unwrap());
+        assert_eq!(
+            fused_merges(&plan),
+            vec![],
+            "{expr}:\n{}",
+            render_plan(&plan)
+        );
+    }
+    // The select class's merge as the answer.
+    let mut root = select.clone();
+    root.nodes.truncate(4);
+    root.root = 3;
+    assert_eq!(fused_merges(&root), vec![]);
+    // The select class's merge feeding a second pipeline as well.
+    let mut shared = select.clone();
+    let second = shared.nodes[4].clone();
+    shared.nodes.push(second);
+    assert_eq!(fused_merges(&shared), vec![]);
+}
+
+/// EXPLAIN ANALYZE of a merge that runs its consumer's Select reads as
+/// the unfused run did, row counts verbatim: the merge's `act=` counts
+/// the rows it merged, the pipeline the rows the Select kept, and at 4
+/// threads both ran split four ways. (The literals were rendered before
+/// the fusion existed.) The merge's span says it ran the Select.
+#[test]
+fn analyzed_fused_merge_keeps_its_row_counts() {
+    let big = polygen::workload::generate(&common::fixtures::small_config(5, 3, 64));
+    let select = polygen::workload::queries::select_query(1);
+    let leaves = "\
+#0  Scan[S0] ENTITY_0  → R(1)  est=(700 µs, ~40 rows)  act=(_ µs, 40 rows)
+#1  Scan[S1] ENTITY_1  → R(2)  est=(725 µs, ~45 rows)  act=(_ µs, 45 rows)
+#2  Scan[S2] ENTITY_2  → R(3)  est=(675 µs, ~35 rows)  act=(_ µs, 35 rows)
+";
+    assert_snapshot(
+        &analyzed_text_at(&big, &select, &[], 1),
+        &format!(
+            "{leaves}\
+#3  HashMerge[PENTITY on ENAME, 3-way single pass] over R(1), R(2), R(3)  → R(4)  est=(120 µs, ~120 rows)  act=(_ µs, 64 rows)
+#4  Pipeline over R(4) → Select[CATEGORY = C1]@R(5)  → R(5) ◀ answer  est=(120 µs, ~12 rows)  act=(_ µs, 5 rows)
+(estimated 2340 µs total, executed in _ µs)"
+        ),
+    );
+    assert_snapshot(
+        &analyzed_text_at(&big, &select, &[], 4),
+        &format!(
+            "{leaves}\
+#3  HashMerge[PENTITY on ENAME, 3-way single pass] over R(1), R(2), R(3)  → R(4)  est=(120 µs, ~120 rows)  act=(_ µs, 64 rows, x4)
+#4  Pipeline over R(4) → Select[CATEGORY = C1]@R(5)  → R(5) ◀ answer  est=(120 µs, ~12 rows)  act=(_ µs, 5 rows, x4)
+(estimated 2340 µs total, executed in _ µs)"
+        ),
+    );
+    assert_snapshot(
+        &analyzed_text("PORGANIZATION [INDUSTRY = \"Banking\"]", &[]),
+        "\
+#0  Scan[AD] BUSINESS  → R(1)  est=(545 µs, ~9 rows)  act=(_ µs, 9 rows)
+#1  Scan[PD] CORPORATION  → R(2)  est=(535 µs, ~7 rows)  act=(_ µs, 7 rows)
+#2  Scan[CD] FIRM  → R(3)  est=(550 µs, ~10 rows)  act=(_ µs, 10 rows)
+#3  HashMerge[PORGANIZATION on ONAME, 3-way single pass] over R(1), R(2), R(3)  → R(4)  est=(26 µs, ~26 rows)  act=(_ µs, 12 rows)
+#4  Pipeline over R(4) → Select[INDUSTRY = Banking]@R(5)  → R(5) ◀ answer  est=(26 µs, ~3 rows)  act=(_ µs, 1 rows)
+(estimated 1682 µs total, executed in _ µs)",
+    );
+    let sql = polygen::workload::queries::paper_shaped_sql(1);
+    let paper_class = Pqp::for_scenario(&big)
+        .translate_sql(&sql)
+        .unwrap()
+        .to_string();
+    assert_snapshot(
+        &analyzed_text_at(&big, &paper_class, &[], 4),
+        "\
+#0  Scan[S0] DETAIL[DSCORE >= 50]  → R(1)  est=(1500 µs, ~200 rows)  act=(_ µs, 997 rows)
+#1  Scan[S0] ENTITY_0  → R(2)  est=(700 µs, ~40 rows)  act=(_ µs, 40 rows)
+#2  Scan[S1] ENTITY_1  → R(3)  est=(725 µs, ~45 rows)  act=(_ µs, 45 rows)
+#3  Scan[S2] ENTITY_2  → R(4)  est=(675 µs, ~35 rows)  act=(_ µs, 35 rows)
+#4  HashMerge[PENTITY on ENAME, 3-way single pass] over R(2), R(3), R(4)  → R(5)  est=(120 µs, ~120 rows)  act=(_ µs, 64 rows, x4)
+#5  Pipeline over R(5) → Select[CATEGORY = C1]@R(6)  → R(6)  est=(120 µs, ~12 rows)  act=(_ µs, 5 rows, x4)
+#6  HashJoin[R(1).DNAME = R(6).ENAME, coalesce → ENAME] (build R(6), probe R(1))  → R(7)  est=(212 µs, ~200 rows)  act=(_ µs, 72 rows, x4)
+#7  Pipeline over R(7) → Project[ENAME, CATEGORY]@R(8)  → R(8) ◀ answer  est=(200 µs, ~200 rows)  act=(_ µs, 5 rows)
+(estimated 4252 µs total, executed in _ µs)",
+    );
+    let pqp = Pqp::for_scenario(&big);
+    let compiled = pqp.compile(parse_algebra(&select).unwrap()).unwrap();
+    let trace = Trace::enabled();
+    pqp.run_compiled_traced(&compiled, &trace).unwrap();
+    let report = trace.report().expect("enabled recorder reports");
+    let kernels: Vec<Option<&str>> = report
+        .spans_named("exec/HashMerge")
+        .map(|sp| sp.note_str("kernel"))
+        .collect();
+    assert_eq!(kernels, vec![Some("merge+select")]);
+}

@@ -22,9 +22,14 @@
 //! The hash Merge is one function at every partition count, so its
 //! one-partition path is checked on its own here: against the ONTJ fold
 //! (`algebra::merge`) and, byte for byte, against its own split runs.
+//! Fused with a Select/Restrict chain, it must equal the whole merge
+//! followed by the row stream's `select` / `restrict`, under every
+//! conflict policy and partition count — a `Strict` conflict fails both
+//! or neither, on a row the chain drops too.
 
 use polygen::core::algebra;
 use polygen::core::algebra::coalesce::ConflictPolicy;
+use polygen::core::algebra::RowFilter;
 use polygen::core::batch::ColumnBatch;
 use polygen::core::stream::{ParallelOptions, TupleStream};
 use polygen::core::tuple::PolyTuple;
@@ -199,8 +204,156 @@ fn oracle_project(p: &PolygenRelation, idx: &[usize]) -> Vec<PolyTuple> {
     )
 }
 
+/// Merge operand rows: `(key index, V index, U index, origin id,
+/// intermediate ids)`.
+type MergeRows = Vec<(usize, usize, usize, u16, Vec<u16>)>;
+
+/// 2–4 operands of up to 12 rows each.
+fn merge_operands() -> impl Strategy<Value = Vec<MergeRows>> {
+    let rows = proptest::collection::vec(
+        (
+            0usize..4,
+            0usize..3,
+            0usize..3,
+            0u16..4,
+            proptest::collection::vec(0u16..4, 0..2),
+        ),
+        0..13,
+    );
+    proptest::collection::vec(rows, 2..5)
+}
+
+/// Operand `j` of a fused-merge case: `Oj(K, V, Uj)`. Keys are `nil`,
+/// `0`, `1` and — with `mixed` — `1.0` beside them, else `2`; `V`
+/// (shared by every operand, so coalesces meet conflicts) and `Uj` are
+/// `nil`, `0` or `1`. With `unique`, each operand keeps one row per
+/// non-nil key. The three columns originate from three sources.
+fn merge_operand(j: usize, rows: &MergeRows, mixed: bool, unique: bool) -> PolygenRelation {
+    let keys = [
+        Value::Null,
+        Value::int(0),
+        Value::int(1),
+        if mixed {
+            Value::float(1.0)
+        } else {
+            Value::int(2)
+        },
+    ];
+    let data = [Value::Null, Value::int(0), Value::int(1)];
+    let mut seen = std::collections::HashSet::new();
+    let tuples = rows
+        .iter()
+        .filter(|(k, ..)| !unique || *k == 0 || seen.insert(*k))
+        .map(|(k, v, u, origin, inter)| {
+            let inter: SourceSet = inter.iter().copied().map(SourceId).collect();
+            let cell = |datum: &Value, shift: u16| {
+                Cell::new(
+                    datum.clone(),
+                    SourceSet::singleton(SourceId(origin + shift)),
+                    inter.clone(),
+                )
+            };
+            vec![cell(&keys[*k], 0), cell(&data[*v], 1), cell(&data[*u], 2)]
+        })
+        .collect();
+    let u = format!("U{j}");
+    let schema = Arc::new(Schema::new(&format!("O{j}"), &["K", "V", u.as_str()]).unwrap());
+    PolygenRelation::from_tuples(schema, tuples).unwrap()
+}
+
+/// Stages: `(Select?, column, column, θ, constant)` indices.
+type StageSpec = Vec<(bool, usize, usize, usize, usize)>;
+
+fn stage_specs() -> impl Strategy<Value = StageSpec> {
+    proptest::collection::vec(
+        (any::<bool>(), 0usize..6, 0usize..6, 0usize..4, 0usize..4),
+        1..4,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The merge fused with a chain of 1–3 Selects/Restricts against the
+    /// unfused merge followed by the row stream's stages, byte for byte
+    /// with order, at P ∈ {1, 2, 4} under every conflict policy, over
+    /// nil keys and data, duplicate keys (the fold fallback) and a `1` /
+    /// `1.0` key pair. The merged row count is the unfused merge's. A
+    /// failure is the unfused run's failure: the same variant, and at
+    /// P = 1 the same message.
+    #[test]
+    fn fused_merge_stages_match_merge_then_stages(
+        operands in merge_operands(),
+        specs in stage_specs(),
+        mixed in any::<bool>(),
+        unique in any::<bool>(),
+    ) {
+        let rels: Vec<PolygenRelation> = operands
+            .iter()
+            .enumerate()
+            .map(|(j, rows)| merge_operand(j, rows, mixed, unique))
+            .collect();
+        let mut columns = vec!["K".to_string(), "V".to_string()];
+        columns.extend((0..rels.len()).map(|j| format!("U{j}")));
+        let constants = [Value::Null, Value::int(0), Value::int(1), Value::float(1.0)];
+        let cmps = [Cmp::Eq, Cmp::Ne, Cmp::Lt, Cmp::Ge];
+        let filters: Vec<RowFilter<'_>> = specs
+            .iter()
+            .map(|&(select, a, b, cmp, c)| {
+                let (x, cmp) = (columns[a % columns.len()].as_str(), cmps[cmp]);
+                if select {
+                    RowFilter::Select { attr: x, cmp, value: &constants[c] }
+                } else {
+                    RowFilter::Restrict { x, cmp, y: columns[b % columns.len()].as_str() }
+                }
+            })
+            .collect();
+        for policy in [ConflictPolicy::Strict, ConflictPolicy::PreferLeft, ConflictPolicy::PreferRight] {
+            for partitions in [1, 2, 4] {
+                let par = ParallelOptions { threads: partitions, partitions };
+                let fused = algebra::hash_merge_select(&rels, "K", policy, &filters, par);
+                let unfused = algebra::hash_merge_partitioned(&rels, "K", policy, par).and_then(
+                    |(merged, ..)| {
+                        let rows = merged.len();
+                        let mut s = TupleStream::from_relation(merged);
+                        for f in &filters {
+                            match *f {
+                                RowFilter::Select { attr, cmp, value } => s.select(attr, cmp, value)?,
+                                RowFilter::Restrict { x, cmp, y } => s.restrict(x, cmp, y)?,
+                            }
+                        }
+                        Ok((s.into_relation(), rows))
+                    },
+                );
+                match (fused, unfused) {
+                    (Ok((fused, _, _, merged)), Ok((unfused, rows))) => {
+                        prop_assert_eq!(fused.schema().attrs(), unfused.schema().attrs());
+                        prop_assert_eq!(
+                            fused.tuples(),
+                            unfused.tuples(),
+                            "{:?} at P = {} under {:?}", filters, partitions, policy
+                        );
+                        prop_assert_eq!(merged, rows, "merged rows");
+                    }
+                    (Err(fused), Err(unfused)) => {
+                        prop_assert_eq!(
+                            std::mem::discriminant(&fused),
+                            std::mem::discriminant(&unfused),
+                            "{} vs {}", fused, unfused
+                        );
+                        if partitions == 1 {
+                            prop_assert_eq!(fused.to_string(), unfused.to_string());
+                        }
+                    }
+                    (fused, unfused) => panic!(
+                        "{filters:?} at P = {partitions} under {policy:?}: fused {:?} vs unfused {:?}",
+                        fused.map(|_| ()),
+                        unfused.map(|_| ())
+                    ),
+                }
+            }
+        }
+    }
 
     /// The hash join, its partitioned twin, semi-join and anti-join
     /// against nested loops.

@@ -12,7 +12,8 @@
 mod common;
 
 use common::fixtures::{
-    assert_batch_matches, assert_parallel_matches, compile, conflicted_config, small_config,
+    assert_batch_matches, assert_parallel_matches, assert_same_bytes, compile, conflicted_config,
+    small_config,
 };
 use polygen::catalog::prelude::scenario;
 use polygen::core::algebra::coalesce::ConflictPolicy;
@@ -21,7 +22,8 @@ use polygen::core::algebra::{equi_join_coalesced, hash_equi_join_project};
 use polygen::core::stream::ParallelOptions;
 use polygen::core::{Cell, PolygenRelation, SourceId};
 use polygen::flat::{Schema, Value};
-use polygen::pqp::prelude::lower_plan;
+use polygen::obs::trace::Trace;
+use polygen::pqp::prelude::{execute_plan, lower_plan, PqpOptions};
 use polygen::sql::prelude::PAPER_EXPRESSION;
 use polygen::workload;
 use proptest::prelude::*;
@@ -267,6 +269,88 @@ fn fused_join_project_matches_the_unfused_run_across_thread_counts() {
         for threads in THREAD_COUNTS {
             assert_batch_matches(&sc, &expr, ConflictPolicy::Strict, threads);
             assert_parallel_matches(&sc, &expr, ConflictPolicy::Strict, threads);
+        }
+    }
+}
+
+/// A merge that runs its consumer's Selects and Restricts answers what
+/// the unfused merge and pipeline do: byte for byte with order against
+/// the same plan run unfused (its merge given a second consumer, which
+/// the shape predicate refuses to fuse) and against the eager
+/// interpreter — answer and every prefix — at every thread count, under
+/// every conflict policy, over a federation with conflicting sources.
+#[test]
+fn fused_merge_stages_match_the_unfused_run_across_thread_counts() {
+    let exprs = [
+        "PENTITY [CATEGORY = \"C1\"]",
+        "(PENTITY [CATEGORY <> \"C1\"]) [ENAME <> CATEGORY]",
+        "((PENTITY [CATEGORY >= \"C2\"]) [CATEGORY <> \"C3\"]) [CATEGORY]",
+        "((PENTITY [CATEGORY = \"C0\"]) [ENAME = ENAME] PDETAIL) [SCORE]",
+    ];
+    for sc in [
+        workload::generate(&small_config(0xfeed, 4, 200)),
+        workload::generate(&conflicted_config(0xbeef, 3, 120)),
+    ] {
+        let registry = polygen::lqp::scenario_registry(&sc);
+        for expr in exprs {
+            let plan = lower_plan(
+                &compile(expr, sc.dictionary.schema()),
+                &registry,
+                &sc.dictionary,
+            )
+            .unwrap();
+            let fused: Vec<usize> = (0..plan.nodes.len())
+                .filter(|&i| plan.fused_merge_stages(i).is_some())
+                .collect();
+            assert_eq!(fused.len(), 1, "`{expr}` runs its stages in the merge");
+            let mut unfused = plan.clone();
+            let consumer = (0..plan.nodes.len())
+                .find(|&i| plan.nodes[i].op.inputs().contains(&fused[0]))
+                .unwrap();
+            unfused.nodes.push(plan.nodes[consumer].clone());
+            assert!((0..unfused.nodes.len()).all(|i| unfused.fused_merge_stages(i).is_none()));
+            for policy in [
+                ConflictPolicy::Strict,
+                ConflictPolicy::PreferLeft,
+                ConflictPolicy::PreferRight,
+            ] {
+                for threads in THREAD_COUNTS {
+                    let options = PqpOptions {
+                        conflict_policy: policy,
+                        threads,
+                        partitions: threads,
+                        ..PqpOptions::default()
+                    };
+                    let run = |plan| {
+                        execute_plan(
+                            plan,
+                            &registry,
+                            &sc.dictionary,
+                            None,
+                            &options,
+                            &Trace::disabled(),
+                        )
+                    };
+                    match (run(&plan), run(&unfused)) {
+                        (Ok(fused), Ok(unfused)) => assert_same_bytes(
+                            &unfused,
+                            &fused,
+                            &format!("`{expr}` under {policy:?} at {threads} threads"),
+                        ),
+                        (Err(fused), Err(unfused)) => assert_eq!(
+                            fused.to_string(),
+                            unfused.to_string(),
+                            "`{expr}` under {policy:?} at {threads} threads"
+                        ),
+                        (fused, unfused) => panic!(
+                            "`{expr}` under {policy:?} at {threads} threads: fused {:?} vs unfused {:?}",
+                            fused.map(|_| ()),
+                            unfused.map(|_| ())
+                        ),
+                    }
+                    assert_parallel_matches(&sc, expr, policy, threads);
+                }
+            }
         }
     }
 }
