@@ -23,7 +23,6 @@
 //!   `polygen_federation::credibility`, which builds on
 //!   [`coalesce_with`].
 
-use crate::base::RowView;
 use crate::cell::Cell;
 use crate::error::PolygenError;
 use crate::relation::PolygenRelation;
@@ -64,29 +63,14 @@ pub struct CoalesceConflict {
 /// Merge the matching-data or one-sided-nil cases per the paper.
 /// Returns `None` on a genuine conflict (both non-nil, unequal).
 pub(crate) fn coalesce_cells(x: &Cell, y: &Cell) -> Option<Cell> {
-    coalesce_views(std::slice::from_ref(x), 0, std::slice::from_ref(y), 0)
-}
-
-/// [`coalesce_cells`] over cell `xi` of row `a` and cell `yi` of row `b`,
-/// whatever the rows are made of — the one case analysis the reference
-/// operators and the single-pass kernels (`hash_merge`, the fused
-/// equi-join) share, so every engine coalesces identically. Only the
-/// winning side's cell is ever built.
-pub(crate) fn coalesce_views<'a, 'b>(
-    a: impl RowView<'a>,
-    xi: usize,
-    b: impl RowView<'b>,
-    yi: usize,
-) -> Option<Cell> {
-    let (x, y) = (a.datum(xi), b.datum(yi));
-    if x == y {
-        let mut merged = a.cell(xi);
-        b.absorb_into(yi, &mut merged);
+    if x.datum == y.datum {
+        let mut merged = x.clone();
+        merged.absorb_tags(y);
         Some(merged)
     } else if y.is_nil() {
-        Some(a.cell(xi))
+        Some(x.clone())
     } else if x.is_nil() {
-        Some(b.cell(yi))
+        Some(y.clone())
     } else {
         None
     }

@@ -16,6 +16,7 @@ use crate::base::{Operand, RowView};
 use crate::cell::Cell;
 use crate::error::PolygenError;
 use crate::relation::PolygenRelation;
+use crate::source::SourceSet;
 use crate::stream::{scoped_map, ParallelOptions, Partitioner};
 use crate::tuple::{self, DataKey, PolyTuple};
 use polygen_flat::schema::Schema;
@@ -266,7 +267,9 @@ impl<'k> JoinEmit<'k> {
             });
         }
         let pair = (a, b);
-        let mediators = a.origin(self.xi).union(b.origin(self.yi));
+        let mut mediators = SourceSet::empty();
+        a.origin_into(self.xi, &mut mediators);
+        b.origin_into(self.yi, &mut mediators);
         // Both unions commute with dropping what the answer drops, so a
         // cell gets the same tags built once or absorbed later.
         let finish = |s: usize, cell: &mut Cell| {

@@ -11,7 +11,7 @@
 //! scheme's primary key; order-insensitivity (up to column order) is
 //! property-tested in the crate's proptest suite.
 
-use crate::algebra::coalesce::{coalesce_views, conflict_winner, CoalesceConflict, ConflictPolicy};
+use crate::algebra::coalesce::{conflict_winner, CoalesceConflict, ConflictPolicy};
 use crate::algebra::natural::outer_natural_total_join;
 use crate::algebra::restrict::{ColumnFilter, RowFilter};
 use crate::base::{Operand, RowView};
@@ -20,7 +20,6 @@ use crate::error::PolygenError;
 use crate::relation::PolygenRelation;
 use crate::source::SourceSet;
 use crate::stream::{scoped_map, ParallelOptions, Partitioner};
-use crate::tuple::PolyTuple;
 use polygen_flat::schema::Schema;
 use polygen_flat::value::Value;
 use std::collections::HashMap;
@@ -80,6 +79,11 @@ struct MergePlan {
     key_ins: Vec<usize>,
     /// Per output column, `(operand, operand column)` in operand order.
     sources: Vec<Vec<(usize, usize)>>,
+    /// The key's output column.
+    key_col: usize,
+    /// Per operand, the scan index of its row 0: the operands' rows in
+    /// one global scan, whose order is the one-partition creation order.
+    offsets: Vec<usize>,
 }
 
 impl MergePlan {
@@ -95,7 +99,7 @@ impl MergePlan {
                     .collect()
             })
             .collect();
-        let key_ins = schemas
+        let key_ins: Vec<usize> = schemas
             .iter()
             .map(|s| s.index_of(key).map(|r| r.0))
             .collect::<Result<_, _>>()?;
@@ -105,11 +109,22 @@ impl MergePlan {
                 sources[c].push((k, ci));
             }
         }
+        let key_col = col_maps[0][key_ins[0]];
+        let offsets = relations
+            .iter()
+            .scan(0, |at, r| {
+                let start = *at;
+                *at += r.len();
+                Some(start)
+            })
+            .collect();
         Ok(MergePlan {
             schema,
             col_maps,
             key_ins,
             sources,
+            key_col,
+            offsets,
         })
     }
 }
@@ -117,52 +132,18 @@ impl MergePlan {
 /// A fold row's operand slot that no row of that operand filled.
 const ABSENT: u32 = u32::MAX;
 
+/// The contribution mask (see [`lenders`]) of a cell whose coalesce met
+/// a conflict, and of every cell of a merge too wide for one bit per
+/// operand: its tags are replayed ([`merged_tags`]).
+const REPLAY: u64 = u64::MAX;
+
 /// The datum a column reads before any operand has contributed to it.
 static NIL: Value = Value::Null;
-
-/// One operand's rows as the fold reads them: by position, each with
-/// its global scan index — its rank in the one-partition creation
-/// order, which only a split run reads.
-trait FoldRows<'a> {
-    type Row: RowView<'a>;
-    fn count(&self) -> usize;
-    fn at(&self, r: u32) -> Self::Row;
-    fn scan_index(&self, r: u32) -> usize;
-}
-
-/// A whole operand: the one-partition fold.
-impl<'a, O: Operand> FoldRows<'a> for &'a O {
-    type Row = O::Row<'a>;
-    fn count(&self) -> usize {
-        self.len()
-    }
-    fn at(&self, r: u32) -> O::Row<'a> {
-        self.row(r as usize)
-    }
-    fn scan_index(&self, r: u32) -> usize {
-        r as usize
-    }
-}
-
-/// One hash partition's share of an operand: `(scan index, row)` pairs
-/// in scan order.
-impl<'a, R: RowView<'a>> FoldRows<'a> for Vec<(usize, R)> {
-    type Row = R;
-    fn count(&self) -> usize {
-        self.len()
-    }
-    fn at(&self, r: u32) -> R {
-        self[r as usize].1
-    }
-    fn scan_index(&self, r: u32) -> usize {
-        self[r as usize].0
-    }
-}
 
 /// The closed-form Merge before any cell exists: one output row per key
 /// (plus one per nil-key row) in creation order, each holding its
 /// coalesced datum per column and the row each operand contributed.
-/// [`MergeFold::emit`] builds cells for the rows a caller keeps.
+/// [`MergeFold::keep`] describes the rows a caller keeps.
 struct MergeFold<'a> {
     degree: usize,
     arity: usize,
@@ -187,15 +168,22 @@ struct MergeFold<'a> {
 }
 
 impl<'a> MergeFold<'a> {
-    /// Fold every operand's rows, operand by operand in scan order — run
-    /// once at one partition and once per hash partition above it, so
-    /// the two can never diverge. Every column of every key goes through
-    /// the data coalesce and its conflict rule, whatever a caller keeps
-    /// later. Stops at the first duplicate key.
-    fn run<S: FoldRows<'a>>(plan: &MergePlan, operands: &[S], policy: ConflictPolicy) -> Self {
+    /// Fold the operands' rows — all of them, or per operand the row ids
+    /// `ids` names (one hash partition's share) — operand by operand in
+    /// scan order: run once at one partition and once per hash partition
+    /// above it, so the two can never diverge. Every column of every key
+    /// goes through the data coalesce and its conflict rule, whatever a
+    /// caller keeps later. Stops at the first duplicate key.
+    fn run<O: Operand>(
+        plan: &MergePlan,
+        operands: &'a [O],
+        ids: Option<&[Vec<u32>]>,
+        policy: ConflictPolicy,
+    ) -> Self {
         let (degree, arity) = (plan.schema.degree(), operands.len());
+        let count = |ri: usize| ids.map_or(operands[ri].len(), |ids| ids[ri].len());
         // At least the largest operand's rows come out.
-        let expect = operands.iter().map(S::count).max().unwrap_or(0);
+        let expect = (0..arity).map(count).max().unwrap_or(0);
         let mut fold = MergeFold {
             degree,
             arity,
@@ -208,67 +196,87 @@ impl<'a> MergeFold<'a> {
             ints: false,
             floats: false,
         };
-        for (ri, rows) in operands.iter().enumerate() {
-            let (col_map, key_in) = (&plan.col_maps[ri], plan.key_ins[ri]);
-            let n = u32::try_from(rows.count()).expect("operand rows fit u32 row ids");
-            for r in 0..n {
-                let t = rows.at(r);
-                let key = t.datum(key_in);
-                match key {
-                    Value::Int(_) => fold.ints = true,
-                    Value::Float(_) => fold.floats = true,
-                    _ => {}
-                }
-                // nil keys never match (§II: nil satisfies no θ): each
-                // stays its own row, mediated only by its own origins.
-                let found = if key.is_nil() {
-                    None
-                } else {
-                    fold.by_key.get(key).copied()
-                };
-                let Some(i) = found else {
-                    let i = fold.rows();
-                    if !key.is_nil() {
-                        let id = u32::try_from(i).expect("output rows fit u32 row ids");
-                        fold.by_key.insert(key, id);
-                    }
-                    fold.data.extend(std::iter::repeat_n(&NIL, degree));
-                    fold.from.extend(std::iter::repeat_n(ABSENT, arity));
-                    fold.from[i * arity + ri] = r;
-                    for (ci, &c) in col_map.iter().enumerate() {
-                        fold.data[i * degree + c] = t.datum(ci);
-                    }
-                    continue;
-                };
-                let i = i as usize;
-                if fold.from[i * arity + ri] != ABSENT {
+        for ri in 0..arity {
+            let share = ids.map(|ids| ids[ri].as_slice());
+            let n = share.map_or(operands[ri].len(), <[u32]>::len);
+            for j in 0..n {
+                let r = share.map_or(j, |ids| ids[j] as usize);
+                let r = u32::try_from(r).expect("operand rows fit u32 row ids");
+                if !fold.add(plan, operands, policy, ri, r) {
                     fold.duplicate = true;
                     return fold;
-                }
-                fold.from[i * arity + ri] = r;
-                for ci in 0..col_map.len() {
-                    fold.coalesce(plan, operands, policy, i, ri, t, ci);
                 }
             }
         }
         fold
     }
 
+    /// Fold operand `ri`'s row `r` in. `false` when its non-nil key is
+    /// one `ri` already contributed: the closed form ends there.
+    #[inline]
+    fn add<O: Operand>(
+        &mut self,
+        plan: &MergePlan,
+        operands: &'a [O],
+        policy: ConflictPolicy,
+        ri: usize,
+        r: u32,
+    ) -> bool {
+        let (degree, arity) = (self.degree, self.arity);
+        let t = operands[ri].row(r as usize);
+        let key = t.datum(plan.key_ins[ri]);
+        match key {
+            Value::Int(_) => self.ints = true,
+            Value::Float(_) => self.floats = true,
+            _ => {}
+        }
+        // nil keys never match (§II: nil satisfies no θ): each stays its
+        // own row, mediated only by its own origins.
+        let found = if key.is_nil() {
+            None
+        } else {
+            self.by_key.get(key).copied()
+        };
+        let Some(i) = found else {
+            let i = self.rows();
+            if !key.is_nil() {
+                let id = u32::try_from(i).expect("output rows fit u32 row ids");
+                self.by_key.insert(key, id);
+            }
+            self.data.extend(std::iter::repeat_n(&NIL, degree));
+            self.from.extend(std::iter::repeat_n(ABSENT, arity));
+            self.from[i * arity + ri] = r;
+            for (ci, &c) in plan.col_maps[ri].iter().enumerate() {
+                self.data[i * degree + c] = t.datum(ci);
+            }
+            return true;
+        };
+        let i = i as usize;
+        if self.from[i * arity + ri] != ABSENT {
+            return false;
+        }
+        self.from[i * arity + ri] = r;
+        for ci in 0..plan.col_maps[ri].len() {
+            self.coalesce(plan, operands, policy, i, ri, t, ci);
+        }
+        true
+    }
+
     /// Coalesce cell `ci` of operand `ri`'s row `t` into output row `i`,
-    /// on data alone: the [`coalesce_views`] case analysis (equal data or
-    /// a nil side keep the datum, a nil datum takes the other). A genuine
+    /// on data alone: the paper's Coalesce case analysis (equal data or a
+    /// nil side keep the datum, a nil datum takes the other). A genuine
     /// conflict fails a `Strict` merge; a `Prefer*` policy resolves it and
     /// records the cells it saw: the column built from the operands
     /// before `ri`, and `t`'s.
     #[allow(clippy::too_many_arguments)]
-    fn coalesce<S: FoldRows<'a>>(
+    fn coalesce<O: Operand>(
         &mut self,
         plan: &MergePlan,
-        operands: &[S],
+        operands: &'a [O],
         policy: ConflictPolicy,
         i: usize,
         ri: usize,
-        t: S::Row,
+        t: O::Row<'a>,
         ci: usize,
     ) {
         let c = plan.col_maps[ri][ci];
@@ -293,7 +301,9 @@ impl<'a> MergeFold<'a> {
             return;
         }
         let from = &self.from[i * self.arity..][..self.arity];
-        let left = build_cell(plan, operands, from, c, ri, policy).expect("x is a contribution");
+        let (datum, origin, intermediate) =
+            merged_tags(plan, operands, from, c, ri, policy).expect("x is a contribution");
+        let left = Cell::new(datum.clone(), origin, intermediate);
         let right = t.cell(ci);
         let winner = conflict_winner(policy, &left, &right).expect("Prefer* resolves");
         if winner.datum != *x {
@@ -319,94 +329,457 @@ impl<'a> MergeFold<'a> {
 
     /// Output row `i`'s rank: the scan index of the row that created it,
     /// its first contribution (operands fold in order).
-    fn rank<S: FoldRows<'a>>(&self, operands: &[S], i: usize) -> usize {
+    fn rank(&self, plan: &MergePlan, i: usize) -> usize {
         let from = &self.from[i * self.arity..][..self.arity];
         let (k, &r) = from
             .iter()
             .enumerate()
             .find(|(_, &r)| r != ABSENT)
             .expect("every row has a creator");
-        operands[k].scan_index(r)
+        plan.offsets[k] + r as usize
     }
 
-    /// Build every output row all `filters` keep, in creation order, and
-    /// hand it to `out` with its row number. Each kept row builds each of
-    /// its cells once, column by column, coalescing the contributions in
-    /// operand order (absent attributes pad with nil). Every cell then
-    /// gains `K(v)` — the union of the key cells' origins across the
-    /// contributing operands, exactly the mediator tags the ONTJ fold
-    /// accretes step by step — and each filter's mediators, as
-    /// merge-then-filter gives them.
-    fn emit<S: FoldRows<'a>>(
+    /// The output rows all `filters` keep, in creation order, as
+    /// late-built rows — with their ranks when `ranked`. Each kept row's
+    /// cells will gain `K(v)` — the union of the key cells' origins
+    /// across the contributing operands, exactly the mediator tags the
+    /// ONTJ fold accretes step by step — and each filter's mediators, the
+    /// origins of the merged cells it compared, as merge-then-filter
+    /// gives them.
+    fn keep<O: Operand>(
         &self,
         plan: &MergePlan,
-        operands: &[S],
+        operands: &[O],
         filters: &[ColumnFilter<'_>],
         policy: ConflictPolicy,
-        mut out: impl FnMut(usize, PolyTuple),
-    ) {
-        for i in 0..self.rows() {
+        ranked: bool,
+    ) -> Kept {
+        let mut kept = Kept::default();
+        if filters.is_empty() {
+            kept.reserve(self.rows(), self.arity, self.degree);
+        }
+        // A `Prefer*` conflict's cells replay their coalesce; so does
+        // every cell of a merge too wide for one mask bit per operand.
+        let mut replayed = vec![self.arity >= 64; self.rows()];
+        for conflict in &self.conflicts {
+            replayed[conflict.tuple_index] = true;
+        }
+        let mut masks = vec![0; self.degree];
+        for (i, &replay) in replayed.iter().enumerate() {
             let data = &self.data[i * self.degree..][..self.degree];
             if !filters.iter().all(|f| f.passes(data)) {
                 continue;
             }
             let from = &self.from[i * self.arity..][..self.arity];
-            let mut row: PolyTuple = (0..self.degree)
-                .map(|c| {
-                    build_cell(plan, operands, from, c, self.arity, policy)
-                        .unwrap_or_else(|| Cell::nil_padding(SourceSet::empty()))
-                })
-                .collect();
-            let mut mediators = SourceSet::empty();
+            for (c, mask) in masks.iter_mut().enumerate() {
+                *mask = if replay {
+                    REPLAY
+                } else if c == plan.key_col {
+                    // The key's tags are kept whole, below.
+                    0
+                } else {
+                    lenders(plan, operands, from, c, data[c])
+                };
+            }
+            // The key column's tags: every contribution carries the key.
+            let (mut key_origin, mut key_intermediate) = (SourceSet::empty(), SourceSet::empty());
             for (k, &r) in from.iter().enumerate() {
                 if r != ABSENT {
-                    mediators.union_with(operands[k].at(r).origin(plan.key_ins[k]));
+                    operands[k].row(r as usize).tags_into(
+                        plan.key_ins[k],
+                        &mut key_origin,
+                        &mut key_intermediate,
+                    );
                 }
             }
-            for f in filters {
-                f.mediators(&row, &mut mediators);
+            if !filters.is_empty() {
+                // `K(v)` is the key column's origin, kept beside.
+                let mut mediators = SourceSet::empty();
+                for c in filters.iter().flat_map(ColumnFilter::mediator_columns) {
+                    if c == plan.key_col {
+                        continue;
+                    }
+                    if let Some((origin, _)) =
+                        column_tags(plan, operands, from, c, masks[c], policy)
+                    {
+                        mediators.union_with(&origin);
+                    }
+                }
+                kept.mediators.push(mediators);
             }
-            for cell in &mut row {
-                cell.add_intermediate(&mediators);
+            kept.from.extend_from_slice(from);
+            kept.data.extend(data.iter().map(|&datum| datum.clone()));
+            kept.masks.extend_from_slice(&masks);
+            kept.keys.push((key_origin, key_intermediate));
+            if ranked {
+                kept.ranks.push(self.rank(plan, i));
             }
-            out(i, row);
         }
+        kept
     }
 }
 
-/// Output column `c` of the row whose contributions are `from`, built
-/// from the operands before `upto`: the contributions coalesce in
-/// operand order ([`coalesce_views`]; a conflict goes to `policy`).
-/// `None` when none of them carries the column.
-fn build_cell<'a, S: FoldRows<'a>>(
+/// Merged rows before any cell exists: per row, `arity` operand row ids,
+/// its `degree` coalesced data (shared, not copied: a clone of a string
+/// datum is a reference count) and contribution masks, the key column's
+/// origin (`K(v)`, which every cell of the row gains as a mediator) and
+/// intermediate sets — read once per pair by a join on the key, so kept
+/// rather than replayed — the fused filters' mediators (none without
+/// filters) and, in a split run, the row's rank.
+#[derive(Default)]
+struct Kept {
+    from: Vec<u32>,
+    data: Vec<Value>,
+    masks: Vec<u64>,
+    keys: Vec<(SourceSet, SourceSet)>,
+    mediators: Vec<SourceSet>,
+    ranks: Vec<usize>,
+}
+
+impl Kept {
+    fn reserve(&mut self, rows: usize, arity: usize, degree: usize) {
+        self.from.reserve(rows * arity);
+        self.data.reserve(rows * degree);
+        self.masks.reserve(rows * degree);
+        self.keys.reserve(rows);
+    }
+}
+
+/// Output column `c` of the row whose contributions are `from`, as the
+/// contributions of the operands before `upto` coalesce in operand order
+/// (equal data union their tags, a nil side keeps the other, a nil datum
+/// takes the other's cell, and a conflict goes to `policy` as
+/// [`conflict_winner`] resolves it): its datum, origin and intermediate
+/// sets. `None` when none of them carries the column. No datum is
+/// cloned.
+fn merged_tags<'a, O: Operand>(
     plan: &MergePlan,
-    operands: &[S],
+    operands: &'a [O],
     from: &[u32],
     c: usize,
     upto: usize,
     policy: ConflictPolicy,
-) -> Option<Cell> {
-    let mut cell: Option<Cell> = None;
+) -> Option<(&'a Value, SourceSet, SourceSet)> {
+    let mut acc: Option<(&'a Value, SourceSet, SourceSet)> = None;
     for &(k, ci) in plan.sources[c].iter().take_while(|&&(k, _)| k < upto) {
         let r = from[k];
         if r == ABSENT {
             continue;
         }
-        let t = operands[k].at(r);
-        cell = Some(match cell {
-            None => t.cell(ci),
-            Some(existing) => coalesce_views(std::slice::from_ref(&existing), 0, t, ci)
-                .unwrap_or_else(|| {
-                    conflict_winner(policy, &existing, &t.cell(ci))
-                        .expect("the fold failed every Strict conflict")
-                }),
+        let t = operands[k].row(r as usize);
+        let y = t.datum(ci);
+        let fresh = || {
+            let (mut origin, mut intermediate) = (SourceSet::empty(), SourceSet::empty());
+            t.tags_into(ci, &mut origin, &mut intermediate);
+            (y, origin, intermediate)
+        };
+        acc = Some(match acc {
+            None => fresh(),
+            Some((x, mut origin, mut intermediate)) if x == y => {
+                t.tags_into(ci, &mut origin, &mut intermediate);
+                (x, origin, intermediate)
+            }
+            Some(kept) if y.is_nil() => kept,
+            Some((x, ..)) if x.is_nil() => fresh(),
+            // A genuine conflict: the loser's tags become intermediates.
+            Some((x, origin, mut intermediate)) => match policy {
+                ConflictPolicy::PreferLeft => {
+                    let mut lost = SourceSet::empty();
+                    t.tags_into(ci, &mut lost, &mut intermediate);
+                    intermediate.union_with(&lost);
+                    (x, origin, intermediate)
+                }
+                ConflictPolicy::PreferRight => {
+                    let (y, won, mut demoted) = fresh();
+                    demoted.union_with(&origin);
+                    demoted.union_with(&intermediate);
+                    (y, won, demoted)
+                }
+                ConflictPolicy::Strict => unreachable!("the fold failed every Strict conflict"),
+            },
         });
     }
-    cell
+    acc
 }
 
-/// [`hash_merge_select`] without filters: the single-pass hash Merge on
-/// its own. Returns the merged relation, the resolved conflicts and the
+/// The operands whose cells lend column `c` of the row whose
+/// contributions are `from` its tags, as a bit mask: where no conflict
+/// was met, the coalesce unions the tags of exactly the contributions
+/// holding the coalesced `datum` — a nil side keeps the other's, a nil
+/// datum gives way to the first non-nil, equal data union.
+fn lenders<O: Operand>(
+    plan: &MergePlan,
+    operands: &[O],
+    from: &[u32],
+    c: usize,
+    datum: &Value,
+) -> u64 {
+    let mut mask = 0;
+    for &(k, ci) in &plan.sources[c] {
+        let r = from[k];
+        if r == ABSENT {
+            continue;
+        }
+        let held = operands[k].row(r as usize).datum(ci);
+        // The contribution the datum was read from needs no comparing.
+        if std::ptr::eq(held, datum) || held == datum {
+            mask |= 1 << k;
+        }
+    }
+    mask
+}
+
+/// Column `c`'s origin and intermediate sets in the row whose
+/// contributions are `from`: the union of the tags of the contributions
+/// `mask` names, or replayed when it is [`REPLAY`]. `None` when no
+/// contribution carries the column.
+fn column_tags<O: Operand>(
+    plan: &MergePlan,
+    operands: &[O],
+    from: &[u32],
+    c: usize,
+    mask: u64,
+    policy: ConflictPolicy,
+) -> Option<(SourceSet, SourceSet)> {
+    if mask == REPLAY {
+        return merged_tags(plan, operands, from, c, operands.len(), policy)
+            .map(|(_, o, m)| (o, m));
+    }
+    if mask == 0 {
+        return None;
+    }
+    let (mut origin, mut intermediate) = (SourceSet::empty(), SourceSet::empty());
+    for &(k, ci) in &plan.sources[c] {
+        if mask >> k & 1 == 1 {
+            operands[k]
+                .row(from[k] as usize)
+                .tags_into(ci, &mut origin, &mut intermediate);
+        }
+    }
+    Some((origin, intermediate))
+}
+
+/// The closed form's kept rows, late-built: a [`Kept`] without ranks
+/// over the operands it names rows of.
+struct LateMerge {
+    plan: MergePlan,
+    policy: ConflictPolicy,
+    rows: Kept,
+}
+
+impl LateMerge {
+    fn len(&self) -> usize {
+        self.rows.keys.len()
+    }
+
+    /// Union the mediators every cell of row `i` gains into `into`:
+    /// `K(v)`, then the fused filters'.
+    fn mediators_into(&self, i: usize, into: &mut SourceSet) {
+        into.union_with(&self.rows.keys[i].0);
+        if let Some(mediators) = self.rows.mediators.get(i) {
+            into.union_with(mediators);
+        }
+    }
+
+    fn data(&self, i: usize) -> &[Value] {
+        let degree = self.plan.schema.degree();
+        &self.rows.data[i * degree..][..degree]
+    }
+
+    /// Row `i`'s column `c` tags before the row's mediators: the key's
+    /// as kept, any other column's from its contributions.
+    fn tags<O: Operand>(
+        &self,
+        operands: &[O],
+        i: usize,
+        c: usize,
+    ) -> Option<(SourceSet, SourceSet)> {
+        if c == self.plan.key_col {
+            return Some(self.rows.keys[i].clone());
+        }
+        let arity = operands.len();
+        let from = &self.rows.from[i * arity..][..arity];
+        let mask = self.rows.masks[i * self.plan.schema.degree() + c];
+        column_tags(&self.plan, operands, from, c, mask, self.policy)
+    }
+
+    fn origin_into<O: Operand>(&self, operands: &[O], i: usize, c: usize, into: &mut SourceSet) {
+        if c == self.plan.key_col {
+            into.union_with(&self.rows.keys[i].0);
+        } else if let Some((origin, _)) = self.tags(operands, i, c) {
+            into.union_with(&origin);
+        }
+    }
+
+    fn tags_into<O: Operand>(
+        &self,
+        operands: &[O],
+        i: usize,
+        c: usize,
+        origin: &mut SourceSet,
+        intermediate: &mut SourceSet,
+    ) {
+        if c == self.plan.key_col {
+            let (o, m) = &self.rows.keys[i];
+            origin.union_with(o);
+            intermediate.union_with(m);
+        } else if let Some((o, m)) = self.tags(operands, i, c) {
+            origin.union_with(&o);
+            intermediate.union_with(&m);
+        }
+        self.mediators_into(i, intermediate);
+    }
+
+    /// Row `i`'s merged cell `c`, built.
+    fn cell<O: Operand>(&self, operands: &[O], i: usize, c: usize) -> Cell {
+        let (origin, mut intermediate) = self
+            .tags(operands, i, c)
+            // Absent attributes pad with nil.
+            .unwrap_or_else(|| (SourceSet::empty(), SourceSet::empty()));
+        self.mediators_into(i, &mut intermediate);
+        Cell::new(self.data(i)[c].clone(), origin, intermediate)
+    }
+
+    /// Build every kept row's cells, each once, column by column.
+    fn materialize<O: Operand>(&self, operands: &[O]) -> PolygenRelation {
+        let degree = self.plan.schema.degree();
+        let tuples = (0..self.len())
+            .map(|i| (0..degree).map(|c| self.cell(operands, i, c)).collect())
+            .collect();
+        PolygenRelation::from_tuples(Arc::clone(&self.plan.schema), tuples)
+            .expect("merged rows have the merged degree")
+    }
+}
+
+/// What a merge answers: the closed form's late-built rows, or the
+/// reference fold's relation where the closed form does not hold.
+enum Body {
+    Late(Box<LateMerge>),
+    Folded(PolygenRelation),
+}
+
+/// A Merge's answer before any cell exists — what
+/// [`hash_merge_view`] hands its consumers, the way a scan hands over a
+/// late-tagged [`BaseRelation`](crate::base::BaseRelation). It owns the
+/// operands (base relations share their rows by `Arc`) and holds, per
+/// kept row, the operand row ids, the coalesced data, which operands'
+/// cells lend each merged cell its tags, and the mediators every cell
+/// of the row gains (`K(v)` and the fused filters'). A merged cell first
+/// exists when a kernel writes it into an output row
+/// ([`RowView::cell`]); a kernel that reads only data, origins or tags
+/// builds none. [`Operand::materialize`] builds every kept row: the
+/// relation merge-then-filter gives.
+///
+/// Where the closed form does not hold (duplicate keys, mixed
+/// `Int`/`Float` keys, a lone operand) the view holds the reference
+/// fold's relation, tagged, and reads it in place.
+pub struct MergedView<O> {
+    operands: Vec<O>,
+    body: Body,
+}
+
+/// One row of a [`MergedView`].
+pub struct MergedRow<'a, O> {
+    view: &'a MergedView<O>,
+    i: usize,
+}
+
+impl<O> Clone for MergedRow<'_, O> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<O> Copy for MergedRow<'_, O> {}
+
+impl<'a, O: Operand> RowView<'a> for MergedRow<'a, O> {
+    #[inline]
+    fn width(self) -> usize {
+        self.view.schema().degree()
+    }
+
+    #[inline]
+    fn datum(self, c: usize) -> &'a Value {
+        match &self.view.body {
+            Body::Late(late) => &late.data(self.i)[c],
+            Body::Folded(rel) => &rel.tuples()[self.i][c].datum,
+        }
+    }
+
+    #[inline]
+    fn origin_into(self, c: usize, into: &mut SourceSet) {
+        match &self.view.body {
+            Body::Late(late) => late.origin_into(&self.view.operands, self.i, c, into),
+            Body::Folded(rel) => rel.tuples()[self.i].as_slice().origin_into(c, into),
+        }
+    }
+
+    #[inline]
+    fn tags_into(self, c: usize, origin: &mut SourceSet, intermediate: &mut SourceSet) {
+        match &self.view.body {
+            Body::Late(late) => {
+                late.tags_into(&self.view.operands, self.i, c, origin, intermediate)
+            }
+            Body::Folded(rel) => rel.tuples()[self.i]
+                .as_slice()
+                .tags_into(c, origin, intermediate),
+        }
+    }
+
+    #[inline]
+    fn cell(self, c: usize) -> Cell {
+        match &self.view.body {
+            Body::Late(late) => late.cell(&self.view.operands, self.i, c),
+            Body::Folded(rel) => rel.tuples()[self.i][c].clone(),
+        }
+    }
+}
+
+impl<O: Operand> Operand for MergedView<O> {
+    type Row<'a>
+        = MergedRow<'a, O>
+    where
+        Self: 'a;
+
+    fn schema(&self) -> &Arc<Schema> {
+        match &self.body {
+            Body::Late(late) => &late.plan.schema,
+            Body::Folded(rel) => rel.schema(),
+        }
+    }
+    fn len(&self) -> usize {
+        match &self.body {
+            Body::Late(late) => late.len(),
+            Body::Folded(rel) => rel.len(),
+        }
+    }
+    fn rows(&self) -> impl ExactSizeIterator<Item = MergedRow<'_, O>> {
+        (0..self.len()).map(|i| self.row(i))
+    }
+    fn row(&self, i: usize) -> MergedRow<'_, O> {
+        MergedRow { view: self, i }
+    }
+    fn materialize(&self) -> PolygenRelation {
+        match &self.body {
+            Body::Late(late) => late.materialize(&self.operands),
+            Body::Folded(rel) => rel.clone(),
+        }
+    }
+}
+
+/// The view's rows, built — [`Operand::materialize`] without the copy
+/// of a fallback's relation.
+impl<O: Operand> From<MergedView<O>> for PolygenRelation {
+    fn from(view: MergedView<O>) -> Self {
+        match view.body {
+            Body::Late(late) => late.materialize(&view.operands),
+            Body::Folded(rel) => rel,
+        }
+    }
+}
+
+/// [`hash_merge_view`] without filters, built: the single-pass hash
+/// Merge on its own. Returns the merged relation, the resolved conflicts and the
 /// partition count it ran at.
 pub fn hash_merge_partitioned<O: Operand>(
     relations: &[O],
@@ -418,12 +791,29 @@ pub fn hash_merge_partitioned<O: Operand>(
         .map(|(merged, conflicts, used, _)| (merged, conflicts, used))
 }
 
+/// [`hash_merge_view`] over borrowed operands, built:
+/// `merge(relations)[filters…]` as a relation, with cells only for the
+/// rows the chain keeps. Without filters it is [`merge`]'s relation.
+pub(crate) fn hash_merge_select<O: Operand>(
+    relations: &[O],
+    key: &str,
+    policy: ConflictPolicy,
+    filters: &[RowFilter<'_>],
+    par: ParallelOptions,
+) -> Result<(PolygenRelation, Vec<CoalesceConflict>, usize, usize), PolygenError> {
+    let (body, conflicts, used, rows) = late_merge(relations, key, policy, filters, par)?;
+    let kept = match body {
+        Body::Late(late) => late.materialize(relations),
+        Body::Folded(rel) => rel,
+    };
+    Ok((kept, conflicts, used, rows))
+}
+
 /// Single-pass, hash-based Merge — the physical-plan engine's kernel —
 /// fused with the Select/Restrict chain `filters` over it:
-/// `merge(relations)[filters…]` in one pass, building cells only for the
-/// rows the chain keeps. Without filters it is [`merge`]'s relation.
-///
-/// Computes the same relation as [`merge`] followed by
+/// `merge(relations)[filters…]` in one pass, answered as a
+/// [`MergedView`] whose cells are built only when a consumer writes them
+/// into its output. Materialized, the view is [`merge`] followed by
 /// [`select()`](crate::algebra::select()) /
 /// [`restrict()`](crate::algebra::restrict()) (cell-exact, tags and
 /// errors included) without the quadratic ONTJ fold: one hash table
@@ -437,16 +827,16 @@ pub fn hash_merge_partitioned<O: Operand>(
 /// attributes pad with nil, and finally every cell's intermediate set
 /// gains `K(v)` — exactly the mediator tags the fold accretes step by
 /// step. The pass coalesces data only; the filters test the coalesced
-/// data of every output row, and only the rows they keep build cells,
-/// which gain each filter's mediators after `K(v)`. Conflicts are found
-/// in the pass, on every row: under `Strict` a conflict fails the merge
-/// even on a row the filters drop.
+/// data of every output row, and only the rows they keep enter the view,
+/// whose cells gain each filter's mediators after `K(v)`. Conflicts are
+/// found in the pass, on every row: under `Strict` a conflict fails the
+/// merge even on a row the filters drop.
 ///
 /// At one partition (`par` serial) the fold runs inline over the
 /// operands. Above one, every operand is hash-split on the merge key so
-/// all contributions to one output row co-locate, the fold and the emit
-/// run per partition on a scoped worker, and the partitions' kept rows
-/// splice back into the first-appearance order — the relation is
+/// all contributions to one output row co-locate, the fold runs per
+/// partition on a scoped worker, and the partitions' kept rows splice
+/// back into the first-appearance order by rank — the view is
 /// byte-identical (cells, tags *and* row order) on every partition
 /// count.
 ///
@@ -466,17 +856,34 @@ pub fn hash_merge_partitioned<O: Operand>(
 ///
 /// Generic over the operand type ([`Operand`]): tagged relations are read
 /// as they always were; late-tagged base relations are read in place and
-/// each of their cells is built once, when it lands in a kept row.
-/// Returns the kept rows, the conflicts, the partition count the merge
-/// ran at (`1` on a single operand or a fallback), and how many rows the
-/// merge itself had.
-pub fn hash_merge_select<O: Operand>(
+/// each of their cells is built once, when it lands in an output row.
+/// Returns the view, the conflicts, the partition count the merge ran at
+/// (`1` on a single operand or a fallback), and how many rows the merge
+/// itself had.
+pub fn hash_merge_view<O: Operand>(
+    relations: Vec<O>,
+    key: &str,
+    policy: ConflictPolicy,
+    filters: &[RowFilter<'_>],
+    par: ParallelOptions,
+) -> Result<(MergedView<O>, Vec<CoalesceConflict>, usize, usize), PolygenError> {
+    let (body, conflicts, used, rows) = late_merge(&relations, key, policy, filters, par)?;
+    let view = MergedView {
+        operands: relations,
+        body,
+    };
+    Ok((view, conflicts, used, rows))
+}
+
+/// The merge [`hash_merge_view`] describes, over borrowed operands.
+#[allow(clippy::type_complexity)]
+fn late_merge<O: Operand>(
     relations: &[O],
     key: &str,
     policy: ConflictPolicy,
     filters: &[RowFilter<'_>],
     par: ParallelOptions,
-) -> Result<(PolygenRelation, Vec<CoalesceConflict>, usize, usize), PolygenError> {
+) -> Result<(Body, Vec<CoalesceConflict>, usize, usize), PolygenError> {
     if relations.len() <= 1 {
         // An empty merge, a missing key and a lone operand are the
         // fold's, as they always were.
@@ -489,133 +896,145 @@ pub fn hash_merge_select<O: Operand>(
     let resolved: Result<Vec<ColumnFilter<'_>>, PolygenError> =
         filters.iter().map(|f| f.resolve(&plan.schema)).collect();
     if !par.is_parallel() {
-        let whole: Vec<&O> = relations.iter().collect();
-        let fold = MergeFold::run(&plan, &whole, policy);
+        let fold = MergeFold::run(&plan, relations, None, policy);
         if !fold.closed_form() {
             return reference(relations, key, policy, filters);
         }
         if let Some(e) = fold.strict {
             return Err(e);
         }
-        let mut kept = Vec::new();
-        fold.emit(&plan, &whole, &resolved?, policy, |_, t| kept.push(t));
-        let rows = fold.rows();
-        return Ok((
-            PolygenRelation::from_tuples(plan.schema, kept)?,
-            fold.conflicts,
-            1,
-            rows,
-        ));
+        let rows = fold.keep(&plan, relations, &resolved?, policy, false);
+        let merged = fold.rows();
+        let late = LateMerge { plan, policy, rows };
+        return Ok((Body::Late(Box::new(late)), fold.conflicts, 1, merged));
     }
-    // Reference-only split (partition → operand → (scan index, row)):
-    // row views are pushed, no cell is built. The scan index is the row's
-    // position in the global scan across operands; an output row's rank
-    // is its creator's index, which IS the row's position in the
-    // one-partition first-appearance order.
+    // Reference-only split (partition → operand → row ids): no cell is
+    // built. An output row's rank is its creator's scan index, which IS
+    // the row's position in the one-partition first-appearance order.
     let parter = Partitioner::new(par.partitions);
-    let mut parts: Vec<_> = (0..parter.partitions())
+    let mut parts: Vec<Vec<Vec<u32>>> = (0..parter.partitions())
         .map(|_| vec![Vec::new(); relations.len()])
         .collect();
-    let mut scan_pos = 0usize;
     for (ri, rel) in relations.iter().enumerate() {
         let ki = plan.key_ins[ri];
         // One contiguous hashing pass over the key column, then scatter.
         let buckets = parter.bucket_indices(rel.rows().map(|t| t.datum(ki)));
-        for (t, &bucket) in rel.rows().zip(&buckets) {
-            parts[bucket][ri].push((scan_pos, t));
-            scan_pos += 1;
+        for (r, &bucket) in buckets.iter().enumerate() {
+            parts[bucket][ri].push(u32::try_from(r).expect("operand rows fit u32 row ids"));
         }
     }
     let tests = resolved.as_deref().ok();
-    let mut results = scoped_map(parts, par.threads, |_, operands| {
-        let fold = MergeFold::run(&plan, &operands, policy);
-        let mut kept: Vec<(usize, PolyTuple)> = Vec::new();
-        // A partition that cannot finish the closed form emits nothing.
-        if let Some(tests) = tests.filter(|_| fold.closed_form() && fold.strict.is_none()) {
-            fold.emit(&plan, &operands, tests, policy, |i, t| {
-                kept.push((fold.rank(&operands, i), t));
-            });
-        }
-        (fold, kept, operands)
+    let mut results = scoped_map(parts, par.threads, |_, ids| {
+        let fold = MergeFold::run(&plan, relations, Some(&ids), policy);
+        // A partition that cannot finish the closed form keeps nothing.
+        let kept = match tests.filter(|_| fold.closed_form() && fold.strict.is_none()) {
+            Some(tests) => fold.keep(&plan, relations, tests, policy, true),
+            None => Kept::default(),
+        };
+        (fold, kept)
     });
     // Mixed numeric keys may split across partitions.
-    let mixed = results.iter().any(|(fold, _, _)| fold.ints)
-        && results.iter().any(|(fold, _, _)| fold.floats);
-    if mixed || results.iter().any(|(fold, _, _)| !fold.closed_form()) {
+    let mixed =
+        results.iter().any(|(fold, _)| fold.ints) && results.iter().any(|(fold, _)| fold.floats);
+    if mixed || results.iter().any(|(fold, _)| !fold.closed_form()) {
         return reference(relations, key, policy, filters);
     }
-    if let Some(e) = results
-        .iter_mut()
-        .find_map(|(fold, _, _)| fold.strict.take())
-    {
+    if let Some(e) = results.iter_mut().find_map(|(fold, _)| fold.strict.take()) {
         return Err(e);
     }
     resolved?;
-    // Splice the partitions back into the one-partition creation order.
-    // Within a partition rows are already rank-sorted (creation follows
-    // the scan), so the stable sort merges pre-sorted runs.
-    let rows = results.iter().map(|(fold, _, _)| fold.rows()).sum();
-    let mut ranked: Vec<(usize, PolyTuple)> =
-        Vec::with_capacity(results.iter().map(|(_, kept, _)| kept.len()).sum());
-    let mut ranked_conflicts: Vec<(usize, CoalesceConflict)> = Vec::new();
-    let mut ranks: Vec<usize> = Vec::new();
-    let any_conflicts = results
+    let merged = results.iter().map(|(fold, _)| fold.rows()).sum();
+    let conflicts = splice_conflicts(&plan, &mut results);
+    // Splice the partitions' kept rows back into the one-partition
+    // creation order.
+    let (arity, degree) = (relations.len(), plan.schema.degree());
+    let mut order: Vec<(usize, usize, usize)> = results
         .iter()
-        .any(|(fold, _, _)| !fold.conflicts.is_empty());
-    for (fold, kept, operands) in results {
-        ranked.extend(kept);
-        if any_conflicts {
-            let base = ranks.len();
-            ranks.extend((0..fold.rows()).map(|i| fold.rank(&operands, i)));
-            for c in fold.conflicts {
-                ranked_conflicts.push((ranks[base + c.tuple_index], c));
-            }
+        .enumerate()
+        .flat_map(|(p, (_, kept))| {
+            kept.ranks
+                .iter()
+                .enumerate()
+                .map(move |(j, &rank)| (rank, p, j))
+        })
+        .collect();
+    order.sort_unstable_by_key(|&(rank, ..)| rank);
+    let mut rows = Kept::default();
+    rows.reserve(order.len(), arity, degree);
+    for (_, p, j) in order {
+        let kept = &mut results[p].1;
+        rows.from
+            .extend_from_slice(&kept.from[j * arity..][..arity]);
+        rows.data.extend(
+            kept.data[j * degree..][..degree]
+                .iter_mut()
+                .map(|datum| std::mem::replace(datum, Value::Null)),
+        );
+        rows.masks
+            .extend_from_slice(&kept.masks[j * degree..][..degree]);
+        rows.keys.push(std::mem::take(&mut kept.keys[j]));
+        if let Some(mediators) = kept.mediators.get_mut(j) {
+            rows.mediators.push(std::mem::take(mediators));
         }
     }
-    ranked.sort_by_key(|(rank, _)| *rank);
-    let conflicts = if ranked_conflicts.is_empty() {
-        Vec::new()
-    } else {
-        // Conflicts index the merged rows in their final order.
-        ranks.sort_unstable();
-        let final_index: HashMap<usize, usize> = ranks
-            .iter()
-            .enumerate()
-            .map(|(i, &rank)| (rank, i))
-            .collect();
-        ranked_conflicts.sort_by_key(|(rank, _)| *rank);
-        ranked_conflicts
-            .into_iter()
-            .map(|(rank, mut c)| {
-                c.tuple_index = final_index[&rank];
-                c
-            })
-            .collect()
-    };
-    let tuples: Vec<PolyTuple> = ranked.into_iter().map(|(_, t)| t).collect();
+    let late = LateMerge { plan, policy, rows };
     Ok((
-        PolygenRelation::from_tuples(Arc::clone(&plan.schema), tuples)?,
+        Body::Late(Box::new(late)),
         conflicts,
         par.partitions,
-        rows,
+        merged,
     ))
 }
 
+/// The split folds' conflicts in one list, in rank order, each
+/// `tuple_index` pointing at its row's place among all merged rows.
+fn splice_conflicts(
+    plan: &MergePlan,
+    results: &mut [(MergeFold<'_>, Kept)],
+) -> Vec<CoalesceConflict> {
+    if results.iter().all(|(fold, _)| fold.conflicts.is_empty()) {
+        return Vec::new();
+    }
+    let mut ranks: Vec<usize> = Vec::new();
+    let mut ranked: Vec<(usize, CoalesceConflict)> = Vec::new();
+    for (fold, _) in results.iter_mut() {
+        let base = ranks.len();
+        ranks.extend((0..fold.rows()).map(|i| fold.rank(plan, i)));
+        for c in std::mem::take(&mut fold.conflicts) {
+            ranked.push((ranks[base + c.tuple_index], c));
+        }
+    }
+    ranks.sort_unstable();
+    let final_index: HashMap<usize, usize> = ranks
+        .iter()
+        .enumerate()
+        .map(|(i, &rank)| (rank, i))
+        .collect();
+    ranked.sort_by_key(|(rank, _)| *rank);
+    ranked
+        .into_iter()
+        .map(|(rank, mut c)| {
+            c.tuple_index = final_index[&rank];
+            c
+        })
+        .collect()
+}
+
 /// The reference fold, then `filters` with the reference operators:
-/// [`hash_merge_select`] on one operand and on its fallbacks.
+/// [`hash_merge_view`] on one operand and on its fallbacks.
 #[allow(clippy::type_complexity)]
 fn reference<O: Operand>(
     relations: &[O],
     key: &str,
     policy: ConflictPolicy,
     filters: &[RowFilter<'_>],
-) -> Result<(PolygenRelation, Vec<CoalesceConflict>, usize, usize), PolygenError> {
+) -> Result<(Body, Vec<CoalesceConflict>, usize, usize), PolygenError> {
     let (mut out, conflicts) = merge(&O::tagged(relations), key, policy)?;
     let rows = out.len();
     for f in filters {
         out = f.apply(&out)?;
     }
-    Ok((out, conflicts, 1, rows))
+    Ok((Body::Folded(out), conflicts, 1, rows))
 }
 
 /// The schema a Merge of operands with these schemas produces — exactly

@@ -39,7 +39,7 @@ pub use coalesce::{coalesce, coalesce_with_report, ConflictPolicy};
 pub use difference::difference;
 pub use intersect::intersect;
 pub use join::{equi_join_coalesced, hash_equi_join_coalesced, hash_equi_join_project, theta_join};
-pub use merge::{hash_merge, hash_merge_partitioned, hash_merge_select, merge};
+pub use merge::{hash_merge, hash_merge_partitioned, hash_merge_view, merge, MergedView};
 pub use natural::{outer_natural_primary_join, outer_natural_total_join};
 pub use outer_join::outer_join;
 pub use product::product;

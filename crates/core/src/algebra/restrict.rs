@@ -16,10 +16,8 @@
 //! no intermediate tags appear — that path goes through the flat algebra
 //! and [`PolygenRelation::from_flat`](crate::relation::PolygenRelation::from_flat).
 
-use crate::cell::Cell;
 use crate::error::PolygenError;
 use crate::relation::PolygenRelation;
-use crate::source::SourceSet;
 use crate::tuple;
 use polygen_flat::schema::Schema;
 use polygen_flat::value::{Cmp, Value};
@@ -141,13 +139,10 @@ impl ColumnFilter<'_> {
         data[self.x].satisfies(self.cmp, rhs)
     }
 
-    /// Union the filter's mediators into `into`: `t[x](o)`, and
-    /// `t[y](o)` for a Restrict. Constants originate nowhere.
-    pub(crate) fn mediators(&self, row: &[Cell], into: &mut SourceSet) {
-        into.union_with(&row[self.x].origin);
-        if let Ok(yi) = self.y {
-            into.union_with(&row[yi].origin);
-        }
+    /// The columns whose origins the filter adds as mediators: `x`, and
+    /// `y` for a Restrict. Constants originate nowhere.
+    pub(crate) fn mediator_columns(&self) -> impl Iterator<Item = usize> {
+        std::iter::once(self.x).chain(self.y.ok())
     }
 }
 

@@ -11,14 +11,16 @@
 //! [`BaseRelation::materialize`] produces it, but nothing is tagged until
 //! a caller asks.
 //!
-//! The kernels that consume scan leaves — `hash_merge_select` and
+//! The kernels that consume scan leaves — the hash Merge and
 //! `hash_equi_join_project`, at any partition count — read their
 //! operands through [`Operand`] / [`RowView`], implemented by tagged
-//! relations and base relations alike, and monomorphized per operand
-//! type: the `PolygenRelation` instantiation is the loop it always was,
-//! and over a base relation the first (and only) time a cell comes into
-//! existence is [`RowView::cell`], called when a kernel writes that cell
-//! into its output.
+//! relations, base relations and a merge's late-built answer
+//! ([`MergedView`](crate::algebra::merge::MergedView)) alike, and
+//! monomorphized per operand type: the `PolygenRelation` instantiation
+//! is the loop it always was, and over a base relation or a merged view
+//! the first (and only) time a cell comes into existence is
+//! [`RowView::cell`], called when a kernel writes that cell into its
+//! output.
 
 use crate::cell::Cell;
 use crate::error::PolygenError;
@@ -38,12 +40,18 @@ pub trait RowView<'a>: Copy {
     fn width(self) -> usize;
     /// Cell `i`'s datum.
     fn datum(self, i: usize) -> &'a Value;
-    /// Cell `i`'s origin set.
-    fn origin(self, i: usize) -> &'a SourceSet;
+    /// Union cell `i`'s origin set into `into`.
+    fn origin_into(self, i: usize, into: &mut SourceSet);
+    /// Union cell `i`'s origin and intermediate sets into `origin` and
+    /// `intermediate`.
+    fn tags_into(self, i: usize, origin: &mut SourceSet, intermediate: &mut SourceSet);
     /// Cell `i`, built (or cloned) for an output tuple.
     fn cell(self, i: usize) -> Cell;
     /// Union cell `i`'s tags into `into`, a cell holding the same datum.
-    fn absorb_into(self, i: usize, into: &mut Cell);
+    #[inline]
+    fn absorb_into(self, i: usize, into: &mut Cell) {
+        self.tags_into(i, &mut into.origin, &mut into.intermediate);
+    }
 }
 
 /// A relation a breaker kernel can read row by row.
@@ -84,16 +92,17 @@ impl<'a> RowView<'a> for &'a [Cell] {
         &self[i].datum
     }
     #[inline]
-    fn origin(self, i: usize) -> &'a SourceSet {
-        &self[i].origin
+    fn origin_into(self, i: usize, into: &mut SourceSet) {
+        into.union_with(&self[i].origin);
+    }
+    #[inline]
+    fn tags_into(self, i: usize, origin: &mut SourceSet, intermediate: &mut SourceSet) {
+        origin.union_with(&self[i].origin);
+        intermediate.union_with(&self[i].intermediate);
     }
     #[inline]
     fn cell(self, i: usize) -> Cell {
         self[i].clone()
-    }
-    #[inline]
-    fn absorb_into(self, i: usize, into: &mut Cell) {
-        into.absorb_tags(&self[i]);
     }
 }
 
@@ -115,12 +124,21 @@ impl<'a, A: RowView<'a>, B: RowView<'a>> RowView<'a> for (A, B) {
         }
     }
     #[inline]
-    fn origin(self, i: usize) -> &'a SourceSet {
+    fn origin_into(self, i: usize, into: &mut SourceSet) {
         let w = self.0.width();
         if i < w {
-            self.0.origin(i)
+            self.0.origin_into(i, into)
         } else {
-            self.1.origin(i - w)
+            self.1.origin_into(i - w, into)
+        }
+    }
+    #[inline]
+    fn tags_into(self, i: usize, origin: &mut SourceSet, intermediate: &mut SourceSet) {
+        let w = self.0.width();
+        if i < w {
+            self.0.tags_into(i, origin, intermediate)
+        } else {
+            self.1.tags_into(i - w, origin, intermediate)
         }
     }
     #[inline]
@@ -130,15 +148,6 @@ impl<'a, A: RowView<'a>, B: RowView<'a>> RowView<'a> for (A, B) {
             self.0.cell(i)
         } else {
             self.1.cell(i - w)
-        }
-    }
-    #[inline]
-    fn absorb_into(self, i: usize, into: &mut Cell) {
-        let w = self.0.width();
-        if i < w {
-            self.0.absorb_into(i, into)
-        } else {
-            self.1.absorb_into(i - w, into)
         }
     }
 }
@@ -260,8 +269,13 @@ impl<'a> RowView<'a> for BaseRow<'a> {
         &self.values[i]
     }
     #[inline]
-    fn origin(self, _i: usize) -> &'a SourceSet {
-        self.origin
+    fn origin_into(self, _i: usize, into: &mut SourceSet) {
+        into.union_with(self.origin);
+    }
+    #[inline]
+    fn tags_into(self, _i: usize, origin: &mut SourceSet, _intermediate: &mut SourceSet) {
+        // A base cell's intermediate set is empty: only the origin moves.
+        origin.union_with(self.origin);
     }
     #[inline]
     fn cell(self, i: usize) -> Cell {
@@ -270,11 +284,6 @@ impl<'a> RowView<'a> for BaseRow<'a> {
             self.origin.clone(),
             SourceSet::empty(),
         )
-    }
-    #[inline]
-    fn absorb_into(self, _i: usize, into: &mut Cell) {
-        // A base cell's intermediate set is empty: only the origin moves.
-        into.origin.union_with(self.origin);
     }
 }
 
@@ -338,7 +347,10 @@ mod tests {
             assert_eq!(b.width(), t.width());
             for i in 0..b.width() {
                 assert_eq!(b.datum(i), t.datum(i));
-                assert_eq!(b.origin(i), t.origin(i));
+                let (mut via_base, mut via_tagged) = (SourceSet::empty(), SourceSet::empty());
+                b.origin_into(i, &mut via_base);
+                t.origin_into(i, &mut via_tagged);
+                assert_eq!(via_base, via_tagged);
                 assert_eq!(b.cell(i), t.cell(i));
                 let mut via_base = Cell::retrieved(b.datum(i).clone(), SourceId(9));
                 let mut via_tagged = via_base.clone();

@@ -185,18 +185,35 @@ impl ByteWriter {
     }
 }
 
+/// Source ids below this sit in a `SourceSet`'s two inline words; a set
+/// holding one at or past it lives on the heap, in `id / 64 + 1` words.
+const INLINE_IDS: u16 = 128;
+
+/// Heap words the source sets of one decoded buffer may spill, per byte
+/// of the buffer. A spilled set costs at least 4 bytes on the wire (its
+/// count and one id), and over ≤ 256 sources it spills at most
+/// `255 / 64 + 1 = 4` words, so one word per byte decodes every such
+/// answer. An id of 65 535 asks for 1 024 words (8 KiB) from 4 bytes.
+const SPILL_WORDS_PER_BYTE: usize = 1;
+
 /// Cursor-style decoder over a byte slice. Every read checks bounds and
 /// reports [`CodecError::Truncated`] instead of panicking.
 #[derive(Debug)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Heap words the source sets still to decode may spill.
+    spill: usize,
 }
 
 impl<'a> ByteReader<'a> {
     /// Decode from the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
+        ByteReader {
+            buf,
+            pos: 0,
+            spill: buf.len() * SPILL_WORDS_PER_BYTE,
+        }
     }
 
     /// Bytes not yet consumed.
@@ -285,6 +302,8 @@ impl<'a> ByteReader<'a> {
         let count = self.get_u16()?;
         let mut prev: Option<u16> = None;
         let mut set = SourceSet::empty();
+        // Heap words this set holds so far.
+        let mut spilled = 0;
         for _ in 0..count {
             let id = self.get_u16()?;
             // Enforce the canonical (ascending, duplicate-free) form so
@@ -293,6 +312,16 @@ impl<'a> ByteReader<'a> {
                 return Err(CodecError::Corrupt("source ids not ascending".into()));
             }
             prev = Some(id);
+            if id >= INLINE_IDS {
+                // The spill branch: charge the words the set grows to
+                // before it grows. A buffer whose sets spill past its
+                // bound is hostile, not an answer.
+                let words = usize::from(id) / 64 + 1;
+                self.spill = self.spill.checked_sub(words - spilled).ok_or_else(|| {
+                    CodecError::Corrupt("source sets spill past the frame's bound".into())
+                })?;
+                spilled = words;
+            }
             set.insert(SourceId(id));
         }
         Ok(set)

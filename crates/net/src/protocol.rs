@@ -565,6 +565,38 @@ mod tests {
         }
     }
 
+    /// A `Rows` frame whose sets name high source ids asks the decoder
+    /// for 8 KiB of heap per 4-byte set: 1 000 cells tagged `{65535}`
+    /// would take ~8 MiB from an ~8 KB frame, and fail to decode instead.
+    /// Every answer over ≤ 256 sources still round-trips, densest first.
+    #[test]
+    fn rows_frames_bound_the_heap_their_source_sets_spill() {
+        let tagged = |origin: SourceSet, intermediate: SourceSet| Frame::Rows {
+            tuples: vec![vec![Cell::new(Value::Null, origin, intermediate)]; 1000],
+        };
+        let hostile = tagged(SourceSet::singleton(SourceId(65535)), SourceSet::empty());
+        let wire = hostile.encode();
+        assert!(
+            matches!(Frame::decode(&wire[4..]), Err(CodecError::Corrupt(_))),
+            "a frame whose sets spill 2 000x its size decodes"
+        );
+        for frame in [
+            tagged(
+                SourceSet::singleton(SourceId(255)),
+                SourceSet::singleton(SourceId(255)),
+            ),
+            tagged(
+                SourceSet::from_ids((0..256).map(SourceId)),
+                SourceSet::singleton(SourceId(128)),
+            ),
+        ] {
+            let wire = frame.encode();
+            let back = Frame::decode(&wire[4..]).unwrap();
+            assert_eq!(back, frame);
+            assert_eq!(back.encode(), wire);
+        }
+    }
+
     #[test]
     fn responses_round_trip_through_frames() {
         let rows = Response::Rows {

@@ -8,15 +8,19 @@
 //! place, equi-joins run as single-pass hash joins with the join-column
 //! coalesce fused into the emit, and Merge runs as the k-way single-pass
 //! hash merge — both reading leaves in place, so a base cell is first
-//! built when a kernel writes it into its output. Only pipeline breakers
-//! (joins, merges, set operations) materialize relations, with two fused
-//! exceptions: a hash join whose only consumer opens with a Project
+//! built when a kernel writes it into its output. A merge's answer is
+//! late-built the same way: it hands its consumers a
+//! [`MergedView`] of the rows it kept, which a hash join reads in place
+//! (building only the merged cells it outputs) and a pipeline with no
+//! stages left passes on; every other consumer materializes it. Only
+//! the other pipeline breakers (joins, set operations) materialize
+//! relations, and a hash join whose only consumer opens with a Project
 //! ([`PhysicalPlan::fused_join_project`]) runs that Project inside its
-//! emit and materializes the projection, never its own output; and a
-//! merge whose only consumer opens with Selects/Restricts
-//! ([`PhysicalPlan::fused_merge_stages`]) runs them inside its emit and
-//! materializes only the rows they keep. Nothing else is retained: the
-//! walk returns the answer alone.
+//! emit and materializes the projection, never its own output. A merge
+//! whose only consumer opens with Selects/Restricts
+//! ([`PhysicalPlan::fused_merge_stages`]) runs them in its pass and keeps
+//! only the rows they pass. Nothing else is retained: the walk returns
+//! the answer alone.
 //!
 //! The paper-faithful row-by-row interpreter survives as
 //! [`execute_eager`]: it materializes every `R(n)` eagerly with the
@@ -44,8 +48,8 @@ use crate::pqp::PqpOptions;
 use polygen_catalog::dictionary::DataDictionary;
 use polygen_core::algebra::join::equi_join_coalesced_schema;
 use polygen_core::algebra::merge::merged_schema;
-use polygen_core::algebra::{self, coalesce::ConflictPolicy, RowFilter};
-use polygen_core::base::BaseRelation;
+use polygen_core::algebra::{self, coalesce::ConflictPolicy, MergedView, RowFilter};
+use polygen_core::base::{BaseRelation, Operand};
 use polygen_core::batch::ColumnBatch;
 use polygen_core::relation::PolygenRelation;
 use polygen_core::stream::{concat_streams, scoped_map, ParallelOptions, Partitioner, TupleStream};
@@ -143,11 +147,16 @@ fn check_schema(i: usize, node: &plan::PhysNode, ran: &Schema) -> Result<(), Pqp
 /// late-tagged [`Slot::Leaf`]s — cloning one is a few pointer copies, so
 /// any number of consumers may take it: a pipeline lifts it into a
 /// `ColumnBatch` with uniform tag columns, hash joins and merges read it
-/// in place, and everything else materializes it. Every interior node
-/// flows as a [`Slot::Stream`] of `Arc`-shared tuples.
+/// in place, and everything else materializes it. A HashMerge's answer
+/// stays late-built in the same way, as a [`Slot::Merged`] view: a hash
+/// join reads it in place and builds only the merged cells its output
+/// keeps, a pipeline with no stages left passes it on, and everything
+/// else materializes it. Every other node flows as a [`Slot::Stream`]
+/// of `Arc`-shared tuples.
 #[derive(Clone)]
 enum Slot {
     Leaf(BaseRelation),
+    Merged(Arc<MergedView<BaseRelation>>),
     Stream(TupleStream),
 }
 
@@ -155,6 +164,7 @@ impl Slot {
     fn schema(&self) -> &Arc<Schema> {
         match self {
             Slot::Leaf(b) => b.schema(),
+            Slot::Merged(m) => m.schema(),
             Slot::Stream(s) => s.schema(),
         }
     }
@@ -163,6 +173,7 @@ impl Slot {
     fn len(&self) -> usize {
         match self {
             Slot::Leaf(b) => b.len(),
+            Slot::Merged(m) => m.len(),
             Slot::Stream(s) => s.len(),
         }
     }
@@ -170,16 +181,40 @@ impl Slot {
     fn into_relation(self) -> PolygenRelation {
         match self {
             Slot::Leaf(b) => b.materialize(),
+            Slot::Merged(m) => Arc::try_unwrap(m).map_or_else(|m| m.materialize(), Into::into),
             Slot::Stream(s) => s.into_relation(),
         }
     }
 
     fn into_stream(self) -> TupleStream {
         match self {
-            Slot::Leaf(b) => TupleStream::from_relation(b.materialize()),
             Slot::Stream(s) => s,
+            slot => TupleStream::from_relation(slot.into_relation()),
         }
     }
+}
+
+/// Run `$body` with `$o` bound to a reference to the slot `$slot` as a
+/// kernel operand: a leaf or a merged view read in place, anything else
+/// as its tagged relation.
+macro_rules! with_operand {
+    ($slot:expr, |$o:ident| $body:expr) => {
+        match $slot {
+            Slot::Leaf(leaf) => {
+                let $o = &leaf;
+                $body
+            }
+            Slot::Merged(merged) => {
+                let $o = &*merged;
+                $body
+            }
+            slot => {
+                let tagged = slot.into_relation();
+                let $o = &tagged;
+                $body
+            }
+        }
+    };
 }
 
 /// Run a batch-eligible stage chain on the columnar kernels. Returns
@@ -358,6 +393,8 @@ pub fn execute_plan(
                 // kernels with late tag materialization, everything
                 // else the row walk below.
                 match take(&mut slots, &mut remaining, *input) {
+                    // A merge ran every stage: its view passes on.
+                    merged @ Slot::Merged(_) if stages.is_empty() => merged,
                     Slot::Leaf(base) if plan.is_batch_pipeline(i) => {
                         if !span.is_none() {
                             trace.annotate(span, "kernel", Note::str("batch"));
@@ -449,21 +486,9 @@ pub fn execute_plan(
                     }
                 }
                 let project = project.as_deref();
-                use algebra::hash_equi_join_project as join;
-                let (joined, used, pairs) = match (l, r) {
-                    (Slot::Leaf(l), Slot::Leaf(r)) => join(&l, &r, x, y, out, project, run)?,
-                    (Slot::Leaf(l), r) => join(&l, &r.into_relation(), x, y, out, project, run)?,
-                    (l, Slot::Leaf(r)) => join(&l.into_relation(), &r, x, y, out, project, run)?,
-                    (l, r) => join(
-                        &l.into_relation(),
-                        &r.into_relation(),
-                        x,
-                        y,
-                        out,
-                        project,
-                        run,
-                    )?,
-                };
+                let (joined, used, pairs) = with_operand!(l, |l| with_operand!(r, |r| {
+                    algebra::hash_equi_join_project(l, r, x, y, out, project, run)?
+                }));
                 fanned = used;
                 rows = Some(pairs);
                 Slot::Stream(TupleStream::from_relation(joined))
@@ -502,7 +527,7 @@ pub fn execute_plan(
                     .enumerate()
                     .map(|(k, slot)| match slot {
                         Slot::Leaf(b) => Ok(b.rename_attrs(&names(k))?),
-                        Slot::Stream(_) => Err(PqpError::MalformedRow {
+                        Slot::Merged(_) | Slot::Stream(_) => Err(PqpError::MalformedRow {
                             row: node.row,
                             reason: format!(
                                 "Merge input R({}) is not a base retrieve",
@@ -529,11 +554,11 @@ pub fn execute_plan(
                 if !filters.is_empty() && !span.is_none() {
                     trace.annotate(span, "kernel", Note::str("merge+select"));
                 }
-                let (kept, _conflicts, used, merged) =
-                    algebra::hash_merge_select(&operands, key, policy, &filters, run)?;
+                let (view, _conflicts, used, merged) =
+                    algebra::hash_merge_view(operands, key, policy, &filters, run)?;
                 fanned = used;
                 rows = Some(merged);
-                Slot::Stream(TupleStream::from_relation(kept))
+                Slot::Merged(Arc::new(view))
             }
             PhysOp::AntiJoin { left, right, x, y } => {
                 let l = take(&mut slots, &mut remaining, *left).into_relation();

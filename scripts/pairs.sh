@@ -4,10 +4,10 @@
 # only; edits nothing under benchmark/.
 #
 #   bash scripts/pairs.sh <parent-rev> [--workload W|all] [--pairs N]
-#                         [--seconds S] [--first-seed F]
+#                         [--seconds S] [--first-seed F] [--traced K]
 #
 # Defaults: --workload tag_tax, --pairs 10, --seconds = BENCHMARK.json's
-# run_seconds, --first-seed 101. `--workload all` runs every workload
+# run_seconds, --first-seed 101, --traced 1. `--workload all` runs every workload
 # BENCHMARK.json declares, one after another, each printing its own
 # tables. The parent is exported with `git archive` into a work
 # directory (a plain tree: nothing is registered in this repository's
@@ -30,6 +30,13 @@
 # `us` and `ratio` metric, parent beside change with the change in % —
 # one run per side, so where a saving sits, not a measurement of it.
 #
+# `--traced K` makes that K alternating traced runs per side, on seeds
+# F … F+K-1 (odd seeds run the parent first). A counter then shows one
+# value per side, or its min-max where the side's runs differ, marked
+# `~`; `*` marks a seed on which parent and change differ. Each `us` and
+# `ratio` metric shows each side's median and [min-max] over its K runs,
+# and the change of the medians in %. K = 1 prints what it always has.
+#
 # Exits non-zero if any run reports `failed` > 0.
 #
 # The work directory (the exported parent, both target directories and
@@ -39,7 +46,7 @@
 set -euo pipefail
 
 usage() {
-    echo "usage: bash scripts/pairs.sh <parent-rev> [--workload W|all] [--pairs N] [--seconds S] [--first-seed F]" >&2
+    echo "usage: bash scripts/pairs.sh <parent-rev> [--workload W|all] [--pairs N] [--seconds S] [--first-seed F] [--traced K]" >&2
     exit 2
 }
 
@@ -50,6 +57,7 @@ workload=tag_tax
 pairs=10
 seconds=""
 first_seed=101
+traced=1
 while [ $# -gt 0 ]; do
     [ $# -ge 2 ] || usage
     case "$1" in
@@ -57,6 +65,7 @@ while [ $# -gt 0 ]; do
         --pairs) pairs="$2" ;;
         --seconds) seconds="$2" ;;
         --first-seed) first_seed="$2" ;;
+        --traced) traced="$2" ;;
         *) usage ;;
     esac
     shift 2
@@ -176,32 +185,105 @@ measure() {
         END { if (n) report() }
     ' "$table"
 
-    run parent "$first_seed" 1
-    run change "$first_seed" 1
-    echo
-    echo "$workload: exact counters, one traced run per side on seed $first_seed (* = differs)"
-    jq -r -n --slurpfile p "$dir/runs/$workload-parent-$first_seed-traced.json" --slurpfile c "$dir/runs/$workload-change-$first_seed-traced.json" '
-        ($p[0].metrics // {}) as $pm | ($c[0].metrics // {}) as $cm
-        | ($pm + $cm) | to_entries[]
-        | select(.value.unit == "count" or .value.unit == "B" or .value.unit == "hash")
-        | .key as $k
-        | [$k, .value.unit, ($pm[$k].value // "missing" | tostring), ($cm[$k].value // "missing" | tostring)]
-        | @tsv' 2>/dev/null |
-        awk -F '\t' '{ printf "%-28s %-6s %22s -> %-22s %s\n", $1, $2, $3, $4, ($3 == $4 ? "" : "*") }'
+    local last_traced=$((first_seed + traced - 1)) runs=()
+    for i in $(seq 1 "$traced"); do
+        seed=$((first_seed + i - 1))
+        if [ $((i % 2)) -eq 1 ]; then
+            run parent "$seed" 1
+            run change "$seed" 1
+        else
+            run change "$seed" 1
+            run parent "$seed" 1
+        fi
+        runs+=("$dir/runs/$workload-parent-$seed-traced.json" "$dir/runs/$workload-change-$seed-traced.json")
+    done
+    # One line per (metric, traced run): name, unit, side, seed, value.
+    local traced_table="$dir/traced-$workload.tsv"
+    for f in "${runs[@]}"; do
+        side="${f##*/$workload-}"
+        side="${side%%-*}"
+        seed="${f%-traced.json}"
+        seed="${seed##*-}"
+        jq -r --arg side "$side" --arg seed "$seed" '
+            (.metrics // {}) | to_entries[]
+            | [.key, .value.unit, $side, $seed, (.value.value | tostring)] | @tsv' "$f" 2>/dev/null || true
+    done >"$traced_table"
 
     echo
-    echo "$workload: per-layer times and ratios, the same traced runs (informational)"
-    jq -r -n --slurpfile p "$dir/runs/$workload-parent-$first_seed-traced.json" --slurpfile c "$dir/runs/$workload-change-$first_seed-traced.json" '
-        ($p[0].metrics // {}) as $pm | ($c[0].metrics // {}) as $cm
-        | ($pm + $cm) | to_entries[]
-        | select(.value.unit == "us" or .value.unit == "ratio")
-        | .key as $k
-        | [$k, .value.unit, ($pm[$k].value // "missing" | tostring), ($cm[$k].value // "missing" | tostring)]
-        | @tsv' 2>/dev/null |
-        awk -F '\t' '{
-            delta = ($3 + 0 != 0 && $3 != "missing" && $4 != "missing") ? sprintf("%+8.1f%%", 100 * ($4 - $3) / $3) : ""
-            printf "%-28s %-6s %14.6g -> %-14.6g %s\n", $1, $2, $3, $4, delta
-        }'
+    if [ "$traced" = 1 ]; then
+        echo "$workload: exact counters, one traced run per side on seed $first_seed (* = differs)"
+    else
+        echo "$workload: exact counters, $traced traced runs per side on seeds $first_seed-$last_traced" \
+            "(* = parent and change differ on a seed, ~ = runs of one side differ)"
+    fi
+    awk -F '\t' '
+        $2 != "count" && $2 != "B" && $2 != "hash" { next }
+        !($1 in unit) { order[++n] = $1; unit[$1] = $2 }
+        {
+            v[$1, $3, $4] = $5; seen[$1, $3, $4] = 1; seeds[$4] = 1
+            if (($1, $3) in first) {
+                if ($5 != first[$1, $3]) varies[$1, $3] = 1
+                if ($5 + 0 < lo[$1, $3] + 0) lo[$1, $3] = $5
+                if ($5 + 0 > hi[$1, $3] + 0) hi[$1, $3] = $5
+            } else {
+                first[$1, $3] = $5; lo[$1, $3] = $5; hi[$1, $3] = $5
+            }
+        }
+        function shown(m, side) {
+            if (!((m, side) in first)) return "missing"
+            if (!((m, side) in varies)) return first[m, side]
+            # A hash has no range.
+            return unit[m] == "hash" ? "varies" : lo[m, side] "-" hi[m, side]
+        }
+        END {
+            for (i = 1; i <= n; i++) {
+                m = order[i]; mark = ""
+                for (s in seeds)
+                    if (v[m, "parent", s] != v[m, "change", s] || seen[m, "parent", s] != seen[m, "change", s]) mark = "*"
+                if ((m, "parent") in varies || (m, "change") in varies) mark = mark "~"
+                printf "%-28s %-6s %22s -> %-22s %s\n", m, unit[m], shown(m, "parent"), shown(m, "change"), mark
+            }
+        }' "$traced_table"
+
+    echo
+    if [ "$traced" = 1 ]; then
+        echo "$workload: per-layer times and ratios, the same traced runs (informational)"
+    else
+        echo "$workload: per-layer times and ratios, median [min-max] of the same $traced traced runs per side"
+    fi
+    awk -F '\t' -v k="$traced" '
+        $2 != "us" && $2 != "ratio" { next }
+        !($1 in unit) { order[++n] = $1; unit[$1] = $2 }
+        { cnt[$1, $3]++; val[$1, $3, cnt[$1, $3]] = $5 + 0 }
+        function sort(a, n,    i, j, t) {
+            for (i = 2; i <= n; i++) {
+                t = a[i]
+                for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]
+                a[j + 1] = t
+            }
+        }
+        # Median, min and max of one side of metric m, into med/min/max.
+        function stats(m, side,    i, a, c) {
+            c = cnt[m, side]
+            if (!c) { med = "missing"; return 0 }
+            for (i = 1; i <= c; i++) a[i] = val[m, side, i]
+            sort(a, c)
+            med = c % 2 ? a[(c + 1) / 2] : (a[c / 2] + a[c / 2 + 1]) / 2
+            lo = a[1]; hi = a[c]
+            return 1
+        }
+        END {
+            for (i = 1; i <= n; i++) {
+                m = order[i]
+                hp = stats(m, "parent"); pm = med; pl = lo; ph = hi
+                hc = stats(m, "change"); cm = med; cl = lo; ch = hi
+                delta = (hp && hc && pm != 0) ? sprintf("%+8.1f%%", 100 * (cm - pm) / pm) : ""
+                if (k == 1)
+                    printf "%-28s %-6s %14.6g -> %-14.6g %s\n", m, unit[m], pm, cm, delta
+                else
+                    printf "%-28s %-6s %12.6g [%.6g-%.6g] -> %-12.6g [%.6g-%.6g] %s\n", m, unit[m], pm, pl, ph, cm, cl, ch, delta
+            }
+        }' "$traced_table"
 }
 
 first=1

@@ -705,3 +705,71 @@ fn analyzed_fused_merge_keeps_its_row_counts() {
         .collect();
     assert_eq!(kernels, vec![Some("merge+select")]);
 }
+
+/// EXPLAIN ANALYZE over a join that reads a merge's late-built view
+/// keeps the row counts the merge-then-join run had: the merge's `act=`
+/// counts the rows it merged, a pipeline whose stages the merge ran
+/// the rows they kept, the join the pairs it matched — at 1 and 4
+/// threads, for the join class and the paper class. (Every literal was
+/// rendered before the merge's answer was late-built.) The merged
+/// cells are built by the join that writes them into its output, so
+/// the HashJoin span carries the `kernel` note and the merge's names
+/// only the stages it ran.
+#[test]
+fn analyzed_late_merge_keeps_its_row_counts() {
+    let big = polygen::workload::generate(&common::fixtures::small_config(5, 3, 64));
+    let join = polygen::workload::queries::join_query(50);
+    let sql = polygen::workload::queries::paper_shaped_sql(2);
+    let paper_class = Pqp::for_scenario(&big)
+        .translate_sql(&sql)
+        .unwrap()
+        .to_string();
+    let leaves = "\
+#0  Scan[S0] DETAIL[DSCORE >= 50]  → R(1)  est=(1500 µs, ~200 rows)  act=(_ µs, 997 rows)
+#1  Scan[S0] ENTITY_0  → R(2)  est=(700 µs, ~40 rows)  act=(_ µs, 40 rows)
+#2  Scan[S1] ENTITY_1  → R(3)  est=(725 µs, ~45 rows)  act=(_ µs, 45 rows)
+#3  Scan[S2] ENTITY_2  → R(4)  est=(675 µs, ~35 rows)  act=(_ µs, 35 rows)
+";
+    for (threads, split) in [(1, ""), (4, ", x4")] {
+        assert_snapshot(
+            &analyzed_text_at(&big, &join, &[], threads),
+            &format!(
+                "{leaves}\
+#4  HashMerge[PENTITY on ENAME, 3-way single pass] over R(2), R(3), R(4)  → R(5)  est=(120 µs, ~120 rows)  act=(_ µs, 64 rows{split})
+#5  HashJoin[R(1).DNAME = R(5).ENAME, coalesce → ENAME] (build R(5), probe R(1))  → R(6)  est=(320 µs, ~200 rows)  act=(_ µs, 997 rows{split})
+#6  Pipeline over R(6) → Project[ENAME, CATEGORY]@R(7)  → R(7) ◀ answer  est=(200 µs, ~200 rows)  act=(_ µs, 64 rows)
+(estimated 4240 µs total, executed in _ µs)"
+            ),
+        );
+        assert_snapshot(
+            &analyzed_text_at(&big, &paper_class, &[], threads),
+            &format!(
+                "{leaves}\
+#4  HashMerge[PENTITY on ENAME, 3-way single pass] over R(2), R(3), R(4)  → R(5)  est=(120 µs, ~120 rows)  act=(_ µs, 64 rows{split})
+#5  Pipeline over R(5) → Select[CATEGORY = C2]@R(6)  → R(6)  est=(120 µs, ~12 rows)  act=(_ µs, 7 rows{split})
+#6  HashJoin[R(1).DNAME = R(6).ENAME, coalesce → ENAME] (build R(6), probe R(1))  → R(7)  est=(212 µs, ~200 rows)  act=(_ µs, 110 rows{split})
+#7  Pipeline over R(7) → Project[ENAME, CATEGORY]@R(8)  → R(8) ◀ answer  est=(200 µs, ~200 rows)  act=(_ µs, 7 rows)
+(estimated 4252 µs total, executed in _ µs)"
+            ),
+        );
+    }
+    let pqp = Pqp::for_scenario(&big);
+    for (expr, merge_kernel) in [(&join, None), (&paper_class, Some("merge+select"))] {
+        let compiled = pqp.compile(parse_algebra(expr).unwrap()).unwrap();
+        let trace = Trace::enabled();
+        pqp.run_compiled_traced(&compiled, &trace).unwrap();
+        let report = trace.report().expect("enabled recorder reports");
+        let kernels = |name| -> Vec<Option<&str>> {
+            report
+                .spans_named(name)
+                .map(|sp| sp.note_str("kernel"))
+                .collect()
+        };
+        assert_eq!(
+            kernels("exec/HashJoin"),
+            vec![Some("join+project")],
+            "{expr}"
+        );
+        assert_eq!(kernels("exec/HashMerge"), vec![merge_kernel], "{expr}");
+    }
+}

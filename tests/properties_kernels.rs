@@ -30,6 +30,7 @@
 use polygen::core::algebra;
 use polygen::core::algebra::coalesce::ConflictPolicy;
 use polygen::core::algebra::RowFilter;
+use polygen::core::base::Operand;
 use polygen::core::batch::ColumnBatch;
 use polygen::core::stream::{ParallelOptions, TupleStream};
 use polygen::core::tuple::PolyTuple;
@@ -271,6 +272,55 @@ fn stage_specs() -> impl Strategy<Value = StageSpec> {
     )
 }
 
+/// The relation a merged view joins: `D(J, W)` over rows of `(J index,
+/// W, origin id)`, `J` drawn from the merge's key and data values —
+/// `nil`, `0`, `1` and, as in [`merge_operand`], `1.0` with `mixed`,
+/// else `2` — so it meets keys, non-key data and the `1` / `1.0` pair.
+fn join_partner(rows: &[(usize, i64, u16)], mixed: bool) -> PolygenRelation {
+    let values = [
+        Value::Null,
+        Value::int(0),
+        Value::int(1),
+        if mixed {
+            Value::float(1.0)
+        } else {
+            Value::int(2)
+        },
+    ];
+    let tuples = rows
+        .iter()
+        .map(|&(j, w, origin)| {
+            vec![
+                Cell::retrieved(values[j].clone(), SourceId(origin)),
+                Cell::retrieved(Value::int(w), SourceId(origin + 1)),
+            ]
+        })
+        .collect();
+    PolygenRelation::from_tuples(Arc::new(Schema::new("D", &["J", "W"]).unwrap()), tuples).unwrap()
+}
+
+/// Two join results are the same bytes: schema, data, tags and order,
+/// or the same error, message included.
+fn same_join(
+    view: Result<(PolygenRelation, usize, usize), polygen::core::PolygenError>,
+    built: Result<(PolygenRelation, usize, usize), polygen::core::PolygenError>,
+    what: &str,
+) {
+    match (view, built) {
+        (Ok((view, used, pairs)), Ok((built, built_used, built_pairs))) => {
+            prop_assert_eq!(view.schema().attrs(), built.schema().attrs(), "{}", what);
+            prop_assert_eq!(view.tuples(), built.tuples(), "{}", what);
+            prop_assert_eq!((used, pairs), (built_used, built_pairs), "{}", what);
+        }
+        (Err(view), Err(built)) => prop_assert_eq!(view.to_string(), built.to_string(), "{}", what),
+        (view, built) => panic!(
+            "{what}: view {:?} vs built {:?}",
+            view.map(|_| ()),
+            built.map(|_| ())
+        ),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -311,7 +361,8 @@ proptest! {
         for policy in [ConflictPolicy::Strict, ConflictPolicy::PreferLeft, ConflictPolicy::PreferRight] {
             for partitions in [1, 2, 4] {
                 let par = ParallelOptions { threads: partitions, partitions };
-                let fused = algebra::hash_merge_select(&rels, "K", policy, &filters, par);
+                let fused = algebra::hash_merge_view(rels.clone(), "K", policy, &filters, par)
+                    .map(|(view, c, used, merged)| (PolygenRelation::from(view), c, used, merged));
                 let unfused = algebra::hash_merge_partitioned(&rels, "K", policy, par).and_then(
                     |(merged, ..)| {
                         let rows = merged.len();
@@ -350,6 +401,82 @@ proptest! {
                         fused.map(|_| ()),
                         unfused.map(|_| ())
                     ),
+                }
+            }
+        }
+    }
+
+    /// A join reads a merge's late-built view as it reads the merge's
+    /// relation: the join over `hash_merge_view`'s view equals the join
+    /// over the same view materialized, byte for byte with order (matched
+    /// pairs and partition count too), or fails with the same message.
+    /// 2–4 operands of ≤ 12 rows with nil and duplicate keys (the fold
+    /// fallback) and a `1` / `1.0` key pair, 0–3 fused filters, every
+    /// conflict policy, P ∈ {1, 2, 4}; the view on the probe side and on
+    /// the build side, joined on its key or on the non-key `V`, with and
+    /// without a Project.
+    #[test]
+    fn joins_over_a_merged_view_match_joins_over_its_relation(
+        operands in merge_operands(),
+        specs in proptest::collection::vec(
+            (any::<bool>(), 0usize..6, 0usize..6, 0usize..4, 0usize..4),
+            0..4,
+        ),
+        partner in proptest::collection::vec((0usize..4, 0i64..3, 0u16..4), 0..13),
+        mixed in any::<bool>(),
+        unique in any::<bool>(),
+        on_key in any::<bool>(),
+    ) {
+        let rels: Vec<PolygenRelation> = operands
+            .iter()
+            .enumerate()
+            .map(|(j, rows)| merge_operand(j, rows, mixed, unique))
+            .collect();
+        let mut columns = vec!["K".to_string(), "V".to_string()];
+        columns.extend((0..rels.len()).map(|j| format!("U{j}")));
+        let constants = [Value::Null, Value::int(0), Value::int(1), Value::float(1.0)];
+        let cmps = [Cmp::Eq, Cmp::Ne, Cmp::Lt, Cmp::Ge];
+        let filters: Vec<RowFilter<'_>> = specs
+            .iter()
+            .map(|&(select, a, b, cmp, c)| {
+                let (x, cmp) = (columns[a % columns.len()].as_str(), cmps[cmp]);
+                if select {
+                    RowFilter::Select { attr: x, cmp, value: &constants[c] }
+                } else {
+                    RowFilter::Restrict { x, cmp, y: columns[b % columns.len()].as_str() }
+                }
+            })
+            .collect();
+        let partner = join_partner(&partner, mixed);
+        let m = if on_key { "K" } else { "V" };
+        // Probe side `[K, V, U…, W]`, build side `[J, W, …]` without `m`.
+        let probe_projects: [Option<&[&str]>; 4] =
+            [None, Some(&[m, "W"]), Some(&["U0", "W"]), Some(&["W", "V"])];
+        let build_projects: [Option<&[&str]>; 4] =
+            [None, Some(&["J", "U0"]), Some(&["W", "U0"]), Some(&["U1", "J"])];
+        for policy in [ConflictPolicy::Strict, ConflictPolicy::PreferLeft, ConflictPolicy::PreferRight] {
+            for partitions in [1, 2, 4] {
+                let par = ParallelOptions { threads: partitions, partitions };
+                let Ok((view, ..)) = algebra::hash_merge_view(rels.clone(), "K", policy, &filters, par)
+                else {
+                    continue;
+                };
+                let built = view.materialize();
+                for project in probe_projects {
+                    let what = format!("view probes on {m}, {project:?}, {filters:?} at P = {partitions} under {policy:?}");
+                    same_join(
+                        algebra::hash_equi_join_project(&view, &partner, m, "J", m, project, par),
+                        algebra::hash_equi_join_project(&built, &partner, m, "J", m, project, par),
+                        &what,
+                    );
+                }
+                for project in build_projects {
+                    let what = format!("view builds on {m}, {project:?}, {filters:?} at P = {partitions} under {policy:?}");
+                    same_join(
+                        algebra::hash_equi_join_project(&partner, &view, "J", m, "J", project, par),
+                        algebra::hash_equi_join_project(&partner, &built, "J", m, "J", project, par),
+                        &what,
+                    );
                 }
             }
         }

@@ -23,7 +23,7 @@ use polygen::core::stream::ParallelOptions;
 use polygen::core::{Cell, PolygenRelation, SourceId};
 use polygen::flat::{Schema, Value};
 use polygen::obs::trace::Trace;
-use polygen::pqp::prelude::{execute_plan, lower_plan, PqpOptions};
+use polygen::pqp::prelude::{execute_plan, lower_plan, PhysOp, Pqp, PqpOptions};
 use polygen::sql::prelude::PAPER_EXPRESSION;
 use polygen::workload;
 use proptest::prelude::*;
@@ -346,6 +346,96 @@ fn fused_merge_stages_match_the_unfused_run_across_thread_counts() {
                             "`{expr}` under {policy:?} at {threads} threads: fused {:?} vs unfused {:?}",
                             fused.map(|_| ()),
                             unfused.map(|_| ())
+                        ),
+                    }
+                    assert_parallel_matches(&sc, expr, policy, threads);
+                }
+            }
+        }
+    }
+}
+
+/// A join over a merge reads the merge's late-built view in place and
+/// builds only the merged cells it keeps. The production plan must
+/// answer what the same plan answers with every merge given a second
+/// consumer (its view shared, so a consumer that cannot read it in
+/// place builds it whole) and what the eager interpreter answers —
+/// answer and every prefix — at every thread count, under every
+/// conflict policy: the join and paper classes, the view on the probe
+/// side, a join on a non-key merged column, and a merge joined to a
+/// merge.
+#[test]
+fn late_built_merges_match_a_shared_merge_and_eager_across_thread_counts() {
+    let paper_class = {
+        let sc = workload::generate(&small_config(0xfeed, 4, 200));
+        let sql = workload::queries::paper_shaped_sql(1);
+        Pqp::for_scenario(&sc)
+            .translate_sql(&sql)
+            .unwrap()
+            .to_string()
+    };
+    let exprs = [
+        workload::queries::join_query(50),
+        paper_class,
+        "(PENTITY [ENAME = ENAME] (PDETAIL [SCORE >= 20])) [CATEGORY, SCORE]".to_string(),
+        "((PENTITY [CATEGORY = \"C1\"]) [CATEGORY = CATEGORY] PENTITY) [ENAME, CATEGORY]"
+            .to_string(),
+    ];
+    for sc in [
+        workload::generate(&small_config(0xfeed, 4, 200)),
+        workload::generate(&conflicted_config(0xbeef, 3, 120)),
+    ] {
+        let registry = polygen::lqp::scenario_registry(&sc);
+        for expr in &exprs {
+            let plan = lower_plan(
+                &compile(expr, sc.dictionary.schema()),
+                &registry,
+                &sc.dictionary,
+            )
+            .unwrap();
+            let merges: Vec<usize> = (0..plan.nodes.len())
+                .filter(|&i| matches!(plan.nodes[i].op, PhysOp::HashMerge { .. }))
+                .collect();
+            assert!(!merges.is_empty(), "`{expr}` merges");
+            let mut shared = plan.clone();
+            for &m in &merges {
+                let consumer = (0..plan.nodes.len())
+                    .find(|&i| plan.nodes[i].op.inputs().contains(&m))
+                    .unwrap();
+                shared.nodes.push(plan.nodes[consumer].clone());
+            }
+            for policy in [
+                ConflictPolicy::Strict,
+                ConflictPolicy::PreferLeft,
+                ConflictPolicy::PreferRight,
+            ] {
+                for threads in THREAD_COUNTS {
+                    let options = PqpOptions {
+                        conflict_policy: policy,
+                        threads,
+                        partitions: threads,
+                        ..PqpOptions::default()
+                    };
+                    let run = |plan| {
+                        execute_plan(
+                            plan,
+                            &registry,
+                            &sc.dictionary,
+                            None,
+                            &options,
+                            &Trace::disabled(),
+                        )
+                    };
+                    let what = format!("`{expr}` under {policy:?} at {threads} threads");
+                    match (run(&plan), run(&shared)) {
+                        (Ok(late), Ok(shared)) => assert_same_bytes(&shared, &late, &what),
+                        (Err(late), Err(shared)) => {
+                            assert_eq!(late.to_string(), shared.to_string(), "{what}")
+                        }
+                        (late, shared) => panic!(
+                            "{what}: production {:?} vs shared {:?}",
+                            late.map(|_| ()),
+                            shared.map(|_| ())
                         ),
                     }
                     assert_parallel_matches(&sc, expr, policy, threads);
