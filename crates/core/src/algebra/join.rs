@@ -50,7 +50,7 @@ pub fn theta_join(
         tuples.push(t);
     };
     if cmp == Cmp::Eq {
-        probe_equi(p1, xi, p2, yi, &mut |a, b| {
+        probe_equi(p1, xi, p2, yi, &mut |a, (_, b)| {
             emit(a, b);
             Ok(())
         })?;
@@ -116,19 +116,19 @@ impl<'p, B: RowView<'p>> EquiTable<'p, B> {
         }
     }
 
-    /// The build rows θ-equal to `key`, in build order: `key`'s chain,
-    /// then — only when the key columns mix `Int` and `Float` — the rows
-    /// of the other numeric type that equal it (`1 = 1.0` holds through
-    /// θ but lands in another hash bucket). `nil` matches nothing: no
-    /// `nil`-keyed row is in the table.
-    pub(crate) fn matches<'t>(&'t self, key: &'t Value) -> impl Iterator<Item = B> + 't {
+    /// The build rows θ-equal to `key`, in build order, each with its
+    /// row id in the table: `key`'s chain, then — only when the key
+    /// columns mix `Int` and `Float` — the rows of the other numeric type
+    /// that equal it (`1 = 1.0` holds through θ but lands in another hash
+    /// bucket). `nil` matches nothing: no `nil`-keyed row is in the table.
+    pub(crate) fn matches<'t>(&'t self, key: &'t Value) -> impl Iterator<Item = (u32, B)> + 't {
         let chain = std::iter::successors(self.head.get(key).copied(), |&r| {
             Some(self.next[r as usize]).filter(|&n| n != CHAIN_END)
         })
-        .map(|r| self.rows[r as usize]);
+        .map(|r| (r, self.rows[r as usize]));
         let rescan = self.mixed && matches!(key, Value::Int(_) | Value::Float(_));
         let others: &[B] = if rescan { &self.rows } else { &[] };
-        let cross = others.iter().copied().filter(move |b| {
+        let cross = (0..).zip(others.iter().copied()).filter(move |(_, b)| {
             let d = b.datum(self.yi);
             std::mem::discriminant(key) != std::mem::discriminant(d) && key.satisfies(Cmp::Eq, d)
         });
@@ -147,7 +147,8 @@ pub(crate) fn equi_table<'p, L: Operand, R: Operand>(
 }
 
 /// Hash build + probe over `p1[xi] = p2[yi]`, calling `emit` for every
-/// matching pair in probe order (see [`EquiTable::matches`]).
+/// matching pair in probe order, the build row with its id (see
+/// [`EquiTable::matches`]).
 fn probe_equi<'p, L: Operand, R: Operand, E>(
     p1: &'p L,
     xi: usize,
@@ -156,7 +157,7 @@ fn probe_equi<'p, L: Operand, R: Operand, E>(
     emit: &mut E,
 ) -> Result<(), PolygenError>
 where
-    E: FnMut(L::Row<'p>, R::Row<'p>) -> Result<(), PolygenError>,
+    E: FnMut(L::Row<'p>, (u32, R::Row<'p>)) -> Result<(), PolygenError>,
 {
     let table = equi_table(p1, xi, p2, yi);
     for a in p1.rows() {
@@ -227,34 +228,41 @@ struct JoinEmit<'k> {
 }
 
 /// What one run of a [`JoinEmit`] has built: output rows in order of
-/// first occurrence, the collapse's index over their borrowed data, and
-/// the matched pairs seen (collapsed or not).
+/// first occurrence, the collapse's index over their borrowed data (each
+/// row's position and the id of the build row that made it), and the
+/// matched pairs seen (collapsed or not).
 struct Emitted<'k, A, B> {
     rows: Vec<PolyTuple>,
-    first: HashMap<DataKey<'k, (A, B)>, usize>,
+    first: HashMap<DataKey<'k, (A, B)>, (usize, u32)>,
     pairs: usize,
 }
 
 impl<A, B> Emitted<'_, A, B> {
-    fn new() -> Self {
+    /// A collapse's index starts with room for as many rows as the
+    /// smaller side has, because a growing index re-hashes every row it
+    /// holds. A join on a merge's key, projected to that key and merged
+    /// columns, keeps at most that many; past it the index grows as any
+    /// map does.
+    fn new(collapse: bool, probe: usize, build: usize) -> Self {
         Emitted {
             rows: Vec::new(),
-            first: HashMap::new(),
+            first: HashMap::with_capacity(if collapse { probe.min(build) } else { 0 }),
             pairs: 0,
         }
     }
 }
 
 impl<'k> JoinEmit<'k> {
-    /// Emit the matched pair `(a, b)` with the Restrict-style mediator
-    /// update `a[xi](o) ∪ b[yi](o)` on every cell: as a new output row
-    /// (`true`), or — a duplicate of an earlier row on the projected
-    /// data — by unioning its tags attribute-wise into that row.
+    /// Emit the matched pair `(a, b)` — `b` the build row `r` — with the
+    /// Restrict-style mediator update `a[xi](o) ∪ b[yi](o)` on every
+    /// cell: as a new output row (`true`), or — a duplicate of an earlier
+    /// row on the projected data — by unioning its tags attribute-wise
+    /// into that row.
     fn emit<'a, A: RowView<'a>, B: RowView<'a>>(
         &self,
         into: &mut Emitted<'k, A, B>,
         a: A,
-        b: B,
+        (r, b): (u32, B),
     ) -> Result<bool, PolygenError> {
         into.pairs += 1;
         if a.datum(self.xi) != b.datum(self.yi) {
@@ -269,6 +277,35 @@ impl<'k> JoinEmit<'k> {
         let pair = (a, b);
         let mut mediators = SourceSet::empty();
         a.origin_into(self.xi, &mut mediators);
+        if self.collapse {
+            match into.first.entry(DataKey::of(pair, self.src)) {
+                Entry::Occupied(e) => {
+                    let &(row, by) = e.get();
+                    // The build row that made this row already lent it its
+                    // cells' tags and `b[yi](o)`: unions are idempotent, so
+                    // only `a`'s side is new. Over a build side with one row
+                    // per key (a merge), every duplicate of a Project that
+                    // keeps the key is of this kind.
+                    let again = by == r;
+                    if !again {
+                        b.origin_into(self.yi, &mut mediators);
+                    }
+                    for (cell, &s) in into.rows[row].iter_mut().zip(self.src) {
+                        if !again || s < a.width() {
+                            pair.absorb_into(s, cell);
+                        }
+                        if s == self.xi && !again {
+                            b.absorb_into(self.yi, cell);
+                        }
+                        cell.add_intermediate(&mediators);
+                    }
+                    return Ok(false);
+                }
+                Entry::Vacant(e) => {
+                    e.insert((into.rows.len(), r));
+                }
+            }
+        }
         b.origin_into(self.yi, &mut mediators);
         // Both unions commute with dropping what the answer drops, so a
         // cell gets the same tags built once or absorbed later.
@@ -278,20 +315,6 @@ impl<'k> JoinEmit<'k> {
             }
             cell.add_intermediate(&mediators);
         };
-        if self.collapse {
-            match into.first.entry(DataKey::of(pair, self.src)) {
-                Entry::Occupied(e) => {
-                    for (cell, &s) in into.rows[*e.get()].iter_mut().zip(self.src) {
-                        pair.absorb_into(s, cell);
-                        finish(s, cell);
-                    }
-                    return Ok(false);
-                }
-                Entry::Vacant(e) => {
-                    e.insert(into.rows.len());
-                }
-            }
-        }
         let row = self
             .src
             .iter()
@@ -336,7 +359,7 @@ impl<'k> JoinEmit<'k> {
             || p2.is_empty()
             || mixed_numeric_keys(p1, xi, p2, yi)
         {
-            let mut emitted = Emitted::new();
+            let mut emitted = Emitted::new(self.collapse, p1.len(), p2.len());
             probe_equi(p1, xi, p2, yi, &mut |a, b| {
                 self.emit(&mut emitted, a, b).map(drop)
             })?;
@@ -369,8 +392,8 @@ impl<'k> JoinEmit<'k> {
         let parts: Vec<_> = probe.into_iter().zip(build).collect();
         let results = scoped_map(parts, par.threads, |_, (probe, build)| {
             // Homogeneous keys (the mixed case fell back above): no rescan.
+            let mut emitted = Emitted::new(self.collapse, probe.len(), build.len());
             let table = EquiTable::build(build.into_iter(), yi, false);
-            let mut emitted = Emitted::new();
             let mut probe_index: Vec<usize> = Vec::new();
             for (orig, a) in probe {
                 for b in table.matches(a.datum(xi)) {

@@ -132,11 +132,6 @@ impl MergePlan {
 /// A fold row's operand slot that no row of that operand filled.
 const ABSENT: u32 = u32::MAX;
 
-/// The contribution mask (see [`lenders`]) of a cell whose coalesce met
-/// a conflict, and of every cell of a merge too wide for one bit per
-/// operand: its tags are replayed ([`merged_tags`]).
-const REPLAY: u64 = u64::MAX;
-
 /// The datum a column reads before any operand has contributed to it.
 static NIL: Value = Value::Null;
 
@@ -358,29 +353,12 @@ impl<'a> MergeFold<'a> {
         if filters.is_empty() {
             kept.reserve(self.rows(), self.arity, self.degree);
         }
-        // A `Prefer*` conflict's cells replay their coalesce; so does
-        // every cell of a merge too wide for one mask bit per operand.
-        let mut replayed = vec![self.arity >= 64; self.rows()];
-        for conflict in &self.conflicts {
-            replayed[conflict.tuple_index] = true;
-        }
-        let mut masks = vec![0; self.degree];
-        for (i, &replay) in replayed.iter().enumerate() {
+        for i in 0..self.rows() {
             let data = &self.data[i * self.degree..][..self.degree];
             if !filters.iter().all(|f| f.passes(data)) {
                 continue;
             }
             let from = &self.from[i * self.arity..][..self.arity];
-            for (c, mask) in masks.iter_mut().enumerate() {
-                *mask = if replay {
-                    REPLAY
-                } else if c == plan.key_col {
-                    // The key's tags are kept whole, below.
-                    0
-                } else {
-                    lenders(plan, operands, from, c, data[c])
-                };
-            }
             // The key column's tags: every contribution carries the key.
             let (mut key_origin, mut key_intermediate) = (SourceSet::empty(), SourceSet::empty());
             for (k, &r) in from.iter().enumerate() {
@@ -399,8 +377,8 @@ impl<'a> MergeFold<'a> {
                     if c == plan.key_col {
                         continue;
                     }
-                    if let Some((origin, _)) =
-                        column_tags(plan, operands, from, c, masks[c], policy)
+                    if let Some((_, origin, _)) =
+                        merged_tags(plan, operands, from, c, self.arity, policy)
                     {
                         mediators.union_with(&origin);
                     }
@@ -409,7 +387,6 @@ impl<'a> MergeFold<'a> {
             }
             kept.from.extend_from_slice(from);
             kept.data.extend(data.iter().map(|&datum| datum.clone()));
-            kept.masks.extend_from_slice(&masks);
             kept.keys.push((key_origin, key_intermediate));
             if ranked {
                 kept.ranks.push(self.rank(plan, i));
@@ -421,16 +398,16 @@ impl<'a> MergeFold<'a> {
 
 /// Merged rows before any cell exists: per row, `arity` operand row ids,
 /// its `degree` coalesced data (shared, not copied: a clone of a string
-/// datum is a reference count) and contribution masks, the key column's
-/// origin (`K(v)`, which every cell of the row gains as a mediator) and
-/// intermediate sets — read once per pair by a join on the key, so kept
-/// rather than replayed — the fused filters' mediators (none without
-/// filters) and, in a split run, the row's rank.
+/// datum is a reference count), the key column's origin (`K(v)`, which
+/// every cell of the row gains as a mediator) and intermediate sets —
+/// read once per pair by a join on the key, so kept rather than
+/// replayed — the fused filters' mediators (none without filters) and,
+/// in a split run, the row's rank. Every other column's tags are
+/// replayed ([`merged_tags`]) when a consumer asks for them.
 #[derive(Default)]
 struct Kept {
     from: Vec<u32>,
     data: Vec<Value>,
-    masks: Vec<u64>,
     keys: Vec<(SourceSet, SourceSet)>,
     mediators: Vec<SourceSet>,
     ranks: Vec<usize>,
@@ -440,7 +417,6 @@ impl Kept {
     fn reserve(&mut self, rows: usize, arity: usize, degree: usize) {
         self.from.reserve(rows * arity);
         self.data.reserve(rows * degree);
-        self.masks.reserve(rows * degree);
         self.keys.reserve(rows);
     }
 }
@@ -502,63 +478,6 @@ fn merged_tags<'a, O: Operand>(
     acc
 }
 
-/// The operands whose cells lend column `c` of the row whose
-/// contributions are `from` its tags, as a bit mask: where no conflict
-/// was met, the coalesce unions the tags of exactly the contributions
-/// holding the coalesced `datum` — a nil side keeps the other's, a nil
-/// datum gives way to the first non-nil, equal data union.
-fn lenders<O: Operand>(
-    plan: &MergePlan,
-    operands: &[O],
-    from: &[u32],
-    c: usize,
-    datum: &Value,
-) -> u64 {
-    let mut mask = 0;
-    for &(k, ci) in &plan.sources[c] {
-        let r = from[k];
-        if r == ABSENT {
-            continue;
-        }
-        let held = operands[k].row(r as usize).datum(ci);
-        // The contribution the datum was read from needs no comparing.
-        if std::ptr::eq(held, datum) || held == datum {
-            mask |= 1 << k;
-        }
-    }
-    mask
-}
-
-/// Column `c`'s origin and intermediate sets in the row whose
-/// contributions are `from`: the union of the tags of the contributions
-/// `mask` names, or replayed when it is [`REPLAY`]. `None` when no
-/// contribution carries the column.
-fn column_tags<O: Operand>(
-    plan: &MergePlan,
-    operands: &[O],
-    from: &[u32],
-    c: usize,
-    mask: u64,
-    policy: ConflictPolicy,
-) -> Option<(SourceSet, SourceSet)> {
-    if mask == REPLAY {
-        return merged_tags(plan, operands, from, c, operands.len(), policy)
-            .map(|(_, o, m)| (o, m));
-    }
-    if mask == 0 {
-        return None;
-    }
-    let (mut origin, mut intermediate) = (SourceSet::empty(), SourceSet::empty());
-    for &(k, ci) in &plan.sources[c] {
-        if mask >> k & 1 == 1 {
-            operands[k]
-                .row(from[k] as usize)
-                .tags_into(ci, &mut origin, &mut intermediate);
-        }
-    }
-    Some((origin, intermediate))
-}
-
 /// The closed form's kept rows, late-built: a [`Kept`] without ranks
 /// over the operands it names rows of.
 struct LateMerge {
@@ -587,7 +506,7 @@ impl LateMerge {
     }
 
     /// Row `i`'s column `c` tags before the row's mediators: the key's
-    /// as kept, any other column's from its contributions.
+    /// as kept, any other column's by replaying its coalesce.
     fn tags<O: Operand>(
         &self,
         operands: &[O],
@@ -599,8 +518,7 @@ impl LateMerge {
         }
         let arity = operands.len();
         let from = &self.rows.from[i * arity..][..arity];
-        let mask = self.rows.masks[i * self.plan.schema.degree() + c];
-        column_tags(&self.plan, operands, from, c, mask, self.policy)
+        merged_tags(&self.plan, operands, from, c, arity, self.policy).map(|(_, o, m)| (o, m))
     }
 
     fn origin_into<O: Operand>(&self, operands: &[O], i: usize, c: usize, into: &mut SourceSet) {
@@ -656,6 +574,16 @@ impl LateMerge {
 enum Body {
     Late(Box<LateMerge>),
     Folded(PolygenRelation),
+}
+
+impl Body {
+    /// Every kept row, built.
+    fn into_relation<O: Operand>(self, operands: &[O]) -> PolygenRelation {
+        match self {
+            Body::Late(late) => late.materialize(operands),
+            Body::Folded(rel) => rel,
+        }
+    }
 }
 
 /// A Merge's answer before any cell exists — what
@@ -771,42 +699,22 @@ impl<O: Operand> Operand for MergedView<O> {
 /// of a fallback's relation.
 impl<O: Operand> From<MergedView<O>> for PolygenRelation {
     fn from(view: MergedView<O>) -> Self {
-        match view.body {
-            Body::Late(late) => late.materialize(&view.operands),
-            Body::Folded(rel) => rel,
-        }
+        view.body.into_relation(&view.operands)
     }
 }
 
-/// [`hash_merge_view`] without filters, built: the single-pass hash
-/// Merge on its own. Returns the merged relation, the resolved conflicts and the
-/// partition count it ran at.
+/// [`hash_merge_view`] without filters over borrowed operands, built:
+/// the single-pass hash Merge on its own, [`merge`]'s relation. Returns
+/// the merged relation, the resolved conflicts and the partition count
+/// it ran at.
 pub fn hash_merge_partitioned<O: Operand>(
     relations: &[O],
     key: &str,
     policy: ConflictPolicy,
     par: ParallelOptions,
 ) -> Result<(PolygenRelation, Vec<CoalesceConflict>, usize), PolygenError> {
-    hash_merge_select(relations, key, policy, &[], par)
-        .map(|(merged, conflicts, used, _)| (merged, conflicts, used))
-}
-
-/// [`hash_merge_view`] over borrowed operands, built:
-/// `merge(relations)[filters…]` as a relation, with cells only for the
-/// rows the chain keeps. Without filters it is [`merge`]'s relation.
-pub(crate) fn hash_merge_select<O: Operand>(
-    relations: &[O],
-    key: &str,
-    policy: ConflictPolicy,
-    filters: &[RowFilter<'_>],
-    par: ParallelOptions,
-) -> Result<(PolygenRelation, Vec<CoalesceConflict>, usize, usize), PolygenError> {
-    let (body, conflicts, used, rows) = late_merge(relations, key, policy, filters, par)?;
-    let kept = match body {
-        Body::Late(late) => late.materialize(relations),
-        Body::Folded(rel) => rel,
-    };
-    Ok((kept, conflicts, used, rows))
+    let (body, conflicts, used, _) = late_merge(relations, key, policy, &[], par)?;
+    Ok((body.into_relation(relations), conflicts, used))
 }
 
 /// Single-pass, hash-based Merge — the physical-plan engine's kernel —
@@ -970,8 +878,6 @@ fn late_merge<O: Operand>(
                 .iter_mut()
                 .map(|datum| std::mem::replace(datum, Value::Null)),
         );
-        rows.masks
-            .extend_from_slice(&kept.masks[j * degree..][..degree]);
         rows.keys.push(std::mem::take(&mut kept.keys[j]));
         if let Some(mediators) = kept.mediators.get_mut(j) {
             rows.mediators.push(std::mem::take(mediators));
@@ -1447,14 +1353,26 @@ mod tests {
             value: &ibm,
         }];
         for par in [ParallelOptions::serial(), ParallelOptions::with_threads(4)] {
-            let strict = hash_merge_select(&rels, "ONAME", ConflictPolicy::Strict, &only_ibm, par);
+            let strict = hash_merge_view(
+                rels.to_vec(),
+                "ONAME",
+                ConflictPolicy::Strict,
+                &only_ibm,
+                par,
+            )
+            .map(|(view, ..)| PolygenRelation::from(view));
             assert!(
                 matches!(strict, Err(PolygenError::CoalesceConflict { .. })),
                 "{par:?}: {strict:?}"
             );
-            let (kept, conflicts, _, merged) =
-                hash_merge_select(&rels, "ONAME", ConflictPolicy::PreferLeft, &only_ibm, par)
-                    .unwrap();
+            let (kept, conflicts, _, merged) = hash_merge_view(
+                rels.to_vec(),
+                "ONAME",
+                ConflictPolicy::PreferLeft,
+                &only_ibm,
+                par,
+            )
+            .unwrap();
             assert_eq!((kept.len(), merged, conflicts.len()), (1, 3, 1));
         }
     }

@@ -31,7 +31,7 @@ pub fn semi_join(
     for t in p1.tuples() {
         // Several p2 tuples may match — all of them mediated.
         let mut mediators: Option<SourceSet> = None;
-        for b in table.matches(&t[xi].datum) {
+        for (_, b) in table.matches(&t[xi].datum) {
             mediators
                 .get_or_insert_with(|| t[xi].origin.clone())
                 .union_with(&b[yi].origin);

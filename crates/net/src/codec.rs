@@ -194,6 +194,9 @@ const INLINE_IDS: u16 = 128;
 /// count and one id), and over ≤ 256 sources it spills at most
 /// `255 / 64 + 1 = 4` words, so one word per byte decodes every such
 /// answer. An id of 65 535 asks for 1 024 words (8 KiB) from 4 bytes.
+/// This is the decoder's limit on federation width: a buffer dense in
+/// ids ≥ 256 (a federation of more sources) decodes only while its
+/// bytes pay for the words its sets spill, and is refused past that.
 const SPILL_WORDS_PER_BYTE: usize = 1;
 
 /// Cursor-style decoder over a byte slice. Every read checks bounds and
@@ -318,7 +321,11 @@ impl<'a> ByteReader<'a> {
                 // bound is hostile, not an answer.
                 let words = usize::from(id) / 64 + 1;
                 self.spill = self.spill.checked_sub(words - spilled).ok_or_else(|| {
-                    CodecError::Corrupt("source sets spill past the frame's bound".into())
+                    CodecError::Corrupt(format!(
+                        "source set with id {id} spills past the frame's bound of one heap \
+                         word per byte ({} bytes; ids below 256 always fit)",
+                        self.buf.len()
+                    ))
                 })?;
                 spilled = words;
             }

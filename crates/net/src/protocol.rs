@@ -597,6 +597,40 @@ mod tests {
         }
     }
 
+    /// Over a federation of more than 256 sources the bound is the
+    /// decoder's width limit: a high id decodes while the frame's bytes
+    /// pay for the words its set spills, and a frame dense in sparse
+    /// high ids is refused with an error that names the bound.
+    #[test]
+    fn rows_frames_past_256_sources_decode_while_their_bytes_pay() {
+        let wide = |n: usize, label: &str| Frame::Rows {
+            tuples: (0..n)
+                .map(|i| {
+                    let id = if i % 2 == 0 { 1500 } else { 1600 };
+                    vec![Cell::new(
+                        Value::str(label),
+                        SourceSet::singleton(SourceId(id)),
+                        SourceSet::from_ids([SourceId(3), SourceId(300)]),
+                    )]
+                })
+                .collect(),
+        };
+        // Two cells whose labels carry the bytes their sets spill.
+        let paid = wide(2, &"x".repeat(64));
+        let wire = paid.encode();
+        assert_eq!(Frame::decode(&wire[4..]).unwrap(), paid);
+        // 1 000 cells of under 20 bytes, each spilling ~30 words.
+        let dense = wide(1000, "x");
+        let wire = dense.encode();
+        match Frame::decode(&wire[4..]) {
+            Err(CodecError::Corrupt(why)) => {
+                assert!(why.contains("one heap word per byte"), "{why}");
+                assert!(why.contains("ids below 256 always fit"), "{why}");
+            }
+            other => panic!("a frame spilling past its bound decoded: {other:?}"),
+        }
+    }
+
     #[test]
     fn responses_round_trip_through_frames() {
         let rows = Response::Rows {

@@ -107,9 +107,9 @@ fn served_queries_allocate_within_their_ceilings() {
     );
     // (class, request, ceiling)
     let classes = [
-        ("select", Request::algebra(queries::select_query(3)), 684),
-        ("join", Request::algebra(queries::join_query(50)), 15_542),
-        ("paper", Request::sql(queries::paper_shaped_sql(3)), 9_306),
+        ("select", Request::algebra(queries::select_query(3)), 673),
+        ("join", Request::algebra(queries::join_query(50)), 15_529),
+        ("paper", Request::sql(queries::paper_shaped_sql(3)), 9_288),
     ];
     for (class, request, ceiling) in classes {
         let runs = allocations_per_run(&service, &request);
