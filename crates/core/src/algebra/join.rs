@@ -50,10 +50,12 @@ pub fn theta_join(
         tuples.push(t);
     };
     if cmp == Cmp::Eq {
-        probe_equi(p1, xi, p2, yi, &mut |a, (_, b)| {
-            emit(a, b);
-            Ok(())
-        })?;
+        let table = equi_table(p1, xi, p2, yi);
+        for a in p1.tuples() {
+            for (_, b) in table.matches(&a[xi].datum) {
+                emit(a, b);
+            }
+        }
     } else {
         for a in p1.tuples() {
             for b in p2.tuples() {
@@ -87,6 +89,9 @@ pub(crate) struct EquiTable<'p, B> {
     /// Do the key columns mix `Int` and `Float` data? Arms the
     /// cross-type rescan in [`EquiTable::matches`].
     mixed: bool,
+    /// Does every chain hold one row, i.e. is every non-`nil` key
+    /// distinct (a merge's key, a relation's declared key)?
+    unique: bool,
 }
 
 impl<'p, B: RowView<'p>> EquiTable<'p, B> {
@@ -100,11 +105,13 @@ impl<'p, B: RowView<'p>> EquiTable<'p, B> {
         );
         let mut head: HashMap<&'p Value, u32> = HashMap::with_capacity(rows.len());
         let mut next = vec![CHAIN_END; rows.len()];
+        let mut unique = true;
         // Back to front: each row links to the head it displaces, so every
         // chain walks in build order.
         for (r, b) in rows.iter().enumerate().rev() {
             if let Some(later) = head.insert(b.datum(yi), r as u32) {
                 next[r] = later;
+                unique = false;
             }
         }
         EquiTable {
@@ -113,6 +120,7 @@ impl<'p, B: RowView<'p>> EquiTable<'p, B> {
             next,
             yi,
             mixed,
+            unique,
         }
     }
 
@@ -144,28 +152,6 @@ pub(crate) fn equi_table<'p, L: Operand, R: Operand>(
     yi: usize,
 ) -> EquiTable<'p, R::Row<'p>> {
     EquiTable::build(p2.rows(), yi, mixed_numeric_keys(p1, xi, p2, yi))
-}
-
-/// Hash build + probe over `p1[xi] = p2[yi]`, calling `emit` for every
-/// matching pair in probe order, the build row with its id (see
-/// [`EquiTable::matches`]).
-fn probe_equi<'p, L: Operand, R: Operand, E>(
-    p1: &'p L,
-    xi: usize,
-    p2: &'p R,
-    yi: usize,
-    emit: &mut E,
-) -> Result<(), PolygenError>
-where
-    E: FnMut(L::Row<'p>, (u32, R::Row<'p>)) -> Result<(), PolygenError>,
-{
-    let table = equi_table(p1, xi, p2, yi);
-    for a in p1.rows() {
-        for b in table.matches(a.datum(xi)) {
-            emit(a, b)?;
-        }
-    }
-    Ok(())
 }
 
 /// Equi-join that coalesces the two join columns into one column named
@@ -223,36 +209,71 @@ struct JoinEmit<'k> {
     xi: usize,
     yi: usize,
     collapse: bool,
+    /// Does the collapse keep the coalesced key and otherwise only `b`'s
+    /// columns? Over a build side with one row per key, each output row
+    /// is then one build row's: see [`First::ByRow`].
+    keyed_by_build: bool,
     /// The coalesced column's name, for the conflict error.
     out: &'k str,
 }
 
+/// A build row no output row has come from yet, in [`First::ByRow`].
+const UNSEEN: u32 = u32::MAX;
+
+/// The collapse's index of first occurrences.
+enum First<'k, A, B> {
+    /// No collapse: every pair is an output row.
+    Every,
+    /// Keyed by the borrowed projected data: each output row's position
+    /// and the id of the build row that made it.
+    ByData(HashMap<DataKey<'k, (A, B)>, (usize, u32)>),
+    /// Per build row, the output row it made, or [`UNSEEN`]. Exact when
+    /// the build keys are distinct and θ-equality is `==` (no `Int` /
+    /// `Float` mix) and the output keeps the key plus build columns: two
+    /// pairs then agree on the projected data exactly when they share a
+    /// build row.
+    ByRow(Vec<u32>),
+}
+
 /// What one run of a [`JoinEmit`] has built: output rows in order of
-/// first occurrence, the collapse's index over their borrowed data (each
-/// row's position and the id of the build row that made it), and the
-/// matched pairs seen (collapsed or not).
+/// first occurrence, the collapse's index over them, and the matched
+/// pairs seen (collapsed or not).
 struct Emitted<'k, A, B> {
     rows: Vec<PolyTuple>,
-    first: HashMap<DataKey<'k, (A, B)>, (usize, u32)>,
+    first: First<'k, A, B>,
+    /// Do all probe rows carry identical tags (a late-tagged leaf)? A
+    /// repeat of a build row by such a probe row then unions nothing new.
+    uniform_probe: bool,
     pairs: usize,
 }
 
-impl<A, B> Emitted<'_, A, B> {
-    /// A collapse's index starts with room for as many rows as the
-    /// smaller side has, because a growing index re-hashes every row it
-    /// holds. A join on a merge's key, projected to that key and merged
-    /// columns, keeps at most that many; past it the index grows as any
-    /// map does.
-    fn new(collapse: bool, probe: usize, build: usize) -> Self {
+impl<'k> JoinEmit<'k> {
+    /// A fresh run against `table`, probed by `probe` rows of an operand
+    /// whose rows all carry identical tags when `uniform_probe` holds. A
+    /// data-keyed index starts with room for as many rows as the smaller
+    /// side has, because a growing index re-hashes every row it holds.
+    fn start<'p, A, B: RowView<'p>>(
+        &self,
+        table: &EquiTable<'p, B>,
+        probe: usize,
+        uniform_probe: bool,
+    ) -> Emitted<'k, A, B> {
+        let build = table.rows.len();
+        let first = if !self.collapse {
+            First::Every
+        } else if self.keyed_by_build && table.unique && !table.mixed {
+            First::ByRow(vec![UNSEEN; build])
+        } else {
+            First::ByData(HashMap::with_capacity(probe.min(build)))
+        };
         Emitted {
             rows: Vec::new(),
-            first: HashMap::with_capacity(if collapse { probe.min(build) } else { 0 }),
+            first,
+            uniform_probe,
             pairs: 0,
         }
     }
-}
 
-impl<'k> JoinEmit<'k> {
     /// Emit the matched pair `(a, b)` — `b` the build row `r` — with the
     /// Restrict-style mediator update `a[xi](o) ∪ b[yi](o)` on every
     /// cell: as a new output row (`true`), or — a duplicate of an earlier
@@ -275,57 +296,81 @@ impl<'k> JoinEmit<'k> {
             });
         }
         let pair = (a, b);
+        let next = into.rows.len();
+        let seen = match &mut into.first {
+            First::Every => None,
+            First::ByRow(made) => match made[r as usize] {
+                UNSEEN => {
+                    made[r as usize] = u32::try_from(next).expect("output rows fit u32 row ids");
+                    None
+                }
+                row => Some((row as usize, r)),
+            },
+            First::ByData(first) => match first.entry(DataKey::of(pair, self.src)) {
+                Entry::Occupied(e) => Some(*e.get()),
+                Entry::Vacant(e) => {
+                    e.insert((next, r));
+                    None
+                }
+            },
+        };
+        if let Some((row, by)) = seen {
+            // The build row that made this row already lent it its cells'
+            // tags and `b[yi](o)`: unions are idempotent, so only `a`'s
+            // side is new — and nothing is when every probe row carries
+            // the same tags. Over a build side with one row per key (a
+            // merge), every duplicate of a Project that keeps the key is
+            // of this kind.
+            let again = by == r;
+            if !(again && into.uniform_probe) {
+                self.absorb(&mut into.rows[row], pair, again);
+            }
+            return Ok(false);
+        }
         let mut mediators = SourceSet::empty();
         a.origin_into(self.xi, &mut mediators);
-        if self.collapse {
-            match into.first.entry(DataKey::of(pair, self.src)) {
-                Entry::Occupied(e) => {
-                    let &(row, by) = e.get();
-                    // The build row that made this row already lent it its
-                    // cells' tags and `b[yi](o)`: unions are idempotent, so
-                    // only `a`'s side is new. Over a build side with one row
-                    // per key (a merge), every duplicate of a Project that
-                    // keeps the key is of this kind.
-                    let again = by == r;
-                    if !again {
-                        b.origin_into(self.yi, &mut mediators);
-                    }
-                    for (cell, &s) in into.rows[row].iter_mut().zip(self.src) {
-                        if !again || s < a.width() {
-                            pair.absorb_into(s, cell);
-                        }
-                        if s == self.xi && !again {
-                            b.absorb_into(self.yi, cell);
-                        }
-                        cell.add_intermediate(&mediators);
-                    }
-                    return Ok(false);
-                }
-                Entry::Vacant(e) => {
-                    e.insert((into.rows.len(), r));
-                }
-            }
-        }
         b.origin_into(self.yi, &mut mediators);
         // Both unions commute with dropping what the answer drops, so a
         // cell gets the same tags built once or absorbed later.
-        let finish = |s: usize, cell: &mut Cell| {
-            if s == self.xi {
-                b.absorb_into(self.yi, cell);
-            }
-            cell.add_intermediate(&mediators);
-        };
         let row = self
             .src
             .iter()
             .map(|&s| {
                 let mut cell = pair.cell(s);
-                finish(s, &mut cell);
+                if s == self.xi {
+                    b.absorb_into(self.yi, &mut cell);
+                }
+                cell.add_intermediate(&mediators);
                 cell
             })
             .collect();
         into.rows.push(row);
         Ok(true)
+    }
+
+    /// Union the duplicate pair `(a, b)`'s tags into the output row it
+    /// repeats. With `again` (the same build row made that row) only
+    /// `a`'s side is new.
+    fn absorb<'a, A: RowView<'a>, B: RowView<'a>>(
+        &self,
+        row: &mut [Cell],
+        (a, b): (A, B),
+        again: bool,
+    ) {
+        let mut mediators = SourceSet::empty();
+        a.origin_into(self.xi, &mut mediators);
+        if !again {
+            b.origin_into(self.yi, &mut mediators);
+        }
+        for (cell, &s) in row.iter_mut().zip(self.src) {
+            if !again || s < a.width() {
+                (a, b).absorb_into(s, cell);
+            }
+            if s == self.xi && !again {
+                b.absorb_into(self.yi, cell);
+            }
+            cell.add_intermediate(&mediators);
+        }
     }
 
     /// Run the join `p1[xi] = p2[yi]` through this emit at up to `par`
@@ -359,10 +404,13 @@ impl<'k> JoinEmit<'k> {
             || p2.is_empty()
             || mixed_numeric_keys(p1, xi, p2, yi)
         {
-            let mut emitted = Emitted::new(self.collapse, p1.len(), p2.len());
-            probe_equi(p1, xi, p2, yi, &mut |a, b| {
-                self.emit(&mut emitted, a, b).map(drop)
-            })?;
+            let table = equi_table(p1, xi, p2, yi);
+            let mut emitted = self.start(&table, p1.len(), L::UNIFORM_TAGS);
+            for a in p1.rows() {
+                for b in table.matches(a.datum(xi)) {
+                    self.emit(&mut emitted, a, b)?;
+                }
+            }
             return Ok((emitted.rows, 1, emitted.pairs));
         }
         let parter = Partitioner::new(par.partitions);
@@ -392,8 +440,8 @@ impl<'k> JoinEmit<'k> {
         let parts: Vec<_> = probe.into_iter().zip(build).collect();
         let results = scoped_map(parts, par.threads, |_, (probe, build)| {
             // Homogeneous keys (the mixed case fell back above): no rescan.
-            let mut emitted = Emitted::new(self.collapse, probe.len(), build.len());
             let table = EquiTable::build(build.into_iter(), yi, false);
+            let mut emitted = self.start(&table, probe.len(), L::UNIFORM_TAGS);
             let mut probe_index: Vec<usize> = Vec::new();
             for (orig, a) in probe {
                 for b in table.matches(a.datum(xi)) {
@@ -428,8 +476,10 @@ impl<'k> JoinEmit<'k> {
 /// materializing the full θ-join and re-cloning every cell in a
 /// separate coalesce pass. With one, only the projected cells of a
 /// first occurrence are built; a later pair equal on the projected data
-/// only unions its tags in, mediators included. Byte-identical (data,
-/// tags, order, errors) to the join followed by
+/// only unions its tags in, mediators included. Over distinct build
+/// keys, with the Project keeping the key plus build columns, pairs are
+/// matched to their first occurrence by build row instead of by data.
+/// Byte-identical (data, tags, order, errors) to the join followed by
 /// [`crate::algebra::project()`].
 ///
 /// At one partition (`par` serial) it is one build + probe over the
@@ -470,11 +520,13 @@ pub fn hash_equi_join_project<L: Operand, R: Operand>(
         .into_iter()
         .map(|k| if k < wa + yi { k } else { k + 1 })
         .collect();
+    let keyed_by_build = src.contains(&xi) && src.iter().all(|&s| s == xi || s >= wa);
     let emit = JoinEmit {
         src: &src,
         xi,
         yi,
         collapse: project.is_some(),
+        keyed_by_build,
         out,
     };
     let (tuples, used, pairs) = emit.run(p1, p2, par)?;

@@ -22,6 +22,7 @@ use crate::source::SourceSet;
 use crate::stream::{scoped_map, ParallelOptions, Partitioner};
 use polygen_flat::schema::Schema;
 use polygen_flat::value::Value;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -226,18 +227,22 @@ impl<'a> MergeFold<'a> {
             _ => {}
         }
         // nil keys never match (§II: nil satisfies no θ): each stays its
-        // own row, mediated only by its own origins.
+        // own row, mediated only by its own origins. A new key is hashed
+        // once, to find its slot and fill it.
+        let next = self.rows();
         let found = if key.is_nil() {
             None
         } else {
-            self.by_key.get(key).copied()
+            match self.by_key.entry(key) {
+                Entry::Occupied(e) => Some(*e.get()),
+                Entry::Vacant(e) => {
+                    e.insert(u32::try_from(next).expect("output rows fit u32 row ids"));
+                    None
+                }
+            }
         };
         let Some(i) = found else {
-            let i = self.rows();
-            if !key.is_nil() {
-                let id = u32::try_from(i).expect("output rows fit u32 row ids");
-                self.by_key.insert(key, id);
-            }
+            let i = next;
             self.data.extend(std::iter::repeat_n(&NIL, degree));
             self.from.extend(std::iter::repeat_n(ABSENT, arity));
             self.from[i * arity + ri] = r;

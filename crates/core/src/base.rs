@@ -61,6 +61,12 @@ pub trait Operand: Sized + Sync {
     where
         Self: 'a;
 
+    /// Do all rows carry identical tags, cell for cell? A late-tagged
+    /// base relation's do (origin `{source}`, no intermediates), so a
+    /// kernel may skip unioning a row's tags where an earlier row's are
+    /// already in.
+    const UNIFORM_TAGS: bool = false;
+
     /// The operand's schema.
     fn schema(&self) -> &Arc<Schema>;
     /// Number of rows.
@@ -176,10 +182,16 @@ impl Operand for PolygenRelation {
 }
 
 /// A polygen base relation whose tags are not materialized: a flat
-/// relation plus the one source every cell originates from.
+/// relation plus the one source every cell originates from. The rows
+/// may be a selection of the flat relation's — the ordinals a pushed-down
+/// predicate or an index probe kept — so a scan that filters shares the
+/// LQP's rows instead of copying its survivors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaseRelation {
     rel: FlatRelation,
+    /// The ordinals of `rel`'s rows this relation holds, in order;
+    /// `None` holds every row.
+    selection: Option<Arc<[u32]>>,
     source: SourceId,
     /// `{source}`, built once so row views can lend it.
     origin: SourceSet,
@@ -190,12 +202,15 @@ impl BaseRelation {
     pub fn new(rel: FlatRelation, source: SourceId) -> Self {
         BaseRelation {
             rel,
+            selection: None,
             source,
             origin: SourceSet::singleton(source),
         }
     }
 
-    /// The untagged rows and their schema.
+    /// The flat relation the rows are read from, shared with the LQP —
+    /// every row of it, also those a selection leaves out (see
+    /// [`BaseRelation::gather`]).
     pub fn flat(&self) -> &FlatRelation {
         &self.rel
     }
@@ -217,17 +232,36 @@ impl BaseRelation {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rel.len()
+        self.selection.as_ref().map_or(self.rel.len(), |s| s.len())
     }
 
     /// Is the relation empty?
     pub fn is_empty(&self) -> bool {
-        self.rel.is_empty()
+        self.len() == 0
     }
 
-    /// Tag every cell: exactly [`PolygenRelation::from_flat`].
+    /// Row `i`'s values.
+    #[inline]
+    pub(crate) fn values(&self, i: usize) -> &[Value] {
+        match &self.selection {
+            Some(s) => &self.rel.rows()[s[i] as usize],
+            None => &self.rel.rows()[i],
+        }
+    }
+
+    /// Tag every cell: exactly [`PolygenRelation::from_flat`] of the
+    /// rows.
     pub fn materialize(&self) -> PolygenRelation {
-        PolygenRelation::from_flat(&self.rel, self.source)
+        let tuples = (0..self.len())
+            .map(|i| {
+                self.values(i)
+                    .iter()
+                    .map(|v| Cell::retrieved(v.clone(), self.source))
+                    .collect()
+            })
+            .collect();
+        PolygenRelation::from_tuples(Arc::clone(self.schema()), tuples)
+            .expect("flat rows match their schema")
     }
 
     /// Relabel attributes positionally — a schema swap, rows stay shared.
@@ -235,16 +269,23 @@ impl BaseRelation {
         let schema = Arc::new(self.rel.schema().relabeled_attrs(mapping)?);
         Ok(BaseRelation {
             rel: self.rel.with_schema(schema)?,
+            selection: self.selection.clone(),
             source: self.source,
             origin: self.origin.clone(),
         })
     }
 
     /// The rows at `ordinals` (distinct, in range), in that order — how
-    /// an index probe emits.
+    /// a pushed-down predicate and an index probe emit. Nothing is
+    /// copied: the flat rows stay shared and the selection composes.
     pub fn gather(&self, ordinals: &[u32]) -> BaseRelation {
+        let selection = match &self.selection {
+            Some(s) => ordinals.iter().map(|&o| s[o as usize]).collect(),
+            None => Arc::from(ordinals),
+        };
         BaseRelation {
-            rel: self.rel.gather(ordinals),
+            rel: self.rel.clone(),
+            selection: Some(selection),
             source: self.source,
             origin: self.origin.clone(),
         }
@@ -290,6 +331,8 @@ impl<'a> RowView<'a> for BaseRow<'a> {
 impl Operand for BaseRelation {
     type Row<'a> = BaseRow<'a>;
 
+    const UNIFORM_TAGS: bool = true;
+
     fn schema(&self) -> &Arc<Schema> {
         BaseRelation::schema(self)
     }
@@ -297,14 +340,12 @@ impl Operand for BaseRelation {
         BaseRelation::len(self)
     }
     fn rows(&self) -> impl ExactSizeIterator<Item = BaseRow<'_>> {
-        self.rel.rows().iter().map(|values| BaseRow {
-            values,
-            origin: &self.origin,
-        })
+        (0..self.len()).map(|i| self.row(i))
     }
+    #[inline]
     fn row(&self, i: usize) -> BaseRow<'_> {
         BaseRow {
-            values: &self.rel.rows()[i],
+            values: self.values(i),
             origin: &self.origin,
         }
     }

@@ -322,19 +322,20 @@ impl ColumnBatch {
     }
 
     /// Gather the rows at `ordinals` out of a base relation — how an
-    /// index probe emits straight into the columnar world. The batch
-    /// remembers the probed ordinals; emitting it unchanged reproduces
-    /// the probe relation byte for byte.
+    /// index probe emits straight into the columnar world. Ordinals
+    /// count the base's rows, so over a selection (a pushed-down
+    /// predicate's survivors) only selected rows are read. The batch
+    /// remembers the ordinals; emitting it unchanged reproduces the
+    /// gathered relation byte for byte.
     pub fn gather(base: &BaseRelation, ordinals: Vec<u32>) -> Self {
         let rows = ordinals.len();
         u32::try_from(rows).expect("batch rows fit the u32 selection vector");
         let schema = Arc::clone(base.schema());
-        let source = base.flat().rows();
         let mut data: Vec<Vec<Value>> = (0..schema.degree())
             .map(|_| Vec::with_capacity(rows))
             .collect();
         for &o in &ordinals {
-            for (column, v) in data.iter_mut().zip(&source[o as usize]) {
+            for (column, v) in data.iter_mut().zip(base.values(o as usize)) {
                 column.push(v.clone());
             }
         }

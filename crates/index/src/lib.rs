@@ -528,8 +528,9 @@ impl SourceIndex {
     }
 
     /// Execute a probe: the base rows at the matching ordinals, in scan
-    /// order, still late-tagged — what the executor's `IndexScan` leaf
-    /// hands its consumers.
+    /// order, still late-tagged and sharing the index's rows (the leaf
+    /// holds the ordinals, not copies) — what the executor's
+    /// `IndexScan` leaf hands its consumers.
     pub fn probe_base(&self, probe: &Probe) -> BaseRelation {
         self.base.gather(&self.probe_ordinals(probe))
     }

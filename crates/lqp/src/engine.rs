@@ -202,6 +202,16 @@ pub trait Lqp: Send + Sync {
     /// at the PQP boundary: "sources are tagged after data has been
     /// retrieved from each database").
     fn execute(&self, op: &LocalOp) -> Result<Relation, LqpError>;
+
+    /// [`Lqp::execute`] as rows plus, when the operation only filters
+    /// them, the ordinals of its survivors in order: `(rows, None)` is
+    /// `execute`'s answer and `(rows, Some(ordinals))` stands for
+    /// `rows.gather(&ordinals)`. An LQP that holds its relations thereby
+    /// ships a filter's survivors without copying them. By default, the
+    /// copy `execute` answers.
+    fn execute_selection(&self, op: &LocalOp) -> Result<(Relation, Option<Vec<u32>>), LqpError> {
+        Ok((self.execute(op)?, None))
+    }
 }
 
 #[cfg(test)]

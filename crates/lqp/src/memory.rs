@@ -10,6 +10,7 @@ use crate::engine::{Capabilities, LocalOp, Lqp, LqpError, RelStats};
 use polygen_flat::algebra;
 use polygen_flat::relation::Relation;
 use polygen_flat::schema::Schema;
+use polygen_flat::value::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -80,6 +81,64 @@ impl InMemoryLqp {
                 relation: name.to_string(),
             })
     }
+
+    /// Run `op` as [`Lqp::execute_selection`] answers it and count the
+    /// rows it ships. A retrieve hands out the stored rows themselves
+    /// (the clone is two pointer copies) and a filter or restrict adds
+    /// its survivors' ordinals; only a projection copies.
+    fn run(&self, op: &LocalOp) -> Result<(Relation, Option<Vec<u32>>), LqpError> {
+        if !self.capabilities.admits(op) {
+            return Err(LqpError::Unsupported {
+                lqp: self.name.clone(),
+                op: op.to_string(),
+            });
+        }
+        let stored = self.relation(&op.relation)?;
+        let survivors = survivors(stored, op)?;
+        let answer = match &op.projection {
+            None => (stored.clone(), survivors),
+            Some(attrs) => {
+                let refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
+                let rows = survivors.map_or_else(|| stored.clone(), |o| stored.gather(&o));
+                (algebra::project(&rows, &refs)?, None)
+            }
+        };
+        let shipped = answer.1.as_ref().map_or(answer.0.len(), Vec::len);
+        self.counters.record(shipped);
+        Ok(answer)
+    }
+}
+
+/// The ordinals of `rel`'s rows that `op`'s filter and then its restrict
+/// keep, in order; `None` when it has neither.
+fn survivors(rel: &Relation, op: &LocalOp) -> Result<Option<Vec<u32>>, LqpError> {
+    if op.filter.is_none() && op.restrict.is_none() {
+        return Ok(None);
+    }
+    let schema = rel.schema();
+    let filter = match &op.filter {
+        Some((attr, cmp, value)) => Some((schema.index_of(attr)?.0, *cmp, value)),
+        None => None,
+    };
+    let restrict = match &op.restrict {
+        Some((x, cmp, y)) => Some((schema.index_of(x)?.0, *cmp, schema.index_of(y)?.0)),
+        None => None,
+    };
+    assert!(
+        u32::try_from(rel.len()).is_ok(),
+        "stored relations fit u32 ordinals"
+    );
+    let keep = |row: &[Value]| {
+        filter.is_none_or(|(x, cmp, value)| row[x].satisfies(cmp, value))
+            && restrict.is_none_or(|(x, cmp, y)| row[x].satisfies(cmp, &row[y]))
+    };
+    Ok(Some(
+        (0..)
+            .zip(rel.rows())
+            .filter(|(_, row)| keep(row))
+            .map(|(o, _)| o)
+            .collect(),
+    ))
 }
 
 impl Lqp for InMemoryLqp {
@@ -109,37 +168,21 @@ impl Lqp for InMemoryLqp {
     }
 
     fn execute(&self, op: &LocalOp) -> Result<Relation, LqpError> {
-        if !self.capabilities.admits(op) {
-            return Err(LqpError::Unsupported {
-                lqp: self.name.clone(),
-                op: op.to_string(),
-            });
-        }
-        // A retrieve hands out the stored rows themselves (the clone is
-        // two pointer copies); a predicate copies its survivors once.
-        let mut out = self.relation(&op.relation)?.clone();
-        if let Some((attr, cmp, value)) = &op.filter {
-            let x = out.schema().index_of(attr)?.0;
-            out = out.subset(|row| row[x].satisfies(*cmp, value));
-        }
-        if let Some((x, cmp, y)) = &op.restrict {
-            let xi = out.schema().index_of(x)?.0;
-            let yi = out.schema().index_of(y)?.0;
-            out = out.subset(|row| row[xi].satisfies(*cmp, &row[yi]));
-        }
-        if let Some(attrs) = &op.projection {
-            let refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
-            out = algebra::project(&out, &refs)?;
-        }
-        self.counters.record(out.len());
-        Ok(out)
+        Ok(match self.run(op)? {
+            (rows, Some(survivors)) => rows.gather(&survivors),
+            (rows, None) => rows,
+        })
+    }
+
+    fn execute_selection(&self, op: &LocalOp) -> Result<(Relation, Option<Vec<u32>>), LqpError> {
+        self.run(op)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polygen_flat::value::{Cmp, Value};
+    use polygen_flat::value::Cmp;
 
     fn lqp() -> InMemoryLqp {
         let alumnus = Relation::build("ALUMNUS", &["AID#", "ANAME", "DEG"])

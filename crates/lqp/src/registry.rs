@@ -102,8 +102,12 @@ impl LqpRegistry {
 
     /// Execute a local operation at the named LQP and apply the
     /// dictionary's domain rules, returning the late-tagged base
-    /// relation. A plain retrieve with no applicable rule copies
-    /// nothing: the rows are the ones the LQP holds.
+    /// relation. With no applicable rule, a plain retrieve copies
+    /// nothing — the rows are the ones the LQP holds — and a pushed-down
+    /// select or restrict the LQP answers with its survivors' ordinals
+    /// ([`Lqp::execute_selection`]) copies none either: the base
+    /// relation carries the ordinals over the shared rows. A rule
+    /// rewrites a copy of the survivors.
     pub fn scan(
         &self,
         db: &str,
@@ -121,9 +125,19 @@ impl LqpRegistry {
                 .ok_or_else(|| LqpError::UninternedSource {
                     lqp: db.to_string(),
                 })?;
-        let flat = lqp.execute(op)?;
-        let mapped = dictionary.domains().apply(db, &flat)?;
-        Ok(BaseRelation::new(mapped, source))
+        let domains = dictionary.domains();
+        let (flat, survivors) = lqp.execute_selection(op)?;
+        let rewrites = || {
+            let mut attrs = flat.schema().attrs().iter();
+            attrs.any(|a| domains.rule(db, flat.name(), a).is_some())
+        };
+        Ok(match survivors {
+            Some(ordinals) if !rewrites() => BaseRelation::new(flat, source).gather(&ordinals),
+            Some(ordinals) => {
+                BaseRelation::new(domains.apply(db, &flat.gather(&ordinals))?, source)
+            }
+            None => BaseRelation::new(domains.apply(db, &flat)?, source),
+        })
     }
 
     /// [`LqpRegistry::scan`] with every cell tagged — the full "retrieve

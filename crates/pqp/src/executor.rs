@@ -3,24 +3,28 @@
 //! [`execute_plan`] walks the operator DAG the physical-plan layer
 //! ([`crate::plan`]) lowers an IOM to: scans run at the LQPs and come
 //! back *late-tagged* (the LQP's rows plus one source id — see
-//! [`polygen_core::base`]), fused Select/Restrict/Project
-//! stages run columnar over a leaf or stream `Arc`-shared tuples in
-//! place, equi-joins run as single-pass hash joins with the join-column
-//! coalesce fused into the emit, and Merge runs as the k-way single-pass
-//! hash merge — both reading leaves in place, so a base cell is first
-//! built when a kernel writes it into its output. A merge's answer is
-//! late-built the same way: it hands its consumers a
-//! [`MergedView`] of the rows it kept, which a hash join reads in place
-//! (building only the merged cells it outputs) and a pipeline with no
-//! stages left passes on; every other consumer materializes it. Only
-//! the other pipeline breakers (joins, set operations) materialize
-//! relations, and a hash join whose only consumer opens with a Project
-//! ([`PhysicalPlan::fused_join_project`]) runs that Project inside its
-//! emit and materializes the projection, never its own output. A merge
-//! whose only consumer opens with Selects/Restricts
-//! ([`PhysicalPlan::fused_merge_stages`]) runs them in its pass and keeps
-//! only the rows they pass. Nothing else is retained: the walk returns
-//! the answer alone.
+//! [`polygen_core::base`]; a pushed-down select or an index probe adds
+//! the ordinals of the rows it kept, and copies none), fused
+//! Select/Restrict/Project stages run columnar over a leaf or stream
+//! `Arc`-shared tuples in place, equi-joins run as single-pass hash
+//! joins with the join-column coalesce fused into the emit, and Merge
+//! runs as the k-way single-pass hash merge — both reading leaves in
+//! place, so a base cell is first built when a kernel writes it into
+//! its output. A merge's answer is late-built the same way: it hands
+//! its consumers a [`MergedView`] of the rows it kept, which a hash
+//! join reads in place (building only the merged cells it outputs) and
+//! a pipeline with no stages left passes on; every other consumer
+//! materializes it. Only the other pipeline breakers (joins, set
+//! operations) materialize relations, and a hash join whose only
+//! consumer opens with a Project ([`PhysicalPlan::fused_join_project`])
+//! runs that Project inside its emit and materializes the projection,
+//! never its own output — over a build side with one row per key,
+//! collapsing pairs by build row — and hands it to that consumer as it
+//! is, which passes it on when only the Project's renaming is left. A
+//! merge whose only consumer opens with Selects/Restricts
+//! ([`PhysicalPlan::fused_merge_stages`]) runs them in its pass and
+//! keeps only the rows they pass. Nothing else is retained: the walk
+//! returns the answer alone.
 //!
 //! The paper-faithful row-by-row interpreter survives as
 //! [`execute_eager`]: it materializes every `R(n)` eagerly with the
@@ -123,6 +127,21 @@ fn present(s: &mut TupleStream, cols: &[String], output: &[String]) -> Result<()
     Ok(())
 }
 
+/// [`present`] over an owned relation: the tuples move, the schema is
+/// swapped.
+fn present_relation(
+    rel: PolygenRelation,
+    cols: &[String],
+    output: &[String],
+) -> Result<PolygenRelation, PqpError> {
+    if output == cols {
+        return Ok(rel);
+    }
+    let names: Vec<&str> = output.iter().map(String::as_str).collect();
+    let schema = Arc::new(rel.schema().relabeled_attrs(&names)?);
+    Ok(PolygenRelation::from_tuples(schema, rel.into_tuples())?)
+}
+
 /// Fail loudly when node `i` produced a schema other than the one it
 /// was planned with. Planned and runtime schemas are identical by
 /// construction, but the LQP registry has interior mutability:
@@ -151,12 +170,16 @@ fn check_schema(i: usize, node: &plan::PhysNode, ran: &Schema) -> Result<(), Pqp
 /// stays late-built in the same way, as a [`Slot::Merged`] view: a hash
 /// join reads it in place and builds only the merged cells its output
 /// keeps, a pipeline with no stages left passes it on, and everything
-/// else materializes it. Every other node flows as a [`Slot::Stream`]
-/// of `Arc`-shared tuples.
+/// else materializes it. A hash join that ran its consumer's Project
+/// hands that consumer — its only one — the projected relation as a
+/// [`Slot::Built`], which a pipeline with only the Project's
+/// presentation left renames and passes on. Every other node flows as a
+/// [`Slot::Stream`] of `Arc`-shared tuples.
 #[derive(Clone)]
 enum Slot {
     Leaf(BaseRelation),
     Merged(Arc<MergedView<BaseRelation>>),
+    Built(PolygenRelation),
     Stream(TupleStream),
 }
 
@@ -165,6 +188,7 @@ impl Slot {
         match self {
             Slot::Leaf(b) => b.schema(),
             Slot::Merged(m) => m.schema(),
+            Slot::Built(r) => r.schema(),
             Slot::Stream(s) => s.schema(),
         }
     }
@@ -174,6 +198,7 @@ impl Slot {
         match self {
             Slot::Leaf(b) => b.len(),
             Slot::Merged(m) => m.len(),
+            Slot::Built(r) => r.len(),
             Slot::Stream(s) => s.len(),
         }
     }
@@ -182,6 +207,7 @@ impl Slot {
         match self {
             Slot::Leaf(b) => b.materialize(),
             Slot::Merged(m) => Arc::try_unwrap(m).map_or_else(|m| m.materialize(), Into::into),
+            Slot::Built(r) => r,
             Slot::Stream(s) => s.into_relation(),
         }
     }
@@ -395,6 +421,14 @@ pub fn execute_plan(
                 match take(&mut slots, &mut remaining, *input) {
                     // A merge ran every stage: its view passes on.
                     merged @ Slot::Merged(_) if stages.is_empty() => merged,
+                    // A join ran the Project, the only stage: what is left
+                    // is its presentation, a schema swap.
+                    Slot::Built(rel) if fused && stages.len() == 1 => {
+                        let StageKind::Project { cols, output } = &stages[0].kind else {
+                            unreachable!("a fused join's consumer opens with its Project")
+                        };
+                        Slot::Built(present_relation(rel, cols, output)?)
+                    }
                     Slot::Leaf(base) if plan.is_batch_pipeline(i) => {
                         if !span.is_none() {
                             trace.annotate(span, "kernel", Note::str("batch"));
@@ -491,7 +525,11 @@ pub fn execute_plan(
                 }));
                 fanned = used;
                 rows = Some(pairs);
-                Slot::Stream(TupleStream::from_relation(joined))
+                if project.is_some() {
+                    Slot::Built(joined)
+                } else {
+                    Slot::Stream(TupleStream::from_relation(joined))
+                }
             }
             PhysOp::ThetaJoin {
                 left,
@@ -527,7 +565,7 @@ pub fn execute_plan(
                     .enumerate()
                     .map(|(k, slot)| match slot {
                         Slot::Leaf(b) => Ok(b.rename_attrs(&names(k))?),
-                        Slot::Merged(_) | Slot::Stream(_) => Err(PqpError::MalformedRow {
+                        _ => Err(PqpError::MalformedRow {
                             row: node.row,
                             reason: format!(
                                 "Merge input R({}) is not a base retrieve",

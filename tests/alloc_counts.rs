@@ -5,13 +5,17 @@
 //! budget of 1 with its caches off, so every query is translated,
 //! compiled and executed on the calling thread, over the ledger's
 //! federation: seed 101, 3 sources, 4 000 entities, 16 000 detail
-//! rows. Each ledger class is served twice; both runs must stay under
-//! the class's ceiling. The counts repeat to within one allocation from
-//! run to run and between debug and release builds, so a ceiling a few
-//! allocations above them catches any change in what a query builds:
-//! a merge that builds the merged cells its consumer drops, an `Arc`
-//! per tuple, a copy of a shared answer.
+//! rows. The point and range classes run on a second such service that
+//! also holds the two `S0.DETAIL` indexes their workload declares, so
+//! they are served by index probes. Each ledger class is served twice;
+//! both runs must stay under the class's ceiling. The counts repeat to
+//! within one allocation from run to run and between debug and release
+//! builds, so a ceiling a few allocations above them catches any change
+//! in what a query builds: a merge that builds the merged cells its
+//! consumer drops, an `Arc` per tuple, a copy of a shared answer, a
+//! scan or a probe that copies the rows it selects.
 
+use polygen::index::IndexSpec;
 use polygen::serve::{QueryService, Request, Response, ServeOptions};
 use polygen::workload::{self, queries, WorkloadConfig};
 
@@ -99,20 +103,51 @@ fn served_queries_allocate_within_their_ceilings() {
         detail_rows: 16_000,
         ..WorkloadConfig::default()
     });
-    let service = QueryService::for_scenario(
-        &scenario,
-        ServeOptions::default()
-            .without_caches()
-            .with_thread_budget(1),
-    );
-    // (class, request, ceiling)
+    let options = ServeOptions::default()
+        .without_caches()
+        .with_thread_budget(1);
+    let service = QueryService::for_scenario(&scenario, options);
+    let indexed = QueryService::for_scenario(&scenario, options)
+        .with_index_specs(&[
+            IndexSpec::hash("S0", "DETAIL", "DNAME"),
+            IndexSpec::sorted("S0", "DETAIL", "DSCORE"),
+        ])
+        .expect("the ledger's detail indexes build");
+    // (class, service, request, ceiling)
     let classes = [
-        ("select", Request::algebra(queries::select_query(3)), 673),
-        ("join", Request::algebra(queries::join_query(50)), 15_529),
-        ("paper", Request::sql(queries::paper_shaped_sql(3)), 9_288),
+        (
+            "select",
+            &service,
+            Request::algebra(queries::select_query(3)),
+            673,
+        ),
+        (
+            "join",
+            &service,
+            Request::algebra(queries::join_query(50)),
+            4_008,
+        ),
+        (
+            "paper",
+            &service,
+            Request::sql(queries::paper_shaped_sql(3)),
+            977,
+        ),
+        (
+            "point",
+            &indexed,
+            Request::algebra(queries::point_lookup(7)),
+            114,
+        ),
+        (
+            "range",
+            &indexed,
+            Request::algebra(queries::range_scan(40, 49)),
+            3_389,
+        ),
     ];
-    for (class, request, ceiling) in classes {
-        let runs = allocations_per_run(&service, &request);
+    for (class, service, request, ceiling) in classes {
+        let runs = allocations_per_run(service, &request);
         println!("{class}: {runs:?} allocations (ceiling {ceiling})");
         for n in runs {
             assert!(

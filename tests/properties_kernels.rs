@@ -17,7 +17,10 @@
 //! The join fused with the Project over it must equal the nested-loop
 //! join followed by the written collapse, at every partition count, for
 //! projections that keep the join column, drop it, take only right-side
-//! columns or reorder them.
+//! columns or reorder them. Where the build keys are distinct and the
+//! Project keeps the key plus build columns, the fused join collapses by
+//! build row instead of by data; it must still equal the join followed
+//! by `project`, over every operand type on either side.
 //!
 //! The hash Merge is one function at every partition count, so its
 //! one-partition path is checked on its own here: against the ONTJ fold
@@ -30,13 +33,13 @@
 use polygen::core::algebra;
 use polygen::core::algebra::coalesce::ConflictPolicy;
 use polygen::core::algebra::RowFilter;
-use polygen::core::base::Operand;
+use polygen::core::base::{BaseRelation, Operand};
 use polygen::core::batch::ColumnBatch;
 use polygen::core::stream::{ParallelOptions, TupleStream};
 use polygen::core::tuple::PolyTuple;
 use polygen::core::{Cell, PolygenRelation, SourceId, SourceSet};
 use polygen::flat::value::Cmp;
-use polygen::flat::{Schema, Value};
+use polygen::flat::{Relation, Schema, Value};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -318,6 +321,183 @@ fn same_join(
             view.map(|_| ()),
             built.map(|_| ())
         ),
+    }
+}
+
+/// Build-side rows of a build-row collapse case: `(key index, W, X,
+/// origin id)`.
+type BuildRows = Vec<(usize, i64, i64, u16)>;
+
+/// Probe-side rows: `(key index, V, origin id, intermediate ids)`.
+type ProbeRows = Vec<(usize, i64, u16, Vec<u16>)>;
+
+/// Key `i` of a build-row collapse case: `nil`, `0`, `1` and — with
+/// `mixed` — `1.0`, else `2`.
+fn collapse_key(i: usize, mixed: bool) -> Value {
+    [
+        Value::Null,
+        Value::int(0),
+        Value::int(1),
+        if mixed {
+            Value::float(1.0)
+        } else {
+            Value::int(2)
+        },
+    ][i]
+        .clone()
+}
+
+/// A flat relation `name(attrs)` over rows of values.
+fn flat_relation(name: &str, attrs: &[&str], rows: Vec<Vec<Value>>) -> Relation {
+    Relation::from_rows(Arc::new(Schema::new(name, attrs).unwrap()), rows).unwrap()
+}
+
+/// The three build sides of one case, all `B(K2, W, X)` over the same
+/// rows: a late-tagged leaf from source 5, a merged view of `(K2, W)`
+/// from source 5 and `(K2, X)` from source 6 (the fold's relation when a
+/// key repeats; none when `1` meets `1.0`, which the merge's key
+/// coalesce rejects), and a tagged relation whose cells carry per-row
+/// origins and intermediates.
+fn build_sides(
+    rows: &BuildRows,
+    mixed: bool,
+) -> (
+    BaseRelation,
+    Option<polygen::core::algebra::MergedView<BaseRelation>>,
+    PolygenRelation,
+) {
+    let values = |cols: &[usize]| -> Vec<Vec<Value>> {
+        rows.iter()
+            .map(|&(k, w, x, _)| {
+                let row = [collapse_key(k, mixed), Value::int(w), Value::int(x)];
+                cols.iter().map(|&c| row[c].clone()).collect()
+            })
+            .collect()
+    };
+    let leaf = BaseRelation::new(
+        flat_relation("B", &["K2", "W", "X"], values(&[0, 1, 2])),
+        SourceId(5),
+    );
+    let operands = vec![
+        BaseRelation::new(
+            flat_relation("B0", &["K2", "W"], values(&[0, 1])),
+            SourceId(5),
+        ),
+        BaseRelation::new(
+            flat_relation("B1", &["K2", "X"], values(&[0, 2])),
+            SourceId(6),
+        ),
+    ];
+    let view = algebra::hash_merge_view(
+        operands,
+        "K2",
+        ConflictPolicy::Strict,
+        &[],
+        ParallelOptions::serial(),
+    )
+    .ok()
+    .map(|(view, ..)| view);
+    let tuples = rows
+        .iter()
+        .map(|&(k, w, x, origin)| {
+            let inter = SourceSet::singleton(SourceId(origin + 2));
+            let cell = |datum: Value, shift: u16| {
+                Cell::new(
+                    datum,
+                    SourceSet::singleton(SourceId(origin + shift)),
+                    inter.clone(),
+                )
+            };
+            vec![
+                cell(collapse_key(k, mixed), 0),
+                cell(Value::int(w), 1),
+                cell(Value::int(x), 0),
+            ]
+        })
+        .collect();
+    let schema = Arc::new(Schema::new("B", &["K2", "W", "X"]).unwrap());
+    let tagged = PolygenRelation::from_tuples(schema, tuples).unwrap();
+    (leaf, view, tagged)
+}
+
+/// The probe sides `A(K, V)` of one case: a late-tagged leaf, whose rows
+/// all carry the same tags, and a tagged relation whose rows do not.
+fn probe_sides(rows: &ProbeRows, mixed: bool) -> (BaseRelation, PolygenRelation) {
+    let leaf = BaseRelation::new(
+        flat_relation(
+            "A",
+            &["K", "V"],
+            rows.iter()
+                .map(|(k, v, ..)| vec![collapse_key(*k, mixed), Value::int(*v)])
+                .collect(),
+        ),
+        SourceId(7),
+    );
+    let tuples = rows
+        .iter()
+        .map(|(k, v, origin, inter)| {
+            let inter: SourceSet = inter.iter().copied().map(SourceId).collect();
+            vec![
+                Cell::new(
+                    collapse_key(*k, mixed),
+                    SourceSet::singleton(SourceId(*origin)),
+                    inter.clone(),
+                ),
+                Cell::new(
+                    Value::int(*v),
+                    SourceSet::singleton(SourceId(*origin + 1)),
+                    inter,
+                ),
+            ]
+        })
+        .collect();
+    let schema = Arc::new(Schema::new("A", &["K", "V"]).unwrap());
+    (leaf, PolygenRelation::from_tuples(schema, tuples).unwrap())
+}
+
+/// The join of `a[K] = b[K2]` fused with each Project — key plus build
+/// columns, key plus probe columns, key dropped — against the unfused
+/// join followed by `project`, at P ∈ {1, 2, 4}: the same rows in the
+/// same order and the same matched pairs, or the same error message.
+fn fused_collapse_matches_join_then_project<L: Operand, R: Operand>(a: &L, b: &R, what: &str) {
+    let projects: [&[&str]; 8] = [
+        &["K", "W"],
+        &["X", "K", "W"],
+        &["K", "W", "X"],
+        &["K", "V"],
+        &["V", "K", "X"],
+        &["W"],
+        &["X", "W"],
+        &["V", "W"],
+    ];
+    for attrs in projects {
+        for partitions in [1, 2, 4] {
+            let par = ParallelOptions {
+                threads: partitions,
+                partitions,
+            };
+            let fused = algebra::hash_equi_join_project(a, b, "K", "K2", "K", Some(attrs), par);
+            let unfused = algebra::hash_equi_join_project(a, b, "K", "K2", "K", None, par)
+                .and_then(|(j, _, pairs)| Ok((algebra::project(&j, attrs)?, pairs)));
+            match (fused, unfused) {
+                (Ok((fused, _, pairs)), Ok((unfused, unfused_pairs))) => {
+                    let at = format!("{what}, {attrs:?} at P = {partitions}");
+                    assert_eq!(fused.schema().attrs(), unfused.schema().attrs(), "{at}");
+                    assert_eq!(fused.tuples(), unfused.tuples(), "{at}");
+                    assert_eq!(pairs, unfused_pairs, "{at}: matched pairs");
+                }
+                (Err(fused), Err(unfused)) => assert_eq!(
+                    fused.to_string(),
+                    unfused.to_string(),
+                    "{what}, {attrs:?} at P = {partitions}"
+                ),
+                (fused, unfused) => panic!(
+                    "{what}, {attrs:?} at P = {partitions}: fused {:?} vs unfused {:?}",
+                    fused.map(|_| ()),
+                    unfused.map(|_| ())
+                ),
+            }
+        }
     }
 }
 
@@ -662,5 +842,40 @@ proptest! {
         let both: Vec<PolyTuple> = a.tuples().iter().chain(b.tuples()).cloned().collect();
         let union = algebra::union(&a, &b).unwrap();
         prop_assert_eq!(union.tuples(), vec_keyed_collapse(both).as_slice());
+    }
+
+    /// The build-row collapse against join-then-`project`: build sides
+    /// with one row per key (a leaf, a merged view, a relation) or with
+    /// repeated keys (the data-keyed collapse), probed by a late-tagged
+    /// leaf (every row's tags alike, so a repeat of a build row adds
+    /// nothing) and by a relation whose rows carry their own tags, over
+    /// `nil` keys and a `1` / `1.0` pair.
+    #[test]
+    fn build_row_collapse_matches_join_then_project(
+        probe_rows in proptest::collection::vec(
+            (0usize..4, 0i64..2, 0u16..4, proptest::collection::vec(0u16..4, 0..2)),
+            0..16,
+        ),
+        build in proptest::collection::vec((0usize..4, 0i64..2, 0i64..2, 0u16..4), 0..10),
+        mixed in any::<bool>(),
+        unique in any::<bool>(),
+    ) {
+        let build: BuildRows = if unique {
+            let mut seen = std::collections::HashSet::new();
+            build.into_iter().filter(|(k, ..)| *k == 0 || seen.insert(*k)).collect()
+        } else {
+            build
+        };
+        let (leaf, view, tagged) = build_sides(&build, mixed);
+        let (uniform, varied) = probe_sides(&probe_rows, mixed);
+        let what = |b: &str, p: &str| format!("{p} probes {b} (unique keys: {unique}, mixed: {mixed})");
+        fused_collapse_matches_join_then_project(&uniform, &leaf, &what("a leaf", "a leaf"));
+        if let Some(view) = &view {
+            fused_collapse_matches_join_then_project(&uniform, view, &what("a merged view", "a leaf"));
+            fused_collapse_matches_join_then_project(&varied, view, &what("a merged view", "a relation"));
+        }
+        fused_collapse_matches_join_then_project(&uniform, &tagged, &what("a relation", "a leaf"));
+        fused_collapse_matches_join_then_project(&varied, &leaf, &what("a leaf", "a relation"));
+        fused_collapse_matches_join_then_project(&varied, &tagged, &what("a relation", "a relation"));
     }
 }

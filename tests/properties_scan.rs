@@ -12,6 +12,11 @@
 //! duplicate merge/join keys, Int/Float-mixed keys that force the
 //! kernels' reference fallbacks, leaves shared by several consumers, and
 //! every `LocalOp` shape (retrieve / select / restrict / projection).
+//!
+//! A pushed-down select or restrict ships its survivors as ordinals over
+//! the LQP's rows: the leaf shares those rows, and every reader — a
+//! kernel, a gather, an index probe, a columnar batch — sees only the
+//! selected ones, exactly as it saw the copy the LQP used to ship.
 
 mod common;
 
@@ -26,10 +31,12 @@ use polygen::core::algebra::coalesce::ConflictPolicy;
 use polygen::core::algebra::join::{hash_equi_join_coalesced, hash_equi_join_project};
 use polygen::core::algebra::merge::{hash_merge, hash_merge_partitioned};
 use polygen::core::base::BaseRelation;
+use polygen::core::batch::ColumnBatch;
 use polygen::core::stream::ParallelOptions;
 use polygen::core::{PolygenRelation, SourceId};
 use polygen::flat::value::Cmp;
 use polygen::flat::{Relation, Value};
+use polygen::index::{IndexSpec, Probe, SourceIndex};
 use polygen::lqp::engine::{LocalOp, Lqp};
 use polygen::lqp::memory::InMemoryLqp;
 use polygen::lqp::registry::LqpRegistry;
@@ -464,6 +471,157 @@ fn plain_retrieve_leaves_share_the_lqps_rows() {
         (lqp.counters().ops(), lqp.counters().tuples_shipped()),
         (4, 96)
     );
+}
+
+/// The scan a pushed-down `op` answered while the LQP copied its
+/// survivors: the rows `keep` passes, copied, the domain rules applied,
+/// every cell tagged.
+fn copying_scan(
+    held: &Relation,
+    keep: impl Fn(&[Value]) -> bool,
+    dictionary: &DataDictionary,
+    source: SourceId,
+) -> PolygenRelation {
+    let copied = held.subset(|row| keep(row));
+    let mapped = dictionary.domains().apply("A", &copied).unwrap();
+    PolygenRelation::from_flat(&mapped, source)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A select, a restrict and both together, pushed down to an LQP
+    /// with and without a value-rewriting domain rule: the scan
+    /// materializes to the bytes the copying scan answered, ships (and
+    /// counts) the same rows, and shares the LQP's rows unless a rule
+    /// rewrote them. Gathering from it composes with its selection.
+    #[test]
+    fn selection_scans_answer_the_copying_scans_bytes(
+        rows in rows(24),
+        constant in 0i64..6,
+        cmp in 0usize..4,
+        rule in any::<bool>(),
+        picks in proptest::collection::vec(0usize..24, 0..6),
+    ) {
+        let held = flat("T", ["K", "V", "W"], &rows);
+        let lqp = Arc::new(InMemoryLqp::new("A", vec![held.clone()]));
+        let registry = LqpRegistry::new();
+        registry.register(Arc::clone(&lqp) as Arc<dyn Lqp>);
+        let mut dictionary = DataDictionary::new();
+        let source = dictionary.intern_source("A");
+        if rule {
+            dictionary.domains_mut().set("A", "T", "W", DomainRule::LastCommaToken);
+        }
+        let cmp = [Cmp::Eq, Cmp::Ne, Cmp::Lt, Cmp::Ge][cmp];
+        let bound = Value::int(constant);
+        let select = |row: &[Value]| row[1].satisfies(cmp, &bound);
+        let restrict = |row: &[Value]| row[0].satisfies(Cmp::Le, &row[1]);
+        let mut both = LocalOp::select("T", "V", cmp, bound.clone());
+        both.restrict = Some(("K".into(), Cmp::Le, "V".into()));
+        // (op, does it select, does it restrict)
+        let cases = [
+            (LocalOp::select("T", "V", cmp, bound.clone()), true, false),
+            (LocalOp::restrict("T", "K", Cmp::Le, "V"), false, true),
+            (both, true, true),
+        ];
+        for (op, selects, restricts) in cases {
+            let keep = |row: &[Value]| (!selects || select(row)) && (!restricts || restrict(row));
+            let want = copying_scan(&held, keep, &dictionary, source);
+            let shipped = lqp.counters().tuples_shipped();
+            let leaf = registry.scan("A", &op, &dictionary).unwrap();
+            prop_assert_eq!(
+                lqp.counters().tuples_shipped() - shipped,
+                held.rows().iter().filter(|row| keep(row)).count() as u64,
+                "{} ships its survivors", op
+            );
+            prop_assert_eq!(&leaf.materialize(), &want, "{}", op);
+            prop_assert_eq!(&registry.execute_tagged("A", &op, &dictionary).unwrap(), &want);
+            prop_assert_eq!(
+                Arc::ptr_eq(leaf.flat().shared_rows(), held.shared_rows()),
+                !rule,
+                "{} shares the LQP's rows unless a rule rewrites them", op
+            );
+            let picked: Vec<u32> = {
+                let mut seen = std::collections::HashSet::new();
+                picks
+                    .iter()
+                    .filter(|&&i| i < leaf.len() && seen.insert(i))
+                    .map(|&i| i as u32)
+                    .collect()
+            };
+            let gathered: Vec<_> = picked
+                .iter()
+                .map(|&o| want.tuples()[o as usize].clone())
+                .collect();
+            prop_assert_eq!(leaf.gather(&picked).materialize().tuples(), gathered.as_slice());
+            prop_assert_eq!(
+                ColumnBatch::gather(&leaf, picked.clone()).into_relation().tuples(),
+                gathered.as_slice()
+            );
+        }
+    }
+}
+
+/// A pushed-down select ships ordinals, not copies: its leaf is the
+/// LQP's stored rows themselves, counted as the survivors they stand
+/// for, and an index probe gathers the same way — its leaf shares the
+/// index's rows. A columnar batch gathered from either reads only the
+/// selected rows.
+#[test]
+fn selection_leaves_share_the_stored_rows() {
+    let rows: Rows = (0..40).map(|i| (Some(i % 8), i % 5, false)).collect();
+    let held = flat("T", ["K", "V", "W"], &rows);
+    let lqp = Arc::new(InMemoryLqp::new("A", vec![held.clone()]));
+    let registry = LqpRegistry::new();
+    registry.register(Arc::clone(&lqp) as Arc<dyn Lqp>);
+    let mut dictionary = DataDictionary::new();
+    let source = dictionary.intern_source("A");
+
+    let op = LocalOp::select("T", "V", Cmp::Ge, Value::int(3));
+    let leaf = registry.scan("A", &op, &dictionary).unwrap();
+    assert!(Arc::ptr_eq(leaf.flat().shared_rows(), held.shared_rows()));
+    assert_eq!(leaf.len(), 16);
+    assert_eq!(lqp.counters().tuples_shipped(), 16);
+    let want = copying_scan(
+        &held,
+        |row| row[1].satisfies(Cmp::Ge, &Value::int(3)),
+        &dictionary,
+        source,
+    );
+    assert_eq!(leaf.materialize(), want);
+
+    let batch = ColumnBatch::gather(&leaf, vec![15, 0, 7]);
+    assert_eq!(batch.ordinals(), &[15, 0, 7]);
+    let picked = [15, 0, 7].map(|o: usize| want.tuples()[o].clone());
+    assert_eq!(batch.into_relation().tuples(), picked.as_slice());
+
+    let index = SourceIndex::build(IndexSpec::hash("A", "T", "K"), &registry, &dictionary).unwrap();
+    let probed = index.probe_base(&Probe::Point(Value::int(3)));
+    assert!(Arc::ptr_eq(
+        probed.flat().shared_rows(),
+        index.base().flat().shared_rows()
+    ));
+    let hits: Vec<_> = held
+        .rows()
+        .iter()
+        .filter(|r| r[0] == Value::int(3))
+        .collect();
+    assert_eq!(probed.len(), hits.len());
+    assert_eq!(
+        probed.materialize(),
+        index.probe_relation(&Probe::Point(Value::int(3)))
+    );
+    assert_eq!(
+        index
+            .probe_batch(&Probe::Point(Value::int(3)))
+            .into_relation(),
+        probed.materialize()
+    );
+    assert!(probed
+        .materialize()
+        .tuples()
+        .iter()
+        .all(|t| t[0].datum == Value::int(3)));
 }
 
 /// ROADMAP aim 3 — degrade per query, never per process: an LQP the
