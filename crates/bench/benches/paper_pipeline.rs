@@ -44,13 +44,6 @@ fn paper_query(c: &mut Criterion) {
     g.bench_function("full_pipeline_from_text", |b| {
         b.iter(|| from_text(&pqp, black_box(PAPER_EXPRESSION)).unwrap())
     });
-    let optimizing = Pqp::for_scenario(&s).with_options(PqpOptions {
-        optimize: true,
-        ..PqpOptions::default()
-    });
-    g.bench_function("full_pipeline_optimized", |b| {
-        b.iter(|| from_text(&optimizing, black_box(PAPER_EXPRESSION)).unwrap())
-    });
     g.finish();
 }
 

@@ -74,8 +74,12 @@ impl DomainMap {
         self.rules.insert(LocalAttrRef::new(db, rel, attr), rule);
     }
 
-    /// The rule for an attribute, if any.
+    /// The rule for an attribute, if any. A map with no rules answers
+    /// without building the lookup key (scans ask once per attribute).
     pub fn rule(&self, db: &str, rel: &str, attr: &str) -> Option<&DomainRule> {
+        if self.rules.is_empty() {
+            return None;
+        }
         self.rules.get(&LocalAttrRef::new(db, rel, attr))
     }
 

@@ -79,7 +79,7 @@ const CHAIN_END: u32 = u32::MAX;
 ///
 /// Every equality kernel probes through it — [`theta_join`]'s equality
 /// path, [`hash_equi_join_coalesced`], each partition of
-/// [`hash_equi_join_project`], semi-join and anti-join — so
+/// [`hash_equi_join_project`] and anti-join — so
 /// none of them can diverge on match semantics or match order.
 pub(crate) struct EquiTable<'p, B> {
     rows: Vec<B>,

@@ -31,7 +31,6 @@ pub mod outer_join;
 pub mod product;
 pub mod project;
 pub mod restrict;
-pub mod semi_join;
 pub mod union;
 
 pub use anti_join::anti_join;
@@ -45,5 +44,4 @@ pub use outer_join::outer_join;
 pub use product::product;
 pub use project::project;
 pub use restrict::{restrict, select, RowFilter};
-pub use semi_join::semi_join;
 pub use union::union;

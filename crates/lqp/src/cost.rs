@@ -1,9 +1,10 @@
 //! Latency cost model for LQP access.
 //!
 //! The paper's LQPs ranged from co-located MIT databases to transatlantic
-//! commercial feeds (Finsbury in England, I.P. Sharp in Canada). The
-//! optimizer never sleeps; it *estimates* with this model, and adapters
-//! accumulate simulated time as a metric. Costs are microseconds.
+//! commercial feeds (Finsbury in England, I.P. Sharp in Canada). Nothing
+//! sleeps: EXPLAIN's plan-cost estimate prices LQP work with this model,
+//! and adapters accumulate simulated time as a metric. Costs are
+//! microseconds.
 
 /// Linear cost model: `fixed + per_tuple · n`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 /// One operation the PQP may route to an LQP. The paper's translator emits
 /// two kinds (LQP-executed Select, and Retrieve = "an LQP Restrict
-/// operation without any restricting condition"); Project pushdown is an
-/// optimizer extension.
+/// operation without any restricting condition"); Project pushdown is
+/// this reproduction's extension.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalOp {
     /// Target local relation (LS).
@@ -127,7 +127,8 @@ impl Capabilities {
     }
 }
 
-/// Per-relation statistics for the optimizer's cost estimates.
+/// Per-relation statistics for EXPLAIN's plan-cost estimate and the
+/// tests that check it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RelStats {
     /// Tuple count.
@@ -195,7 +196,7 @@ pub trait Lqp: Send + Sync {
     /// Schema of one relation.
     fn schema_of(&self, relation: &str) -> Option<Arc<Schema>>;
 
-    /// Statistics for the optimizer.
+    /// Statistics for EXPLAIN's plan-cost estimate.
     fn stats(&self, relation: &str) -> Option<RelStats>;
 
     /// Execute a local operation, returning untagged data (tagging happens

@@ -11,7 +11,7 @@
 //! * [`adapter`] — simulations of the paper's quirky commercial
 //!   interfaces (menu-driven retrieve-only feeds) and the compensating
 //!   wrapper that completes rejected operations locally.
-//! * [`cost`] — the latency model the optimizer estimates with.
+//! * [`cost`] — the latency model EXPLAIN's plan-cost estimate uses.
 //! * [`registry`] — name → LQP routing plus the retrieve-then-tag
 //!   boundary into the polygen model.
 //!

@@ -1,9 +1,9 @@
 //! An in-memory single-site relational LQP — the reference local system.
 //!
 //! Holds a local database's relations and executes [`LocalOp`]s with the
-//! flat algebra. Instrumented with shipment counters so benchmarks and the
-//! optimizer's pushdown ablation can measure how many tuples each strategy
-//! moves out of the local system (the figure of merit the paper's
+//! flat algebra. Instrumented with shipment counters so benchmarks and
+//! tests can measure how many tuples each strategy moves out of the local
+//! system (the figure of merit the paper's
 //! "cost-effective … composite information" remark points at).
 
 use crate::engine::{Capabilities, LocalOp, Lqp, LqpError, RelStats};

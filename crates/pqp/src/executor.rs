@@ -1,6 +1,6 @@
 //! The plan executor.
 //!
-//! [`execute_plan`] walks the operator DAG the physical-plan layer
+//! [`execute_plan`] walks the operator tree the physical-plan layer
 //! ([`crate::plan`]) lowers an IOM to: scans run at the LQPs and come
 //! back *late-tagged* (the LQP's rows plus one source id — see
 //! [`polygen_core::base`]; a pushed-down select or an index probe adds
@@ -162,23 +162,22 @@ fn check_schema(i: usize, node: &plan::PhysNode, ran: &Schema) -> Result<(), Pqp
     })
 }
 
-/// What a node hands its consumers. Leaves (Scan/IndexScan) stay
-/// late-tagged [`Slot::Leaf`]s — cloning one is a few pointer copies, so
-/// any number of consumers may take it: a pipeline lifts it into a
-/// `ColumnBatch` with uniform tag columns, hash joins and merges read it
-/// in place, and everything else materializes it. A HashMerge's answer
-/// stays late-built in the same way, as a [`Slot::Merged`] view: a hash
-/// join reads it in place and builds only the merged cells its output
-/// keeps, a pipeline with no stages left passes it on, and everything
-/// else materializes it. A hash join that ran its consumer's Project
-/// hands that consumer — its only one — the projected relation as a
-/// [`Slot::Built`], which a pipeline with only the Project's
-/// presentation left renames and passes on. Every other node flows as a
-/// [`Slot::Stream`] of `Arc`-shared tuples.
-#[derive(Clone)]
+/// What a node hands its consumer (the plan is a tree: each slot is
+/// taken once). Leaves (Scan/IndexScan) stay late-tagged
+/// [`Slot::Leaf`]s: a pipeline lifts one into a `ColumnBatch` with
+/// uniform tag columns, hash joins and merges read it in place, and
+/// everything else materializes it. A HashMerge's answer stays
+/// late-built in the same way, as a [`Slot::Merged`] view: a hash join
+/// reads it in place and builds only the merged cells its output keeps,
+/// a pipeline with no stages left passes it on, and everything else
+/// materializes it. A hash join that ran its consumer's Project hands
+/// that consumer the projected relation as a [`Slot::Built`], which a
+/// pipeline with only the Project's presentation left renames and
+/// passes on. Every other node flows as a [`Slot::Stream`] of
+/// `Arc`-shared tuples.
 enum Slot {
     Leaf(BaseRelation),
-    Merged(Arc<MergedView<BaseRelation>>),
+    Merged(MergedView<BaseRelation>),
     Built(PolygenRelation),
     Stream(TupleStream),
 }
@@ -206,7 +205,7 @@ impl Slot {
     fn into_relation(self) -> PolygenRelation {
         match self {
             Slot::Leaf(b) => b.materialize(),
-            Slot::Merged(m) => Arc::try_unwrap(m).map_or_else(|m| m.materialize(), Into::into),
+            Slot::Merged(m) => m.into(),
             Slot::Built(r) => r,
             Slot::Stream(s) => s.into_relation(),
         }
@@ -231,7 +230,7 @@ macro_rules! with_operand {
                 $body
             }
             Slot::Merged(merged) => {
-                let $o = &*merged;
+                let $o = &merged;
                 $body
             }
             slot => {
@@ -343,26 +342,15 @@ pub fn execute_plan(
 ) -> Result<PolygenRelation, PqpError> {
     let n = plan.nodes.len();
     let par = options.parallelism();
-    // Remaining consumers per node; the last consumer takes the slot,
-    // earlier ones clone it (Arc bumps — a leaf's rows and a stream's
-    // tuples stay shared, and the stage kernels copy-on-write).
-    let mut remaining = vec![0usize; n];
-    for node in &plan.nodes {
-        for i in node.op.inputs() {
-            remaining[i] += 1;
-        }
-    }
-    remaining[plan.root] += 1;
+    // The plan is a tree in topological order: each node's one consumer
+    // takes its slot.
     let mut slots: Vec<Option<Slot>> = (0..n).map(|_| None).collect();
     // The partition count each node's kernel ran at.
     let mut ran_at = vec![1usize; n];
-    let take = |slots: &mut Vec<Option<Slot>>, remaining: &mut Vec<usize>, i: usize| {
-        remaining[i] -= 1;
-        if remaining[i] == 0 {
-            slots[i].take().expect("plan is topologically ordered")
-        } else {
-            slots[i].clone().expect("plan is topologically ordered")
-        }
+    let take = |slots: &mut Vec<Option<Slot>>, i: usize| {
+        slots[i]
+            .take()
+            .expect("plan is a topologically ordered tree")
     };
     for (i, node) in plan.nodes.iter().enumerate() {
         let span = trace.begin(op_span_name(&node.op));
@@ -418,7 +406,7 @@ pub fn execute_plan(
                 // (eligible stages over a leaf) takes the ColumnBatch
                 // kernels with late tag materialization, everything
                 // else the row walk below.
-                match take(&mut slots, &mut remaining, *input) {
+                match take(&mut slots, *input) {
                     // A merge ran every stage: its view passes on.
                     merged @ Slot::Merged(_) if stages.is_empty() => merged,
                     // A join ran the Project, the only stage: what is left
@@ -497,8 +485,8 @@ pub fn execute_plan(
             } => {
                 // Leaves are read in place; anything else is already a
                 // tagged stream.
-                let l = take(&mut slots, &mut remaining, *left);
-                let r = take(&mut slots, &mut remaining, *right);
+                let l = take(&mut slots, *left);
+                let r = take(&mut slots, *right);
                 let run = fan_out(par, l.len() + r.len());
                 // A join whose only consumer opens with a Project builds
                 // just the projected rows.
@@ -538,8 +526,8 @@ pub fn execute_plan(
                 cmp,
                 y,
             } => {
-                let l = take(&mut slots, &mut remaining, *left).into_relation();
-                let r = take(&mut slots, &mut remaining, *right).into_relation();
+                let l = take(&mut slots, *left).into_relation();
+                let r = take(&mut slots, *right).into_relation();
                 Slot::Stream(TupleStream::from_relation(algebra::theta_join(
                     &l, &r, x, *cmp, y,
                 )?))
@@ -550,10 +538,7 @@ pub fn execute_plan(
                 relabels,
                 ..
             } => {
-                let taken: Vec<Slot> = inputs
-                    .iter()
-                    .map(|&idx| take(&mut slots, &mut remaining, idx))
-                    .collect();
+                let taken: Vec<Slot> = inputs.iter().map(|&idx| take(&mut slots, idx)).collect();
                 let run = fan_out(par, taken.iter().map(Slot::len).sum());
                 let policy = options.conflict_policy;
                 let names = |k: usize| relabels[k].iter().map(String::as_str).collect::<Vec<_>>();
@@ -596,33 +581,33 @@ pub fn execute_plan(
                     algebra::hash_merge_view(operands, key, policy, &filters, run)?;
                 fanned = used;
                 rows = Some(merged);
-                Slot::Merged(Arc::new(view))
+                Slot::Merged(view)
             }
             PhysOp::AntiJoin { left, right, x, y } => {
-                let l = take(&mut slots, &mut remaining, *left).into_relation();
-                let r = take(&mut slots, &mut remaining, *right).into_relation();
+                let l = take(&mut slots, *left).into_relation();
+                let r = take(&mut slots, *right).into_relation();
                 Slot::Stream(TupleStream::from_relation(algebra::anti_join(
                     &l, &r, x, y,
                 )?))
             }
             PhysOp::Union { left, right } => {
-                let l = take(&mut slots, &mut remaining, *left).into_relation();
-                let r = take(&mut slots, &mut remaining, *right).into_relation();
+                let l = take(&mut slots, *left).into_relation();
+                let r = take(&mut slots, *right).into_relation();
                 Slot::Stream(TupleStream::from_relation(algebra::union(&l, &r)?))
             }
             PhysOp::Difference { left, right } => {
-                let l = take(&mut slots, &mut remaining, *left).into_relation();
-                let r = take(&mut slots, &mut remaining, *right).into_relation();
+                let l = take(&mut slots, *left).into_relation();
+                let r = take(&mut slots, *right).into_relation();
                 Slot::Stream(TupleStream::from_relation(algebra::difference(&l, &r)?))
             }
             PhysOp::Intersect { left, right } => {
-                let l = take(&mut slots, &mut remaining, *left).into_relation();
-                let r = take(&mut slots, &mut remaining, *right).into_relation();
+                let l = take(&mut slots, *left).into_relation();
+                let r = take(&mut slots, *right).into_relation();
                 Slot::Stream(TupleStream::from_relation(algebra::intersect(&l, &r)?))
             }
             PhysOp::Product { left, right } => {
-                let l = take(&mut slots, &mut remaining, *left).into_relation();
-                let r = take(&mut slots, &mut remaining, *right).into_relation();
+                let l = take(&mut slots, *left).into_relation();
+                let r = take(&mut slots, *right).into_relation();
                 Slot::Stream(TupleStream::from_relation(algebra::product(&l, &r)?))
             }
         };

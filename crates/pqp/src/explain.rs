@@ -38,16 +38,6 @@ pub fn explain(
     out.push_str(&render_iom(&compiled.half));
     let _ = writeln!(out, "\n== Intermediate Operation Matrix (Table 3 form) ==");
     out.push_str(&render_iom(&compiled.iom));
-    if compiled.plan != compiled.iom {
-        let _ = writeln!(out, "\n== Optimized plan ==");
-        out.push_str(&render_iom(&compiled.plan));
-        let r = compiled.optimizer_report;
-        let _ = writeln!(
-            out,
-            "(deduped {} retrieves + {} merges, pushed {} selects, eliminated {} rows)",
-            r.retrieves_deduped, r.merges_deduped, r.selects_pushed, r.rows_eliminated
-        );
-    }
     let _ = writeln!(out, "\n== Physical plan ==");
     out.push_str(&render_plan(&compiled.physical));
     let fused = compiled.physical.fused_rows();

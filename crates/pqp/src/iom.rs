@@ -75,7 +75,7 @@ impl Iom {
     }
 
     /// Count rows routed to LQPs vs the PQP — the routing statistic the
-    /// optimizer ablation reports.
+    /// intro-query test and the scale example report.
     pub fn routing_counts(&self) -> (usize, usize) {
         let lqp = self
             .rows

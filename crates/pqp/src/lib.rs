@@ -12,9 +12,7 @@
 //!      ▼
 //! Interpreter pass two ──▶ Intermediate Operation Matrix (Table 3)
 //!      ▼
-//! Query Optimizer ──▶ optimized IOM
-//!      ▼
-//! Physical-plan lowering ──▶ operator DAG: Scan leaves, fused
+//! Physical-plan lowering ──▶ operator tree: Scan leaves, fused
 //!              Select/Restrict/Project pipelines, single-pass hash
 //!              equi-joins, k-way hash Merge            ([`plan`])
 //!      ▼
@@ -23,6 +21,11 @@
 //!              the eager row-by-row reference interpreter
 //!              `execute_eager` keeps every `R(n)`       (Tables 4–8)
 //! ```
+//!
+//! Figure 2's Query Optimizer stage is left out, as the paper leaves its
+//! details out: Table 3's IOM is the query execution plan, run "without
+//! further optimization", and lowering only picks each operator's
+//! physical strategy.
 //!
 //! Entry point: [`pqp::Pqp`]. [`Pqp::compile`] produces every stage
 //! above as a [`pqp::CompiledQuery`] and [`Pqp::run_compiled`] executes
@@ -39,7 +42,6 @@ pub mod executor;
 pub mod explain;
 pub mod interpreter;
 pub mod iom;
-pub mod optimizer;
 pub mod plan;
 pub mod pom;
 #[allow(clippy::module_inception)]
@@ -54,7 +56,6 @@ pub mod prelude {
     pub use crate::explain::{explain, render_analyzed_plan};
     pub use crate::interpreter::{interpret, pass_one, pass_two};
     pub use crate::iom::{render_iom, ExecLoc, Iom, IomRow};
-    pub use crate::optimizer::{optimize, OptimizerReport};
     pub use crate::plan::{
         lower as lower_plan, render_plan, route_index_scans, PhysNode, PhysOp, PhysicalPlan, Stage,
         StageKind,

@@ -1,17 +1,17 @@
-//! The physical-plan layer — between the Query Optimizer and execution.
+//! The physical-plan layer — between the IOM and execution.
 //!
-//! The paper's Figure 2 hands the optimizer's IOM straight to a row-by-row
-//! interpreter; production engines insert a lowering step that turns the
-//! logical matrix into a tree of physical operators with concrete
-//! strategies. [`lower`] performs that step:
+//! The paper runs Table 3's IOM as the query execution plan on a
+//! row-by-row interpreter; production engines insert a lowering step that
+//! turns the logical matrix into a tree of physical operators with
+//! concrete strategies. [`lower`] performs that step:
 //!
 //! * **Retrieve/Select/Restrict/Project rows at an LQP** become
 //!   [`PhysOp::Scan`] leaves (a [`LocalOp`] shipped to the local system,
 //!   tagged at the boundary).
 //! * **Select/Restrict/Project rows at the PQP** become pipeline *stages*.
-//!   Consecutive stages over a single-consumer input fuse into one
-//!   [`PhysOp::Pipeline`] that streams `Arc`-shared tuples through every
-//!   stage without materializing the intermediate relations.
+//!   Consecutive stages fuse into one [`PhysOp::Pipeline`] that streams
+//!   `Arc`-shared tuples through every stage without materializing the
+//!   intermediate relations.
 //! * **Equi-joins** lower to [`PhysOp::HashJoin`] (single-pass build +
 //!   probe with the join-column coalesce fused into the emit); other θs
 //!   fall back to [`PhysOp::ThetaJoin`] nested loops.
@@ -38,7 +38,7 @@ use polygen_flat::value::{Cmp, Value};
 use polygen_index::{IndexCatalog, IndexKind, Interval, Probe};
 use polygen_lqp::engine::LocalOp;
 use polygen_lqp::registry::LqpRegistry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -89,8 +89,8 @@ pub enum StageKind {
 }
 
 /// A physical operator. Inputs reference earlier nodes by index in
-/// [`PhysicalPlan::nodes`] (the plan is a DAG in topological order —
-/// deduplicated scans fan out to several consumers).
+/// [`PhysicalPlan::nodes`] (the plan is a tree in topological order:
+/// every node but the root is the input of exactly one later node).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysOp {
     /// Ship a [`LocalOp`] to an LQP; the result is tagged at the boundary.
@@ -203,20 +203,22 @@ pub enum PhysOp {
 }
 
 impl PhysOp {
-    /// The node indices this operator consumes (in consumption order).
-    pub fn inputs(&self) -> Vec<usize> {
-        match self {
-            PhysOp::Scan { .. } | PhysOp::IndexScan { .. } => Vec::new(),
-            PhysOp::Pipeline { input, .. } => vec![*input],
+    /// The node indices this operator consumes (in consumption order),
+    /// without allocating: the sole-consumer rule asks every node.
+    pub fn inputs(&self) -> impl Iterator<Item = usize> + '_ {
+        let (pair, list): ([Option<usize>; 2], &[usize]) = match self {
+            PhysOp::Scan { .. } | PhysOp::IndexScan { .. } => ([None, None], &[]),
+            PhysOp::Pipeline { input, .. } => ([Some(*input), None], &[]),
             PhysOp::HashJoin { left, right, .. }
             | PhysOp::ThetaJoin { left, right, .. }
             | PhysOp::AntiJoin { left, right, .. }
             | PhysOp::Union { left, right }
             | PhysOp::Difference { left, right }
             | PhysOp::Intersect { left, right }
-            | PhysOp::Product { left, right } => vec![*left, *right],
-            PhysOp::HashMerge { inputs, .. } => inputs.clone(),
-        }
+            | PhysOp::Product { left, right } => ([Some(*left), Some(*right)], &[]),
+            PhysOp::HashMerge { inputs, .. } => ([None, None], inputs),
+        };
+        pair.into_iter().flatten().chain(list.iter().copied())
     }
 }
 
@@ -236,7 +238,7 @@ pub struct PhysNode {
 /// A lowered physical plan: nodes in topological (execution) order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalPlan {
-    /// The operator DAG, execution-ordered.
+    /// The operator tree, execution-ordered.
     pub nodes: Vec<PhysNode>,
     /// Index of the node producing the query answer.
     pub root: usize,
@@ -283,11 +285,10 @@ impl PhysicalPlan {
     /// Does node `i` run on the columnar batch kernels? True for a
     /// pipeline with batch-eligible stages over a Scan/IndexScan leaf —
     /// the shape the executor lifts into a `ColumnBatch` instead of a
-    /// row stream (leaves are late-tagged and shared by pointer, so any
-    /// number of consumers may do so). The executor, the cost model and
-    /// EXPLAIN's `[batch]` marker all ask it, and everything it rejects
-    /// — interior inputs, a mid-chain Project — walks the row stream,
-    /// unless the breaker under it already ran the leading stages
+    /// row stream. The executor, the cost model and EXPLAIN's `[batch]`
+    /// marker all ask it, and everything it rejects — interior inputs, a
+    /// mid-chain Project — walks the row stream, unless the breaker
+    /// under it already ran the leading stages
     /// ([`PhysicalPlan::fused_join_project`],
     /// [`PhysicalPlan::fused_merge_stages`]).
     pub fn is_batch_pipeline(&self, i: usize) -> bool {
@@ -301,13 +302,16 @@ impl PhysicalPlan {
     }
 
     /// The stages of node `i`'s consumer, when `i` is not the answer and
-    /// its only consumer is a Pipeline — the one shape in which a breaker
-    /// may run its consumer's leading stages inside its own emit.
+    /// its consumer is a Pipeline — the one shape in which a breaker may
+    /// run its consumer's leading stages inside its own emit, and a Scan
+    /// may fold them into an index probe. A [`lower`]ed plan is a tree,
+    /// so every node but the root has one consumer; a hand-built plan
+    /// that gives node `i` a second one gets `None`.
     fn sole_pipeline_consumer(&self, i: usize) -> Option<&[Stage]> {
         if i == self.root {
             return None;
         }
-        let mut consumers = self.nodes.iter().filter(|n| n.op.inputs().contains(&i));
+        let mut consumers = self.nodes.iter().filter(|n| n.op.inputs().any(|j| j == i));
         match (consumers.next().map(|n| &n.op), consumers.next()) {
             (Some(PhysOp::Pipeline { stages, .. }), None) => Some(stages),
             _ => None,
@@ -315,16 +319,15 @@ impl PhysicalPlan {
     }
 
     /// The columns of the Project that HashJoin `i` runs inside its
-    /// emit, if any: the join is not the answer, its only consumer is a
+    /// emit, if any: the join is not the answer, its consumer is a
     /// Pipeline, and that pipeline's stage 0 is a Project. The join then
     /// builds only the projected columns of each first occurrence and
     /// unions a duplicate's tags in — Project's collapse and the join's
     /// tag update are both set unions, so they commute with dropping
     /// what the answer drops — and the pipeline only renames. Like
     /// [`PhysicalPlan::is_batch_pipeline`] this reads the plan's shape
-    /// alone; everything it rejects (a join at the root or with two
-    /// consumers, a ThetaJoin, a Select or Restrict before the Project)
-    /// runs the join whole.
+    /// alone; everything it rejects (a join at the root, a ThetaJoin, a
+    /// Select or Restrict before the Project) runs the join whole.
     pub fn fused_join_project(&self, i: usize) -> Option<&[String]> {
         if !matches!(self.nodes[i].op, PhysOp::HashJoin { .. }) {
             return None;
@@ -336,16 +339,15 @@ impl PhysicalPlan {
     }
 
     /// The Select/Restrict stages HashMerge `i` runs inside its emit, if
-    /// any: the merge is not the answer, its only consumer is a
-    /// Pipeline, and that pipeline opens with Selects or Restricts — all
-    /// of them up to its first Project. The merge then tests them on
+    /// any: the merge is not the answer, its consumer is a Pipeline, and
+    /// that pipeline opens with Selects or Restricts — all of them up to
+    /// its first Project. The merge then tests them on
     /// each key's coalesced data and builds cells only for the rows they
     /// keep, and the pipeline runs the rest. Both tag updates are set
     /// unions over cells the merge has built by then, so the kept rows
     /// read as merge-then-stages. Shape alone decides, as for
-    /// [`PhysicalPlan::fused_join_project`]: a merge at the root, with
-    /// two consumers, or under a pipeline opening with Project runs
-    /// whole.
+    /// [`PhysicalPlan::fused_join_project`]: a merge at the root or
+    /// under a pipeline opening with Project runs whole.
     pub fn fused_merge_stages(&self, i: usize) -> Option<&[Stage]> {
         if !matches!(self.nodes[i].op, PhysOp::HashMerge { .. }) {
             return None;
@@ -492,8 +494,6 @@ struct Produced {
 struct Lowerer<'a> {
     registry: &'a LqpRegistry,
     dictionary: &'a DataDictionary,
-    /// pr → number of later references.
-    uses: HashMap<usize, usize>,
     nodes: Vec<PhysNode>,
     env: HashMap<usize, Produced>,
 }
@@ -574,7 +574,8 @@ impl Lowerer<'_> {
     }
 
     /// Attach a Select/Restrict/Project stage: appended to the input's
-    /// pipeline when fusion applies, otherwise as a fresh pipeline node.
+    /// pipeline when the input is one (this stage is its only consumer),
+    /// otherwise as a fresh pipeline node.
     fn push_stage(
         &mut self,
         pr: usize,
@@ -588,23 +589,20 @@ impl Lowerer<'_> {
             .get(&input_pr)
             .ok_or(PqpError::DanglingReference(input_pr))?;
         let input_node = input.node;
-        let fusible = self.uses.get(&input_pr).copied().unwrap_or(0) == 1;
-        if fusible {
-            if let PhysOp::Pipeline { stages, .. } = &mut self.nodes[input_node].op {
-                stages.push(stage);
-                self.nodes[input_node].row = pr;
-                self.nodes[input_node].schema = Arc::clone(&schema);
-                self.env.insert(
-                    pr,
-                    Produced {
-                        node: input_node,
-                        schema,
-                        aliases,
-                        base: None,
-                    },
-                );
-                return Ok(());
-            }
+        if let PhysOp::Pipeline { stages, .. } = &mut self.nodes[input_node].op {
+            stages.push(stage);
+            self.nodes[input_node].row = pr;
+            self.nodes[input_node].schema = Arc::clone(&schema);
+            self.env.insert(
+                pr,
+                Produced {
+                    node: input_node,
+                    schema,
+                    aliases,
+                    base: None,
+                },
+            );
+            return Ok(());
         }
         self.push_node(
             pr,
@@ -947,34 +945,37 @@ impl Lowerer<'_> {
     }
 }
 
-/// Lower an IOM into a physical plan: a stage chain over a
-/// single-consumer input fuses into one pipeline. Lowering reads no
-/// engine options — the executor picks each operator's fan-out at run
-/// time from its input size — so a plan's text, fingerprint and cost
-/// estimate are the same at every thread count.
+/// Lower an IOM into a physical plan: a stage chain fuses into one
+/// pipeline. The plan is a tree, so an IOM that references a result
+/// twice is rejected with [`PqpError::MalformedRow`] naming the row
+/// that references it again. Lowering reads no engine options — the
+/// executor picks each operator's fan-out at run time from its input
+/// size — so a plan's text, fingerprint and cost estimate are the same
+/// at every thread count.
 pub fn lower(
     iom: &Iom,
     registry: &LqpRegistry,
     dictionary: &DataDictionary,
 ) -> Result<PhysicalPlan, PqpError> {
-    let mut uses: HashMap<usize, usize> = HashMap::new();
+    let mut referenced = HashSet::new();
     for row in &iom.rows {
-        for r in [&row.lhr, &row.rhr] {
-            match r {
-                RelRef::Derived(i) => *uses.entry(*i).or_default() += 1,
-                RelRef::DerivedList(ids) => {
-                    for i in ids {
-                        *uses.entry(*i).or_default() += 1;
-                    }
-                }
-                _ => {}
+        let inputs = [&row.lhr, &row.rhr].into_iter().flat_map(|r| match r {
+            RelRef::Derived(i) => std::slice::from_ref(i),
+            RelRef::DerivedList(ids) => ids.as_slice(),
+            _ => &[],
+        });
+        for &i in inputs {
+            if !referenced.insert(i) {
+                return Err(PqpError::MalformedRow {
+                    row: row.pr,
+                    reason: format!("R({i}) is referenced twice; a plan is a tree"),
+                });
             }
         }
     }
     let mut lowerer = Lowerer {
         registry,
         dictionary,
-        uses,
         nodes: Vec::with_capacity(iom.rows.len()),
         env: HashMap::new(),
     };
@@ -1025,9 +1026,9 @@ enum Route {
     Scan,
 }
 
-/// Decide the route for one Scan leaf. `stages` is the lone consuming
-/// pipeline's stage list, when the leaf has exactly one consumer and it
-/// is a pipeline — the source of foldable residual conjuncts.
+/// Decide the route for one Scan leaf. `stages` is the consuming
+/// pipeline's stage list, when the leaf's consumer is a pipeline — the
+/// source of foldable residual conjuncts.
 fn route_scan(catalog: &IndexCatalog, db: &str, op: &LocalOp, stages: Option<&[Stage]>) -> Route {
     // Only plain retrieves and single-predicate selects are candidates:
     // restricts compare two columns (not sargable) and projections
@@ -1037,7 +1038,7 @@ fn route_scan(catalog: &IndexCatalog, db: &str, op: &LocalOp, stages: Option<&[S
     }
     // Seed the interval: the scan's own filter (evaluated LQP-side on
     // raw values — requires a raw-faithful index), or, for a bare
-    // retrieve, the first Select stage of the lone consuming pipeline
+    // retrieve, the first Select stage of the consuming pipeline
     // (evaluated PQP-side on mapped values — the index's native keys).
     let (column, index, seed, fold_from) = match &op.filter {
         Some((attr, cmp, value)) => {
@@ -1116,32 +1117,16 @@ pub fn route_index_scans(plan: &PhysicalPlan, catalog: &IndexCatalog) -> Physica
     if catalog.is_empty() {
         return plan.clone();
     }
-    // Consumers per node: stage folding needs the lone consuming
-    // pipeline; a shared leaf (a deduplicated self-join scan) may still
-    // route its own filter but must not fold any one consumer's stages.
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); plan.nodes.len()];
-    for (i, node) in plan.nodes.iter().enumerate() {
-        for input in node.op.inputs() {
-            consumers[input].push(i);
-        }
-    }
     let mut routed = plan.clone();
     for (i, node) in plan.nodes.iter().enumerate() {
         let PhysOp::Scan { db, op } = &node.op else {
             continue;
         };
-        let lone_pipeline_stages = match consumers[i].as_slice() {
-            [j] => match &plan.nodes[*j].op {
-                PhysOp::Pipeline { input, stages } if *input == i => Some(stages.as_slice()),
-                _ => None,
-            },
-            _ => None,
-        };
         if let Route::Index {
             column,
             kind,
             probe,
-        } = route_scan(catalog, db, op, lone_pipeline_stages)
+        } = route_scan(catalog, db, op, plan.sole_pipeline_consumer(i))
         {
             routed.nodes[i].op = PhysOp::IndexScan {
                 db: db.clone(),
@@ -1425,26 +1410,32 @@ mod tests {
     }
 
     #[test]
-    fn shared_scan_does_not_fuse() {
-        // A self-join's deduplicated retrieve feeds two consumers; the
-        // select over it must not be fused into a shared node.
+    fn lower_rejects_a_result_referenced_twice() {
+        // One CAREER retrieve feeding both sides of a self-join: the
+        // shape a retrieve-deduplicating rewrite gives
+        // `PCAREER [AID# = AID#] PCAREER`. A plan is a tree, so
+        // lowering refuses it and names the row that reads R(1) again.
         let s = scenario::build();
         let registry = scenario_registry(&s);
         let pom = analyze(&parse_algebra("PCAREER [AID# = AID#] PCAREER").unwrap()).unwrap();
         let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-        let (opt, _) = crate::optimizer::optimize(&iom, &registry, &s.dictionary).unwrap();
-        let plan = lower(&opt, &registry, &s.dictionary).unwrap();
-        // Deduped plan: one scan + one hash join over it twice.
-        let scans = plan
-            .nodes
-            .iter()
-            .filter(|n| matches!(n.op, PhysOp::Scan { .. }))
-            .count();
-        assert_eq!(scans, 1);
-        if let PhysOp::HashJoin { left, right, .. } = &plan.nodes[plan.root].op {
-            assert_eq!(left, right, "both sides read the shared scan");
-        } else {
-            panic!("root should be a hash join");
+        assert!(lower(&iom, &registry, &s.dictionary).is_ok());
+        let retrieve = iom.rows[0].clone();
+        assert_eq!((retrieve.pr, retrieve.op), (1, Op::Retrieve));
+        let mut join = iom.rows.last().unwrap().clone();
+        assert_eq!(join.op, Op::Join);
+        join.pr = 2;
+        join.lhr = RelRef::Derived(1);
+        join.rhr = RelRef::Derived(1);
+        let shared = Iom {
+            rows: vec![retrieve, join],
+        };
+        match lower(&shared, &registry, &s.dictionary) {
+            Err(PqpError::MalformedRow { row, reason }) => {
+                assert_eq!(row, 2);
+                assert!(reason.contains("R(1)"), "{reason}");
+            }
+            other => panic!("a shared retrieve must not lower: {other:?}"),
         }
     }
 }

@@ -1,15 +1,16 @@
 //! The Polygen Query Processor facade (Figure 2).
 //!
 //! Wires the pipeline together: SQL (or algebra text) → lowering → Syntax
-//! Analyzer → POM → two-pass Polygen Operation Interpreter → IOM → Query
-//! Optimizer → executor → tagged composite answer.
+//! Analyzer → POM → two-pass Polygen Operation Interpreter → IOM →
+//! physical plan → executor → tagged composite answer. As in the paper,
+//! Table 3's IOM is the query execution plan, run "without further
+//! optimization".
 
 use crate::analyzer::analyze;
 use crate::error::PqpError;
 use crate::executor::execute_plan;
 use crate::interpreter::interpret;
 use crate::iom::Iom;
-use crate::optimizer::{optimize, OptimizerReport};
 use crate::plan::{lower as lower_plan, PhysicalPlan};
 use crate::pom::Pom;
 use polygen_catalog::dictionary::DataDictionary;
@@ -27,19 +28,15 @@ use polygen_sql::parser::parse_query;
 use std::sync::Arc;
 
 /// The engine configuration: the one statement of every execution
-/// decision. SQL translation, the optimizer switch, the executor and
-/// the serving layer read it (physical-plan lowering reads none of it);
-/// the service overrides only `threads` per query, with the allotment
-/// admission hands it.
+/// decision. SQL translation, the executor and the serving layer read
+/// it (physical-plan lowering reads none of it); the service overrides
+/// only `threads` per query, with the allotment admission hands it.
 #[derive(Debug, Clone, Copy)]
 pub struct PqpOptions {
     /// SQL lowering mode (paper vs strict range variables).
     pub lowering: LoweringOptions,
     /// What Merge does when two sources disagree on a non-key attribute.
     pub conflict_policy: ConflictPolicy,
-    /// Run the Query Optimizer (off reproduces the paper's "Table 3 used
-    /// as a query execution plan … without further optimization").
-    pub optimize: bool,
     /// Worker threads for partition-parallel operators (fused stage
     /// chains, hash joins, hash merges). `0` (the default) = auto: the
     /// `POLYGEN_THREADS` environment variable when set, otherwise
@@ -59,7 +56,6 @@ impl Default for PqpOptions {
         PqpOptions {
             lowering: LoweringOptions::default(),
             conflict_policy: ConflictPolicy::Strict,
-            optimize: false,
             threads: 0,
             partitions: 0,
         }
@@ -91,11 +87,7 @@ pub struct CompiledQuery {
     pub half: Iom,
     /// The full IOM after pass two (Table 3).
     pub iom: Iom,
-    /// The optimizer's output (equal to `iom` when optimization is off).
-    pub plan: Iom,
-    /// What the optimizer changed.
-    pub optimizer_report: OptimizerReport,
-    /// The physical operator DAG lowered from `plan` — what actually
+    /// The physical operator tree lowered from `iom` — what actually
     /// executes (hash joins, k-way hash merge, fused pipelines).
     pub physical: PhysicalPlan,
 }
@@ -177,16 +169,11 @@ impl Pqp {
     }
 
     /// Compile an algebra expression through POM, the two interpreter
-    /// passes and the optimizer.
+    /// passes and physical-plan lowering.
     pub fn compile(&self, expr: AlgebraExpr) -> Result<CompiledQuery, PqpError> {
         let pom = analyze(&expr)?;
         let (half, iom) = interpret(&pom, self.dictionary.schema())?;
-        let (plan, optimizer_report) = if self.options.optimize {
-            optimize(&iom, &self.registry, &self.dictionary)?
-        } else {
-            (iom.clone(), OptimizerReport::default())
-        };
-        let mut physical = lower_plan(&plan, &self.registry, &self.dictionary)?;
+        let mut physical = lower_plan(&iom, &self.registry, &self.dictionary)?;
         // Index pushdown: swap eligible Scan leaves for probes.
         if let Some(catalog) = &self.indexes {
             physical = crate::plan::route_index_scans(&physical, catalog);
@@ -196,8 +183,6 @@ impl Pqp {
             pom,
             half,
             iom,
-            plan,
-            optimizer_report,
             physical,
         })
     }
@@ -266,19 +251,6 @@ mod tests {
         let (alg_compiled, via_algebra) = run_algebra(&pqp, PAPER_EXPRESSION).unwrap();
         assert_eq!(via_sql.tuples(), via_algebra.tuples());
         assert_eq!(sql_compiled.pom, alg_compiled.pom);
-    }
-
-    #[test]
-    fn optimizing_pqp_returns_same_answer() {
-        let s = scenario::build();
-        let naive = Pqp::for_scenario(&s);
-        let opt = Pqp::for_scenario(&s).with_options(PqpOptions {
-            optimize: true,
-            ..PqpOptions::default()
-        });
-        let (_, a) = run_sql(&naive, PAPER_SQL).unwrap();
-        let (_, b) = run_sql(&opt, PAPER_SQL).unwrap();
-        assert!(a.tagged_set_eq(&b));
     }
 
     #[test]

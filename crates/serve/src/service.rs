@@ -973,7 +973,7 @@ impl QueryService {
 }
 
 /// The engine settings every served query compiles and runs under: the
-/// defaults' conflict policy, optimizer switch and SQL lowering mode.
+/// defaults' conflict policy and SQL lowering mode.
 /// Each run overrides only `threads`, with the allotment admission takes
 /// from the shared budget.
 fn engine_options() -> PqpOptions {

@@ -23,8 +23,9 @@
 //!   Figure 1's application schemas with the Application Query
 //!   Processor that rewrites application SQL into polygen SQL.
 //! * [`pqp`] — the Polygen Query Processor (Figure 2): Syntax Analyzer,
-//!   two-pass Polygen Operation Interpreter (Figures 3–4), optimizer,
-//!   executor.
+//!   two-pass Polygen Operation Interpreter (Figures 3–4), physical-plan
+//!   lowering and the executor. Figure 2's Query Optimizer is left out,
+//!   as the paper leaves its details out: Table 3's IOM runs as the plan.
 //! * [`federation`] — §V's source-credibility tools: credibility-based
 //!   conflict resolution and answer ranking, and the cardinality audit.
 //! * [`serve`] — the concurrent query service: federation snapshots

@@ -119,31 +119,31 @@ fn served_queries_allocate_within_their_ceilings() {
             "select",
             &service,
             Request::algebra(queries::select_query(3)),
-            673,
+            627,
         ),
         (
             "join",
             &service,
             Request::algebra(queries::join_query(50)),
-            4_008,
+            3_939,
         ),
         (
             "paper",
             &service,
             Request::sql(queries::paper_shaped_sql(3)),
-            977,
+            898,
         ),
         (
             "point",
             &indexed,
             Request::algebra(queries::point_lookup(7)),
-            114,
+            108,
         ),
         (
             "range",
             &indexed,
             Request::algebra(queries::range_scan(40, 49)),
-            3_389,
+            3_377,
         ),
     ];
     for (class, service, request, ceiling) in classes {

@@ -101,15 +101,15 @@ pub fn generate_pqp(config: &WorkloadConfig) -> (Scenario, Pqp) {
 }
 
 /// Compile algebra text on `pqp` and run it under the PQP's own engine
-/// settings (optimizer, conflict policy, threads, index catalog): the
-/// compiled stages and the answer.
+/// settings (conflict policy, threads, index catalog): the compiled
+/// stages and the answer.
 pub fn run_algebra(pqp: &Pqp, text: &str) -> Result<(CompiledQuery, PolygenRelation), PqpError> {
     let compiled = pqp.compile(parse_algebra(text)?)?;
     let answer = pqp.run_compiled(&compiled)?;
     Ok((compiled, answer))
 }
 
-/// Compile an algebra expression to its (unoptimized) IOM.
+/// Compile an algebra expression to its IOM (Table 3's form).
 pub fn compile(expr: &str, schema: &PolygenSchema) -> Iom {
     let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
     interpret(&pom, schema).unwrap().1

@@ -11,10 +11,9 @@
 
 mod common;
 
-use common::fixtures::{assert_engines_agree, compile, conflicted_config, run_iom, small_config};
+use common::fixtures::{assert_engines_agree, conflicted_config, small_config};
 use polygen::catalog::prelude::scenario;
 use polygen::core::algebra::coalesce::ConflictPolicy;
-use polygen::pqp::prelude::*;
 use polygen::sql::prelude::PAPER_EXPRESSION;
 use polygen::workload;
 use proptest::prelude::*;
@@ -53,24 +52,6 @@ proptest! {
         };
         assert_engines_agree(&sc, "PENTITY [ENAME, CATEGORY]", policy);
         assert_engines_agree(&sc, "PENTITY [CATEGORY = \"C0\"]", policy);
-    }
-
-    /// The optimizer's output lowers and executes identically too.
-    #[test]
-    fn physical_matches_eager_on_optimized_plans(
-        query_seed in any::<u64>(),
-        depth in 1usize..4,
-    ) {
-        let config = small_config(0x5eed, 3, 40);
-        let sc = workload::generate(&config);
-        let registry = polygen::lqp::scenario_registry(&sc);
-        let expr = workload::queries::random_expression(&config, query_seed, depth);
-        let iom = compile(&expr.to_string(), sc.dictionary.schema());
-        let (opt, _) = optimize(&iom, &registry, &sc.dictionary).unwrap();
-        let options = PqpOptions::default();
-        let (eager, _) = execute_eager(&opt, &registry, &sc.dictionary, &options).unwrap();
-        let fast = run_iom(&opt, &registry, &sc.dictionary, &options).unwrap();
-        prop_assert!(fast.tagged_set_eq(&eager), "optimized plan diverges for {expr}");
     }
 }
 

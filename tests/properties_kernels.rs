@@ -131,34 +131,23 @@ fn nested_loop_join(a: &PolygenRelation, b: &PolygenRelation) -> Option<Vec<Poly
     Some(out)
 }
 
-/// Oracle: semi-join (`keep`) or anti-join (`!keep`) of `a[0]` against
-/// `b[0]` by nested loops.
-fn nested_loop_filter(a: &PolygenRelation, b: &PolygenRelation, keep: bool) -> Vec<PolyTuple> {
+/// Oracle: anti-join of `a[0]` against `b[0]` by nested loops.
+fn nested_loop_anti_join(a: &PolygenRelation, b: &PolygenRelation) -> Vec<PolyTuple> {
     let mut closure = SourceSet::empty();
     for c in b.tuples().iter().flatten() {
         closure.union_with(&c.origin);
     }
     let mut out = Vec::new();
     for l in a.tuples() {
-        let matched: Vec<&PolyTuple> = b
-            .tuples()
+        if b.tuples()
             .iter()
-            .filter(|r| l[0].datum.satisfies(Cmp::Eq, &r[0].datum))
-            .collect();
-        if matched.is_empty() == keep {
+            .any(|r| l[0].datum.satisfies(Cmp::Eq, &r[0].datum))
+        {
             continue;
-        }
-        let mut mediators = if keep {
-            l[0].origin.clone()
-        } else {
-            closure.clone()
-        };
-        for r in matched {
-            mediators.union_with(&r[0].origin);
         }
         let mut t = l.clone();
         for c in &mut t {
-            c.intermediate.union_with(&mediators);
+            c.intermediate.union_with(&closure);
         }
         out.push(t);
     }
@@ -689,10 +678,8 @@ proptest! {
                 "{}t/{}p join", threads, partitions
             );
         }
-        let semi = algebra::semi_join(&a, &b, "K", "K2").unwrap();
-        prop_assert_eq!(semi.tuples(), nested_loop_filter(&a, &b, true).as_slice());
         let anti = algebra::anti_join(&a, &b, "K", "K2").unwrap();
-        prop_assert_eq!(anti.tuples(), nested_loop_filter(&a, &b, false).as_slice());
+        prop_assert_eq!(anti.tuples(), nested_loop_anti_join(&a, &b).as_slice());
     }
 
     /// The join fused with its Project against nested loops followed by

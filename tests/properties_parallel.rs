@@ -23,7 +23,9 @@ use polygen::core::stream::ParallelOptions;
 use polygen::core::{Cell, PolygenRelation, SourceId};
 use polygen::flat::{Schema, Value};
 use polygen::obs::trace::Trace;
-use polygen::pqp::prelude::{execute_plan, lower_plan, PhysOp, Pqp, PqpOptions};
+use polygen::pqp::prelude::{
+    execute_plan, lower_plan, PhysNode, PhysOp, PhysicalPlan, Pqp, PqpOptions,
+};
 use polygen::sql::prelude::PAPER_EXPRESSION;
 use polygen::workload;
 use proptest::prelude::*;
@@ -273,12 +275,58 @@ fn fused_join_project_matches_the_unfused_run_across_thread_counts() {
     }
 }
 
+/// `plan` with a stage-less Pipeline put between node `i` and its
+/// consumer. The plan stays a tree and answers the same, but a merge at
+/// `i` no longer has a consumer that opens with Selects/Restricts, so it
+/// runs none of them, and a consumer with stages builds its view whole.
+fn with_pass_through(plan: &PhysicalPlan, i: usize) -> PhysicalPlan {
+    let moved = |j: usize| if j >= i { j + 1 } else { j };
+    let mut nodes = Vec::with_capacity(plan.nodes.len() + 1);
+    for (j, node) in plan.nodes.iter().enumerate() {
+        let mut node = node.clone();
+        if j > i {
+            match &mut node.op {
+                PhysOp::Scan { .. } | PhysOp::IndexScan { .. } => {}
+                PhysOp::Pipeline { input, .. } => *input = moved(*input),
+                PhysOp::HashMerge { inputs, .. } => {
+                    inputs.iter_mut().for_each(|input| *input = moved(*input))
+                }
+                PhysOp::HashJoin { left, right, .. }
+                | PhysOp::ThetaJoin { left, right, .. }
+                | PhysOp::AntiJoin { left, right, .. }
+                | PhysOp::Union { left, right }
+                | PhysOp::Difference { left, right }
+                | PhysOp::Intersect { left, right }
+                | PhysOp::Product { left, right } => {
+                    (*left, *right) = (moved(*left), moved(*right));
+                }
+            }
+        }
+        nodes.push(node);
+        if j == i {
+            nodes.push(PhysNode {
+                row: plan.nodes[i].row,
+                op: PhysOp::Pipeline {
+                    input: i,
+                    stages: Vec::new(),
+                },
+                schema: Arc::clone(&plan.nodes[i].schema),
+            });
+        }
+    }
+    PhysicalPlan {
+        nodes,
+        root: moved(plan.root),
+    }
+}
+
 /// A merge that runs its consumer's Selects and Restricts answers what
 /// the unfused merge and pipeline do: byte for byte with order against
-/// the same plan run unfused (its merge given a second consumer, which
-/// the shape predicate refuses to fuse) and against the eager
-/// interpreter — answer and every prefix — at every thread count, under
-/// every conflict policy, over a federation with conflicting sources.
+/// the same plan run unfused (a stage-less pipeline put between its
+/// merge and the stages, so the shape predicate refuses to fuse) and
+/// against the eager interpreter — answer and every prefix — at every
+/// thread count, under every conflict policy, over a federation with
+/// conflicting sources.
 #[test]
 fn fused_merge_stages_match_the_unfused_run_across_thread_counts() {
     let exprs = [
@@ -303,11 +351,7 @@ fn fused_merge_stages_match_the_unfused_run_across_thread_counts() {
                 .filter(|&i| plan.fused_merge_stages(i).is_some())
                 .collect();
             assert_eq!(fused.len(), 1, "`{expr}` runs its stages in the merge");
-            let mut unfused = plan.clone();
-            let consumer = (0..plan.nodes.len())
-                .find(|&i| plan.nodes[i].op.inputs().contains(&fused[0]))
-                .unwrap();
-            unfused.nodes.push(plan.nodes[consumer].clone());
+            let unfused = with_pass_through(&plan, fused[0]);
             assert!((0..unfused.nodes.len()).all(|i| unfused.fused_merge_stages(i).is_none()));
             for policy in [
                 ConflictPolicy::Strict,
@@ -357,13 +401,13 @@ fn fused_merge_stages_match_the_unfused_run_across_thread_counts() {
 
 /// A join over a merge reads the merge's late-built view in place and
 /// builds only the merged cells it keeps. The production plan must
-/// answer what the same plan answers with every merge given a second
-/// consumer (its view shared, so a consumer that cannot read it in
-/// place builds it whole) and what the eager interpreter answers —
-/// answer and every prefix — at every thread count, under every
-/// conflict policy: the join and paper classes, the view on the probe
-/// side, a join on a non-key merged column, and a merge joined to a
-/// merge.
+/// answer what the same plan answers with a stage-less pipeline after
+/// every merge (so no merge runs its consumer's stages, and a consumer
+/// with stages builds the view whole) and what the eager interpreter
+/// answers — answer and every prefix — at every thread count, under
+/// every conflict policy: the join and paper classes, the view on the
+/// probe side, a join on a non-key merged column, and a merge joined to
+/// a merge.
 #[test]
 fn late_built_merges_match_a_shared_merge_and_eager_across_thread_counts() {
     let paper_class = {
@@ -397,13 +441,11 @@ fn late_built_merges_match_a_shared_merge_and_eager_across_thread_counts() {
                 .filter(|&i| matches!(plan.nodes[i].op, PhysOp::HashMerge { .. }))
                 .collect();
             assert!(!merges.is_empty(), "`{expr}` merges");
-            let mut shared = plan.clone();
-            for &m in &merges {
-                let consumer = (0..plan.nodes.len())
-                    .find(|&i| plan.nodes[i].op.inputs().contains(&m))
-                    .unwrap();
-                shared.nodes.push(plan.nodes[consumer].clone());
-            }
+            // Later merges first, so the earlier indices stay put.
+            let unfused = merges
+                .iter()
+                .rev()
+                .fold(plan.clone(), |p, &m| with_pass_through(&p, m));
             for policy in [
                 ConflictPolicy::Strict,
                 ConflictPolicy::PreferLeft,
@@ -427,15 +469,15 @@ fn late_built_merges_match_a_shared_merge_and_eager_across_thread_counts() {
                         )
                     };
                     let what = format!("`{expr}` under {policy:?} at {threads} threads");
-                    match (run(&plan), run(&shared)) {
-                        (Ok(late), Ok(shared)) => assert_same_bytes(&shared, &late, &what),
-                        (Err(late), Err(shared)) => {
-                            assert_eq!(late.to_string(), shared.to_string(), "{what}")
+                    match (run(&plan), run(&unfused)) {
+                        (Ok(late), Ok(unfused)) => assert_same_bytes(&unfused, &late, &what),
+                        (Err(late), Err(unfused)) => {
+                            assert_eq!(late.to_string(), unfused.to_string(), "{what}")
                         }
-                        (late, shared) => panic!(
-                            "{what}: production {:?} vs shared {:?}",
+                        (late, unfused) => panic!(
+                            "{what}: production {:?} vs unfused {:?}",
                             late.map(|_| ()),
-                            shared.map(|_| ())
+                            unfused.map(|_| ())
                         ),
                     }
                     assert_parallel_matches(&sc, expr, policy, threads);

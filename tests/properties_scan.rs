@@ -10,7 +10,7 @@
 //! The federations here are deliberately hostile where the synthetic
 //! workload generator is clean: domain rules that collapse rows, nil and
 //! duplicate merge/join keys, Int/Float-mixed keys that force the
-//! kernels' reference fallbacks, leaves shared by several consumers, and
+//! kernels' reference fallbacks, leaves read by several kernels, and
 //! every `LocalOp` shape (retrieve / select / restrict / projection).
 //!
 //! A pushed-down select or restrict ships its survivors as ordinals over
@@ -20,7 +20,7 @@
 
 mod common;
 
-use common::fixtures::{compile, same_error_kind};
+use common::fixtures::{compile, same_error_kind, small_config};
 use polygen::catalog::dictionary::DataDictionary;
 use polygen::catalog::domain::{DomainMap, DomainRule};
 use polygen::catalog::mapping::AttributeMapping;
@@ -43,6 +43,8 @@ use polygen::lqp::registry::LqpRegistry;
 use polygen::obs::trace::Trace;
 use polygen::pqp::prelude::*;
 use polygen::serve::prelude::*;
+use polygen::sql::prelude::{parse_algebra, PAPER_EXPRESSION};
+use polygen::workload;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -211,10 +213,9 @@ fn federation(a: &Rows, b: &Rows, c: &Rows, d: &Rows, rule: usize, clean: bool) 
 /// Queries covering every leaf consumer and every `LocalOp` shape: Merge
 /// over plain retrieves, a pushed-down select / restrict / projection on
 /// the single-source scheme, hash joins with a leaf on the left, the
-/// right or both sides (a self-join's deduplicated scan is shared), a
+/// right or both sides (a self-join scans its relation once per side), a
 /// θ-join and the set operators (which materialize their leaves), and
-/// pipelines directly over leaves — one of them over a leaf it shares
-/// with a Union once the optimizer deduplicates the scan.
+/// pipelines directly over leaves.
 const QUERIES: [&str; 12] = [
     "PT [V = 2]",
     "PT [K, W]",
@@ -233,19 +234,9 @@ const QUERIES: [&str; 12] = [
 /// One compiled plan — late-tagged leaves, batch pipelines included —
 /// must produce the same bytes at every thread count, equal to the eager
 /// reference; rejections must agree in kind everywhere.
-fn assert_late_tagging_invisible(
-    sc: &Scenario,
-    expr: &str,
-    policy: ConflictPolicy,
-    optimized: bool,
-) {
+fn assert_late_tagging_invisible(sc: &Scenario, expr: &str, policy: ConflictPolicy) {
     let registry = polygen::lqp::scenario_registry(sc);
     let iom = compile(expr, sc.dictionary.schema());
-    let iom = if optimized {
-        optimize(&iom, &registry, &sc.dictionary).unwrap().0
-    } else {
-        iom
-    };
     let eager = execute_eager(
         &iom,
         &registry,
@@ -296,6 +287,42 @@ fn assert_late_tagging_invisible(
     }
 }
 
+/// Self-joins: on a single-source scheme, on the three-source merged
+/// scheme, and a θ self-join. Each side scans (and merges) its own copy.
+const SELF_JOINS: [&str; 3] = [
+    "PCAREER [AID# = AID#] PCAREER",
+    "(PORGANIZATION [ONAME = ONAME] PORGANIZATION) [ONAME]",
+    "PALUMNUS [AID# < AID#] PALUMNUS",
+];
+
+/// `expr` compiled on `pqp` is a tree: every node but the root is the
+/// input of exactly one node, and the root of none. Returns whether the
+/// expression compiled.
+fn compiles_to_a_tree(pqp: &Pqp, expr: &str) -> bool {
+    let Ok(compiled) = parse_algebra(expr)
+        .map_err(PqpError::from)
+        .and_then(|e| pqp.compile(e))
+    else {
+        return false;
+    };
+    let plan = &compiled.physical;
+    let mut uses = vec![0usize; plan.nodes.len()];
+    for node in &plan.nodes {
+        for i in node.op.inputs() {
+            uses[i] += 1;
+        }
+    }
+    for (i, n) in uses.into_iter().enumerate() {
+        assert_eq!(
+            n,
+            usize::from(i != plan.root),
+            "`{expr}`: node #{i} is an input {n} times\n{}",
+            render_plan(plan)
+        );
+    }
+    true
+}
+
 fn tagged(
     name: &str,
     attrs: [&str; 3],
@@ -320,12 +347,36 @@ proptest! {
         c in rows(10),
         d in rows(40),
         (rule, policy_idx) in (0usize..4, 0usize..POLICIES.len()),
-        (optimized, clean) in (any::<bool>(), any::<bool>()),
+        clean in any::<bool>(),
     ) {
         let sc = federation(&a, &b, &c, &d, rule, clean);
         for expr in QUERIES {
-            assert_late_tagging_invisible(&sc, expr, POLICIES[policy_idx], optimized);
+            assert_late_tagging_invisible(&sc, expr, POLICIES[policy_idx]);
         }
+    }
+
+    /// Plans are trees: the paper query and the self-joins over the MIT
+    /// federation, every `QUERIES` shape that compiles over a hostile
+    /// federation, and random expressions over a generated one.
+    #[test]
+    fn compiled_plans_are_trees(
+        a in rows(6),
+        d in rows(6),
+        (rule, clean) in (0usize..4, any::<bool>()),
+        (query_seed, depth) in (any::<u64>(), 1usize..5),
+    ) {
+        let mit = Pqp::for_scenario(&scenario::build());
+        for expr in std::iter::once(PAPER_EXPRESSION).chain(SELF_JOINS) {
+            prop_assert!(compiles_to_a_tree(&mit, expr), "`{}` compiles", expr);
+        }
+        let hostile = Pqp::for_scenario(&federation(&a, &a, &a, &d, rule, clean));
+        for expr in QUERIES {
+            compiles_to_a_tree(&hostile, expr);
+        }
+        let config = small_config(query_seed, 3, 40);
+        let generated = Pqp::for_scenario(&workload::generate(&config));
+        let expr = workload::queries::random_expression(&config, query_seed, depth).to_string();
+        prop_assert!(compiles_to_a_tree(&generated, &expr), "`{}` compiles", expr);
     }
 
     /// Kernel level: Merge over base relations equals Merge over their
