@@ -1,30 +1,16 @@
 //! The plan executor.
 //!
 //! [`execute_plan`] walks the operator tree the physical-plan layer
-//! ([`crate::plan`]) lowers an IOM to: scans run at the LQPs and come
-//! back *late-tagged* (the LQP's rows plus one source id — see
-//! [`polygen_core::base`]; a pushed-down select or an index probe adds
-//! the ordinals of the rows it kept, and copies none), fused
-//! Select/Restrict/Project stages run columnar over a leaf or stream
-//! `Arc`-shared tuples in place, equi-joins run as single-pass hash
-//! joins with the join-column coalesce fused into the emit, and Merge
-//! runs as the k-way single-pass hash merge — both reading leaves in
-//! place, so a base cell is first built when a kernel writes it into
-//! its output. A merge's answer is late-built the same way: it hands
-//! its consumers a [`MergedView`] of the rows it kept, which a hash
-//! join reads in place (building only the merged cells it outputs) and
-//! a pipeline with no stages left passes on; every other consumer
-//! materializes it. Only the other pipeline breakers (joins, set
-//! operations) materialize relations, and a hash join whose only
-//! consumer opens with a Project ([`PhysicalPlan::fused_join_project`])
-//! runs that Project inside its emit and materializes the projection,
-//! never its own output — over a build side with one row per key,
-//! collapsing pairs by build row — and hands it to that consumer as it
-//! is, which passes it on when only the Project's renaming is left. A
-//! merge whose only consumer opens with Selects/Restricts
-//! ([`PhysicalPlan::fused_merge_stages`]) runs them in its pass and
-//! keeps only the rows they pass. Nothing else is retained: the walk
-//! returns the answer alone.
+//! ([`crate::plan`]) lowers an IOM to, running each node on the kernel
+//! its [`Route`] names and handing its consumer what the route says —
+//! the table on [`Route`] is the one statement of which kernel runs
+//! where. Scans come back *late-tagged* (the LQP's rows plus one source
+//! id — see [`polygen_core::base`]; a pushed-down select or an index
+//! probe adds the ordinals of the rows it kept, and copies none), and
+//! hash joins and merges read them in place, so a base cell is first
+//! built when a kernel writes it into its output. A slot that does not
+//! fit its consumer's route is [`PqpError::MalformedRow`], never a
+//! panic. Nothing is retained: the walk returns the answer alone.
 //!
 //! The paper-faithful row-by-row interpreter survives as
 //! [`execute_eager`]: it materializes every `R(n)` eagerly with the
@@ -46,8 +32,8 @@
 
 use crate::error::PqpError;
 use crate::iom::{ExecLoc, Iom, IomRow};
-use crate::plan::{self, PhysOp, PhysicalPlan, StageKind};
-use crate::pom::{Op, RelRef, Rha};
+use crate::plan::{self, AliasMap, PhysOp, PhysicalPlan, Route, StageKind};
+use crate::pom::{Op, RelRef};
 use crate::pqp::PqpOptions;
 use polygen_catalog::dictionary::DataDictionary;
 use polygen_core::algebra::join::equi_join_coalesced_schema;
@@ -60,7 +46,6 @@ use polygen_core::stream::{concat_streams, scoped_map, ParallelOptions, Partitio
 use polygen_flat::schema::Schema;
 use polygen_flat::value::Cmp;
 use polygen_index::IndexCatalog;
-use polygen_lqp::engine::LocalOp;
 use polygen_lqp::registry::LqpRegistry;
 use polygen_obs::trace::{Note, Trace};
 use std::collections::BTreeMap;
@@ -102,18 +87,17 @@ fn apply_stage(s: &mut TupleStream, kind: &StageKind) -> Result<(), PqpError> {
     Ok(())
 }
 
-/// A Select or Restrict stage as a fused merge runs it.
-fn row_filter(kind: &StageKind) -> RowFilter<'_> {
+/// A Select or Restrict stage as a fused merge runs it (a Project is
+/// none).
+fn row_filter(kind: &StageKind) -> Option<RowFilter<'_>> {
     match kind {
-        StageKind::Select { attr, cmp, value } => RowFilter::Select {
+        StageKind::Select { attr, cmp, value } => Some(RowFilter::Select {
             attr,
             cmp: *cmp,
             value,
-        },
-        StageKind::Restrict { x, cmp, y } => RowFilter::Restrict { x, cmp: *cmp, y },
-        StageKind::Project { .. } => {
-            unreachable!("a merge's fused stages stop at the first Project")
-        }
+        }),
+        StageKind::Restrict { x, cmp, y } => Some(RowFilter::Restrict { x, cmp: *cmp, y }),
+        StageKind::Project { .. } => None,
     }
 }
 
@@ -162,19 +146,10 @@ fn check_schema(i: usize, node: &plan::PhysNode, ran: &Schema) -> Result<(), Pqp
     })
 }
 
-/// What a node hands its consumer (the plan is a tree: each slot is
-/// taken once). Leaves (Scan/IndexScan) stay late-tagged
-/// [`Slot::Leaf`]s: a pipeline lifts one into a `ColumnBatch` with
-/// uniform tag columns, hash joins and merges read it in place, and
-/// everything else materializes it. A HashMerge's answer stays
-/// late-built in the same way, as a [`Slot::Merged`] view: a hash join
-/// reads it in place and builds only the merged cells its output keeps,
-/// a pipeline with no stages left passes it on, and everything else
-/// materializes it. A hash join that ran its consumer's Project hands
-/// that consumer the projected relation as a [`Slot::Built`], which a
-/// pipeline with only the Project's presentation left renames and
-/// passes on. Every other node flows as a [`Slot::Stream`] of
-/// `Arc`-shared tuples.
+/// What a node hands its consumer, as its [`Route`] says: a late-tagged
+/// leaf, a merge's late-built view, a join's built projection, or a
+/// stream of `Arc`-shared tuples. The plan is a tree, so each slot is
+/// taken once.
 enum Slot {
     Leaf(BaseRelation),
     Merged(MergedView<BaseRelation>),
@@ -324,14 +299,40 @@ fn op_span_name(op: &PhysOp) -> &'static str {
     }
 }
 
-/// Walk a lowered physical plan, probing `indexes` for the plan's
+/// The `kernel` note a node's span carries for its route (the
+/// right-hand column of the table on [`Route`]).
+fn kernel_note(route: Route) -> Option<&'static str> {
+    match route {
+        Route::Batch => Some("batch"),
+        Route::Rows { .. } => Some("row"),
+        Route::JoinProject { .. } => Some("join+project"),
+        Route::MergeStages { .. } => Some("merge+select"),
+        Route::Leaf { .. } | Route::Pass { .. } | Route::Whole => None,
+    }
+}
+
+/// Node `j`'s slot, taken by its one consumer (on row `row`). A plan
+/// edited after it was built may read a slot that is not there.
+fn take(slots: &mut [Option<Slot>], j: usize, row: usize) -> Result<Slot, PqpError> {
+    slots
+        .get_mut(j)
+        .and_then(Option::take)
+        .ok_or_else(|| PqpError::MalformedRow {
+            row,
+            reason: format!("node #{j} is not an earlier node's unread output; a plan is a tree"),
+        })
+}
+
+/// Walk a physical plan, probing `indexes` for the plan's
 /// [`PhysOp::IndexScan`] leaves (`None` serves plans that have none).
 /// The catalog must be the one the plan was routed against (in the
 /// serving layer, the owning snapshot's): executing a routed plan
-/// without it fails loudly rather than silently re-scanning. An enabled
-/// `trace` records one span per physical node — operator kind, output
-/// rows, which kernel (batch vs row) a pipeline took, and the partition
-/// count when a kernel ran partitioned. Spans observe, never steer.
+/// without it fails loudly rather than silently re-scanning. Each node
+/// runs as its [`Route`] says; a plan edited after it was built, whose
+/// nodes no longer fit their routes, is [`PqpError::MalformedRow`]. An
+/// enabled `trace` records one span per physical node — operator kind,
+/// output rows, its route's `kernel` note, and the partition count when
+/// a kernel ran partitioned. Spans observe, never steer.
 pub fn execute_plan(
     plan: &PhysicalPlan,
     registry: &LqpRegistry,
@@ -342,18 +343,30 @@ pub fn execute_plan(
 ) -> Result<PolygenRelation, PqpError> {
     let n = plan.nodes.len();
     let par = options.parallelism();
-    // The plan is a tree in topological order: each node's one consumer
-    // takes its slot.
     let mut slots: Vec<Option<Slot>> = (0..n).map(|_| None).collect();
-    // The partition count each node's kernel ran at.
-    let mut ran_at = vec![1usize; n];
-    let take = |slots: &mut Vec<Option<Slot>>, i: usize| {
-        slots[i]
-            .take()
-            .expect("plan is a topologically ordered tree")
-    };
+    // The partition count the stages a merge ran for its consumer ran
+    // at: that pipeline's own, when nothing of it is left to split.
+    let mut stages_ran_at = vec![1usize; n];
     for (i, node) in plan.nodes.iter().enumerate() {
+        let error = |reason: String| PqpError::MalformedRow {
+            row: node.row,
+            reason,
+        };
+        // A node that does not fit its route: the plan was edited.
+        let malformed = |what: String| {
+            error(format!(
+                "node #{i} {what}; build plans with `lower` or `try_from_nodes`"
+            ))
+        };
+        let route = plan
+            .route(i)
+            .ok_or_else(|| malformed("has no route".into()))?;
         let span = trace.begin(op_span_name(&node.op));
+        if !span.is_none() {
+            if let Some(kernel) = kernel_note(route) {
+                trace.annotate(span, "kernel", Note::str(kernel));
+            }
+        }
         // The partition count this node's kernel actually ran at.
         let mut fanned = 1;
         // The rows the node produced, when its slot holds fewer (a join
@@ -361,74 +374,55 @@ pub fn execute_plan(
         // when its slot holds another.
         let mut rows: Option<usize> = None;
         let mut ran_schema: Option<Arc<Schema>> = None;
-        let slot = match &node.op {
-            PhysOp::Scan { db, op } => Slot::Leaf(registry.scan(db, op, dictionary)?),
-            PhysOp::IndexScan {
-                db,
-                relation,
-                column,
-                probe,
-                ..
-            } => {
-                let catalog = indexes.ok_or_else(|| PqpError::MalformedRow {
-                    row: node.row,
-                    reason: format!(
+        let slot = match (&node.op, route) {
+            (PhysOp::Scan { db, op }, Route::Leaf { .. }) => {
+                Slot::Leaf(registry.scan(db, op, dictionary)?)
+            }
+            (
+                PhysOp::IndexScan {
+                    db,
+                    relation,
+                    column,
+                    probe,
+                    ..
+                },
+                Route::Leaf { .. },
+            ) => {
+                let catalog = indexes.ok_or_else(|| {
+                    error(format!(
                         "plan probes an index on {db}.{relation}.{column} but no index \
                          catalog was supplied; execute with the catalog the plan was \
                          routed against, or recompile without indexes"
-                    ),
+                    ))
                 })?;
-                let index =
-                    catalog
-                        .lookup(db, relation, column)
-                        .ok_or_else(|| PqpError::MalformedRow {
-                            row: node.row,
-                            reason: format!(
-                                "stale routed plan: the catalog no longer indexes \
-                             {db}.{relation}.{column}; recompile against the current catalog"
-                            ),
-                        })?;
+                let index = catalog.lookup(db, relation, column).ok_or_else(|| {
+                    error(format!(
+                        "stale routed plan: the catalog no longer indexes \
+                         {db}.{relation}.{column}; recompile against the current catalog"
+                    ))
+                })?;
                 Slot::Leaf(index.probe_base(probe))
             }
-            PhysOp::Pipeline { input, stages } => {
-                // A join that ran this pipeline's leading Project inside
-                // its emit hands over the projected rows; only the
-                // Project's presentation is left to apply.
-                let fused = plan.fused_join_project(*input).is_some();
-                // A merge that ran the leading Selects/Restricts inside
-                // its emit, split as it ran, hands over their survivors.
-                let ran_in_merge = plan.fused_merge_stages(*input).map_or(0, <[_]>::len);
-                if ran_in_merge > 0 {
-                    fanned = ran_at[*input];
-                }
-                let stages = &stages[ran_in_merge..];
-                // The plan says which kernel runs: a batch pipeline
-                // (eligible stages over a leaf) takes the ColumnBatch
-                // kernels with late tag materialization, everything
-                // else the row walk below.
-                match take(&mut slots, *input) {
-                    // A merge ran every stage: its view passes on.
-                    merged @ Slot::Merged(_) if stages.is_empty() => merged,
-                    // A join ran the Project, the only stage: what is left
-                    // is its presentation, a schema swap.
-                    Slot::Built(rel) if fused && stages.len() == 1 => {
-                        let StageKind::Project { cols, output } = &stages[0].kind else {
-                            unreachable!("a fused join's consumer opens with its Project")
-                        };
-                        Slot::Built(present_relation(rel, cols, output)?)
-                    }
-                    Slot::Leaf(base) if plan.is_batch_pipeline(i) => {
-                        if !span.is_none() {
-                            trace.annotate(span, "kernel", Note::str("batch"));
-                        }
+            (PhysOp::Pipeline { input, stages }, _) => {
+                let input_slot = take(&mut slots, *input, node.row)?;
+                fanned = stages_ran_at[*input];
+                match (route, input_slot) {
+                    (Route::Batch, Slot::Leaf(base)) => {
                         let run = fan_out(par, base.len());
                         fanned = run.partitions;
                         Slot::Stream(batch_pipeline(&base, stages, run)?)
                     }
-                    input_slot => {
-                        if !span.is_none() {
-                            trace.annotate(span, "kernel", Note::str("row"));
-                        }
+                    // The input ran every stage: its view or built
+                    // relation passes on.
+                    (Route::Pass { skip }, slot @ (Slot::Merged(_) | Slot::Built(_)))
+                        if skip == stages.len() =>
+                    {
+                        slot
+                    }
+                    (Route::Rows { skip }, input_slot) => {
+                        let stages = stages
+                            .get(skip..)
+                            .ok_or_else(|| malformed(format!("has fewer than {skip} stages")))?;
                         // Tuple-local prefix (cut at the first Project, whose
                         // duplicate collapse is a whole-stream operation), then
                         // the rest on the much smaller stream.
@@ -456,43 +450,45 @@ pub fn execute_plan(
                             let parts = processed.into_iter().collect::<Result<Vec<_>, _>>()?;
                             s = concat_streams(parts).expect("at least one chunk");
                         }
-                        let rest = match rest.split_first() {
-                            Some((
-                                plan::Stage {
-                                    kind: StageKind::Project { cols, output },
-                                    ..
-                                },
-                                after,
-                            )) if fused => {
-                                present(&mut s, cols, output)?;
-                                after
-                            }
-                            _ => rest,
-                        };
                         for stage in rest {
                             apply_stage(&mut s, &stage.kind)?;
                         }
                         Slot::Stream(s)
                     }
+                    (route, _) => {
+                        return Err(malformed(format!("does not fit its route {route:?}")))
+                    }
                 }
             }
-            PhysOp::HashJoin {
-                left,
-                right,
-                x,
-                y,
-                out,
-            } => {
-                // Leaves are read in place; anything else is already a
-                // tagged stream.
-                let l = take(&mut slots, *left);
-                let r = take(&mut slots, *right);
+            (
+                PhysOp::HashJoin {
+                    left,
+                    right,
+                    x,
+                    y,
+                    out,
+                },
+                Route::JoinProject { .. } | Route::Whole,
+            ) => {
+                // A join under a Project builds just the projected rows,
+                // presented under the Project's names.
+                let project = match route {
+                    Route::JoinProject { consumer } => {
+                        match plan.consumer_stages(i, consumer).and_then(<[_]>::first) {
+                            Some(plan::Stage {
+                                kind: StageKind::Project { cols, output },
+                                ..
+                            }) => Some((cols, output)),
+                            _ => return Err(malformed("has no Project to run".into())),
+                        }
+                    }
+                    _ => None,
+                };
+                // Leaves and merged views are read in place; anything
+                // else is already a tagged stream.
+                let l = take(&mut slots, *left, node.row)?;
+                let r = take(&mut slots, *right, node.row)?;
                 let run = fan_out(par, l.len() + r.len());
-                // A join whose only consumer opens with a Project builds
-                // just the projected rows.
-                let project: Option<Vec<&str>> = plan
-                    .fused_join_project(i)
-                    .map(|cols| cols.iter().map(String::as_str).collect());
                 if project.is_some() {
                     // The join's own schema never materializes: the stale
                     // check below reads it, the pipeline's the projection's.
@@ -503,113 +499,102 @@ pub fn execute_plan(
                         y,
                         out,
                     )?);
-                    if !span.is_none() {
-                        trace.annotate(span, "kernel", Note::str("join+project"));
-                    }
                 }
-                let project = project.as_deref();
+                let keep: Option<Vec<&str>> =
+                    project.map(|(cols, _)| cols.iter().map(String::as_str).collect());
                 let (joined, used, pairs) = with_operand!(l, |l| with_operand!(r, |r| {
-                    algebra::hash_equi_join_project(l, r, x, y, out, project, run)?
+                    algebra::hash_equi_join_project(l, r, x, y, out, keep.as_deref(), run)?
                 }));
                 fanned = used;
                 rows = Some(pairs);
-                if project.is_some() {
-                    Slot::Built(joined)
-                } else {
-                    Slot::Stream(TupleStream::from_relation(joined))
+                match project {
+                    Some((cols, output)) => Slot::Built(present_relation(joined, cols, output)?),
+                    None => Slot::Stream(TupleStream::from_relation(joined)),
                 }
             }
-            PhysOp::ThetaJoin {
-                left,
-                right,
-                x,
-                cmp,
-                y,
-            } => {
-                let l = take(&mut slots, *left).into_relation();
-                let r = take(&mut slots, *right).into_relation();
-                Slot::Stream(TupleStream::from_relation(algebra::theta_join(
-                    &l, &r, x, *cmp, y,
-                )?))
-            }
-            PhysOp::HashMerge {
-                inputs,
-                key,
-                relabels,
-                ..
-            } => {
-                let taken: Vec<Slot> = inputs.iter().map(|&idx| take(&mut slots, idx)).collect();
+            (
+                PhysOp::HashMerge {
+                    inputs,
+                    key,
+                    relabels,
+                    ..
+                },
+                Route::MergeStages { .. } | Route::Whole,
+            ) => {
+                let taken = inputs
+                    .iter()
+                    .map(|&j| take(&mut slots, j, node.row))
+                    .collect::<Result<Vec<Slot>, _>>()?;
                 let run = fan_out(par, taken.iter().map(Slot::len).sum());
                 let policy = options.conflict_policy;
-                let names = |k: usize| relabels[k].iter().map(String::as_str).collect::<Vec<_>>();
-                // Every merge operand is a base retrieve (lowering rejects
-                // anything else), so it arrives as a leaf and is read in
-                // place; relabeling is a schema swap — no cell copies.
+                // Every merge operand is a leaf, read in place;
+                // relabeling is a schema swap — no cell copies.
                 let operands = taken
                     .iter()
+                    .zip(inputs)
                     .enumerate()
-                    .map(|(k, slot)| match slot {
-                        Slot::Leaf(b) => Ok(b.rename_attrs(&names(k))?),
-                        _ => Err(PqpError::MalformedRow {
-                            row: node.row,
-                            reason: format!(
-                                "Merge input R({}) is not a base retrieve",
-                                plan.nodes[inputs[k]].row
-                            ),
-                        }),
+                    .map(|(k, (slot, &j))| match (slot, relabels.get(k)) {
+                        (Slot::Leaf(b), Some(names)) => {
+                            let names: Vec<&str> = names.iter().map(String::as_str).collect();
+                            Ok(b.rename_attrs(&names)?)
+                        }
+                        _ => Err(malformed(format!(
+                            "merges R({}), which is not a relabeled base retrieve",
+                            plan.nodes[j].row
+                        ))),
                     })
                     .collect::<Result<Vec<_>, PqpError>>()?;
-                // A merge whose only consumer opens with Selects/Restricts
-                // builds only the rows they keep. Their columns are the
-                // planned schema's: on a stale plan the merge runs whole
-                // and the schema check below fails as it always has.
+                // A merge under Selects/Restricts builds only the rows
+                // they keep. Their columns are the planned schema's: on a
+                // stale plan the merge runs whole and the schema check
+                // below fails as it always has.
                 let as_planned = || {
                     let schemas: Vec<&Schema> =
                         operands.iter().map(|b| b.schema().as_ref()).collect();
                     merged_schema(&schemas).is_ok_and(|s| s == node.schema)
                 };
-                let filters: Vec<RowFilter<'_>> = match plan.fused_merge_stages(i) {
-                    Some(stages) if as_planned() => {
-                        stages.iter().map(|st| row_filter(&st.kind)).collect()
-                    }
+                let filters: Vec<RowFilter<'_>> = match route {
+                    Route::MergeStages { consumer, stages } if as_planned() => plan
+                        .consumer_stages(i, consumer)
+                        .and_then(|all| all.get(..stages))
+                        .and_then(|run| run.iter().map(|st| row_filter(&st.kind)).collect())
+                        .ok_or_else(|| {
+                            malformed(format!("has no {stages} Selects/Restricts to run"))
+                        })?,
                     _ => Vec::new(),
                 };
-                if !filters.is_empty() && !span.is_none() {
-                    trace.annotate(span, "kernel", Note::str("merge+select"));
-                }
                 let (view, _conflicts, used, merged) =
                     algebra::hash_merge_view(operands, key, policy, &filters, run)?;
                 fanned = used;
                 rows = Some(merged);
+                if !filters.is_empty() {
+                    stages_ran_at[i] = used;
+                }
                 Slot::Merged(view)
             }
-            PhysOp::AntiJoin { left, right, x, y } => {
-                let l = take(&mut slots, *left).into_relation();
-                let r = take(&mut slots, *right).into_relation();
-                Slot::Stream(TupleStream::from_relation(algebra::anti_join(
-                    &l, &r, x, y,
-                )?))
+            // Every other operator is binary over materialized inputs.
+            (
+                PhysOp::ThetaJoin { left, right, .. }
+                | PhysOp::AntiJoin { left, right, .. }
+                | PhysOp::Union { left, right }
+                | PhysOp::Difference { left, right }
+                | PhysOp::Intersect { left, right }
+                | PhysOp::Product { left, right },
+                Route::Whole,
+            ) => {
+                let l = take(&mut slots, *left, node.row)?.into_relation();
+                let r = take(&mut slots, *right, node.row)?.into_relation();
+                let out = match &node.op {
+                    PhysOp::ThetaJoin { x, cmp, y, .. } => algebra::theta_join(&l, &r, x, *cmp, y),
+                    PhysOp::AntiJoin { x, y, .. } => algebra::anti_join(&l, &r, x, y),
+                    PhysOp::Union { .. } => algebra::union(&l, &r),
+                    PhysOp::Difference { .. } => algebra::difference(&l, &r),
+                    PhysOp::Intersect { .. } => algebra::intersect(&l, &r),
+                    _ => algebra::product(&l, &r),
+                };
+                Slot::Stream(TupleStream::from_relation(out?))
             }
-            PhysOp::Union { left, right } => {
-                let l = take(&mut slots, *left).into_relation();
-                let r = take(&mut slots, *right).into_relation();
-                Slot::Stream(TupleStream::from_relation(algebra::union(&l, &r)?))
-            }
-            PhysOp::Difference { left, right } => {
-                let l = take(&mut slots, *left).into_relation();
-                let r = take(&mut slots, *right).into_relation();
-                Slot::Stream(TupleStream::from_relation(algebra::difference(&l, &r)?))
-            }
-            PhysOp::Intersect { left, right } => {
-                let l = take(&mut slots, *left).into_relation();
-                let r = take(&mut slots, *right).into_relation();
-                Slot::Stream(TupleStream::from_relation(algebra::intersect(&l, &r)?))
-            }
-            PhysOp::Product { left, right } => {
-                let l = take(&mut slots, *left).into_relation();
-                let r = take(&mut slots, *right).into_relation();
-                Slot::Stream(TupleStream::from_relation(algebra::product(&l, &r)?))
-            }
+            (_, route) => return Err(malformed(format!("does not fit its route {route:?}"))),
         };
         if !span.is_none() {
             trace.annotate(span, "node", Note::Uint(i as u64));
@@ -625,13 +610,10 @@ pub fn execute_plan(
             trace.end(span);
         }
         check_schema(i, node, ran_schema.as_deref().unwrap_or(slot.schema()))?;
-        ran_at[i] = fanned;
         slots[i] = Some(slot);
     }
-    Ok(slots[plan.root]
-        .take()
-        .expect("root evaluated")
-        .into_relation())
+    let root_row = plan.nodes.get(plan.root).map_or(0, |node| node.row);
+    Ok(take(&mut slots, plan.root, root_row)?.into_relation())
 }
 
 // ---------------------------------------------------------------------
@@ -655,8 +637,6 @@ struct Executor<'a> {
     /// column` for downstream rows.
     aliases: BTreeMap<usize, std::collections::HashMap<String, String>>,
 }
-
-type AliasMap = std::collections::HashMap<String, String>;
 
 impl Executor<'_> {
     fn rel(&self, r: &RelRef, row: usize) -> Result<&PolygenRelation, PqpError> {
@@ -703,63 +683,10 @@ impl Executor<'_> {
         aliases
     }
 
-    fn single_attr<'b>(&self, row: &'b IomRow) -> Result<&'b str, PqpError> {
-        row.lha
-            .first()
-            .map(String::as_str)
-            .ok_or(PqpError::MalformedRow {
-                row: row.pr,
-                reason: "operation requires a left-hand attribute".into(),
-            })
-    }
-
-    fn theta(&self, row: &IomRow) -> Cmp {
-        row.theta.unwrap_or(Cmp::Eq)
-    }
-
     fn execute_lqp_row(&mut self, row: &IomRow, db: &str) -> Result<PolygenRelation, PqpError> {
-        let RelRef::Named(local_rel) = &row.lhr else {
-            return Err(PqpError::MalformedRow {
-                row: row.pr,
-                reason: "LQP row requires a named local relation".into(),
-            });
-        };
-        let op = match row.op {
-            Op::Retrieve => LocalOp::retrieve(local_rel),
-            Op::Select => {
-                let attr = self.single_attr(row)?;
-                let Rha::Const(v) = &row.rha else {
-                    return Err(PqpError::MalformedRow {
-                        row: row.pr,
-                        reason: "Select requires a constant RHA".into(),
-                    });
-                };
-                LocalOp::select(local_rel, attr, self.theta(row), v.clone())
-            }
-            Op::Restrict => {
-                let x = self.single_attr(row)?;
-                let Rha::Attr(y) = &row.rha else {
-                    return Err(PqpError::MalformedRow {
-                        row: row.pr,
-                        reason: "Restrict requires an attribute RHA".into(),
-                    });
-                };
-                LocalOp::restrict(local_rel, x, self.theta(row), y)
-            }
-            Op::Project => {
-                let attrs: Vec<&str> = row.lha.iter().map(String::as_str).collect();
-                LocalOp::retrieve(local_rel).with_projection(&attrs)
-            }
-            other => {
-                return Err(PqpError::MalformedRow {
-                    row: row.pr,
-                    reason: format!("operation `{other}` cannot execute at an LQP"),
-                })
-            }
-        };
+        let op = plan::local_op(row)?;
         let tagged = self.registry.execute_tagged(db, &op, self.dictionary)?;
-        self.base_meta
-            .insert(row.pr, (db.to_string(), local_rel.clone()));
+        self.base_meta.insert(row.pr, (db.to_string(), op.relation));
         Ok(tagged)
     }
 
@@ -804,28 +731,18 @@ impl Executor<'_> {
             Op::Merge => Ok((self.execute_merge(row)?, AliasMap::new())),
             Op::Select => {
                 let rel = self.rel(&row.lhr, row.pr)?.clone();
-                let attr = self.resolve(&row.lhr, &rel, self.single_attr(row)?)?;
-                let Rha::Const(v) = &row.rha else {
-                    return Err(PqpError::MalformedRow {
-                        row: row.pr,
-                        reason: "Select requires a constant RHA".into(),
-                    });
-                };
-                let out = algebra::select(&rel, &attr, self.theta(row), v.clone())?;
+                let attr = self.resolve(&row.lhr, &rel, row.single_attr()?)?;
+                let v = row.rha_const()?;
+                let out = algebra::select(&rel, &attr, row.cmp(), v.clone())?;
                 let aliases = Self::retain_valid(self.alias_map(&row.lhr), &out);
                 Ok((out, aliases))
             }
             Op::Restrict => {
                 let rel = self.rel(&row.lhr, row.pr)?.clone();
-                let x = self.resolve(&row.lhr, &rel, self.single_attr(row)?)?;
-                let Rha::Attr(y) = &row.rha else {
-                    return Err(PqpError::MalformedRow {
-                        row: row.pr,
-                        reason: "Restrict requires an attribute RHA".into(),
-                    });
-                };
+                let x = self.resolve(&row.lhr, &rel, row.single_attr()?)?;
+                let y = row.rha_attr()?;
                 let y = self.resolve(&row.lhr, &rel, y)?;
-                let out = algebra::restrict(&rel, &x, self.theta(row), &y)?;
+                let out = algebra::restrict(&rel, &x, row.cmp(), &y)?;
                 let aliases = Self::retain_valid(self.alias_map(&row.lhr), &out);
                 Ok((out, aliases))
             }
@@ -851,16 +768,11 @@ impl Executor<'_> {
             Op::Join => {
                 let left = self.rel(&row.lhr, row.pr)?.clone();
                 let right = self.rel(&row.rhr, row.pr)?.clone();
-                let x_raw = self.single_attr(row)?.to_string();
+                let x_raw = row.single_attr()?.to_string();
                 let x = self.resolve(&row.lhr, &left, &x_raw)?;
-                let Rha::Attr(y_raw) = &row.rha else {
-                    return Err(PqpError::MalformedRow {
-                        row: row.pr,
-                        reason: "Join requires an attribute RHA".into(),
-                    });
-                };
+                let y_raw = row.rha_attr()?;
                 let y = self.resolve(&row.rhr, &right, y_raw)?;
-                if self.theta(row) == Cmp::Eq {
+                if row.cmp() == Cmp::Eq {
                     // Equi-joins coalesce the two join columns into one
                     // named after the right side — how Tables 5 and 7 are
                     // printed. The left name lives on as an alias.
@@ -871,7 +783,7 @@ impl Executor<'_> {
                     let aliases = Self::retain_valid(aliases, &out);
                     Ok((out, aliases))
                 } else {
-                    let out = algebra::theta_join(&left, &right, &x, self.theta(row), &y)?;
+                    let out = algebra::theta_join(&left, &right, &x, row.cmp(), &y)?;
                     let mut aliases = self.alias_map(&row.lhr);
                     aliases.extend(self.alias_map(&row.rhr));
                     let aliases = Self::retain_valid(aliases, &out);
@@ -881,13 +793,8 @@ impl Executor<'_> {
             Op::AntiJoin => {
                 let left = self.rel(&row.lhr, row.pr)?.clone();
                 let right = self.rel(&row.rhr, row.pr)?.clone();
-                let x = self.resolve(&row.lhr, &left, self.single_attr(row)?)?;
-                let Rha::Attr(y_raw) = &row.rha else {
-                    return Err(PqpError::MalformedRow {
-                        row: row.pr,
-                        reason: "AntiJoin requires an attribute RHA".into(),
-                    });
-                };
+                let x = self.resolve(&row.lhr, &left, row.single_attr()?)?;
+                let y_raw = row.rha_attr()?;
                 let y = self.resolve(&row.rhr, &right, y_raw)?;
                 let out = algebra::anti_join(&left, &right, &x, &y)?;
                 let aliases = Self::retain_valid(self.alias_map(&row.lhr), &out);

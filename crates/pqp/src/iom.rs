@@ -7,8 +7,9 @@
 //! originating source tag for each of the cells of the polygen base
 //! relation" (§III).
 
+use crate::error::PqpError;
 use crate::pom::{render_table, Op, RelRef, Rha};
-use polygen_flat::value::Cmp;
+use polygen_flat::value::{Cmp, Value};
 use std::fmt;
 
 /// Where a row executes.
@@ -54,6 +55,45 @@ pub struct IomRow {
     /// mappings drive column relabeling and whose primary key is the
     /// merge key.
     pub scheme_ctx: Option<String>,
+}
+
+impl IomRow {
+    /// This row is malformed for `reason`.
+    pub(crate) fn malformed(&self, reason: String) -> PqpError {
+        PqpError::MalformedRow {
+            row: self.pr,
+            reason,
+        }
+    }
+
+    /// The one left-hand attribute.
+    pub(crate) fn single_attr(&self) -> Result<&str, PqpError> {
+        self.lha
+            .first()
+            .map(String::as_str)
+            .ok_or_else(|| self.malformed("operation requires a left-hand attribute".into()))
+    }
+
+    /// θ, `=` when the row has none.
+    pub(crate) fn cmp(&self) -> Cmp {
+        self.theta.unwrap_or(Cmp::Eq)
+    }
+
+    /// The constant right-hand side of a Select.
+    pub(crate) fn rha_const(&self) -> Result<&Value, PqpError> {
+        match &self.rha {
+            Rha::Const(v) => Ok(v),
+            _ => Err(self.malformed(format!("{} requires a constant RHA", self.op))),
+        }
+    }
+
+    /// The attribute right-hand side of a Restrict, Join or AntiJoin.
+    pub(crate) fn rha_attr(&self) -> Result<&str, PqpError> {
+        match &self.rha {
+            Rha::Attr(a) => Ok(a),
+            _ => Err(self.malformed(format!("{} requires an attribute RHA", self.op))),
+        }
+    }
 }
 
 /// An Intermediate Operation Matrix.

@@ -57,8 +57,8 @@ pub mod prelude {
     pub use crate::interpreter::{interpret, pass_one, pass_two};
     pub use crate::iom::{render_iom, ExecLoc, Iom, IomRow};
     pub use crate::plan::{
-        lower as lower_plan, render_plan, route_index_scans, PhysNode, PhysOp, PhysicalPlan, Stage,
-        StageKind,
+        lower as lower_plan, render_plan, route_index_scans, PhysNode, PhysOp, PhysicalPlan, Route,
+        Stage, StageKind,
     };
     pub use crate::pom::{render_pom, Op, Pom, PomRow, RelRef, Rha};
     pub use crate::pqp::{CompiledQuery, Pqp, PqpOptions};

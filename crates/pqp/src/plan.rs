@@ -29,7 +29,7 @@
 
 use crate::error::PqpError;
 use crate::iom::{ExecLoc, Iom, IomRow};
-use crate::pom::{Op, RelRef, Rha};
+use crate::pom::{Op, RelRef};
 use polygen_catalog::dictionary::DataDictionary;
 use polygen_core::algebra::join::equi_join_coalesced_schema;
 use polygen_core::algebra::merge::merged_schema;
@@ -38,7 +38,7 @@ use polygen_flat::value::{Cmp, Value};
 use polygen_index::{IndexCatalog, IndexKind, Interval, Probe};
 use polygen_lqp::engine::LocalOp;
 use polygen_lqp::registry::LqpRegistry;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -46,7 +46,7 @@ use std::sync::Arc;
 /// equi-join coalesces its two join columns into one named after the
 /// right attribute; the left attribute's name lives on here so later
 /// rows can still reference it.
-pub type AliasMap = HashMap<String, String>;
+pub(crate) type AliasMap = HashMap<String, String>;
 
 /// One fused pipeline stage (a Select/Restrict/Project IOM row).
 #[derive(Debug, Clone, PartialEq)]
@@ -204,7 +204,7 @@ pub enum PhysOp {
 
 impl PhysOp {
     /// The node indices this operator consumes (in consumption order),
-    /// without allocating: the sole-consumer rule asks every node.
+    /// without allocating: the tree check asks every node.
     pub fn inputs(&self) -> impl Iterator<Item = usize> + '_ {
         let (pair, list): ([Option<usize>; 2], &[usize]) = match self {
             PhysOp::Scan { .. } | PhysOp::IndexScan { .. } => ([None, None], &[]),
@@ -235,16 +235,209 @@ pub struct PhysNode {
     pub schema: Arc<Schema>,
 }
 
-/// A lowered physical plan: nodes in topological (execution) order.
+/// What one node of a [`PhysicalPlan`] runs and what it hands its
+/// consumer — decided once, when the plan is built ([`lower`] or
+/// [`PhysicalPlan::try_from_nodes`]), as the paper's interpreter fixes
+/// each IOM row's execution location before the PQP runs it. The
+/// executor, the cost model's batch rate, EXPLAIN's `[batch]` marker
+/// and each node's span `kernel` note read it; none re-derives it.
+///
+/// | route | node | runs | hands its consumer | `kernel` note |
+/// |---|---|---|---|---|
+/// | `Leaf` | Scan, IndexScan | the LQP's scan or an index probe | the late-tagged leaf | — |
+/// | `Batch` | Pipeline over a leaf: Selects/Restricts, at most a final Project | the `ColumnBatch` kernels | a stream | `batch` |
+/// | `Rows` | any other Pipeline with stages left | `stages[skip..]` over `Arc`-shared tuples | a stream | `row` |
+/// | `Pass` | Pipeline whose input ran all its stages | nothing | its input's merged view or built relation | — |
+/// | `JoinProject` | HashJoin under a Pipeline opening with Project | the join and that Project, building only the projected cells | the built projection | `join+project` |
+/// | `MergeStages` | HashMerge under a Pipeline opening with Selects/Restricts | the merge and those stages, up to the first Project | a merged view of the rows they keep | `merge+select` |
+/// | `Whole` | any other node | its operator | a merged view (HashMerge) or a stream | — |
+///
+/// A fused route is sound because both tag updates are set unions over
+/// cells the breaker has built by then: a join's duplicate unions its
+/// tags into the projected row it collapses onto, and a merge's kept
+/// rows read as merge-then-stages. A Project's collapse is a
+/// whole-stream operation, so a merge fuses no stage after one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// A Scan or IndexScan. `pipeline` is the Pipeline reading it, whose
+    /// leading Selects index routing may fold into a probe.
+    Leaf {
+        /// The consuming Pipeline's node index, if a Pipeline consumes it.
+        pipeline: Option<usize>,
+    },
+    /// A Pipeline run on the columnar batch kernels over its leaf.
+    Batch,
+    /// A Pipeline walking its stages from `skip` over a row stream (its
+    /// input ran the first `skip`).
+    Rows {
+        /// Leading stages the input ran.
+        skip: usize,
+    },
+    /// A Pipeline whose input ran all `skip` of its stages: it hands its
+    /// input's view or relation on.
+    Pass {
+        /// Leading stages the input ran — all of them.
+        skip: usize,
+    },
+    /// A HashJoin that runs the Project opening Pipeline `consumer`.
+    JoinProject {
+        /// The consuming Pipeline's node index.
+        consumer: usize,
+    },
+    /// A HashMerge that runs the first `stages` stages of Pipeline
+    /// `consumer` (its Selects/Restricts up to the first Project).
+    MergeStages {
+        /// The consuming Pipeline's node index.
+        consumer: usize,
+        /// How many of its leading stages the merge runs.
+        stages: usize,
+    },
+    /// Any other node: its operator, run whole.
+    Whole,
+}
+
+/// A physical plan: nodes in topological (execution) order, each with
+/// its [`Route`]. Only [`lower`] and [`PhysicalPlan::try_from_nodes`]
+/// build one. The fields stay public to read; a plan whose fields are
+/// edited afterwards keeps the routes it was built with, and
+/// [`crate::executor::execute_plan`] answers an edit that no longer fits
+/// them with [`PqpError::MalformedRow`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalPlan {
     /// The operator tree, execution-ordered.
     pub nodes: Vec<PhysNode>,
     /// Index of the node producing the query answer.
     pub root: usize,
+    /// One route per node, in node order.
+    routes: Vec<Route>,
+}
+
+/// The error for a result read by a second consumer.
+fn referenced_twice(row: usize, result: usize) -> PqpError {
+    PqpError::MalformedRow {
+        row,
+        reason: format!("R({result}) is referenced twice; a plan is a tree"),
+    }
 }
 
 impl PhysicalPlan {
+    /// Check `nodes` and `root` and route every node: the one checked
+    /// way to build a plan by hand ([`lower`] ends here too). A plan is a
+    /// tree in topological order — every input is an earlier node, no
+    /// node is read twice, the root is read by none — and every Merge
+    /// input is a leaf. A node no one reads is allowed (an IOM prefix
+    /// leaves some); it runs, and its output is dropped. Anything else
+    /// is [`PqpError::MalformedRow`] naming the row that reads wrongly.
+    pub fn try_from_nodes(nodes: Vec<PhysNode>, root: usize) -> Result<PhysicalPlan, PqpError> {
+        let n = nodes.len();
+        if root >= n {
+            return Err(PqpError::MalformedRow {
+                row: 0,
+                reason: format!("the answer node #{root} is not one of the plan's {n} nodes"),
+            });
+        }
+        let mut consumer: Vec<Option<usize>> = vec![None; n];
+        for (i, node) in nodes.iter().enumerate() {
+            // The row that reads: a pipeline's first stage.
+            let row = match &node.op {
+                PhysOp::Pipeline { stages, .. } => stages.first().map_or(node.row, |s| s.row),
+                _ => node.row,
+            };
+            let malformed = |reason| PqpError::MalformedRow { row, reason };
+            for j in node.op.inputs() {
+                if j >= i {
+                    return Err(malformed(format!(
+                        "node #{i} reads node #{j}, which does not precede it"
+                    )));
+                }
+                if consumer[j].replace(i).is_some() {
+                    return Err(referenced_twice(row, nodes[j].row));
+                }
+                if matches!(node.op, PhysOp::HashMerge { .. })
+                    && !matches!(nodes[j].op, PhysOp::Scan { .. } | PhysOp::IndexScan { .. })
+                {
+                    return Err(malformed(format!(
+                        "Merge input R({}) is not a base retrieve",
+                        nodes[j].row
+                    )));
+                }
+            }
+        }
+        if let Some(c) = consumer[root] {
+            return Err(referenced_twice(nodes[c].row, nodes[root].row));
+        }
+        let pipeline = |i: usize| {
+            consumer[i].and_then(|c| match &nodes[c].op {
+                PhysOp::Pipeline { stages, .. } => Some((c, stages.as_slice())),
+                _ => None,
+            })
+        };
+        let mut routes: Vec<Route> = Vec::with_capacity(n);
+        for (i, node) in nodes.iter().enumerate() {
+            let route = match &node.op {
+                PhysOp::Scan { .. } | PhysOp::IndexScan { .. } => Route::Leaf {
+                    pipeline: pipeline(i).map(|(c, _)| c),
+                },
+                PhysOp::Pipeline { input, stages } => {
+                    let skip = match routes[*input] {
+                        Route::MergeStages { stages, .. } => stages,
+                        Route::JoinProject { .. } => 1,
+                        _ => 0,
+                    };
+                    // Does the input hand on a merged view or a built relation?
+                    let view = skip > 0 || matches!(nodes[*input].op, PhysOp::HashMerge { .. });
+                    if matches!(routes[*input], Route::Leaf { .. }) && batch_eligible_stages(stages)
+                    {
+                        Route::Batch
+                    } else if view && skip == stages.len() {
+                        Route::Pass { skip }
+                    } else {
+                        Route::Rows { skip }
+                    }
+                }
+                PhysOp::HashJoin { .. } => match pipeline(i) {
+                    Some((consumer, [first, ..]))
+                        if matches!(first.kind, StageKind::Project { .. }) =>
+                    {
+                        Route::JoinProject { consumer }
+                    }
+                    _ => Route::Whole,
+                },
+                PhysOp::HashMerge { .. } => {
+                    let (consumer, stages) = pipeline(i).unwrap_or((i, &[]));
+                    match stages
+                        .iter()
+                        .take_while(|s| !matches!(s.kind, StageKind::Project { .. }))
+                        .count()
+                    {
+                        0 => Route::Whole,
+                        stages => Route::MergeStages { consumer, stages },
+                    }
+                }
+                _ => Route::Whole,
+            };
+            routes.push(route);
+        }
+        Ok(PhysicalPlan {
+            nodes,
+            root,
+            routes,
+        })
+    }
+
+    /// Node `i`'s route, as the plan was built.
+    pub fn route(&self, i: usize) -> Option<Route> {
+        self.routes.get(i).copied()
+    }
+
+    /// The stages of node `c`, when it is the Pipeline reading node `i`.
+    pub(crate) fn consumer_stages(&self, i: usize, c: usize) -> Option<&[Stage]> {
+        match &self.nodes.get(c)?.op {
+            PhysOp::Pipeline { input, stages } if *input == i => Some(stages),
+            _ => None,
+        }
+    }
+
     /// How many IOM rows were fused into pipeline stages (the rows that
     /// no longer materialize an intermediate relation).
     pub fn fused_rows(&self) -> usize {
@@ -282,82 +475,10 @@ impl PhysicalPlan {
             .count()
     }
 
-    /// Does node `i` run on the columnar batch kernels? True for a
-    /// pipeline with batch-eligible stages over a Scan/IndexScan leaf —
-    /// the shape the executor lifts into a `ColumnBatch` instead of a
-    /// row stream. The executor, the cost model and EXPLAIN's `[batch]`
-    /// marker all ask it, and everything it rejects — interior inputs, a
-    /// mid-chain Project — walks the row stream, unless the breaker
-    /// under it already ran the leading stages
-    /// ([`PhysicalPlan::fused_join_project`],
-    /// [`PhysicalPlan::fused_merge_stages`]).
+    /// Does node `i` run on the columnar batch kernels — is its route
+    /// [`Route::Batch`]?
     pub fn is_batch_pipeline(&self, i: usize) -> bool {
-        let PhysOp::Pipeline { input, stages } = &self.nodes[i].op else {
-            return false;
-        };
-        matches!(
-            self.nodes[*input].op,
-            PhysOp::Scan { .. } | PhysOp::IndexScan { .. }
-        ) && batch_eligible_stages(stages)
-    }
-
-    /// The stages of node `i`'s consumer, when `i` is not the answer and
-    /// its consumer is a Pipeline — the one shape in which a breaker may
-    /// run its consumer's leading stages inside its own emit, and a Scan
-    /// may fold them into an index probe. A [`lower`]ed plan is a tree,
-    /// so every node but the root has one consumer; a hand-built plan
-    /// that gives node `i` a second one gets `None`.
-    fn sole_pipeline_consumer(&self, i: usize) -> Option<&[Stage]> {
-        if i == self.root {
-            return None;
-        }
-        let mut consumers = self.nodes.iter().filter(|n| n.op.inputs().any(|j| j == i));
-        match (consumers.next().map(|n| &n.op), consumers.next()) {
-            (Some(PhysOp::Pipeline { stages, .. }), None) => Some(stages),
-            _ => None,
-        }
-    }
-
-    /// The columns of the Project that HashJoin `i` runs inside its
-    /// emit, if any: the join is not the answer, its consumer is a
-    /// Pipeline, and that pipeline's stage 0 is a Project. The join then
-    /// builds only the projected columns of each first occurrence and
-    /// unions a duplicate's tags in — Project's collapse and the join's
-    /// tag update are both set unions, so they commute with dropping
-    /// what the answer drops — and the pipeline only renames. Like
-    /// [`PhysicalPlan::is_batch_pipeline`] this reads the plan's shape
-    /// alone; everything it rejects (a join at the root, a ThetaJoin, a
-    /// Select or Restrict before the Project) runs the join whole.
-    pub fn fused_join_project(&self, i: usize) -> Option<&[String]> {
-        if !matches!(self.nodes[i].op, PhysOp::HashJoin { .. }) {
-            return None;
-        }
-        match &self.sole_pipeline_consumer(i)?.first()?.kind {
-            StageKind::Project { cols, .. } => Some(cols),
-            _ => None,
-        }
-    }
-
-    /// The Select/Restrict stages HashMerge `i` runs inside its emit, if
-    /// any: the merge is not the answer, its consumer is a Pipeline, and
-    /// that pipeline opens with Selects or Restricts — all of them up to
-    /// its first Project. The merge then tests them on
-    /// each key's coalesced data and builds cells only for the rows they
-    /// keep, and the pipeline runs the rest. Both tag updates are set
-    /// unions over cells the merge has built by then, so the kept rows
-    /// read as merge-then-stages. Shape alone decides, as for
-    /// [`PhysicalPlan::fused_join_project`]: a merge at the root or
-    /// under a pipeline opening with Project runs whole.
-    pub fn fused_merge_stages(&self, i: usize) -> Option<&[Stage]> {
-        if !matches!(self.nodes[i].op, PhysOp::HashMerge { .. }) {
-            return None;
-        }
-        let stages = self.sole_pipeline_consumer(i)?;
-        let cut = stages
-            .iter()
-            .position(|s| matches!(s.kind, StageKind::Project { .. }))
-            .unwrap_or(stages.len());
-        (cut > 0).then(|| &stages[..cut])
+        self.route(i) == Some(Route::Batch)
     }
 
     /// A deterministic structural fingerprint: FNV-1a over the rendered
@@ -506,12 +627,23 @@ impl Lowerer<'_> {
     /// A single-input row's producing `R(i)` plus its metadata.
     fn derived_input(&self, r: &RelRef, row: usize) -> Result<(usize, &Produced), PqpError> {
         match r {
-            RelRef::Derived(i) => Ok((*i, self.env.get(i).ok_or(PqpError::DanglingReference(*i))?)),
+            RelRef::Derived(i) => Ok((*i, self.produced(*i, row)?)),
             _ => Err(PqpError::MalformedRow {
                 row,
                 reason: format!("expected a derived relation, found `{r}`"),
             }),
         }
+    }
+
+    /// What `R(i)` is, for row `row` to read. A stage fused onto `R(i)`'s
+    /// pipeline moves that node past `R(i)`: then `R(i)` was read
+    /// already. (A node read twice outright fails the tree check.)
+    fn produced(&self, i: usize, row: usize) -> Result<&Produced, PqpError> {
+        let p = self.env.get(&i).ok_or(PqpError::DanglingReference(i))?;
+        if self.nodes[p.node].row != i {
+            return Err(referenced_twice(row, i));
+        }
+        Ok(p)
     }
 
     /// Resolve an attribute against a produced relation: exact column,
@@ -532,20 +664,6 @@ impl Lowerer<'_> {
     fn retain_valid(mut aliases: AliasMap, schema: &Schema) -> AliasMap {
         aliases.retain(|_, col| schema.contains(col));
         aliases
-    }
-
-    fn single_attr<'b>(&self, row: &'b IomRow) -> Result<&'b str, PqpError> {
-        row.lha
-            .first()
-            .map(String::as_str)
-            .ok_or(PqpError::MalformedRow {
-                row: row.pr,
-                reason: "operation requires a left-hand attribute".into(),
-            })
-    }
-
-    fn theta(&self, row: &IomRow) -> Cmp {
-        row.theta.unwrap_or(Cmp::Eq)
     }
 
     fn push_node(
@@ -618,46 +736,9 @@ impl Lowerer<'_> {
     }
 
     fn lower_lqp_row(&mut self, row: &IomRow, db: &str) -> Result<(), PqpError> {
-        let RelRef::Named(local_rel) = &row.lhr else {
-            return Err(PqpError::MalformedRow {
-                row: row.pr,
-                reason: "LQP row requires a named local relation".into(),
-            });
-        };
-        let op = match row.op {
-            Op::Retrieve => LocalOp::retrieve(local_rel),
-            Op::Select => {
-                let attr = self.single_attr(row)?;
-                let Rha::Const(v) = &row.rha else {
-                    return Err(PqpError::MalformedRow {
-                        row: row.pr,
-                        reason: "Select requires a constant RHA".into(),
-                    });
-                };
-                LocalOp::select(local_rel, attr, self.theta(row), v.clone())
-            }
-            Op::Restrict => {
-                let x = self.single_attr(row)?;
-                let Rha::Attr(y) = &row.rha else {
-                    return Err(PqpError::MalformedRow {
-                        row: row.pr,
-                        reason: "Restrict requires an attribute RHA".into(),
-                    });
-                };
-                LocalOp::restrict(local_rel, x, self.theta(row), y)
-            }
-            Op::Project => {
-                let attrs: Vec<&str> = row.lha.iter().map(String::as_str).collect();
-                LocalOp::retrieve(local_rel).with_projection(&attrs)
-            }
-            other => {
-                return Err(PqpError::MalformedRow {
-                    row: row.pr,
-                    reason: format!("operation `{other}` cannot execute at an LQP"),
-                })
-            }
-        };
+        let op = local_op(row)?;
         let schema = self.registry.planned_schema(db, &op)?;
+        let base = Some((db.to_string(), op.relation.clone()));
         self.push_node(
             row.pr,
             PhysOp::Scan {
@@ -666,7 +747,7 @@ impl Lowerer<'_> {
             },
             schema,
             AliasMap::new(),
-            Some((db.to_string(), local_rel.clone())),
+            base,
         );
         Ok(())
     }
@@ -691,7 +772,7 @@ impl Lowerer<'_> {
         let mut relabels = Vec::with_capacity(inputs.len());
         let mut relabeled_schemas = Vec::with_capacity(inputs.len());
         for rid in inputs {
-            let p = self.env.get(rid).ok_or(PqpError::DanglingReference(*rid))?;
+            let p = self.produced(*rid, row.pr)?;
             let (db, local_rel) = p.base.clone().ok_or(PqpError::MalformedRow {
                 row: row.pr,
                 reason: format!("Merge input R({rid}) is not a base retrieve"),
@@ -726,13 +807,8 @@ impl Lowerer<'_> {
             Op::Select => {
                 let (input_pr, input) = self.derived_input(&row.lhr, row.pr)?;
                 let input = input.clone();
-                let attr = self.resolve(&input, self.single_attr(row)?)?;
-                let Rha::Const(v) = &row.rha else {
-                    return Err(PqpError::MalformedRow {
-                        row: row.pr,
-                        reason: "Select requires a constant RHA".into(),
-                    });
-                };
+                let attr = self.resolve(&input, row.single_attr()?)?;
+                let v = row.rha_const()?;
                 let schema = Arc::clone(&input.schema);
                 let aliases = Self::retain_valid(input.aliases.clone(), &schema);
                 self.push_stage(
@@ -742,7 +818,7 @@ impl Lowerer<'_> {
                         row: row.pr,
                         kind: StageKind::Select {
                             attr,
-                            cmp: self.theta(row),
+                            cmp: row.cmp(),
                             value: v.clone(),
                         },
                     },
@@ -753,13 +829,8 @@ impl Lowerer<'_> {
             Op::Restrict => {
                 let (input_pr, input) = self.derived_input(&row.lhr, row.pr)?;
                 let input = input.clone();
-                let x = self.resolve(&input, self.single_attr(row)?)?;
-                let Rha::Attr(y) = &row.rha else {
-                    return Err(PqpError::MalformedRow {
-                        row: row.pr,
-                        reason: "Restrict requires an attribute RHA".into(),
-                    });
-                };
+                let x = self.resolve(&input, row.single_attr()?)?;
+                let y = row.rha_attr()?;
                 let y = self.resolve(&input, y)?;
                 let schema = Arc::clone(&input.schema);
                 let aliases = Self::retain_valid(input.aliases.clone(), &schema);
@@ -770,7 +841,7 @@ impl Lowerer<'_> {
                         row: row.pr,
                         kind: StageKind::Restrict {
                             x,
-                            cmp: self.theta(row),
+                            cmp: row.cmp(),
                             y,
                         },
                     },
@@ -810,16 +881,11 @@ impl Lowerer<'_> {
             Op::Join => {
                 let left = self.input(&row.lhr, row.pr)?.clone();
                 let right = self.input(&row.rhr, row.pr)?.clone();
-                let x_raw = self.single_attr(row)?.to_string();
+                let x_raw = row.single_attr()?.to_string();
                 let x = self.resolve(&left, &x_raw)?;
-                let Rha::Attr(y_raw) = &row.rha else {
-                    return Err(PqpError::MalformedRow {
-                        row: row.pr,
-                        reason: "Join requires an attribute RHA".into(),
-                    });
-                };
+                let y_raw = row.rha_attr()?;
                 let y = self.resolve(&right, y_raw)?;
-                if self.theta(row) == Cmp::Eq {
+                if row.cmp() == Cmp::Eq {
                     // Equi-joins coalesce the two join columns into one
                     // named after the right side — how Tables 5 and 7 are
                     // printed. The left name lives on as an alias.
@@ -856,7 +922,7 @@ impl Lowerer<'_> {
                             left: left.node,
                             right: right.node,
                             x,
-                            cmp: self.theta(row),
+                            cmp: row.cmp(),
                             y,
                         },
                         schema,
@@ -869,13 +935,8 @@ impl Lowerer<'_> {
             Op::AntiJoin => {
                 let left = self.input(&row.lhr, row.pr)?.clone();
                 let right = self.input(&row.rhr, row.pr)?.clone();
-                let x = self.resolve(&left, self.single_attr(row)?)?;
-                let Rha::Attr(y_raw) = &row.rha else {
-                    return Err(PqpError::MalformedRow {
-                        row: row.pr,
-                        reason: "AntiJoin requires an attribute RHA".into(),
-                    });
-                };
+                let x = self.resolve(&left, row.single_attr()?)?;
+                let y_raw = row.rha_attr()?;
                 let y = self.resolve(&right, y_raw)?;
                 let schema = Arc::clone(&left.schema);
                 let aliases = Self::retain_valid(left.aliases.clone(), &schema);
@@ -945,10 +1006,36 @@ impl Lowerer<'_> {
     }
 }
 
+/// The operation an LQP row ships to its local system — shared by
+/// lowering and the eager interpreter.
+pub(crate) fn local_op(row: &IomRow) -> Result<LocalOp, PqpError> {
+    let RelRef::Named(local_rel) = &row.lhr else {
+        return Err(row.malformed("LQP row requires a named local relation".into()));
+    };
+    Ok(match row.op {
+        Op::Retrieve => LocalOp::retrieve(local_rel),
+        Op::Select => LocalOp::select(
+            local_rel,
+            row.single_attr()?,
+            row.cmp(),
+            row.rha_const()?.clone(),
+        ),
+        Op::Restrict => {
+            LocalOp::restrict(local_rel, row.single_attr()?, row.cmp(), row.rha_attr()?)
+        }
+        Op::Project => {
+            let attrs: Vec<&str> = row.lha.iter().map(String::as_str).collect();
+            LocalOp::retrieve(local_rel).with_projection(&attrs)
+        }
+        other => return Err(row.malformed(format!("operation `{other}` cannot execute at an LQP"))),
+    })
+}
+
 /// Lower an IOM into a physical plan: a stage chain fuses into one
-/// pipeline. The plan is a tree, so an IOM that references a result
-/// twice is rejected with [`PqpError::MalformedRow`] naming the row
-/// that references it again. Lowering reads no engine options — the
+/// pipeline, and [`PhysicalPlan::try_from_nodes`] checks the tree and
+/// routes every node. The plan is a tree, so an IOM that references a
+/// result twice is rejected with [`PqpError::MalformedRow`] naming the
+/// row that references it again. Lowering reads no engine options — the
 /// executor picks each operator's fan-out at run time from its input
 /// size — so a plan's text, fingerprint and cost estimate are the same
 /// at every thread count.
@@ -957,22 +1044,6 @@ pub fn lower(
     registry: &LqpRegistry,
     dictionary: &DataDictionary,
 ) -> Result<PhysicalPlan, PqpError> {
-    let mut referenced = HashSet::new();
-    for row in &iom.rows {
-        let inputs = [&row.lhr, &row.rhr].into_iter().flat_map(|r| match r {
-            RelRef::Derived(i) => std::slice::from_ref(i),
-            RelRef::DerivedList(ids) => ids.as_slice(),
-            _ => &[],
-        });
-        for &i in inputs {
-            if !referenced.insert(i) {
-                return Err(PqpError::MalformedRow {
-                    row: row.pr,
-                    reason: format!("R({i}) is referenced twice; a plan is a tree"),
-                });
-            }
-        }
-    }
     let mut lowerer = Lowerer {
         registry,
         dictionary,
@@ -997,44 +1068,33 @@ pub fn lower(
         .get(&final_pr)
         .ok_or(PqpError::DanglingReference(final_pr))?
         .node;
-    Ok(PhysicalPlan {
-        nodes: lowerer.nodes,
-        root,
-    })
+    PhysicalPlan::try_from_nodes(lowerer.nodes, root)
 }
 
 // ---------------------------------------------------------------------
-// Index pushdown — the routing pass between lowering and execution.
+// Index pushdown — routing a Scan leaf onto a probe.
 //
-// Modeled on icydb's `FastPathPlan`: one validated routing decision per
-// Scan leaf, derived once per plan, execution-agnostic. A leaf routes
-// onto an index only when every eligibility gate passes; anything else
-// keeps the full scan, so correctness never depends on an index.
+// Modeled on icydb's `FastPathPlan`: one validated decision per Scan
+// leaf, execution-agnostic. A leaf routes onto an index only when every
+// eligibility gate passes; anything else keeps the full scan, so
+// correctness never depends on an index. A probe is a leaf like the
+// scan it replaces, so no node's `Route` changes.
 // ---------------------------------------------------------------------
 
-/// Why a Scan leaf did (or did not) route onto an index — the
-/// `FastPathPlan`-style decision record, one per Scan leaf.
-#[derive(Debug, Clone, PartialEq)]
-enum Route {
-    /// Swap the scan for an index probe.
-    Index {
-        column: String,
-        kind: IndexKind,
-        probe: Probe,
-    },
-    /// Keep the full scan.
-    Scan,
-}
-
-/// Decide the route for one Scan leaf. `stages` is the consuming
-/// pipeline's stage list, when the leaf's consumer is a pipeline — the
-/// source of foldable residual conjuncts.
-fn route_scan(catalog: &IndexCatalog, db: &str, op: &LocalOp, stages: Option<&[Stage]>) -> Route {
+/// The probe one Scan leaf routes onto, if any: `(column, kind, probe)`.
+/// `stages` is the stage list of the pipeline reading the leaf, when a
+/// pipeline reads it — the source of foldable residual conjuncts.
+fn route_scan(
+    catalog: &IndexCatalog,
+    db: &str,
+    op: &LocalOp,
+    stages: Option<&[Stage]>,
+) -> Option<(String, IndexKind, Probe)> {
     // Only plain retrieves and single-predicate selects are candidates:
     // restricts compare two columns (not sargable) and projections
     // change the leaf schema out from under the index's base.
     if op.restrict.is_some() || op.projection.is_some() {
-        return Route::Scan;
+        return None;
     }
     // Seed the interval: the scan's own filter (evaluated LQP-side on
     // raw values — requires a raw-faithful index), or, for a bare
@@ -1042,33 +1102,33 @@ fn route_scan(catalog: &IndexCatalog, db: &str, op: &LocalOp, stages: Option<&[S
     // (evaluated PQP-side on mapped values — the index's native keys).
     let (column, index, seed, fold_from) = match &op.filter {
         Some((attr, cmp, value)) => {
-            let Some(index) = catalog.lookup(db, &op.relation, attr) else {
-                return Route::Scan;
-            };
+            let index = catalog.lookup(db, &op.relation, attr)?;
             if !index.raw_faithful() || !index.supports(*cmp) || !index.admits_literal(value) {
-                return Route::Scan;
+                return None;
             }
-            let Some(seed) = Interval::from_predicate(*cmp, value) else {
-                return Route::Scan;
-            };
-            (attr.clone(), index, seed, 0)
+            (
+                attr.clone(),
+                index,
+                Interval::from_predicate(*cmp, value)?,
+                0,
+            )
         }
         None => {
             let Some(StageKind::Select { attr, cmp, value }) =
                 stages.and_then(|s| s.first()).map(|s| &s.kind)
             else {
-                return Route::Scan;
+                return None;
             };
-            let Some(index) = catalog.lookup(db, &op.relation, attr) else {
-                return Route::Scan;
-            };
+            let index = catalog.lookup(db, &op.relation, attr)?;
             if !index.supports(*cmp) || !index.admits_literal(value) {
-                return Route::Scan;
+                return None;
             }
-            let Some(seed) = Interval::from_predicate(*cmp, value) else {
-                return Route::Scan;
-            };
-            (attr.clone(), index, seed, 1)
+            (
+                attr.clone(),
+                index,
+                Interval::from_predicate(*cmp, value)?,
+                1,
+            )
         }
     };
     // Fold further leading Select conjuncts over the same column into
@@ -1079,56 +1139,44 @@ fn route_scan(catalog: &IndexCatalog, db: &str, op: &LocalOp, stages: Option<&[S
     // sorted-only.
     let mut interval = seed;
     if index.kind() == IndexKind::Sorted {
-        if let Some(stages) = stages {
-            for stage in stages.iter().skip(fold_from) {
-                let StageKind::Select { attr, cmp, value } = &stage.kind else {
-                    break;
-                };
-                if *attr != column || !index.admits_literal(value) {
-                    break;
-                }
-                let Some(pred) = Interval::from_predicate(*cmp, value) else {
-                    break;
-                };
-                interval = interval.intersect(pred);
+        for stage in stages.unwrap_or_default().iter().skip(fold_from) {
+            let StageKind::Select { attr, cmp, value } = &stage.kind else {
+                break;
+            };
+            if *attr != column || !index.admits_literal(value) {
+                break;
             }
+            let Some(pred) = Interval::from_predicate(*cmp, value) else {
+                break;
+            };
+            interval = interval.intersect(pred);
         }
     }
-    match interval.into_probe() {
-        Some(probe) if index.kind() == IndexKind::Hash && !matches!(probe, Probe::Point(_)) => {
-            Route::Scan
-        }
-        Some(probe) => Route::Index {
-            column,
-            kind: index.kind(),
-            probe,
-        },
-        None => Route::Scan,
+    match interval.into_probe()? {
+        probe if index.kind() == IndexKind::Hash && !matches!(probe, Probe::Point(_)) => None,
+        probe => Some((column, index.kind(), probe)),
     }
 }
 
 /// The pushdown pass: route eligible Scan leaves onto available
-/// secondary indexes, leaving everything else — pipelines, residual
-/// predicates, join strategies — untouched. The routed
+/// secondary indexes in place, leaving everything else — pipelines,
+/// residual predicates, join strategies, routes — untouched. The routed
 /// plan is byte-identical in results to the input plan: a probe emits
 /// exactly the tuples the scan's predicate would have retained, in scan
 /// order, and folded conjuncts re-check themselves as pipeline stages.
-pub fn route_index_scans(plan: &PhysicalPlan, catalog: &IndexCatalog) -> PhysicalPlan {
+pub fn route_index_scans(plan: &mut PhysicalPlan, catalog: &IndexCatalog) {
     if catalog.is_empty() {
-        return plan.clone();
+        return;
     }
-    let mut routed = plan.clone();
-    for (i, node) in plan.nodes.iter().enumerate() {
-        let PhysOp::Scan { db, op } = &node.op else {
+    for i in 0..plan.nodes.len() {
+        let (PhysOp::Scan { db, op }, Some(Route::Leaf { pipeline })) =
+            (&plan.nodes[i].op, plan.route(i))
+        else {
             continue;
         };
-        if let Route::Index {
-            column,
-            kind,
-            probe,
-        } = route_scan(catalog, db, op, plan.sole_pipeline_consumer(i))
-        {
-            routed.nodes[i].op = PhysOp::IndexScan {
+        let stages = pipeline.and_then(|c| plan.consumer_stages(i, c));
+        if let Some((column, kind, probe)) = route_scan(catalog, db, op, stages) {
+            plan.nodes[i].op = PhysOp::IndexScan {
                 db: db.clone(),
                 relation: op.relation.clone(),
                 column,
@@ -1137,7 +1185,6 @@ pub fn route_index_scans(plan: &PhysicalPlan, catalog: &IndexCatalog) -> Physica
             };
         }
     }
-    routed
 }
 
 /// Render the physical plan with fusion and join-strategy annotations —
@@ -1320,7 +1367,8 @@ mod tests {
         )
         .unwrap();
         let plan = paper_plan();
-        let routed = route_index_scans(&plan, &catalog);
+        let mut routed = plan.clone();
+        route_index_scans(&mut routed, &catalog);
         assert_eq!(routed.index_scans(), 1, "the MBA select routes");
         assert!(matches!(
             &routed.nodes[0].op,
@@ -1336,7 +1384,9 @@ mod tests {
             "{shown}"
         );
         // An empty catalog routes nothing.
-        assert_eq!(route_index_scans(&plan, &IndexCatalog::empty()), plan);
+        let mut unrouted = plan.clone();
+        route_index_scans(&mut unrouted, &IndexCatalog::empty());
+        assert_eq!(unrouted, plan);
     }
 
     #[test]
@@ -1353,25 +1403,25 @@ mod tests {
             &s.dictionary,
         )
         .unwrap();
-        let lower_expr = |expr: &str| {
+        let routed = |expr: &str| {
             let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
             let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-            lower(&iom, &registry, &s.dictionary).unwrap()
+            let mut plan = lower(&iom, &registry, &s.dictionary).unwrap();
+            route_index_scans(&mut plan, &catalog);
+            plan
         };
         // `<>` is not sargable.
-        let ne = lower_expr("PALUMNUS [DEGREE <> \"MBA\"]");
-        assert_eq!(route_index_scans(&ne, &catalog).index_scans(), 0);
+        assert_eq!(routed("PALUMNUS [DEGREE <> \"MBA\"]").index_scans(), 0);
         // A range θ cannot ride hash postings.
-        let range = lower_expr("PALUMNUS [DEGREE > \"MBA\"]");
-        assert_eq!(route_index_scans(&range, &catalog).index_scans(), 0);
+        assert_eq!(routed("PALUMNUS [DEGREE > \"MBA\"]").index_scans(), 0);
         // Selects over a merged scheme execute post-merge: the FIRM
         // retrieve is bare and feeds the merge, so nothing routes —
         // even though CD.FIRM.HQ is indexed (and, being rewritten by
         // the LastCommaToken domain rule, would be rejected as
         // raw-unfaithful if a filtered scan ever targeted it).
         assert!(!catalog.lookup("CD", "FIRM", "HQ").unwrap().raw_faithful());
-        let firm = lower_expr("PORGANIZATION [HEADQUARTERS = \"NY\"]");
-        assert_eq!(route_index_scans(&firm, &catalog).index_scans(), 0);
+        let firm = routed("PORGANIZATION [HEADQUARTERS = \"NY\"]");
+        assert_eq!(firm.index_scans(), 0);
     }
 
     #[test]
@@ -1390,8 +1440,8 @@ mod tests {
         let pom = analyze(&parse_algebra("PALUMNUS [AID# >= \"200\"] [AID# <= \"600\"]").unwrap())
             .unwrap();
         let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-        let plan = lower(&iom, &registry, &s.dictionary).unwrap();
-        let routed = route_index_scans(&plan, &catalog);
+        let mut routed = lower(&iom, &registry, &s.dictionary).unwrap();
+        route_index_scans(&mut routed, &catalog);
         assert_eq!(routed.index_scans(), 1);
         let PhysOp::IndexScan { probe, .. } = &routed.nodes[0].op else {
             panic!("scan not routed: {}", render_plan(&routed));
@@ -1436,6 +1486,33 @@ mod tests {
                 assert!(reason.contains("R(1)"), "{reason}");
             }
             other => panic!("a shared retrieve must not lower: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lower_rejects_a_fused_result_read_again() {
+        // R(5) selects the merged organizations and R(6) projects it,
+        // fused onto R(5)'s pipeline; a second Project of R(5) must not
+        // fuse onto that pipeline, which by then answers R(6).
+        let s = scenario::build();
+        let registry = scenario_registry(&s);
+        let pom =
+            analyze(&parse_algebra("PORGANIZATION [INDUSTRY = \"Banking\"] [ONAME]").unwrap())
+                .unwrap();
+        let (_, mut iom) = interpret(&pom, s.dictionary.schema()).unwrap();
+        let mut again = iom.rows.last().unwrap().clone();
+        assert_eq!(
+            (again.pr, again.op, &again.lhr),
+            (6, Op::Project, &RelRef::Derived(5))
+        );
+        again.pr = 7;
+        iom.rows.push(again);
+        match lower(&iom, &registry, &s.dictionary) {
+            Err(PqpError::MalformedRow { row, reason }) => {
+                assert_eq!(row, 7);
+                assert!(reason.contains("R(5)"), "{reason}");
+            }
+            other => panic!("a fused result read again must not lower: {other:?}"),
         }
     }
 }

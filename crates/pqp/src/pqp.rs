@@ -176,7 +176,7 @@ impl Pqp {
         let mut physical = lower_plan(&iom, &self.registry, &self.dictionary)?;
         // Index pushdown: swap eligible Scan leaves for probes.
         if let Some(catalog) = &self.indexes {
-            physical = crate::plan::route_index_scans(&physical, catalog);
+            crate::plan::route_index_scans(&mut physical, catalog);
         }
         Ok(CompiledQuery {
             expr,

@@ -119,31 +119,31 @@ fn served_queries_allocate_within_their_ceilings() {
             "select",
             &service,
             Request::algebra(queries::select_query(3)),
-            627,
+            602,
         ),
         (
             "join",
             &service,
             Request::algebra(queries::join_query(50)),
-            3_939,
+            3_903,
         ),
         (
             "paper",
             &service,
             Request::sql(queries::paper_shaped_sql(3)),
-            898,
+            860,
         ),
         (
             "point",
             &indexed,
             Request::algebra(queries::point_lookup(7)),
-            108,
+            106,
         ),
         (
             "range",
             &indexed,
             Request::algebra(queries::range_scan(40, 49)),
-            3_377,
+            3_372,
         ),
     ];
     for (class, service, request, ceiling) in classes {

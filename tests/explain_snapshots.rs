@@ -37,10 +37,10 @@ fn indexed_plan_and_cost(expr: &str, specs: &[IndexSpec]) -> (String, String) {
     let catalog = IndexCatalog::build(specs, &registry, &s.dictionary).unwrap();
     let pom = analyze(&parse_algebra(expr).unwrap()).unwrap();
     let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
-    let plan = lower_plan(&iom, &registry, &s.dictionary).unwrap();
-    let routed = route_index_scans(&plan, &catalog);
-    let cost = estimate_physical(&routed, &registry).to_string();
-    (render_plan(&routed), cost)
+    let mut plan = lower_plan(&iom, &registry, &s.dictionary).unwrap();
+    route_index_scans(&mut plan, &catalog);
+    let cost = estimate_physical(&plan, &registry).to_string();
+    (render_plan(&plan), cost)
 }
 
 /// EXPLAIN ANALYZE over the MIT scenario, serial, with the measured
@@ -282,8 +282,8 @@ fn between_folds_into_a_range_probe_with_residual() {
 /// lone-consumer Scan leaf is batch-eligible (the restrict itself folds
 /// into the scan descriptor, the trailing Project runs columnar), and
 /// EXPLAIN says so with `[batch]`. The marker is the routing itself:
-/// the executor asks the same `is_batch_pipeline` predicate, so a
-/// marked node runs on `ColumnBatch`.
+/// the executor reads the same `Route::Batch`, so a marked node runs on
+/// `ColumnBatch`.
 #[test]
 fn eligible_leaf_pipeline_announces_batch() {
     assert_snapshot(
@@ -481,18 +481,30 @@ fn intersect_and_product_plan_serial() {
     );
 }
 
-/// Every HashJoin of a plan that runs its consumer's leading Project
-/// inside its emit, with that Project's columns.
+/// Every HashJoin of a plan routed to run its consumer's leading
+/// Project inside its emit, with that Project's columns.
 fn fused_pairs(plan: &PhysicalPlan) -> Vec<(usize, Vec<String>)> {
     (0..plan.nodes.len())
-        .filter_map(|i| plan.fused_join_project(i).map(|cols| (i, cols.to_vec())))
+        .filter_map(|i| {
+            let Some(Route::JoinProject { consumer }) = plan.route(i) else {
+                return None;
+            };
+            let PhysOp::Pipeline { input, stages } = &plan.nodes[consumer].op else {
+                panic!("node #{i}'s consumer #{consumer} is not a pipeline");
+            };
+            assert_eq!(*input, i);
+            match &stages[0].kind {
+                StageKind::Project { cols, .. } => Some((i, cols.clone())),
+                other => panic!("node #{i}'s consumer opens with {other:?}"),
+            }
+        })
         .collect()
 }
 
 /// The plan's shape alone decides which joins run their consumer's
 /// Project: a HashJoin whose only consumer is a pipeline opening with
-/// Project. Neither a join at the root, nor one feeding two consumers,
-/// nor one under a Select before the Project fuses.
+/// Project. Neither a join at the root nor one under a Select before
+/// the Project fuses, and a join feeding two consumers is no plan.
 #[test]
 fn fused_join_project_follows_the_plan_shape() {
     let big = polygen::workload::generate(&common::fixtures::small_config(5, 3, 64));
@@ -518,10 +530,12 @@ fn fused_join_project_follows_the_plan_shape() {
         );
     }
     // The join of `join_query` feeding a second pipeline as well.
-    let mut shared = join.clone();
-    let second = shared.nodes[6].clone();
-    shared.nodes.push(second);
-    assert_eq!(fused_pairs(&shared), vec![]);
+    let mut shared = join.nodes.clone();
+    shared.push(shared[6].clone());
+    assert!(matches!(
+        PhysicalPlan::try_from_nodes(shared, 7),
+        Err(PqpError::MalformedRow { row: 7, reason }) if reason.contains("R(6)")
+    ));
 }
 
 /// EXPLAIN ANALYZE of a join that runs its consumer's Project reads as
@@ -571,13 +585,19 @@ fn analyzed_fused_join_keeps_its_row_counts() {
     assert_eq!(kernels, vec![Some("join+project")]);
 }
 
-/// Every HashMerge of a plan that runs its consumer's leading
+/// Every HashMerge of a plan routed to run its consumer's leading
 /// Selects/Restricts inside its emit, with those stages' rows.
 fn fused_merges(plan: &PhysicalPlan) -> Vec<(usize, Vec<usize>)> {
     (0..plan.nodes.len())
         .filter_map(|i| {
-            let stages = plan.fused_merge_stages(i)?;
-            Some((i, stages.iter().map(|st| st.row).collect()))
+            let Some(Route::MergeStages { consumer, stages }) = plan.route(i) else {
+                return None;
+            };
+            let PhysOp::Pipeline { input, stages: all } = &plan.nodes[consumer].op else {
+                panic!("node #{i}'s consumer #{consumer} is not a pipeline");
+            };
+            assert_eq!(*input, i);
+            Some((i, all[..stages].iter().map(|st| st.row).collect()))
         })
         .collect()
 }
@@ -585,9 +605,9 @@ fn fused_merges(plan: &PhysicalPlan) -> Vec<(usize, Vec<usize>)> {
 /// The plan's shape alone decides which merges run their consumer's
 /// Selects and Restricts: a HashMerge whose only consumer is a pipeline
 /// opening with them, up to its first Project. The select and paper
-/// classes fuse; a merge at the root, one feeding a join, one under a
-/// pipeline that opens with Project and one feeding two consumers do
-/// not.
+/// classes fuse; a merge at the root, one feeding a join and one under
+/// a pipeline that opens with Project do not, and a merge feeding two
+/// consumers is no plan.
 #[test]
 fn fused_merge_stages_follows_the_plan_shape() {
     let big = polygen::workload::generate(&common::fixtures::small_config(5, 3, 64));
@@ -623,15 +643,15 @@ fn fused_merge_stages_follows_the_plan_shape() {
         );
     }
     // The select class's merge as the answer.
-    let mut root = select.clone();
-    root.nodes.truncate(4);
-    root.root = 3;
+    let root = PhysicalPlan::try_from_nodes(select.nodes[..4].to_vec(), 3).unwrap();
     assert_eq!(fused_merges(&root), vec![]);
     // The select class's merge feeding a second pipeline as well.
-    let mut shared = select.clone();
-    let second = shared.nodes[4].clone();
-    shared.nodes.push(second);
-    assert_eq!(fused_merges(&shared), vec![]);
+    let mut shared = select.nodes.clone();
+    shared.push(shared[4].clone());
+    assert!(matches!(
+        PhysicalPlan::try_from_nodes(shared, 5),
+        Err(PqpError::MalformedRow { row: 5, reason }) if reason.contains("R(4)")
+    ));
 }
 
 /// EXPLAIN ANALYZE of a merge that runs its consumer's Select reads as

@@ -4,8 +4,8 @@
 //!
 //! * Executing with an enabled trace recorder must be byte-identical to
 //!   executing with a disabled one — same tuples, same order, same tags,
-//!   same rejections — across thread counts — and its pipeline spans
-//!   must name the kernel the plan chose.
+//!   same rejections — across thread counts — and every node's span
+//!   must name the kernel its route chose.
 //! * An enabled run's span tree must be well formed (every span closed,
 //!   parents enclosing children), with exactly one executor span per
 //!   physical node.
@@ -105,6 +105,18 @@ fn partition_notes_report_the_run_not_the_plan() {
     );
 }
 
+/// The `kernel` note a node's span carries for its route — the right
+/// column of the table on `Route`, restated here as the oracle.
+fn kernel_note(route: Route) -> Option<&'static str> {
+    match route {
+        Route::Batch => Some("batch"),
+        Route::Rows { .. } => Some("row"),
+        Route::JoinProject { .. } => Some("join+project"),
+        Route::MergeStages { .. } => Some("merge+select"),
+        Route::Leaf { .. } | Route::Pass { .. } | Route::Whole => None,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -113,9 +125,9 @@ proptest! {
     /// recorder off and on across thread counts: the answers must be
     /// byte-identical (tuple order included) and agree with the eager
     /// reference; rejections must agree in error kind. The enabled
-    /// run's span tree must be well formed every time, and its
-    /// `exec/Pipeline` spans must show the executor obeying the plan:
-    /// `kernel = "batch"` exactly on the plan's batch pipelines.
+    /// run's span tree must be well formed every time, and every node's
+    /// span must show the executor obeying the plan: its `kernel` note
+    /// is its route's.
     #[test]
     fn tracing_is_invisible_to_results(
         fed_seed in any::<u64>(),
@@ -162,13 +174,14 @@ proptest! {
                             panic!("malformed span tree for `{expr}` (threads={threads}): {e}");
                         }
                         let plan = plan.as_ref().expect("the plan ran");
-                        for sp in report.spans_named("exec/Pipeline") {
+                        for sp in report.spans.iter().filter(|sp| sp.name.starts_with("exec/")) {
                             let node = sp.note_uint("node").expect("node index") as usize;
+                            let route = plan.route(node).expect("a routed node");
                             prop_assert_eq!(
-                                sp.note_str("kernel") == Some("batch"),
-                                plan.is_batch_pipeline(node),
-                                "node #{} of `{}` ran `{:?}` against the plan (threads={})",
-                                node, expr, sp.note_str("kernel"), threads
+                                sp.note_str("kernel"),
+                                kernel_note(route),
+                                "node #{} of `{}` ran against its route {:?} (threads={})",
+                                node, expr, route, threads
                             );
                         }
                     }

@@ -24,7 +24,7 @@ use polygen::core::{Cell, PolygenRelation, SourceId};
 use polygen::flat::{Schema, Value};
 use polygen::obs::trace::Trace;
 use polygen::pqp::prelude::{
-    execute_plan, lower_plan, PhysNode, PhysOp, PhysicalPlan, Pqp, PqpOptions,
+    execute_plan, lower_plan, PhysNode, PhysOp, PhysicalPlan, Pqp, PqpOptions, Route,
 };
 use polygen::sql::prelude::PAPER_EXPRESSION;
 use polygen::workload;
@@ -266,7 +266,8 @@ fn fused_join_project_matches_the_unfused_run_across_thread_counts() {
             &sc.dictionary,
         )
         .unwrap();
-        let fused = (0..plan.nodes.len()).filter(|&i| plan.fused_join_project(i).is_some());
+        let fused = (0..plan.nodes.len())
+            .filter(|&i| matches!(plan.route(i), Some(Route::JoinProject { .. })));
         assert_eq!(fused.count(), 1, "`{expr}` runs its Project in the join");
         for threads in THREAD_COUNTS {
             assert_batch_matches(&sc, &expr, ConflictPolicy::Strict, threads);
@@ -276,9 +277,10 @@ fn fused_join_project_matches_the_unfused_run_across_thread_counts() {
 }
 
 /// `plan` with a stage-less Pipeline put between node `i` and its
-/// consumer. The plan stays a tree and answers the same, but a merge at
-/// `i` no longer has a consumer that opens with Selects/Restricts, so it
-/// runs none of them, and a consumer with stages builds its view whole.
+/// consumer, rebuilt through `try_from_nodes`. The plan stays a tree
+/// and answers the same, but a merge at `i` no longer has a consumer
+/// that opens with Selects/Restricts, so it routes whole, and a
+/// consumer with stages builds its view whole.
 fn with_pass_through(plan: &PhysicalPlan, i: usize) -> PhysicalPlan {
     let moved = |j: usize| if j >= i { j + 1 } else { j };
     let mut nodes = Vec::with_capacity(plan.nodes.len() + 1);
@@ -314,16 +316,13 @@ fn with_pass_through(plan: &PhysicalPlan, i: usize) -> PhysicalPlan {
             });
         }
     }
-    PhysicalPlan {
-        nodes,
-        root: moved(plan.root),
-    }
+    PhysicalPlan::try_from_nodes(nodes, moved(plan.root)).expect("still a tree")
 }
 
 /// A merge that runs its consumer's Selects and Restricts answers what
 /// the unfused merge and pipeline do: byte for byte with order against
 /// the same plan run unfused (a stage-less pipeline put between its
-/// merge and the stages, so the shape predicate refuses to fuse) and
+/// merge and the stages, so the merge routes whole) and
 /// against the eager interpreter — answer and every prefix — at every
 /// thread count, under every conflict policy, over a federation with
 /// conflicting sources.
@@ -347,12 +346,14 @@ fn fused_merge_stages_match_the_unfused_run_across_thread_counts() {
                 &sc.dictionary,
             )
             .unwrap();
+            let merges_stages =
+                |plan: &PhysicalPlan, i| matches!(plan.route(i), Some(Route::MergeStages { .. }));
             let fused: Vec<usize> = (0..plan.nodes.len())
-                .filter(|&i| plan.fused_merge_stages(i).is_some())
+                .filter(|&i| merges_stages(&plan, i))
                 .collect();
             assert_eq!(fused.len(), 1, "`{expr}` runs its stages in the merge");
             let unfused = with_pass_through(&plan, fused[0]);
-            assert!((0..unfused.nodes.len()).all(|i| unfused.fused_merge_stages(i).is_none()));
+            assert!((0..unfused.nodes.len()).all(|i| !merges_stages(&unfused, i)));
             for policy in [
                 ConflictPolicy::Strict,
                 ConflictPolicy::PreferLeft,

@@ -323,6 +323,104 @@ fn compiles_to_a_tree(pqp: &Pqp, expr: &str) -> bool {
     true
 }
 
+/// One edit to a plan's public fields, as a caller could make after the
+/// plan was built: `(kind, at, to)` picks the edit, the node and the new
+/// value, which may point past the plan on purpose.
+type Edit = (u8, usize, usize);
+
+/// The `to`-th input of `op`, to re-point.
+fn input_mut(op: &mut PhysOp, to: usize) -> Option<&mut usize> {
+    match op {
+        PhysOp::Scan { .. } | PhysOp::IndexScan { .. } => None,
+        PhysOp::Pipeline { input, .. } => Some(input),
+        PhysOp::HashMerge { inputs, .. } => {
+            let k = to % inputs.len().max(1);
+            inputs.get_mut(k)
+        }
+        PhysOp::HashJoin { left, right, .. }
+        | PhysOp::ThetaJoin { left, right, .. }
+        | PhysOp::AntiJoin { left, right, .. }
+        | PhysOp::Union { left, right }
+        | PhysOp::Difference { left, right }
+        | PhysOp::Intersect { left, right }
+        | PhysOp::Product { left, right } => Some(if to % 2 == 0 { left } else { right }),
+    }
+}
+
+/// Apply one [`Edit`]: re-point an input, duplicate a consumer, change
+/// the root, drop or add stages, or swap two nodes' operators.
+fn apply_edit(plan: &mut PhysicalPlan, (kind, at, to): Edit) {
+    let n = plan.nodes.len();
+    let at = at % n;
+    // A node index, up to two past the end.
+    let other = to % (n + 2);
+    match kind % 6 {
+        0 => {
+            if let Some(input) = input_mut(&mut plan.nodes[at].op, to) {
+                *input = other;
+            }
+        }
+        1 => {
+            let twin = plan.nodes[at].clone();
+            plan.nodes.push(twin);
+        }
+        2 => plan.root = other,
+        3 => {
+            if let PhysOp::Pipeline { stages, .. } = &mut plan.nodes[at].op {
+                stages.truncate(to % (stages.len() + 1));
+            }
+        }
+        4 => {
+            let donor = plan.nodes.iter().find_map(|node| match &node.op {
+                PhysOp::Pipeline { stages, .. } if !stages.is_empty() => {
+                    Some(stages[to % stages.len()].clone())
+                }
+                _ => None,
+            });
+            if let (Some(stage), PhysOp::Pipeline { stages, .. }) = (donor, &mut plan.nodes[at].op)
+            {
+                stages.insert(to % (stages.len() + 1), stage);
+            }
+        }
+        _ => {
+            let swapped = other % n;
+            let op = plan.nodes[swapped].op.clone();
+            plan.nodes[swapped].op = std::mem::replace(&mut plan.nodes[at].op, op);
+        }
+    }
+}
+
+/// Compile `expr` on `pqp`, edit its plan, rebuild the edited nodes
+/// through `try_from_nodes`, and run both the rebuilt plan and the
+/// edited original at one and four threads. Each step may answer or
+/// fail; none may panic.
+fn survives_edits(pqp: &Pqp, expr: &str, edits: &[Edit]) {
+    let Ok(compiled) = parse_algebra(expr)
+        .map_err(PqpError::from)
+        .and_then(|e| pqp.compile(e))
+    else {
+        return;
+    };
+    let mut edited = compiled.physical;
+    for &e in edits {
+        apply_edit(&mut edited, e);
+    }
+    let rebuilt = PhysicalPlan::try_from_nodes(edited.nodes.clone(), edited.root);
+    for threads in THREAD_COUNTS {
+        let options = PqpOptions::default().with_threads(threads);
+        for plan in std::iter::once(&edited).chain(rebuilt.as_ref().ok()) {
+            let _ = execute_plan(
+                plan,
+                pqp.registry(),
+                pqp.dictionary(),
+                pqp.indexes().map(|c| c.as_ref()),
+                &options,
+                &Trace::disabled(),
+            );
+        }
+    }
+}
+
 fn tagged(
     name: &str,
     attrs: [&str; 3],
@@ -332,6 +430,114 @@ fn tagged(
     let base = BaseRelation::new(flat(name, attrs, rows), SourceId(source));
     let materialized = base.materialize();
     (base, materialized)
+}
+
+/// `execute_plan` answers a plan whose public fields were edited out of
+/// shape with `MalformedRow`, never a panic: the join class's consumer
+/// read twice, the root past the end, a merge reading a pipeline, and a
+/// pipeline stripped of the stages its input runs for it.
+/// `try_from_nodes` refuses every edit that leaves no tree, and a
+/// merge over anything but leaves.
+#[test]
+fn edited_plans_are_malformed_not_panics() {
+    let sc = workload::generate(&small_config(5, 3, 64));
+    let pqp = Pqp::for_scenario(&sc);
+    let plan_of = |expr: &str| pqp.compile(parse_algebra(expr).unwrap()).unwrap().physical;
+    let run = |plan: &PhysicalPlan| {
+        execute_plan(
+            plan,
+            pqp.registry(),
+            pqp.dictionary(),
+            None,
+            &PqpOptions::default(),
+            &Trace::disabled(),
+        )
+    };
+    let malformed = |plan: &PhysicalPlan, what: &str| match run(plan) {
+        Err(PqpError::MalformedRow { .. }) => {}
+        other => panic!("{what}: {:?}", other.map(|r| r.len())),
+    };
+    let refused = |plan: &PhysicalPlan, what: &str| {
+        let rebuilt = PhysicalPlan::try_from_nodes(plan.nodes.clone(), plan.root);
+        assert!(
+            matches!(rebuilt, Err(PqpError::MalformedRow { .. })),
+            "{what}: try_from_nodes gave {rebuilt:?}"
+        );
+        malformed(plan, what);
+    };
+    // #0 Scan DETAIL, #1–#3 Scan ENTITY_*, #4 HashMerge, #5 HashJoin
+    // (join+project), #6 Pipeline [Project] ◀ answer.
+    let join = plan_of(&workload::queries::join_query(0));
+    assert!(run(&join).is_ok());
+    let mut shared = join.clone();
+    shared.nodes.push(shared.nodes[6].clone());
+    refused(&shared, "a second consumer of the join");
+    let mut rootless = join.clone();
+    rootless.root = 7;
+    refused(&rootless, "a root past the end");
+    let mut piped = join.clone();
+    let PhysOp::HashMerge { inputs, .. } = &mut piped.nodes[4].op else {
+        panic!("node #4 is the merge");
+    };
+    inputs[0] = 6;
+    refused(&piped, "a merge reading a pipeline");
+    let mut bare = join.clone();
+    let PhysOp::Pipeline { stages, .. } = &mut bare.nodes[6].op else {
+        panic!("node #6 is the pipeline");
+    };
+    stages.clear();
+    malformed(&bare, "a join's Project dropped");
+    // #0–#2 Scan ENTITY_*, #3 HashMerge (merge+select), #4 Pipeline
+    // [Select] ◀ answer: without the Select, the merge has nothing to
+    // run, and the plan must not answer every merged row.
+    let mut unselected = plan_of(&workload::queries::select_query(1));
+    let PhysOp::Pipeline { stages, .. } = &mut unselected.nodes[4].op else {
+        panic!("node #4 is the pipeline");
+    };
+    stages.clear();
+    malformed(&unselected, "a merge's Select dropped");
+    // A merge over a pipeline that precedes it: a leaf put behind a
+    // stage-less pipeline.
+    let select = plan_of(&workload::queries::select_query(1));
+    let mut nodes = select.nodes.clone();
+    nodes.insert(
+        1,
+        PhysNode {
+            row: nodes[0].row,
+            op: PhysOp::Pipeline {
+                input: 0,
+                stages: Vec::new(),
+            },
+            schema: Arc::clone(&nodes[0].schema),
+        },
+    );
+    nodes[4].op = match &select.nodes[3].op {
+        PhysOp::HashMerge {
+            scheme,
+            key,
+            relabels,
+            ..
+        } => PhysOp::HashMerge {
+            inputs: vec![1, 2, 3],
+            scheme: scheme.clone(),
+            key: key.clone(),
+            relabels: relabels.clone(),
+        },
+        other => panic!("node #3 is the merge, not {other:?}"),
+    };
+    nodes[5].op = match &select.nodes[4].op {
+        PhysOp::Pipeline { stages, .. } => PhysOp::Pipeline {
+            input: 4,
+            stages: stages.clone(),
+        },
+        other => panic!("node #4 is the pipeline, not {other:?}"),
+    };
+    match PhysicalPlan::try_from_nodes(nodes, 5) {
+        Err(PqpError::MalformedRow { reason, .. }) => {
+            assert!(reason.contains("not a base retrieve"), "{reason}")
+        }
+        other => panic!("a merge over a pipeline built: {other:?}"),
+    }
 }
 
 proptest! {
@@ -457,6 +663,38 @@ proptest! {
                 (want, got) => prop_assert!(false, "join diverges: {:?} vs {:?}", want.is_ok(), got.is_ok()),
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Plans are only built checked: random edits to compiled plans'
+    /// public fields — the paper query and the self-joins over the MIT
+    /// federation, every `QUERIES` shape over a hostile one, a random
+    /// expression over a generated one — are accepted or rejected by
+    /// `try_from_nodes`, and `execute_plan` answers or fails on the
+    /// rebuilt plan and on the edited original alike. Nothing panics.
+    #[test]
+    fn edited_plans_never_panic(
+        a in rows(6),
+        d in rows(6),
+        (rule, clean) in (0usize..4, any::<bool>()),
+        (query_seed, depth) in (any::<u64>(), 1usize..5),
+        edits in proptest::collection::vec((any::<u8>(), 0usize..64, 0usize..64), 1..4),
+    ) {
+        let mit = Pqp::for_scenario(&scenario::build());
+        for expr in std::iter::once(PAPER_EXPRESSION).chain(SELF_JOINS) {
+            survives_edits(&mit, expr, &edits);
+        }
+        let hostile = Pqp::for_scenario(&federation(&a, &a, &a, &d, rule, clean));
+        for expr in QUERIES {
+            survives_edits(&hostile, expr, &edits);
+        }
+        let config = small_config(query_seed, 3, 40);
+        let generated = Pqp::for_scenario(&workload::generate(&config));
+        let expr = workload::queries::random_expression(&config, query_seed, depth).to_string();
+        survives_edits(&generated, &expr, &edits);
     }
 }
 
