@@ -178,8 +178,10 @@ impl<'a> MergeFold<'a> {
     ) -> Self {
         let (degree, arity) = (plan.schema.degree(), operands.len());
         let count = |ri: usize| ids.map_or(operands[ri].len(), |ids| ids[ri].len());
-        // At least the largest operand's rows come out.
-        let expect = (0..arity).map(count).max().unwrap_or(0);
+        // At most every operand row comes out as a row of its own: sized
+        // for that, the key table never re-hashes and neither vector
+        // regrows.
+        let expect = (0..arity).map(count).sum();
         let mut fold = MergeFold {
             degree,
             arity,

@@ -166,12 +166,13 @@ impl NetClient {
         }
     }
 
-    /// Block until the next frame (the client sets no read timeout, so
-    /// a clean server close is the only `Disconnected` source).
+    /// Block until the next frame, decoded in place from the reader's
+    /// buffer (the client sets no read timeout, so a clean server close
+    /// is the only `Disconnected` source).
     fn read_frame(&mut self) -> Result<Frame, NetError> {
         loop {
             match self.reader.poll(&mut self.stream)? {
-                FramePoll::Payload(payload) => return Ok(Frame::decode(&payload)?),
+                FramePoll::Payload(payload) => return Ok(Frame::decode(payload)?),
                 FramePoll::Idle => continue,
                 FramePoll::Closed => return Err(NetError::Disconnected),
             }

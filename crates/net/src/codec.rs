@@ -13,12 +13,21 @@
 //! written straight into the caller's buffer behind a reserved length
 //! prefix that is patched once the payload is known, and a source set
 //! costs its members, not its width (the set walks only its set bits).
-//! The reader does likewise: a string cell is one allocation built from
-//! the validated input slice, and a source set is assembled in place.
+//! The reader does likewise, in one checked pass: a fixed-width field is
+//! one bounds-checked array read, a source set's ids are bounds-checked
+//! as one slice and assembled in place, a string cell is one allocation
+//! built from the validated input slice, and a tuple or a `Rows` batch
+//! fills a vector of exactly its count once the count is checked against
+//! the bytes left. Within a `Rows` batch, a string or a source set whose
+//! bytes repeat those of the cell above it (same column, tuple before)
+//! is a clone of that cell's, which the same bytes already decoded to:
+//! an answer's column carries a handful of distinct tag sets.
 //!
 //! [`FrameReader`] reassembles frames from bytes pushed in pieces of any
 //! size without ever losing frame sync — a push that ends mid-frame just
-//! leaves the prefix buffered for the next one.
+//! leaves the prefix buffered for the next one. Its blocking
+//! [`FrameReader::poll`] reads into the same buffer and lends each frame
+//! out of it, so a client decodes a payload where it landed.
 
 use polygen_core::cell::Cell;
 use polygen_core::source::{SourceId, SourceSet};
@@ -199,12 +208,19 @@ const INLINE_IDS: u16 = 128;
 /// bytes pay for the words its sets spill, and is refused past that.
 const SPILL_WORDS_PER_BYTE: usize = 1;
 
+/// The fewest bytes a cell takes on the wire: a `Null` tag and two empty
+/// source sets.
+const MIN_CELL_BYTES: usize = 5;
+
+/// The fewest bytes a tuple takes on the wire: its `u32` degree.
+const MIN_TUPLE_BYTES: usize = 4;
+
 /// Cursor-style decoder over a byte slice. Every read checks bounds and
 /// reports [`CodecError::Truncated`] instead of panicking.
 #[derive(Debug)]
 pub struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not yet consumed.
+    rest: &'a [u8],
     /// Heap words the source sets still to decode may spill.
     spill: usize,
 }
@@ -213,15 +229,14 @@ impl<'a> ByteReader<'a> {
     /// Decode from the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
         ByteReader {
-            buf,
-            pos: 0,
+            rest: buf,
             spill: buf.len() * SPILL_WORDS_PER_BYTE,
         }
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
     /// Decoders must consume their frame exactly; trailing garbage means
@@ -237,19 +252,33 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::Truncated);
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
+    /// The next `N` bytes as an array: one bounds check per fixed-width
+    /// field.
+    #[inline]
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (head, rest) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::Truncated)?;
+        self.rest = rest;
+        Ok(*head)
     }
 
+    /// The next `n` bytes, borrowed from the input.
+    #[inline]
+    fn take_slice(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        let (head, rest) = self.rest.split_at_checked(n).ok_or(CodecError::Truncated)?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        let [b] = self.take()?;
+        Ok(b)
     }
 
+    #[inline]
     pub fn get_bool(&mut self) -> Result<bool, CodecError> {
         match self.get_u8()? {
             0 => Ok(false),
@@ -258,31 +287,37 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    #[inline]
     pub fn get_u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        self.take().map(u16::from_le_bytes)
     }
 
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.take().map(u32::from_le_bytes)
     }
 
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.take().map(u64::from_le_bytes)
     }
 
+    #[inline]
     pub fn get_i64(&mut self) -> Result<i64, CodecError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.take().map(i64::from_le_bytes)
     }
 
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.get_u64()?))
+        self.get_u64().map(f64::from_bits)
     }
 
     /// A length-prefixed string, validated in place: the caller copies
     /// it once, into whatever owner it needs.
+    #[inline]
     fn get_utf8(&mut self) -> Result<&'a str, CodecError> {
         let len = self.get_u32()? as usize;
-        let bytes = self.take(len)?;
+        let bytes = self.take_slice(len)?;
         std::str::from_utf8(bytes).map_err(|_| CodecError::Corrupt("string is not UTF-8".into()))
     }
 
@@ -291,47 +326,12 @@ impl<'a> ByteReader<'a> {
     }
 
     pub fn get_value(&mut self) -> Result<Value, CodecError> {
-        match self.get_u8()? {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Bool(self.get_bool()?)),
-            2 => Ok(Value::Int(self.get_i64()?)),
-            3 => Ok(Value::Float(F64(self.get_f64()?))),
-            4 => Ok(Value::Str(Arc::from(self.get_utf8()?))),
-            tag => Err(CodecError::Corrupt(format!("value tag {tag}"))),
-        }
+        self.value_after(&mut None, None)
     }
 
+    /// `u16 count + ascending u16 ids`.
     pub fn get_source_set(&mut self) -> Result<SourceSet, CodecError> {
-        let count = self.get_u16()?;
-        let mut prev: Option<u16> = None;
-        let mut set = SourceSet::empty();
-        // Heap words this set holds so far.
-        let mut spilled = 0;
-        for _ in 0..count {
-            let id = self.get_u16()?;
-            // Enforce the canonical (ascending, duplicate-free) form so
-            // decode∘encode is the identity on bytes.
-            if prev.is_some_and(|p| p >= id) {
-                return Err(CodecError::Corrupt("source ids not ascending".into()));
-            }
-            prev = Some(id);
-            if id >= INLINE_IDS {
-                // The spill branch: charge the words the set grows to
-                // before it grows. A buffer whose sets spill past its
-                // bound is hostile, not an answer.
-                let words = usize::from(id) / 64 + 1;
-                self.spill = self.spill.checked_sub(words - spilled).ok_or_else(|| {
-                    CodecError::Corrupt(format!(
-                        "source set with id {id} spills past the frame's bound of one heap \
-                         word per byte ({} bytes; ids below 256 always fit)",
-                        self.buf.len()
-                    ))
-                })?;
-                spilled = words;
-            }
-            set.insert(SourceId(id));
-        }
-        Ok(set)
+        self.set_after(&mut None, None)
     }
 
     pub fn get_cell(&mut self) -> Result<Cell, CodecError> {
@@ -343,30 +343,167 @@ impl<'a> ByteReader<'a> {
     }
 
     pub fn get_tuple(&mut self) -> Result<PolyTuple, CodecError> {
-        let degree = self.get_u32()? as usize;
-        if degree > self.remaining() {
-            // A cell is at least one byte; an impossible count is
-            // corruption, not a reason to reserve gigabytes.
-            return Err(CodecError::Truncated);
-        }
-        (0..degree).map(|_| self.get_cell()).collect()
+        self.tuple_after(None, &mut Vec::new())
     }
 
-    /// The body of a `Rows` frame: the inverse of [`ByteWriter::put_rows`].
+    /// The body of a `Rows` frame: the inverse of [`ByteWriter::put_rows`],
+    /// into a vector of exactly its count. A count the bytes left cannot
+    /// hold is [`CodecError::Truncated`] before anything is reserved, so
+    /// the reservation never outgrows what the input could decode to.
     pub(crate) fn get_rows(&mut self) -> Result<Vec<PolyTuple>, CodecError> {
         let count = self.get_u32()? as usize;
-        if count > self.remaining() {
+        if count > self.remaining() / MIN_TUPLE_BYTES {
             return Err(CodecError::Truncated);
         }
-        (0..count).map(|_| self.get_tuple()).collect()
+        let mut above = Vec::new();
+        let mut tuples: Vec<PolyTuple> = Vec::with_capacity(count);
+        for _ in 0..count {
+            let tuple = self.tuple_after(tuples.last(), &mut above)?;
+            tuples.push(tuple);
+        }
+        Ok(tuples)
     }
+
+    /// A tuple, into a vector of exactly its degree (checked like
+    /// [`ByteReader::get_rows`]' count). `prev` is the tuple decoded just
+    /// before it and `above` its bytes per column (see [`Above`]): a
+    /// string or a source set whose bytes repeat the ones above it is a
+    /// clone of the cell above's, which those bytes decoded to.
+    fn tuple_after(
+        &mut self,
+        prev: Option<&PolyTuple>,
+        above: &mut Vec<Above<'a>>,
+    ) -> Result<PolyTuple, CodecError> {
+        let degree = self.get_u32()? as usize;
+        if degree > self.remaining() / MIN_CELL_BYTES {
+            return Err(CodecError::Truncated);
+        }
+        above.resize(degree, [None; 3]);
+        let mut tuple = Vec::with_capacity(degree);
+        for (c, [datum, origin, intermediate]) in above.iter_mut().enumerate() {
+            let up = prev.and_then(|p| p.get(c));
+            let datum = self.value_after(datum, up.map(|u| &u.datum))?;
+            let origin = self.set_after(origin, up.map(|u| &u.origin))?;
+            let intermediate = self.set_after(intermediate, up.map(|u| &u.intermediate))?;
+            tuple.push(Cell {
+                datum,
+                origin,
+                intermediate,
+            });
+        }
+        Ok(tuple)
+    }
+
+    /// A value. A string whose bytes are `seen`'s is a clone of `up`;
+    /// `seen` ends holding this string's bytes, or `None`.
+    #[inline(always)]
+    fn value_after(
+        &mut self,
+        seen: &mut Option<&'a [u8]>,
+        up: Option<&Value>,
+    ) -> Result<Value, CodecError> {
+        let value = match self.get_u8()? {
+            0 => Value::Null,
+            1 => Value::Bool(self.get_bool()?),
+            2 => Value::Int(self.get_i64()?),
+            3 => Value::Float(F64(self.get_f64()?)),
+            4 => {
+                let len = self.get_u32()? as usize;
+                let bytes = self.take_slice(len)?;
+                if let (Some(above), Some(up)) = (*seen, up) {
+                    if same(above, bytes) {
+                        return Ok(up.clone());
+                    }
+                }
+                let text = std::str::from_utf8(bytes)
+                    .map_err(|_| CodecError::Corrupt("string is not UTF-8".into()))?;
+                *seen = Some(bytes);
+                return Ok(Value::Str(Arc::from(text)));
+            }
+            tag => return Err(CodecError::Corrupt(format!("value tag {tag}"))),
+        };
+        *seen = None;
+        Ok(value)
+    }
+
+    /// A source set. One whose id bytes are `seen`'s is a clone of `up`;
+    /// `seen` ends holding this set's id bytes, or `None` for a set that
+    /// spilled, whose words a clone would not charge.
+    #[inline(always)]
+    fn set_after(
+        &mut self,
+        seen: &mut Option<&'a [u8]>,
+        up: Option<&SourceSet>,
+    ) -> Result<SourceSet, CodecError> {
+        let count = usize::from(self.get_u16()?);
+        let ids = self.take_slice(2 * count)?;
+        if let (Some(above), Some(up)) = (*seen, up) {
+            if same(above, ids) {
+                return Ok(up.clone());
+            }
+        }
+        let mut prev: Option<u16> = None;
+        let mut set = SourceSet::empty();
+        // Heap words this set holds so far.
+        let mut spilled = 0;
+        for pair in ids.chunks_exact(2) {
+            let id = u16::from_le_bytes([pair[0], pair[1]]);
+            // Enforce the canonical (ascending, duplicate-free) form so
+            // decode∘encode is the identity on bytes.
+            if prev.is_some_and(|p| p >= id) {
+                return Err(CodecError::Corrupt("source ids not ascending".into()));
+            }
+            prev = Some(id);
+            if id >= INLINE_IDS {
+                // The spill branch: charge the words the set grows to
+                // before it grows. A buffer whose sets spill past its
+                // bound is hostile, not an answer.
+                let words = usize::from(id) / 64 + 1;
+                let Some(left) = self.spill.checked_sub(words - spilled) else {
+                    return Err(spills_past_bound(id));
+                };
+                self.spill = left;
+                spilled = words;
+            }
+            set.insert(SourceId(id));
+        }
+        *seen = (spilled == 0).then_some(ids);
+        Ok(set)
+    }
+}
+
+/// The error for a source set whose id `id` spills past the frame's
+/// bound: out of line, so the decode loop stays small.
+#[cold]
+#[inline(never)]
+fn spills_past_bound(id: u16) -> CodecError {
+    CodecError::Corrupt(format!(
+        "source set with id {id} spills past the frame's bound of one heap word per byte \
+         (ids below 256 always fit)"
+    ))
+}
+
+/// What the tuple before left in one column, for
+/// [`ByteReader::get_rows`]: the bytes its string datum, its origin ids
+/// and its intermediate ids were decoded from (`None` for a datum that
+/// is no string and a set that spilled). An answer's column carries a
+/// handful of distinct tag sets, and often a repeated string, so most
+/// cells repeat some of the bytes above them.
+type Above<'a> = [Option<&'a [u8]>; 3];
+
+/// Byte equality of two short slices, compared in line: `==` calls
+/// `memcmp`, which costs more than a few bytes do.
+#[inline(always)]
+fn same(a: &[u8], b: &[u8]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y)
 }
 
 /// What one [`FrameReader::poll`] of a blocking stream produced.
 #[derive(Debug, PartialEq, Eq)]
-pub enum FramePoll {
-    /// A complete frame payload (`tag + body`, length prefix stripped).
-    Payload(Vec<u8>),
+pub enum FramePoll<'a> {
+    /// A complete frame payload (`tag + body`, length prefix stripped),
+    /// borrowed from the reader's buffer until the next read.
+    Payload(&'a [u8]),
     /// The read timed out (or would block) before a full frame arrived;
     /// any partial bytes stay buffered for the next poll.
     Idle,
@@ -374,9 +511,13 @@ pub enum FramePoll {
     Closed,
 }
 
+/// Bytes one [`FrameReader::poll`] asks its stream for at a time.
+const POLL_CHUNK: usize = 16 * 1024;
+
 /// Incremental frame extractor: bytes go in with [`FrameReader::push`]
 /// split anywhere, whole frames come out of [`FrameReader::next_frame`].
-/// [`FrameReader::poll`] wraps the two for a blocking [`Read`].
+/// [`FrameReader::poll`] reads a blocking [`Read`] straight into the
+/// same buffer and hands its frames out in place.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -390,11 +531,16 @@ impl FrameReader {
         FrameReader::default()
     }
 
+    /// Drop what earlier frames consumed.
+    fn compact(&mut self) {
+        self.buf.drain(..self.start);
+        self.start = 0;
+    }
+
     /// Append bytes off the wire, first dropping what earlier frames
     /// consumed.
     pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.drain(..self.start);
-        self.start = 0;
+        self.compact();
         self.buf.extend_from_slice(bytes);
     }
 
@@ -402,11 +548,16 @@ impl FrameReader {
     /// A zero or oversized length prefix is [`CodecError::Corrupt`] —
     /// checked before anything waits on it, so it never sizes a buffer.
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, CodecError> {
+        Ok(self.next_payload()?.map(|payload| &self.buf[payload]))
+    }
+
+    /// [`FrameReader::next_frame`], as the payload's place in `buf`.
+    fn next_payload(&mut self) -> Result<Option<std::ops::Range<usize>>, CodecError> {
         let buffered = &self.buf[self.start..];
-        let Some(prefix) = buffered.get(..4) else {
+        let Some(prefix) = buffered.first_chunk::<4>() else {
             return Ok(None);
         };
-        let len = u32::from_le_bytes(prefix.try_into().expect("four prefix bytes"));
+        let len = u32::from_le_bytes(*prefix);
         if len == 0 || len > MAX_FRAME_LEN {
             return Err(CodecError::Corrupt(format!("frame length {len}")));
         }
@@ -416,26 +567,32 @@ impl FrameReader {
         }
         let payload = self.start + 4;
         self.start += total;
-        Ok(Some(&self.buf[payload..self.start]))
+        Ok(Some(payload..self.start))
     }
 
     /// Pull bytes from a blocking `stream` until a full frame, a
-    /// timeout, or EOF.
+    /// timeout, or EOF. The stream reads into the reader's own buffer,
+    /// at most 16 KiB at a time, and a frame comes back
+    /// borrowed from it: no copy between the socket and the decoder.
     ///
     /// Errors: those of [`FrameReader::next_frame`], plus
     /// [`CodecError::Truncated`] for EOF mid-frame. I/O errors other
     /// than timeout/would-block surface as `Corrupt` with the message —
     /// the connection is unusable either way.
-    pub fn poll<R: Read>(&mut self, stream: &mut R) -> Result<FramePoll, CodecError> {
-        let mut scratch = [0u8; 16 * 1024];
+    pub fn poll<R: Read>(&mut self, stream: &mut R) -> Result<FramePoll<'_>, CodecError> {
         loop {
-            if let Some(payload) = self.next_frame()? {
-                return Ok(FramePoll::Payload(payload.to_vec()));
+            if let Some(payload) = self.next_payload()? {
+                return Ok(FramePoll::Payload(&self.buf[payload]));
             }
-            match stream.read(&mut scratch) {
-                Ok(0) if self.start == self.buf.len() => return Ok(FramePoll::Closed),
+            self.compact();
+            let held = self.buf.len();
+            self.buf.resize(held + POLL_CHUNK, 0);
+            let read = stream.read(&mut self.buf[held..]);
+            self.buf.truncate(held + *read.as_ref().unwrap_or(&0));
+            match read {
+                Ok(0) if held == 0 => return Ok(FramePoll::Closed),
                 Ok(0) => return Err(CodecError::Truncated),
-                Ok(n) => self.push(&scratch[..n]),
+                Ok(_) => {}
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     return Ok(FramePoll::Idle);
                 }
@@ -581,7 +738,7 @@ mod tests {
         let mut reader = FrameReader::new();
         assert_eq!(
             reader.poll(&mut stuttering).unwrap(),
-            FramePoll::Payload(payload.clone())
+            FramePoll::Payload(&payload)
         );
         // Same stream split across two polls with an interruption and a
         // timeout in between: the prefix survives both.
@@ -595,7 +752,10 @@ mod tests {
             bytes: wire[5..].to_vec().into(),
             interrupt_next: true,
         };
-        assert_eq!(reader.poll(&mut rest).unwrap(), FramePoll::Payload(payload));
+        assert_eq!(
+            reader.poll(&mut rest).unwrap(),
+            FramePoll::Payload(&payload)
+        );
         // Clean EOF with an empty buffer; EOF mid-frame is truncation.
         let mut empty = std::io::Cursor::new(Vec::<u8>::new());
         assert_eq!(reader.poll(&mut empty).unwrap(), FramePoll::Closed);

@@ -71,6 +71,9 @@ pub fn estimate_physical(plan: &PhysicalPlan, registry: &LqpRegistry) -> PlanCos
     let mut total = 0.0;
     let mut shipped = 0.0;
     for (i, node) in plan.nodes.iter().enumerate() {
+        // An input that is not an earlier node (a plan whose public
+        // fields were edited) estimates at 0 rows.
+        let est_of = |input: &usize| est.get(*input).copied().unwrap_or(0.0);
         let (inspected, out_rows) = match &node.op {
             PhysOp::Scan { db, op } => {
                 // LQP-shipped work is priced by the LQP's cost model,
@@ -115,7 +118,7 @@ pub fn estimate_physical(plan: &PhysicalPlan, registry: &LqpRegistry) -> PlanCos
                 continue;
             }
             PhysOp::Pipeline { input, stages } => {
-                let inspected = est[*input];
+                let inspected = est_of(input);
                 let mut out = inspected;
                 for stage in stages {
                     out = match stage.kind {
@@ -128,35 +131,35 @@ pub fn estimate_physical(plan: &PhysicalPlan, registry: &LqpRegistry) -> PlanCos
                 (inspected, out)
             }
             PhysOp::HashJoin { left, right, .. } => {
-                let (l, r) = (est[*left], est[*right]);
+                let (l, r) = (est_of(left), est_of(right));
                 (l + r, l.max(r) * JOIN_FANOUT)
             }
             PhysOp::ThetaJoin { left, right, .. } => {
-                let (l, r) = (est[*left], est[*right]);
+                let (l, r) = (est_of(left), est_of(right));
                 (l * r, l.max(r) * JOIN_FANOUT)
             }
             PhysOp::HashMerge { inputs, .. } => {
-                let sum: f64 = inputs.iter().map(|i| est[*i]).sum();
+                let sum: f64 = inputs.iter().map(est_of).sum();
                 (sum, sum)
             }
             PhysOp::AntiJoin { left, right, .. } => {
-                let (l, r) = (est[*left], est[*right]);
+                let (l, r) = (est_of(left), est_of(right));
                 (l + r, l * 0.5)
             }
             PhysOp::Union { left, right } => {
-                let (l, r) = (est[*left], est[*right]);
+                let (l, r) = (est_of(left), est_of(right));
                 (l + r, l + r)
             }
             PhysOp::Difference { left, right } => {
-                let (l, r) = (est[*left], est[*right]);
+                let (l, r) = (est_of(left), est_of(right));
                 (l + r, l * 0.5)
             }
             PhysOp::Intersect { left, right } => {
-                let (l, r) = (est[*left], est[*right]);
+                let (l, r) = (est_of(left), est_of(right));
                 (l + r, l.min(r))
             }
             PhysOp::Product { left, right } => {
-                let (l, r) = (est[*left], est[*right]);
+                let (l, r) = (est_of(left), est_of(right));
                 (l * r, l * r)
             }
         };

@@ -1191,7 +1191,13 @@ pub fn route_index_scans(plan: &mut PhysicalPlan, catalog: &IndexCatalog) {
 /// the `EXPLAIN` section production engines print.
 pub fn render_plan(plan: &PhysicalPlan) -> String {
     let mut out = String::new();
-    let rref = |i: usize| format!("R({})", plan.nodes[i].row);
+    // An input past the end (a plan whose public fields were edited)
+    // renders as `R(?)`.
+    let rref = |i: usize| {
+        plan.nodes
+            .get(i)
+            .map_or_else(|| "R(?)".to_string(), |node| format!("R({})", node.row))
+    };
     for (i, node) in plan.nodes.iter().enumerate() {
         let desc = match &node.op {
             PhysOp::Scan { db, op } => format!("Scan[{db}] {op}"),

@@ -49,7 +49,7 @@ use polygen_obs::slowlog::{QueryDetail, SlowQueryLog, SlowQueryReport};
 use polygen_obs::trace::{Note, SpanId, Trace};
 use polygen_pqp::error::PqpError;
 use polygen_pqp::executor::execute_plan;
-use polygen_pqp::plan::PhysOp;
+use polygen_pqp::plan::{PhysOp, PhysicalPlan};
 use polygen_pqp::pqp::{Pqp, PqpOptions};
 use polygen_sql::app::{translate_app_query, AppSchema, AqpError};
 use polygen_sql::normalize::{canonicalize_algebra, canonicalize_sql, NormalizeError};
@@ -783,7 +783,8 @@ impl QueryService {
         let spliced;
         let snapshot = if sys_read {
             let sys_span = trace.begin("serve/sys-materialize");
-            spliced = self.spliced_sys_snapshot(&snapshot);
+            spliced =
+                self.spliced_sys_snapshot(&snapshot, &entry.compiled.physical, trace, sys_span);
             trace.end(sys_span);
             &spliced
         } else {
@@ -941,32 +942,48 @@ impl QueryService {
         })
     }
 
-    /// Materialize the six `sys.*` relations from live service state —
-    /// one consistent snapshot read across every subsystem — and splice
-    /// them into `base` as an ephemeral successor snapshot under a
-    /// fresh monotone version. The successor is never published to the
-    /// head: it lives exactly as long as the one query executing
-    /// against it, so no two queries can ever observe the same
-    /// materialization and the result cache (bypassed anyway for sys
-    /// plans) could never alias one.
-    fn spliced_sys_snapshot(&self, base: &FederationSnapshot) -> FederationSnapshot {
-        let relations = vec![
-            sys::queries_relation(&self.slow_log.snapshot()),
-            sys::sessions_relation(&self.sys.sessions().snapshot()),
-            self.sys.stats(&self.metrics),
-            sys::sources_relation(base),
-            sys::cache_relation(
-                &self
-                    .plan_cache
-                    .as_ref()
-                    .map_or_else(Vec::new, PlanCache::entries_with_hits),
-                &self
-                    .result_cache
-                    .as_ref()
-                    .map_or_else(Vec::new, ResultCache::entries_with_hits),
-            ),
-            sys::indexes_relation(base),
-        ];
+    /// Materialize the `sys.*` relations `plan` scans from live service
+    /// state — one consistent snapshot read across the subsystems they
+    /// view — and splice them, with the empty placeholder for every
+    /// relation the plan does not scan, into `base` as an ephemeral
+    /// successor snapshot under a fresh monotone version. The successor
+    /// is never published to the head: it lives exactly as long as the
+    /// one query executing against it, so no two queries can ever
+    /// observe the same materialization and the result cache (bypassed
+    /// anyway for sys plans) could never alias one. The span `span`
+    /// notes the relations built.
+    fn spliced_sys_snapshot(
+        &self,
+        base: &FederationSnapshot,
+        plan: &PhysicalPlan,
+        trace: &Trace,
+        span: SpanId,
+    ) -> FederationSnapshot {
+        let (relations, built) = sys::materialize(
+            plan,
+            [
+                &|| sys::queries_relation(&self.slow_log.snapshot()),
+                &|| sys::sessions_relation(&self.sys.sessions().snapshot()),
+                &|| self.sys.stats(&self.metrics),
+                &|| sys::sources_relation(base),
+                &|| {
+                    sys::cache_relation(
+                        &self
+                            .plan_cache
+                            .as_ref()
+                            .map_or_else(Vec::new, PlanCache::entries_with_hits),
+                        &self
+                            .result_cache
+                            .as_ref()
+                            .map_or_else(Vec::new, ResultCache::entries_with_hits),
+                    )
+                },
+                &|| sys::indexes_relation(base),
+            ],
+        );
+        if !span.is_none() {
+            trace.annotate(span, "built", Note::str(&built.join(",")));
+        }
         let lqp: Arc<dyn Lqp> = Arc::new(polygen_lqp::memory::InMemoryLqp::new(SYS_DB, relations));
         base.with_virtual_source(lqp, Arc::clone(base.dictionary()), self.sys.next_version())
     }
@@ -1850,6 +1867,47 @@ mod tests {
             .unwrap()
             .cell("RELATION", &Value::str("ALUMNUS"), "COLUMN")
             .is_some());
+    }
+
+    /// A catalog read builds the relations its plan scans and no
+    /// other, as the `serve/sys-materialize` span's `built` note says: a
+    /// query over two answers from both, and a `sys.sessions` or
+    /// `sys.stats` probe builds its own relation alone — so only a read
+    /// that scans `sys.stats` can close a stats window.
+    #[test]
+    fn sys_reads_build_only_the_relations_they_scan() {
+        let svc = service();
+        svc.declare_indexes(&[IndexSpec::hash("AD", "ALUMNUS", "DEG")])
+            .unwrap();
+        let built = |text: &str| {
+            let trace = Trace::enabled();
+            let (answer, _) = svc.execute_traced(&Request::sql(text), &trace, None, |r| match r {
+                Response::Rows { answer, .. } => Ok(answer),
+                other => Err(format!("{other:?}")),
+            });
+            let report = trace.report().unwrap();
+            let span = report.span("serve/sys-materialize").expect("a sys read");
+            (
+                answer,
+                span.note_str("built").unwrap_or_default().to_string(),
+            )
+        };
+        // `sys.indexes` holds one row, for AD; `sys.sources` one per
+        // source: only both together answer AD.
+        let (both, names) = built(
+            "SELECT SOURCE, VERSION FROM sys.sources \
+             WHERE SOURCE IN (SELECT SOURCE FROM sys.indexes)",
+        );
+        assert_eq!(names, "sources,indexes");
+        assert_eq!(both.len(), 1, "{both:?}");
+        assert!(both.cell("SOURCE", &Value::str("AD"), "VERSION").is_some());
+        // Neither read before it built `sys.stats`, so the stats read
+        // closes the first window.
+        let (_, names) = built("SELECT SESSION_ID, QUERY FROM sys.sessions");
+        assert_eq!(names, "sessions");
+        let (stats, names) = built("SELECT BUCKET, QUERIES FROM sys.stats");
+        assert_eq!(names, "stats");
+        assert_eq!(stats.len(), 1, "one window, closed by the stats read");
     }
 
     #[test]

@@ -22,15 +22,20 @@
 //! | `sys.cache`    | plan- and result-cache entries with hit counts  |
 //! | `sys.indexes`  | declared secondary indexes + posting shape      |
 //!
-//! Materialization is a *consistent snapshot read*: the service gathers
-//! every subsystem's state, builds the six relations, and splices them
-//! into an ephemeral [`crate::snapshot::FederationSnapshot`] under a
-//! monotone version (see [`SysCatalog::next_version`]) that exists only
+//! Materialization is a *consistent snapshot read*: the service builds
+//! the relations the query's plan scans, each from its subsystem's live
+//! state, puts the schema-bearing empty placeholder in for the rest,
+//! and splices the six into an ephemeral
+//! [`crate::snapshot::FederationSnapshot`] under a monotone version
+//! (see [`SysCatalog::next_version`]) that exists only
 //! for the duration of the one query. The head snapshot keeps a
 //! schema-bearing empty placeholder at version 0, which is what lets
 //! cached `sys` plans validate against the head while cached `sys`
 //! *answers* are never created at all (the service bypasses the result
 //! cache for any plan reading `sys` — telemetry must never be stale).
+//! A read pays only for what it scans: a `sys.stats` probe never walks
+//! the plan and result caches to build `sys.cache`, and only a read
+//! that scans `sys.stats` can close a stats window.
 
 use crate::cache::{PlanEntry, ResultKey};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
@@ -43,6 +48,7 @@ use polygen_lqp::engine::Lqp;
 use polygen_lqp::memory::InMemoryLqp;
 use polygen_obs::session::{SessionRegistry, SessionSnapshot};
 use polygen_obs::slowlog::SlowQueryReport;
+use polygen_pqp::plan::{PhysOp, PhysicalPlan};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -203,6 +209,40 @@ pub fn placeholder_lqp() -> Arc<dyn Lqp> {
         SYS_DB,
         (0..SYS_RELATIONS.len()).map(empty_relation).collect(),
     ))
+}
+
+/// One builder per sys relation, in catalog order: queries, sessions,
+/// stats, sources, cache, indexes.
+pub(crate) type Builders<'a> = [&'a dyn Fn() -> Relation; SYS_RELATIONS.len()];
+
+/// The six relations one materialization splices in, in catalog order:
+/// each relation `plan` scans comes from its builder, every other one
+/// is its empty placeholder, whose schema is all the plan needs of it.
+/// Also returns the names of the relations built.
+pub(crate) fn materialize(
+    plan: &PhysicalPlan,
+    builders: Builders<'_>,
+) -> (Vec<Relation>, Vec<&'static str>) {
+    let scanned = |rel: &str| {
+        plan.nodes.iter().any(
+            |node| matches!(&node.op, PhysOp::Scan { db, op } if db == SYS_DB && op.relation == rel),
+        )
+    };
+    let mut built = Vec::new();
+    let relations = builders
+        .iter()
+        .enumerate()
+        .map(|(i, build)| {
+            let rel = SYS_RELATIONS[i].0;
+            if scanned(rel) {
+                built.push(rel);
+                build()
+            } else {
+                empty_relation(i)
+            }
+        })
+        .collect();
+    (relations, built)
 }
 
 /// `sys.queries` — the slow-query log, worst first.

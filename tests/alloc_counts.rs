@@ -14,10 +14,32 @@
 //! in what a query builds: a merge that builds the merged cells its
 //! consumer drops, an `Arc` per tuple, a copy of a shared answer, a
 //! scan or a probe that copies the rows it selects.
+//!
+//! Each class's answer is also decoded as a client decodes it, frame by
+//! frame, under a ceiling of its own. And catalog reads are counted on
+//! a service whose caches are full, where materializing a `sys`
+//! relation the plan never scans would cost thousands.
 
+use polygen::catalog::scenario::Scenario;
 use polygen::index::IndexSpec;
+use polygen::net::protocol::response_frames;
+use polygen::net::Frame;
 use polygen::serve::{QueryService, Request, Response, ServeOptions};
 use polygen::workload::{self, queries, WorkloadConfig};
+
+/// Decode ceilings per class: the counts, plus 4. A decoded answer
+/// allocates one vector per tuple, two per `Rows` frame and one per
+/// string cell that does not repeat the string above it; nothing grows.
+const DECODE_SELECT: u64 = 599;
+const DECODE_JOIN: u64 = 9_941;
+const DECODE_PAPER: u64 = 512;
+const DECODE_POINT: u64 = 16;
+const DECODE_RANGE: u64 = 3_244;
+/// Catalog-read ceilings: the first read's count, plus 4. The first
+/// read also compiles its plan and closes a `sys.stats` window, so a
+/// second read stays under it whether or not its window closes.
+const SYS_STATS: u64 = 315;
+const SYS_SESSIONS: u64 = 299;
 
 mod counting {
     //! The allocator itself: a pass-through to the system allocator
@@ -78,10 +100,11 @@ mod counting {
 #[global_allocator]
 static ALLOCATOR: counting::Counting = counting::Counting;
 
-/// Serve `request` twice on a single-threaded, cache-less service over
-/// the ledger's federation and return the allocations of each run.
-fn allocations_per_run(service: &QueryService, request: &Request) -> [u64; 2] {
-    [0, 1].map(|_| {
+/// Serve `request` twice on `service` and return the allocations of
+/// each run, with the second run's response.
+fn allocations_per_run(service: &QueryService, request: &Request) -> ([u64; 2], Response) {
+    let mut last = None;
+    let runs = [0, 1].map(|_| {
         let before = counting::allocations();
         let response = service.execute(request.clone());
         let after = counting::allocations();
@@ -90,69 +113,157 @@ fn allocations_per_run(service: &QueryService, request: &Request) -> [u64; 2] {
             "`{}` answered {response:?}",
             request.text
         );
+        last = Some(response);
         after - before
-    })
+    });
+    (runs, last.expect("two runs"))
 }
 
-#[test]
-fn served_queries_allocate_within_their_ceilings() {
-    let scenario = workload::generate(&WorkloadConfig {
+/// The allocations a client makes decoding `response`'s frames, each
+/// encoded as the server writes it.
+fn decode_allocations(response: &Response) -> u64 {
+    let wire: Vec<Vec<u8>> = response_frames(response)
+        .iter()
+        .map(Frame::encode)
+        .collect();
+    let before = counting::allocations();
+    for bytes in &wire {
+        Frame::decode(&bytes[4..]).expect("a served frame decodes");
+    }
+    counting::allocations() - before
+}
+
+/// The ledger's federation: seed 101, 3 sources, 4 000 entities, 16 000
+/// detail rows.
+fn ledger() -> Scenario {
+    workload::generate(&WorkloadConfig {
         seed: 101,
         sources: 3,
         entities: 4_000,
         detail_rows: 16_000,
         ..WorkloadConfig::default()
-    });
-    let options = ServeOptions::default()
-        .without_caches()
-        .with_thread_budget(1);
-    let service = QueryService::for_scenario(&scenario, options);
-    let indexed = QueryService::for_scenario(&scenario, options)
+    })
+}
+
+/// `service` with the two `S0.DETAIL` indexes the point and range
+/// classes are served by.
+fn indexed(service: QueryService) -> QueryService {
+    service
         .with_index_specs(&[
             IndexSpec::hash("S0", "DETAIL", "DNAME"),
             IndexSpec::sorted("S0", "DETAIL", "DSCORE"),
         ])
-        .expect("the ledger's detail indexes build");
-    // (class, service, request, ceiling)
+        .expect("the ledger's detail indexes build")
+}
+
+/// Each ledger class, served and then decoded as a client decodes it:
+/// the served query under one ceiling, the decode of its frames under
+/// another. A decoded tuple is one vector of exactly its cells, and a
+/// `Rows` frame one vector of exactly its tuples.
+#[test]
+fn served_queries_allocate_within_their_ceilings() {
+    let scenario = ledger();
+    let options = ServeOptions::default()
+        .without_caches()
+        .with_thread_budget(1);
+    let service = QueryService::for_scenario(&scenario, options);
+    let indexed = indexed(QueryService::for_scenario(&scenario, options));
+    // (class, service, request, serve ceiling, decode ceiling)
     let classes = [
         (
             "select",
             &service,
             Request::algebra(queries::select_query(3)),
-            602,
+            598,
+            DECODE_SELECT,
         ),
         (
             "join",
             &service,
             Request::algebra(queries::join_query(50)),
-            3_903,
+            3_898,
+            DECODE_JOIN,
         ),
         (
             "paper",
             &service,
             Request::sql(queries::paper_shaped_sql(3)),
-            860,
+            854,
+            DECODE_PAPER,
         ),
         (
             "point",
             &indexed,
             Request::algebra(queries::point_lookup(7)),
             106,
+            DECODE_POINT,
         ),
         (
             "range",
             &indexed,
             Request::algebra(queries::range_scan(40, 49)),
             3_372,
+            DECODE_RANGE,
         ),
     ];
-    for (class, service, request, ceiling) in classes {
-        let runs = allocations_per_run(service, &request);
-        println!("{class}: {runs:?} allocations (ceiling {ceiling})");
+    for (class, service, request, ceiling, decode_ceiling) in classes {
+        let (runs, response) = allocations_per_run(service, &request);
+        let decode = decode_allocations(&response);
+        println!(
+            "{class}: {runs:?} allocations (ceiling {ceiling}), decode {decode} (ceiling {decode_ceiling})"
+        );
         for n in runs {
             assert!(
                 n <= ceiling,
                 "the {class} class allocated {n} times per served query, over its ceiling of {ceiling}"
+            );
+        }
+        assert!(
+            decode <= decode_ceiling,
+            "decoding the {class} class's answer allocated {decode} times, over its ceiling of {decode_ceiling}"
+        );
+    }
+}
+
+/// A catalog read builds only the `sys` relations its plan scans. On a
+/// service whose plan and result caches are full — `point_churn`'s
+/// shape: both caches on, the detail indexes declared, more distinct
+/// point lookups than either cache holds — a `sys.stats` and a
+/// `sys.sessions` read each stay far under what materializing
+/// `sys.cache`, a row per cached plan and result, allocates.
+#[test]
+fn catalog_reads_allocate_within_their_ceilings() {
+    let options = ServeOptions::default().with_thread_budget(1);
+    let service = indexed(QueryService::for_scenario(&ledger(), options));
+    for entity in 0..1_100 {
+        service.execute(Request::algebra(queries::point_lookup(entity)));
+    }
+    let (plans, results) = service.cache_sizes();
+    assert_eq!(
+        (plans, results),
+        (options.plan_cache, options.result_cache),
+        "both caches are full"
+    );
+    // (class, request, ceiling)
+    let classes = [
+        (
+            "sys.stats",
+            Request::sql(queries::sys_stats_query()),
+            SYS_STATS,
+        ),
+        (
+            "sys.sessions",
+            Request::sql(queries::sys_sessions_query()),
+            SYS_SESSIONS,
+        ),
+    ];
+    for (class, request, ceiling) in classes {
+        let (runs, _) = allocations_per_run(&service, &request);
+        println!("{class}: {runs:?} allocations (ceiling {ceiling})");
+        for n in runs {
+            assert!(
+                n <= ceiling,
+                "a {class} read allocated {n} times, over its ceiling of {ceiling}"
             );
         }
     }

@@ -145,6 +145,85 @@ fn drive_tcp(mix: &ClientMix, addr: SocketAddr) -> DriveReport<Vec<Frame>> {
     })
 }
 
+/// The decoder over the ledger's five class answers (select, join,
+/// paper, point, range; seed 101, the point and range classes served by
+/// the detail indexes): every proper prefix of every frame is
+/// `Truncated` or `Corrupt`, and every frame with one byte inverted
+/// decodes to an error or to a frame that re-encodes to exactly those
+/// bytes. Nothing panics. The answers' tuples ride in `Rows` frames of
+/// a few tuples each rather than the served 256, so that every cut and
+/// flip of every tuple is tried in a quadratic number of decoded bytes
+/// a debug build gets through.
+#[test]
+fn ledger_class_frames_survive_every_cut_and_flip() {
+    const TUPLES_PER_FRAME: usize = 4;
+    let scenario = workload::generate(&WorkloadConfig {
+        seed: 101,
+        sources: 3,
+        entities: 4_000,
+        detail_rows: 16_000,
+        ..WorkloadConfig::default()
+    });
+    let service = QueryService::for_scenario(&scenario, ServeOptions::default().without_caches())
+        .with_index_specs(&[
+            polygen::index::IndexSpec::hash("S0", "DETAIL", "DNAME"),
+            polygen::index::IndexSpec::sorted("S0", "DETAIL", "DSCORE"),
+        ])
+        .expect("the ledger's detail indexes build");
+    let classes = [
+        Request::algebra(workload::queries::select_query(3)),
+        Request::algebra(workload::queries::join_query(50)),
+        Request::sql(workload::queries::paper_shaped_sql(3)),
+        Request::algebra(workload::queries::point_lookup(7)),
+        Request::algebra(workload::queries::range_scan(40, 49)),
+    ];
+    for request in classes {
+        let response = service.execute(request.clone());
+        let answer = response.rows().expect("every class answers rows");
+        assert!(!answer.is_empty(), "`{}` answers no rows", request.text);
+        let mut frames: Vec<Frame> = response_frames(&response)
+            .into_iter()
+            .filter(|f| !matches!(f, Frame::Rows { .. }))
+            .collect();
+        frames.extend(
+            answer
+                .tuples()
+                .chunks(TUPLES_PER_FRAME)
+                .map(|t| Frame::Rows { tuples: t.to_vec() }),
+        );
+        for frame in frames {
+            let wire = frame.encode();
+            let payload = &wire[4..];
+            assert_eq!(Frame::decode(payload).as_ref(), Ok(&frame));
+            for cut in 0..payload.len() {
+                assert!(
+                    matches!(
+                        Frame::decode(&payload[..cut]),
+                        Err(CodecError::Truncated | CodecError::Corrupt(_))
+                    ),
+                    "`{}`: a {cut}-byte prefix of a tag-{} frame decoded",
+                    request.text,
+                    frame.tag()
+                );
+            }
+            let mut flipped = payload.to_vec();
+            for at in 0..flipped.len() {
+                flipped[at] = !flipped[at];
+                if let Ok(back) = Frame::decode(&flipped) {
+                    assert!(
+                        back.encode()[4..] == flipped[..],
+                        "`{}`: byte {at} of a tag-{} frame inverted decodes to a frame of \
+                         other bytes",
+                        request.text,
+                        frame.tag()
+                    );
+                }
+                flipped[at] = !flipped[at];
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -641,7 +720,7 @@ fn read_response(stream: &mut TcpStream, reader: &mut FrameReader) -> Vec<Frame>
         assert!(Instant::now() < deadline, "response never completed");
         match reader.poll(stream).expect("stream decodes") {
             FramePoll::Payload(payload) => {
-                let frame = Frame::decode(&payload).expect("frame decodes");
+                let frame = Frame::decode(payload).expect("frame decodes");
                 let done = frame.is_terminal();
                 frames.push(frame);
                 if done {
@@ -667,7 +746,7 @@ fn raw_session(addr: std::net::SocketAddr) -> (TcpStream, FrameReader) {
         assert!(Instant::now() < deadline, "greeting never arrived");
         match reader.poll(&mut stream).expect("greeting decodes") {
             FramePoll::Payload(payload) => {
-                let frame = Frame::decode(&payload).expect("frame decodes");
+                let frame = Frame::decode(payload).expect("frame decodes");
                 assert!(matches!(frame, Frame::Hello { .. }));
                 return (stream, reader);
             }
