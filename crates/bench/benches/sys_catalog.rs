@@ -48,7 +48,7 @@ fn bench_config() -> WorkloadConfig {
 /// Serve a request that must answer rows: the answer and its info.
 fn rows(service: &QueryService, request: Request) -> (Arc<PolygenRelation>, ResponseInfo) {
     match service.execute(request) {
-        Response::Rows { answer, info } => (answer, info),
+        Response::Rows { answer, info } => (Arc::clone(answer.relation()), info),
         other => panic!("expected rows, got {other:?}"),
     }
 }
@@ -176,7 +176,7 @@ fn materialize_sweep(c: &mut Criterion) {
         compiled,
     });
     let plans: Vec<(Arc<PlanEntry>, u64)> = (0..8).map(|i| (Arc::clone(&entry), i)).collect();
-    let results: Vec<(ResultKey, u64, usize)> = (0..32)
+    let results: Vec<(ResultKey, u64, usize, Option<usize>)> = (0..32)
         .map(|i| {
             (
                 ResultKey {
@@ -186,6 +186,7 @@ fn materialize_sweep(c: &mut Criterion) {
                 },
                 i,
                 i as usize,
+                (i % 2 == 0).then_some(i as usize * 64),
             )
         })
         .collect();

@@ -17,7 +17,7 @@
 //! closed with a `WIRE_BACKPRESSURE` error.
 
 use crate::codec::{CodecError, FramePoll, FrameReader};
-use crate::protocol::{request_frame, response_from_frames, Frame, PROTOCOL_VERSION};
+use crate::protocol::{request_frame, response_from_owned_frames, Frame, PROTOCOL_VERSION};
 use polygen_serve::request::{Request, Response};
 use std::fmt;
 use std::io::Write;
@@ -142,10 +142,11 @@ impl NetClient {
         }
     }
 
-    /// Issue one request and reassemble the serve-level [`Response`].
+    /// Issue one request and reassemble the serve-level [`Response`],
+    /// moving each tuple out of the frames it arrived in.
     pub fn execute(&mut self, request: &Request) -> Result<Response, NetError> {
         let frames = self.execute_frames(request)?;
-        Ok(response_from_frames(&frames)?)
+        Ok(response_from_owned_frames(frames)?)
     }
 
     /// Fetch the server's metrics scrape (Prometheus exposition text

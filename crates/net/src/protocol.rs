@@ -32,7 +32,8 @@ use polygen_core::relation::PolygenRelation;
 use polygen_core::tuple::PolyTuple;
 use polygen_flat::schema::Schema;
 use polygen_serve::request::{
-    ErrorCode, ExplainOptions, Lang, Request, RequestOptions, Response, ResponseInfo,
+    Answer, ErrorCode, ExplainOptions, FrameCodec, Lang, Request, RequestOptions, Response,
+    ResponseInfo,
 };
 use std::sync::Arc;
 
@@ -386,11 +387,61 @@ pub fn response_frames(response: &Response) -> Vec<Frame> {
     }
 }
 
+/// The wire's [`FrameCodec`]: an answer's `Schema` frame and its `Rows`
+/// batches, exactly as [`response_frames`] encodes them. The server
+/// hands it to the service, so the result cache holds each answer it
+/// serves as these bytes.
+pub const FRAME_CODEC: FrameCodec = FrameCodec::new(encode_answer, decode_answer);
+
+/// Append `answer`'s `Schema` frame and `Rows` batches to `w`, written
+/// from borrowed chunks of the answer. Errors: a frame over
+/// [`MAX_FRAME_LEN`](crate::codec::MAX_FRAME_LEN).
+fn put_answer(w: &mut ByteWriter, answer: &PolygenRelation) -> Result<(), CodecError> {
+    let schema = answer.schema();
+    let key = schema.key().iter().map(|&k| key_index(k));
+    put_frame(w, tag::SCHEMA, |w| {
+        put_schema(w, schema.name(), schema.attrs(), key)
+    })?;
+    for batch in answer.tuples().chunks(ROW_BATCH) {
+        put_frame(w, tag::ROWS, |w| w.put_rows(batch))?;
+    }
+    Ok(())
+}
+
+/// [`FRAME_CODEC`]'s encoder.
+fn encode_answer(answer: &PolygenRelation) -> Result<Vec<u8>, String> {
+    let mut w = ByteWriter::new();
+    put_answer(&mut w, answer).map_err(|e| e.to_string())?;
+    Ok(w.into_bytes())
+}
+
+/// [`FRAME_CODEC`]'s decoder: split the length-prefixed frames and
+/// reassemble the relation they carry.
+fn decode_answer(mut bytes: &[u8]) -> Result<PolygenRelation, String> {
+    let mut frames = Vec::new();
+    while let Some((len, rest)) = bytes.split_first_chunk::<4>() {
+        let len = u32::from_le_bytes(*len) as usize;
+        let payload = rest.get(..len).ok_or(CodecError::Truncated);
+        frames.push(payload.and_then(Frame::decode).map_err(|e| e.to_string())?);
+        bytes = &rest[len..];
+    }
+    if !bytes.is_empty() {
+        return Err(CodecError::Truncated.to_string());
+    }
+    let mut frames = frames.into_iter();
+    let Some(Frame::Schema { name, attrs, key }) = frames.next() else {
+        return Err("answer frames open with a Schema frame".to_string());
+    };
+    relation_from_frames(&name, attrs, &key, frames).map_err(|e| e.to_string())
+}
+
 /// Encode a [`Response`]'s whole frame stream into one buffer: exactly
 /// the bytes of [`response_frames`] encoded frame by frame, without
-/// building the frames. `Rows` batches are written from borrowed chunks
-/// of the answer, so a cached relation the workers share is read, never
-/// cloned.
+/// building the frames. An answer held as [`FRAME_CODEC`]'s frames (a
+/// result-cache entry filled over the wire) is copied as it is, with a
+/// fresh `Summary` after it, and no cell is read. Any other answer is
+/// written from borrowed chunks of its relation, so a cached relation
+/// the workers share is read, never cloned.
 ///
 /// Errors: a frame over [`MAX_FRAME_LEN`](crate::codec::MAX_FRAME_LEN)
 /// — a batch of very wide rows, or one string cell over the cap. The
@@ -405,66 +456,87 @@ pub(crate) fn encode_response(response: &Response) -> Result<Vec<u8>, CodecError
         return Ok(w.into_bytes());
     };
     let mut w = ByteWriter::new();
-    let schema = answer.schema();
-    let key = schema.key().iter().map(|&k| key_index(k));
-    put_frame(&mut w, tag::SCHEMA, |w| {
-        put_schema(w, schema.name(), schema.attrs(), key)
-    })?;
-    for batch in answer.tuples().chunks(ROW_BATCH) {
-        put_frame(&mut w, tag::ROWS, |w| w.put_rows(batch))?;
+    if let Some(frames) = answer.frames() {
+        put_frame(&mut w, tag::SUMMARY, |w| put_summary(w, info))?;
+        return Ok([frames.bytes(), &w.into_bytes()].concat());
     }
+    put_answer(&mut w, answer)?;
     put_frame(&mut w, tag::SUMMARY, |w| put_summary(w, info))?;
     Ok(w.into_bytes())
 }
 
 /// Reassemble a [`Response`] from a full frame stream — the inverse of
 /// [`response_frames`]. Rejects out-of-order or transport-coded streams.
+/// The tuples are copied out of `frames`; a caller that owns its frames
+/// reassembles with [`response_from_owned_frames`] instead.
 pub fn response_from_frames(frames: &[Frame]) -> Result<Response, CodecError> {
-    match frames {
-        [Frame::Empty] => Ok(Response::Empty),
-        [Frame::Error { code, message }] => {
-            let code = ErrorCode::from_code(*code).ok_or_else(|| {
+    response_from_owned_frames(frames.to_vec())
+}
+
+/// [`response_from_frames`] over frames the caller gives up: every
+/// tuple moves out of its `Rows` batch into the answer, none is copied.
+pub fn response_from_owned_frames(mut frames: Vec<Frame>) -> Result<Response, CodecError> {
+    let last = frames.pop();
+    let mut frames = frames.into_iter();
+    match (frames.next(), last) {
+        (None, Some(Frame::Empty)) => Ok(Response::Empty),
+        (None, Some(Frame::Error { code, message })) => {
+            let code = ErrorCode::from_code(code).ok_or_else(|| {
                 CodecError::Corrupt(format!("transport or unknown error code {code}"))
             })?;
-            Ok(Response::Error {
-                code,
-                message: message.clone(),
-            })
+            Ok(Response::Error { code, message })
         }
-        [Frame::Explain { plan }, Frame::Summary { info }] => Ok(Response::Explain {
-            plan: plan.clone(),
-            info: info.clone(),
-        }),
-        [Frame::Schema { name, attrs, key }, middle @ .., Frame::Summary { info }] => {
-            let schema = Schema::from_parts(
-                name,
-                attrs.iter().map(|a| Arc::from(a.as_str())).collect(),
-                key.iter().map(|&k| k as usize).collect(),
-            )
-            .map_err(|e| CodecError::Corrupt(format!("schema frame: {e}")))?;
-            let mut tuples = Vec::new();
-            for frame in middle {
-                match frame {
-                    Frame::Rows { tuples: batch } => tuples.extend(batch.iter().cloned()),
-                    other => {
-                        return Err(CodecError::Corrupt(format!(
-                            "frame tag {} inside a rows stream",
-                            other.tag()
-                        )))
-                    }
-                }
-            }
-            let answer = PolygenRelation::from_tuples(Arc::new(schema), tuples)
-                .map_err(|e| CodecError::Corrupt(format!("rows frame: {e}")))?;
+        (Some(Frame::Explain { plan }), Some(Frame::Summary { info })) if frames.len() == 0 => {
+            Ok(Response::Explain { plan, info })
+        }
+        (Some(Frame::Schema { name, attrs, key }), Some(Frame::Summary { info })) => {
             Ok(Response::Rows {
-                answer: Arc::new(answer),
-                info: info.clone(),
+                answer: Answer::from(relation_from_frames(&name, attrs, &key, frames)?),
+                info,
             })
         }
         _ => Err(CodecError::Corrupt(
             "unrecognized response frame sequence".into(),
         )),
     }
+}
+
+/// The relation a `Schema` frame's parts and the `Rows` batches after
+/// it carry, their tuples moved into one exactly sized vector.
+fn relation_from_frames(
+    name: &str,
+    attrs: Vec<String>,
+    key: &[u16],
+    batches: std::vec::IntoIter<Frame>,
+) -> Result<PolygenRelation, CodecError> {
+    let schema = Schema::from_parts(
+        name,
+        attrs.into_iter().map(Arc::from).collect(),
+        key.iter().map(|&k| k as usize).collect(),
+    )
+    .map_err(|e| CodecError::Corrupt(format!("schema frame: {e}")))?;
+    let rows = batches
+        .as_slice()
+        .iter()
+        .map(|frame| match frame {
+            Frame::Rows { tuples } => tuples.len(),
+            _ => 0,
+        })
+        .sum();
+    let mut tuples = Vec::with_capacity(rows);
+    for frame in batches {
+        match frame {
+            Frame::Rows { tuples: batch } => tuples.extend(batch),
+            other => {
+                return Err(CodecError::Corrupt(format!(
+                    "frame tag {} inside a rows stream",
+                    other.tag()
+                )))
+            }
+        }
+    }
+    PolygenRelation::from_tuples(Arc::new(schema), tuples)
+        .map_err(|e| CodecError::Corrupt(format!("rows frame: {e}")))
 }
 
 /// Encode a frame stream with `Summary` frames dropped — the
@@ -634,7 +706,7 @@ mod tests {
     #[test]
     fn responses_round_trip_through_frames() {
         let rows = Response::Rows {
-            answer: Arc::new(tagged_relation()),
+            answer: Answer::from(tagged_relation()),
             info: info(),
         };
         let explain = Response::Explain {
@@ -666,7 +738,7 @@ mod tests {
             .collect();
         let answer = Arc::new(PolygenRelation::from_tuples(schema, tuples).unwrap());
         let response = Response::Rows {
-            answer: Arc::clone(&answer),
+            answer: Answer::from(Arc::clone(&answer)),
             info: info(),
         };
         let frames = response_frames(&response);
@@ -686,11 +758,11 @@ mod tests {
         other_info.plan_hit = false;
         other_info.threads = 1;
         let a = response_frames(&Response::Rows {
-            answer: Arc::clone(&answer),
+            answer: Answer::from(Arc::clone(&answer)),
             info: info(),
         });
         let b = response_frames(&Response::Rows {
-            answer,
+            answer: Answer::from(answer),
             info: other_info,
         });
         assert_ne!(a, b, "summaries differ");
@@ -783,7 +855,7 @@ mod tests {
         let mut corpus: Vec<Response> = [0, 1, 255, 256, 257, 513]
             .into_iter()
             .map(|n| Response::Rows {
-                answer: Arc::new(
+                answer: Answer::from(
                     PolygenRelation::from_tuples(Arc::clone(&schema), (0..n).map(tuple).collect())
                         .unwrap(),
                 ),
@@ -818,6 +890,45 @@ mod tests {
                 frames.len()
             );
         }
+    }
+
+    /// A rows answer held as [`FRAME_CODEC`]'s frames is written as the
+    /// same bytes its relation is, and decodes back to that relation
+    /// whenever a client could; bytes that are not whole frames opening
+    /// with a `Schema` do not decode.
+    #[test]
+    fn cached_frames_encode_and_decode_as_their_relation() {
+        for response in identity_corpus() {
+            let Response::Rows { answer, info } = &response else {
+                continue;
+            };
+            let frames = FRAME_CODEC.encode(answer).unwrap();
+            // What a client can read back, the codec reads back; sets
+            // past the decoder's spill bound are refused by both.
+            let readable = response_frames(&response)
+                .iter()
+                .all(|f| Frame::decode(&f.encode()[4..]).is_ok());
+            match decode_answer(frames.bytes()) {
+                Ok(decoded) => assert_eq!(&decoded, answer.relation().as_ref()),
+                Err(_) => assert!(!readable),
+            }
+            let held = Answer::from(Arc::new(frames));
+            assert_eq!(held.len(), answer.len(), "counted without decoding");
+            let held = Response::Rows {
+                answer: held,
+                info: info.clone(),
+            };
+            assert_eq!(
+                encode_response(&held).unwrap(),
+                encode_response(&response).unwrap()
+            );
+        }
+        let bytes = encode_answer(&tagged_relation()).unwrap();
+        let rows_only = &bytes[bytes.len() - 20..];
+        for broken in [&bytes[..bytes.len() - 1], &bytes[..2], rows_only] {
+            assert!(decode_answer(broken).is_err());
+        }
+        assert!(decode_answer(&[]).is_err(), "no Schema frame");
     }
 
     /// Seeded mutations of the corpus's frames — bit flips, truncations,

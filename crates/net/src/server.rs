@@ -17,9 +17,12 @@ use crate::door::{
     AcceptDisposition, Action, Completion, FrontDoor, Job, Served, READ_CHUNK, SHUTDOWN_GRACE,
     TOKEN_LISTENER, TOKEN_WAKER,
 };
-use crate::protocol::encode_response;
+use crate::protocol::{encode_response, FRAME_CODEC};
 use crate::sys::{self, AsSockId, Event, Interest, Poller, WakeReceiver, Waker};
+use polygen_obs::session::SessionStats;
+use polygen_obs::slowlog::QueryDetail;
 use polygen_obs::trace::Trace;
+use polygen_serve::request::Request;
 use polygen_serve::service::QueryService;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -215,14 +218,31 @@ fn worker_loop(
     }
 }
 
-/// Execute one job and encode its response frames, straight from the
-/// (possibly cached, shared) answer into one buffer. An answer the wire
-/// cannot carry — a frame over the cap — fails this request alone with
-/// error 500, counted by the service like any other failure; the worker
-/// and the connection serve on. A request with `options.trace` set runs
-/// under an enabled recorder: `net/decode` and `net/queue` from the
-/// job's instants, then the service's waterfall; the recorder rides the
-/// completion to the front door, which closes it with `net/flush`.
+/// Serve `request` as a worker does and return the bytes it sends:
+/// the response's whole frame stream in one buffer. The service gets
+/// [`FRAME_CODEC`], so an answer that fills the result cache is encoded
+/// once and cached as exactly the `Schema` and `Rows` bytes sent here,
+/// and a hit on such an entry is those bytes plus a fresh `Summary`. An
+/// answer the wire cannot carry — a frame over the cap — fails this
+/// request alone with error 500, is not cached, and is counted by the
+/// service like any other failure.
+pub fn execute_encoded(
+    service: &QueryService,
+    request: &Request,
+    trace: &Trace,
+    session: Option<&SessionStats>,
+) -> (Vec<u8>, QueryDetail) {
+    service.execute_traced(request, trace, session, Some(FRAME_CODEC), |r| {
+        encode_response(&r).map_err(|e| e.to_string())
+    })
+}
+
+/// Execute one job through [`execute_encoded`]; the worker and the
+/// connection serve on whatever it answers. A request with
+/// `options.trace` set runs under an enabled recorder: `net/decode` and
+/// `net/queue` from the job's instants, then the service's waterfall;
+/// the recorder rides the completion to the front door, which closes it
+/// with `net/flush`.
 pub(crate) fn run_job(service: &QueryService, job: Job) -> Completion {
     let trace = if job.request.options.trace {
         Trace::enabled()
@@ -231,9 +251,7 @@ pub(crate) fn run_job(service: &QueryService, job: Job) -> Completion {
     };
     trace.record_closed("net/decode", job.decode_start, job.decode_done);
     trace.record_closed("net/queue", job.decode_done, Instant::now());
-    let (bytes, detail) = service.execute_traced(&job.request, &trace, Some(&job.stats), |r| {
-        encode_response(&r).map_err(|e| e.to_string())
-    });
+    let (bytes, detail) = execute_encoded(service, &job.request, &trace, Some(&job.stats));
     Completion {
         token: job.token,
         bytes,

@@ -5,7 +5,7 @@
 //!
 //! * [`Request`] — query text + [`Lang`] + per-request [`RequestOptions`].
 //! * [`Response`] — a serializable enum: [`Response::Rows`] (the tagged
-//!   answer plus [`ResponseInfo`]), [`Response::Explain`] (the rendered
+//!   [`Answer`] plus [`ResponseInfo`]), [`Response::Explain`] (the rendered
 //!   physical plan), [`Response::Empty`] (blank request text), and
 //!   [`Response::Error`] carrying a stable numeric [`ErrorCode`] plus a
 //!   human-readable message.
@@ -28,7 +28,8 @@ use polygen_pqp::error::PqpError;
 use polygen_sql::app::AqpError;
 use polygen_sql::normalize::NormalizeError;
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// Which front-end language a request's text is written in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -379,13 +380,181 @@ pub struct ResponseInfo {
     pub latency_micros: u64,
 }
 
+/// How a transport writes a rows answer's `Schema` and `Rows` frames
+/// and reads them back. A transport hands its codec to
+/// [`QueryService::execute_traced`](crate::service::QueryService::execute_traced),
+/// and the result cache then holds the answers it serves in exactly the
+/// bytes it sends.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameCodec {
+    encode: fn(&PolygenRelation) -> Result<Vec<u8>, String>,
+    decode: fn(&[u8]) -> Result<PolygenRelation, String>,
+}
+
+impl FrameCodec {
+    /// A codec from its two halves. `decode` must read back every byte
+    /// string `encode` writes as the relation it was written from.
+    pub const fn new(
+        encode: fn(&PolygenRelation) -> Result<Vec<u8>, String>,
+        decode: fn(&[u8]) -> Result<PolygenRelation, String>,
+    ) -> Self {
+        FrameCodec { encode, decode }
+    }
+
+    /// Encode `relation`'s frames. Errors: an answer the transport
+    /// cannot carry.
+    pub fn encode(&self, relation: &PolygenRelation) -> Result<AnswerFrames, String> {
+        Ok(AnswerFrames {
+            bytes: (self.encode)(relation)?.into_boxed_slice(),
+            rows: relation.len(),
+            decode: self.decode,
+        })
+    }
+}
+
+/// The exact bytes of an answer's `Schema` and `Rows` frames as a
+/// [`FrameCodec`] wrote them, with the row count they carry and the
+/// codec's decoder.
+pub struct AnswerFrames {
+    bytes: Box<[u8]>,
+    rows: usize,
+    decode: fn(&[u8]) -> Result<PolygenRelation, String>,
+}
+
+impl AnswerFrames {
+    /// The encoded frames.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Tuples the frames carry.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+}
+
+impl fmt::Debug for AnswerFrames {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AnswerFrames")
+            .field("bytes", &self.bytes.len())
+            .field("rows", &self.rows)
+            .finish()
+    }
+}
+
+/// A rows answer: the tagged relation, or the [`AnswerFrames`] a
+/// transport encoded it to, which is how the result cache holds an
+/// answer served over a wire. Reading tuples from the frames form
+/// decodes them once, on first read (the codec round-trip makes the
+/// relation byte-identical to the one encoded); [`Answer::len`] and
+/// [`Answer::frames`] never decode. Dereferences to the relation.
+#[derive(Clone)]
+pub struct Answer {
+    frames: Option<Arc<AnswerFrames>>,
+    relation: OnceLock<Arc<PolygenRelation>>,
+}
+
+impl Answer {
+    /// The encoded frames, if this answer holds them.
+    pub fn frames(&self) -> Option<&Arc<AnswerFrames>> {
+        self.frames.as_ref()
+    }
+
+    /// Number of tuples.
+    pub fn len(&self) -> usize {
+        match &self.frames {
+            Some(frames) => frames.rows,
+            None => self.relation().len(),
+        }
+    }
+
+    /// Is the answer empty?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The relation, decoded from the frames on first read. Errors: the
+    /// frames do not decode.
+    pub(crate) fn try_relation(&self) -> Result<&Arc<PolygenRelation>, String> {
+        if let Some(relation) = self.relation.get() {
+            return Ok(relation);
+        }
+        let frames = self
+            .frames
+            .as_ref()
+            .expect("an answer holds a relation or its frames");
+        let decoded = Arc::new((frames.decode)(&frames.bytes)?);
+        Ok(self.relation.get_or_init(|| decoded))
+    }
+
+    /// The relation, decoded from the frames on first read.
+    ///
+    /// Panics if the frames do not decode: frames a codec wrote but
+    /// cannot read back, as a client could not either. The service
+    /// hands an in-process caller only relations, and a transport writes
+    /// frames without reading them.
+    pub fn relation(&self) -> &Arc<PolygenRelation> {
+        self.try_relation()
+            .unwrap_or_else(|e| panic!("answer frames do not decode: {e}"))
+    }
+}
+
+impl From<Arc<PolygenRelation>> for Answer {
+    fn from(relation: Arc<PolygenRelation>) -> Self {
+        Answer {
+            frames: None,
+            relation: OnceLock::from(relation),
+        }
+    }
+}
+
+impl From<PolygenRelation> for Answer {
+    fn from(relation: PolygenRelation) -> Self {
+        Answer::from(Arc::new(relation))
+    }
+}
+
+impl From<Arc<AnswerFrames>> for Answer {
+    fn from(frames: Arc<AnswerFrames>) -> Self {
+        Answer {
+            frames: Some(frames),
+            relation: OnceLock::new(),
+        }
+    }
+}
+
+impl Deref for Answer {
+    type Target = PolygenRelation;
+
+    fn deref(&self) -> &PolygenRelation {
+        self.relation()
+    }
+}
+
+impl PartialEq for Answer {
+    fn eq(&self, other: &Answer) -> bool {
+        self.relation() == other.relation()
+    }
+}
+
+/// The relation once it is read; unread frames print as themselves,
+/// so formatting never decodes.
+impl fmt::Debug for Answer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match (self.relation.get(), &self.frames) {
+            (Some(relation), _) => fmt::Debug::fmt(relation, f),
+            (None, frames) => f.debug_tuple("Answer").field(frames).finish(),
+        }
+    }
+}
+
 /// One served response — the transport-agnostic envelope.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// A tagged composite answer.
     Rows {
-        /// The answer (shared — cache hits alias the cached relation).
-        answer: Arc<PolygenRelation>,
+        /// The answer. A cache hit shares the cached relation or frames.
+        answer: Answer,
         /// Cache/route/metrics info.
         info: ResponseInfo,
     },
@@ -416,10 +585,11 @@ impl Response {
         }
     }
 
-    /// The answer relation, if this is a rows response.
+    /// The answer relation, if this is a rows response (decoded on
+    /// first read when the answer holds frames).
     pub fn rows(&self) -> Option<&Arc<PolygenRelation>> {
         match self {
-            Response::Rows { answer, .. } => Some(answer),
+            Response::Rows { answer, .. } => Some(answer.relation()),
             _ => None,
         }
     }

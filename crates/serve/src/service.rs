@@ -17,7 +17,8 @@
 //! 5. **Result cache** — keyed `(plan fingerprint × version vector of
 //!    the sources the plan reads)`; a hit returns the cached tagged
 //!    answer (byte-identical to a cold run — tags are deterministic
-//!    data) without executing anything.
+//!    data) without executing anything. An answer served through a
+//!    transport's [`FrameCodec`] is cached as the frames it encoded.
 //! 6. **Execution** — the plan runs with a *thread allotment* reserved
 //!    from the shared budget at admission: the fair share at the
 //!    current concurrency, capped by what earlier admissions still
@@ -35,7 +36,7 @@
 
 use crate::cache::{PlanCache, PlanEntry, ResultCache, ResultKey};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::request::{ExplainOptions, Lang, Request, Response, ResponseInfo};
+use crate::request::{Answer, ExplainOptions, FrameCodec, Lang, Request, Response, ResponseInfo};
 use crate::snapshot::{Federation, FederationSnapshot};
 use crate::sys::{self, SysCatalog, SYS_DB};
 use polygen_catalog::scenario::Scenario;
@@ -604,7 +605,7 @@ impl QueryService {
         } else {
             Trace::disabled()
         };
-        let (response, detail) = self.execute_traced(request, &trace, session, Ok);
+        let (response, detail) = self.execute_traced(request, &trace, session, None, Ok);
         self.observe_slow(&request.text, start.elapsed(), &trace, detail);
         response
     }
@@ -620,15 +621,24 @@ impl QueryService {
     /// in one place. Tracing never changes results.
     ///
     /// `deliver` turns the response into what the caller sends (an
-    /// in-process caller passes `Ok`; the wire encodes it). An answer it
-    /// cannot deliver is [`ServeError::Undeliverable`]: error 500 for
-    /// this request, counted in the metrics and the session row like any
-    /// other failure. `deliver` must accept every error response.
+    /// in-process caller passes `Ok`; the wire encodes it). A transport
+    /// passes its `codec` beside it: a rows answer that fills the result
+    /// cache is then encoded once, here, and cached as those frames
+    /// alone, and the response's [`Answer`] holds them, so `deliver`
+    /// writes them as they are; a hit on such an entry hands `deliver`
+    /// the cached frames. Without a codec, answers are cached as
+    /// relations and a hit on frames is decoded before `deliver` sees
+    /// it (frames that do not decode are a miss, whose relation then
+    /// replaces them). An answer that cannot be encoded or delivered is
+    /// [`ServeError::Undeliverable`]: error 500 for this request, never
+    /// cached, counted in the metrics and the session row like any other
+    /// failure. `deliver` must accept every error response.
     pub fn execute_traced<T>(
         &self,
         request: &Request,
         trace: &Trace,
         session: Option<&SessionStats>,
+        codec: Option<FrameCodec>,
         deliver: impl Fn(Response) -> Result<T, String>,
     ) -> (T, QueryDetail) {
         if let Some(session) = session {
@@ -638,14 +648,15 @@ impl QueryService {
         // A panic anywhere below fails this request alone: the unwind has
         // already dropped the admission permit (slot and threads), and the
         // session row still closes below.
-        let served =
-            panic::catch_unwind(AssertUnwindSafe(|| self.serve(request, trace, &mut detail)))
-                .unwrap_or_else(|payload| {
-                    Err(ServeError::Panicked(panic_message(payload.as_ref())))
-                });
+        let served = panic::catch_unwind(AssertUnwindSafe(|| {
+            self.serve(request, trace, &mut detail, codec)
+        }))
+        .unwrap_or_else(|payload| Err(ServeError::Panicked(panic_message(payload.as_ref()))));
         let (mut rows, mut errored) = (0, false);
         let delivered = served.and_then(|response| {
-            rows = response.rows().map_or(0, |r| r.len() as u64);
+            if let Response::Rows { answer, .. } = &response {
+                rows = answer.len() as u64;
+            }
             errored = response.error_code().is_some();
             deliver(response).map_err(ServeError::Undeliverable)
         });
@@ -684,12 +695,14 @@ impl QueryService {
     /// | payload                     | plan   | plan, est/act | rows       |
     ///
     /// `detail` fills in as stages complete, so a request that fails
-    /// midway still logs the queue wait it paid.
+    /// midway still logs the queue wait it paid. `codec` is the
+    /// transport's, as [`QueryService::execute_traced`] describes.
     fn serve(
         &self,
         request: &Request,
         trace: &Trace,
         detail: &mut QueryDetail,
+        codec: Option<FrameCodec>,
     ) -> Result<Response, ServeError> {
         let start = Instant::now();
         let (mode, text) = match request.lang {
@@ -762,7 +775,16 @@ impl QueryService {
                     versions: entry.compiled_versions.clone(),
                 };
                 let probe_span = trace.begin("serve/result-cache");
-                let hit = cache.get(&key);
+                let hit = cache.get(&key).and_then(|answer| match answer.frames() {
+                    // An in-process caller reads the relation, decoded
+                    // here; frames its codec cannot read back (source
+                    // sets past the decoder's spill bound) are a miss.
+                    Some(_) if codec.is_none() => {
+                        let relation = answer.try_relation().ok()?;
+                        Some(Answer::from(Arc::clone(relation)))
+                    }
+                    _ => Some(answer),
+                });
                 annotate_cache(trace, probe_span, hit.is_some());
                 trace.end(probe_span);
                 if let Some(answer) = hit {
@@ -828,14 +850,20 @@ impl QueryService {
                 info: finish(false),
             });
         }
-        let answer = Arc::new(answer);
+        // The query is answered whether or not the transport can carry
+        // the answer, as when `deliver` encodes it: close it first.
+        let info = finish(false);
+        let mut answer = Answer::from(answer);
         if let Some((cache, key)) = fill {
-            cache.insert(key, Arc::clone(&answer));
+            // A transport's answer is cached as the frames it sends, and
+            // only once they exist: an answer it cannot carry stays out.
+            if let Some(codec) = codec {
+                let frames = codec.encode(&answer).map_err(ServeError::Undeliverable)?;
+                answer = Answer::from(Arc::new(frames));
+            }
+            cache.insert(key, &answer);
         }
-        Ok(Response::Rows {
-            answer,
-            info: finish(false),
-        })
+        Ok(Response::Rows { answer, info })
     }
 
     /// The full metrics surface in Prometheus text exposition format,
@@ -1110,13 +1138,43 @@ mod tests {
     /// The answer and info of a request that must serve rows.
     fn rows(svc: &QueryService, request: Request) -> (Arc<PolygenRelation>, ResponseInfo) {
         match svc.execute(request) {
-            Response::Rows { answer, info } => (answer, info),
+            Response::Rows { answer, info } => (Arc::clone(answer.relation()), info),
             other => panic!("expected rows, got {other:?}"),
         }
     }
 
     fn sql(svc: &QueryService, text: &str) -> (Arc<PolygenRelation>, ResponseInfo) {
         rows(svc, Request::sql(text))
+    }
+
+    /// A transport's answer fills the cache as its frames, and a
+    /// transport hit sends them. An in-process hit decodes them; frames
+    /// that do not decode are a miss, and the relation it computes
+    /// replaces them.
+    #[test]
+    fn an_in_process_hit_decodes_frames_or_misses() {
+        const UNREADABLE: FrameCodec = FrameCodec::new(
+            |relation| Ok(vec![0; relation.len()]),
+            |_| Err("unreadable".to_string()),
+        );
+        let svc = service();
+        let wire = |svc: &QueryService| {
+            let trace = Trace::disabled();
+            let (response, _) =
+                svc.execute_traced(&Request::sql(PAPER_SQL), &trace, None, Some(UNREADABLE), Ok);
+            let Response::Rows { answer, info } = response else {
+                panic!("expected rows, got {response:?}");
+            };
+            (answer.frames().map(|f| f.bytes().len()), info.result_hit)
+        };
+        assert_eq!(wire(&svc), (Some(3), false), "the miss is encoded once");
+        assert_eq!(wire(&svc), (Some(3), true), "the hit sends the frames");
+        let (answer, info) = sql(&svc, PAPER_SQL);
+        assert!(!info.result_hit, "unreadable frames are a miss");
+        assert_eq!(answer.len(), 3);
+        assert_eq!(wire(&svc), (None, true), "now held as the relation");
+        let m = svc.metrics();
+        assert_eq!((m.result_hits, m.result_misses, m.errors), (2, 2, 0));
     }
 
     /// A panic under the result-cache lock poisons it for good. The
@@ -1644,7 +1702,7 @@ mod tests {
         use crate::request::Request;
         let svc = service();
         let trace = Trace::enabled();
-        svc.execute_traced(&Request::sql(PAPER_SQL), &trace, None, Ok);
+        svc.execute_traced(&Request::sql(PAPER_SQL), &trace, None, None, Ok);
         let report = trace.report().unwrap();
         report.well_formed().unwrap();
         assert!(report.span("serve/queue").is_some());
@@ -1837,7 +1895,7 @@ mod tests {
                 "SELECT SOURCE, VERSION, RELATIONS, TUPLES FROM sys.sources",
                 true,
             ),
-            ("SELECT CACHE, ENTRY, HITS FROM sys.cache", true),
+            ("SELECT CACHE, ENTRY, HITS, BYTES FROM sys.cache", true),
             (
                 "SELECT SOURCE, RELATION, COLUMN, KIND FROM sys.indexes",
                 false,
@@ -1881,10 +1939,11 @@ mod tests {
             .unwrap();
         let built = |text: &str| {
             let trace = Trace::enabled();
-            let (answer, _) = svc.execute_traced(&Request::sql(text), &trace, None, |r| match r {
-                Response::Rows { answer, .. } => Ok(answer),
-                other => Err(format!("{other:?}")),
-            });
+            let (answer, _) =
+                svc.execute_traced(&Request::sql(text), &trace, None, None, |r| match r {
+                    Response::Rows { answer, .. } => Ok(answer),
+                    other => Err(format!("{other:?}")),
+                });
             let report = trace.report().unwrap();
             let span = report.span("serve/sys-materialize").expect("a sys read");
             (

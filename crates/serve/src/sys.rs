@@ -19,7 +19,7 @@
 //! | `sys.sessions` | live sessions, incl. what each runs *right now* |
 //! | `sys.stats`    | windowed counter/percentile rollups             |
 //! | `sys.sources`  | per-source version, relation/tuple/index counts |
-//! | `sys.cache`    | plan- and result-cache entries with hit counts  |
+//! | `sys.cache`    | cache entries with hit counts and encoded bytes |
 //! | `sys.indexes`  | declared secondary indexes + posting shape      |
 //!
 //! Materialization is a *consistent snapshot read*: the service builds
@@ -138,6 +138,7 @@ const SYS_RELATIONS: &[(&str, &[&str])] = &[
             "FINGERPRINT",
             "HITS",
             "ROWS",
+            "BYTES",
             "SUBSYSTEM",
         ],
     ),
@@ -356,10 +357,12 @@ pub fn sources_relation(snapshot: &FederationSnapshot) -> Relation {
 }
 
 /// `sys.cache` — every plan- and result-cache entry with its per-entry
-/// hit count; `ROWS` is 0 for plans (no materialized answer).
+/// hit count; `ROWS` is 0 for plans (no materialized answer). `BYTES`
+/// is the encoded length of a result held as a transport's frames, and
+/// nil for a result held as a relation and for a plan.
 pub fn cache_relation(
     plans: &[(Arc<PlanEntry>, u64)],
-    results: &[(ResultKey, u64, usize)],
+    results: &[(ResultKey, u64, usize, Option<usize>)],
 ) -> Relation {
     let mut b = Relation::build("cache", SYS_RELATIONS[4].1).key(SYS_KEYS[4]);
     let mut ordinal = 0usize;
@@ -371,11 +374,12 @@ pub fn cache_relation(
             Value::str(format!("{:016x}", entry.fingerprint)),
             uint(*hits),
             Value::int(0),
+            Value::Null,
             Value::str("cache"),
         ]);
         ordinal += 1;
     }
-    for (key, hits, rows) in results {
+    for (key, hits, rows, bytes) in results {
         b = b.vrow(vec![
             usize_val(ordinal),
             Value::str("result"),
@@ -383,6 +387,7 @@ pub fn cache_relation(
             Value::str(format!("{:016x}", key.fingerprint)),
             uint(*hits),
             usize_val(*rows),
+            bytes.map_or(Value::Null, usize_val),
             Value::str("cache"),
         ]);
         ordinal += 1;

@@ -111,7 +111,7 @@ mod tests {
     /// Serve a request that must answer rows.
     fn rows(service: &QueryService, request: Request) -> Arc<PolygenRelation> {
         match service.execute(request) {
-            Response::Rows { answer, .. } => answer,
+            Response::Rows { answer, .. } => Arc::clone(answer.relation()),
             other => panic!("expected rows, got {other:?}"),
         }
     }

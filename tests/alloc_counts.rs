@@ -16,14 +16,20 @@
 //! scan or a probe that copies the rows it selects.
 //!
 //! Each class's answer is also decoded as a client decodes it, frame by
-//! frame, under a ceiling of its own. And catalog reads are counted on
-//! a service whose caches are full, where materializing a `sys`
-//! relation the plan never scans would cost thousands.
+//! frame, under a ceiling of its own, and the join class's decoded
+//! frames are reassembled into its answer under another. A result hit
+//! served as the server's workers serve it, from the frames the cache
+//! holds, is counted for the join and point classes. And catalog reads
+//! are counted on a service whose caches are full, where materializing
+//! a `sys` relation the plan never scans would cost thousands.
 
 use polygen::catalog::scenario::Scenario;
 use polygen::index::IndexSpec;
-use polygen::net::protocol::response_frames;
+use polygen::net::codec::FrameReader;
+use polygen::net::protocol::{deterministic_bytes, response_frames, response_from_owned_frames};
+use polygen::net::server::execute_encoded;
 use polygen::net::Frame;
+use polygen::obs::trace::Trace;
 use polygen::serve::{QueryService, Request, Response, ServeOptions};
 use polygen::workload::{self, queries, WorkloadConfig};
 
@@ -40,6 +46,9 @@ const DECODE_RANGE: u64 = 3_244;
 /// second read stays under it whether or not its window closes.
 const SYS_STATS: u64 = 315;
 const SYS_SESSIONS: u64 = 299;
+/// Wire result-hit ceilings: the counts, plus 4.
+const WIRE_HIT_JOIN: u64 = 59;
+const WIRE_HIT_POINT: u64 = 32;
 
 mod counting {
     //! The allocator itself: a pass-through to the system allocator
@@ -267,4 +276,90 @@ fn catalog_reads_allocate_within_their_ceilings() {
             );
         }
     }
+}
+
+/// Reassembling the join class's decoded frames (3 460 tuples in 14
+/// `Rows` batches) into its answer moves every tuple: the schema's
+/// names, one exactly sized tuple vector and the shared answer, whatever
+/// the row count. The ceiling is the count, plus 4. Copying each tuple
+/// out of its batch cost one allocation per tuple.
+#[test]
+fn reassembling_an_answer_moves_its_tuples() {
+    const REASSEMBLE_JOIN: u64 = 10;
+    let scenario = ledger();
+    let options = ServeOptions::default()
+        .without_caches()
+        .with_thread_budget(1);
+    let service = QueryService::for_scenario(&scenario, options);
+    let response = service.execute(Request::algebra(queries::join_query(50)));
+    let frames = response_frames(&response);
+    let before = counting::allocations();
+    let reassembled = response_from_owned_frames(frames).expect("served frames reassemble");
+    let n = counting::allocations() - before;
+    println!("join: reassembly {n} allocations (ceiling {REASSEMBLE_JOIN})");
+    assert!(reassembled.payload_eq(&response));
+    assert!(
+        n <= REASSEMBLE_JOIN,
+        "reassembling the join class's answer allocated {n} times, over its ceiling of {REASSEMBLE_JOIN}"
+    );
+}
+
+/// A result hit served as a server worker serves it writes the cached
+/// frames and a fresh `Summary` into one buffer and builds no cell, so
+/// its allocations do not grow with the answer: join-class queries
+/// whose answers differ in size allocate alike, and the point class's
+/// one row costs less only for its shorter query text. Each query is
+/// first served the same way once, which caches its frames; the hit
+/// sends the miss's frames. Encoding the join class's cells again cost
+/// a buffer regrowth per doubling of its bytes.
+#[test]
+fn wire_result_hits_allocate_within_their_ceilings() {
+    let options = ServeOptions::default().with_thread_budget(1);
+    let service = indexed(QueryService::for_scenario(&ledger(), options));
+    let hit = |request: &Request| {
+        let trace = Trace::disabled();
+        let (miss, _) = execute_encoded(&service, request, &trace, None);
+        let before = counting::allocations();
+        let (hit, _) = execute_encoded(&service, request, &trace, None);
+        let n = counting::allocations() - before;
+        let (miss, hit) = (decode_stream(&miss), decode_stream(&hit));
+        assert_eq!(deterministic_bytes(&hit), deterministic_bytes(&miss));
+        (n, miss.len())
+    };
+    let point = hit(&Request::algebra(queries::point_lookup(7)));
+    println!(
+        "point: wire result hit {} allocations (ceiling {WIRE_HIT_POINT})",
+        point.0
+    );
+    assert!(
+        point.0 <= WIRE_HIT_POINT,
+        "a point wire hit allocated {}",
+        point.0
+    );
+    let joins =
+        [10, 50, 90].map(|min_score| hit(&Request::algebra(queries::join_query(min_score))));
+    println!("join: wire result hits {joins:?} (allocations, frames; ceiling {WIRE_HIT_JOIN})");
+    assert!(joins[0].1 > joins[2].1, "the answers differ in size");
+    for (n, _) in joins {
+        assert_eq!(
+            n, joins[1].0,
+            "a join wire hit's allocations vary with its answer"
+        );
+        assert!(
+            n <= WIRE_HIT_JOIN,
+            "a join wire hit allocated {n}, over {WIRE_HIT_JOIN}"
+        );
+    }
+    assert_eq!(service.metrics().result_hits, 4);
+}
+
+/// Every frame of a server's response stream.
+fn decode_stream(bytes: &[u8]) -> Vec<Frame> {
+    let mut reader = FrameReader::new();
+    reader.push(bytes);
+    let mut frames = Vec::new();
+    while let Some(payload) = reader.next_frame().expect("whole frames") {
+        frames.push(Frame::decode(payload).expect("a served frame decodes"));
+    }
+    frames
 }

@@ -49,7 +49,7 @@ pub fn serve_rows(
 ) -> (Arc<PolygenRelation>, ResponseInfo) {
     let text = request.text.clone();
     match service.execute(request) {
-        Response::Rows { answer, info } => (answer, info),
+        Response::Rows { answer, info } => (Arc::clone(answer.relation()), info),
         other => panic!("query `{text}` did not answer rows: {other:?}"),
     }
 }

@@ -344,6 +344,165 @@ proptest! {
     }
 }
 
+/// Was this frame stream answered from the result cache?
+fn result_hit(frames: &[Frame]) -> bool {
+    matches!(frames.last(), Some(Frame::Summary { info }) if info.result_hit)
+}
+
+/// `service`'s result-cache rows in `sys.cache`: canonical text → the
+/// `BYTES` cell.
+fn cached_result_bytes(service: &QueryService) -> Vec<(String, Value)> {
+    let response = service.execute(Request::sql("SELECT CACHE, ENTRY, BYTES FROM sys.cache"));
+    let answer = response.rows().expect("sys.cache answers rows");
+    answer
+        .tuples()
+        .iter()
+        .filter(|t| t[0].datum == Value::str("result"))
+        .map(|t| (t[1].datum.to_string(), t[2].datum.clone()))
+        .collect()
+}
+
+/// A service built by `make`, served over TCP on a loopback port.
+fn served(make: &impl Fn(ServeOptions) -> QueryService) -> (Arc<QueryService>, NetServer) {
+    let service = Arc::new(make(ServeOptions::default()));
+    let server = NetServer::spawn(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    (service, server)
+}
+
+/// Every route an answer can take through the result cache, against
+/// `uncached`'s answer in the deterministic byte view. `wired` is
+/// filled over TCP: a wire request caches the frames it sends, a second
+/// one writes them again, and an in-process request decodes them.
+/// `local` is filled in process, caching the relation, and then answers
+/// a wire request from it. Each route must carry the uncached answer's
+/// bytes, every repeat must be a result hit, and `sys.cache` must report
+/// each of `wired`'s entries' `BYTES` as exactly its `Schema` and `Rows`
+/// frames and each of `local`'s as nil.
+fn assert_cache_routes_match_uncached(
+    uncached: &QueryService,
+    wired: &(Arc<QueryService>, NetServer),
+    local: &(Arc<QueryService>, NetServer),
+    requests: &[Request],
+) {
+    let mut wired_client = NetClient::connect(wired.1.addr()).expect("connect");
+    let mut local_client = NetClient::connect(local.1.addr()).expect("connect");
+    let mut cached = std::collections::BTreeMap::new();
+    for request in requests {
+        let reference = uncached.execute(request.clone());
+        let expected = deterministic_bytes(&response_frames(&reference));
+        let rows = matches!(reference, Response::Rows { .. });
+        let over_tcp = |client: &mut NetClient, route: &str| {
+            let frames = client.execute_frames(request).expect("TCP exchange");
+            assert_eq!(
+                deterministic_bytes(&frames),
+                expected,
+                "{route}: `{}` diverges from the uncached answer",
+                request.text
+            );
+            frames
+        };
+        let first = over_tcp(&mut wired_client, "wire, filling frames");
+        let hit = over_tcp(&mut wired_client, "wire hit on frames");
+        assert_eq!(result_hit(&hit), rows, "`{}`", request.text);
+        let decoded = wired.0.execute(request.clone());
+        assert_eq!(decoded.info().is_some_and(|i| i.result_hit), rows);
+        assert_eq!(
+            deterministic_bytes(&response_frames(&decoded)),
+            expected,
+            "in-process hit on frames: `{}`",
+            request.text
+        );
+        local.0.execute(request.clone());
+        let hit = over_tcp(&mut local_client, "wire hit on a relation");
+        assert_eq!(result_hit(&hit), rows, "`{}`", request.text);
+        if let Some(Frame::Summary { info }) = first.last() {
+            cached.insert(info.canonical.clone(), expected.len());
+        }
+    }
+    let wired_bytes = cached_result_bytes(&wired.0);
+    assert_eq!(wired_bytes.len(), cached.len());
+    for (entry, bytes) in wired_bytes {
+        let len = cached[&entry];
+        assert_eq!(bytes, Value::int(len as i64), "`{entry}` holds its frames");
+    }
+    let local_bytes = cached_result_bytes(&local.0);
+    assert_eq!(local_bytes.len(), cached.len());
+    assert!(local_bytes.iter().all(|(_, b)| *b == Value::Null));
+}
+
+/// The cache routes over the ledger's five class answers (select,
+/// join, paper, point, range; seed 101, the point and range classes
+/// served by the detail indexes). Each class misses once per service.
+#[test]
+fn cache_routes_match_uncached_on_ledger_classes() {
+    let scenario = workload::generate(&WorkloadConfig {
+        seed: 101,
+        sources: 3,
+        entities: 4_000,
+        detail_rows: 16_000,
+        ..WorkloadConfig::default()
+    });
+    let make = |options| {
+        QueryService::for_scenario(&scenario, options)
+            .with_index_specs(&[
+                polygen::index::IndexSpec::hash("S0", "DETAIL", "DNAME"),
+                polygen::index::IndexSpec::sorted("S0", "DETAIL", "DSCORE"),
+            ])
+            .expect("the ledger's detail indexes build")
+    };
+    let classes = [
+        Request::algebra(workload::queries::select_query(3)),
+        Request::algebra(workload::queries::join_query(50)),
+        Request::sql(workload::queries::paper_shaped_sql(3)),
+        Request::algebra(workload::queries::point_lookup(7)),
+        Request::algebra(workload::queries::range_scan(40, 49)),
+    ];
+    let (wired, local) = (served(&make), served(&make));
+    let uncached = make(ServeOptions::default().without_caches());
+    assert_cache_routes_match_uncached(&uncached, &wired, &local, &classes);
+    let (w, l) = (wired.0.metrics(), local.0.metrics());
+    assert_eq!((w.result_misses, w.result_hits), (5, 10));
+    assert_eq!((l.result_misses, l.result_hits), (5, 5));
+    wired.1.shutdown();
+    local.1.shutdown();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The cache routes over a generated federation's scripted queries,
+    /// then again after a source update, which purges frames entries
+    /// exactly as it purges relations.
+    #[test]
+    fn cache_routes_match_uncached_on_generated_federations(
+        fed_seed in any::<u64>(),
+        mix_seed in any::<u64>(),
+        delta in 1i64..1_000,
+    ) {
+        let scenario = workload::generate(&small_config(fed_seed, 3, 72));
+        let script = ClientMix::default()
+            .with_seed(mix_seed)
+            .with_queries_per_client(8)
+            .with_weights(MixWeights::with_index_lookups(2, 1))
+            .script(0);
+        let make = |options| QueryService::for_scenario(&scenario, options);
+        let (wired, local) = (served(&make), served(&make));
+        let uncached = make(ServeOptions::default().without_caches());
+        assert_cache_routes_match_uncached(&uncached, &wired, &local, &script);
+        let refreshed = refreshed_relations(&scenario, "S1", delta);
+        for service in [&wired.0, &local.0] {
+            service.update_source_relations("S1", refreshed.clone());
+        }
+        uncached.update_source_relations("S1", refreshed);
+        let (w, l) = (wired.0.metrics(), local.0.metrics());
+        prop_assert_eq!(w.invalidated_results, l.invalidated_results);
+        prop_assert_eq!(wired.0.cache_sizes().1, local.0.cache_sizes().1);
+        assert_cache_routes_match_uncached(&uncached, &wired, &local, &script);
+        wired.1.shutdown();
+        local.1.shutdown();
+    }
+}
+
 /// Error codes cross the wire unchanged: for a gallery of failing
 /// queries (every layer band) the TCP response carries exactly the code
 /// in-process `execute` reports — and the connection survives to serve
@@ -932,7 +1091,9 @@ fn a_panicking_query_answers_500_and_its_connection_serves_on() {
 /// `Internal` (500) frame, counted as a failure, then answers its next
 /// request. (Encoding ran outside the service's panic containment and
 /// asserted on the frame length, so the worker died and the client
-/// waited forever.)
+/// waited forever.) A retry fails the same way and is no result hit:
+/// an answer the wire cannot carry is never cached. (It was cached
+/// before delivery failed, so every retry counted a hit and failed.)
 #[test]
 fn an_answer_over_the_frame_cap_answers_500_and_its_connection_serves_on() {
     let scenario = polygen::catalog::scenario::build();
@@ -965,14 +1126,20 @@ fn an_answer_over_the_frame_cap_answers_500_and_its_connection_serves_on() {
     service.update_source_relations("CD", relations);
     let (mut stream, mut reader) = raw_session(server.addr());
     let oversized = Request::sql("SELECT ONAME, CEO FROM PORGANIZATION");
-    stream
-        .write_all(&request_frame(&oversized).encode())
-        .expect("query sent");
-    let frames = read_response(&mut stream, &mut reader);
-    assert!(
-        matches!(frames.as_slice(), [Frame::Error { code: 500, .. }]),
-        "{frames:?}"
-    );
+    // Twice: an answer the wire cannot carry is never cached, so the
+    // retry executes again and fails again, and neither is a hit.
+    for _ in 0..2 {
+        stream
+            .write_all(&request_frame(&oversized).encode())
+            .expect("query sent");
+        let frames = read_response(&mut stream, &mut reader);
+        assert!(
+            matches!(frames.as_slice(), [Frame::Error { code: 500, .. }]),
+            "{frames:?}"
+        );
+    }
+    assert_eq!(service.metrics().result_hits, 0);
+    assert_eq!(cached_result_bytes(&service), [], "no result entry");
     let healthy = Request::sql("SELECT ANAME FROM PALUMNUS WHERE DEGREE = \"MBA\"");
     stream
         .write_all(&request_frame(&healthy).encode())
@@ -980,14 +1147,14 @@ fn an_answer_over_the_frame_cap_answers_500_and_its_connection_serves_on() {
     let frames = read_response(&mut stream, &mut reader);
     let answer = response_from_frames(&frames).expect("well-formed stream");
     assert_eq!(answer.rows().map(|r| r.len()), Some(5), "{answer:?}");
-    // The service counts the undelivered answer once, as a failure: in
+    // The service counts each undelivered answer once, as a failure: in
     // the metrics and in the connection's session row.
-    assert_eq!(service.metrics().errors_with_code(ErrorCode::Internal), 1);
+    assert_eq!(service.metrics().errors_with_code(ErrorCode::Internal), 2);
     let rows = service.sessions().snapshot();
     let [session] = rows.as_slice() else {
         panic!("one live session: {rows:?}");
     };
-    assert_eq!((session.queries, session.rows, session.errors), (2, 5, 1));
+    assert_eq!((session.queries, session.rows, session.errors), (3, 5, 2));
     server.shutdown();
 }
 

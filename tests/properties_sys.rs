@@ -41,7 +41,7 @@ const SYS_SELECTS: &[&str] = &[
     "SELECT BUCKET, QUERIES, ERRORS, PLAN_HITS, RESULT_HITS, EXECUTED, P95_US, SUBSYSTEM \
      FROM sys.stats",
     "SELECT SOURCE, VERSION, RELATIONS, TUPLES, INDEXES, SUBSYSTEM FROM sys.sources",
-    "SELECT ORDINAL, CACHE, ENTRY, FINGERPRINT, HITS, SUBSYSTEM FROM sys.cache",
+    "SELECT ORDINAL, CACHE, ENTRY, FINGERPRINT, HITS, ROWS, BYTES, SUBSYSTEM FROM sys.cache",
     "SELECT SOURCE, RELATION, COLUMN, KIND, ENTRIES, SUBSYSTEM FROM sys.indexes",
 ];
 
