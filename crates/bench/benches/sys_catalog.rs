@@ -176,7 +176,7 @@ fn materialize_sweep(c: &mut Criterion) {
         compiled,
     });
     let plans: Vec<(Arc<PlanEntry>, u64)> = (0..8).map(|i| (Arc::clone(&entry), i)).collect();
-    let results: Vec<(ResultKey, u64, usize, Option<usize>)> = (0..32)
+    let results: Vec<(ResultKey, u64, usize, usize)> = (0..32)
         .map(|i| {
             (
                 ResultKey {
@@ -186,7 +186,7 @@ fn materialize_sweep(c: &mut Criterion) {
                 },
                 i,
                 i as usize,
-                (i % 2 == 0).then_some(i as usize * 64),
+                i as usize * 64,
             )
         })
         .collect();

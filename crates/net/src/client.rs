@@ -16,9 +16,9 @@
 //! the server's outbound backpressure cap and have its connection
 //! closed with a `WIRE_BACKPRESSURE` error.
 
-use crate::codec::{CodecError, FramePoll, FrameReader};
-use crate::protocol::{request_frame, response_from_owned_frames, Frame, PROTOCOL_VERSION};
 use polygen_serve::request::{Request, Response};
+use polygen_serve::wire::codec::{CodecError, FramePoll, FrameReader};
+use polygen_serve::wire::{request_frame, response_from_owned_frames, Frame, PROTOCOL_VERSION};
 use std::fmt;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};

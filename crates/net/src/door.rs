@@ -9,17 +9,15 @@
 //! clock is touched here, so the tests drive the machine through seeded
 //! schedules in simulated time.
 
-use crate::codec::FrameReader;
-use crate::protocol::{
-    request_from_frame, Frame, PROTOCOL_VERSION, WIRE_BACKPRESSURE, WIRE_MALFORMED,
-    WIRE_UNEXPECTED_FRAME,
-};
+use crate::protocol::{WIRE_BACKPRESSURE, WIRE_MALFORMED, WIRE_UNEXPECTED_FRAME};
 use crate::sys::Interest;
 use polygen_obs::session::SessionStats;
 use polygen_obs::slowlog::QueryDetail;
 use polygen_obs::trace::Trace;
 use polygen_serve::request::Request;
 use polygen_serve::service::QueryService;
+use polygen_serve::wire::codec::FrameReader;
+use polygen_serve::wire::{request_from_frame, Frame, PROTOCOL_VERSION};
 use std::collections::{HashMap, VecDeque};
 use std::io::ErrorKind;
 use std::sync::Arc;
@@ -505,11 +503,11 @@ pub(crate) mod tests {
     //! pieces from one run to the next.
 
     use super::*;
-    use crate::codec::MAX_FRAME_LEN;
-    use crate::protocol::{deterministic_bytes, request_frame, response_frames};
     use crate::server::run_job;
     use polygen_serve::request::ResponseInfo;
     use polygen_serve::service::ServeOptions;
+    use polygen_serve::wire::codec::MAX_FRAME_LEN;
+    use polygen_serve::wire::{deterministic_bytes, request_frame, response_frames};
     use polygen_workload::{self as workload, WorkloadConfig};
 
     /// splitmix64: a tiny seeded stream, no RNG crate.

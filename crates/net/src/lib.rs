@@ -7,13 +7,15 @@
 //! bytes, never semantics, so an answer over TCP is *byte-identical* to
 //! the same answer in process.
 //!
-//! * [`codec`] — deterministic little-endian encoding (length-prefixed
-//!   frames, canonical ascending source-set bytes) and a push-based
-//!   [`codec::FrameReader`] that reassembles frames split anywhere.
-//! * [`protocol`] — the frame vocabulary: `Hello`, `Query`, then a
-//!   streamed response (`Schema`, `Rows` batches, `Explain`, `Empty`,
-//!   `Error`, `Summary`) with one terminal frame per response.
-//!   Everything deterministic precedes the timing-dependent `Summary`.
+//! * The frames themselves — their deterministic encoding, the
+//!   vocabulary (`Hello`, `Query`, then a streamed response of `Schema`,
+//!   `Rows` batches, `Explain`, `Empty`, `Error`, `Summary`) and the
+//!   mapping onto the envelope — are [`polygen_serve::wire`]'s, which
+//!   also answers a request with the bytes to send
+//!   ([`QueryService::execute_encoded`](polygen_serve::service::QueryService::execute_encoded)).
+//!   [`codec`] and [`protocol`] re-export the names the ledger imports
+//!   at their old paths; [`protocol`] also holds the transport's own
+//!   error codes.
 //! * `door` (crate-private) — every protocol decision of the front door
 //!   as a pure state machine: events in, actions out, no socket, thread
 //!   or clock, so a seeded simulator checks it in simulated time.
@@ -45,13 +47,9 @@ pub mod sys;
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::client::{NetClient, NetError};
-    pub use crate::codec::{CodecError, FramePoll, FrameReader};
-    pub use crate::protocol::{
-        deterministic_bytes, response_frames, response_from_frames, Frame, PROTOCOL_VERSION,
-    };
     pub use crate::server::{NetServer, NetServerOptions};
 }
 
 pub use client::{request_for, NetClient, NetError};
-pub use protocol::{Frame, PROTOCOL_VERSION};
+pub use polygen_serve::wire::Frame;
 pub use server::{NetServer, NetServerOptions};

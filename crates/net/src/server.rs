@@ -8,7 +8,7 @@
 //! machine `door::FrontDoor`, which takes every protocol
 //! decision: the driver performs I/O and applies the machine's actions,
 //! nothing else. Query work happens inside
-//! [`QueryService::execute_traced`], where admission control answers
+//! [`QueryService::execute_encoded`], where admission control answers
 //! overload with a structured `Error { code: 503 }` frame on a healthy
 //! connection; writes never block a thread, so a stalled peer costs one
 //! socket and cannot hang [`NetServer::shutdown`].
@@ -17,12 +17,8 @@ use crate::door::{
     AcceptDisposition, Action, Completion, FrontDoor, Job, Served, READ_CHUNK, SHUTDOWN_GRACE,
     TOKEN_LISTENER, TOKEN_WAKER,
 };
-use crate::protocol::{encode_response, FRAME_CODEC};
 use crate::sys::{self, AsSockId, Event, Interest, Poller, WakeReceiver, Waker};
-use polygen_obs::session::SessionStats;
-use polygen_obs::slowlog::QueryDetail;
 use polygen_obs::trace::Trace;
-use polygen_serve::request::Request;
 use polygen_serve::service::QueryService;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -218,31 +214,12 @@ fn worker_loop(
     }
 }
 
-/// Serve `request` as a worker does and return the bytes it sends:
-/// the response's whole frame stream in one buffer. The service gets
-/// [`FRAME_CODEC`], so an answer that fills the result cache is encoded
-/// once and cached as exactly the `Schema` and `Rows` bytes sent here,
-/// and a hit on such an entry is those bytes plus a fresh `Summary`. An
-/// answer the wire cannot carry — a frame over the cap — fails this
-/// request alone with error 500, is not cached, and is counted by the
-/// service like any other failure.
-pub fn execute_encoded(
-    service: &QueryService,
-    request: &Request,
-    trace: &Trace,
-    session: Option<&SessionStats>,
-) -> (Vec<u8>, QueryDetail) {
-    service.execute_traced(request, trace, session, Some(FRAME_CODEC), |r| {
-        encode_response(&r).map_err(|e| e.to_string())
-    })
-}
-
-/// Execute one job through [`execute_encoded`]; the worker and the
-/// connection serve on whatever it answers. A request with
-/// `options.trace` set runs under an enabled recorder: `net/decode` and
-/// `net/queue` from the job's instants, then the service's waterfall;
-/// the recorder rides the completion to the front door, which closes it
-/// with `net/flush`.
+/// Execute one job through [`QueryService::execute_encoded`]; the
+/// worker and the connection serve on whatever bytes it answers. A
+/// request with `options.trace` set runs under an enabled recorder:
+/// `net/decode` and `net/queue` from the job's instants, then the
+/// service's waterfall; the recorder rides the completion to the front
+/// door, which closes it with `net/flush`.
 pub(crate) fn run_job(service: &QueryService, job: Job) -> Completion {
     let trace = if job.request.options.trace {
         Trace::enabled()
@@ -251,7 +228,7 @@ pub(crate) fn run_job(service: &QueryService, job: Job) -> Completion {
     };
     trace.record_closed("net/decode", job.decode_start, job.decode_done);
     trace.record_closed("net/queue", job.decode_done, Instant::now());
-    let (bytes, detail) = execute_encoded(service, &job.request, &trace, Some(&job.stats));
+    let (bytes, detail) = service.execute_encoded(&job.request, &trace, Some(&job.stats));
     Completion {
         token: job.token,
         bytes,
@@ -441,8 +418,8 @@ impl Driver {
 mod tests {
     use super::*;
     use crate::door::classify_accept_error;
-    use crate::protocol::{Frame, PROTOCOL_VERSION};
     use polygen_serve::service::{QueryService, ServeOptions};
+    use polygen_serve::wire::{Frame, PROTOCOL_VERSION};
     use polygen_workload::{self as workload, WorkloadConfig};
     use std::io;
     use std::time::Instant;

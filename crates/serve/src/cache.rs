@@ -15,14 +15,12 @@
 //! *data*, deterministic per (plan, source contents), locked down
 //! cell-exactly by the golden tables and differential suites — so a
 //! cache hit returns the byte-identical answer a cold run would
-//! produce. Each entry holds its answer in one form, never both: an
-//! answer served through a transport's
-//! [`FrameCodec`](crate::request::FrameCodec) is held as the exact
-//! `Schema` and `Rows` frame bytes the transport sent (its relation is
-//! dropped), so a transport's hit is a buffer write and an in-process
-//! hit decodes them; an answer computed in process is held as its
-//! relation, which a transport's hit encodes as on a miss. Invalidation
-//! is precise: bumping one source's version makes
+//! produce. Every entry holds its answer as the exact `Schema` and
+//! `Rows` frame bytes the wire sends ([`AnswerFrames`]), whoever filled
+//! it: a wire hit writes them as they are, and an in-process hit decodes
+//! them (frames the decoder refuses are that caller's miss). An answer
+//! the wire cannot carry has no frames, so it is never cached.
+//! Invalidation is precise: bumping one source's version makes
 //! every key that mentions that source unreachable, and
 //! [`ResultCache::invalidate_source`] / [`PlanCache::invalidate_source`]
 //! eagerly purge those entries so the LRU doesn't carry dead weight.
@@ -40,9 +38,8 @@
 //! (hundreds), so the constant-time paths that matter (hit, insert
 //! below capacity) stay a single hash probe under one mutex.
 
-use crate::request::{Answer, AnswerFrames};
 use crate::snapshot::VersionVector;
-use polygen_core::relation::PolygenRelation;
+use crate::wire::AnswerFrames;
 use polygen_pqp::pqp::CompiledQuery;
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
@@ -206,18 +203,6 @@ impl PlanCache {
             .purge(|_, _| true)
     }
 
-    /// Snapshot the cached entries (recency untouched) — the traffic
-    /// record the auto-index heuristic mines for hot sargable columns.
-    pub fn entries(&self) -> Vec<Arc<PlanEntry>> {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .map
-            .values()
-            .map(|slot| Arc::clone(&slot.value))
-            .collect()
-    }
-
     /// Snapshot the cached entries with their per-entry hit counts
     /// (recency untouched) — the `sys.cache` relation's view.
     pub fn entries_with_hits(&self) -> Vec<(Arc<PlanEntry>, u64)> {
@@ -257,18 +242,10 @@ pub struct ResultKey {
     pub versions: VersionVector,
 }
 
-/// One cached answer, in exactly one form.
-enum Held {
-    /// As an in-process caller's execution built it.
-    Relation(Arc<PolygenRelation>),
-    /// As a transport encoded it to serve it; the relation is gone.
-    Frames(Arc<AnswerFrames>),
-}
-
-/// `(plan × source versions)` → shared tagged answer.
+/// `(plan × source versions)` → the shared frames of a tagged answer.
 pub struct ResultCache {
     /// Poison-tolerant, like [`PlanCache`]'s: a lost answer is a miss.
-    inner: Mutex<Lru<ResultKey, Held>>,
+    inner: Mutex<Lru<ResultKey, Arc<AnswerFrames>>>,
 }
 
 impl ResultCache {
@@ -279,29 +256,21 @@ impl ResultCache {
         }
     }
 
-    /// Look up a cached tagged answer, in the form it is held.
-    pub fn get(&self, key: &ResultKey) -> Option<Answer> {
+    /// Look up a cached tagged answer's frames.
+    pub fn get(&self, key: &ResultKey) -> Option<Arc<AnswerFrames>> {
         self.inner
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .get(key)
-            .map(|held| match held {
-                Held::Relation(relation) => Answer::from(Arc::clone(relation)),
-                Held::Frames(frames) => Answer::from(Arc::clone(frames)),
-            })
+            .cloned()
     }
 
-    /// Cache an answer under its plan/version identity: its frames when
-    /// it holds them, else its relation — never both.
-    pub fn insert(&self, key: ResultKey, answer: &Answer) {
-        let held = match answer.frames() {
-            Some(frames) => Held::Frames(Arc::clone(frames)),
-            None => Held::Relation(Arc::clone(answer.relation())),
-        };
+    /// Cache an answer's frames under its plan/version identity.
+    pub fn insert(&self, key: ResultKey, frames: Arc<AnswerFrames>) {
         self.inner
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, held);
+            .insert(key, frames);
     }
 
     /// Evict every answer whose dependency vector mentions `source` —
@@ -315,21 +284,21 @@ impl ResultCache {
     }
 
     /// Snapshot the cached answer *keys* with their per-entry hit
-    /// counts, row counts and, for an answer held as frames, its
-    /// encoded length (recency untouched) — the `sys.cache` relation's
-    /// view. Answers themselves stay in the cache.
-    pub fn entries_with_hits(&self) -> Vec<(ResultKey, u64, usize, Option<usize>)> {
+    /// counts, row counts and encoded lengths (recency untouched) — the
+    /// `sys.cache` relation's view. Answers themselves stay in the cache.
+    pub fn entries_with_hits(&self) -> Vec<(ResultKey, u64, usize, usize)> {
         self.inner
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .map
             .iter()
             .map(|(k, slot)| {
-                let (rows, bytes) = match &slot.value {
-                    Held::Relation(relation) => (relation.len(), None),
-                    Held::Frames(frames) => (frames.rows(), Some(frames.bytes().len())),
-                };
-                (k.clone(), slot.hits, rows, bytes)
+                (
+                    k.clone(),
+                    slot.hits,
+                    slot.value.rows(),
+                    slot.value.bytes().len(),
+                )
             })
             .collect()
     }
@@ -366,13 +335,13 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::FrameCodec;
+    use polygen_core::relation::PolygenRelation;
     use polygen_flat::schema::Schema;
 
-    fn answer(name: &str) -> Answer {
-        Answer::from(PolygenRelation::empty(Arc::new(
-            Schema::new(name, &["A"]).unwrap(),
-        )))
+    /// The frames of an empty answer named `name`.
+    fn frames(name: &str) -> Arc<AnswerFrames> {
+        let schema = Arc::new(Schema::new(name, &["A"]).unwrap());
+        Arc::new(AnswerFrames::encode(&PolygenRelation::empty(schema)).unwrap())
     }
 
     fn key(fp: u64, versions: &[(&str, u64)]) -> ResultKey {
@@ -387,11 +356,11 @@ mod tests {
     fn lru_evicts_least_recently_used() {
         let cache = ResultCache::new(2);
         let (a, b, c) = (key(1, &[]), key(2, &[]), key(3, &[]));
-        cache.insert(a.clone(), &answer("A"));
-        cache.insert(b.clone(), &answer("B"));
+        cache.insert(a.clone(), frames("A"));
+        cache.insert(b.clone(), frames("B"));
         // Touch A so B is the eviction victim.
         assert!(cache.get(&a).is_some());
-        cache.insert(c.clone(), &answer("C"));
+        cache.insert(c.clone(), frames("C"));
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&a).is_some());
         assert!(cache.get(&b).is_none());
@@ -401,73 +370,43 @@ mod tests {
     #[test]
     fn version_mismatch_is_a_miss() {
         let cache = ResultCache::new(8);
-        cache.insert(key(1, &[("CD", 0)]), &answer("A"));
+        cache.insert(key(1, &[("CD", 0)]), frames("A"));
         assert!(cache.get(&key(1, &[("CD", 0)])).is_some());
         assert!(cache.get(&key(1, &[("CD", 1)])).is_none());
     }
 
+    /// A hit shares the frames inserted, and `sys.cache`'s view counts
+    /// hits, rows and those frames' bytes.
     #[test]
     fn hit_counts_track_gets_not_inserts() {
         let cache = ResultCache::new(4);
         let k = key(1, &[("CD", 0)]);
-        cache.insert(k.clone(), &answer("A"));
+        let held = frames("AB");
+        cache.insert(k.clone(), Arc::clone(&held));
         let entries = cache.entries_with_hits();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].1, 0, "insertion is not a hit");
-        assert!(cache.get(&k).is_some());
+        assert!(Arc::ptr_eq(&cache.get(&k).unwrap(), &held));
         assert!(cache.get(&k).is_some());
         assert!(cache.get(&key(9, &[])).is_none(), "miss counts nothing");
         let entries = cache.entries_with_hits();
         assert_eq!(entries[0].1, 2);
         assert_eq!(entries[0].2, 0, "empty answer has zero rows");
+        assert_eq!(entries[0].3, held.bytes().len(), "the frames' bytes");
+        assert_eq!(held.decode().unwrap().name(), "AB");
         // Re-inserting under the same key resets the entry's count.
-        cache.insert(k.clone(), &answer("A"));
+        cache.insert(k.clone(), frames("AB"));
         assert_eq!(cache.entries_with_hits()[0].1, 0);
-    }
-
-    /// A stand-in transport codec: the relation's name is its frames.
-    const NAME_CODEC: FrameCodec = FrameCodec::new(
-        |relation| Ok(relation.name().as_bytes().to_vec()),
-        |bytes| {
-            let name = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
-            Ok(PolygenRelation::empty(Arc::new(
-                Schema::new(name, &["A"]).map_err(|e| e.to_string())?,
-            )))
-        },
-    );
-
-    fn frames(name: &str) -> Answer {
-        Answer::from(Arc::new(NAME_CODEC.encode(&answer(name)).unwrap()))
-    }
-
-    #[test]
-    fn an_entry_holds_frames_or_a_relation_never_both() {
-        let cache = ResultCache::new(4);
-        let read = frames("AB");
-        assert_eq!(read.name(), "AB", "reading decodes the frames");
-        cache.insert(key(1, &[]), &read);
-        cache.insert(key(2, &[]), &answer("C"));
-        let mut entries = cache.entries_with_hits();
-        entries.sort_by_key(|(k, ..)| k.fingerprint);
-        let held: Vec<_> = entries
-            .iter()
-            .map(|(_, _, rows, bytes)| (*rows, *bytes))
-            .collect();
-        assert_eq!(held, [(0, Some(2)), (0, None)]);
-        let hit = cache.get(&key(1, &[])).unwrap();
-        assert_eq!(hit.frames().map(|f| f.bytes()), Some(&b"AB"[..]));
-        assert_eq!(hit, read);
-        assert!(cache.get(&key(2, &[])).unwrap().frames().is_none());
     }
 
     #[test]
     fn invalidate_source_purges_exactly_the_dependents() {
         let cache = ResultCache::new(8);
-        cache.insert(key(1, &[("AD", 0), ("CD", 0)]), &answer("A"));
-        cache.insert(key(2, &[("AD", 0)]), &answer("B"));
-        cache.insert(key(3, &[("CD", 0)]), &frames("C"));
-        cache.insert(key(4, &[("PD", 0)]), &frames("D"));
-        assert_eq!(cache.invalidate_source("CD"), 2, "a relation and frames");
+        cache.insert(key(1, &[("AD", 0), ("CD", 0)]), frames("A"));
+        cache.insert(key(2, &[("AD", 0)]), frames("B"));
+        cache.insert(key(3, &[("CD", 0)]), frames("C"));
+        cache.insert(key(4, &[("PD", 0)]), frames("D"));
+        assert_eq!(cache.invalidate_source("CD"), 2);
         assert!(cache.get(&key(1, &[("AD", 0), ("CD", 0)])).is_none());
         assert!(cache.get(&key(3, &[("CD", 0)])).is_none());
         assert!(cache.get(&key(2, &[("AD", 0)])).is_some());

@@ -16,7 +16,8 @@
 //!   origin and intermediate tags ride in every cell, deterministically
 //!   — a cached answer is byte-identical to a cold re-execution, and a
 //!   version bump invalidates precisely the answers that read the
-//!   updated source.
+//!   updated source. Every cached answer is held as the exact frames
+//!   the wire sends.
 //! * [`request`] — the transport-agnostic envelope:
 //!   [`request::Request`] (text + language + options) in,
 //!   [`request::Response`] (`Rows` / `Explain` / `Empty` / `Error` with
@@ -29,6 +30,13 @@
 //!   partition-parallel operators, so inter- and intra-query
 //!   parallelism spend one pool. [`metrics`] counts hits, latencies and
 //!   peaks.
+//! * [`wire`] — the data half of the wire protocol, and the one owner
+//!   of an answer's bytes: the frame vocabulary, its deterministic
+//!   [`wire::codec`], and the mapping between frames and the envelope.
+//!   A result-cache entry is an answer's [`wire::AnswerFrames`], and
+//!   [`QueryService::execute_encoded`](service::QueryService::execute_encoded)
+//!   answers with the bytes a transport sends. `polygen-net` puts
+//!   sockets, the session handshake and a worker pool around it.
 //! * [`sys`] — the mediator as its own tagged source: six `sys.*`
 //!   polygen schemes (slow queries, live sessions, windowed stats,
 //!   sources, caches, indexes) materialized from live service state at
@@ -47,6 +55,7 @@ pub mod request;
 pub mod service;
 pub mod snapshot;
 pub mod sys;
+pub mod wire;
 
 /// Convenient glob import.
 pub mod prelude {

@@ -12,8 +12,9 @@
 //!
 //! The same envelope is served in-process
 //! ([`QueryService::execute`](crate::service::QueryService::execute)),
-//! over the wire (`polygen-net` encodes each response as a schema frame,
-//! row batches, and a summary frame), and by the examples — which is what
+//! over the wire ([`crate::wire`] encodes each response as a schema frame,
+//! row batches, and a summary frame, which `polygen-net` sends), and by
+//! the examples — which is what
 //! lets differential tests assert byte-identical answers across
 //! transports. Everything deterministic lives in the payload (schema,
 //! rows, tags, plan text, error codes); everything timing-dependent
@@ -22,6 +23,7 @@
 //! that byte-level comparisons exclude.
 
 use crate::service::ServeError;
+use crate::wire::AnswerFrames;
 use polygen_core::relation::PolygenRelation;
 use polygen_index::IndexError;
 use polygen_pqp::error::PqpError;
@@ -380,74 +382,12 @@ pub struct ResponseInfo {
     pub latency_micros: u64,
 }
 
-/// How a transport writes a rows answer's `Schema` and `Rows` frames
-/// and reads them back. A transport hands its codec to
-/// [`QueryService::execute_traced`](crate::service::QueryService::execute_traced),
-/// and the result cache then holds the answers it serves in exactly the
-/// bytes it sends.
-#[derive(Debug, Clone, Copy)]
-pub struct FrameCodec {
-    encode: fn(&PolygenRelation) -> Result<Vec<u8>, String>,
-    decode: fn(&[u8]) -> Result<PolygenRelation, String>,
-}
-
-impl FrameCodec {
-    /// A codec from its two halves. `decode` must read back every byte
-    /// string `encode` writes as the relation it was written from.
-    pub const fn new(
-        encode: fn(&PolygenRelation) -> Result<Vec<u8>, String>,
-        decode: fn(&[u8]) -> Result<PolygenRelation, String>,
-    ) -> Self {
-        FrameCodec { encode, decode }
-    }
-
-    /// Encode `relation`'s frames. Errors: an answer the transport
-    /// cannot carry.
-    pub fn encode(&self, relation: &PolygenRelation) -> Result<AnswerFrames, String> {
-        Ok(AnswerFrames {
-            bytes: (self.encode)(relation)?.into_boxed_slice(),
-            rows: relation.len(),
-            decode: self.decode,
-        })
-    }
-}
-
-/// The exact bytes of an answer's `Schema` and `Rows` frames as a
-/// [`FrameCodec`] wrote them, with the row count they carry and the
-/// codec's decoder.
-pub struct AnswerFrames {
-    bytes: Box<[u8]>,
-    rows: usize,
-    decode: fn(&[u8]) -> Result<PolygenRelation, String>,
-}
-
-impl AnswerFrames {
-    /// The encoded frames.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Tuples the frames carry.
-    pub(crate) fn rows(&self) -> usize {
-        self.rows
-    }
-}
-
-impl fmt::Debug for AnswerFrames {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AnswerFrames")
-            .field("bytes", &self.bytes.len())
-            .field("rows", &self.rows)
-            .finish()
-    }
-}
-
-/// A rows answer: the tagged relation, or the [`AnswerFrames`] a
-/// transport encoded it to, which is how the result cache holds an
-/// answer served over a wire. Reading tuples from the frames form
-/// decodes them once, on first read (the codec round-trip makes the
-/// relation byte-identical to the one encoded); [`Answer::len`] and
-/// [`Answer::frames`] never decode. Dereferences to the relation.
+/// A rows answer: the tagged relation, or the [`AnswerFrames`] the result
+/// cache holds it as, which is how a wire hit carries it. Reading tuples
+/// from the frames form decodes them once, on first read (the codec
+/// round-trip makes the relation byte-identical to the one encoded);
+/// [`Answer::len`] never decodes, nor does sending the frames.
+/// Dereferences to the relation.
 #[derive(Clone)]
 pub struct Answer {
     frames: Option<Arc<AnswerFrames>>,
@@ -456,14 +396,14 @@ pub struct Answer {
 
 impl Answer {
     /// The encoded frames, if this answer holds them.
-    pub fn frames(&self) -> Option<&Arc<AnswerFrames>> {
+    pub(crate) fn frames(&self) -> Option<&Arc<AnswerFrames>> {
         self.frames.as_ref()
     }
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
         match &self.frames {
-            Some(frames) => frames.rows,
+            Some(frames) => frames.rows(),
             None => self.relation().len(),
         }
     }
@@ -473,29 +413,21 @@ impl Answer {
         self.len() == 0
     }
 
-    /// The relation, decoded from the frames on first read. Errors: the
-    /// frames do not decode.
-    pub(crate) fn try_relation(&self) -> Result<&Arc<PolygenRelation>, String> {
-        if let Some(relation) = self.relation.get() {
-            return Ok(relation);
-        }
-        let frames = self
-            .frames
-            .as_ref()
-            .expect("an answer holds a relation or its frames");
-        let decoded = Arc::new((frames.decode)(&frames.bytes)?);
-        Ok(self.relation.get_or_init(|| decoded))
-    }
-
     /// The relation, decoded from the frames on first read.
     ///
-    /// Panics if the frames do not decode: frames a codec wrote but
+    /// Panics if the frames do not decode: frames the wire wrote but
     /// cannot read back, as a client could not either. The service
     /// hands an in-process caller only relations, and a transport writes
     /// frames without reading them.
     pub fn relation(&self) -> &Arc<PolygenRelation> {
-        self.try_relation()
-            .unwrap_or_else(|e| panic!("answer frames do not decode: {e}"))
+        self.relation.get_or_init(|| {
+            let frames = self
+                .frames
+                .as_ref()
+                .expect("an answer holds a relation or its frames");
+            let decoded = frames.decode();
+            Arc::new(decoded.unwrap_or_else(|e| panic!("answer frames do not decode: {e}")))
+        })
     }
 }
 

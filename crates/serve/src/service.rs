@@ -17,8 +17,8 @@
 //! 5. **Result cache** — keyed `(plan fingerprint × version vector of
 //!    the sources the plan reads)`; a hit returns the cached tagged
 //!    answer (byte-identical to a cold run — tags are deterministic
-//!    data) without executing anything. An answer served through a
-//!    transport's [`FrameCodec`] is cached as the frames it encoded.
+//!    data) without executing anything. Every answer is cached as the
+//!    frames the wire sends ([`AnswerFrames`]).
 //! 6. **Execution** — the plan runs with a *thread allotment* reserved
 //!    from the shared budget at admission: the fair share at the
 //!    current concurrency, capped by what earlier admissions still
@@ -36,21 +36,21 @@
 
 use crate::cache::{PlanCache, PlanEntry, ResultCache, ResultKey};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::request::{Answer, ExplainOptions, FrameCodec, Lang, Request, Response, ResponseInfo};
+use crate::request::{Answer, ExplainOptions, Lang, Request, Response, ResponseInfo};
 use crate::snapshot::{Federation, FederationSnapshot};
 use crate::sys::{self, SysCatalog, SYS_DB};
+use crate::wire::{self, AnswerFrames};
 use polygen_catalog::scenario::Scenario;
 use polygen_core::stream::default_thread_count;
 use polygen_flat::relation::Relation;
-use polygen_flat::value::Cmp;
-use polygen_index::{IndexError, IndexKind, IndexSpec};
+use polygen_index::{IndexError, IndexSpec};
 use polygen_lqp::engine::Lqp;
 use polygen_obs::session::{SessionRegistry, SessionStats};
 use polygen_obs::slowlog::{QueryDetail, SlowQueryLog, SlowQueryReport};
 use polygen_obs::trace::{Note, SpanId, Trace};
 use polygen_pqp::error::PqpError;
 use polygen_pqp::executor::execute_plan;
-use polygen_pqp::plan::{PhysOp, PhysicalPlan};
+use polygen_pqp::plan::PhysicalPlan;
 use polygen_pqp::pqp::{Pqp, PqpOptions};
 use polygen_sql::app::{translate_app_query, AppSchema, AqpError};
 use polygen_sql::normalize::{canonicalize_algebra, canonicalize_sql, NormalizeError};
@@ -419,82 +419,6 @@ impl QueryService {
         Ok(())
     }
 
-    /// The auto-index heuristic: mine the plan cache for sargable
-    /// predicates over source columns, and index every column at least
-    /// `min_plans` distinct cached plans probe — hash postings when only
-    /// equality shapes appear, sorted when any range does. Newly
-    /// derived specs are declared *in addition to* the already-declared
-    /// set; returns the new specs (empty when traffic justifies
-    /// nothing). Cached results stay valid; affected plans recompile on
-    /// their next miss and route.
-    pub fn auto_index(&self, min_plans: usize) -> Result<Vec<IndexSpec>, ServeError> {
-        let Some(cache) = &self.plan_cache else {
-            return Ok(Vec::new());
-        };
-        let snapshot = self.federation.snapshot();
-        let existing = snapshot.indexes().specs();
-        // (source, relation, column) → (plans referencing it, saw a range θ).
-        let mut hot: std::collections::BTreeMap<(String, String, String), (usize, bool)> =
-            std::collections::BTreeMap::new();
-        for entry in cache.entries() {
-            let mut seen_in_plan = std::collections::BTreeSet::new();
-            for node in &entry.compiled.physical.nodes {
-                let PhysOp::Scan { db, op } = &node.op else {
-                    continue;
-                };
-                // Catalog scans are index-ineligible: sys relations are
-                // rebuilt per materialization, so never derive specs
-                // from them (declare_indexes would refuse them anyway).
-                if db == SYS_DB {
-                    continue;
-                }
-                let Some((attr, cmp, _)) = &op.filter else {
-                    continue;
-                };
-                let sargable = matches!(cmp, Cmp::Eq | Cmp::Lt | Cmp::Le | Cmp::Gt | Cmp::Ge);
-                if !sargable || op.restrict.is_some() || op.projection.is_some() {
-                    continue;
-                }
-                let key = (db.clone(), op.relation.clone(), attr.clone());
-                if seen_in_plan.insert(key.clone()) {
-                    let slot = hot.entry(key).or_insert((0, false));
-                    slot.0 += 1;
-                    slot.1 |= *cmp != Cmp::Eq;
-                }
-            }
-        }
-        // One index per column: a column that already carries an index
-        // — of either kind — is never re-derived, so traffic that only
-        // shows equality shapes can't downgrade an existing Sorted
-        // index to Hash (the catalog keys postings per column,
-        // later-spec-wins).
-        let covered: std::collections::BTreeSet<(String, String, String)> = existing
-            .iter()
-            .map(|s| (s.source.clone(), s.relation.clone(), s.column.clone()))
-            .collect();
-        let new_specs: Vec<IndexSpec> = hot
-            .into_iter()
-            .filter(|(key, (plans, _))| *plans >= min_plans.max(1) && !covered.contains(key))
-            .map(|((source, relation, column), (_, ranged))| IndexSpec {
-                source,
-                relation,
-                column,
-                kind: if ranged {
-                    IndexKind::Sorted
-                } else {
-                    IndexKind::Hash
-                },
-            })
-            .collect();
-        if new_specs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut all = existing;
-        all.extend(new_specs.iter().cloned());
-        self.declare_indexes(&all)?;
-        Ok(new_specs)
-    }
-
     /// The federation behind the service.
     pub fn federation(&self) -> &Federation {
         &self.federation
@@ -605,40 +529,54 @@ impl QueryService {
         } else {
             Trace::disabled()
         };
-        let (response, detail) = self.execute_traced(request, &trace, session, None, Ok);
+        let (response, detail) = self.respond(request, &trace, session, false, Ok);
         self.observe_slow(&request.text, start.elapsed(), &trace, detail);
         response
     }
 
-    /// [`QueryService::execute`] under the caller's span recorder, for a
-    /// transport whose own spans (wire decode, queue, flush) share the
+    /// Serve `request` as a wire transport sends it: the response's whole
+    /// frame stream in one buffer, under the caller's span recorder, so
+    /// the transport's own spans (wire decode, queue, flush) share the
     /// waterfall with the service's parse/plan/execute spans. The caller
     /// owns slow-log observation: it hands the returned [`QueryDetail`]
     /// to [`QueryService::observe_slow`] once its last span has closed.
-    /// With a `session`, the request is accounted to it — published as
-    /// its in-flight query while it runs, counted when it finishes — so
-    /// an in-process [`Session`] and a wire connection bracket a request
-    /// in one place. Tracing never changes results.
+    /// With a `session`, the request is accounted to it as
+    /// [`Session::execute`] accounts its own.
     ///
-    /// `deliver` turns the response into what the caller sends (an
-    /// in-process caller passes `Ok`; the wire encodes it). A transport
-    /// passes its `codec` beside it: a rows answer that fills the result
-    /// cache is then encoded once, here, and cached as those frames
-    /// alone, and the response's [`Answer`] holds them, so `deliver`
-    /// writes them as they are; a hit on such an entry hands `deliver`
-    /// the cached frames. Without a codec, answers are cached as
-    /// relations and a hit on frames is decoded before `deliver` sees
-    /// it (frames that do not decode are a miss, whose relation then
-    /// replaces them). An answer that cannot be encoded or delivered is
-    /// [`ServeError::Undeliverable`]: error 500 for this request, never
-    /// cached, counted in the metrics and the session row like any other
-    /// failure. `deliver` must accept every error response.
-    pub fn execute_traced<T>(
+    /// A rows answer is encoded exactly once: on a miss that fills the
+    /// result cache, into the frames the cache then holds, and with the
+    /// caches off (or for a `sys` read), from its relation. A hit writes
+    /// the cached frames and a fresh `Summary` and reads no cell. An
+    /// answer the wire cannot carry (a frame over the cap) fails this
+    /// request alone with error 500, is never cached, and is counted in
+    /// the metrics and the session row like any other failure.
+    pub fn execute_encoded(
         &self,
         request: &Request,
         trace: &Trace,
         session: Option<&SessionStats>,
-        codec: Option<FrameCodec>,
+    ) -> (Vec<u8>, QueryDetail) {
+        self.respond(request, trace, session, true, |response| {
+            wire::encode_response(&response).map_err(|e| e.to_string())
+        })
+    }
+
+    /// Serve `request` and turn the response into what the caller gets:
+    /// `deliver` takes it (an in-process caller passes `Ok`; the wire
+    /// encodes it), and `encoded` says the caller sends the frames a hit
+    /// holds rather than reading their relation. A panic or an answer
+    /// `deliver` refuses fails this request alone, and every failure is
+    /// counted here. With a `session`, the request is published as its
+    /// in-flight query while it runs and counted when it finishes, so an
+    /// in-process [`Session`] and a wire connection bracket a request in
+    /// one place. Tracing never changes results. `deliver` must accept
+    /// every error response.
+    fn respond<T>(
+        &self,
+        request: &Request,
+        trace: &Trace,
+        session: Option<&SessionStats>,
+        encoded: bool,
         deliver: impl Fn(Response) -> Result<T, String>,
     ) -> (T, QueryDetail) {
         if let Some(session) = session {
@@ -649,7 +587,7 @@ impl QueryService {
         // already dropped the admission permit (slot and threads), and the
         // session row still closes below.
         let served = panic::catch_unwind(AssertUnwindSafe(|| {
-            self.serve(request, trace, &mut detail, codec)
+            self.serve(request, trace, &mut detail, encoded)
         }))
         .unwrap_or_else(|payload| Err(ServeError::Panicked(panic_message(payload.as_ref()))));
         let (mut rows, mut errored) = (0, false);
@@ -675,7 +613,7 @@ impl QueryService {
     }
 
     /// Feed a completed request into the slow-query log, with the detail
-    /// [`QueryService::execute_traced`] returned for it. A blank request
+    /// [`QueryService::execute_encoded`] returned for it. A blank request
     /// asked nothing and is not logged.
     pub fn observe_slow(&self, query: &str, elapsed: Duration, trace: &Trace, detail: QueryDetail) {
         if !query.trim().is_empty() {
@@ -695,14 +633,15 @@ impl QueryService {
     /// | payload                     | plan   | plan, est/act | rows       |
     ///
     /// `detail` fills in as stages complete, so a request that fails
-    /// midway still logs the queue wait it paid. `codec` is the
-    /// transport's, as [`QueryService::execute_traced`] describes.
+    /// midway still logs the queue wait it paid. `encoded` says the
+    /// caller sends a rows answer's frames (the wire) rather than reading
+    /// its relation.
     fn serve(
         &self,
         request: &Request,
         trace: &Trace,
         detail: &mut QueryDetail,
-        codec: Option<FrameCodec>,
+        encoded: bool,
     ) -> Result<Response, ServeError> {
         let start = Instant::now();
         let (mode, text) = match request.lang {
@@ -775,15 +714,16 @@ impl QueryService {
                     versions: entry.compiled_versions.clone(),
                 };
                 let probe_span = trace.begin("serve/result-cache");
-                let hit = cache.get(&key).and_then(|answer| match answer.frames() {
-                    // An in-process caller reads the relation, decoded
-                    // here; frames its codec cannot read back (source
-                    // sets past the decoder's spill bound) are a miss.
-                    Some(_) if codec.is_none() => {
-                        let relation = answer.try_relation().ok()?;
-                        Some(Answer::from(Arc::clone(relation)))
+                // The wire sends the cached frames as they are; an
+                // in-process caller reads their relation, decoded here,
+                // and frames the decoder refuses (source sets past its
+                // spill bound) are its miss.
+                let hit = cache.get(&key).and_then(|frames| {
+                    if encoded {
+                        Some(Answer::from(frames))
+                    } else {
+                        frames.decode().ok().map(Answer::from)
                     }
-                    _ => Some(answer),
                 });
                 annotate_cache(trace, probe_span, hit.is_some());
                 trace.end(probe_span);
@@ -855,13 +795,20 @@ impl QueryService {
         let info = finish(false);
         let mut answer = Answer::from(answer);
         if let Some((cache, key)) = fill {
-            // A transport's answer is cached as the frames it sends, and
-            // only once they exist: an answer it cannot carry stays out.
-            if let Some(codec) = codec {
-                let frames = codec.encode(&answer).map_err(ServeError::Undeliverable)?;
-                answer = Answer::from(Arc::new(frames));
+            // The answer is cached as the frames the wire sends, and only
+            // once they exist: an answer the wire cannot carry stays out,
+            // failing a wire request and answering an in-process one.
+            match AnswerFrames::encode(&answer) {
+                Ok(frames) => {
+                    let frames = Arc::new(frames);
+                    cache.insert(key, Arc::clone(&frames));
+                    if encoded {
+                        answer = Answer::from(frames);
+                    }
+                }
+                Err(e) if encoded => return Err(ServeError::Undeliverable(e.to_string())),
+                Err(_) => {}
             }
-            cache.insert(key, &answer);
         }
         Ok(Response::Rows { answer, info })
     }
@@ -1147,32 +1094,56 @@ mod tests {
         rows(svc, Request::sql(text))
     }
 
-    /// A transport's answer fills the cache as its frames, and a
-    /// transport hit sends them. An in-process hit decodes them; frames
-    /// that do not decode are a miss, and the relation it computes
-    /// replaces them.
+    /// A wire fill caches the answer's frames, and a wire hit sends them.
+    /// An in-process hit decodes them; frames the decoder refuses are a
+    /// miss that answers the rows it computes. Here they are refused
+    /// because every source id is past 4 000: a tag set naming one
+    /// spills 63 heap words from 4 bytes, past the decoder's bound.
     #[test]
     fn an_in_process_hit_decodes_frames_or_misses() {
-        const UNREADABLE: FrameCodec = FrameCodec::new(
-            |relation| Ok(vec![0; relation.len()]),
-            |_| Err("unreadable".to_string()),
+        let mut dictionary = polygen_catalog::dictionary::DataDictionary::with_parts(
+            Default::default(),
+            scenario::polygen_schema(),
+            scenario::domain_map(),
         );
-        let svc = service();
-        let wire = |svc: &QueryService| {
-            let trace = Trace::disabled();
-            let (response, _) =
-                svc.execute_traced(&Request::sql(PAPER_SQL), &trace, None, Some(UNREADABLE), Ok);
-            let Response::Rows { answer, info } = response else {
-                panic!("expected rows, got {response:?}");
-            };
-            (answer.frames().map(|f| f.bytes().len()), info.result_hit)
+        for n in 0..4_000 {
+            dictionary.intern_source(&format!("X{n}"));
+        }
+        for db in ["AD", "PD", "CD"] {
+            dictionary.intern_source(db);
+        }
+        let far = Scenario {
+            dictionary,
+            databases: scenario::build().databases,
         };
-        assert_eq!(wire(&svc), (Some(3), false), "the miss is encoded once");
-        assert_eq!(wire(&svc), (Some(3), true), "the hit sends the frames");
+        let svc = QueryService::for_scenario(&far, ServeOptions::default());
+        // The answer's frames and the hit flag its `Summary` carries.
+        let wire = |svc: &QueryService| {
+            let (bytes, _) =
+                svc.execute_encoded(&Request::sql(PAPER_SQL), &Trace::disabled(), None);
+            let mut reader = wire::codec::FrameReader::new();
+            reader.push(&bytes);
+            let mut last = Vec::new();
+            while let Some(payload) = reader.next_frame().expect("whole frames") {
+                last = payload.to_vec();
+            }
+            let Ok(wire::Frame::Summary { info }) = wire::Frame::decode(&last) else {
+                panic!("a rows answer ends with its Summary");
+            };
+            (
+                bytes[..bytes.len() - 4 - last.len()].to_vec(),
+                info.result_hit,
+            )
+        };
+        let (miss, hit) = (wire(&svc), wire(&svc));
+        assert!(!miss.1 && hit.1, "the miss fills, the hit sends");
+        assert_eq!(hit.0, miss.0, "the hit sends the miss's frames");
         let (answer, info) = sql(&svc, PAPER_SQL);
-        assert!(!info.result_hit, "unreadable frames are a miss");
+        assert!(!info.result_hit, "undecodable frames are a miss");
         assert_eq!(answer.len(), 3);
-        assert_eq!(wire(&svc), (None, true), "now held as the relation");
+        let refused = AnswerFrames::encode(&answer).unwrap().decode();
+        assert!(refused.is_err(), "the decoder refuses these frames");
+        assert_eq!(wire(&svc), hit, "the frames are still cached");
         let m = svc.metrics();
         assert_eq!((m.result_hits, m.result_misses, m.errors), (2, 2, 0));
     }
@@ -1198,8 +1169,8 @@ mod tests {
         assert_eq!(cold.len(), 3);
         let (warm, warm_info) = sql(&svc, PAPER_SQL);
         assert!(warm_info.plan_hit && warm_info.result_hit);
-        // The hit aliases the cached relation — no cell clones.
-        assert!(Arc::ptr_eq(&cold, &warm));
+        // The hit decodes the cached frames to the same tagged answer.
+        assert_eq!(*cold, *warm);
         assert_eq!(svc.metrics().result_hits, 1);
         assert_eq!(svc.cache_sizes(), (1, 1));
     }
@@ -1493,29 +1464,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_index_mines_cached_plans_for_hot_columns() {
-        let svc = service();
-        for deg in ["MBA", "MS", "PhD"] {
-            let (_, info) = sql(
-                &svc,
-                &format!("SELECT ANAME FROM PALUMNUS WHERE DEGREE = \"{deg}\""),
-            );
-            assert!(!info.index_routed, "nothing declared yet");
-        }
-        // Below threshold: nothing indexed.
-        assert!(svc.auto_index(5).unwrap().is_empty());
-        let specs = svc.auto_index(2).unwrap();
-        assert_eq!(specs, vec![IndexSpec::hash("AD", "ALUMNUS", "DEG")]);
-        // The plan cache was cleared, so the next query recompiles and
-        // routes; answers are unchanged.
-        let (routed, info) = sql(&svc, "SELECT ANAME FROM PALUMNUS WHERE DEGREE = \"MBA\"");
-        assert!(info.index_routed);
-        assert_eq!(routed.len(), 5);
-        // Idempotent: the derived spec is already declared.
-        assert!(svc.auto_index(2).unwrap().is_empty());
-    }
-
-    #[test]
     fn errors_surface_and_count() {
         let svc = service();
         let syntax = svc.execute(Request::sql("SELECT"));
@@ -1702,7 +1650,7 @@ mod tests {
         use crate::request::Request;
         let svc = service();
         let trace = Trace::enabled();
-        svc.execute_traced(&Request::sql(PAPER_SQL), &trace, None, None, Ok);
+        svc.execute_encoded(&Request::sql(PAPER_SQL), &trace, None);
         let report = trace.report().unwrap();
         report.well_formed().unwrap();
         assert!(report.span("serve/queue").is_some());
@@ -1939,11 +1887,10 @@ mod tests {
             .unwrap();
         let built = |text: &str| {
             let trace = Trace::enabled();
-            let (answer, _) =
-                svc.execute_traced(&Request::sql(text), &trace, None, None, |r| match r {
-                    Response::Rows { answer, .. } => Ok(answer),
-                    other => Err(format!("{other:?}")),
-                });
+            let (answer, _) = svc.respond(&Request::sql(text), &trace, None, false, |r| match r {
+                Response::Rows { answer, .. } => Ok(answer),
+                other => Err(format!("{other:?}")),
+            });
             let report = trace.report().unwrap();
             let span = report.span("serve/sys-materialize").expect("a sys read");
             (
@@ -2029,14 +1976,6 @@ mod tests {
         let svc = service();
         let err = svc.declare_indexes(&[IndexSpec::hash(SYS_DB, "stats", "BUCKET")]);
         assert!(matches!(err, Err(ServeError::Index(_))), "{err:?}");
-        // Hot selective sys scans never mine an index either.
-        for _ in 0..3 {
-            sql(
-                &svc,
-                "SELECT SOURCE, VERSION FROM sys.sources WHERE SOURCE = \"AD\"",
-            );
-        }
-        assert!(svc.auto_index(1).unwrap().is_empty());
     }
 
     #[test]

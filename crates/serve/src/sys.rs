@@ -358,11 +358,10 @@ pub fn sources_relation(snapshot: &FederationSnapshot) -> Relation {
 
 /// `sys.cache` — every plan- and result-cache entry with its per-entry
 /// hit count; `ROWS` is 0 for plans (no materialized answer). `BYTES`
-/// is the encoded length of a result held as a transport's frames, and
-/// nil for a result held as a relation and for a plan.
+/// is the length of a result's cached frames, and nil for a plan.
 pub fn cache_relation(
     plans: &[(Arc<PlanEntry>, u64)],
-    results: &[(ResultKey, u64, usize, Option<usize>)],
+    results: &[(ResultKey, u64, usize, usize)],
 ) -> Relation {
     let mut b = Relation::build("cache", SYS_RELATIONS[4].1).key(SYS_KEYS[4]);
     let mut ordinal = 0usize;
@@ -387,7 +386,7 @@ pub fn cache_relation(
             Value::str(format!("{:016x}", key.fingerprint)),
             uint(*hits),
             usize_val(*rows),
-            bytes.map_or(Value::Null, usize_val),
+            usize_val(*bytes),
             Value::str("cache"),
         ]);
         ordinal += 1;

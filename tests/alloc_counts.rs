@@ -17,19 +17,19 @@
 //!
 //! Each class's answer is also decoded as a client decodes it, frame by
 //! frame, under a ceiling of its own, and the join class's decoded
-//! frames are reassembled into its answer under another. A result hit
-//! served as the server's workers serve it, from the frames the cache
-//! holds, is counted for the join and point classes. And catalog reads
+//! frames are reassembled into its answer under another. A miss that
+//! fills the result cache and a result hit, each served as the server's
+//! workers serve it, are counted for the join and point classes. And catalog reads
 //! are counted on a service whose caches are full, where materializing
 //! a `sys` relation the plan never scans would cost thousands.
 
 use polygen::catalog::scenario::Scenario;
 use polygen::index::IndexSpec;
-use polygen::net::codec::FrameReader;
-use polygen::net::protocol::{deterministic_bytes, response_frames, response_from_owned_frames};
-use polygen::net::server::execute_encoded;
-use polygen::net::Frame;
 use polygen::obs::trace::Trace;
+use polygen::serve::wire::codec::FrameReader;
+use polygen::serve::wire::{
+    deterministic_bytes, response_frames, response_from_owned_frames, Frame,
+};
 use polygen::serve::{QueryService, Request, Response, ServeOptions};
 use polygen::workload::{self, queries, WorkloadConfig};
 
@@ -49,6 +49,12 @@ const SYS_SESSIONS: u64 = 299;
 /// Wire result-hit ceilings: the counts, plus 4.
 const WIRE_HIT_JOIN: u64 = 59;
 const WIRE_HIT_POINT: u64 = 32;
+/// Wire miss ceilings, caches on: the counts, plus 4. The miss executes,
+/// encodes its answer once into the frames the cache keeps and writes
+/// them; encoding it twice, or keeping its relation beside the frames,
+/// costs more. The join misses are those of minimum scores 10, 50, 90.
+const WIRE_MISS_POINT: u64 = 117;
+const WIRE_MISS_JOIN: [u64; 3] = [4_373, 3_929, 1_789];
 
 mod counting {
     //! The allocator itself: a pass-through to the system allocator
@@ -309,45 +315,61 @@ fn reassembling_an_answer_moves_its_tuples() {
 /// its allocations do not grow with the answer: join-class queries
 /// whose answers differ in size allocate alike, and the point class's
 /// one row costs less only for its shorter query text. Each query is
-/// first served the same way once, which caches its frames; the hit
-/// sends the miss's frames. Encoding the join class's cells again cost
-/// a buffer regrowth per doubling of its bytes.
+/// first served the same way once, a miss under a ceiling of its own,
+/// which caches its frames; the hit sends the miss's frames. Encoding
+/// the join class's cells again cost a buffer regrowth per doubling of
+/// its bytes.
 #[test]
 fn wire_result_hits_allocate_within_their_ceilings() {
     let options = ServeOptions::default().with_thread_budget(1);
     let service = indexed(QueryService::for_scenario(&ledger(), options));
-    let hit = |request: &Request| {
+    let served = |request: &Request| {
         let trace = Trace::disabled();
-        let (miss, _) = execute_encoded(&service, request, &trace, None);
         let before = counting::allocations();
-        let (hit, _) = execute_encoded(&service, request, &trace, None);
-        let n = counting::allocations() - before;
+        let (miss, _) = service.execute_encoded(request, &trace, None);
+        let misses = counting::allocations() - before;
+        let before = counting::allocations();
+        let (hit, _) = service.execute_encoded(request, &trace, None);
+        let hits = counting::allocations() - before;
         let (miss, hit) = (decode_stream(&miss), decode_stream(&hit));
         assert_eq!(deterministic_bytes(&hit), deterministic_bytes(&miss));
-        (n, miss.len())
+        (misses, hits, miss.len())
     };
-    let point = hit(&Request::algebra(queries::point_lookup(7)));
+    let point = served(&Request::algebra(queries::point_lookup(7)));
     println!(
-        "point: wire result hit {} allocations (ceiling {WIRE_HIT_POINT})",
+        "point: wire miss {} allocations (ceiling {WIRE_MISS_POINT}), \
+         result hit {} (ceiling {WIRE_HIT_POINT})",
+        point.0, point.1
+    );
+    assert!(
+        point.0 <= WIRE_MISS_POINT,
+        "a point wire miss allocated {}",
         point.0
     );
     assert!(
-        point.0 <= WIRE_HIT_POINT,
+        point.1 <= WIRE_HIT_POINT,
         "a point wire hit allocated {}",
-        point.0
+        point.1
     );
     let joins =
-        [10, 50, 90].map(|min_score| hit(&Request::algebra(queries::join_query(min_score))));
-    println!("join: wire result hits {joins:?} (allocations, frames; ceiling {WIRE_HIT_JOIN})");
-    assert!(joins[0].1 > joins[2].1, "the answers differ in size");
-    for (n, _) in joins {
+        [10, 50, 90].map(|min_score| served(&Request::algebra(queries::join_query(min_score))));
+    println!(
+        "join: wire (miss, hit, frames) {joins:?} \
+         (ceilings: misses {WIRE_MISS_JOIN:?}, hits {WIRE_HIT_JOIN})"
+    );
+    assert!(joins[0].2 > joins[2].2, "the answers differ in size");
+    for ((miss, hit, _), miss_ceiling) in joins.into_iter().zip(WIRE_MISS_JOIN) {
+        assert!(
+            miss <= miss_ceiling,
+            "a join wire miss allocated {miss}, over {miss_ceiling}"
+        );
         assert_eq!(
-            n, joins[1].0,
+            hit, joins[1].1,
             "a join wire hit's allocations vary with its answer"
         );
         assert!(
-            n <= WIRE_HIT_JOIN,
-            "a join wire hit allocated {n}, over {WIRE_HIT_JOIN}"
+            hit <= WIRE_HIT_JOIN,
+            "a join wire hit allocated {hit}, over {WIRE_HIT_JOIN}"
         );
     }
     assert_eq!(service.metrics().result_hits, 4);

@@ -23,10 +23,12 @@ use polygen::core::cell::Cell;
 use polygen::core::source::{SourceId, SourceSet};
 use polygen::flat::relation::Relation;
 use polygen::flat::value::Value;
-use polygen::net::codec::{CodecError, MAX_FRAME_LEN};
 use polygen::net::prelude::*;
-use polygen::net::protocol::request_frame;
 use polygen::serve::prelude::*;
+use polygen::serve::wire::codec::{CodecError, FramePoll, FrameReader, MAX_FRAME_LEN};
+use polygen::serve::wire::{
+    deterministic_bytes, request_frame, response_frames, response_from_frames, Frame,
+};
 use polygen::workload::{self, ClientMix, DriveReport, MixWeights, WorkloadConfig};
 use proptest::prelude::*;
 use std::io::{ErrorKind, Read, Write};
@@ -373,11 +375,11 @@ fn served(make: &impl Fn(ServeOptions) -> QueryService) -> (Arc<QueryService>, N
 /// `uncached`'s answer in the deterministic byte view. `wired` is
 /// filled over TCP: a wire request caches the frames it sends, a second
 /// one writes them again, and an in-process request decodes them.
-/// `local` is filled in process, caching the relation, and then answers
-/// a wire request from it. Each route must carry the uncached answer's
-/// bytes, every repeat must be a result hit, and `sys.cache` must report
-/// each of `wired`'s entries' `BYTES` as exactly its `Schema` and `Rows`
-/// frames and each of `local`'s as nil.
+/// `local` is filled in process, which caches the same frames, and then
+/// answers a wire request from them. Each route must carry the uncached
+/// answer's bytes, every repeat must be a result hit, and `sys.cache`
+/// must report each of `wired`'s entries' `BYTES` as exactly its
+/// `Schema` and `Rows` frames, and each of `local`'s as the same.
 fn assert_cache_routes_match_uncached(
     uncached: &QueryService,
     wired: &(Arc<QueryService>, NetServer),
@@ -413,7 +415,7 @@ fn assert_cache_routes_match_uncached(
             request.text
         );
         local.0.execute(request.clone());
-        let hit = over_tcp(&mut local_client, "wire hit on a relation");
+        let hit = over_tcp(&mut local_client, "wire hit on frames filled in process");
         assert_eq!(result_hit(&hit), rows, "`{}`", request.text);
         if let Some(Frame::Summary { info }) = first.last() {
             cached.insert(info.canonical.clone(), expected.len());
@@ -421,13 +423,18 @@ fn assert_cache_routes_match_uncached(
     }
     let wired_bytes = cached_result_bytes(&wired.0);
     assert_eq!(wired_bytes.len(), cached.len());
-    for (entry, bytes) in wired_bytes {
-        let len = cached[&entry];
-        assert_eq!(bytes, Value::int(len as i64), "`{entry}` holds its frames");
+    for (entry, bytes) in &wired_bytes {
+        let len = cached[entry];
+        assert_eq!(*bytes, Value::int(len as i64), "`{entry}` holds its frames");
     }
-    let local_bytes = cached_result_bytes(&local.0);
-    assert_eq!(local_bytes.len(), cached.len());
-    assert!(local_bytes.iter().all(|(_, b)| *b == Value::Null));
+    let mut local_bytes = cached_result_bytes(&local.0);
+    let mut wired_bytes = wired_bytes;
+    local_bytes.sort();
+    wired_bytes.sort();
+    assert_eq!(
+        local_bytes, wired_bytes,
+        "an in-process fill caches the same frames"
+    );
 }
 
 /// The cache routes over the ledger's five class answers (select,
@@ -1094,6 +1101,8 @@ fn a_panicking_query_answers_500_and_its_connection_serves_on() {
 /// waited forever.) A retry fails the same way and is no result hit:
 /// an answer the wire cannot carry is never cached. (It was cached
 /// before delivery failed, so every retry counted a hit and failed.)
+/// In process the same answer answers its rows, and is not cached
+/// either.
 #[test]
 fn an_answer_over_the_frame_cap_answers_500_and_its_connection_serves_on() {
     let scenario = polygen::catalog::scenario::build();
@@ -1137,6 +1146,21 @@ fn an_answer_over_the_frame_cap_answers_500_and_its_connection_serves_on() {
             matches!(frames.as_slice(), [Frame::Error { code: 500, .. }]),
             "{frames:?}"
         );
+    }
+    assert_eq!(service.metrics().result_hits, 0);
+    assert_eq!(cached_result_bytes(&service), [], "no result entry");
+    // In process the same answer still answers its rows, twice, and is
+    // not cached either: neither request is a hit.
+    for _ in 0..2 {
+        let response = service.execute(oversized.clone());
+        let Response::Rows { answer, info } = &response else {
+            panic!("in process the oversized answer answers rows");
+        };
+        assert!(!info.result_hit);
+        assert!(answer
+            .tuples()
+            .iter()
+            .any(|t| matches!(&t[1].datum, Value::Str(s) if s.len() > MAX_FRAME_LEN as usize)));
     }
     assert_eq!(service.metrics().result_hits, 0);
     assert_eq!(cached_result_bytes(&service), [], "no result entry");
