@@ -121,7 +121,6 @@ fn observation_levels(c: &mut Criterion) {
                 .unwrap();
             black_box(render_analyzed_plan(
                 &compiled.physical,
-                pqp.registry(),
                 &trace.report().unwrap_or_default(),
             ))
         })

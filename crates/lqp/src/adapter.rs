@@ -3,8 +3,8 @@
 //! Footnote 6: "our prototype's LQP can handle unusual query interfaces,
 //! such as I.P. Sharp's proprietary query language and Finsburg's
 //! menu-driven interface." We cannot license 1990 Reuters feeds; what the
-//! PQP actually observes of them is (a) which operations they accept and
-//! (b) how slowly they answer. Both are simulated here:
+//! PQP actually observes of them is which operations they accept, and
+//! that is simulated here:
 //!
 //! * [`MenuDrivenLqp`] accepts only whole-relation retrieves, so every
 //!   predicate must be evaluated PQP-side after shipping the full
@@ -14,36 +14,21 @@
 //!   with the flat algebra inside the adapter — the paper's "mapping and
 //!   communication mechanisms … encapsulated in the LQP".
 
-use crate::cost::CostModel;
-use crate::engine::{Capabilities, LocalOp, Lqp, LqpError, RelStats};
+use crate::engine::{Capabilities, LocalOp, Lqp, LqpError};
 use polygen_flat::algebra;
 use polygen_flat::relation::Relation;
 use polygen_flat::schema::Schema;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A retrieve-only facade over an inner LQP (menu-driven interface).
 pub struct MenuDrivenLqp<L> {
     inner: L,
-    cost: CostModel,
-    /// Simulated microseconds "spent" talking to the slow interface
-    /// (accumulated, never slept — benchmarks read it as a metric).
-    simulated_us: AtomicU64,
 }
 
 impl<L: Lqp> MenuDrivenLqp<L> {
     /// Wrap an inner LQP.
-    pub fn new(inner: L, cost: CostModel) -> Self {
-        MenuDrivenLqp {
-            inner,
-            cost,
-            simulated_us: AtomicU64::new(0),
-        }
-    }
-
-    /// Total simulated interface time.
-    pub fn simulated_us(&self) -> u64 {
-        self.simulated_us.load(Ordering::Relaxed)
+    pub fn new(inner: L) -> Self {
+        MenuDrivenLqp { inner }
     }
 }
 
@@ -56,10 +41,6 @@ impl<L: Lqp> Lqp for MenuDrivenLqp<L> {
         Capabilities::retrieve_only()
     }
 
-    fn cost_model(&self) -> CostModel {
-        self.cost
-    }
-
     fn relation_names(&self) -> Vec<String> {
         self.inner.relation_names()
     }
@@ -68,8 +49,8 @@ impl<L: Lqp> Lqp for MenuDrivenLqp<L> {
         self.inner.schema_of(relation)
     }
 
-    fn stats(&self, relation: &str) -> Option<RelStats> {
-        self.inner.stats(relation)
+    fn row_count(&self, relation: &str) -> Option<usize> {
+        self.inner.row_count(relation)
     }
 
     fn execute(&self, op: &LocalOp) -> Result<Relation, LqpError> {
@@ -79,10 +60,7 @@ impl<L: Lqp> Lqp for MenuDrivenLqp<L> {
                 op: op.to_string(),
             });
         }
-        let out = self.inner.execute(op)?;
-        self.simulated_us
-            .fetch_add(self.cost.op_cost_us(out.len()), Ordering::Relaxed);
-        Ok(out)
+        self.inner.execute(op)
     }
 }
 
@@ -110,10 +88,6 @@ impl<L: Lqp> Lqp for CompensatingLqp<L> {
         self.inner.name()
     }
 
-    fn cost_model(&self) -> CostModel {
-        self.inner.cost_model()
-    }
-
     fn capabilities(&self) -> Capabilities {
         // The adapter presents full capabilities regardless of the inner
         // interface — that is its whole purpose.
@@ -128,8 +102,8 @@ impl<L: Lqp> Lqp for CompensatingLqp<L> {
         self.inner.schema_of(relation)
     }
 
-    fn stats(&self, relation: &str) -> Option<RelStats> {
-        self.inner.stats(relation)
+    fn row_count(&self, relation: &str) -> Option<usize> {
+        self.inner.row_count(relation)
     }
 
     fn execute(&self, op: &LocalOp) -> Result<Relation, LqpError> {
@@ -168,9 +142,8 @@ mod tests {
 
     #[test]
     fn menu_driven_rejects_predicates() {
-        let m = MenuDrivenLqp::new(base(), CostModel::slow_remote());
+        let m = MenuDrivenLqp::new(base());
         assert!(m.execute(&LocalOp::retrieve("FIRM")).is_ok());
-        assert!(m.simulated_us() > 0);
         assert!(matches!(
             m.execute(&LocalOp::select(
                 "FIRM",
@@ -185,7 +158,7 @@ mod tests {
 
     #[test]
     fn compensating_adapter_finishes_rejected_ops() {
-        let menu = MenuDrivenLqp::new(base(), CostModel::slow_remote());
+        let menu = MenuDrivenLqp::new(base());
         let comp = CompensatingLqp::new(menu);
         let out = comp
             .execute(&LocalOp::select(
@@ -219,7 +192,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(comp.inner().counters().ops(), 1);
         assert_eq!(comp.relation_names(), vec!["FIRM"]);
-        assert!(comp.stats("FIRM").is_some());
+        assert_eq!(comp.row_count("FIRM"), Some(2));
         assert!(comp.schema_of("FIRM").is_some());
     }
 }

@@ -127,16 +127,6 @@ impl Capabilities {
     }
 }
 
-/// Per-relation statistics for EXPLAIN's plan-cost estimate and the
-/// tests that check it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RelStats {
-    /// Tuple count.
-    pub rows: usize,
-    /// Degree.
-    pub degree: usize,
-}
-
 /// Errors surfaced by LQP execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LqpError {
@@ -184,20 +174,14 @@ pub trait Lqp: Send + Sync {
     /// What the wrapped interface can execute natively.
     fn capabilities(&self) -> Capabilities;
 
-    /// The latency model for reaching this LQP (plan costing). Defaults
-    /// to a co-located database; remote adapters override.
-    fn cost_model(&self) -> crate::cost::CostModel {
-        crate::cost::CostModel::local()
-    }
-
     /// Names of the relations this LQP exposes.
     fn relation_names(&self) -> Vec<String>;
 
     /// Schema of one relation.
     fn schema_of(&self, relation: &str) -> Option<Arc<Schema>>;
 
-    /// Statistics for EXPLAIN's plan-cost estimate.
-    fn stats(&self, relation: &str) -> Option<RelStats>;
+    /// Tuple count of one relation (`sys.sources`' `TUPLES` column).
+    fn row_count(&self, relation: &str) -> Option<usize>;
 
     /// Execute a local operation, returning untagged data (tagging happens
     /// at the PQP boundary: "sources are tagged after data has been

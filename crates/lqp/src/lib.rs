@@ -11,7 +11,6 @@
 //! * [`adapter`] — simulations of the paper's quirky commercial
 //!   interfaces (menu-driven retrieve-only feeds) and the compensating
 //!   wrapper that completes rejected operations locally.
-//! * [`cost`] — the latency model EXPLAIN's plan-cost estimate uses.
 //! * [`registry`] — name → LQP routing plus the retrieve-then-tag
 //!   boundary into the polygen model.
 //!
@@ -19,7 +18,6 @@
 //! databases as live LQPs.
 
 pub mod adapter;
-pub mod cost;
 pub mod engine;
 pub mod memory;
 pub mod registry;
@@ -43,8 +41,7 @@ pub fn scenario_registry(scenario: &Scenario) -> registry::LqpRegistry {
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::adapter::{CompensatingLqp, MenuDrivenLqp};
-    pub use crate::cost::CostModel;
-    pub use crate::engine::{Capabilities, LocalOp, Lqp, LqpError, RelStats};
+    pub use crate::engine::{Capabilities, LocalOp, Lqp, LqpError};
     pub use crate::memory::InMemoryLqp;
     pub use crate::registry::LqpRegistry;
     pub use crate::scenario_registry;

@@ -6,7 +6,7 @@
 //! system (the figure of merit the paper's
 //! "cost-effective … composite information" remark points at).
 
-use crate::engine::{Capabilities, LocalOp, Lqp, LqpError, RelStats};
+use crate::engine::{Capabilities, LocalOp, Lqp, LqpError};
 use polygen_flat::algebra;
 use polygen_flat::relation::Relation;
 use polygen_flat::schema::Schema;
@@ -160,11 +160,8 @@ impl Lqp for InMemoryLqp {
         self.relations.get(relation).map(|r| Arc::clone(r.schema()))
     }
 
-    fn stats(&self, relation: &str) -> Option<RelStats> {
-        self.relations.get(relation).map(|r| RelStats {
-            rows: r.len(),
-            degree: r.degree(),
-        })
+    fn row_count(&self, relation: &str) -> Option<usize> {
+        self.relations.get(relation).map(Relation::len)
     }
 
     fn execute(&self, op: &LocalOp) -> Result<Relation, LqpError> {
@@ -259,8 +256,8 @@ mod tests {
     fn introspection() {
         let l = lqp();
         assert_eq!(l.relation_names(), vec!["ALUMNUS"]);
-        assert_eq!(l.stats("ALUMNUS").unwrap().rows, 2);
-        assert_eq!(l.stats("ALUMNUS").unwrap().degree, 3);
+        assert_eq!(l.row_count("ALUMNUS"), Some(2));
+        assert_eq!(l.row_count("NOPE"), None);
         assert!(l.schema_of("ALUMNUS").unwrap().contains("DEG"));
         assert!(l.schema_of("NOPE").is_none());
     }

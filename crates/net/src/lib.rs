@@ -21,11 +21,12 @@
 //!   or clock, so a seeded simulator checks it in simulated time.
 //! * [`server`] — [`server::NetServer`]: the thin driver around it. One
 //!   poller thread owns every socket (readiness via the [`sys`] shim —
-//!   epoll on Linux, a portable fallback elsewhere) and a bounded worker
-//!   pool runs queries, so idle sessions cost registrations, not
-//!   threads. A peer that stops reading is closed with a backpressure
-//!   error; overload is a structured `Error { code: 503 }` frame on a
-//!   live connection, never a dropped socket.
+//!   epoll on Linux, a scanning fallback on other unix targets) and a
+//!   bounded worker pool runs queries, so idle sessions cost
+//!   registrations, not threads. A peer that stops reading is closed
+//!   with a backpressure error; overload is a structured
+//!   `Error { code: 503 }` frame on a live connection, never a dropped
+//!   socket.
 //! * [`client`] — [`client::NetClient`]: blocking connect/execute, the
 //!   network spelling of `QueryService::execute`. A load generator is a
 //!   driver's business, not the product's: `polygen-workload`'s `drive`
@@ -36,6 +37,9 @@
 //! byte-identical to in-process `execute`, with only the `Summary`
 //! frame (latency, thread allotment, cache temperature) allowed to
 //! differ.
+
+#[cfg(not(unix))]
+compile_error!("polygen-net runs on unix targets only: its poller and waker are unix sockets");
 
 pub mod client;
 pub mod codec;

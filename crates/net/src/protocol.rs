@@ -15,12 +15,9 @@ pub use polygen_serve::wire::{
 
 /// Transport-reserved error code: a frame failed to decode or violated
 /// the protocol state machine. The server closes the connection after
-/// sending it.
+/// sending it. Code 2 is unassigned: a client refuses a mismatched
+/// `Hello` on its own side, so no server sends a version error.
 pub const WIRE_MALFORMED: u16 = 1;
-
-/// Transport-reserved error code: the client spoke a different
-/// [`PROTOCOL_VERSION`](polygen_serve::wire::PROTOCOL_VERSION).
-pub const WIRE_VERSION_MISMATCH: u16 = 2;
 
 /// Transport-reserved error code: the server received a frame other
 /// than `Query` where a query was expected.

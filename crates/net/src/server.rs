@@ -1,7 +1,7 @@
 //! The TCP front door's driver: sockets, readiness and the worker pool.
 //!
 //! **One poller thread owns every connection socket** (readiness via
-//! the [`crate::sys`] shim — epoll on Linux, a portable scan elsewhere)
+//! the [`crate::sys`] shim — epoll on Linux, a scan on other unix)
 //! and a **bounded worker pool** runs queries, so a thousand idle
 //! connections cost a thousand registrations, not a thousand parked
 //! threads. The poller thread is a thin driver around the pure state
@@ -94,7 +94,6 @@ impl NetServer {
         let mut poller = Poller::new()?;
         poller.add(listener.sock_id(), TOKEN_LISTENER, Interest::READ)?;
         let (waker, wake_rx) = sys::wake_pair()?;
-        #[cfg(unix)]
         poller.add(wake_rx.sock_id(), TOKEN_WAKER, Interest::READ)?;
 
         let stop = Arc::new(AtomicBool::new(false));

@@ -1,5 +1,5 @@
 //! Thin readiness shim for the evented server — epoll on Linux, a
-//! portable polling fallback elsewhere. No external runtime: the Linux
+//! scanning fallback on other unix targets. No external runtime: the Linux
 //! backend declares the four `epoll`/`close` syscalls it needs against
 //! the libc that `std` already links, and everything above it is safe
 //! code.
@@ -44,14 +44,9 @@ pub struct Event {
     pub hangup: bool,
 }
 
-/// The socket identity a backend registers. On unix this is the raw fd;
-/// the portable fallback never inspects it.
-#[cfg(unix)]
+/// The socket identity a backend registers: the raw fd (the scanning
+/// fallback never inspects it).
 pub type SockId = std::os::fd::RawFd;
-/// Socket identity placeholder on non-unix targets (the scan backend
-/// reports readiness by token, not by inspecting the socket).
-#[cfg(not(unix))]
-pub type SockId = u64;
 
 /// Extract the backend's socket identity from any socket-like type.
 pub trait AsSockId {
@@ -59,17 +54,9 @@ pub trait AsSockId {
     fn sock_id(&self) -> SockId;
 }
 
-#[cfg(unix)]
 impl<T: std::os::fd::AsRawFd> AsSockId for T {
     fn sock_id(&self) -> SockId {
         self.as_raw_fd()
-    }
-}
-
-#[cfg(not(unix))]
-impl<T> AsSockId for T {
-    fn sock_id(&self) -> SockId {
-        0
     }
 }
 
@@ -78,14 +65,11 @@ pub use epoll::Poller;
 #[cfg(not(target_os = "linux"))]
 pub use scan::Poller;
 
-/// Wake a [`Poller`] blocked in [`Poller::wait`] from another thread.
-///
-/// On unix this is one end of a nonblocking socket pair whose other end
-/// is registered with the poller; elsewhere it is a no-op, because the
-/// scan backend's `wait` never sleeps longer than its tick.
+/// Wake a [`Poller`] blocked in [`Poller::wait`] from another thread:
+/// one end of a nonblocking socket pair whose other end is registered
+/// with the poller.
 #[derive(Debug)]
 pub struct Waker {
-    #[cfg(unix)]
     tx: std::os::unix::net::UnixStream,
 }
 
@@ -93,7 +77,6 @@ impl Waker {
     /// A second handle to the same waker (workers each hold their own).
     pub fn try_clone(&self) -> io::Result<Waker> {
         Ok(Waker {
-            #[cfg(unix)]
             tx: self.tx.try_clone()?,
         })
     }
@@ -101,22 +84,17 @@ impl Waker {
     /// Nudge the poller. Best-effort: a full pipe means a wake is
     /// already pending, which is all a wake means.
     pub fn wake(&self) {
-        #[cfg(unix)]
-        {
-            use std::io::Write;
-            let _ = (&self.tx).write(&[1]);
-        }
+        use std::io::Write;
+        let _ = (&self.tx).write(&[1]);
     }
 }
 
 /// The poller-owned end of the wake channel.
 #[derive(Debug)]
 pub struct WakeReceiver {
-    #[cfg(unix)]
     rx: std::os::unix::net::UnixStream,
 }
 
-#[cfg(unix)]
 impl std::os::fd::AsRawFd for WakeReceiver {
     fn as_raw_fd(&self) -> std::os::fd::RawFd {
         self.rx.as_raw_fd()
@@ -126,28 +104,18 @@ impl std::os::fd::AsRawFd for WakeReceiver {
 impl WakeReceiver {
     /// Swallow pending wake bytes so level-triggered readiness clears.
     pub fn drain(&self) {
-        #[cfg(unix)]
-        {
-            use std::io::Read;
-            let mut sink = [0u8; 64];
-            while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
-        }
+        use std::io::Read;
+        let mut sink = [0u8; 64];
+        while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
     }
 }
 
 /// Build a connected waker pair, both ends nonblocking.
 pub fn wake_pair() -> io::Result<(Waker, WakeReceiver)> {
-    #[cfg(unix)]
-    {
-        let (tx, rx) = std::os::unix::net::UnixStream::pair()?;
-        tx.set_nonblocking(true)?;
-        rx.set_nonblocking(true)?;
-        Ok((Waker { tx }, WakeReceiver { rx }))
-    }
-    #[cfg(not(unix))]
-    {
-        Ok((Waker {}, WakeReceiver {}))
-    }
+    let (tx, rx) = std::os::unix::net::UnixStream::pair()?;
+    tx.set_nonblocking(true)?;
+    rx.set_nonblocking(true)?;
+    Ok((Waker { tx }, WakeReceiver { rx }))
 }
 
 /// Linux backend: a real `epoll` instance, level-triggered.
@@ -304,11 +272,12 @@ mod epoll {
     }
 }
 
-/// Portable fallback: no kernel readiness at all. `wait` sleeps one
-/// short tick and reports every registered token ready for whatever it
-/// registered interest in; the server's nonblocking reads and writes
-/// turn the spurious readiness into cheap `WouldBlock`s. O(connections)
-/// per tick — degraded but correct on targets without the epoll shim.
+/// Fallback for unix targets other than Linux: no kernel readiness at
+/// all. `wait` sleeps one short tick and reports every registered token
+/// ready for whatever it registered interest in; the server's
+/// nonblocking reads and writes turn the spurious readiness into cheap
+/// `WouldBlock`s. O(connections) per tick — degraded but correct on
+/// targets without the epoll shim.
 #[cfg(not(target_os = "linux"))]
 mod scan {
     use super::{Event, Interest, SockId};
@@ -316,7 +285,7 @@ mod scan {
     use std::io;
     use std::time::Duration;
 
-    /// Registered interests by token (non-unix socket ids are all 0).
+    /// Registered interests by token.
     #[derive(Debug)]
     pub struct Poller {
         registered: HashMap<u64, Interest>,
@@ -449,7 +418,6 @@ mod tests {
     fn waker_wakes_a_blocked_wait() {
         let (waker, rx) = wake_pair().unwrap();
         let mut poller = Poller::new().unwrap();
-        #[cfg(unix)]
         poller.add(rx.sock_id(), 1, Interest::READ).unwrap();
         let clone = waker.try_clone().unwrap();
         let hand = std::thread::spawn(move || {

@@ -2,7 +2,6 @@
 //! human-readable form — the paper's Tables 1–3 followed by §IV's
 //! source-tagging observations.
 
-use crate::costing;
 use crate::iom::render_iom;
 use crate::plan::{render_plan, PhysicalPlan};
 use crate::pom::render_pom;
@@ -11,19 +10,15 @@ use polygen_catalog::dictionary::DataDictionary;
 use polygen_core::lineage;
 use polygen_core::relation::PolygenRelation;
 use polygen_core::render::render_relation;
-use polygen_lqp::registry::LqpRegistry;
 use polygen_obs::trace::TraceReport;
 use std::fmt::Write as _;
 
 /// Render a full explain report for an executed query: the compiled
-/// stages, the answer with its provenance, and the plan-cost estimate
-/// against `registry` (which LQPs dominate, how many tuples ship),
-/// estimated over the physical operator tree.
+/// stages, the physical plan, and the answer with its provenance.
 pub fn explain(
     compiled: &CompiledQuery,
     answer: &PolygenRelation,
     dictionary: &DataDictionary,
-    registry: &LqpRegistry,
 ) -> String {
     let mut out = String::new();
     let reg = dictionary.registry();
@@ -65,26 +60,18 @@ pub fn explain(
             names.join(", ")
         );
     }
-    let _ = writeln!(out, "\n== Plan cost estimate (physical) ==");
-    out.push_str(&costing::estimate_physical(&compiled.physical, registry).to_string());
     out
 }
 
 /// EXPLAIN ANALYZE rendering: the physical plan in `render_plan` form,
-/// each node line extended with the cost model's estimate
-/// (`est=(µs, ~rows)`) and the measured actuals from a traced run
+/// each node line extended with the measured actuals from a traced run
 /// (`act=(µs, rows)`, plus `, xP` when the node's kernel ran split into
 /// `P` partitions). `report` must come from a traced execution of this
 /// same `plan` — the executor records one span per node, annotated with
 /// its node index, output row count and any run-time fan-out, and those
-/// spans are what the `act=` side reads. Nodes with no matching span (a
+/// spans are what the `act=` column reads. Nodes with no matching span (a
 /// plan that failed mid-walk) render `act=(not executed)`.
-pub fn render_analyzed_plan(
-    plan: &PhysicalPlan,
-    registry: &LqpRegistry,
-    report: &TraceReport,
-) -> String {
-    let cost = costing::estimate_physical(plan, registry);
+pub fn render_analyzed_plan(plan: &PhysicalPlan, report: &TraceReport) -> String {
     // One executor span per node, keyed by its `node` annotation.
     let mut act: Vec<Option<(u64, u64, Option<u64>)>> = vec![None; plan.nodes.len()];
     for s in &report.spans {
@@ -97,11 +84,6 @@ pub fn render_analyzed_plan(
     let mut out = String::new();
     let mut total_act = 0u64;
     for (i, line) in render_plan(plan).lines().enumerate() {
-        // `estimate_physical` pushes exactly one entry per node, in node
-        // order, so entry `i` is this line's node.
-        let est = cost.rows.get(i).map_or_else(String::new, |(_, us, rows)| {
-            format!("  est=({us:.0} µs, ~{rows:.0} rows)")
-        });
         let shown_act = act.get(i).copied().flatten().map_or_else(
             || "  act=(not executed)".to_string(),
             |(us, rows, partitions)| {
@@ -110,13 +92,9 @@ pub fn render_analyzed_plan(
                 format!("  act=({us} µs, {rows} rows{fanned})")
             },
         );
-        let _ = writeln!(out, "{line}{est}{shown_act}");
+        let _ = writeln!(out, "{line}{shown_act}");
     }
-    let _ = writeln!(
-        out,
-        "(estimated {:.0} µs total, executed in {} µs)",
-        cost.total_us, total_act
-    );
+    let _ = writeln!(out, "(executed in {total_act} µs)");
     out
 }
 
@@ -133,14 +111,7 @@ mod tests {
             .compile(parse_algebra(PAPER_EXPRESSION).unwrap())
             .unwrap();
         let answer = pqp.run_compiled(&compiled).unwrap();
-        super::explain(&compiled, &answer, pqp.dictionary(), pqp.registry())
-    }
-
-    #[test]
-    fn explain_appends_cost_estimate() {
-        let report = paper_report();
-        assert!(report.contains("Plan cost estimate"));
-        assert!(report.contains("tuples shipped"));
+        super::explain(&compiled, &answer, pqp.dictionary())
     }
 
     #[test]

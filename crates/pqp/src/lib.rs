@@ -36,7 +36,6 @@
 //! paper's table notation.
 
 pub mod analyzer;
-pub mod costing;
 pub mod error;
 pub mod executor;
 pub mod explain;
@@ -50,7 +49,6 @@ pub mod pqp;
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::analyzer::analyze;
-    pub use crate::costing::{estimate_physical, PlanCost};
     pub use crate::error::PqpError;
     pub use crate::executor::{execute_eager, execute_plan, ExecutionTrace};
     pub use crate::explain::{explain, render_analyzed_plan};

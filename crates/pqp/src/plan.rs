@@ -1037,8 +1037,8 @@ pub(crate) fn local_op(row: &IomRow) -> Result<LocalOp, PqpError> {
 /// result twice is rejected with [`PqpError::MalformedRow`] naming the
 /// row that references it again. Lowering reads no engine options — the
 /// executor picks each operator's fan-out at run time from its input
-/// size — so a plan's text, fingerprint and cost estimate are the same
-/// at every thread count.
+/// size — so a plan's text and fingerprint are the same at every thread
+/// count.
 pub fn lower(
     iom: &Iom,
     registry: &LqpRegistry,

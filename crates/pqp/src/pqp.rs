@@ -41,8 +41,8 @@ pub struct PqpOptions {
     /// chains, hash joins, hash merges). `0` (the default) = auto: the
     /// `POLYGEN_THREADS` environment variable when set, otherwise
     /// [`std::thread::available_parallelism`]. `1` = exactly the
-    /// sequential engine. Only execution reads it: answers, plans,
-    /// EXPLAIN text and cost estimates are identical on every setting,
+    /// sequential engine. Only execution reads it: answers, plans and
+    /// EXPLAIN text are identical on every setting,
     /// and EXPLAIN ANALYZE shows the fan-out a node actually ran at.
     pub threads: usize,
     /// Hash/chunk partition count for parallel operators. `0` = the

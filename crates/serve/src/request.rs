@@ -88,7 +88,7 @@ pub enum ExplainOptions {
     /// physical plan as [`Response::Explain`]; run nothing.
     Plan,
     /// Execute the plan under a span trace and return the physical tree
-    /// with cost estimates *and* measured actuals (`est=… act=…`) as
+    /// with each node's measured actuals (`act=…`) as
     /// [`Response::Explain`].
     Analyze,
 }

@@ -27,7 +27,8 @@
 //! differential suite compares encoded frames *excluding summaries*.
 //!
 //! Error codes 0–99 are reserved for the transport itself (malformed
-//! frames, version mismatch); the serve taxonomy starts at 100.
+//! or unexpected frames, backpressure); the serve taxonomy starts at
+//! 100.
 
 pub mod codec;
 

@@ -129,8 +129,8 @@ fn main() {
         other => panic!("blank must be Empty, got {other:?}"),
     }
 
-    // 6. EXPLAIN ANALYZE executes and annotates every plan line with the
-    //    cost model's estimate next to the measured actuals.
+    // 6. EXPLAIN ANALYZE executes and annotates every plan line with
+    //    its measured actuals.
     match client
         .execute(
             &Request::sql(workload::queries::paper_shaped_sql(2))
@@ -139,7 +139,7 @@ fn main() {
         .expect("analyze serves")
     {
         Response::Explain { plan, .. } => {
-            println!("\nexplain analyze (est= beside act= on every node):");
+            println!("\nexplain analyze (act= on every node):");
             for line in plan.lines() {
                 println!("  {line}");
             }

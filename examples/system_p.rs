@@ -25,16 +25,12 @@ use polygen::pqp::prelude::*;
 use polygen::serve::{QueryService, Request, Response, ServeOptions};
 use std::io::{self, BufRead, Write};
 
-/// `\explain`'s report: the compiled stages, the answer and its cost.
+/// `\explain`'s report: the compiled stages, the answer and its
+/// provenance.
 fn explain_sql(pqp: &Pqp, sql: &str) -> Result<String, PqpError> {
     let compiled = pqp.compile(pqp.translate_sql(sql)?)?;
     let answer = pqp.run_compiled(&compiled)?;
-    Ok(explain(
-        &compiled,
-        &answer,
-        pqp.dictionary(),
-        pqp.registry(),
-    ))
+    Ok(explain(&compiled, &answer, pqp.dictionary()))
 }
 
 fn main() {

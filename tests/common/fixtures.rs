@@ -15,7 +15,7 @@ use polygen::catalog::schema::PolygenSchema;
 use polygen::core::algebra::coalesce::ConflictPolicy;
 use polygen::core::PolygenRelation;
 use polygen::flat::{Relation, Schema};
-use polygen::lqp::prelude::{Capabilities, InMemoryLqp, LocalOp, Lqp, LqpError, RelStats};
+use polygen::lqp::prelude::{Capabilities, InMemoryLqp, LocalOp, Lqp, LqpError};
 use polygen::pqp::prelude::*;
 use polygen::serve::request::{Request, Response, ResponseInfo};
 use polygen::serve::QueryService;
@@ -76,8 +76,8 @@ impl Lqp for PanickingLqp {
         self.0.schema_of(relation)
     }
 
-    fn stats(&self, relation: &str) -> Option<RelStats> {
-        self.0.stats(relation)
+    fn row_count(&self, relation: &str) -> Option<usize> {
+        self.0.row_count(relation)
     }
 
     fn execute(&self, op: &LocalOp) -> Result<Relation, LqpError> {

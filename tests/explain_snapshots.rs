@@ -29,9 +29,8 @@ fn plan_text(expr: &str) -> String {
 }
 
 /// The same with secondary indexes declared: lower, run the pushdown
-/// pass, render — and also render the physical cost estimate, the
-/// lines EXPLAIN justifies the route with.
-fn indexed_plan_and_cost(expr: &str, specs: &[IndexSpec]) -> (String, String) {
+/// pass, render.
+fn indexed_plan_text(expr: &str, specs: &[IndexSpec]) -> String {
     let s = scenario::build();
     let registry = scenario_registry(&s);
     let catalog = IndexCatalog::build(specs, &registry, &s.dictionary).unwrap();
@@ -39,14 +38,13 @@ fn indexed_plan_and_cost(expr: &str, specs: &[IndexSpec]) -> (String, String) {
     let (_, iom) = interpret(&pom, s.dictionary.schema()).unwrap();
     let mut plan = lower_plan(&iom, &registry, &s.dictionary).unwrap();
     route_index_scans(&mut plan, &catalog);
-    let cost = estimate_physical(&plan, &registry).to_string();
-    (render_plan(&plan), cost)
+    render_plan(&plan)
 }
 
 /// EXPLAIN ANALYZE over the MIT scenario, serial, with the measured
-/// microsecond readings masked to `_`. Row counts, node order and the
-/// cost model's `est=` column are deterministic and stay verbatim; only
-/// the wall-clock side of `act=` varies run to run.
+/// microsecond readings masked to `_`. Row counts and node order are
+/// deterministic and stay verbatim; only the wall-clock side of `act=`
+/// varies run to run.
 fn analyzed_text(expr: &str, specs: &[IndexSpec]) -> String {
     analyzed_text_at(&scenario::build(), expr, specs, 1)
 }
@@ -68,11 +66,7 @@ fn analyzed_text_at(
     let trace = Trace::enabled();
     pqp.run_compiled_traced(&compiled, &trace).unwrap();
     let report = trace.report().unwrap_or_default();
-    mask_act_micros(&render_analyzed_plan(
-        &compiled.physical,
-        pqp.registry(),
-        &report,
-    ))
+    mask_act_micros(&render_analyzed_plan(&compiled.physical, &report))
 }
 
 /// Replace the digit run right after `marker` with `_`, if any.
@@ -92,7 +86,7 @@ fn mask_after(line: &str, marker: &str) -> String {
 
 /// Mask the measured (nondeterministic) microsecond numbers in an
 /// EXPLAIN ANALYZE rendering: `act=(NN µs` → `act=(_ µs` and
-/// `executed in NN µs` → `executed in _ µs`. Estimates stay put.
+/// `executed in NN µs` → `executed in _ µs`.
 fn mask_act_micros(text: &str) -> String {
     let mut out = String::new();
     for line in text.lines() {
@@ -162,8 +156,8 @@ fn theta_join_stays_serial_under_partitioning() {
     assert_snapshot(&lowered_at(expr, 4), golden);
 }
 
-/// The plan text, its fingerprint and its cost estimate are the same at
-/// every thread count: none of them may claim a fan-out the run decides.
+/// The plan text and its fingerprint are the same at every thread
+/// count: neither may claim a fan-out the run decides.
 #[test]
 fn compiled_plan_is_identical_at_every_thread_count() {
     let s = scenario::build();
@@ -173,8 +167,7 @@ fn compiled_plan_is_identical_at_every_thread_count() {
             .compile(parse_algebra(PAPER_EXPRESSION).unwrap())
             .unwrap()
             .physical;
-        let cost = estimate_physical(&physical, pqp.registry()).to_string();
-        (render_plan(&physical), physical.fingerprint(), cost)
+        (render_plan(&physical), physical.fingerprint())
     };
     let serial = at(1);
     for threads in [2, 4, 8] {
@@ -220,8 +213,7 @@ fn set_ops_plan_serial() {
 /// untouched.
 #[test]
 fn paper_plan_with_deg_index_routes_the_select() {
-    let (plan, _) =
-        indexed_plan_and_cost(PAPER_EXPRESSION, &[IndexSpec::hash("AD", "ALUMNUS", "DEG")]);
+    let plan = indexed_plan_text(PAPER_EXPRESSION, &[IndexSpec::hash("AD", "ALUMNUS", "DEG")]);
     assert_snapshot(
         &plan,
         "\
@@ -241,7 +233,7 @@ fn paper_plan_with_deg_index_routes_the_select() {
 /// ride hash postings — both keep the full scan.
 #[test]
 fn ineligible_predicates_keep_scanning() {
-    let (ne, _) = indexed_plan_and_cost(
+    let ne = indexed_plan_text(
         "PALUMNUS [DEGREE <> \"MBA\"]",
         &[IndexSpec::hash("AD", "ALUMNUS", "DEG")],
     );
@@ -250,7 +242,7 @@ fn ineligible_predicates_keep_scanning() {
         "\
 #0  Scan[AD] ALUMNUS[DEG <> MBA]  → R(1) ◀ answer",
     );
-    let (range, _) = indexed_plan_and_cost(
+    let range = indexed_plan_text(
         "PALUMNUS [DEGREE > \"MBA\"]",
         &[IndexSpec::hash("AD", "ALUMNUS", "DEG")],
     );
@@ -266,7 +258,7 @@ fn ineligible_predicates_keep_scanning() {
 /// the pipeline re-checking itself over the narrowed input.
 #[test]
 fn between_folds_into_a_range_probe_with_residual() {
-    let (plan, _) = indexed_plan_and_cost(
+    let plan = indexed_plan_text(
         "PALUMNUS [AID# >= \"200\"] [AID# <= \"600\"]",
         &[IndexSpec::sorted("AD", "ALUMNUS", "AID#")],
     );
@@ -307,55 +299,25 @@ fn interior_pipeline_stays_on_the_row_engine() {
     );
 }
 
-/// The cost lines EXPLAIN justifies a route with: the probe is charged
-/// probe + residual emission (no LQP shipping), strictly below the
-/// full-scan estimate of the same query unindexed.
-#[test]
-fn index_cost_lines_justify_the_route() {
-    let spec = [IndexSpec::hash("AD", "ALUMNUS", "DEG")];
-    let (_, routed_cost) = indexed_plan_and_cost("PALUMNUS [DEGREE = \"MBA\"]", &spec);
-    assert_snapshot(
-        &routed_cost,
-        "\
-estimated cost: 2 µs, 0 tuples shipped from LQPs
-  R(1): 2 µs, ~0 rows",
-    );
-    let (_, scan_cost) = indexed_plan_and_cost("PALUMNUS [DEGREE = \"MBA\"]", &[]);
-    let total = |s: &str| -> f64 {
-        s.split("estimated cost: ")
-            .nth(1)
-            .unwrap()
-            .split(" µs")
-            .next()
-            .unwrap()
-            .parse()
-            .unwrap()
-    };
-    assert!(
-        total(&routed_cost) < total(&scan_cost),
-        "the probe must cost below the scan: {routed_cost} vs {scan_cost}"
-    );
-}
-
-/// EXPLAIN ANALYZE, the paper plan: every line carries the cost model's
-/// `est=` next to the measured `act=`, and the actual row counts are the
-/// materialized `R(n)` sizes from the golden tables (5 MBA alumni, 13
-/// career rows, 9 merged organizations, the 1-row answer).
+/// EXPLAIN ANALYZE, the paper plan: every line carries the measured
+/// `act=`, and the actual row counts are the materialized `R(n)` sizes
+/// from the golden tables (5 MBA alumni, 13 career rows, 9 merged
+/// organizations, the 1-row answer).
 #[test]
 fn analyzed_paper_plan_reports_est_and_act() {
     assert_snapshot(
         &analyzed_text(PAPER_EXPRESSION, &[]),
         "\
-#0  Scan[AD] ALUMNUS[DEG = MBA]  → R(1)  est=(505 µs, ~1 rows)  act=(_ µs, 5 rows)
-#1  Scan[AD] CAREER  → R(2)  est=(545 µs, ~9 rows)  act=(_ µs, 9 rows)
-#2  HashJoin[R(1).AID# = R(2).AID#, coalesce → AID#] (build R(2), probe R(1))  → R(3)  est=(10 µs, ~9 rows)  act=(_ µs, 6 rows)
-#3  Scan[AD] BUSINESS  → R(4)  est=(545 µs, ~9 rows)  act=(_ µs, 9 rows)
-#4  Scan[PD] CORPORATION  → R(5)  est=(535 µs, ~7 rows)  act=(_ µs, 7 rows)
-#5  Scan[CD] FIRM  → R(6)  est=(550 µs, ~10 rows)  act=(_ µs, 10 rows)
-#6  HashMerge[PORGANIZATION on ONAME, 3-way single pass] over R(4), R(5), R(6)  → R(7)  est=(26 µs, ~26 rows)  act=(_ µs, 12 rows)
-#7  HashJoin[R(3).BNAME = R(7).ONAME, coalesce → ONAME] (build R(7), probe R(3))  → R(8)  est=(35 µs, ~26 rows)  act=(_ µs, 6 rows)
-#8  Pipeline over R(8) → Restrict[CEO = ANAME]@R(9) → Project[ONAME, CEO]@R(10) (fused ×2)  → R(10) ◀ answer  est=(26 µs, ~8 rows)  act=(_ µs, 3 rows)
-(estimated 2777 µs total, executed in _ µs)",
+#0  Scan[AD] ALUMNUS[DEG = MBA]  → R(1)  act=(_ µs, 5 rows)
+#1  Scan[AD] CAREER  → R(2)  act=(_ µs, 9 rows)
+#2  HashJoin[R(1).AID# = R(2).AID#, coalesce → AID#] (build R(2), probe R(1))  → R(3)  act=(_ µs, 6 rows)
+#3  Scan[AD] BUSINESS  → R(4)  act=(_ µs, 9 rows)
+#4  Scan[PD] CORPORATION  → R(5)  act=(_ µs, 7 rows)
+#5  Scan[CD] FIRM  → R(6)  act=(_ µs, 10 rows)
+#6  HashMerge[PORGANIZATION on ONAME, 3-way single pass] over R(4), R(5), R(6)  → R(7)  act=(_ µs, 12 rows)
+#7  HashJoin[R(3).BNAME = R(7).ONAME, coalesce → ONAME] (build R(7), probe R(3))  → R(8)  act=(_ µs, 6 rows)
+#8  Pipeline over R(8) → Restrict[CEO = ANAME]@R(9) → Project[ONAME, CEO]@R(10) (fused ×2)  → R(10) ◀ answer  act=(_ µs, 3 rows)
+(executed in _ µs)",
     );
 }
 
@@ -365,10 +327,10 @@ fn analyzed_theta_join() {
     assert_snapshot(
         &analyzed_text("PCAREER [AID# < AID#] PCAREER", &[]),
         "\
-#0  Scan[AD] CAREER  → R(1)  est=(545 µs, ~9 rows)  act=(_ µs, 9 rows)
-#1  Scan[AD] CAREER  → R(2)  est=(545 µs, ~9 rows)  act=(_ µs, 9 rows)
-#2  NestedLoopJoin[R(2).AID# < R(1).AID#]  → R(3) ◀ answer  est=(81 µs, ~9 rows)  act=(_ µs, 35 rows)
-(estimated 1171 µs total, executed in _ µs)",
+#0  Scan[AD] CAREER  → R(1)  act=(_ µs, 9 rows)
+#1  Scan[AD] CAREER  → R(2)  act=(_ µs, 9 rows)
+#2  NestedLoopJoin[R(2).AID# < R(1).AID#]  → R(3) ◀ answer  act=(_ µs, 35 rows)
+(executed in _ µs)",
     );
 }
 
@@ -381,14 +343,14 @@ fn analyzed_antijoin() {
             &[],
         ),
         "\
-#0  Scan[AD] BUSINESS  → R(1)  est=(545 µs, ~9 rows)  act=(_ µs, 9 rows)
-#1  Scan[PD] CORPORATION  → R(2)  est=(535 µs, ~7 rows)  act=(_ µs, 7 rows)
-#2  Scan[CD] FIRM  → R(3)  est=(550 µs, ~10 rows)  act=(_ µs, 10 rows)
-#3  HashMerge[PORGANIZATION on ONAME, 3-way single pass] over R(1), R(2), R(3)  → R(4)  est=(26 µs, ~26 rows)  act=(_ µs, 12 rows)
-#4  Scan[CD] FINANCE  → R(5)  est=(550 µs, ~10 rows)  act=(_ µs, 10 rows)
-#5  AntiJoin[R(4).ONAME = R(5).FNAME]  → R(6)  est=(36 µs, ~13 rows)  act=(_ µs, 2 rows)
-#6  Pipeline over R(6) → Project[ONAME]@R(7)  → R(7) ◀ answer  est=(13 µs, ~13 rows)  act=(_ µs, 2 rows)
-(estimated 2255 µs total, executed in _ µs)",
+#0  Scan[AD] BUSINESS  → R(1)  act=(_ µs, 9 rows)
+#1  Scan[PD] CORPORATION  → R(2)  act=(_ µs, 7 rows)
+#2  Scan[CD] FIRM  → R(3)  act=(_ µs, 10 rows)
+#3  HashMerge[PORGANIZATION on ONAME, 3-way single pass] over R(1), R(2), R(3)  → R(4)  act=(_ µs, 12 rows)
+#4  Scan[CD] FINANCE  → R(5)  act=(_ µs, 10 rows)
+#5  AntiJoin[R(4).ONAME = R(5).FNAME]  → R(6)  act=(_ µs, 2 rows)
+#6  Pipeline over R(6) → Project[ONAME]@R(7)  → R(7) ◀ answer  act=(_ µs, 2 rows)
+(executed in _ µs)",
     );
 }
 
@@ -402,12 +364,12 @@ fn analyzed_set_ops() {
             &[],
         ),
         "\
-#0  Scan[AD] ALUMNUS[DEG = MBA]  → R(1)  est=(505 µs, ~1 rows)  act=(_ µs, 5 rows)
-#1  Scan[AD] ALUMNUS[DEG = MS]  → R(2)  est=(505 µs, ~1 rows)  act=(_ µs, 1 rows)
-#2  Union[R(1), R(2)]  → R(3)  est=(2 µs, ~2 rows)  act=(_ µs, 6 rows)
-#3  Scan[AD] ALUMNUS[DEG = MBA]  → R(4)  est=(505 µs, ~1 rows)  act=(_ µs, 5 rows)
-#4  Difference[R(3), R(4)]  → R(5) ◀ answer  est=(2 µs, ~1 rows)  act=(_ µs, 1 rows)
-(estimated 1519 µs total, executed in _ µs)",
+#0  Scan[AD] ALUMNUS[DEG = MBA]  → R(1)  act=(_ µs, 5 rows)
+#1  Scan[AD] ALUMNUS[DEG = MS]  → R(2)  act=(_ µs, 1 rows)
+#2  Union[R(1), R(2)]  → R(3)  act=(_ µs, 6 rows)
+#3  Scan[AD] ALUMNUS[DEG = MBA]  → R(4)  act=(_ µs, 5 rows)
+#4  Difference[R(3), R(4)]  → R(5) ◀ answer  act=(_ µs, 1 rows)
+(executed in _ µs)",
     );
 }
 
@@ -417,12 +379,12 @@ fn analyzed_intersect_and_product() {
     assert_snapshot(
         &analyzed_text("(PALUMNUS INTERSECT PALUMNUS) TIMES PFINANCE", &[]),
         "\
-#0  Scan[AD] ALUMNUS  → R(1)  est=(540 µs, ~8 rows)  act=(_ µs, 8 rows)
-#1  Scan[AD] ALUMNUS  → R(2)  est=(540 µs, ~8 rows)  act=(_ µs, 8 rows)
-#2  Intersect[R(2), R(1)]  → R(3)  est=(16 µs, ~8 rows)  act=(_ µs, 8 rows)
-#3  Scan[CD] FINANCE  → R(4)  est=(550 µs, ~10 rows)  act=(_ µs, 10 rows)
-#4  Product[R(3), R(4)]  → R(5) ◀ answer  est=(80 µs, ~80 rows)  act=(_ µs, 80 rows)
-(estimated 1726 µs total, executed in _ µs)",
+#0  Scan[AD] ALUMNUS  → R(1)  act=(_ µs, 8 rows)
+#1  Scan[AD] ALUMNUS  → R(2)  act=(_ µs, 8 rows)
+#2  Intersect[R(2), R(1)]  → R(3)  act=(_ µs, 8 rows)
+#3  Scan[CD] FINANCE  → R(4)  act=(_ µs, 10 rows)
+#4  Product[R(3), R(4)]  → R(5) ◀ answer  act=(_ µs, 80 rows)
+(executed in _ µs)",
     );
 }
 
@@ -436,8 +398,8 @@ fn analyzed_index_scan() {
             &[IndexSpec::hash("AD", "ALUMNUS", "DEG")],
         ),
         "\
-#0  IndexScan[AD] ALUMNUS [ixscan AD.DEG = MBA] (hash)  → R(1) ◀ answer  est=(2 µs, ~0 rows)  act=(_ µs, 5 rows)
-(estimated 2 µs total, executed in _ µs)",
+#0  IndexScan[AD] ALUMNUS [ixscan AD.DEG = MBA] (hash)  → R(1) ◀ answer  act=(_ µs, 5 rows)
+(executed in _ µs)",
     );
 }
 
@@ -548,29 +510,29 @@ fn analyzed_fused_join_keeps_its_row_counts() {
     let big = polygen::workload::generate(&common::fixtures::small_config(5, 3, 64));
     let join = polygen::workload::queries::join_query(0);
     let leaves = "\
-#0  Scan[S0] DETAIL[DSCORE >= 0]  → R(1)  est=(1500 µs, ~200 rows)  act=(_ µs, 2000 rows)
-#1  Scan[S0] ENTITY_0  → R(2)  est=(700 µs, ~40 rows)  act=(_ µs, 40 rows)
-#2  Scan[S1] ENTITY_1  → R(3)  est=(725 µs, ~45 rows)  act=(_ µs, 45 rows)
-#3  Scan[S2] ENTITY_2  → R(4)  est=(675 µs, ~35 rows)  act=(_ µs, 35 rows)
+#0  Scan[S0] DETAIL[DSCORE >= 0]  → R(1)  act=(_ µs, 2000 rows)
+#1  Scan[S0] ENTITY_0  → R(2)  act=(_ µs, 40 rows)
+#2  Scan[S1] ENTITY_1  → R(3)  act=(_ µs, 45 rows)
+#3  Scan[S2] ENTITY_2  → R(4)  act=(_ µs, 35 rows)
 ";
     assert_snapshot(
         &analyzed_text_at(&big, &join, &[], 1),
         &format!(
             "{leaves}\
-#4  HashMerge[PENTITY on ENAME, 3-way single pass] over R(2), R(3), R(4)  → R(5)  est=(120 µs, ~120 rows)  act=(_ µs, 64 rows)
-#5  HashJoin[R(1).DNAME = R(5).ENAME, coalesce → ENAME] (build R(5), probe R(1))  → R(6)  est=(320 µs, ~200 rows)  act=(_ µs, 2000 rows)
-#6  Pipeline over R(6) → Project[ENAME, CATEGORY]@R(7)  → R(7) ◀ answer  est=(200 µs, ~200 rows)  act=(_ µs, 64 rows)
-(estimated 4240 µs total, executed in _ µs)"
+#4  HashMerge[PENTITY on ENAME, 3-way single pass] over R(2), R(3), R(4)  → R(5)  act=(_ µs, 64 rows)
+#5  HashJoin[R(1).DNAME = R(5).ENAME, coalesce → ENAME] (build R(5), probe R(1))  → R(6)  act=(_ µs, 2000 rows)
+#6  Pipeline over R(6) → Project[ENAME, CATEGORY]@R(7)  → R(7) ◀ answer  act=(_ µs, 64 rows)
+(executed in _ µs)"
         ),
     );
     assert_snapshot(
         &analyzed_text_at(&big, &join, &[], 4),
         &format!(
             "{leaves}\
-#4  HashMerge[PENTITY on ENAME, 3-way single pass] over R(2), R(3), R(4)  → R(5)  est=(120 µs, ~120 rows)  act=(_ µs, 64 rows, x4)
-#5  HashJoin[R(1).DNAME = R(5).ENAME, coalesce → ENAME] (build R(5), probe R(1))  → R(6)  est=(320 µs, ~200 rows)  act=(_ µs, 2000 rows, x4)
-#6  Pipeline over R(6) → Project[ENAME, CATEGORY]@R(7)  → R(7) ◀ answer  est=(200 µs, ~200 rows)  act=(_ µs, 64 rows)
-(estimated 4240 µs total, executed in _ µs)"
+#4  HashMerge[PENTITY on ENAME, 3-way single pass] over R(2), R(3), R(4)  → R(5)  act=(_ µs, 64 rows, x4)
+#5  HashJoin[R(1).DNAME = R(5).ENAME, coalesce → ENAME] (build R(5), probe R(1))  → R(6)  act=(_ µs, 2000 rows, x4)
+#6  Pipeline over R(6) → Project[ENAME, CATEGORY]@R(7)  → R(7) ◀ answer  act=(_ µs, 64 rows)
+(executed in _ µs)"
         ),
     );
     let pqp = Pqp::for_scenario(&big);
@@ -664,37 +626,37 @@ fn analyzed_fused_merge_keeps_its_row_counts() {
     let big = polygen::workload::generate(&common::fixtures::small_config(5, 3, 64));
     let select = polygen::workload::queries::select_query(1);
     let leaves = "\
-#0  Scan[S0] ENTITY_0  → R(1)  est=(700 µs, ~40 rows)  act=(_ µs, 40 rows)
-#1  Scan[S1] ENTITY_1  → R(2)  est=(725 µs, ~45 rows)  act=(_ µs, 45 rows)
-#2  Scan[S2] ENTITY_2  → R(3)  est=(675 µs, ~35 rows)  act=(_ µs, 35 rows)
+#0  Scan[S0] ENTITY_0  → R(1)  act=(_ µs, 40 rows)
+#1  Scan[S1] ENTITY_1  → R(2)  act=(_ µs, 45 rows)
+#2  Scan[S2] ENTITY_2  → R(3)  act=(_ µs, 35 rows)
 ";
     assert_snapshot(
         &analyzed_text_at(&big, &select, &[], 1),
         &format!(
             "{leaves}\
-#3  HashMerge[PENTITY on ENAME, 3-way single pass] over R(1), R(2), R(3)  → R(4)  est=(120 µs, ~120 rows)  act=(_ µs, 64 rows)
-#4  Pipeline over R(4) → Select[CATEGORY = C1]@R(5)  → R(5) ◀ answer  est=(120 µs, ~12 rows)  act=(_ µs, 5 rows)
-(estimated 2340 µs total, executed in _ µs)"
+#3  HashMerge[PENTITY on ENAME, 3-way single pass] over R(1), R(2), R(3)  → R(4)  act=(_ µs, 64 rows)
+#4  Pipeline over R(4) → Select[CATEGORY = C1]@R(5)  → R(5) ◀ answer  act=(_ µs, 5 rows)
+(executed in _ µs)"
         ),
     );
     assert_snapshot(
         &analyzed_text_at(&big, &select, &[], 4),
         &format!(
             "{leaves}\
-#3  HashMerge[PENTITY on ENAME, 3-way single pass] over R(1), R(2), R(3)  → R(4)  est=(120 µs, ~120 rows)  act=(_ µs, 64 rows, x4)
-#4  Pipeline over R(4) → Select[CATEGORY = C1]@R(5)  → R(5) ◀ answer  est=(120 µs, ~12 rows)  act=(_ µs, 5 rows, x4)
-(estimated 2340 µs total, executed in _ µs)"
+#3  HashMerge[PENTITY on ENAME, 3-way single pass] over R(1), R(2), R(3)  → R(4)  act=(_ µs, 64 rows, x4)
+#4  Pipeline over R(4) → Select[CATEGORY = C1]@R(5)  → R(5) ◀ answer  act=(_ µs, 5 rows, x4)
+(executed in _ µs)"
         ),
     );
     assert_snapshot(
         &analyzed_text("PORGANIZATION [INDUSTRY = \"Banking\"]", &[]),
         "\
-#0  Scan[AD] BUSINESS  → R(1)  est=(545 µs, ~9 rows)  act=(_ µs, 9 rows)
-#1  Scan[PD] CORPORATION  → R(2)  est=(535 µs, ~7 rows)  act=(_ µs, 7 rows)
-#2  Scan[CD] FIRM  → R(3)  est=(550 µs, ~10 rows)  act=(_ µs, 10 rows)
-#3  HashMerge[PORGANIZATION on ONAME, 3-way single pass] over R(1), R(2), R(3)  → R(4)  est=(26 µs, ~26 rows)  act=(_ µs, 12 rows)
-#4  Pipeline over R(4) → Select[INDUSTRY = Banking]@R(5)  → R(5) ◀ answer  est=(26 µs, ~3 rows)  act=(_ µs, 1 rows)
-(estimated 1682 µs total, executed in _ µs)",
+#0  Scan[AD] BUSINESS  → R(1)  act=(_ µs, 9 rows)
+#1  Scan[PD] CORPORATION  → R(2)  act=(_ µs, 7 rows)
+#2  Scan[CD] FIRM  → R(3)  act=(_ µs, 10 rows)
+#3  HashMerge[PORGANIZATION on ONAME, 3-way single pass] over R(1), R(2), R(3)  → R(4)  act=(_ µs, 12 rows)
+#4  Pipeline over R(4) → Select[INDUSTRY = Banking]@R(5)  → R(5) ◀ answer  act=(_ µs, 1 rows)
+(executed in _ µs)",
     );
     let sql = polygen::workload::queries::paper_shaped_sql(1);
     let paper_class = Pqp::for_scenario(&big)
@@ -704,15 +666,15 @@ fn analyzed_fused_merge_keeps_its_row_counts() {
     assert_snapshot(
         &analyzed_text_at(&big, &paper_class, &[], 4),
         "\
-#0  Scan[S0] DETAIL[DSCORE >= 50]  → R(1)  est=(1500 µs, ~200 rows)  act=(_ µs, 997 rows)
-#1  Scan[S0] ENTITY_0  → R(2)  est=(700 µs, ~40 rows)  act=(_ µs, 40 rows)
-#2  Scan[S1] ENTITY_1  → R(3)  est=(725 µs, ~45 rows)  act=(_ µs, 45 rows)
-#3  Scan[S2] ENTITY_2  → R(4)  est=(675 µs, ~35 rows)  act=(_ µs, 35 rows)
-#4  HashMerge[PENTITY on ENAME, 3-way single pass] over R(2), R(3), R(4)  → R(5)  est=(120 µs, ~120 rows)  act=(_ µs, 64 rows, x4)
-#5  Pipeline over R(5) → Select[CATEGORY = C1]@R(6)  → R(6)  est=(120 µs, ~12 rows)  act=(_ µs, 5 rows, x4)
-#6  HashJoin[R(1).DNAME = R(6).ENAME, coalesce → ENAME] (build R(6), probe R(1))  → R(7)  est=(212 µs, ~200 rows)  act=(_ µs, 72 rows, x4)
-#7  Pipeline over R(7) → Project[ENAME, CATEGORY]@R(8)  → R(8) ◀ answer  est=(200 µs, ~200 rows)  act=(_ µs, 5 rows)
-(estimated 4252 µs total, executed in _ µs)",
+#0  Scan[S0] DETAIL[DSCORE >= 50]  → R(1)  act=(_ µs, 997 rows)
+#1  Scan[S0] ENTITY_0  → R(2)  act=(_ µs, 40 rows)
+#2  Scan[S1] ENTITY_1  → R(3)  act=(_ µs, 45 rows)
+#3  Scan[S2] ENTITY_2  → R(4)  act=(_ µs, 35 rows)
+#4  HashMerge[PENTITY on ENAME, 3-way single pass] over R(2), R(3), R(4)  → R(5)  act=(_ µs, 64 rows, x4)
+#5  Pipeline over R(5) → Select[CATEGORY = C1]@R(6)  → R(6)  act=(_ µs, 5 rows, x4)
+#6  HashJoin[R(1).DNAME = R(6).ENAME, coalesce → ENAME] (build R(6), probe R(1))  → R(7)  act=(_ µs, 72 rows, x4)
+#7  Pipeline over R(7) → Project[ENAME, CATEGORY]@R(8)  → R(8) ◀ answer  act=(_ µs, 5 rows)
+(executed in _ µs)",
     );
     let pqp = Pqp::for_scenario(&big);
     let compiled = pqp.compile(parse_algebra(&select).unwrap()).unwrap();
@@ -745,31 +707,31 @@ fn analyzed_late_merge_keeps_its_row_counts() {
         .unwrap()
         .to_string();
     let leaves = "\
-#0  Scan[S0] DETAIL[DSCORE >= 50]  → R(1)  est=(1500 µs, ~200 rows)  act=(_ µs, 997 rows)
-#1  Scan[S0] ENTITY_0  → R(2)  est=(700 µs, ~40 rows)  act=(_ µs, 40 rows)
-#2  Scan[S1] ENTITY_1  → R(3)  est=(725 µs, ~45 rows)  act=(_ µs, 45 rows)
-#3  Scan[S2] ENTITY_2  → R(4)  est=(675 µs, ~35 rows)  act=(_ µs, 35 rows)
+#0  Scan[S0] DETAIL[DSCORE >= 50]  → R(1)  act=(_ µs, 997 rows)
+#1  Scan[S0] ENTITY_0  → R(2)  act=(_ µs, 40 rows)
+#2  Scan[S1] ENTITY_1  → R(3)  act=(_ µs, 45 rows)
+#3  Scan[S2] ENTITY_2  → R(4)  act=(_ µs, 35 rows)
 ";
     for (threads, split) in [(1, ""), (4, ", x4")] {
         assert_snapshot(
             &analyzed_text_at(&big, &join, &[], threads),
             &format!(
                 "{leaves}\
-#4  HashMerge[PENTITY on ENAME, 3-way single pass] over R(2), R(3), R(4)  → R(5)  est=(120 µs, ~120 rows)  act=(_ µs, 64 rows{split})
-#5  HashJoin[R(1).DNAME = R(5).ENAME, coalesce → ENAME] (build R(5), probe R(1))  → R(6)  est=(320 µs, ~200 rows)  act=(_ µs, 997 rows{split})
-#6  Pipeline over R(6) → Project[ENAME, CATEGORY]@R(7)  → R(7) ◀ answer  est=(200 µs, ~200 rows)  act=(_ µs, 64 rows)
-(estimated 4240 µs total, executed in _ µs)"
+#4  HashMerge[PENTITY on ENAME, 3-way single pass] over R(2), R(3), R(4)  → R(5)  act=(_ µs, 64 rows{split})
+#5  HashJoin[R(1).DNAME = R(5).ENAME, coalesce → ENAME] (build R(5), probe R(1))  → R(6)  act=(_ µs, 997 rows{split})
+#6  Pipeline over R(6) → Project[ENAME, CATEGORY]@R(7)  → R(7) ◀ answer  act=(_ µs, 64 rows)
+(executed in _ µs)"
             ),
         );
         assert_snapshot(
             &analyzed_text_at(&big, &paper_class, &[], threads),
             &format!(
                 "{leaves}\
-#4  HashMerge[PENTITY on ENAME, 3-way single pass] over R(2), R(3), R(4)  → R(5)  est=(120 µs, ~120 rows)  act=(_ µs, 64 rows{split})
-#5  Pipeline over R(5) → Select[CATEGORY = C2]@R(6)  → R(6)  est=(120 µs, ~12 rows)  act=(_ µs, 7 rows{split})
-#6  HashJoin[R(1).DNAME = R(6).ENAME, coalesce → ENAME] (build R(6), probe R(1))  → R(7)  est=(212 µs, ~200 rows)  act=(_ µs, 110 rows{split})
-#7  Pipeline over R(7) → Project[ENAME, CATEGORY]@R(8)  → R(8) ◀ answer  est=(200 µs, ~200 rows)  act=(_ µs, 7 rows)
-(estimated 4252 µs total, executed in _ µs)"
+#4  HashMerge[PENTITY on ENAME, 3-way single pass] over R(2), R(3), R(4)  → R(5)  act=(_ µs, 64 rows{split})
+#5  Pipeline over R(5) → Select[CATEGORY = C2]@R(6)  → R(6)  act=(_ µs, 7 rows{split})
+#6  HashJoin[R(1).DNAME = R(6).ENAME, coalesce → ENAME] (build R(6), probe R(1))  → R(7)  act=(_ µs, 110 rows{split})
+#7  Pipeline over R(7) → Project[ENAME, CATEGORY]@R(8)  → R(8) ◀ answer  act=(_ µs, 7 rows)
+(executed in _ µs)"
             ),
         );
     }

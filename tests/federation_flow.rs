@@ -132,10 +132,7 @@ fn menu_driven_feed_compensates() {
     for db in &s.databases {
         let inner = InMemoryLqp::new(&db.name, db.relations.clone());
         if db.name == "CD" {
-            registry.register(Arc::new(CompensatingLqp::new(MenuDrivenLqp::new(
-                inner,
-                CostModel::slow_remote(),
-            ))));
+            registry.register(Arc::new(CompensatingLqp::new(MenuDrivenLqp::new(inner))));
         } else {
             registry.register(Arc::new(inner));
         }
@@ -158,10 +155,7 @@ fn menu_driven_feed_without_adapter_rejects_pushdown() {
     for db in &s.databases {
         let inner = InMemoryLqp::new(&db.name, db.relations.clone());
         if db.name == "AD" {
-            registry.register(Arc::new(MenuDrivenLqp::new(
-                inner,
-                CostModel::slow_remote(),
-            )));
+            registry.register(Arc::new(MenuDrivenLqp::new(inner)));
         } else {
             registry.register(Arc::new(inner));
         }

@@ -758,14 +758,13 @@ fn stats_scrape_and_traced_waterfall_cross_the_wire() {
     // The same waterfall is visible to remote eyes via the scrape.
     assert!(scrape.contains("net/flush"), "{scrape}");
     // EXPLAIN ANALYZE crosses the wire as an Explain response with
-    // per-node actuals beside the estimates.
+    // per-node actuals.
     let analyzed = session
         .execute(&Request::sql(format!("EXPLAIN ANALYZE {sql}")))
         .expect("analyze");
     let Response::Explain { plan, .. } = &analyzed else {
         panic!("expected explain, got {analyzed:?}");
     };
-    assert!(plan.contains("est=("), "{plan}");
     assert!(plan.contains("act=("), "{plan}");
     server.shutdown();
 }

@@ -348,7 +348,7 @@ fn rendered_analyze_matches_span_row_counts() {
     let trace = Trace::enabled();
     pqp.run_compiled_traced(&compiled, &trace).unwrap();
     let report = trace.report().unwrap();
-    let rendered = render_analyzed_plan(&compiled.physical, pqp.registry(), &report);
+    let rendered = render_analyzed_plan(&compiled.physical, &report);
     for sp in &report.spans {
         let (Some(_), Some(rows)) = (sp.note_uint("node"), sp.note_uint("rows")) else {
             continue;
